@@ -3,7 +3,7 @@ GO ?= go
 # Coverage floor for `make cover` (percent of statements).
 COVER_FLOOR ?= 70
 
-.PHONY: all build test race vet fmt-check bench bench-quick bench-check bench-micro cover smoke smoke-serve smoke-cluster smoke-durable smoke-pgwire ci
+.PHONY: all build test test-benchmark race vet fmt-check bench bench-quick bench-check bench-micro cover smoke smoke-serve smoke-cluster smoke-durable smoke-pgwire loc ci
 
 all: ci
 
@@ -20,6 +20,13 @@ fmt-check:
 
 test:
 	$(GO) test ./...
+
+# test-benchmark runs the benchmark module's own tests (import allowlist,
+# schedule determinism, TestOracleIsLive, a 1/10-size smoke of every
+# workload). benchmark/ is its own module, so root `go test ./...` never
+# reaches them.
+test-benchmark:
+	$(GO) test -C benchmark ./...
 
 # race runs the full suite under the race detector; the parallel executor
 # tests (internal/exec, internal/ort, package raven) are written to hammer
@@ -131,8 +138,15 @@ bench-check:
 bench-micro:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/types ./internal/expr
 
+# loc prints non-test Go lines per package, benchmark/ excluded — the
+# number ROADMAP aim 2 tracks.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+		| xargs wc -l | awk '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+		END { for (d in n) printf "%7d %s\n", n[d], d; printf "%7d total\n", t }' | sort -k2
+
 # ci runs the suite twice, not three times: cover subsumes a plain
 # `make test` (same tests, plus the coverage floor and cover.out), so
 # the gate is cover + race rather than test + race + a separate cover.
-ci: fmt-check build vet cover race smoke smoke-serve smoke-cluster smoke-durable smoke-pgwire
+ci: fmt-check build vet cover race test-benchmark smoke smoke-serve smoke-cluster smoke-durable smoke-pgwire
 	@$(MAKE) bench-quick BENCH_JSON=.bench_ci.json BENCH_SCALING_JSON=.bench_scaling_ci.json BENCH_SERVE_JSON=.bench_serve_ci.json BENCH_TENANT_JSON=.bench_tenant_ci.json BENCH_CLUSTER_JSON=.bench_cluster_ci.json BENCH_CACHE_JSON=.bench_cache_ci.json BENCH_WAL_JSON=.bench_wal_ci.json

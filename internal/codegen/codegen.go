@@ -23,21 +23,21 @@ import (
 // Config controls lowering.
 type Config struct {
 	Runtime *rt.Runtime
-	// Ctx cancels execution of the compiled operator tree: exchanges,
-	// serial scans, pipeline breakers and predictors all observe it. Nil
-	// means not cancellable.
+	// Ctx cancels execution of the compiled operator tree: pipelines,
+	// pipeline breakers and predictors all observe it. Nil means not
+	// cancellable.
 	Ctx context.Context
 	// Mode selects how MLD chains execute. LA nodes always run on the
 	// tensor runtime.
 	Mode rt.Mode
-	// Parallelism is the morsel-exchange worker count (1 = sequential).
+	// Parallelism is the pipeline worker count (1 = inline, no goroutines).
 	Parallelism int
 	// ParallelThresholdRows gates parallel scans.
 	ParallelThresholdRows int
-	// MorselSize is the rows-per-morsel of parallel scans (0 = default).
+	// MorselSize is the rows-per-morsel of table scans (0 = default).
 	MorselSize int
-	// Tuner, when set, adapts morsel, serial-scan and inference batch
-	// sizes (engine option WithAdaptiveMorsels). Explicit sizes win.
+	// Tuner, when set, adapts morsel and inference batch sizes (engine
+	// option WithAdaptiveMorsels). Explicit sizes win.
 	Tuner *exec.Tuner
 	// CacheKey identifies the model for session caching; empty disables
 	// caching (the standalone-runtime behaviour).
@@ -53,42 +53,40 @@ func (c *Config) runtime() *rt.Runtime {
 
 // Compile lowers the IR graph into a physical operator.
 func Compile(g *ir.Graph, cfg *Config) (exec.Operator, error) {
-	parts, err := compileNode(g.Root, cfg)
+	ex, err := compileNode(g.Root, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if len(parts) == 1 {
-		// A breaker at the root may still carry its stage-free
-		// re-parallelization exchange; nothing can push onto it now.
-		return exec.UnwrapIdleExchange(parts[0]), nil
-	}
-	return &exec.Parallel{Parts: parts}, nil
+	// The root may still carry a stage-free re-entry exchange; nothing can
+	// push onto it now.
+	return exec.UnwrapIdleExchange(ex), nil
 }
 
-func env(cfg *Config, inputParts []exec.Operator) *exec.Env {
+func env(cfg *Config) *exec.Env {
 	return &exec.Env{
 		Ctx:                   cfg.Ctx,
 		Parallelism:           cfg.Parallelism,
 		ParallelThresholdRows: cfg.ParallelThresholdRows,
 		MorselSize:            cfg.MorselSize,
-		InputParts:            inputParts,
 		Tuner:                 cfg.Tuner,
 	}
 }
 
-// compileNode lowers one IR node (and its inputs) to operator partitions.
-func compileNode(n ir.Node, cfg *Config) ([]exec.Operator, error) {
+// compileNode lowers one IR node (and its inputs) to its morsel pipeline:
+// relational fragments, ML scoring stages and split branches all extend or
+// start an exec.Exchange, so one pipeline threads through DB and ML stages
+// alike.
+func compileNode(n ir.Node, cfg *Config) (*exec.Exchange, error) {
 	switch x := n.(type) {
 	case *ir.RelNode:
-		var inputParts []exec.Operator
+		var input *exec.Exchange
 		if x.In != nil {
 			var err error
-			inputParts, err = compileNode(x.In, cfg)
-			if err != nil {
+			if input, err = compileNode(x.In, cfg); err != nil {
 				return nil, err
 			}
 		}
-		return exec.CompileParts(x.Plan, env(cfg, inputParts))
+		return exec.CompilePipeline(x.Plan, env(cfg), input)
 
 	case *ir.TransformNode:
 		// Transforms compile together with their consuming model; reaching
@@ -97,39 +95,31 @@ func compileNode(n ir.Node, cfg *Config) ([]exec.Operator, error) {
 
 	case *ir.ModelNode:
 		steps, below := collectTransforms(x.In)
-		var inputParts []exec.Operator
-		var err error
-		if below != nil {
-			inputParts, err = compileNode(below, cfg)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if len(inputParts) == 0 {
+		if below == nil {
 			return nil, fmt.Errorf("codegen: model node has no relational input")
+		}
+		input, err := compileNode(below, cfg)
+		if err != nil {
+			return nil, err
 		}
 		pipe := &ml.Pipeline{Steps: steps, Final: x.M, InputColumns: x.InputCols}
 		pred, err := buildPredictor(cfg, pipe, x.OutputCol.Type)
 		if err != nil {
 			return nil, err
 		}
-		return predictParts(cfg, inputParts, pred, x.OutputCol)
+		return pushPredict(cfg, input, pred, x.OutputCol)
 
 	case *ir.LANode:
 		steps, below := collectTransforms(x.In)
 		if len(steps) > 0 {
 			return nil, fmt.Errorf("codegen: transforms below an LA node should have been fused")
 		}
-		var inputParts []exec.Operator
-		var err error
-		if below != nil {
-			inputParts, err = compileNode(below, cfg)
-			if err != nil {
-				return nil, err
-			}
-		}
-		if len(inputParts) == 0 {
+		if below == nil {
 			return nil, fmt.Errorf("codegen: LA node has no relational input")
+		}
+		input, err := compileNode(below, cfg)
+		if err != nil {
+			return nil, err
 		}
 		r := cfg.runtime()
 		var sess *ort.Session
@@ -147,20 +137,18 @@ func compileNode(n ir.Node, cfg *Config) ([]exec.Operator, error) {
 			return nil, err
 		}
 		pred := &rt.SessionPredictor{Session: sess, InputCols: x.InputCols, OutType: x.OutputCol.Type}
-		return predictParts(cfg, inputParts, pred, x.OutputCol)
+		return pushPredict(cfg, input, pred, x.OutputCol)
 
 	case *ir.UDFNode:
-		// UDFs wrap serially (sealing any exchange below): the opaque batch
-		// function carries no concurrency-safety contract.
-		inputParts, err := compileNode(x.In, cfg)
+		// A UDF is an ordered operator over its input's stream, like LIMIT:
+		// the opaque batch function carries no concurrency-safety contract,
+		// so it never becomes a stage. Whatever sits above re-enters a
+		// pipeline over its output.
+		input, err := compileNode(x.In, cfg)
 		if err != nil {
 			return nil, err
 		}
-		out := make([]exec.Operator, len(inputParts))
-		for i, p := range inputParts {
-			out[i] = &udfOp{child: p, fn: x.Fn, schema: x.Out}
-		}
-		return out, nil
+		return env(cfg).Pipeline(&udfOp{child: exec.UnwrapIdleExchange(input), fn: x.Fn, schema: x.Out}), nil
 
 	case *ir.SplitNode:
 		return compileSplit(x, cfg)
@@ -170,33 +158,19 @@ func compileNode(n ir.Node, cfg *Config) ([]exec.Operator, error) {
 	}
 }
 
-// predictParts lowers an ML scoring stage over its input partitions. When
-// the input is a still-growing morsel exchange the score becomes one more
-// stage in the same pipeline, so scan, filter and inference all run on the
-// exchange's workers. Pipeline breakers (join, aggregate, sort) no longer
-// seal the plan: exec splits the pipeline around them and re-opens a fresh
-// exchange above each breaker, so a PREDICT over a join or GROUP BY result
-// still pushes here and scores morsel-parallel. Only genuinely serial
-// inputs (DOP 1, unioned split branches) fall back to a PredictOp, which
-// recovers slice-parallel inference on oversized batches.
-func predictParts(cfg *Config, inputParts []exec.Operator, pred exec.Predictor, outCol types.Column) ([]exec.Operator, error) {
+// pushPredict lowers an ML scoring stage: the score becomes one more stage
+// in its input's pipeline, so scan, filter and inference all run on the
+// worker that claimed the morsel. Pipeline breakers (join, aggregate,
+// sort) do not seal the plan: exec re-enters a fresh pipeline above each
+// one, so a PREDICT over a join or GROUP BY result pushes here too.
+func pushPredict(cfg *Config, input *exec.Exchange, pred exec.Predictor, outCol types.Column) (*exec.Exchange, error) {
 	if cfg.Ctx != nil {
 		pred = &rt.ContextPredictor{Ctx: cfg.Ctx, Inner: pred}
 	}
-	if ex, ok := exec.PushableExchange(inputParts); ok {
-		if err := ex.Push(&exec.PredictStage{Predictor: pred, OutputCols: []types.Column{outCol}}); err != nil {
-			return nil, err
-		}
-		return inputParts, nil
+	if err := input.Push(&exec.PredictStage{Predictor: pred, OutputCols: []types.Column{outCol}}); err != nil {
+		return nil, err
 	}
-	out := make([]exec.Operator, len(inputParts))
-	for i, p := range inputParts {
-		op := exec.NewPredictOp(p, pred, []types.Column{outCol})
-		op.Parallelism = cfg.Parallelism
-		op.MorselSize = cfg.MorselSize
-		out[i] = op
-	}
-	return out, nil
+	return input, nil
 }
 
 // collectTransforms walks down consecutive TransformNodes, returning the
@@ -252,47 +226,42 @@ func pipelinePredictor(cfg *Config, pipe *ml.Pipeline, outType types.DataType) *
 
 // compileSplit lowers model/query splitting: the source plan is compiled
 // once per branch with a complementary filter, each branch scores with its
-// own sub-model, and the exchange unions the streams.
-func compileSplit(s *ir.SplitNode, cfg *Config) ([]exec.Operator, error) {
+// own sub-model, and the two branch pipelines run back to back (all of the
+// left branch's rows, then the right's).
+func compileSplit(s *ir.SplitNode, cfg *Config) (*exec.Exchange, error) {
 	src, ok := s.In.(*ir.RelNode)
 	if !ok {
 		return nil, fmt.Errorf("codegen: split requires a relational source, got %T", s.In)
 	}
-	build := func(m ir.Node, cond expr.Expr) ([]exec.Operator, error) {
-		parts, err := exec.CompileParts(src.Plan, env(cfg, nil))
-		if err != nil {
-			return nil, err
-		}
-		if ex, ok := exec.PushableExchange(parts); ok {
-			if err := ex.Push(&exec.FilterStage{Pred: cond}); err != nil {
-				return nil, err
-			}
-		} else {
-			for i := range parts {
-				parts[i] = &exec.FilterOp{Child: parts[i], Pred: cond}
-			}
-		}
+	build := func(m ir.Node, cond expr.Expr) (*exec.Exchange, error) {
 		model, ok := m.(*ir.ModelNode)
 		if !ok {
 			return nil, fmt.Errorf("codegen: split branch must be a model node, got %T", m)
+		}
+		ex, err := exec.CompilePipeline(src.Plan, env(cfg), nil)
+		if err != nil {
+			return nil, err
+		}
+		if err := ex.Push(&exec.FilterStage{Pred: cond}); err != nil {
+			return nil, err
 		}
 		pipe := &ml.Pipeline{Final: model.M, InputColumns: model.InputCols}
 		pred, err := buildPredictor(cfg, pipe, model.OutputCol.Type)
 		if err != nil {
 			return nil, err
 		}
-		return predictParts(cfg, parts, pred, model.OutputCol)
+		return pushPredict(cfg, ex, pred, model.OutputCol)
 	}
 	col := &expr.Column{Name: s.CondCol}
-	leftParts, err := build(s.Left, expr.NewBinary(expr.OpLe, col, expr.FloatLit(s.Threshold)))
+	left, err := build(s.Left, expr.NewBinary(expr.OpLe, col, expr.FloatLit(s.Threshold)))
 	if err != nil {
 		return nil, err
 	}
-	rightParts, err := build(s.Right, expr.NewBinary(expr.OpGt, col, expr.FloatLit(s.Threshold)))
+	right, err := build(s.Right, expr.NewBinary(expr.OpGt, col, expr.FloatLit(s.Threshold)))
 	if err != nil {
 		return nil, err
 	}
-	return append(leftParts, rightParts...), nil
+	return env(cfg).Pipeline(&exec.Concat{Parts: []exec.Operator{left, right}}), nil
 }
 
 // udfOp applies an opaque batch function.

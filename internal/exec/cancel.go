@@ -1,10 +1,6 @@
 package exec
 
-import (
-	"context"
-
-	"raven/internal/types"
-)
+import "context"
 
 // ctxErr returns ctx.Err(), tolerating a nil context so operators can
 // check cancellation unconditionally.
@@ -13,62 +9,4 @@ func ctxErr(ctx context.Context) error {
 		return nil
 	}
 	return ctx.Err()
-}
-
-// CancelOp makes a serial pipeline cancellable: it polls its context
-// between batches and fails with ctx.Err() once the deadline passes or the
-// caller cancels. Compilation inserts one above every serial table scan so
-// cancellation reaches plans that never cross a morsel exchange; parallel
-// plans cancel inside Exchange itself.
-type CancelOp struct {
-	Ctx   context.Context
-	Child Operator
-}
-
-// Schema implements Operator.
-func (c *CancelOp) Schema() *types.Schema { return c.Child.Schema() }
-
-// Open implements Operator.
-func (c *CancelOp) Open() error {
-	if err := ctxErr(c.Ctx); err != nil {
-		return err
-	}
-	return c.Child.Open()
-}
-
-// Close implements Operator.
-func (c *CancelOp) Close() error { return c.Child.Close() }
-
-// Next implements Operator.
-func (c *CancelOp) Next() (*types.Batch, error) {
-	if err := ctxErr(c.Ctx); err != nil {
-		return nil, err
-	}
-	return c.Child.Next()
-}
-
-// CollectContext drains op into a single batch, polling ctx between
-// batches. Pipeline breakers use it to stay cancellable while
-// materializing inputs whose own operators may be context-free.
-func CollectContext(ctx context.Context, op Operator) (*types.Batch, error) {
-	if err := op.Open(); err != nil {
-		return nil, err
-	}
-	defer op.Close()
-	out := types.NewBatch(op.Schema())
-	for {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		b, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return out, nil
-		}
-		if err := out.Append(b); err != nil {
-			return nil, err
-		}
-	}
 }

@@ -11,84 +11,106 @@ import (
 // Env carries what compilation needs beyond the plan: how to build
 // predictors for PREDICT nodes and the degree of parallelism.
 type Env struct {
-	// Ctx cancels execution of the compiled plan: morsel exchanges, serial
-	// scans and pipeline breakers all observe it. Nil means not
+	// Ctx cancels execution of the compiled plan: every pipeline polls it
+	// once per morsel and pipeline breakers between phases. Nil means not
 	// cancellable.
 	Ctx context.Context
 	// PredictorFactory builds a Predictor for a model against the given
 	// input schema. The runtime package provides the implementations.
 	PredictorFactory func(modelName string, inputSchema *types.Schema, outCols []types.Column) (Predictor, error)
-	// Parallelism is the morsel-exchange worker count. 1 forces sequential
-	// execution (the Fig 3 ablation); 0 defaults to 1.
+	// Parallelism is the pipeline worker count. 1 runs every pipeline
+	// inline on the caller's goroutine (the Fig 3 ablation); 0 defaults
+	// to 1.
 	Parallelism int
-	// ParallelThresholdRows gates parallel scans: below this the fan-out
-	// costs more than it saves. Default 50k rows.
+	// ParallelThresholdRows gates parallel scans: a scan of fewer rows
+	// runs as a one-worker pipeline, since the fan-out costs more than it
+	// saves. Default 50k rows.
 	ParallelThresholdRows int
-	// MorselSize is the rows-per-morsel of parallel scans; 0 means
-	// DefaultMorselSize.
+	// MorselSize is the rows-per-morsel of table scans; 0 means
+	// DefaultMorselSize at DOP > 1 and types.DefaultBatchSize at DOP 1.
 	MorselSize int
-	// InputParts supplies the operators standing for plan.Input
-	// placeholders (one per partition). Codegen sets this when compiling a
-	// plan fragment that consumes rows produced by an ML stage below it.
-	InputParts []Operator
-	// Tuner, when set, adapts morsel and serial-scan batch sizes from
-	// table cardinality and observed service times. An explicit
-	// MorselSize still wins for parallel scans.
+	// Tuner, when set, adapts morsel sizes from table cardinality and
+	// observed service times. An explicit MorselSize still wins.
 	Tuner *Tuner
 }
 
 func (e *Env) parallelism() int {
-	if e == nil || e.Parallelism <= 1 {
+	if e.Parallelism <= 1 {
 		return 1
 	}
 	return e.Parallelism
 }
 
 func (e *Env) threshold() int {
-	if e == nil || e.ParallelThresholdRows <= 0 {
+	if e.ParallelThresholdRows <= 0 {
 		return 50000
 	}
 	return e.ParallelThresholdRows
 }
 
-func (e *Env) morselSize() int {
-	if e == nil || e.MorselSize <= 0 {
+// morselSize sizes the morsels of a dop-wide scan of rows rows. One
+// worker has no claim to amortize, so it takes batch-size morsels — the
+// least a LIMIT above can stop after.
+func (e *Env) morselSize(rows, dop int) int {
+	switch {
+	case e.MorselSize > 0:
+		return e.MorselSize
+	case e.Tuner != nil:
+		return e.Tuner.MorselSize(rows, dop)
+	case dop == 1:
+		return types.DefaultBatchSize
+	default:
 		return DefaultMorselSize
 	}
-	return e.MorselSize
 }
 
-func (e *Env) ctx() context.Context {
-	if e == nil {
-		return nil
-	}
-	return e.Ctx
+// Pipeline opens a fresh morsel pipeline over op's batch stream. This is
+// how execution re-enters a pipeline above a breaker or an ordered
+// operator: whatever sits above it (filter, project, PREDICT, the next
+// join's probe) pushes onto the new exchange and, at DOP > 1, runs
+// morsel-parallel again.
+func (e *Env) Pipeline(op Operator) *Exchange {
+	ex := NewExchange(&StreamMorselSource{Op: op}, e.parallelism())
+	ex.Ctx = e.Ctx
+	return ex
 }
 
-// Compile lowers a logical plan into a physical operator tree. Chains of
-// per-row operators (filter, project, predict) over a large table scan
-// compile into one morsel-parallel Exchange: workers claim fixed-size row
-// morsels from a shared cursor, run the whole chain on each, and results
-// merge back in scan order — reproducing SQL Server's automatic parallel
-// scan+PREDICT (paper §5, observation iii) with deterministic output.
+// Compile lowers a logical plan into a physical operator tree. Every node
+// compiles to exactly one morsel pipeline: per-row operators (filter,
+// project, predict, join probe) push a stage onto their child's pipeline,
+// and breakers and ordered operators consume one pipeline and start the
+// next. A large table scan's pipeline is DOP-wide — workers claim
+// fixed-size row morsels from a shared cursor, run the whole chain on
+// each, and results merge back in scan order, reproducing SQL Server's
+// automatic parallel scan+PREDICT (paper §5, observation iii) with
+// deterministic output — and a small one's runs inline.
 func Compile(n plan.Node, env *Env) (Operator, error) {
-	parts, err := compileParts(n, env)
+	ex, err := CompilePipeline(n, env, nil)
 	if err != nil {
 		return nil, err
 	}
-	if len(parts) == 1 {
-		return UnwrapIdleExchange(parts[0]), nil
-	}
-	return &Parallel{Parts: parts}, nil
+	return UnwrapIdleExchange(ex), nil
 }
 
-// UnwrapIdleExchange strips a stage-free exchange wrapped around a
-// pipeline breaker's output once nothing can push onto it anymore (the
-// plan root, or a serial consumer like LIMIT). The wrap only exists so
-// stages above the breaker can re-parallelize; when none arrived, the
-// breaker's own batch stream is already in final order and the exchange
-// would add worker goroutines and a reorder buffer for zero work — and
-// under LIMIT it would also prefetch rows the query will never return.
+// CompilePipeline is Compile for a plan fragment inside a larger
+// pipeline: it returns the fragment's still-pushable exchange, and input,
+// when non-nil, stands for the fragment's plan.Input placeholder (the
+// pipeline of the ML stage below it). The runtime code generator uses
+// this to thread one pipeline through relational and ML stages alike.
+func CompilePipeline(n plan.Node, env *Env, input *Exchange) (*Exchange, error) {
+	if env == nil {
+		env = &Env{}
+	}
+	return (&compiler{env: env, input: input}).compile(n)
+}
+
+// UnwrapIdleExchange strips a stage-free exchange wrapped around an
+// operator's output once nothing can push onto it anymore (the plan root,
+// or an ordered consumer like LIMIT). The wrap only exists so stages
+// above the operator can re-enter a pipeline; when none arrived, its own
+// batch stream is already in final order and a DOP-wide exchange would
+// add worker goroutines and a reorder buffer for zero work — and under
+// LIMIT it would also prefetch rows the query will never return.
 func UnwrapIdleExchange(op Operator) Operator {
 	ex, ok := op.(*Exchange)
 	if !ok || ex.opened || len(ex.Stages) > 0 {
@@ -100,165 +122,109 @@ func UnwrapIdleExchange(op Operator) Operator {
 	return op
 }
 
-// compileParts returns one operator per partition for parallelizable
-// subtrees, or a single-element slice otherwise.
-func compileParts(n plan.Node, env *Env) ([]Operator, error) {
+type compiler struct {
+	env   *Env
+	input *Exchange
+}
+
+// push compiles child and appends st to its pipeline.
+func (c *compiler) push(child plan.Node, st Stage) (*Exchange, error) {
+	ex, err := c.compile(child)
+	if err != nil {
+		return nil, err
+	}
+	if err := ex.Push(st); err != nil {
+		return nil, err
+	}
+	return ex, nil
+}
+
+// breakerSource compiles a breaker's input and hands its pipeline — source
+// plus pushed stages — to the breaker's own workers, so the work below a
+// breaker runs on whichever of them claimed the morsel.
+func (c *compiler) breakerSource(child plan.Node) (MorselSource, error) {
+	ex, err := c.compile(child)
+	if err != nil {
+		return nil, err
+	}
+	return &stagedSource{src: ex.Source, stages: ex.Stages, schema: ex.Schema()}, nil
+}
+
+func (c *compiler) compile(n plan.Node) (*Exchange, error) {
+	env := c.env
 	switch x := n.(type) {
 	case *plan.Input:
-		if env == nil || len(env.InputParts) == 0 {
-			return nil, fmt.Errorf("exec: plan.Input with no bound input operators")
+		if c.input == nil {
+			return nil, fmt.Errorf("exec: plan.Input with no bound input pipeline")
 		}
-		return env.InputParts, nil
+		return c.input, nil
 
 	case *plan.Scan:
-		p := env.parallelism()
-		rows := x.Table.NumRows()
-		if p <= 1 || rows < env.threshold() {
-			s, err := NewTableScan(x.Table, x.Cols)
-			if err != nil {
-				return nil, err
-			}
-			if env != nil && env.Tuner != nil {
-				s.BatchSize = env.Tuner.SerialBatchSize(rows)
-			}
-			if ctx := env.ctx(); ctx != nil {
-				return []Operator{&CancelOp{Ctx: ctx, Child: s}}, nil
-			}
-			return []Operator{s}, nil
+		dop, rows := env.parallelism(), x.Table.NumRows()
+		if rows < env.threshold() {
+			dop = 1
 		}
-		morsel := env.morselSize()
-		if env.MorselSize <= 0 && env.Tuner != nil {
-			morsel = env.Tuner.MorselSize(rows, p)
-		}
-		src, err := NewTableMorselSource(x.Table, x.Cols, morsel)
+		src, err := NewTableMorselSource(x.Table, x.Cols, env.morselSize(rows, dop))
 		if err != nil {
 			return nil, err
 		}
-		ex := NewExchange(src, p)
-		ex.Ctx = env.ctx()
+		ex := NewExchange(src, dop)
+		ex.Ctx = env.Ctx
 		ex.Tuner = env.Tuner
-		return []Operator{ex}, nil
+		return ex, nil
 
 	case *plan.Filter:
-		parts, err := compileParts(x.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		if ex, ok := PushableExchange(parts); ok {
-			if err := ex.Push(&FilterStage{Pred: x.Pred}); err != nil {
-				return nil, err
-			}
-			return parts, nil
-		}
-		for i := range parts {
-			parts[i] = &FilterOp{Child: parts[i], Pred: x.Pred}
-		}
-		return parts, nil
+		return c.push(x.Child, &FilterStage{Pred: x.Pred})
 
 	case *plan.Project:
-		parts, err := compileParts(x.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		if ex, ok := PushableExchange(parts); ok {
-			if err := ex.Push(&ProjectStage{Exprs: x.Exprs, Names: x.Names}); err != nil {
-				return nil, err
-			}
-			return parts, nil
-		}
-		for i := range parts {
-			p, err := NewProjectOp(parts[i], x.Exprs, x.Names)
-			if err != nil {
-				return nil, err
-			}
-			parts[i] = p
-		}
-		return parts, nil
+		return c.push(x.Child, &ProjectStage{Exprs: x.Exprs, Names: x.Names})
 
 	case *plan.Predict:
-		parts, err := compileParts(x.Child, env)
-		if err != nil {
-			return nil, err
-		}
-		if env == nil || env.PredictorFactory == nil {
+		if env.PredictorFactory == nil {
 			return nil, fmt.Errorf("exec: plan contains PREDICT but Env has no PredictorFactory")
 		}
-		// One predictor shared across partitions: predictors are
-		// stateless per call (sessions are cached underneath).
+		// One predictor shared by every worker: predictors are stateless
+		// per call (sessions are cached underneath).
 		pred, err := env.PredictorFactory(x.ModelName, x.Child.Schema(), x.OutputCols)
 		if err != nil {
 			return nil, err
 		}
-		if ex, ok := PushableExchange(parts); ok {
-			if err := ex.Push(&PredictStage{Predictor: pred, OutputCols: x.OutputCols}); err != nil {
-				return nil, err
-			}
-			return parts, nil
-		}
-		for i := range parts {
-			op := NewPredictOp(parts[i], pred, x.OutputCols)
-			op.Parallelism = env.parallelism()
-			op.MorselSize = env.morselSize()
-			parts[i] = op
-		}
-		return parts, nil
+		return c.push(x.Child, &PredictStage{Predictor: pred, OutputCols: x.OutputCols})
 
 	case *plan.Join:
-		leftParts, err := compileParts(x.Left, env)
+		build, err := c.breakerSource(x.Right)
 		if err != nil {
 			return nil, err
 		}
-		rightParts, err := compileParts(x.Right, env)
+		// The probe is one more stage in the left input's pipeline: every
+		// worker probes the morsels it claims.
+		stage := NewHashProbeStage(x.LeftCol, build.Schema(), x.RightCol)
+		probe, err := c.push(x.Left, stage)
 		if err != nil {
 			return nil, err
 		}
-		buildSrc, buildDOP := breakerSource(rightParts, env)
-		stage := NewHashProbeStage(x.LeftCol, buildSrc.Schema(), x.RightCol)
-		var probe Operator
-		if lex, ok := PushableExchange(leftParts); ok {
-			// Probe runs as one more stage inside the left scan's exchange:
-			// every worker probes the morsels it claims.
-			if err := lex.Push(stage); err != nil {
-				return nil, err
-			}
-			probe = lex
-		} else {
-			so, err := NewStageOp(joinOperators(leftParts), stage)
-			if err != nil {
-				return nil, err
-			}
-			probe = so
-		}
-		j, err := NewParallelHashJoin(buildSrc, buildDOP, probe, stage, x.RightCol, env.ctx())
+		j, err := NewParallelHashJoin(build, env.parallelism(), probe, stage, x.RightCol, env.Ctx)
 		if err != nil {
 			return nil, err
 		}
-		return breakerParts(j, env), nil
+		return env.Pipeline(j), nil
 
 	case *plan.Aggregate:
-		parts, err := compileParts(x.Child, env)
-		if err != nil {
-			return nil, err
-		}
 		if !x.Parallelizable() {
-			// Non-mergeable aggregates (none today) stay on the serial
-			// single-table operator.
-			a, err := NewHashAggregate(joinOperators(parts), x.GroupBy, x.Aggs)
-			if err != nil {
-				return nil, err
-			}
-			a.Ctx = env.ctx()
-			return []Operator{a}, nil
+			return nil, fmt.Errorf("exec: aggregate has a non-mergeable function; two-phase aggregation is the only execution path")
 		}
-		src, dop := breakerSource(parts, env)
-		a, err := NewParallelHashAggregate(src, dop, x.GroupBy, x.Aggs, env.ctx())
+		src, err := c.breakerSource(x.Child)
 		if err != nil {
 			return nil, err
 		}
-		return breakerParts(a, env), nil
+		a, err := NewParallelHashAggregate(src, env.parallelism(), x.GroupBy, x.Aggs, env.Ctx)
+		if err != nil {
+			return nil, err
+		}
+		return env.Pipeline(a), nil
 
 	case *plan.Sort:
-		parts, err := compileParts(x.Child, env)
+		src, err := c.breakerSource(x.Child)
 		if err != nil {
 			return nil, err
 		}
@@ -266,78 +232,27 @@ func compileParts(n plan.Node, env *Env) ([]Operator, error) {
 		for i, k := range x.Keys {
 			keys[i] = SortKeySpec{Col: k.Col, Desc: k.Desc}
 		}
-		src, dop := breakerSource(parts, env)
-		s, err := NewRunSort(src, dop, keys, env.ctx())
+		s, err := NewRunSort(src, env.parallelism(), keys, env.Ctx)
 		if err != nil {
 			return nil, err
 		}
-		return breakerParts(s, env), nil
+		return env.Pipeline(s), nil
 
 	case *plan.Limit:
-		child, err := Compile(x.Child, env)
+		child, err := c.compile(x.Child)
 		if err != nil {
 			return nil, err
 		}
-		return []Operator{&LimitOp{Child: child, N: x.N}}, nil
+		return env.Pipeline(&LimitOp{Child: UnwrapIdleExchange(child), N: x.N}), nil
 
 	case *plan.Distinct:
-		child, err := Compile(x.Child, env)
+		child, err := c.compile(x.Child)
 		if err != nil {
 			return nil, err
 		}
-		return []Operator{&DistinctOp{Child: child}}, nil
+		return env.Pipeline(&DistinctOp{Child: UnwrapIdleExchange(child)}), nil
 
 	default:
 		return nil, fmt.Errorf("exec: cannot compile plan node %T", n)
 	}
-}
-
-// CompileParts exposes partition-level compilation: it returns one
-// operator per partition for parallelizable subtrees. The runtime code
-// generator uses this to thread partitioned pipelines through ML stages
-// without collapsing them behind an exchange too early.
-func CompileParts(n plan.Node, env *Env) ([]Operator, error) {
-	return compileParts(n, env)
-}
-
-// joinOperators collapses compile parts into one operator (a Parallel
-// union when there are several partitions).
-func joinOperators(parts []Operator) Operator {
-	if len(parts) == 1 {
-		return parts[0]
-	}
-	return &Parallel{Parts: parts}
-}
-
-// breakerSource turns a breaker's compiled input into the morsel source
-// its workers will consume. A still-pushable exchange is taken over
-// directly — its source and pushed stages run on the breaker's own
-// workers, so the pipeline below the breaker never serializes. Anything
-// else (serial plans, unioned partition streams) is adapted batch-by-
-// batch through a StreamMorselSource.
-func breakerSource(parts []Operator, env *Env) (MorselSource, int) {
-	if ex, ok := PushableExchange(parts); ok {
-		dop := ex.DOP
-		if dop < 1 {
-			dop = env.parallelism()
-		}
-		return &stagedSource{src: ex.Source, stages: ex.Stages, schema: ex.Schema()}, dop
-	}
-	return &StreamMorselSource{Op: joinOperators(parts)}, env.parallelism()
-}
-
-// breakerParts wraps a breaker's output in a fresh morsel pipeline when
-// the plan is parallel — the pipeline-splitting half of the refactor:
-// the breaker ends one exchange pipeline, and everything above it
-// (filter, project, PREDICT, the next join's probe) pushes onto a new
-// exchange fed by the breaker's batch stream, so post-breaker work runs
-// morsel-parallel again instead of falling back to serial operators.
-func breakerParts(op Operator, env *Env) []Operator {
-	p := env.parallelism()
-	if p <= 1 {
-		return []Operator{op}
-	}
-	ex := NewExchange(&StreamMorselSource{Op: op}, p)
-	ex.Ctx = env.ctx()
-	return []Operator{ex}
 }

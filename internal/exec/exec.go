@@ -1,19 +1,19 @@
-// Package exec is the vectorized volcano executor: physical operators
-// exchange columnar batches through Open/Next/Close. It includes the
-// parallel scan+predict pipeline that gives the paper's Fig 3 its ~5×
-// speedup at 1M-10M rows (SQL Server auto-parallelizing scan and PREDICT,
-// §5 observation iii).
+// Package exec is the vectorized morsel-pipeline executor. Per-row work
+// (scan, filter, project, PREDICT, join probe) runs in exactly one shape:
+// an Exchange — a MorselSource, a chain of Stages and a degree of
+// parallelism. At DOP 1, and for scans below the parallel threshold, the
+// pipeline runs inline on the caller's goroutine, one morsel per Next; at
+// DOP > 1 the same source and stages run on worker goroutines whose
+// results merge back into source order (SQL Server auto-parallelizing scan
+// and PREDICT, paper §5 observation iii). Pipeline breakers (join build,
+// aggregate, sort) and the ordered operators (LIMIT, DISTINCT) consume one
+// pipeline and feed the next through a StreamMorselSource.
 package exec
 
 import (
-	"fmt"
 	"math"
 	"strings"
-	"sync"
-	"sync/atomic"
 
-	"raven/internal/expr"
-	"raven/internal/storage"
 	"raven/internal/types"
 )
 
@@ -32,169 +32,6 @@ type Operator interface {
 type Predictor interface {
 	// PredictBatch returns one output vector per declared output column.
 	PredictBatch(b *types.Batch) ([]*types.Vector, error)
-}
-
-// TableScan reads a table range in fixed-size batches with optional column
-// projection.
-type TableScan struct {
-	Table *storage.Table
-	// Cols projects a subset; nil scans all columns.
-	Cols []string
-	// Lo, Hi bound the row range; Hi==0 means the table end (snapshot at
-	// Open).
-	Lo, Hi    int
-	BatchSize int
-
-	schema *types.Schema
-	colIdx []int
-	pos    int
-	end    int
-}
-
-// NewTableScan builds a full scan of t.
-func NewTableScan(t *storage.Table, cols []string) (*TableScan, error) {
-	s := &TableScan{Table: t, Cols: cols, BatchSize: types.DefaultBatchSize}
-	if err := s.resolve(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-func (s *TableScan) resolve() error {
-	if s.Cols == nil {
-		s.schema = s.Table.Schema()
-		s.colIdx = nil
-		return nil
-	}
-	s.colIdx = make([]int, len(s.Cols))
-	for i, c := range s.Cols {
-		j := s.Table.Schema().IndexOf(c)
-		if j < 0 {
-			return fmt.Errorf("exec: table %s has no column %q", s.Table.Name, c)
-		}
-		s.colIdx[i] = j
-	}
-	s.schema = s.Table.Schema().Project(s.colIdx)
-	return nil
-}
-
-// Schema implements Operator.
-func (s *TableScan) Schema() *types.Schema { return s.schema }
-
-// Open implements Operator.
-func (s *TableScan) Open() error {
-	if s.BatchSize <= 0 {
-		s.BatchSize = types.DefaultBatchSize
-	}
-	s.pos = s.Lo
-	s.end = s.Hi
-	if s.end == 0 || s.end > s.Table.NumRows() {
-		s.end = s.Table.NumRows()
-	}
-	return nil
-}
-
-// Next implements Operator.
-func (s *TableScan) Next() (*types.Batch, error) {
-	if s.pos >= s.end {
-		return nil, nil
-	}
-	hi := s.pos + s.BatchSize
-	if hi > s.end {
-		hi = s.end
-	}
-	b, err := s.Table.ScanRange(s.pos, hi)
-	if err != nil {
-		return nil, err
-	}
-	s.pos = hi
-	if s.colIdx != nil {
-		b = b.Project(s.colIdx)
-	}
-	return b, nil
-}
-
-// Close implements Operator.
-func (s *TableScan) Close() error { return nil }
-
-// FilterOp drops rows whose predicate is false. It is the serial adapter
-// over FilterStage, so serial and morsel-parallel plans share one
-// filtering implementation.
-type FilterOp struct {
-	Child Operator
-	Pred  expr.Expr
-
-	stage FilterStage
-}
-
-// Schema implements Operator.
-func (f *FilterOp) Schema() *types.Schema { return f.Child.Schema() }
-
-// Open implements Operator. The stage is built once here (binding the
-// predicate to the child schema) instead of per Next call.
-func (f *FilterOp) Open() error {
-	f.stage = FilterStage{Pred: f.Pred}
-	if _, err := f.stage.OutSchema(f.Child.Schema()); err != nil {
-		return err
-	}
-	return f.Child.Open()
-}
-
-// Close implements Operator.
-func (f *FilterOp) Close() error { return f.Child.Close() }
-
-// Next implements Operator.
-func (f *FilterOp) Next() (*types.Batch, error) {
-	for {
-		b, err := f.Child.Next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		out, err := f.stage.Apply(b)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil || out.Len() == 0 {
-			continue
-		}
-		return out, nil
-	}
-}
-
-// ProjectOp computes expressions. It is the serial adapter over
-// ProjectStage.
-type ProjectOp struct {
-	Child  Operator
-	stage  *ProjectStage
-	schema *types.Schema
-}
-
-// NewProjectOp builds a projection operator with a precomputed schema.
-func NewProjectOp(child Operator, exprs []expr.Expr, names []string) (*ProjectOp, error) {
-	st := &ProjectStage{Exprs: exprs, Names: names}
-	schema, err := st.OutSchema(child.Schema())
-	if err != nil {
-		return nil, err
-	}
-	return &ProjectOp{Child: child, stage: st, schema: schema}, nil
-}
-
-// Schema implements Operator.
-func (p *ProjectOp) Schema() *types.Schema { return p.schema }
-
-// Open implements Operator.
-func (p *ProjectOp) Open() error { return p.Child.Open() }
-
-// Close implements Operator.
-func (p *ProjectOp) Close() error { return p.Child.Close() }
-
-// Next implements Operator.
-func (p *ProjectOp) Next() (*types.Batch, error) {
-	b, err := p.Child.Next()
-	if err != nil || b == nil {
-		return nil, err
-	}
-	return p.stage.Apply(b)
 }
 
 // LimitOp truncates the stream after N rows.
@@ -229,119 +66,25 @@ func (l *LimitOp) Next() (*types.Batch, error) {
 	return b, nil
 }
 
-// PredictOp appends model output columns to each batch — the physical
-// PREDICT operator. It is the serial fallback used above pipeline breakers
-// (sort, join, aggregate); under a large enough batch it still scores
-// morsel-size slices concurrently when Parallelism > 1.
-type PredictOp struct {
-	Child      Operator
-	Predictor  Predictor
-	OutputCols []types.Column
-	// Parallelism > 1 splits batches of at least two morsels into
-	// MorselSize slices scored concurrently (inference is embarrassingly
-	// row-parallel). Sort feeds its entire output as one batch, so this is
-	// where post-breaker inference wins its cores back.
-	Parallelism int
-	// MorselSize is rows per concurrent slice; 0 means DefaultMorselSize.
-	MorselSize int
-	schema     *types.Schema
-}
-
-// NewPredictOp builds the operator.
-func NewPredictOp(child Operator, p Predictor, outputCols []types.Column) *PredictOp {
-	return &PredictOp{
-		Child:      child,
-		Predictor:  p,
-		OutputCols: outputCols,
-		schema:     child.Schema().Concat(types.NewSchema(outputCols...)),
-	}
-}
-
-// Schema implements Operator.
-func (p *PredictOp) Schema() *types.Schema { return p.schema }
-
-// Open implements Operator.
-func (p *PredictOp) Open() error { return p.Child.Open() }
-
-// Close implements Operator.
-func (p *PredictOp) Close() error { return p.Child.Close() }
-
-// Next implements Operator.
-func (p *PredictOp) Next() (*types.Batch, error) {
-	b, err := p.Child.Next()
-	if err != nil || b == nil {
+// Collect drains an operator into a single batch (for results and tests).
+func Collect(op Operator) (*types.Batch, error) {
+	if err := op.Open(); err != nil {
 		return nil, err
 	}
-	outs, err := p.predict(b)
-	if err != nil {
-		return nil, err
-	}
-	return appendPredictions(b, outs, len(p.OutputCols), p.schema)
-}
-
-// predict scores b, splitting large batches into morsel-size slices scored
-// concurrently when Parallelism allows.
-func (p *PredictOp) predict(b *types.Batch) ([]*types.Vector, error) {
-	ms := p.MorselSize
-	if ms <= 0 {
-		ms = DefaultMorselSize
-	}
-	if p.Parallelism <= 1 || b.Len() < 2*ms {
-		return p.Predictor.PredictBatch(b)
-	}
-	n := (b.Len() + ms - 1) / ms
-	outs := make([][]*types.Vector, n)
-	errs := make([]error, n)
-	workers := p.Parallelism
-	if workers > n {
-		workers = n
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				c := int(next.Add(1) - 1)
-				if c >= n {
-					return
-				}
-				lo := c * ms
-				hi := lo + ms
-				if hi > b.Len() {
-					hi = b.Len()
-				}
-				outs[c], errs[c] = p.Predictor.PredictBatch(b.Slice(lo, hi))
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
+	defer op.Close()
+	out := types.NewBatch(op.Schema())
+	for {
+		b, err := op.Next()
 		if err != nil {
 			return nil, err
 		}
-	}
-	// Concatenate slice outputs in order.
-	merged := make([]*types.Vector, len(outs[0]))
-	for j := range merged {
-		v := types.NewVector(outs[0][j].Type, 0)
-		for c := 0; c < n; c++ {
-			if len(outs[c]) != len(merged) {
-				return nil, fmt.Errorf("exec: predictor returned ragged outputs across slices")
-			}
-			if err := v.AppendVector(outs[c][j]); err != nil {
-				return nil, err
-			}
+		if b == nil {
+			return out, nil
 		}
-		merged[j] = v
+		if err := out.Append(b); err != nil {
+			return nil, err
+		}
 	}
-	return merged, nil
-}
-
-// Collect drains an operator into a single batch (for results and tests).
-func Collect(op Operator) (*types.Batch, error) {
-	return CollectContext(nil, op)
 }
 
 // SortKeySpec is one ordering key. Sorting itself is RunSort (sorted
@@ -399,9 +142,13 @@ func compareVecs(a *types.Vector, i int, b *types.Vector, j int) int {
 }
 
 // DistinctOp removes duplicate rows (hash-based, materializing keys only).
+// Rows are keyed with the aggregation paths' typed, length-prefixed
+// appendGroupKey, so values containing a delimiter, and NULL versus the
+// string "<nil>", stay distinct.
 type DistinctOp struct {
 	Child Operator
 	seen  map[string]bool
+	cols  []int // every column ordinal: the whole row is the key
 }
 
 // Schema implements Operator.
@@ -410,6 +157,10 @@ func (d *DistinctOp) Schema() *types.Schema { return d.Child.Schema() }
 // Open implements Operator.
 func (d *DistinctOp) Open() error {
 	d.seen = make(map[string]bool)
+	d.cols = make([]int, d.Child.Schema().Len())
+	for i := range d.cols {
+		d.cols[i] = i
+	}
 	return d.Child.Open()
 }
 
@@ -424,10 +175,11 @@ func (d *DistinctOp) Next() (*types.Batch, error) {
 			return nil, err
 		}
 		var sel []int
+		var scratch []byte
 		for i := 0; i < b.Len(); i++ {
-			key := rowKey(b, i)
-			if !d.seen[key] {
-				d.seen[key] = true
+			scratch = appendGroupKey(scratch, b, d.cols, i)
+			if !d.seen[string(scratch)] {
+				d.seen[string(scratch)] = true
 				sel = append(sel, i)
 			}
 		}
@@ -438,117 +190,64 @@ func (d *DistinctOp) Next() (*types.Batch, error) {
 	}
 }
 
-func rowKey(b *types.Batch, i int) string {
-	var sb strings.Builder
-	for _, v := range b.Vecs {
-		fmt.Fprintf(&sb, "%v|", v.Value(i))
-	}
-	return sb.String()
-}
-
-// Parallel runs one operator pipeline per partition concurrently and
-// merges their batch streams deterministically: all of part 0's batches in
-// order, then part 1's, and so on — the order a serial execution of the
-// parts back to back would produce. Each pipeline must be independent (its
-// own scan range or branch). Morsel-level parallelism inside one pipeline
-// is Exchange's job; Parallel unions whole pipelines (e.g. the two
-// branches of model/query splitting).
-type Parallel struct {
+// Concat runs its parts back to back: all of part 0's batches, then part
+// 1's, and so on. It unions whole pipelines (the two branches of
+// model/query splitting); each part opens only when the one before it is
+// drained, so a DOP-wide branch has the cores to itself.
+type Concat struct {
 	Parts []Operator
 
-	chs    []chan *types.Batch
-	errs   chan error
-	cur    int
-	cancel chan struct{}
+	cur    int  // the part being drained
+	open   bool // whether Parts[cur] is open
 	failed error
 }
 
 // Schema implements Operator.
-func (p *Parallel) Schema() *types.Schema { return p.Parts[0].Schema() }
+func (c *Concat) Schema() *types.Schema { return c.Parts[0].Schema() }
 
 // Open implements Operator.
-func (p *Parallel) Open() error {
-	p.chs = make([]chan *types.Batch, len(p.Parts))
-	// Errors bypass the per-part data channels so a failure in a later
-	// part aborts the query immediately instead of after the earlier
-	// parts drain. Buffered to part count: error sends never block.
-	p.errs = make(chan error, len(p.Parts))
-	p.cancel = make(chan struct{})
-	cancel, errs := p.cancel, p.errs
-	p.cur = 0
-	p.failed = nil
-	for i, part := range p.Parts {
-		ch := make(chan *types.Batch, 4)
-		p.chs[i] = ch
-		go func(op Operator, ch chan *types.Batch) {
-			defer close(ch)
-			if err := op.Open(); err != nil {
-				errs <- err
-				return
-			}
-			defer op.Close()
-			for {
-				b, err := op.Next()
-				if err != nil {
-					errs <- err
-					return
-				}
-				if b == nil {
-					return
-				}
-				select {
-				case ch <- b:
-				case <-cancel:
-					return
-				}
-			}
-		}(part, ch)
-	}
+func (c *Concat) Open() error {
+	c.cur, c.open, c.failed = 0, false, nil
 	return nil
 }
 
-// Next implements Operator. Like Exchange, the first error is latched so
-// re-polling after a failure keeps failing instead of resuming the
-// surviving parts and passing off a truncated union as end-of-stream.
-func (p *Parallel) Next() (*types.Batch, error) {
-	if p.failed != nil {
-		return nil, p.failed
+// Next implements Operator. The first error is latched, as in Exchange:
+// re-polling after a failure keeps failing instead of moving on to the
+// next part and passing off a truncated union as end-of-stream.
+func (c *Concat) Next() (*types.Batch, error) {
+	if c.failed != nil {
+		return nil, c.failed
 	}
-	for p.cur < len(p.chs) {
-		select {
-		case b, ok := <-p.chs[p.cur]:
-			if !ok {
-				p.cur++
-				continue
+	for c.cur < len(c.Parts) {
+		part := c.Parts[c.cur]
+		if !c.open {
+			c.open = true // Close must reach a part whose Open failed halfway
+			if c.failed = part.Open(); c.failed != nil {
+				return nil, c.failed
 			}
-			return b, nil
-		case err := <-p.errs:
-			p.failed = err
+		}
+		b, err := part.Next()
+		if err != nil {
+			c.failed = err
 			return nil, err
 		}
+		if b != nil {
+			return b, nil
+		}
+		c.open = false
+		if c.failed = part.Close(); c.failed != nil {
+			return nil, c.failed
+		}
+		c.cur++
 	}
-	// All data streams drained; surface any straggling error.
-	select {
-	case err := <-p.errs:
-		p.failed = err
-		return nil, err
-	default:
-		return nil, nil
-	}
+	return nil, nil
 }
 
 // Close implements Operator.
-func (p *Parallel) Close() error {
-	if p.cancel != nil {
-		close(p.cancel)
-		p.cancel = nil
+func (c *Concat) Close() error {
+	if !c.open {
+		return nil
 	}
-	// drain so workers unblock and exit (errs is buffered and never blocks)
-	for _, ch := range p.chs {
-		for range ch {
-		}
-	}
-	p.chs = nil
-	p.errs = nil
-	return nil
+	c.open = false
+	return c.Parts[c.cur].Close()
 }

@@ -10,7 +10,7 @@ import (
 	"raven/internal/types"
 )
 
-func numbersTable(t *testing.T, n int) *storage.Table {
+func numbersTable(t testing.TB, n int) *storage.Table {
 	t.Helper()
 	tb := storage.NewTable("nums", types.NewSchema(
 		types.Column{Name: "id", Type: types.Int},
@@ -25,60 +25,69 @@ func numbersTable(t *testing.T, n int) *storage.Table {
 	return tb
 }
 
-func TestTableScanBatches(t *testing.T) {
-	tb := numbersTable(t, 10000)
-	s, err := NewTableScan(tb, nil)
+// scanPipe is a one-worker (inline) pipeline over a full scan of tb: the
+// tests' plain table scan.
+func scanPipe(t *testing.T, tb *storage.Table, cols []string) *Exchange {
+	t.Helper()
+	src, err := NewTableMorselSource(tb, cols, types.DefaultBatchSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := Collect(s)
+	return NewExchange(src, 1)
+}
+
+func pushAll(t *testing.T, ex *Exchange, stages ...Stage) *Exchange {
+	t.Helper()
+	for _, st := range stages {
+		if err := ex.Push(st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ex
+}
+
+func TestTableMorselSourceProjectionAndRange(t *testing.T) {
+	tb := numbersTable(t, 10000)
+	out, err := Collect(scanPipe(t, tb, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 10000 {
 		t.Fatalf("rows = %d", out.Len())
 	}
-	// projected scan
-	s2, err := NewTableScan(tb, []string{"x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o2, err := Collect(s2)
+	o2, err := Collect(scanPipe(t, tb, []string{"x"}))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if o2.Schema.Len() != 1 || o2.Vecs[0].Floats[3] != 1.5 {
 		t.Errorf("projected scan = %v", o2.Schema)
 	}
-	if _, err := NewTableScan(tb, []string{"nope"}); err == nil {
+	if _, err := NewTableMorselSource(tb, []string{"nope"}, 0); err == nil {
 		t.Error("bad projection should fail")
 	}
-}
-
-func TestTableScanRange(t *testing.T) {
-	tb := numbersTable(t, 100)
-	s, _ := NewTableScan(tb, nil)
-	s.Lo, s.Hi = 10, 20
-	out, err := Collect(s)
+	ranged := scanPipe(t, tb, nil)
+	src := ranged.Source.(*TableMorselSource)
+	src.Lo, src.Hi = 10, 20
+	o3, err := Collect(ranged)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 10 || out.Vecs[0].Ints[0] != 10 {
-		t.Errorf("range scan = %d rows, first id %v", out.Len(), out.Vecs[0].Ints[0])
+	if o3.Len() != 10 || o3.Vecs[0].Ints[0] != 10 {
+		t.Errorf("range scan = %d rows, first id %v", o3.Len(), o3.Vecs[0].Ints[0])
 	}
 }
 
 func TestFilterProjectLimit(t *testing.T) {
 	tb := numbersTable(t, 1000)
-	s, _ := NewTableScan(tb, nil)
-	f := &FilterOp{Child: s, Pred: expr.NewBinary(expr.OpGe, &expr.Column{Name: "x"}, expr.FloatLit(100))}
-	p, err := NewProjectOp(f, []expr.Expr{
-		&expr.Column{Name: "id"},
-		expr.NewBinary(expr.OpMul, &expr.Column{Name: "x"}, expr.FloatLit(2)),
-	}, []string{"id", "x2"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := pushAll(t, scanPipe(t, tb, nil),
+		&FilterStage{Pred: expr.NewBinary(expr.OpGe, &expr.Column{Name: "x"}, expr.FloatLit(100))},
+		&ProjectStage{
+			Exprs: []expr.Expr{
+				&expr.Column{Name: "id"},
+				expr.NewBinary(expr.OpMul, &expr.Column{Name: "x"}, expr.FloatLit(2)),
+			},
+			Names: []string{"id", "x2"},
+		})
 	l := &LimitOp{Child: p, N: 5}
 	out, err := Collect(l)
 	if err != nil {
@@ -108,8 +117,7 @@ func TestHashJoin(t *testing.T) {
 	for i := 50; i < 150; i++ {
 		_ = right.AppendRow(int64(i), float64(i)*10)
 	}
-	ls, _ := NewTableScan(left, nil)
-	rs, _ := NewTableScan(right, nil)
+	ls, rs := scanPipe(t, left, nil), scanPipe(t, right, nil)
 	j, err := NewHashJoin(ls, rs, "id", "rid")
 	if err != nil {
 		t.Fatal(err)
@@ -147,9 +155,7 @@ func TestHashJoinDuplicateKeys(t *testing.T) {
 	_ = left.AppendRow(int64(2))
 	_ = right.AppendRow(int64(1), int64(10))
 	_ = right.AppendRow(int64(1), int64(11))
-	ls, _ := NewTableScan(left, nil)
-	rs, _ := NewTableScan(right, nil)
-	j, _ := NewHashJoin(ls, rs, "k", "k")
+	j, _ := NewHashJoin(scanPipe(t, left, nil), scanPipe(t, right, nil), "k", "k")
 	out, err := Collect(j)
 	if err != nil {
 		t.Fatal(err)
@@ -161,8 +167,7 @@ func TestHashJoinDuplicateKeys(t *testing.T) {
 
 func TestHashAggregate(t *testing.T) {
 	tb := numbersTable(t, 9) // grp g0: ids 0,3,6; g1: 1,4,7; g2: 2,5,8
-	s, _ := NewTableScan(tb, nil)
-	a, err := NewHashAggregate(s, []string{"grp"}, []plan.AggSpec{
+	a, err := NewHashAggregate(scanPipe(t, tb, nil), []string{"grp"}, []plan.AggSpec{
 		{Func: plan.AggCount, Name: "n"},
 		{Func: plan.AggSum, Arg: &expr.Column{Name: "x"}, Name: "sx"},
 		{Func: plan.AggAvg, Arg: &expr.Column{Name: "x"}, Name: "ax"},
@@ -197,8 +202,7 @@ func TestHashAggregate(t *testing.T) {
 
 func TestRunSortOrders(t *testing.T) {
 	tb := numbersTable(t, 10)
-	s, _ := NewTableScan(tb, nil)
-	so, err := NewRunSort(&StreamMorselSource{Op: s}, 1, []SortKeySpec{{Col: "grp"}, {Col: "id", Desc: true}}, nil)
+	so, err := NewRunSort(scanPipe(t, tb, nil).Source, 1, []SortKeySpec{{Col: "grp"}, {Col: "id", Desc: true}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,16 +218,58 @@ func TestRunSortOrders(t *testing.T) {
 	}
 }
 
-func TestDistinctOp(t *testing.T) {
-	tb := numbersTable(t, 30)
-	s, _ := NewTableScan(tb, []string{"grp"})
-	d := &DistinctOp{Child: s}
-	out, err := Collect(d)
-	if err != nil {
-		t.Fatal(err)
+// batchesOp streams prebuilt batches — for inputs a table cannot hold
+// (NULLs).
+type batchesOp struct {
+	schema  *types.Schema
+	batches []*types.Batch
+	pos     int
+}
+
+func (o *batchesOp) Schema() *types.Schema { return o.schema }
+func (o *batchesOp) Open() error           { o.pos = 0; return nil }
+func (o *batchesOp) Close() error          { return nil }
+func (o *batchesOp) Next() (*types.Batch, error) {
+	if o.pos >= len(o.batches) {
+		return nil, nil
 	}
-	if out.Len() != 3 {
-		t.Fatalf("distinct rows = %d", out.Len())
+	o.pos++
+	return o.batches[o.pos-1], nil
+}
+
+func TestDistinctOp(t *testing.T) {
+	ab := types.NewSchema(types.Column{Name: "a", Type: types.String}, types.Column{Name: "b", Type: types.String})
+	rows := func(vals ...[2]string) *types.Batch {
+		b := types.NewBatch(ab)
+		for _, v := range vals {
+			if err := b.AppendRow(v[0], v[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b
+	}
+	delim := rows([2]string{"x|y", "z"}, [2]string{"x", "y|z"}, [2]string{"x|y", "z"})
+	nulls := rows([2]string{"<nil>", "k"}, [2]string{"", "k"}, [2]string{"", "k"})
+	nulls.Vecs[0].SetNull(1)
+	nulls.Vecs[0].SetNull(2)
+	for _, tc := range []struct {
+		label string
+		child Operator
+		want  int
+	}{
+		{"three groups", scanPipe(t, numbersTable(t, 30), []string{"grp"}), 3},
+		// rowKey's "%v|" rendering merged these two distinct rows.
+		{"delimiter inside a value", &batchesOp{schema: ab, batches: []*types.Batch{delim}}, 2},
+		// ...and rendered NULL as the string "<nil>".
+		{"NULL vs the string <nil>", &batchesOp{schema: ab, batches: []*types.Batch{nulls}}, 2},
+	} {
+		out, err := Collect(&DistinctOp{Child: tc.child})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if out.Len() != tc.want {
+			t.Errorf("%s: distinct rows = %d, want %d", tc.label, out.Len(), tc.want)
+		}
 	}
 }
 
@@ -239,10 +285,10 @@ func (p constPredictor) PredictBatch(b *types.Batch) ([]*types.Vector, error) {
 	return []*types.Vector{out}, nil
 }
 
-func TestPredictOp(t *testing.T) {
+func TestPredictStage(t *testing.T) {
 	tb := numbersTable(t, 100)
-	s, _ := NewTableScan(tb, nil)
-	p := NewPredictOp(s, constPredictor{bias: 1000}, []types.Column{{Name: "score", Type: types.Float}})
+	p := pushAll(t, scanPipe(t, tb, nil),
+		&PredictStage{Predictor: constPredictor{bias: 1000}, OutputCols: []types.Column{{Name: "score", Type: types.Float}}})
 	out, err := Collect(p)
 	if err != nil {
 		t.Fatal(err)
@@ -255,38 +301,29 @@ func TestPredictOp(t *testing.T) {
 	}
 }
 
-func TestParallelMatchesSequential(t *testing.T) {
+// TestConcatMatchesOnePipeline: four range pipelines run back to back
+// return exactly the rows, in exactly the order, of one pipeline over the
+// whole table.
+func TestConcatMatchesOnePipeline(t *testing.T) {
 	tb := numbersTable(t, 100000)
 	build := func(lo, hi int) Operator {
-		s, _ := NewTableScan(tb, nil)
-		s.Lo, s.Hi = lo, hi
-		f := &FilterOp{Child: s, Pred: expr.NewBinary(expr.OpGt, &expr.Column{Name: "x"}, expr.FloatLit(10))}
-		return NewPredictOp(f, constPredictor{bias: 5}, []types.Column{{Name: "score", Type: types.Float}})
+		ex := scanPipe(t, tb, nil)
+		src := ex.Source.(*TableMorselSource)
+		src.Lo, src.Hi = lo, hi
+		return pushAll(t, ex,
+			&FilterStage{Pred: expr.NewBinary(expr.OpGt, &expr.Column{Name: "x"}, expr.FloatLit(10))},
+			&PredictStage{Predictor: constPredictor{bias: 5}, OutputCols: []types.Column{{Name: "score", Type: types.Float}}})
 	}
-	par := &Parallel{Parts: []Operator{build(0, 25000), build(25000, 50000), build(50000, 75000), build(75000, 100000)}}
-	pout, err := Collect(par)
+	cat := &Concat{Parts: []Operator{build(0, 25000), build(25000, 50000), build(50000, 75000), build(75000, 100000)}}
+	got, err := Collect(cat)
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq := build(0, 100000)
-	sout, err := Collect(seq)
+	want, err := Collect(build(0, 100000))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pout.Len() != sout.Len() {
-		t.Fatalf("parallel %d rows vs sequential %d", pout.Len(), sout.Len())
-	}
-	// row-order may differ across partitions; compare checksums
-	var ps, ss float64
-	for _, v := range pout.Col("score").Floats {
-		ps += v
-	}
-	for _, v := range sout.Col("score").Floats {
-		ss += v
-	}
-	if ps != ss {
-		t.Errorf("checksum %v vs %v", ps, ss)
-	}
+	batchesEqual(t, "concat", want, got)
 }
 
 func TestCompilePlanWithParallelism(t *testing.T) {
@@ -304,8 +341,8 @@ func TestCompilePlanWithParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := op.(*Exchange); !ok {
-		t.Fatalf("compiled = %T, want *Exchange", op)
+	if ex, ok := op.(*Exchange); !ok || ex.DOP != 4 || len(ex.Stages) != 2 {
+		t.Fatalf("compiled = %T %+v, want a DOP-4 *Exchange with filter and predict stages", op, op)
 	}
 	out, err := Collect(op)
 	if err != nil {
@@ -315,14 +352,15 @@ func TestCompilePlanWithParallelism(t *testing.T) {
 		t.Errorf("rows = %d", out.Len())
 	}
 
-	// sequential compile of the same plan
+	// The one-worker compile is the same pipeline — same source type, same
+	// stages — with DOP 1.
 	env.Parallelism = 1
 	op2, err := Compile(pr, env)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := op2.(*PredictOp); !ok {
-		t.Fatalf("sequential compiled = %T", op2)
+	if ex, ok := op2.(*Exchange); !ok || ex.DOP != 1 || len(ex.Stages) != 2 {
+		t.Fatalf("sequential compiled = %T %+v, want a DOP-1 *Exchange with the same stages", op2, op2)
 	}
 	out2, _ := Collect(op2)
 	if out2.Len() != out.Len() {
@@ -376,31 +414,48 @@ func TestCompilePredictWithoutFactory(t *testing.T) {
 	}
 }
 
-func TestParallelErrorPropagation(t *testing.T) {
+// closeSpy records whether its child was closed.
+type closeSpy struct {
+	Operator
+	closed bool
+}
+
+func (c *closeSpy) Close() error { c.closed = true; return c.Operator.Close() }
+
+// TestConcatErrorPropagation: an error in branch 2 fails the query, is
+// latched on re-poll, and branch 1 has been closed by then.
+func TestConcatErrorPropagation(t *testing.T) {
 	tb := numbersTable(t, 100000)
-	s, _ := NewTableScan(tb, nil)
-	bad := &FilterOp{Child: s, Pred: &expr.Column{Name: "x"}} // non-bool predicate
-	good, _ := NewTableScan(tb, nil)
-	par := &Parallel{Parts: []Operator{good, bad}}
-	if err := par.Open(); err != nil {
+	good := &closeSpy{Operator: scanPipe(t, tb, nil)}
+	bad := &closeSpy{Operator: pushAll(t, scanPipe(t, tb, nil), &FilterStage{Pred: &expr.Column{Name: "x"}})} // non-bool predicate
+	cat := &Concat{Parts: []Operator{good, bad}}
+	if err := cat.Open(); err != nil {
 		t.Fatal(err)
 	}
-	defer par.Close()
 	var firstErr error
 	for {
-		b, err := par.Next()
+		b, err := cat.Next()
 		if err != nil {
 			firstErr = err
 			break
 		}
 		if b == nil {
-			t.Fatal("error inside parallel worker should surface, got clean EOF")
+			t.Fatal("error inside branch 2 should surface, got clean EOF")
 		}
 	}
-	// Latched: re-polling must keep failing, not resume the healthy part.
-	if _, err := par.Next(); err == nil {
+	if !good.closed {
+		t.Error("branch 1 not closed before branch 2 ran")
+	}
+	// Latched: re-polling must keep failing, not pass off a truncated union.
+	if _, err := cat.Next(); err == nil {
 		t.Error("re-poll after failure should return the latched error")
 	} else if err.Error() != firstErr.Error() {
 		t.Errorf("re-poll error = %v, want %v", err, firstErr)
+	}
+	if err := cat.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bad.closed {
+		t.Error("Close did not reach the failed branch")
 	}
 }

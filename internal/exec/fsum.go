@@ -14,7 +14,7 @@ import "math"
 // That property is what lets two-phase parallel aggregation promise
 // byte-identical SUM/AVG results for any DOP and any morsel decomposition:
 // floating-point addition is not associative, so naive per-worker partial
-// sums would differ from the serial plan in the low bits.
+// sums would differ from one DOP to the next in the low bits.
 //
 // Boundary: the invariance guarantee holds as long as every accumulator's
 // running total stays within float64 range (|sum| <= MaxFloat64 ≈

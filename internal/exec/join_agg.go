@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"strconv"
@@ -11,33 +10,10 @@ import (
 	"raven/internal/types"
 )
 
-// HashJoin is the serial inner equi-join: build on the right input, probe
-// with the left. The output drops the right key column (matching
-// plan.Join). Compilation now lowers plan.Join to ParallelHashJoin (which
-// degrades to one worker at DOP 1); HashJoin remains as the reference
-// implementation the parity tests compare against.
-type HashJoin struct {
-	Left, Right       Operator
-	LeftCol, RightCol string
-	// Ctx cancels the build and probe phases between batches.
-	Ctx context.Context
-
-	schema   *types.Schema
-	leftIdx  int
-	rightIdx int
-	// built maps key to row ordinals in the materialized right side.
-	// builtInt is the allocation-free fast path for INT keys (the common
-	// case: surrogate-key joins); built handles everything else.
-	built    map[any][]int
-	builtInt map[int64][]int32
-	rightAll *types.Batch
-	rightSel []int // right columns kept in output order
-}
-
 // joinOutputSchema computes the join output (left ++ right minus the
 // right key column, matching plan.Join) and the kept right-column
-// ordinals — shared by the serial HashJoin and the parallel
-// HashProbeStage so the two physical paths cannot drift.
+// ordinals — shared by HashProbeStage and the serial reference join the
+// tests keep (reference_test.go).
 func joinOutputSchema(left, right *types.Schema, rightCol string) (schema *types.Schema, rightSel []int, rightIdx int, err error) {
 	rightIdx = right.IndexOf(rightCol)
 	if rightIdx < 0 {
@@ -55,106 +31,10 @@ func joinOutputSchema(left, right *types.Schema, rightCol string) (schema *types
 	return types.NewSchema(cols...), rightSel, rightIdx, nil
 }
 
-// NewHashJoin builds the operator and resolves key ordinals.
-func NewHashJoin(left, right Operator, leftCol, rightCol string) (*HashJoin, error) {
-	li := left.Schema().IndexOf(leftCol)
-	if li < 0 {
-		return nil, fmt.Errorf("exec: join key %q not in left schema", leftCol)
-	}
-	schema, rightSel, ri, err := joinOutputSchema(left.Schema(), right.Schema(), rightCol)
-	if err != nil {
-		return nil, err
-	}
-	return &HashJoin{
-		Left: left, Right: right, LeftCol: leftCol, RightCol: rightCol,
-		schema: schema, leftIdx: li, rightIdx: ri, rightSel: rightSel,
-	}, nil
-}
-
-// Schema implements Operator.
-func (j *HashJoin) Schema() *types.Schema { return j.schema }
-
-// Open implements Operator: materialize and hash the right input.
-func (j *HashJoin) Open() error {
-	all, err := CollectContext(j.Ctx, j.Right)
-	if err != nil {
-		return err
-	}
-	j.rightAll = all
-	kv := all.Vecs[j.rightIdx]
-	if kv.Type == types.Int {
-		j.builtInt = make(map[int64][]int32, all.Len())
-		for i := 0; i < all.Len(); i++ {
-			k := kv.Ints[i]
-			j.builtInt[k] = append(j.builtInt[k], int32(i))
-		}
-	} else {
-		j.built = make(map[any][]int, all.Len())
-		for i := 0; i < all.Len(); i++ {
-			k := kv.Value(i)
-			j.built[k] = append(j.built[k], i)
-		}
-	}
-	return j.Left.Open()
-}
-
-// Close implements Operator.
-func (j *HashJoin) Close() error {
-	j.built = nil
-	j.builtInt = nil
-	j.rightAll = nil
-	return j.Left.Close()
-}
-
-// Next implements Operator.
-func (j *HashJoin) Next() (*types.Batch, error) {
-	for {
-		if err := ctxErr(j.Ctx); err != nil {
-			return nil, err
-		}
-		b, err := j.Left.Next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		kv := b.Vecs[j.leftIdx]
-		lp, rp := getSel(), getSel()
-		leftSel, rightSel := (*lp)[:0], (*rp)[:0]
-		if j.builtInt != nil && kv.Type == types.Int {
-			for i, k := range kv.Ints {
-				for _, r := range j.builtInt[k] {
-					leftSel = append(leftSel, i)
-					rightSel = append(rightSel, int(r))
-				}
-			}
-		} else {
-			for i := 0; i < b.Len(); i++ {
-				for _, r := range j.built[kv.Value(i)] {
-					leftSel = append(leftSel, i)
-					rightSel = append(rightSel, r)
-				}
-			}
-		}
-		if len(leftSel) == 0 {
-			*lp, *rp = leftSel, rightSel
-			putSel(lp)
-			putSel(rp)
-			continue
-		}
-		lpart := b.Gather(leftSel)
-		rpart := j.rightAll.Gather(rightSel).Project(j.rightSel)
-		*lp, *rp = leftSel, rightSel
-		putSel(lp)
-		putSel(rp)
-		vecs := make([]*types.Vector, 0, len(lpart.Vecs)+len(rpart.Vecs))
-		vecs = append(vecs, lpart.Vecs...)
-		vecs = append(vecs, rpart.Vecs...)
-		return &types.Batch{Schema: j.schema, Vecs: vecs}, nil
-	}
-}
-
 // aggOutputSchema computes the output schema of a grouped aggregation over
-// child schema cs — shared by the serial and parallel aggregate operators
-// (and mirroring plan.NewAggregate) so the physical paths cannot drift.
+// child schema cs, mirroring plan.NewAggregate — shared by
+// ParallelHashAggregate and the serial reference aggregate the tests keep
+// (reference_test.go).
 func aggOutputSchema(cs *types.Schema, groupBy []string, aggs []plan.AggSpec) (*types.Schema, error) {
 	var cols []types.Column
 	for _, g := range groupBy {
@@ -187,8 +67,8 @@ func aggOutputSchema(cs *types.Schema, groupBy []string, aggs []plan.AggSpec) (*
 // length-prefixed so string values containing a delimiter cannot make
 // two distinct key tuples collide (e.g. ("x|","y") vs ("x","|y")), and
 // values render through typed strconv paths instead of reflection. The
-// scheme is shared by every aggregation path so serial and parallel
-// plans group identically.
+// scheme is shared by aggregation and DISTINCT, so they key rows
+// identically.
 func appendGroupKey(dst []byte, b *types.Batch, keyIdx []int, i int) []byte {
 	dst = dst[:0]
 	for _, ki := range keyIdx {
@@ -256,7 +136,7 @@ func putAggArgs(argVals []*types.Vector, aggs []plan.AggSpec) {
 
 // aggGroup accumulates all aggregates for one group. SUM/AVG use exact
 // (order-invariant, correctly rounded) float accumulation so partial
-// aggregation merges bit-identically to serial execution; MIN/MAX keep a
+// aggregation merges bit-identically at any DOP; MIN/MAX keep a
 // typed int64 path so INT keys above 2^53 do not collapse through float64.
 type aggGroup struct {
 	keys   []any
@@ -495,116 +375,4 @@ func (g *aggGroup) emitRow(aggs []plan.AggSpec, schema *types.Schema, nKeys int)
 		}
 	}
 	return row
-}
-
-// HashAggregate is the serial grouped aggregation, emitting one batch in
-// first-seen group order. Compilation now lowers plan.Aggregate to the
-// two-phase ParallelHashAggregate; this operator remains as the reference
-// implementation (it shares aggGroup, so the two cannot drift).
-type HashAggregate struct {
-	Child   Operator
-	GroupBy []string
-	Aggs    []plan.AggSpec
-	// Ctx cancels the aggregation between input batches.
-	Ctx context.Context
-
-	schema *types.Schema
-	groups map[string]*aggGroup
-	order  []string
-	out    *types.Batch
-	done   bool
-}
-
-// NewHashAggregate builds the operator; schema mirrors plan.NewAggregate.
-func NewHashAggregate(child Operator, groupBy []string, aggs []plan.AggSpec) (*HashAggregate, error) {
-	schema, err := aggOutputSchema(child.Schema(), groupBy, aggs)
-	if err != nil {
-		return nil, err
-	}
-	return &HashAggregate{Child: child, GroupBy: groupBy, Aggs: aggs, schema: schema}, nil
-}
-
-// Schema implements Operator.
-func (h *HashAggregate) Schema() *types.Schema { return h.schema }
-
-// Open implements Operator: consume the child and aggregate.
-func (h *HashAggregate) Open() error {
-	h.done = false
-	h.groups = make(map[string]*aggGroup)
-	h.order = nil
-	if err := h.Child.Open(); err != nil {
-		return err
-	}
-	defer h.Child.Close()
-
-	keyIdx := make([]int, len(h.GroupBy))
-	for i, g := range h.GroupBy {
-		keyIdx[i] = h.Child.Schema().IndexOf(g)
-	}
-	fam := aggFamiliesOf(h.Aggs, h.Child.Schema())
-	argVals := make([]*types.Vector, len(h.Aggs))
-	var scratch []byte
-	for {
-		if err := ctxErr(h.Ctx); err != nil {
-			return err
-		}
-		b, err := h.Child.Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			break
-		}
-		if err := evalAggArgs(argVals, h.Aggs, b); err != nil {
-			return err
-		}
-		for i := 0; i < b.Len(); i++ {
-			scratch = appendGroupKey(scratch, b, keyIdx, i)
-			// The compiler elides the string conversion in a map lookup, so
-			// existing groups (the per-row common case) cost zero
-			// allocations; the key string materializes only on insert.
-			st, ok := h.groups[string(scratch)]
-			if !ok {
-				key := string(scratch)
-				st = newAggGroup(len(keyIdx), h.Aggs, fam)
-				for k, ki := range keyIdx {
-					st.keys[k] = b.Vecs[ki].Value(i)
-				}
-				h.groups[key] = st
-				h.order = append(h.order, key)
-			}
-			st.observe(h.Aggs, argVals, i)
-		}
-		putAggArgs(argVals, h.Aggs)
-	}
-	return h.emit()
-}
-
-func (h *HashAggregate) emit() error {
-	out := types.NewBatch(h.schema)
-	for _, key := range h.order {
-		st := h.groups[key]
-		if err := out.AppendRow(st.emitRow(h.Aggs, h.schema, len(h.GroupBy))...); err != nil {
-			return err
-		}
-	}
-	h.out = out
-	h.groups = nil
-	h.order = nil
-	return nil
-}
-
-// Next implements Operator.
-func (h *HashAggregate) Next() (*types.Batch, error) {
-	if h.done {
-		return nil, nil
-	}
-	h.done = true
-	return h.out, nil
-}
-
-// Close implements Operator.
-func (h *HashAggregate) Close() error {
-	h.out = nil
-	return nil
 }

@@ -3,7 +3,6 @@ package exec
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -14,12 +13,14 @@ import (
 )
 
 // DefaultMorselSize is the row count of one morsel — the unit of work a
-// worker claims from a shared source. Larger than a batch so the claim
-// (one atomic add) amortizes, small enough that GOMAXPROCS workers load-
-// balance across a table even when per-row cost is skewed.
+// worker claims from a shared source — at DOP > 1. Larger than a batch so
+// the claim (one atomic add) amortizes, small enough that GOMAXPROCS
+// workers load-balance across a table even when per-row cost is skewed. A
+// DOP-1 pipeline has no claim to amortize and defaults to
+// types.DefaultBatchSize (Env.morselSize).
 const DefaultMorselSize = 4 * types.DefaultBatchSize
 
-// MorselSource hands out table fragments to exchange workers. NextMorsel
+// MorselSource hands out table fragments to pipeline workers. NextMorsel
 // must be safe for concurrent use and return dense sequence numbers
 // 0,1,2,... in claim order so the exchange can merge results back into
 // source order; a nil batch signals exhaustion.
@@ -111,6 +112,22 @@ func (s *TableMorselSource) NextMorsel() (int, *types.Batch, error) {
 // Close implements MorselSource.
 func (s *TableMorselSource) Close() error { return nil }
 
+// applyStages runs a morsel through a stage chain — the one place every
+// pipeline, inline or parallel or taken over by a breaker, applies its
+// per-row work. A nil result means the chain filtered every row out.
+func applyStages(stages []Stage, b *types.Batch) (*types.Batch, error) {
+	for _, st := range stages {
+		var err error
+		if b, err = st.Apply(b); err != nil {
+			return nil, err
+		}
+		if b == nil || b.Len() == 0 {
+			return nil, nil
+		}
+	}
+	return b, nil
+}
+
 // stagedSource applies a stage chain to every morsel of an inner source.
 // Pipeline breakers use it to take over an unopened Exchange's pipeline
 // (source plus pushed stages) with their own workers: the stages run on
@@ -138,24 +155,19 @@ func (s *stagedSource) NextMorsel() (int, *types.Batch, error) {
 	if err != nil || b == nil {
 		return seq, b, err
 	}
-	for _, st := range s.stages {
-		b, err = st.Apply(b)
-		if err != nil {
-			return seq, nil, err
-		}
-		if b == nil || b.Len() == 0 {
-			return seq, types.NewBatch(s.schema), nil
-		}
+	if b, err = applyStages(s.stages, b); err == nil && b == nil {
+		b = types.NewBatch(s.schema)
 	}
-	return seq, b, nil
+	return seq, b, err
 }
 
 // StreamMorselSource adapts an operator's batch stream into a morsel
 // source: each batch becomes one morsel, sequenced in stream order.
 // Claims serialize on a mutex (the operator underneath is single-
 // threaded), so this is how a fresh morsel pipeline opens above a
-// pipeline breaker — the breaker's output streams through here into a
-// new Exchange whose workers run the stages pushed above it.
+// pipeline breaker or an ordered operator (LIMIT, DISTINCT, a UDF) — its
+// output streams through here into a new Exchange that runs the stages
+// pushed above it.
 type StreamMorselSource struct {
 	Op Operator
 
@@ -188,11 +200,11 @@ func (s *StreamMorselSource) NextMorsel() (int, *types.Batch, error) {
 	return seq, b, nil
 }
 
-// Stage is one per-morsel transformation inside an Exchange: the morsel-
-// parallel counterparts of FilterOp/ProjectOp/PredictOp. OutSchema is
-// called once (single-threaded, before Open) and may cache derived state;
-// Apply runs on every worker concurrently and must not mutate the stage.
-// A nil batch from Apply drops the morsel (all rows filtered out).
+// Stage is one per-morsel transformation inside an Exchange (filter,
+// project, PREDICT, join probe). OutSchema is called once (single-
+// threaded, before Open) and may cache derived state; Apply runs on every
+// worker concurrently and must not mutate the stage. A nil batch from
+// Apply drops the morsel (all rows filtered out).
 type Stage interface {
 	OutSchema(in *types.Schema) (*types.Schema, error)
 	Apply(b *types.Batch) (*types.Batch, error)
@@ -333,37 +345,33 @@ func (s *PredictStage) Apply(b *types.Batch) (*types.Batch, error) {
 	if err != nil {
 		return nil, err
 	}
-	return appendPredictions(b, outs, len(s.OutputCols), s.out)
-}
-
-// appendPredictions validates the predictor's output arity and appends the
-// output vectors to b's columns under schema — shared by PredictStage and
-// the serial PredictOp so the two paths cannot drift.
-func appendPredictions(b *types.Batch, outs []*types.Vector, want int, schema *types.Schema) (*types.Batch, error) {
-	if len(outs) != want {
-		return nil, fmt.Errorf("exec: predictor returned %d columns, declared %d", len(outs), want)
+	if len(outs) != len(s.OutputCols) {
+		return nil, fmt.Errorf("exec: predictor returned %d columns, declared %d", len(outs), len(s.OutputCols))
 	}
 	vecs := make([]*types.Vector, 0, len(b.Vecs)+len(outs))
 	vecs = append(vecs, b.Vecs...)
 	vecs = append(vecs, outs...)
-	return &types.Batch{Schema: schema, Vecs: vecs}, nil
+	return &types.Batch{Schema: s.out, Vecs: vecs}, nil
 }
 
-// Exchange is the generic parallel exchange operator: DOP workers claim
-// morsels from a shared source, run the stage chain on each, and a
+// Exchange is the morsel pipeline, the one way per-row work executes:
+// claim a morsel from the source, check Ctx, run the stage chain, emit in
+// source order. With one worker (DOP <= 1) that loop runs inline: Open
+// starts no goroutine and allocates no channel, and each Next claims and
+// processes one morsel on the caller's goroutine, so a LIMIT above stops
+// the scan early. With DOP > 1 the same loop runs on DOP workers and a
 // consumer-side reorder buffer merges results back into source order — so
-// a parallel plan returns exactly the rows, in exactly the order, the
-// serial plan would. Workers never coordinate beyond the claim and the
-// result channel; per-row work (filter, project, predict) scales with
-// GOMAXPROCS.
+// a plan returns exactly the rows, in exactly the order, at any DOP.
+// Workers never coordinate beyond the claim and the result channel;
+// per-row work (filter, project, predict) scales with GOMAXPROCS.
 type Exchange struct {
 	Source MorselSource
 	Stages []Stage
-	// DOP is the worker count; 0 means GOMAXPROCS.
+	// DOP is the worker count; below 2 the pipeline runs inline.
 	DOP int
-	// Ctx cancels the exchange: workers stop claiming morsels and the
-	// consumer returns Ctx.Err() as soon as it observes cancellation. Nil
-	// means not cancellable.
+	// Ctx cancels the pipeline, polled once per morsel: workers stop
+	// claiming and the consumer returns Ctx.Err() as soon as it observes
+	// cancellation. Nil means not cancellable.
 	Ctx context.Context
 	// Tuner, when set, receives per-morsel service-time observations so
 	// later queries size their morsels adaptively.
@@ -413,37 +421,32 @@ func (e *Exchange) Push(s Stage) error {
 	return nil
 }
 
-// PushableExchange returns parts[0] as an Exchange that still accepts
-// stages. Compilation calls this to decide between extending the morsel
-// pipeline and wrapping a serial operator around it.
-func PushableExchange(parts []Operator) (*Exchange, bool) {
-	if len(parts) != 1 {
-		return nil, false
-	}
-	ex, ok := parts[0].(*Exchange)
-	if !ok || ex.opened {
-		return nil, false
-	}
-	return ex, true
-}
-
 // Schema implements Operator.
 func (e *Exchange) Schema() *types.Schema { return e.schema }
 
-func (e *Exchange) dop() int {
-	if e.DOP <= 0 {
-		return runtime.GOMAXPROCS(0)
+// apply runs the stage chain on one morsel, timing it only when a Tuner
+// is attached.
+func (e *Exchange) apply(b *types.Batch) (*types.Batch, error) {
+	if e.Tuner == nil {
+		return applyStages(e.Stages, b)
 	}
-	return e.DOP
+	rows, start := b.Len(), time.Now()
+	b, err := applyStages(e.Stages, b)
+	e.Tuner.ObserveMorsel(rows, time.Since(start))
+	return b, err
 }
 
 // Open implements Operator.
 func (e *Exchange) Open() error {
 	e.opened = true
+	e.failed = nil
 	if err := e.Source.Open(); err != nil {
 		return err
 	}
-	dop := e.dop()
+	dop := e.DOP
+	if dop <= 1 {
+		return nil // one worker means no goroutine: Next runs the loop inline
+	}
 	e.results = make(chan morselResult, dop*2)
 	e.cancel = make(chan struct{})
 	e.window = make(chan struct{}, dop*windowPerWorker)
@@ -452,7 +455,6 @@ func (e *Exchange) Open() error {
 	}
 	e.pending = make(map[int]*types.Batch)
 	e.next = 0
-	e.failed = nil
 	// Workers receive the channels as locals so Close can safely reset the
 	// fields without racing reads inside still-draining goroutines.
 	results, cancel, window := e.results, e.cancel, e.window
@@ -511,24 +513,9 @@ func (e *Exchange) work(results chan morselResult, cancel chan struct{}, window 
 		if b == nil {
 			return
 		}
-		rows := b.Len()
-		var start time.Time
-		if e.Tuner != nil {
-			start = time.Now()
-		}
-		for _, st := range e.Stages {
-			b, err = st.Apply(b)
-			if err != nil {
-				send(morselResult{seq: seq, err: err})
-				return
-			}
-			if b == nil || b.Len() == 0 {
-				b = nil
-				break
-			}
-		}
-		if e.Tuner != nil {
-			e.Tuner.ObserveMorsel(rows, time.Since(start))
+		if b, err = e.apply(b); err != nil {
+			send(morselResult{seq: seq, err: err})
+			return
 		}
 		if !send(morselResult{seq: seq, b: b}) {
 			return
@@ -544,6 +531,11 @@ func (e *Exchange) work(results chan morselResult, cancel chan struct{}, window 
 func (e *Exchange) Next() (*types.Batch, error) {
 	if e.failed != nil {
 		return nil, e.failed
+	}
+	if e.DOP <= 1 {
+		b, err := e.nextInline()
+		e.failed = err
+		return b, err
 	}
 	if err := ctxErr(e.Ctx); err != nil {
 		e.failed = err
@@ -593,6 +585,23 @@ func (e *Exchange) Next() (*types.Batch, error) {
 			return nil, m.err
 		}
 		e.pending[m.seq] = m.b
+	}
+}
+
+// nextInline is Next with one worker: claim a morsel, check Ctx, apply the
+// stages, return — looping only past fully filtered morsels.
+func (e *Exchange) nextInline() (*types.Batch, error) {
+	for {
+		if err := ctxErr(e.Ctx); err != nil {
+			return nil, err
+		}
+		_, b, err := e.Source.NextMorsel()
+		if err != nil || b == nil {
+			return nil, err
+		}
+		if b, err = e.apply(b); err != nil || b != nil {
+			return b, err
+		}
 	}
 }
 

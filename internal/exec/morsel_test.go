@@ -2,7 +2,9 @@ package exec
 
 import (
 	"errors"
+	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,60 +61,42 @@ func TestTableMorselSourceCoversEveryRowOnce(t *testing.T) {
 	}
 }
 
-func TestExchangeMatchesSerialByteForByte(t *testing.T) {
+// TestExchangeMatchesInlineByteForByte: the same source and stages at DOP
+// 2, 4 and 7 return exactly what the one-worker inline pipeline returns.
+// Both sides run the same kernels; what this proves is the claim order and
+// the reorder merge.
+func TestExchangeMatchesInlineByteForByte(t *testing.T) {
 	tb := numbersTable(t, 120000)
-	pred := expr.NewBinary(expr.OpGt, &expr.Column{Name: "x"}, expr.FloatLit(10))
-	exprs := []expr.Expr{
-		&expr.Column{Name: "id"},
-		&expr.Column{Name: "x"},
-		expr.NewBinary(expr.OpMul, &expr.Column{Name: "x"}, expr.FloatLit(2)),
-	}
-	names := []string{"id", "x", "x2"}
-
-	serial := func() Operator {
-		s, _ := NewTableScan(tb, nil)
-		f := &FilterOp{Child: s, Pred: pred}
-		p, err := NewProjectOp(f, exprs, names)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return NewPredictOp(p, constPredictor{bias: 5}, []types.Column{{Name: "score", Type: types.Float}})
-	}
-	want, err := Collect(serial())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, dop := range []int{2, 4, 7} {
+	pipe := func(dop int) *Exchange {
 		src, err := NewTableMorselSource(tb, nil, 4096)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex := NewExchange(src, dop)
-		for _, st := range []Stage{
-			&FilterStage{Pred: pred},
-			&ProjectStage{Exprs: exprs, Names: names},
-			&PredictStage{Predictor: constPredictor{bias: 5}, OutputCols: []types.Column{{Name: "score", Type: types.Float}}},
-		} {
-			if err := ex.Push(st); err != nil {
-				t.Fatal(err)
-			}
-		}
-		got, err := Collect(ex)
+		return pushAll(t, NewExchange(src, dop),
+			&FilterStage{Pred: expr.NewBinary(expr.OpGt, &expr.Column{Name: "x"}, expr.FloatLit(10))},
+			&ProjectStage{
+				Exprs: []expr.Expr{
+					&expr.Column{Name: "id"},
+					&expr.Column{Name: "x"},
+					expr.NewBinary(expr.OpMul, &expr.Column{Name: "x"}, expr.FloatLit(2)),
+				},
+				Names: []string{"id", "x", "x2"},
+			},
+			&PredictStage{Predictor: constPredictor{bias: 5}, OutputCols: []types.Column{{Name: "score", Type: types.Float}}})
+	}
+	want, err := Collect(pipe(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Len() != 120000-21 { // x>10 excludes ids 0..20
+		t.Fatalf("inline rows = %d", want.Len())
+	}
+	for _, dop := range []int{2, 4, 7} {
+		got, err := Collect(pipe(dop))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Len() != want.Len() {
-			t.Fatalf("dop %d: %d rows vs serial %d", dop, got.Len(), want.Len())
-		}
-		for _, col := range []string{"id", "x2", "score"} {
-			gv, wv := got.Col(col), want.Col(col)
-			for i := 0; i < got.Len(); i++ {
-				if gv.AsFloat(i) != wv.AsFloat(i) {
-					t.Fatalf("dop %d: %s[%d] = %v, serial %v", dop, col, i, gv.AsFloat(i), wv.AsFloat(i))
-				}
-			}
-		}
+		batchesEqual(t, fmt.Sprintf("dop %d", dop), want, got)
 	}
 }
 
@@ -200,13 +184,22 @@ func TestExchangePropagatesStageErrors(t *testing.T) {
 	}
 }
 
+// countingSource counts morsel claims.
+type countingSource struct {
+	MorselSource
+	claims atomic.Int64
+}
+
+func (c *countingSource) NextMorsel() (int, *types.Batch, error) {
+	c.claims.Add(1)
+	return c.MorselSource.NextMorsel()
+}
+
 func TestExchangeEarlyCloseUnderLimit(t *testing.T) {
+	keepAll := &FilterStage{Pred: expr.NewBinary(expr.OpGt, &expr.Column{Name: "x"}, expr.FloatLit(-1))}
 	tb := numbersTable(t, 200000)
 	src, _ := NewTableMorselSource(tb, nil, 1024)
-	ex := NewExchange(src, 4)
-	if err := ex.Push(&FilterStage{Pred: expr.NewBinary(expr.OpGt, &expr.Column{Name: "x"}, expr.FloatLit(-1))}); err != nil {
-		t.Fatal(err)
-	}
+	ex := pushAll(t, NewExchange(src, 4), keepAll)
 	lim := &LimitOp{Child: ex, N: 10}
 	out, err := Collect(lim)
 	if err != nil {
@@ -221,35 +214,19 @@ func TestExchangeEarlyCloseUnderLimit(t *testing.T) {
 			t.Fatalf("id[%d] = %d (limit over exchange must keep scan order)", i, out.Col("id").Ints[i])
 		}
 	}
-}
 
-func TestPredictOpSliceParallelMatchesSerial(t *testing.T) {
-	tb := numbersTable(t, 100000)
-	// A single table-sized batch is the shape where PredictOp's
-	// slice-parallel inference kicks in (serial operators above breakers).
-	build := func(par int) Operator {
-		s, _ := NewTableScan(tb, nil)
-		s.BatchSize = tb.NumRows()
-		op := NewPredictOp(s, constPredictor{bias: 2}, []types.Column{{Name: "score", Type: types.Float}})
-		op.Parallelism = par
-		op.MorselSize = 4096
-		return op
-	}
-	want, err := Collect(build(1))
+	// One worker is lazy: LIMIT 1 over 100K rows claims exactly one morsel.
+	inner, _ := NewTableMorselSource(numbersTable(t, 100000), nil, types.DefaultBatchSize)
+	counted := &countingSource{MorselSource: inner}
+	out, err = Collect(&LimitOp{Child: pushAll(t, NewExchange(counted, 1), keepAll), N: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Collect(build(4))
-	if err != nil {
-		t.Fatal(err)
+	if out.Len() != 1 || out.Col("id").Ints[0] != 0 {
+		t.Fatalf("inline limit = %d rows", out.Len())
 	}
-	if got.Len() != want.Len() {
-		t.Fatalf("rows: %d vs %d", got.Len(), want.Len())
-	}
-	for i := 0; i < got.Len(); i++ {
-		if got.Col("score").Floats[i] != want.Col("score").Floats[i] {
-			t.Fatalf("score[%d]: %v vs %v", i, got.Col("score").Floats[i], want.Col("score").Floats[i])
-		}
+	if n := counted.claims.Load(); n != 1 {
+		t.Fatalf("LIMIT 1 at DOP 1 claimed %d morsels, want 1", n)
 	}
 }
 

@@ -1,9 +1,9 @@
-// Parallel pipeline breakers: the morsel-parallel counterparts of the
-// materializing operators (aggregate, join, sort). Each one consumes its
-// input through a MorselSource with its own pool of workers — the same
-// claim-a-morsel loop Exchange uses — so the pipeline below a breaker
-// keeps every core busy, and each guarantees output bit-identical to the
-// serial plan:
+// Pipeline breakers: the materializing operators (aggregate, join, sort).
+// Each one consumes its input through a MorselSource with its own pool of
+// workers — the same claim-a-morsel loop Exchange uses, and like it run
+// on the caller's goroutine when there is one worker — so the pipeline
+// below a breaker keeps every core busy, and each guarantees output
+// bit-identical at any DOP and morsel size:
 //
 //   - ParallelHashAggregate folds morsels into per-worker partial tables
 //     and merges them; exact float summation (fsum.go) plus first-seen
@@ -30,6 +30,24 @@ import (
 	"raven/internal/types"
 )
 
+// forEachWorker runs fn(0) .. fn(n-1) concurrently and waits for all of
+// them. One worker means no goroutine: fn(0) runs on the caller's.
+func forEachWorker(n int, fn func(w int)) {
+	if n == 1 {
+		fn(0)
+		return
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < n; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			fn(w)
+		}(w)
+	}
+	wg.Wait()
+}
+
 // consumeMorsels runs dop workers that claim morsels from src, handing
 // each non-empty batch to fold. fold runs concurrently on different
 // workers but w identifies the calling worker, so per-worker state needs
@@ -45,7 +63,6 @@ func consumeMorsels(src MorselSource, dop int, ctx context.Context, fold func(w,
 	}
 	defer src.Close()
 	var (
-		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 		failed   atomic.Bool
@@ -58,34 +75,29 @@ func consumeMorsels(src MorselSource, dop int, ctx context.Context, fold func(w,
 		}
 		mu.Unlock()
 	}
-	for w := 0; w < dop; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for !failed.Load() {
-				if err := ctxErr(ctx); err != nil {
-					fail(err)
-					return
-				}
-				seq, b, err := src.NextMorsel()
-				if err != nil {
-					fail(err)
-					return
-				}
-				if b == nil {
-					return
-				}
-				if b.Len() == 0 {
-					continue // fully filtered morsel; seq stays dense
-				}
-				if err := fold(w, seq, b); err != nil {
-					fail(err)
-					return
-				}
+	forEachWorker(dop, func(w int) {
+		for !failed.Load() {
+			if err := ctxErr(ctx); err != nil {
+				fail(err)
+				return
 			}
-		}(w)
-	}
-	wg.Wait()
+			seq, b, err := src.NextMorsel()
+			if err != nil {
+				fail(err)
+				return
+			}
+			if b == nil {
+				return
+			}
+			if b.Len() == 0 {
+				continue // fully filtered morsel; seq stays dense
+			}
+			if err := fold(w, seq, b); err != nil {
+				fail(err)
+				return
+			}
+		}
+	})
 	return firstErr
 }
 
@@ -94,7 +106,7 @@ func consumeMorsels(src MorselSource, dop int, ctx context.Context, fold func(w,
 
 // partialGroup is one group's per-worker partial state plus the earliest
 // (seq, row) position the group was seen at — the key to emitting groups
-// in exactly the order a serial scan would first encounter them.
+// in exactly the order a one-worker scan would first encounter them.
 type partialGroup struct {
 	g        *aggGroup
 	firstSeq int
@@ -111,8 +123,9 @@ func (p *partialGroup) before(o *partialGroup) bool {
 // ParallelHashAggregate is the two-phase grouped aggregation: each worker
 // folds its morsels into a private partial-aggregate table, then a merge
 // stage combines the partials and emits groups in first-seen order,
-// streamed as DefaultBatchSize chunks. Output is bit-identical to the
-// serial HashAggregate for any DOP and morsel size (see aggGroup).
+// streamed as DefaultBatchSize chunks. Output is bit-identical for any DOP
+// and morsel size (see aggGroup), and to the single-table reference
+// aggregate the tests keep.
 type ParallelHashAggregate struct {
 	Source  MorselSource
 	DOP     int
@@ -216,7 +229,7 @@ func (h *ParallelHashAggregate) mergeAndEmit(partials []map[string]*partialGroup
 			}
 			if pg.before(dst) {
 				// Keep the key values of the globally first-seen row so the
-				// emitted group columns match the serial plan exactly.
+				// emitted group columns do not depend on the DOP.
 				dst.firstSeq, dst.firstRow = pg.firstSeq, pg.firstRow
 				dst.g.keys = pg.g.keys
 			}
@@ -275,14 +288,13 @@ func (h *ParallelHashAggregate) Close() error {
 // side. Partitions are disjoint by key hash, so build workers own
 // partitions exclusively and never synchronize; each partition's match
 // lists hold global build-row ordinals in increasing order, which is what
-// makes probe output identical to the serial single-table build.
+// makes probe output identical to a single-table build.
 type joinBuild struct {
 	rightAll *types.Batch
 	shift    uint // 64 - log2(len(parts))
 	mask     int
 	// intParts is the typed fast path used when the build key is INT;
-	// anyParts handles every other key type (keyed like the serial join,
-	// by the boxed value).
+	// anyParts handles every other key type (keyed by the boxed value).
 	intParts []map[int64][]int32
 	anyParts []map[any][]int32
 }
@@ -329,7 +341,7 @@ func buildJoinTables(src MorselSource, dop int, ctx context.Context, keyIdx int)
 		dop = 1
 	}
 	// Phase 1: consume the build pipeline in parallel, keeping per-seq
-	// batches so the materialized order matches a serial execution.
+	// batches so the materialized order is the source order.
 	var mu sync.Mutex
 	type seqBatch struct {
 		seq int
@@ -384,38 +396,32 @@ func buildJoinTables(src MorselSource, dop int, ctx context.Context, keyIdx int)
 	}
 	nChunks := (n + chunk - 1) / chunk
 	byChunk := make([][][]int32, nChunks)
-	var wg sync.WaitGroup
-	for ci := 0; ci < nChunks; ci++ {
+	forEachWorker(nChunks, func(ci int) {
 		lo := ci * chunk
 		hi := lo + chunk
 		if hi > n {
 			hi = n
 		}
-		wg.Add(1)
-		go func(ci, lo, hi int) {
-			defer wg.Done()
-			lists := make([][]int32, nParts)
-			if intKeys {
-				for i := lo; i < hi; i++ {
-					if i&0xFFFF == 0 && ctxErr(ctx) != nil {
-						return
-					}
-					p := jb.intPart(kv.Ints[i])
-					lists[p] = append(lists[p], int32(i))
+		lists := make([][]int32, nParts)
+		if intKeys {
+			for i := lo; i < hi; i++ {
+				if i&0xFFFF == 0 && ctxErr(ctx) != nil {
+					return
 				}
-			} else {
-				for i := lo; i < hi; i++ {
-					if i&0xFFFF == 0 && ctxErr(ctx) != nil {
-						return
-					}
-					p := jb.anyPartAt(kv, i)
-					lists[p] = append(lists[p], int32(i))
-				}
+				p := jb.intPart(kv.Ints[i])
+				lists[p] = append(lists[p], int32(i))
 			}
-			byChunk[ci] = lists
-		}(ci, lo, hi)
-	}
-	wg.Wait()
+		} else {
+			for i := lo; i < hi; i++ {
+				if i&0xFFFF == 0 && ctxErr(ctx) != nil {
+					return
+				}
+				p := jb.anyPartAt(kv, i)
+				lists[p] = append(lists[p], int32(i))
+			}
+		}
+		byChunk[ci] = lists
+	})
 	if err := ctxErr(ctx); err != nil {
 		return nil, err
 	}
@@ -428,57 +434,51 @@ func buildJoinTables(src MorselSource, dop int, ctx context.Context, keyIdx int)
 	} else {
 		jb.anyParts = make([]map[any][]int32, nParts)
 	}
-	for w := 0; w < dop; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			inserted := 0
-			for p := w; p < nParts; p += dop {
-				if intKeys {
-					m := make(map[int64][]int32)
-					for ci := 0; ci < nChunks; ci++ {
-						if byChunk[ci] == nil || ctxErr(ctx) != nil {
-							return // a phase-2 worker bailed on cancellation
-						}
-						for _, i := range byChunk[ci][p] {
-							if inserted&0xFFFF == 0 && ctxErr(ctx) != nil {
-								return
-							}
-							inserted++
-							k := kv.Ints[i]
-							m[k] = append(m[k], i)
-						}
+	forEachWorker(dop, func(w int) {
+		inserted := 0
+		for p := w; p < nParts; p += dop {
+			if intKeys {
+				m := make(map[int64][]int32)
+				for ci := 0; ci < nChunks; ci++ {
+					if byChunk[ci] == nil || ctxErr(ctx) != nil {
+						return // a phase-2 worker bailed on cancellation
 					}
-					jb.intParts[p] = m
-				} else {
-					m := make(map[any][]int32)
-					for ci := 0; ci < nChunks; ci++ {
-						if byChunk[ci] == nil || ctxErr(ctx) != nil {
+					for _, i := range byChunk[ci][p] {
+						if inserted&0xFFFF == 0 && ctxErr(ctx) != nil {
 							return
 						}
-						for _, i := range byChunk[ci][p] {
-							if inserted&0xFFFF == 0 && ctxErr(ctx) != nil {
-								return
-							}
-							inserted++
-							k := kv.Value(int(i))
-							m[k] = append(m[k], i)
-						}
+						inserted++
+						k := kv.Ints[i]
+						m[k] = append(m[k], i)
 					}
-					jb.anyParts[p] = m
 				}
+				jb.intParts[p] = m
+			} else {
+				m := make(map[any][]int32)
+				for ci := 0; ci < nChunks; ci++ {
+					if byChunk[ci] == nil || ctxErr(ctx) != nil {
+						return
+					}
+					for _, i := range byChunk[ci][p] {
+						if inserted&0xFFFF == 0 && ctxErr(ctx) != nil {
+							return
+						}
+						inserted++
+						k := kv.Value(int(i))
+						m[k] = append(m[k], i)
+					}
+				}
+				jb.anyParts[p] = m
 			}
-		}(w)
-	}
-	wg.Wait()
+		}
+	})
 	return jb, ctxErr(ctx)
 }
 
-// HashProbeStage probes the partitioned build tables — the morsel-
-// parallel counterpart of HashJoin's probe loop. It is pushed onto the
-// left input's exchange so probing runs inside the scan pipeline instead
-// of as a serial operator above it; ParallelHashJoin binds the build
-// tables before the exchange opens.
+// HashProbeStage probes the partitioned build tables. It is pushed onto
+// the left input's pipeline so probing runs inside the scan pipeline, on
+// whichever worker claimed the morsel; ParallelHashJoin binds the build
+// tables before that pipeline opens.
 type HashProbeStage struct {
 	LeftCol string
 	right   *types.Schema
@@ -528,7 +528,7 @@ func (p *HashProbeStage) Apply(b *types.Batch) (*types.Batch, error) {
 	if jb.intParts != nil {
 		if kv.Type != types.Int {
 			release()
-			return nil, nil // typed key mismatch: no matches, like the serial join
+			return nil, nil // typed key mismatch: no matches
 		}
 		for i, k := range kv.Ints {
 			for _, r := range jb.intParts[jb.intPart(k)][k] {
@@ -559,8 +559,8 @@ func (p *HashProbeStage) Apply(b *types.Batch) (*types.Batch, error) {
 }
 
 // ParallelHashJoin runs the partitioned parallel build at Open and then
-// delegates to the probe pipeline (the left exchange carrying the probe
-// stage, or a serial StageOp fallback).
+// delegates to the probe pipeline (the left input's exchange carrying the
+// probe stage).
 type ParallelHashJoin struct {
 	Build    MorselSource
 	BuildDOP int
@@ -573,7 +573,7 @@ type ParallelHashJoin struct {
 }
 
 // NewParallelHashJoin wires the operator together. stage must already be
-// attached to probe (pushed onto its exchange or wrapped in a StageOp).
+// pushed onto probe.
 func NewParallelHashJoin(build MorselSource, buildDOP int, probe Operator, stage *HashProbeStage, rightCol string, ctx context.Context) (*ParallelHashJoin, error) {
 	ri := build.Schema().IndexOf(rightCol)
 	if ri < 0 {
@@ -612,52 +612,6 @@ func (j *ParallelHashJoin) Close() error {
 	return err
 }
 
-// StageOp applies one stage serially over an operator — the fallback used
-// when a breaker's input is not a pushable exchange (serial plans, or
-// unioned partition streams).
-type StageOp struct {
-	Child Operator
-	St    Stage
-
-	schema *types.Schema
-}
-
-// NewStageOp resolves the stage's output schema eagerly.
-func NewStageOp(child Operator, st Stage) (*StageOp, error) {
-	schema, err := st.OutSchema(child.Schema())
-	if err != nil {
-		return nil, err
-	}
-	return &StageOp{Child: child, St: st, schema: schema}, nil
-}
-
-// Schema implements Operator.
-func (s *StageOp) Schema() *types.Schema { return s.schema }
-
-// Open implements Operator.
-func (s *StageOp) Open() error { return s.Child.Open() }
-
-// Close implements Operator.
-func (s *StageOp) Close() error { return s.Child.Close() }
-
-// Next implements Operator.
-func (s *StageOp) Next() (*types.Batch, error) {
-	for {
-		b, err := s.Child.Next()
-		if err != nil || b == nil {
-			return nil, err
-		}
-		out, err := s.St.Apply(b)
-		if err != nil {
-			return nil, err
-		}
-		if out == nil || out.Len() == 0 {
-			continue
-		}
-		return out, nil
-	}
-}
-
 // ---------------------------------------------------------------------------
 // Run merge-sort
 
@@ -675,8 +629,8 @@ type sortRun struct {
 	pos        int
 }
 
-// RunSort replaces the materializing SortOp: each worker stable-sorts its
-// morsels into runs, and Next streams a k-way heap merge of the runs in
+// RunSort is the sort breaker: each worker stable-sorts its morsels into
+// runs, and Next streams a k-way heap merge of the runs in
 // DefaultBatchSize batches instead of one giant batch. Key ties break by
 // (seq, original row), so the output is exactly a stable sort of the
 // input — bit-identical for any DOP and morsel size.

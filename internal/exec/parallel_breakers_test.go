@@ -201,9 +201,8 @@ func TestParallelAggregateMatchesSerialReference(t *testing.T) {
 	root := aggPlan(t, tb)
 
 	// Reference: the serial HashAggregate operator over a plain scan.
-	s, _ := NewTableScan(tb, nil)
 	ref, err := NewHashAggregate(
-		&FilterOp{Child: s, Pred: expr.NewBinary(expr.OpGt, &expr.Column{Name: "x"}, expr.FloatLit(5))},
+		pushAll(t, scanPipe(t, tb, nil), &FilterStage{Pred: expr.NewBinary(expr.OpGt, &expr.Column{Name: "x"}, expr.FloatLit(5))}),
 		[]string{"grp"},
 		root.(*plan.Aggregate).Aggs)
 	if err != nil {
@@ -283,9 +282,7 @@ func TestParallelJoinMatchesSerialReference(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ls, _ := NewTableScan(left, nil)
-	rs, _ := NewTableScan(right, nil)
-	ref, err := NewHashJoin(ls, rs, "id", "rid")
+	ref, err := NewHashJoin(scanPipe(t, left, nil), scanPipe(t, right, nil), "id", "rid")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,9 +350,7 @@ func TestParallelJoinSignedZeroFloatKeys(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ls, _ := NewTableScan(left, nil)
-	rs, _ := NewTableScan(right, nil)
-	ref, err := NewHashJoin(ls, rs, "k", "k")
+	ref, err := NewHashJoin(scanPipe(t, left, nil), scanPipe(t, right, nil), "k", "k")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -567,8 +562,7 @@ func TestBreakersStackedParity(t *testing.T) {
 
 func TestStreamMorselSourceSequencesBatches(t *testing.T) {
 	tb := numbersTable(t, 10000)
-	s, _ := NewTableScan(tb, nil)
-	src := &StreamMorselSource{Op: s}
+	src := &StreamMorselSource{Op: scanPipe(t, tb, nil)}
 	if err := src.Open(); err != nil {
 		t.Fatal(err)
 	}

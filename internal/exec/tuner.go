@@ -19,10 +19,8 @@ const (
 	// minMorselsPerWorker keeps enough morsels in flight per worker for
 	// load balancing even when service times would allow huge morsels.
 	minMorselsPerWorker = 4
-	// maxMorselSize / maxSerialBatch bound how much a single morsel or
-	// serial scan batch may buffer.
-	maxMorselSize  = 64 * types.DefaultBatchSize
-	maxSerialBatch = 32 * types.DefaultBatchSize
+	// maxMorselSize bounds how much a single morsel may buffer.
+	maxMorselSize = 64 * types.DefaultBatchSize
 	// inferenceBytesBudget bounds the flat feature matrix one inference
 	// chunk materializes (~L2-sized).
 	inferenceBytesBudget = 256 << 10
@@ -32,9 +30,9 @@ const (
 
 // Tuner adapts the data plane's batch sizes at lowering time: morsel size
 // from table cardinality and the observed per-morsel service times of
-// earlier queries, inference chunk rows from the model's feature width,
-// and serial scan batches from scan cardinality. One Tuner serves a whole
-// engine; all methods are safe for concurrent use.
+// earlier queries, and inference chunk rows from the model's feature
+// width. One Tuner serves a whole engine; all methods are safe for
+// concurrent use.
 type Tuner struct {
 	// nanosPerRowBits is an EWMA of observed per-row service time,
 	// stored as float64 bits (0 = no samples yet).
@@ -78,17 +76,21 @@ func (t *Tuner) nanosPerRow() float64 {
 	return math.Float64frombits(t.nanosPerRowBits.Load())
 }
 
-// MorselSize recommends rows-per-morsel for a parallel scan of tableRows
-// rows at the given DOP: the row count whose estimated service time hits
-// the target quantum, capped so every worker still sees several morsels,
-// and clamped to [DefaultBatchSize, maxMorselSize]. Before any
-// observation it returns DefaultMorselSize (bounded the same way).
+// MorselSize recommends rows-per-morsel for a scan of tableRows rows at
+// the given DOP: the row count whose estimated service time hits the
+// target quantum, capped so every worker still sees several morsels, and
+// clamped to [DefaultBatchSize, maxMorselSize]. Before any observation it
+// starts from DefaultMorselSize (bounded the same way). One worker has
+// nothing to balance and no reorder window to bound, so at DOP 1 the
+// table scans as a single morsel (fewest per-batch vector headers), up to
+// the same clamp.
 func (t *Tuner) MorselSize(tableRows, dop int) int {
-	size := DefaultMorselSize
-	if npr := t.nanosPerRow(); npr > 0 {
-		size = int(targetMorselNanos / npr)
-	}
-	if dop > 0 {
+	size := tableRows
+	if dop > 1 {
+		size = DefaultMorselSize
+		if npr := t.nanosPerRow(); npr > 0 {
+			size = int(targetMorselNanos / npr)
+		}
 		if bal := tableRows / (dop * minMorselsPerWorker); bal < size {
 			size = bal
 		}
@@ -121,20 +123,6 @@ func (t *Tuner) InferenceBatch(featureDim int) int {
 		rows = min
 	}
 	return rows
-}
-
-// SerialBatchSize recommends the batch size of a serial table scan: one
-// batch for small tables (fewer per-batch vector headers), bounded above
-// so a large serial scan still streams.
-func (t *Tuner) SerialBatchSize(tableRows int) int {
-	size := tableRows
-	if size < types.DefaultBatchSize {
-		size = types.DefaultBatchSize
-	}
-	if size > maxSerialBatch {
-		size = maxSerialBatch
-	}
-	return size
 }
 
 // TunerStats is a snapshot of the tuner's state for stats endpoints.

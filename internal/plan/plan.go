@@ -201,7 +201,9 @@ var aggNames = map[AggFunc]string{AggCount: "COUNT", AggSum: "SUM", AggAvg: "AVG
 // physical layer accumulates them exactly (order-invariant correctly
 // rounded summation), so partials carry no rounding that depends on the
 // split. A future non-decomposable aggregate (e.g. MEDIAN) would return
-// false and fall back to the serial operator.
+// false, and exec.Compile rejects it with an explicit error: two-phase
+// aggregation is the only execution path, so such a function needs its
+// own operator before it can run.
 func (f AggFunc) Mergeable() bool {
 	switch f {
 	case AggCount, AggSum, AggAvg, AggMin, AggMax:
@@ -258,7 +260,7 @@ func NewAggregate(child Node, groupBy []string, aggs []AggSpec) (*Aggregate, err
 
 // Parallelizable reports whether every aggregate of this node is
 // mergeable, i.e. whether the physical layer may run it as per-worker
-// partial tables plus a merge stage instead of one serial hash table.
+// partial tables plus a merge stage — the only way it runs one.
 func (a *Aggregate) Parallelizable() bool {
 	for _, s := range a.Aggs {
 		if !s.Func.Mergeable() {

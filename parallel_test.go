@@ -2,6 +2,7 @@ package raven
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -61,25 +62,55 @@ var parallelParityQueries = []struct{ label, q string }{
 	{"predict-order-limit", `SELECT d.f0, p.prob FROM PREDICT(MODEL='delay_par', DATA=flights_features AS d) WITH (prob FLOAT) AS p WHERE d.f0 > 0 ORDER BY p.prob DESC LIMIT 25`},
 }
 
+// parityCase is one query of the parity matrix. threshold is the
+// ParallelThresholdRows the DOP>1 runs use: 1 makes every scan DOP-wide;
+// a value between two table sizes mixes inline and DOP-wide pipelines in
+// one plan.
+type parityCase struct {
+	label, q  string
+	threshold int
+	split     bool // run with ModelQuerySplitting
+}
+
+// assertParityMatrix runs tc at DOP {1, 2, 8} × morsel size {default,
+// 1000 (divides no table)} and requires every result to equal the first
+// byte for byte. Every run executes the same stages; what the matrix
+// proves is what differs between them — claim order, the reorder merge,
+// and the breakers' DOP- and morsel-invariant merges.
+func assertParityMatrix(t *testing.T, db *DB, mode Mode, tc parityCase) {
+	t.Helper()
+	var want *types.Batch
+	for _, dop := range []int{1, 2, 8} {
+		for _, morsel := range []int{0, 1000} {
+			label := fmt.Sprintf("%s mode=%v dop=%d morsel=%d", tc.label, mode, dop, morsel)
+			threshold := tc.threshold
+			if threshold == 0 {
+				threshold = 1
+			}
+			res, err := db.QueryWithOptions(tc.q, QueryOptions{
+				Mode: mode, Parallelism: dop, ParallelThresholdRows: threshold, MorselSize: morsel,
+				ModelQuerySplitting: tc.split, CrossOptimize: tc.split,
+			})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			if want == nil {
+				if res.Batch.Len() == 0 {
+					t.Fatalf("%s: result empty (query shape broken)", label)
+				}
+				want = res.Batch
+				continue
+			}
+			batchesIdentical(t, label, want, res.Batch)
+		}
+	}
+}
+
 func TestParallelPlansByteIdenticalToSerial(t *testing.T) {
 	db := flightsDB(t, 20000)
 	for _, mode := range []Mode{ModeInProcess, ModeInProcessNN} {
 		for _, tc := range parallelParityQueries {
-			serial, err := db.QueryWithOptions(tc.q, QueryOptions{
-				Mode: mode, Parallelism: 1,
-			})
-			if err != nil {
-				t.Fatalf("%s serial: %v", tc.label, err)
-			}
-			for _, dop := range []int{4, 8} {
-				par, err := db.QueryWithOptions(tc.q, QueryOptions{
-					Mode: mode, Parallelism: dop, ParallelThresholdRows: 1, MorselSize: 512,
-				})
-				if err != nil {
-					t.Fatalf("%s dop=%d: %v", tc.label, dop, err)
-				}
-				batchesIdentical(t, fmt.Sprintf("%s mode=%v dop=%d", tc.label, mode, dop), serial.Batch, par.Batch)
-			}
+			assertParityMatrix(t, db, mode, parityCase{label: tc.label, q: tc.q})
 		}
 	}
 }
@@ -113,31 +144,45 @@ var breakerParityQueries = []struct{ label, q string }{
 }
 
 // TestBreakerPlansByteIdenticalToSerial is the parity acceptance for the
-// parallel pipeline breakers: serial (DOP=1) and DOP>=4 executions must
-// agree byte for byte — rows, order, and every float bit (exact SUM/AVG
-// makes the aggregates DOP- and morsel-size-invariant).
+// pipeline breakers and the seams between pipelines: every DOP and morsel
+// size must agree byte for byte — rows, order, and every float bit (exact
+// SUM/AVG makes the aggregates DOP- and morsel-size-invariant).
 func TestBreakerPlansByteIdenticalToSerial(t *testing.T) {
 	db, _ := hospitalDB(t, 20000)
 	for _, tc := range breakerParityQueries {
-		serial, err := db.QueryWithOptions(tc.q, QueryOptions{
-			Mode: ModeInProcess, Parallelism: 1,
-		})
-		if err != nil {
-			t.Fatalf("%s serial: %v", tc.label, err)
-		}
-		if serial.Batch.Len() == 0 {
-			t.Fatalf("%s: serial result empty (query shape broken)", tc.label)
-		}
-		for _, dop := range []int{4, 8} {
-			par, err := db.QueryWithOptions(tc.q, QueryOptions{
-				Mode: ModeInProcess, Parallelism: dop, ParallelThresholdRows: 1, MorselSize: 512,
-			})
-			if err != nil {
-				t.Fatalf("%s dop=%d: %v", tc.label, dop, err)
-			}
-			batchesIdentical(t, fmt.Sprintf("%s dop=%d", tc.label, dop), serial.Batch, par.Batch)
+		assertParityMatrix(t, db, ModeInProcess, parityCase{label: tc.label, q: tc.q})
+	}
+
+	// Model/query splitting: the two branch pipelines run back to back.
+	split := parityCase{label: "split", split: true, q: `SELECT d.id, p.length_of_stay
+		FROM PREDICT(MODEL='duration_of_stay',
+		  DATA=(SELECT * FROM patient_info AS pi
+		        JOIN blood_tests AS bt ON pi.id = bt.id
+		        JOIN prenatal_tests AS pt ON bt.id = pt.id) AS d)
+		WITH (length_of_stay FLOAT) AS p`}
+	ex, err := db.Explain(split.q, QueryOptions{CrossOptimize: true, ModelQuerySplitting: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(ex, "RA:split(") {
+		t.Fatalf("split query did not split:\n%s", ex)
+	}
+	assertParityMatrix(t, db, ModeInProcess, split)
+
+	// One join over an inline (below-threshold) probe pipeline and a
+	// DOP-wide build pipeline.
+	if err := db.Exec(`CREATE TABLE watchlist (id INT PRIMARY KEY, weightx FLOAT)`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 700; i++ {
+		if err := db.Exec(fmt.Sprintf(`INSERT INTO watchlist VALUES (%d, %d.5)`, i*13, i)); err != nil {
+			t.Fatal(err)
 		}
 	}
+	assertParityMatrix(t, db, ModeInProcess, parityCase{label: "mixed-join", threshold: 5000,
+		q: `SELECT w.id, w.weightx, bt.bp FROM watchlist AS w JOIN blood_tests AS bt ON w.id = bt.id WHERE bt.bp > 100`})
+	assertParityMatrix(t, db, ModeInProcess, parityCase{label: "mixed-join-build-inline", threshold: 5000,
+		q: `SELECT bt.id, bt.bp, w.weightx FROM blood_tests AS bt JOIN watchlist AS w ON bt.id = w.id`})
 }
 
 func TestConcurrentParallelQueriesOverSharedTables(t *testing.T) {

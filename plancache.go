@@ -17,7 +17,7 @@ import (
 // processing (parse → bind → unified IR → cross optimization) done once.
 // It is immutable after construction — executions lower it into fresh
 // operator trees (codegen re-runs per call, so data growth still flips
-// plans between serial and parallel) and parameterized plans are cloned,
+// scans between one worker and DOP-wide) and parameterized plans are cloned,
 // never mutated, at bind time.
 type cachedPlan struct {
 	graph   *ir.Graph

@@ -7,24 +7,30 @@
 // splitting), and an in-process tensor runtime with session caching plus
 // out-of-process and containerized fallbacks.
 //
-// # Morsel-parallel execution
+// # One execution model: the morsel pipeline
 //
-// Query execution is morsel-parallel: a table scan under per-row operators
-// (filter, project, PREDICT) compiles into a single exchange whose workers
-// claim fixed-size row morsels from a shared atomic cursor, run the whole
-// operator chain — inference included — on each morsel, and merge results
-// back in scan order. A parallel plan therefore returns exactly the rows,
-// in exactly the order, the serial plan would. Inference sessions come
-// from a contention-friendly cache that compiles each model at most once
-// under per-key locks, so workers and concurrent queries never serialize
-// behind one compile.
+// Query execution has one shape. A table scan under per-row operators
+// (filter, project, PREDICT, join probe) compiles into a single morsel
+// pipeline: claim a fixed-size row morsel from a shared atomic cursor,
+// run the whole operator chain — inference included — on it, emit in scan
+// order. Degree of parallelism is a property of that pipeline, not a
+// second operator set: with one worker it runs inline on the caller's
+// goroutine (no goroutine, channel or reorder buffer, one morsel per
+// batch pulled, so LIMIT stops the scan early); with more, the same
+// source and stages run on worker goroutines and results merge back in
+// scan order. A plan therefore returns exactly the rows, in exactly the
+// order, at any degree of parallelism. Pipeline breakers (join build,
+// GROUP BY, ORDER BY) consume one pipeline with the same workers and
+// start the next. Inference sessions come from a contention-friendly
+// cache that compiles each model at most once under per-key locks, so
+// workers and concurrent queries never serialize behind one compile.
 //
 // The engine-wide degree of parallelism defaults to GOMAXPROCS and is set
 // at Open time with WithParallelism (WithMorselSize tunes the work unit);
-// QueryOptions.Parallelism overrides it per query, with 1 forcing serial
-// execution. Small inputs (below QueryOptions.ParallelThresholdRows,
-// default 50k rows) run serially regardless, since fan-out costs more than
-// it saves.
+// QueryOptions.Parallelism overrides it per query, with 1 running every
+// pipeline and breaker inline. Scans of small tables (below
+// QueryOptions.ParallelThresholdRows, default 50k rows) run as one-worker
+// pipelines regardless, since fan-out costs more than it saves.
 //
 // # Serving API
 //
@@ -200,7 +206,7 @@ type DB struct {
 	// MorselSize is the engine-wide rows-per-morsel for parallel plans; 0
 	// uses the executor default.
 	MorselSize int
-	// tuner adapts morsel, serial-scan and inference batch sizes from
+	// tuner adapts morsel and inference batch sizes from
 	// table statistics and observed per-morsel service times; nil unless
 	// WithAdaptiveMorsels was given.
 	tuner *exec.Tuner
@@ -267,8 +273,9 @@ type TenantStats = sched.TenantStats
 type Option func(*DB)
 
 // WithParallelism sets the engine's default degree of parallelism (the
-// morsel-exchange worker count). Values < 1 are ignored, keeping the
-// GOMAXPROCS default; 1 makes the engine serial by default.
+// morsel-pipeline worker count). Values < 1 are ignored, keeping the
+// GOMAXPROCS default; 1 makes every query run inline on its caller's
+// goroutine by default.
 func WithParallelism(n int) Option {
 	return func(db *DB) {
 		if n >= 1 {
@@ -289,7 +296,7 @@ func WithMorselSize(n int) Option {
 
 // WithAdaptiveMorsels turns on adaptive batch sizing: the engine tunes
 // rows-per-morsel from table cardinality and the per-morsel service times
-// it observes, sizes serial scan batches to the scan, and chunks
+// it observes (one morsel per small table at one worker), and chunks
 // interpreted inference to the model's feature width. Explicit sizes
 // still win: a query (or engine) MorselSize overrides the tuned morsel
 // size. The tuner's current estimates appear in Stats().Adaptive.
@@ -544,7 +551,7 @@ func (db *DB) CatalogVersion() uint64 { return db.catalog.Version() }
 // quota — by that tenant budget. It is also exactly what admission
 // charges, so the charged cost and the spawned worker count agree by
 // construction. The cap is a worst-case bound — small scans below
-// ParallelThresholdRows execute serially anyway — so admission stays
+// ParallelThresholdRows scan with one worker anyway — so admission stays
 // conservative under load.
 func (db *DB) effectiveParallelism(ctx context.Context, opts QueryOptions) int {
 	par := opts.Parallelism
@@ -1146,7 +1153,7 @@ func (db *DB) buildPlan(q string, sel *sql.SelectStmt, vars map[string]string, o
 
 // lower turns a compiled template into a fresh executable operator tree.
 // It runs per execution — cheap relative to the front half — so cached
-// plans still adapt to current table sizes (serial vs morsel-parallel)
+// plans still adapt to current table sizes (one-worker vs DOP-wide scans)
 // and carry the call's context into every operator.
 func (db *DB) lower(ctx context.Context, graph *ir.Graph, sessionKey string, opts QueryOptions) (exec.Operator, error) {
 	par := db.effectiveParallelism(ctx, opts)
