@@ -3,7 +3,7 @@ GO ?= go
 # Coverage floor for `make cover` (percent of statements).
 COVER_FLOOR ?= 70
 
-.PHONY: all build test test-benchmark race vet fmt-check bench bench-quick bench-check bench-micro cover smoke smoke-serve smoke-cluster smoke-durable smoke-pgwire loc ci
+.PHONY: all build test test-benchmark race vet fmt-check bench bench-micro cover smoke loc ci
 
 all: ci
 
@@ -56,82 +56,9 @@ cover:
 smoke:
 	echo "SELECT COUNT(*) AS n FROM patient_info" | $(GO) run ./cmd/ravensql -rows 2000 -timeout 30s
 
-# smoke-serve boots ravenserved on a random port and drives the wire
-# protocol end to end over real HTTP: DDL + INSERT through /query, a
-# parameterized PREDICT, the prepared-statement warm path, /stats, and a
-# graceful drain. One process, exits non-zero on any failure.
-smoke-serve:
-	$(GO) run ./cmd/ravenserved -selftest -rows 2000
-
-# smoke-cluster boots two in-process replicas behind ravenrouter and
-# drives the cluster end to end: replicated DDL + model store, routed
-# and prepared-statement reads with fingerprint parity across homes, a
-# graceful drain of one replica under concurrent load (zero errors
-# tolerated), and aggregated stats. One process, exits non-zero on any
-# failure.
-smoke-cluster:
-	$(GO) run ./cmd/ravenrouter -selftest
-
-# smoke-durable proves durability against real processes and a real
-# kill -9: a child ravenserved on a scratch -data-dir is loaded over
-# HTTP (table + model), SIGKILLed, restarted on the same directory, and
-# must answer byte-identical query/PREDICT fingerprints for every
-# acknowledged pre-crash write; a graceful restart then proves the
-# checkpoint path. One command, exits non-zero on any divergence.
-smoke-durable:
-	$(GO) run ./cmd/ravenserved -crashtest
-
-# smoke-pgwire boots ravenserved with both front ends on random ports
-# and drives the Postgres wire protocol end to end with an in-process
-# pg client: simple-protocol DDL + SELECT, PREDICT through both the
-# simple and extended (prepared, $1-parameterized) protocols with
-# byte-equivalent results against the HTTP/NDJSON path, pg sessions
-# billed to their startup-param tenant in /stats, and a zero-quota
-# tenant refused with SQLSTATE 53300. One process, exits non-zero on
-# any failure.
-smoke-pgwire:
-	$(GO) run ./cmd/ravenserved -pgselftest -rows 2000
-
 # bench regenerates the paper experiment tables at quick scale.
 bench:
 	$(GO) run ./cmd/ravenbench -quick
-
-# bench-quick smoke-runs the pipeline-breaker ablation, the serving
-# concurrency ablation, the multi-tenant isolation ablation, the
-# cluster scale-out/drain experiment and the result-cache experiment
-# and records all of them, so `make ci` catches breaker regressions (a
-# breaker that silently serializes or errors), serving regressions
-# (admission breach, wire-path breakage), tenant regressions (quota
-# breach, starved tenant), cluster regressions (dropped or diverged
-# queries during a graceful drain) and cache regressions (a stale read,
-# a lost hit speedup, a cached read consuming a scheduler slot) without
-# paying for the full paper suite. BENCH_JSON / BENCH_SERVE_JSON /
-# BENCH_TENANT_JSON / BENCH_CLUSTER_JSON / BENCH_CACHE_JSON are where
-# the tables are recorded; `make ci` points them at untracked scratch
-# paths so routine CI runs don't churn the checked-in BENCH_*.json
-# files — regenerate those deliberately with a plain `make bench-quick`.
-# bench-check then validates the recordings (including the cluster
-# drain-proof and cache stale=0 notes), so a silently-empty bench run
-# fails the gate instead of committing a hollow BENCH file.
-BENCH_JSON ?= BENCH_parallel_breakers.json
-BENCH_SCALING_JSON ?= BENCH_parallel_scaling.json
-BENCH_SERVE_JSON ?= BENCH_serve.json
-BENCH_TENANT_JSON ?= BENCH_tenant.json
-BENCH_CLUSTER_JSON ?= BENCH_cluster.json
-BENCH_CACHE_JSON ?= BENCH_cache.json
-BENCH_WAL_JSON ?= BENCH_wal.json
-bench-quick:
-	$(GO) run ./cmd/ravenbench -quick -only ParallelBreakers -json $(BENCH_JSON)
-	$(GO) run ./cmd/ravenbench -quick -only ParallelScaling -json $(BENCH_SCALING_JSON)
-	$(GO) run ./cmd/ravenbench -quick -only ServeConcurrency -json $(BENCH_SERVE_JSON)
-	$(GO) run ./cmd/ravenbench -quick -only MultiTenantServe -json $(BENCH_TENANT_JSON)
-	$(GO) run ./cmd/ravenbench -quick -only ClusterServe -json $(BENCH_CLUSTER_JSON)
-	$(GO) run ./cmd/ravenbench -quick -only CachedServe -json $(BENCH_CACHE_JSON)
-	$(GO) run ./cmd/ravenbench -quick -only DurableRecovery -json $(BENCH_WAL_JSON)
-	@$(MAKE) bench-check
-
-bench-check:
-	$(GO) run ./cmd/ravenbench -check "$(BENCH_JSON):ParallelBreakers,$(BENCH_SCALING_JSON):ParallelScaling,$(BENCH_SERVE_JSON):ServeConcurrency,$(BENCH_TENANT_JSON):MultiTenantServe,$(BENCH_CLUSTER_JSON):ClusterServe,$(BENCH_CACHE_JSON):CachedServe,$(BENCH_WAL_JSON):DurableRecovery"
 
 # bench-micro runs the data-plane micro-benchmarks (typed kernels, vector
 # pooling, gather) with allocation reporting.
@@ -148,5 +75,6 @@ loc:
 # ci runs the suite twice, not three times: cover subsumes a plain
 # `make test` (same tests, plus the coverage floor and cover.out), so
 # the gate is cover + race rather than test + race + a separate cover.
-ci: fmt-check build vet cover race test-benchmark smoke smoke-serve smoke-cluster smoke-durable smoke-pgwire
-	@$(MAKE) bench-quick BENCH_JSON=.bench_ci.json BENCH_SCALING_JSON=.bench_scaling_ci.json BENCH_SERVE_JSON=.bench_serve_ci.json BENCH_TENANT_JSON=.bench_tenant_ci.json BENCH_CLUSTER_JSON=.bench_cluster_ci.json BENCH_CACHE_JSON=.bench_cache_ci.json BENCH_WAL_JSON=.bench_wal_ci.json
+# The servers are driven end to end by test-benchmark (real ravenserved
+# and ravenrouter children) and by their packages' own tests.
+ci: fmt-check build vet cover race test-benchmark smoke

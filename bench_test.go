@@ -62,10 +62,6 @@ func BenchmarkStaticAnalysis(b *testing.B) { runExperiment(b, bench.StaticAnalys
 // optimizations against the unoptimized external path.
 func BenchmarkRunningExample(b *testing.B) { runExperiment(b, bench.RunningExample) }
 
-// BenchmarkParallelScaling measures the morsel-parallel scan+PREDICT
-// pipeline against the serial plan.
-func BenchmarkParallelScaling(b *testing.B) { runExperiment(b, bench.ParallelScaling) }
-
 // BenchmarkPreparedPredict measures prepared/plan-cached execution against
 // cold per-call compilation on a small inference query.
 func BenchmarkPreparedPredict(b *testing.B) { runExperiment(b, bench.PreparedPredict) }

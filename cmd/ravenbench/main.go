@@ -1,51 +1,89 @@
-// Command ravenbench regenerates every table and figure of the paper's
-// evaluation and prints them in paper-figure form. With -markdown it emits
-// the EXPERIMENTS.md body instead; with -json FILE it also records the
-// selected tables (plus host parallelism) as JSON, which is how the
-// checked-in BENCH_*.json result files are produced.
+// Command ravenbench regenerates the tables and figures of the paper's
+// evaluation and prints them in paper-figure form. With -markdown it
+// emits the EXPERIMENTS.md body instead. Serving, durability and
+// parallel-scaling measurements are not here: benchmark/ (named by
+// BENCHMARK.json) is the repo's one instrument for those.
 //
 // Usage:
 //
-//	ravenbench [-quick] [-markdown] [-only Fig2a,Fig3] [-runs N] [-json FILE]
-//	ravenbench -check FILE:ID[,FILE:ID...]
+//	ravenbench [-quick] [-markdown] [-only Fig2a,Fig3] [-runs N]
 //
-// -check validates previously recorded result files instead of running
-// anything: each FILE must parse as a ravenbench -json recording that
-// ran its experiments without failures and contains a table with the
-// given ID holding at least one measured row. It is the CI guard
-// against a silently-empty bench run committing a hollow BENCH file.
+// An id passed to -only that is not in the experiment table is a usage
+// error (exit status 2), not an empty successful run.
 package main
 
 import (
 	"context"
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"runtime"
+	"slices"
 	"strings"
 
 	"raven/internal/bench"
 )
 
-func main() {
-	quick := flag.Bool("quick", false, "run reduced sizes (seconds instead of minutes)")
-	markdown := flag.Bool("markdown", false, "emit markdown tables (for EXPERIMENTS.md)")
-	timeout := flag.Duration("timeout", 0, "skip experiments not yet started once the deadline passes (0 = no limit); an in-flight experiment runs to completion")
-	only := flag.String("only", "", "comma-separated experiment ids (Fig2a,Fig2b,Fig2c,Fig2d,Fig3,PredPruning,BatchVsTuple,StaticAnalysis,RunningExample,ParallelScaling,ParallelBreakers,PreparedPredict,ServeConcurrency,MultiTenantServe,ClusterServe,CachedServe,DurableRecovery)")
-	runs := flag.Int("runs", 0, "measured runs per point (default 3, or 1 with -quick)")
-	parallelism := flag.Int("parallelism", 0, "degree of parallelism for experiment engines (0 = engine default, 1 = serial)")
-	morsel := flag.Int("morsel", 0, "rows per parallel work unit (0 = engine default)")
-	jsonPath := flag.String("json", "", "also write the selected tables as JSON to this file")
-	check := flag.String("check", "", "validate recorded JSON result files instead of running: comma-separated FILE:ID entries")
-	flag.Parse()
+type experiment struct {
+	id string
+	fn func(bench.Config) (*bench.Table, error)
+}
 
-	if *check != "" {
-		if err := checkRecordings(*check); err != nil {
-			fmt.Fprintln(os.Stderr, "bench check FAILED:", err)
-			os.Exit(1)
+// experiments is the one table of what ravenbench can run, in paper
+// order; the -only help text and its validation both derive from it.
+var experiments = []experiment{
+	{"Fig2a", bench.Fig2a},
+	{"Fig2b", bench.Fig2b},
+	{"Fig2c", bench.Fig2c},
+	{"Fig2d", bench.Fig2d},
+	{"Fig3", bench.Fig3},
+	{"PredPruning", bench.PredicatePruning},
+	{"BatchVsTuple", bench.BatchVsTuple},
+	{"StaticAnalysis", bench.StaticAnalysis},
+	{"RunningExample", bench.RunningExample},
+	{"PreparedPredict", bench.PreparedPredict},
+}
+
+func experimentIDs() string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return strings.Join(ids, ",")
+}
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its arguments, streams and exit status made
+// explicit so the flag handling is testable in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ravenbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	quick := fs.Bool("quick", false, "run reduced sizes (seconds instead of minutes)")
+	markdown := fs.Bool("markdown", false, "emit markdown tables (for EXPERIMENTS.md)")
+	timeout := fs.Duration("timeout", 0, "skip experiments not yet started once the deadline passes (0 = no limit); an in-flight experiment runs to completion")
+	only := fs.String("only", "", "comma-separated experiment ids ("+experimentIDs()+")")
+	runs := fs.Int("runs", 0, "measured runs per point (default 3, or 1 with -quick)")
+	parallelism := fs.Int("parallelism", 0, "degree of parallelism for experiment engines (0 = engine default, 1 = serial)")
+	morsel := fs.Int("morsel", 0, "rows per parallel work unit (0 = engine default)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		return
+		return 2
+	}
+
+	want := map[string]bool{}
+	if *only != "" {
+		for _, id := range strings.Split(*only, ",") {
+			id = strings.TrimSpace(id)
+			if !slices.ContainsFunc(experiments, func(e experiment) bool { return e.id == id }) {
+				fmt.Fprintf(stderr, "ravenbench: unknown experiment id %q in -only; valid ids: %s\n", id, experimentIDs())
+				return 2
+			}
+			want[id] = true
+		}
 	}
 
 	cfg := bench.DefaultConfig()
@@ -58,200 +96,33 @@ func main() {
 	cfg.Parallelism = *parallelism
 	cfg.MorselSize = *morsel
 
-	type exp struct {
-		id string
-		fn func(bench.Config) (*bench.Table, error)
-	}
-	all := []exp{
-		{"Fig2a", bench.Fig2a},
-		{"Fig2b", bench.Fig2b},
-		{"Fig2c", bench.Fig2c},
-		{"Fig2d", bench.Fig2d},
-		{"Fig3", bench.Fig3},
-		{"PredPruning", bench.PredicatePruning},
-		{"BatchVsTuple", bench.BatchVsTuple},
-		{"StaticAnalysis", bench.StaticAnalysis},
-		{"RunningExample", bench.RunningExample},
-		{"ParallelScaling", bench.ParallelScaling},
-		{"ParallelBreakers", bench.ParallelBreakers},
-		{"PreparedPredict", bench.PreparedPredict},
-		{"ServeConcurrency", bench.ServeConcurrency},
-		{"MultiTenantServe", bench.MultiTenantServe},
-		{"ClusterServe", bench.ClusterServe},
-		{"CachedServe", bench.CachedServe},
-		{"DurableRecovery", bench.DurableRecovery},
-	}
-	want := map[string]bool{}
-	if *only != "" {
-		for _, id := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(id)] = true
-		}
-	}
 	ctx := context.Background()
 	if *timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	failed := false
-	var tables []*bench.Table
-	for _, e := range all {
+	status := 0
+	for _, e := range experiments {
 		if len(want) > 0 && !want[e.id] {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
-			fmt.Fprintf(os.Stderr, "skipping %s and the rest: %v\n", e.id, err)
-			failed = true
-			break
+			fmt.Fprintf(stderr, "skipping %s and the rest: %v\n", e.id, err)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "running %s...\n", e.id)
+		fmt.Fprintf(stderr, "running %s...\n", e.id)
 		tb, err := e.fn(cfg)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s failed: %v\n", e.id, err)
-			failed = true
+			fmt.Fprintf(stderr, "%s failed: %v\n", e.id, err)
+			status = 1
 			continue
 		}
-		tables = append(tables, tb)
 		if *markdown {
-			fmt.Print(tb.Markdown())
+			fmt.Fprint(stdout, tb.Markdown())
 		} else {
-			tb.Print(os.Stdout)
+			tb.Print(stdout)
 		}
 	}
-	// Written even when every experiment failed: the Failed list is what
-	// stops a stale results file from passing as a fresh successful run.
-	if *jsonPath != "" {
-		// Failed experiment ids are recorded so a partial file is
-		// self-describing instead of passing as a complete run.
-		var failedIDs []string
-		for _, e := range all {
-			if len(want) > 0 && !want[e.id] {
-				continue
-			}
-			ran := false
-			for _, tb := range tables {
-				if tb.ID == e.id {
-					ran = true
-					break
-				}
-			}
-			if !ran {
-				failedIDs = append(failedIDs, e.id)
-			}
-		}
-		out := bench.Recording{
-			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Quick:      *quick,
-			Runs:       cfg.Runs,
-			Failed:     failedIDs,
-			Tables:     tables,
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			failed = true
-		} else if err := os.WriteFile(*jsonPath, append(data, '\n'), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "json: %v\n", err)
-			failed = true
-		}
-	}
-	if failed {
-		os.Exit(1)
-	}
-}
-
-// requireAllocs lists experiments whose recordings must carry an
-// allocs/row measurement: these are the data-plane gates, and a
-// recording without the column would silently drop the allocation
-// budget from CI.
-var requireAllocs = map[string]bool{
-	"ParallelScaling":  true,
-	"ParallelBreakers": true,
-}
-
-// requireNote lists experiments whose recordings must carry a row note
-// containing a specific proof string. ClusterServe's drain row asserts
-// zero dropped queries during a graceful drain under load; CachedServe's
-// staleness row asserts zero stale reads across INSERT/DDL/StoreModel;
-// DurableRecovery's recovery rows assert byte-identical fingerprints
-// across a crash. A recording without its note means the proving phase
-// never ran, and CI must not accept it.
-var requireNote = map[string]string{
-	"ClusterServe":    "dropped=0",
-	"CachedServe":     "stale=0",
-	"DurableRecovery": "recovered=1",
-}
-
-// checkRecordings is the -check mode: every FILE:ID entry names a
-// recorded results file and an experiment table that must be present
-// with measured rows. A file recording failed experiments fails the
-// check even if the requested table looks fine — partial runs must not
-// pass as complete ones.
-func checkRecordings(spec string) error {
-	for _, entry := range strings.Split(spec, ",") {
-		entry = strings.TrimSpace(entry)
-		if entry == "" {
-			continue
-		}
-		i := strings.LastIndex(entry, ":")
-		if i <= 0 || i == len(entry)-1 {
-			return fmt.Errorf("bad -check entry %q, want FILE:ID", entry)
-		}
-		file, id := entry[:i], entry[i+1:]
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return err
-		}
-		var rec bench.Recording
-		if err := json.Unmarshal(data, &rec); err != nil {
-			return fmt.Errorf("%s: not a ravenbench recording: %w", file, err)
-		}
-		if len(rec.Failed) > 0 {
-			return fmt.Errorf("%s: recorded failed experiments %v", file, rec.Failed)
-		}
-		var tb *bench.Table
-		for _, t := range rec.Tables {
-			if t.ID == id {
-				tb = t
-				break
-			}
-		}
-		if tb == nil {
-			return fmt.Errorf("%s: no table %q (has %d tables)", file, id, len(rec.Tables))
-		}
-		if len(tb.Rows) == 0 {
-			return fmt.Errorf("%s: table %q is empty", file, id)
-		}
-		for _, r := range tb.Rows {
-			if r.Series == "" || r.Param == "" {
-				return fmt.Errorf("%s: table %q has an unlabeled row: %+v", file, id, r)
-			}
-		}
-		if requireAllocs[id] {
-			found := false
-			for _, r := range tb.Rows {
-				if r.AllocsPerRow > 0 {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("%s: table %q has no allocs/row measurement (the data-plane experiments must record one)", file, id)
-			}
-		}
-		if proof := requireNote[id]; proof != "" {
-			found := false
-			for _, r := range tb.Rows {
-				if strings.Contains(r.Note, proof) {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("%s: table %q has no row note containing %q (the recording must prove the drain phase ran clean)", file, id, proof)
-			}
-		}
-		fmt.Printf("bench check ok: %s has %s with %d rows\n", file, id, len(tb.Rows))
-	}
-	return nil
+	return status
 }

@@ -8,7 +8,7 @@
 //	ravenrouter [-addr :8090] -replica name=http://host:port ...
 //	            [-probe-interval D] [-probe-timeout D] [-fail-threshold N]
 //	            [-spill-queue N] [-retries N] [-hedge]
-//	            [-result-cache-bytes N] [-selftest]
+//	            [-result-cache-bytes N]
 //
 // The router health-checks every replica on a jittered interval and
 // converges membership (healthy / degraded / draining / down). Reads
@@ -25,9 +25,6 @@
 // lazily per replica and re-prepared transparently after a replica
 // restart. GET /stats aggregates the whole cluster; GET /healthz is 200
 // while at least one replica is routable.
-//
-// -selftest stands up two in-process replicas plus the router and runs
-// the cluster smoke against them (the `make smoke-cluster` CI gate).
 package main
 
 import (
@@ -79,19 +76,10 @@ func main() {
 	retries := flag.Int("retries", 3, "attempts per idempotent read across replicas (exponential backoff + jitter between attempts)")
 	hedge := flag.Bool("hedge", false, "hedge slow reads: race a second replica after the observed p99 latency")
 	resultCacheBytes := flag.Int64("result-cache-bytes", 0, "router response cache budget in bytes: repeated idempotent reads are answered without a replica round-trip until the next replicated side effect (0 = off)")
-	selftest := flag.Bool("selftest", false, "run the in-process cluster smoke and exit")
 	var replicas replicaFlags
 	flag.Var(&replicas, "replica", "replica to front, as name=http://host:port or a bare URL (repeatable)")
 	flag.Parse()
 
-	if *selftest {
-		if err := cluster.Smoke(); err != nil {
-			fmt.Fprintln(os.Stderr, "selftest FAILED:", err)
-			os.Exit(1)
-		}
-		fmt.Println("selftest ok")
-		return
-	}
 	if len(replicas) == 0 {
 		fmt.Fprintln(os.Stderr, "no replicas: pass at least one -replica name=http://host:port")
 		os.Exit(2)

@@ -10,10 +10,8 @@
 //	            [-max-queries N] [-max-slots N] [-queue N] [-queue-timeout D]
 //	            [-query-timeout D] [-drain-timeout D] [-drain-grace D]
 //	            [-result-cache-bytes N] [-tenant name=maxq[:maxslots] ...]
-//	            [-default-tenant NAME] [-preload] [-selftest]
-//	            [-pg-addr :5432] [-pgselftest]
+//	            [-default-tenant NAME] [-preload] [-pg-addr :5432]
 //	            [-data-dir DIR] [-fsync always|interval|off] [-segment-rows N]
-//	            [-crashtest]
 //
 // With -pg-addr the server also speaks the Postgres wire protocol
 // (internal/pgwire): psql, BI tools and pg drivers run SELECT/PREDICT/
@@ -22,9 +20,6 @@
 // scheduler and engine errors mapping onto SQLSTATEs (429 ⇔ 53300,
 // draining ⇔ 57P01). Both front ends share one prepared-statement
 // registry and one request-options surface (internal/server/reqopt).
-// -pgselftest starts both listeners on random ports, runs the pg smoke
-// (byte-parity of pg results against the HTTP path included), drains,
-// and exits non-zero on failure — the `make smoke-pgwire` CI gate.
 //
 // With -data-dir the engine is durable: every write is logged to a
 // write-ahead log under DIR before it is acknowledged, cold tables are
@@ -55,14 +50,9 @@
 // query paths still accept work — so a health-probing router stops
 // sending new queries before any are refused — then admission closes,
 // in-flight queries finish or hit the drain deadline, and the listener
-// closes. -selftest starts the server on a random port, runs
-// the HTTP smoke against it, drains, and exits non-zero on any failure —
-// the `make smoke-serve` CI gate. -crashtest proves durability end to
-// end: it spawns a child ravenserved on a scratch -data-dir, loads data
-// and a model over HTTP, records query fingerprints, SIGKILLs the
-// child, restarts it on the same directory, and exits non-zero unless
-// the recovered server answers byte-identical results — the
-// `make smoke-durable` CI gate.
+// closes. main_test.go builds this binary and drives that path (load
+// over HTTP, SIGTERM, restart on the same -data-dir); the SIGKILL path
+// is benchmark/'s ingest_durable workload.
 package main
 
 import (
@@ -70,7 +60,6 @@ import (
 	"flag"
 	"fmt"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"runtime"
@@ -143,34 +132,11 @@ func main() {
 	var tenants tenantQuotaFlags
 	flag.Var(&tenants, "tenant", "declare a tenant quota as name=maxQueries[:maxSlots] (repeatable; 0 queries shuts the tenant off; requires -max-queries > 0)")
 	defaultTenant := flag.String("default-tenant", "", "tenant untagged requests bill to (default \"default\")")
-	selftest := flag.Bool("selftest", false, "start on a random port, run the HTTP smoke, drain, exit")
 	pgAddr := flag.String("pg-addr", "", "Postgres wire protocol listen address (host:port; empty = pg front end disabled). psql/pgx connect here; database/user startup params pick the tenant")
-	pgselftest := flag.Bool("pgselftest", false, "start HTTP and pg listeners on random ports, run the pgwire smoke (pg vs HTTP result parity, tenant attribution, SQLSTATE mapping), drain, exit")
 	dataDir := flag.String("data-dir", "", "durable data directory: writes are WAL-logged before acknowledgement, cold rows are sealed into columnar segments, and restart recovers committed state before the listener opens (empty = in-memory)")
 	fsync := flag.String("fsync", "always", "WAL fsync policy for -data-dir: always (group-committed fsync per append), interval (background fsync) or off")
 	segmentRows := flag.Int("segment-rows", 0, "rows per sealed on-disk segment for -data-dir (0 = default 65536)")
-	crashtest := flag.Bool("crashtest", false, "spawn a durable child server on a scratch dir, load it over HTTP, SIGKILL it, restart it, and verify byte-identical recovered results; exits non-zero on any divergence")
 	flag.Parse()
-
-	if *crashtest {
-		if err := runCrashTest(); err != nil {
-			fmt.Fprintln(os.Stderr, "crashtest FAILED:", err)
-			os.Exit(1)
-		}
-		fmt.Println("crashtest ok")
-		return
-	}
-
-	if *selftest || *pgselftest {
-		*addr = "127.0.0.1:0"
-		*drainGrace = 0 // nothing is routing to the selftest server
-	}
-	if *pgselftest {
-		*pgAddr = "127.0.0.1:0"
-		// The pg smoke proves admission refusals surface as SQLSTATE
-		// 53300: give it a tenant that is administratively shut off.
-		tenants = append(tenants, tenantQuota{"pg-blocked", 0, 0})
-	}
 
 	opts := []raven.Option{
 		raven.WithParallelism(*parallelism),
@@ -239,7 +205,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "pg listen:", err)
 			os.Exit(1)
 		}
-		*pgAddr = pgl.Addr().String()
 		pgs = pgwire.New(db, reg, pgwire.Options{DefaultTimeout: *queryTimeout, DefaultTenant: *defaultTenant})
 		srv.SetPgwireStats(func() any { return pgs.Stats() })
 		fmt.Fprintf(os.Stderr, "ravenserved pg protocol on %s\n", pgl.Addr())
@@ -269,35 +234,6 @@ func main() {
 			}
 		}
 		return err
-	}
-
-	if *selftest || *pgselftest {
-		base := "http://" + l.Addr().String()
-		var err error
-		if *pgselftest {
-			err = pgwire.Smoke(*pgAddr, base)
-		} else {
-			err = server.Smoke(base)
-		}
-		// Drain under load-free conditions must complete well inside the
-		// deadline; any error (smoke or drain) fails the selftest.
-		ctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-		defer cancel()
-		if derr := drainAll(ctx); derr != nil && err == nil {
-			err = fmt.Errorf("shutdown: %w", derr)
-		}
-		if serr := <-serveErr; serr != nil && serr != http.ErrServerClosed && err == nil {
-			err = serr
-		}
-		if cerr := db.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("close: %w", cerr)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "selftest FAILED:", err)
-			os.Exit(1)
-		}
-		fmt.Println("selftest ok")
-		return
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -63,29 +63,34 @@ func queryFingerprint(t *testing.T, db *DB, q string) string {
 // crash-recovery suite: after an abrupt close (no checkpoint, no sync —
 // the WAL tail is all recovery has), scans and PREDICT answer
 // byte-identically to the pre-crash engine, and again after a clean
-// checkpointed restart.
+// checkpointed restart, when every row is read from a sealed segment.
+// An in-memory engine over identical data is the reference for all of
+// them.
 func TestEngineCrashRecoveryFingerprints(t *testing.T) {
 	dir := t.TempDir()
 	db := openDurableEngine(t, dir)
+	mem := MustOpen(WithParallelism(1))
 
-	if err := db.Exec(`CREATE TABLE eng_pts (id INT, x FLOAT, y FLOAT)`); err != nil {
-		t.Fatal(err)
-	}
 	// Several statements so earlier rows seal into segments (64/segment)
 	// while the last land in the WAL-backed tail.
 	const rowsN = 300
 	const chunk = 100
-	for lo := 0; lo < rowsN; lo += chunk {
-		var ins strings.Builder
-		ins.WriteString("INSERT INTO eng_pts VALUES ")
-		for i := lo; i < lo+chunk; i++ {
-			if i > lo {
-				ins.WriteString(", ")
-			}
-			fmt.Fprintf(&ins, "(%d, %g, %g)", i, float64(i)*0.5, float64(i%7))
-		}
-		if err := db.Exec(ins.String()); err != nil {
+	for _, e := range []*DB{db, mem} {
+		if err := e.Exec(`CREATE TABLE eng_pts (id INT, x FLOAT, y FLOAT)`); err != nil {
 			t.Fatal(err)
+		}
+		for lo := 0; lo < rowsN; lo += chunk {
+			var ins strings.Builder
+			ins.WriteString("INSERT INTO eng_pts VALUES ")
+			for i := lo; i < lo+chunk; i++ {
+				if i > lo {
+					ins.WriteString(", ")
+				}
+				fmt.Fprintf(&ins, "(%d, %g, %g)", i, float64(i)*0.5, float64(i%7))
+			}
+			if err := e.Exec(ins.String()); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
@@ -106,8 +111,10 @@ func TestEngineCrashRecoveryFingerprints(t *testing.T) {
 		Final:        train.FitTree(xs, ys, train.TreeOptions{MaxDepth: 4, MinLeaf: 4}),
 		InputColumns: []string{"x", "y"},
 	}
-	if err := db.StoreModel("eng_model", pipe); err != nil {
-		t.Fatal(err)
+	for _, e := range []*DB{db, mem} {
+		if err := e.StoreModel("eng_model", pipe); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	queries := []string{
@@ -115,12 +122,16 @@ func TestEngineCrashRecoveryFingerprints(t *testing.T) {
 		`SELECT id, x, y FROM eng_pts WHERE id >= 60 AND id < 80`,
 		`SELECT d.id, p.score FROM PREDICT(MODEL='eng_model',
 			DATA=(SELECT * FROM eng_pts) AS d) WITH (score FLOAT) AS p WHERE d.id < 16`,
+		`SELECT id, x, y FROM eng_pts WHERE id < 300 AND y < 4 ORDER BY y DESC, x DESC LIMIT 50`,
 	}
 	want := make([]string, len(queries))
 	for i, q := range queries {
-		want[i] = queryFingerprint(t, db, q)
+		want[i] = queryFingerprint(t, mem, q)
 		if want[i] == "" {
-			t.Fatalf("query %d produced no rows pre-crash", i)
+			t.Fatalf("query %d produced no rows on the in-memory reference", i)
+		}
+		if got := queryFingerprint(t, db, q); got != want[i] {
+			t.Errorf("query %d: durable engine diverges from the in-memory reference pre-crash:\nwant:\n%s\ngot:\n%s", i, want[i], got)
 		}
 	}
 

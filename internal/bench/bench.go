@@ -9,7 +9,6 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -20,12 +19,7 @@ type Row struct {
 	Series string // e.g. "RF (sklearn-sim)" or "Raven"
 	Param  string // x-axis value, e.g. "100K rows" or "k=8"
 	Millis float64
-	// AllocsPerRow is the measured steady-state heap allocations per
-	// input row (0 = not measured for this point). The data-plane
-	// experiments record it so allocation regressions fail the bench
-	// gate, not just slow it down.
-	AllocsPerRow float64 `json:",omitempty"`
-	Note         string
+	Note   string
 }
 
 // Table is one figure/table reproduction.
@@ -36,21 +30,6 @@ type Table struct {
 	// PaperShape describes what the paper reports, for side-by-side
 	// reading in EXPERIMENTS.md.
 	PaperShape string
-}
-
-// Recording is the JSON shape ravenbench's -json flag writes and its
-// -check flag validates — one shared type, so the writer and the
-// checker cannot silently drift apart (a drifted checker would wave
-// hollow recordings through).
-type Recording struct {
-	GOMAXPROCS int
-	Quick      bool
-	Runs       int
-	// Failed lists experiment ids that did not produce a table, so a
-	// partial file is self-describing instead of passing as a complete
-	// run.
-	Failed []string `json:",omitempty"`
-	Tables []*Table
 }
 
 // Add appends a measurement.
@@ -118,11 +97,6 @@ func (t *Table) Print(w io.Writer) {
 		}
 	}
 	wc := 18
-	for _, r := range t.Rows {
-		if n := len(cellText(r)) + 2; n > wc {
-			wc = n
-		}
-	}
 	for _, s := range series {
 		if n := len(s) + 2; n > wc {
 			wc = n
@@ -137,7 +111,7 @@ func (t *Table) Print(w io.Writer) {
 		fmt.Fprintf(w, "%-*s", w1+2, p)
 		for _, s := range series {
 			if r, ok := cell[p][s]; ok {
-				fmt.Fprintf(w, "%*s", wc, cellText(r))
+				fmt.Fprintf(w, "%*.2fms", wc-2, r.Millis)
 			} else {
 				fmt.Fprintf(w, "%*s", wc, "-")
 			}
@@ -200,7 +174,7 @@ func (t *Table) Markdown() string {
 		sb.WriteString("| " + p + " |")
 		for _, s := range series {
 			if r, ok := cell[p][s]; ok {
-				fmt.Fprintf(&sb, " %s |", markdownCellText(r))
+				fmt.Fprintf(&sb, " %.2f ms |", r.Millis)
 			} else {
 				sb.WriteString(" - |")
 			}
@@ -209,23 +183,6 @@ func (t *Table) Markdown() string {
 	}
 	sb.WriteString("\n")
 	return sb.String()
-}
-
-// cellText renders one measurement cell: latency, plus the allocs/row
-// column for points that measured it.
-func cellText(r Row) string {
-	if r.AllocsPerRow > 0 {
-		return fmt.Sprintf("%.2fms (%.4g allocs/row)", r.Millis, r.AllocsPerRow)
-	}
-	return fmt.Sprintf("%.2fms", r.Millis)
-}
-
-// markdownCellText is cellText in EXPERIMENTS.md's spaced style.
-func markdownCellText(r Row) string {
-	if r.AllocsPerRow > 0 {
-		return fmt.Sprintf("%.2f ms (%.4g allocs/row)", r.Millis, r.AllocsPerRow)
-	}
-	return fmt.Sprintf("%.2f ms", r.Millis)
 }
 
 // Time runs fn warm+measured times and returns the mean of the measured
@@ -248,43 +205,6 @@ func Time(warm, runs int, fn func() error) (time.Duration, error) {
 		return 0, nil
 	}
 	return total / time.Duration(runs), nil
-}
-
-// MeasureAllocsPerRow reports the steady-state heap allocations one fn()
-// execution costs per input row. fn runs once to warm every cache and
-// pool, then — after a GC settles the heap — twice measured; the smaller
-// Mallocs delta divided by rows is returned, so a stray background
-// allocation cannot inflate the figure. Meaningful for serial (DOP=1)
-// runs, where the allocation count is deterministic.
-func MeasureAllocsPerRow(rows int, fn func() error) (float64, error) {
-	if err := fn(); err != nil {
-		return 0, err
-	}
-	runtime.GC()
-	// The GC just emptied every sync.Pool; one more warm run refills them
-	// so the measured runs see the steady state.
-	if err := fn(); err != nil {
-		return 0, err
-	}
-	var before, mid, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if err := fn(); err != nil {
-		return 0, err
-	}
-	runtime.ReadMemStats(&mid)
-	if err := fn(); err != nil {
-		return 0, err
-	}
-	runtime.ReadMemStats(&after)
-	d1 := mid.Mallocs - before.Mallocs
-	d2 := after.Mallocs - mid.Mallocs
-	if d2 < d1 {
-		d1 = d2
-	}
-	if rows <= 0 {
-		return 0, nil
-	}
-	return float64(d1) / float64(rows), nil
 }
 
 // FmtRows formats a row count like the paper's x axes (1K, 100K, 1M).

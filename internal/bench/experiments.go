@@ -24,9 +24,9 @@ type Config struct {
 	// Warm and Runs control timing (paper: averages over warm runs).
 	Warm, Runs int
 	// Parallelism and MorselSize configure the engines the experiments
-	// build (0 keeps the engine defaults). Experiments that ablate DOP
-	// explicitly (e.g. ParallelScaling's serial baseline) override per
-	// query and are unaffected.
+	// build (0 keeps the engine defaults). Experiments that pin DOP
+	// explicitly (e.g. Fig2a's serial baselines) override per query and
+	// are unaffected.
 	Parallelism int
 	MorselSize  int
 	// Adaptive opens the engines with WithAdaptiveMorsels, so morsel,
@@ -806,27 +806,4 @@ WHERE d.pregnant = 1 AND p.length_of_stay > 0.5`
 	t.Add("Raven optimized", "Fig1 query", opt,
 		fmt.Sprintf("rules: %v; speedup %.1fx", res.AppliedRules, float64(base)/float64(opt)))
 	return t, nil
-}
-
-// All runs every experiment in paper order.
-func All(cfg Config) ([]*Table, error) {
-	type exp struct {
-		name string
-		fn   func(Config) (*Table, error)
-	}
-	exps := []exp{
-		{"Fig2a", Fig2a}, {"Fig2b", Fig2b}, {"Fig2c", Fig2c}, {"Fig2d", Fig2d},
-		{"Fig3", Fig3}, {"PredicatePruning", PredicatePruning},
-		{"BatchVsTuple", BatchVsTuple}, {"StaticAnalysis", StaticAnalysis},
-		{"RunningExample", RunningExample}, {"ParallelScaling", ParallelScaling},
-	}
-	var out []*Table
-	for _, e := range exps {
-		tb, err := e.fn(cfg)
-		if err != nil {
-			return out, fmt.Errorf("bench %s: %w", e.name, err)
-		}
-		out = append(out, tb)
-	}
-	return out, nil
 }

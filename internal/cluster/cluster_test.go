@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"raven"
+	"raven/internal/ml"
 	"raven/internal/server"
 )
 
@@ -201,6 +202,48 @@ func TestReplicationAndAffinity(t *testing.T) {
 	var he *server.HTTPError
 	if err == nil || !asHTTP(err, &he) || he.Status != http.StatusBadRequest {
 		t.Fatalf("mixed script: got %v, want 400", err)
+	}
+
+	// A model stored through the router predicts identically on every
+	// replica, ad hoc and through one router-prepared statement executed
+	// for a tenant homed on each.
+	blob, err := ml.Marshal(&ml.Pipeline{
+		// One split on x, so PREDICT over ids 0..15 (x = id/2) hits both leaves.
+		Final: &ml.DecisionTree{
+			NFeat: 2, Feature: []int{0, -1, -1}, Threshold: []float64{3, 0, 0},
+			Left: []int{1, -1, -1}, Right: []int{2, -1, -1}, Value: []float64{0, 1, 2},
+		},
+		InputColumns: []string{"x", "y"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.c.StoreModel(context.Background(), server.ModelRequest{Name: "m", Data: blob}); err != nil {
+		t.Fatalf("replicated model store: %v", err)
+	}
+	const predictSQL = `SELECT d.id, p.score FROM PREDICT(MODEL='m',
+		DATA=(SELECT * FROM pts) AS d) WITH (score FLOAT) AS p WHERE d.id < 16`
+	ref, err := tc.c.Query(server.QueryRequest{SQL: predictSQL})
+	if err != nil || len(ref.Rows) != 16 {
+		t.Fatalf("routed predict: %v, %d rows, want 16", err, len(ref.Rows))
+	}
+	pr, err := tc.c.Prepare(server.QueryRequest{SQL: predictSQL})
+	if err != nil {
+		t.Fatalf("router prepare: %v", err)
+	}
+	for _, r := range tc.reps {
+		rc := &server.Client{Base: r.Base, Timeout: 5 * time.Second}
+		direct, err := rc.Query(server.QueryRequest{SQL: predictSQL})
+		if err != nil || direct.Fingerprint() != ref.Fingerprint() {
+			t.Fatalf("replica %s predict diverges from the routed result (err %v)", r.Name, err)
+		}
+		res, err := tc.c.StmtQuery(pr.ID, server.QueryRequest{Tenant: tenantHomedOn(tc.rt, r.Name)})
+		if err != nil || res.Fingerprint() != ref.Fingerprint() {
+			t.Fatalf("prepared predict homed on %s diverges from ad hoc (err %v)", r.Name, err)
+		}
+	}
+	if st := tc.rt.Stats(context.Background()); st.Router.Members != 2 || st.Router.LogEntries != 2 {
+		t.Fatalf("cluster stats: %d members, %d log entries, want 2 and 2 (DDL + model)", st.Router.Members, st.Router.LogEntries)
 	}
 
 	tc.close(t)

@@ -132,9 +132,9 @@ func (rt *Router) run() {
 }
 
 // ProbeNow runs one synchronous reconcile pass: probe all members,
-// update states, repair any member behind the log. Tests and the
-// selftest use it to converge deterministically instead of sleeping
-// through probe intervals; AddMember calls it so a freshly registered
+// update states, repair any member behind the log. Tests use it to
+// converge deterministically instead of sleeping through probe
+// intervals; AddMember calls it so a freshly registered
 // replica is routable before the first tick.
 func (rt *Router) ProbeNow(ctx context.Context) {
 	rt.reconcile(ctx)

@@ -11,10 +11,10 @@ import (
 )
 
 // Replica is one in-process ravenserved instance on a loopback port:
-// the unit the smoke test, the failure-mode tests and the ClusterServe
-// bench compose clusters from. A production cluster runs the same
-// server as separate processes; everything above the listener is
-// identical.
+// the unit this package's tests compose clusters from. A production
+// cluster runs the same server as separate processes (benchmark/ puts a
+// real ravenrouter child in front of a real ravenserved child);
+// everything above the listener is identical.
 type Replica struct {
 	Name string
 	Base string // http://127.0.0.1:port
@@ -77,3 +77,14 @@ func (r *Replica) Kill() {
 
 // Addr returns the replica's host:port (for SpawnReplicaOn restarts).
 func (r *Replica) Addr() string { return r.l.Addr().String() }
+
+// tenantHomedOn searches tenant names until one's rendezvous home is
+// the wanted member — how tests pin traffic to a chosen replica.
+func tenantHomedOn(rt *Router, member string) string {
+	for i := 0; ; i++ {
+		tn := fmt.Sprintf("tenant%d", i)
+		if rt.HomeFor(tn) == member {
+			return tn
+		}
+	}
+}

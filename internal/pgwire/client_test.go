@@ -12,8 +12,7 @@ import (
 )
 
 // Client is a minimal hand-rolled Postgres v3 frontend used by the
-// conformance tests and the pgwire smoke: the container has no pg
-// driver, and a raw-frame client is what a conformance suite wants
+// conformance tests: the container has no pg driver, and a raw-frame client is what a conformance suite wants
 // anyway (it can send malformed sequences a driver never would). It is
 // not a general-purpose driver: text format only, no TLS, single
 // goroutine.

@@ -2,6 +2,7 @@ package pgwire
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"net"
 	"runtime"
@@ -11,7 +12,11 @@ import (
 	"time"
 
 	"raven"
+	"raven/internal/data"
+	"raven/internal/ml"
+	"raven/internal/server"
 	"raven/internal/server/stmtreg"
+	"raven/internal/train"
 )
 
 // newTestServer boots an engine + pg front end on a random port.
@@ -404,8 +409,17 @@ func TestAdmissionRejectionsAsSQLStates(t *testing.T) {
 	db, _, addr := newTestServer(t, nil,
 		raven.WithMaxConcurrentQueries(1),
 		raven.WithSchedulerQueue(0, 0),
+		raven.WithTenantQuota("pg-blocked", 0, 0),
 	)
 	seedNums(t, db)
+
+	// A tenant that is administratively shut off is refused with the
+	// same SQLSTATE, slot free or not.
+	bc := dial(t, addr, DialOptions{User: "blocked", Database: "pg-blocked"})
+	var pgErr *PgError
+	if _, err := bc.SimpleQuery(`SELECT a FROM nums`); !errors.As(err, &pgErr) || pgErr.Code != "53300" {
+		t.Fatalf("zero-quota tenant: want 53300, got %v", err)
+	}
 
 	held, err := db.QueryContextWithOptions(context.Background(), `SELECT a FROM nums`, raven.DefaultQueryOptions())
 	if err != nil {
@@ -415,7 +429,6 @@ func TestAdmissionRejectionsAsSQLStates(t *testing.T) {
 
 	c := dial(t, addr, DialOptions{})
 	_, err = c.SimpleQuery(`SELECT a FROM nums`)
-	var pgErr *PgError
 	if !errors.As(err, &pgErr) || pgErr.Code != "53300" {
 		t.Fatalf("queue full: want 53300, got %v", err)
 	}
@@ -423,6 +436,82 @@ func TestAdmissionRejectionsAsSQLStates(t *testing.T) {
 	held.Close()
 	if _, err := c.SimpleQuery(`SELECT a FROM nums`); err != nil {
 		t.Fatalf("after release: %v", err)
+	}
+}
+
+// TestPredictParityAcrossFrontEnds is the acceptance bar for the pg
+// front end: one PREDICT returns byte-for-byte the same rows through the
+// simple protocol, the extended protocol ($1 bound) and HTTP /query on
+// the same engine, and /stats bills the pg session to its startup-param
+// tenant and carries the pgwire section ravenserved wires in.
+func TestPredictParityAcrossFrontEnds(t *testing.T) {
+	reg := stmtreg.New(0)
+	db, pgs, addr := newTestServer(t, reg, raven.WithMaxConcurrentQueries(4))
+	h, err := data.GenHospital(db.Catalog(), 500, 1000, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree := train.FitTree(h.TrainX, h.TrainY, train.TreeOptions{MaxDepth: 6, MinLeaf: 10})
+	if err := db.StoreModel("duration_of_stay", &ml.Pipeline{Final: tree, InputColumns: h.FeatureCols}); err != nil {
+		t.Fatal(err)
+	}
+
+	srv := server.New(db, server.Options{Statements: reg})
+	srv.SetPgwireStats(func() any { return pgs.Stats() })
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+		<-served
+	})
+	hc := &server.Client{Base: "http://" + ln.Addr().String()}
+
+	const predict = `SELECT d.id, p.score FROM PREDICT(MODEL='duration_of_stay',
+		DATA=(SELECT * FROM patient_info AS pi
+		      JOIN blood_tests AS bt ON pi.id = bt.id
+		      JOIN prenatal_tests AS pt ON bt.id = pt.id) AS d)
+		WITH (score FLOAT) AS p WHERE d.age > $1`
+	inlined := strings.Replace(predict, "$1", "50", 1)
+
+	c := dial(t, addr, DialOptions{User: "smoker", Database: "pg-parity"})
+	httpRes, err := hc.Query(server.QueryRequest{SQL: inlined})
+	if err != nil || len(httpRes.Rows) == 0 {
+		t.Fatalf("predict (http): %d rows, %v", len(httpRes.Rows), err)
+	}
+	simple, err := c.SimpleQuery(inlined)
+	if err != nil || len(simple) != 1 {
+		t.Fatalf("predict (simple): %v %v", simple, err)
+	}
+	if simple[0].Fingerprint() != httpRes.Fingerprint() {
+		t.Error("pg simple-protocol PREDICT differs from the HTTP result")
+	}
+	ext, err := c.QueryExtended(predict, "50")
+	if err != nil || !strings.HasPrefix(ext.Tag, "SELECT ") {
+		t.Fatalf("predict (extended): %+v %v", ext, err)
+	}
+	if ext.Fingerprint() != httpRes.Fingerprint() {
+		t.Error("pg extended-protocol PREDICT differs from the HTTP result")
+	}
+
+	st, err := hc.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Engine.Scheduler == nil || st.Engine.Scheduler.Tenants["pg-parity"].Admitted < 2 {
+		t.Errorf("pg session not billed to its startup tenant: %+v", st.Engine.Scheduler)
+	}
+	var ps Stats
+	if err := json.Unmarshal(st.Pgwire, &ps); err != nil {
+		t.Fatalf("/stats pgwire section: %v (%s)", err, st.Pgwire)
+	}
+	if ps.Connections < 1 || ps.Queries < 2 || ps.Messages["parse"] == 0 {
+		t.Errorf("/stats pgwire section implausible: %+v", ps)
 	}
 }
 

@@ -12,9 +12,8 @@ import (
 )
 
 // Client is a minimal Go client for the wire protocol, shared by the
-// ravenserved selftest, the integration tests, the cluster router's
-// probe/replication paths and the serving benchmarks. It is what a
-// driver library for the server would look like. Every method has a
+// cluster router's probe/replication paths and the integration tests.
+// It is what a driver library for the server would look like. Every method has a
 // Context variant; the plain forms use context.Background bounded by
 // Timeout.
 type Client struct {

@@ -10,11 +10,10 @@ import (
 
 // RetryPolicy is exponential backoff with full jitter for the client
 // path: attempt, and on a retryable failure sleep a random slice of an
-// exponentially growing window before trying again. It is shared by the
-// cluster router (per-replica retries for idempotent reads) and the
-// smoke/selftest readiness waits, so every retry loop in the system
-// backs off the same way instead of hammering a struggling replica in
-// lockstep.
+// exponentially growing window before trying again. The cluster router
+// uses it for per-replica retries of idempotent reads, so every retry
+// loop in the system backs off the same way instead of hammering a
+// struggling replica in lockstep.
 type RetryPolicy struct {
 	// MaxAttempts bounds the total tries (first attempt included);
 	// values < 1 mean one attempt, i.e. no retrying.

@@ -2,6 +2,7 @@ package raven
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -332,6 +333,41 @@ func TestResultCacheTenantBilledHits(t *testing.T) {
 		if rc.HitsByTenant[tenant] != n {
 			t.Fatalf("HitsByTenant = %v, want %v", rc.HitsByTenant, want)
 		}
+	}
+}
+
+// TestResultCacheHitSkipsAdmission: a hit is served before admission. With
+// the one query slot held by an open Rows and a zero-depth queue every
+// miss is rejected outright, yet a warmed key still answers and the
+// scheduler admits nothing for it.
+func TestResultCacheHitSkipsAdmission(t *testing.T) {
+	db := cacheTestDB(t, 1<<20, WithMaxConcurrentQueries(1), WithSchedulerQueue(0, 0))
+	const q = `SELECT id FROM t WHERE x > 2.0`
+	want := queryIDs(t, db, context.Background(), q)
+
+	uncached := ContextWithoutResultCache(context.Background())
+	held, err := db.QueryContext(uncached, `SELECT id FROM t`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	if _, err := db.QueryContext(uncached, q); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("scheduler not saturated: uncached query got %v, want ErrQueueFull", err)
+	}
+
+	before := db.Stats()
+	for i := 0; i < 10; i++ {
+		if got := queryIDs(t, db, context.Background(), q); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("hit %d under saturation: %v, want %v", i, got, want)
+		}
+	}
+	after := db.Stats()
+	if after.Scheduler.Admitted != before.Scheduler.Admitted || after.Scheduler.Rejected != before.Scheduler.Rejected {
+		t.Fatalf("cache hits reached the scheduler: admitted %d -> %d, rejected %d -> %d",
+			before.Scheduler.Admitted, after.Scheduler.Admitted, before.Scheduler.Rejected, after.Scheduler.Rejected)
+	}
+	if hits := after.ResultCache.Hits - before.ResultCache.Hits; hits != 10 {
+		t.Fatalf("hits = %d, want 10", hits)
 	}
 }
 
