@@ -150,26 +150,6 @@ func TestPlanCacheHitsAndInvalidation(t *testing.T) {
 	}
 }
 
-func TestPlanCacheLRUEviction(t *testing.T) {
-	c := newPlanCache(2)
-	p := &cachedPlan{}
-	c.put("a", p, 0)
-	c.put("b", p, 0)
-	if c.get("a", 0) == nil { // refresh a: b becomes the LRU entry
-		t.Fatal("a should hit")
-	}
-	c.put("c", p, 0)
-	if c.get("a", 0) == nil {
-		t.Error("recently used entry was evicted")
-	}
-	if c.get("b", 0) != nil {
-		t.Error("least-recently-used entry should have been evicted")
-	}
-	if c.get("c", 0) == nil {
-		t.Error("new entry should be cached")
-	}
-}
-
 func TestPreparedStmtReprepareOnModelUpdate(t *testing.T) {
 	db := MustOpen()
 	if err := db.Exec(`CREATE TABLE pts (id INT PRIMARY KEY, age FLOAT)`); err != nil {

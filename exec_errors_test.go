@@ -41,10 +41,11 @@ func TestInsertLiteralTypeMismatches(t *testing.T) {
 	if err := db.Exec(`INSERT INTO typed VALUES (2.9, 3, 'ok', 1)`); err != nil {
 		t.Fatalf("valid coercing insert failed: %v", err)
 	}
-	out, err := db.QuerySQLOnly(`SELECT i, f, b FROM typed`)
+	res, err := db.QueryWithOptions(`SELECT i, f, b FROM typed`, QueryOptions{CrossOptimize: false})
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := res.Batch
 	if out.Len() != 1 || out.Col("i").Ints[0] != 2 || out.Col("f").Floats[0] != 3.0 || !out.Col("b").Bools[0] {
 		t.Errorf("coercions wrong: %v", out)
 	}
@@ -79,12 +80,12 @@ func TestInsertArityMismatch(t *testing.T) {
 	if err == nil {
 		t.Fatal("mixed-validity insert should fail")
 	}
-	out, err := db.QuerySQLOnly(`SELECT a FROM two`)
+	res, err := db.QueryWithOptions(`SELECT a FROM two`, QueryOptions{CrossOptimize: false})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 1 {
-		t.Errorf("expected exactly the valid row to land, got %d rows", out.Len())
+	if res.Batch.Len() != 1 {
+		t.Errorf("expected exactly the valid row to land, got %d rows", res.Batch.Len())
 	}
 }
 
@@ -104,9 +105,9 @@ func TestExecScriptFailsMidway(t *testing.T) {
 		t.Errorf("error %q does not name the failing table", err)
 	}
 	// Earlier statements applied...
-	out, qerr := db.QuerySQLOnly(`SELECT a FROM kept`)
-	if qerr != nil || out.Len() != 1 || out.Col("a").Ints[0] != 7 {
-		t.Errorf("statements before the failure should persist: %v %v", out, qerr)
+	res, qerr := db.QueryWithOptions(`SELECT a FROM kept`, QueryOptions{CrossOptimize: false})
+	if qerr != nil || res.Batch.Len() != 1 || res.Batch.Col("a").Ints[0] != 7 {
+		t.Errorf("statements before the failure should persist: %v %v", res, qerr)
 	}
 	// ...later ones never ran.
 	if _, err := db.Catalog().Table("never"); err == nil {

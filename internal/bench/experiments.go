@@ -516,11 +516,11 @@ func extractMatrix(db *raven.DB, n int, cols []string) (*tensor.Tensor, error) {
 		JOIN blood_tests AS bt ON pi.id = bt.id
 		JOIN prenatal_tests AS pt ON bt.id = pt.id
 		WHERE pi.id < %d`, n)
-	b, err := db.QuerySQLOnly(q)
+	res, err := db.QueryWithOptions(q, raven.QueryOptions{CrossOptimize: false})
 	if err != nil {
 		return nil, err
 	}
-	flat, rows, err := b.FloatMatrix(cols)
+	flat, rows, err := res.Batch.FloatMatrix(cols)
 	if err != nil {
 		return nil, err
 	}

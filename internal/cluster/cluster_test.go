@@ -197,11 +197,30 @@ func TestReplicationAndAffinity(t *testing.T) {
 		}
 	}
 
-	// Mixed side-effect + SELECT scripts are refused, not diverged.
-	err := tc.c.Exec("INSERT INTO pts VALUES (999, 1.0, 2.0); SELECT * FROM pts")
-	var he *server.HTTPError
-	if err == nil || !asHTTP(err, &he) || he.Status != http.StatusBadRequest {
-		t.Fatalf("mixed script: got %v, want 400", err)
+	// Mixed side-effect + SELECT scripts are refused, not diverged —
+	// whatever whitespace or comment surrounds the keyword — and none of
+	// their side effects reaches a replica.
+	for _, script := range []string{
+		"INSERT INTO pts VALUES (999, 1.0, 2.0); SELECT * FROM pts",
+		"INSERT\nINTO pts VALUES (999, 1.0, 2.0); SELECT * FROM pts",
+		"CREATE\tTABLE leaked (a INT); SELECT * FROM pts",
+		"-- load\nINSERT INTO pts VALUES (999, 1.0, 2.0); SELECT * FROM pts",
+	} {
+		err := tc.c.Exec(script)
+		var he *server.HTTPError
+		if err == nil || !asHTTP(err, &he) || he.Status != http.StatusBadRequest {
+			t.Fatalf("mixed script %q: got %v, want 400", script, err)
+		}
+	}
+	for _, r := range tc.reps {
+		rc := &server.Client{Base: r.Base, Timeout: 5 * time.Second}
+		res, err := rc.Query(server.QueryRequest{SQL: "SELECT COUNT(*) AS n FROM pts"})
+		if err != nil || fmt.Sprint(res.Rows[0][0]) != "64" {
+			t.Fatalf("replica %s: a refused script's INSERT landed (err %v, rows %v)", r.Name, err, res)
+		}
+		if _, err := rc.Query(server.QueryRequest{SQL: "SELECT * FROM leaked"}); err == nil {
+			t.Fatalf("replica %s: a refused script's CREATE TABLE landed", r.Name)
+		}
 	}
 
 	// A model stored through the router predicts identically on every

@@ -16,6 +16,7 @@ import (
 
 	"raven/internal/rescache"
 	"raven/internal/server"
+	"raven/internal/sql"
 )
 
 // Options tunes the router.
@@ -339,29 +340,6 @@ func respCacheKey(seq uint64, kind, tenant, stmt string, params map[string]strin
 		}
 	}
 	return sb.String()
-}
-
-// cacheableRead mirrors the engine's result-cache gate at the wire:
-// every statement is a SELECT or DECLARE. Stricter than the router's
-// side-effect scan on purpose — a script the engine itself would not
-// cache is not worth a router entry either.
-func cacheableRead(sql string) bool {
-	for _, stmt := range strings.Split(sql, ";") {
-		s := strings.TrimSpace(stmt)
-		if s == "" {
-			continue
-		}
-		i := 0
-		for i < len(s) && (s[i] == '_' || s[i] >= 'a' && s[i] <= 'z' || s[i] >= 'A' && s[i] <= 'Z') {
-			i++
-		}
-		switch strings.ToUpper(s[:i]) {
-		case "SELECT", "DECLARE":
-		default:
-			return false
-		}
-	}
-	return true
 }
 
 // respCacheServe writes a cached response if one exists for key,
@@ -722,20 +700,20 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	tenant := requestTenant(r, req.Tenant)
 
-	// Side-effect-only scripts replicate to every member; anything with
-	// a SELECT routes to one. The same classifier the replicas use, so
+	// Side-effect-only scripts replicate to every member; a read-only
+	// script routes to one. The same classifier the replicas use, so
 	// router and replica never disagree. A script mixing DDL and a
 	// SELECT would apply its side effects on only one replica — refuse
 	// it at the router rather than silently diverge the cluster.
-	if !server.ScriptMayHaveSelect(req.SQL) {
+	switch sql.ClassifyScript(req.SQL) {
+	case sql.ScriptSideEffectsOnly:
 		if err := rt.replicate(r.Context(), logEntry{kind: entryScript, sql: req.SQL, tenant: tenant}); err != nil {
 			writeJSON(w, replicateStatus(err), server.ErrorLine{Error: err.Error()})
 			return
 		}
 		writeJSON(w, http.StatusOK, server.ExecResponse{OK: true})
 		return
-	}
-	if scriptHasSideEffects(req.SQL) {
+	case sql.ScriptMixed:
 		writeJSON(w, http.StatusBadRequest, server.ErrorLine{Error: "a clustered script cannot mix side effects with a SELECT: run the DDL/INSERT script first (it replicates to all replicas), then the query"})
 		return
 	}
@@ -746,7 +724,7 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// without touching targets, retry or hedging at all.
 	var cacheKey string
 	var cacheSeq uint64
-	if rt.respCache != nil && !req.NoCache && cacheableRead(req.SQL) {
+	if rt.respCache != nil && !req.NoCache { // read-only, hence cacheable: the engine's own gate
 		cacheSeq = rt.logHead()
 		cacheKey = respCacheKey(cacheSeq, "q", tenant, req.SQL, req.Params, req.Options)
 		if rt.respCacheServe(w, cacheKey) {
@@ -1097,21 +1075,6 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
-}
-
-// scriptHasSideEffects scans for leading side-effect keywords on any
-// `;`-separated statement — the guard against scripts that both mutate
-// and SELECT, which cannot be both replicated and routed.
-func scriptHasSideEffects(script string) bool {
-	for _, stmt := range strings.Split(script, ";") {
-		s := strings.ToUpper(strings.TrimSpace(stmt))
-		for _, kw := range []string{"CREATE ", "INSERT ", "DROP ", "DELETE ", "UPDATE ", "ALTER ", "TRAIN "} {
-			if strings.HasPrefix(s, kw) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // ---- latency window (hedge-delay estimation) ----

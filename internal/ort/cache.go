@@ -2,10 +2,11 @@ package ort
 
 import (
 	"bytes"
+	"context"
 	"encoding/gob"
-	"fmt"
-	"sync"
+	"strings"
 
+	"raven/internal/rescache"
 	"raven/internal/tensor"
 )
 
@@ -14,98 +15,63 @@ import (
 // observation ii: 3 ms vs 20 ms on 100 tuples because the standalone
 // runtime reloads the model from disk while the DB serves a cached session).
 //
-// Compiles run outside the cache-wide mutex under per-key singleflight
-// entries, so concurrent queries compiling different models never
-// serialize, and a thundering herd on one model runs build exactly once
-// while the rest wait on that entry alone.
+// It is a rescache.Cache: byte-budgeted LRU, so query-specialized
+// sessions (one key per distinct query text) cannot grow without bound,
+// and per-key singleflight, so a thundering herd on one model compiles it
+// once while queries compiling different models never serialize.
 type SessionCache struct {
-	mu       sync.Mutex
-	sessions map[string]*cacheEntry
-	hits     int
-	misses   int
+	c *rescache.Cache[cachedSession]
 }
 
-// cacheEntry is one key's in-flight or completed compile. ready is closed
-// when s/err are final.
-type cacheEntry struct {
-	ready chan struct{}
-	s     *Session
-	err   error
+// cachedSession carries its key so Invalidate can sweep by model hash.
+type cachedSession struct {
+	key string
+	s   *Session
 }
+
+// sessionCacheBytes bounds the weights all cached sessions may hold; one
+// session may take a quarter of it. sessionOverheadBytes is charged per
+// session on top of its weights, so weightless graphs are bounded too.
+const (
+	sessionCacheBytes    = 256 << 20
+	sessionOverheadBytes = 4 << 10
+)
 
 // NewSessionCache returns an empty cache.
 func NewSessionCache() *SessionCache {
-	return &SessionCache{sessions: make(map[string]*cacheEntry)}
+	return &SessionCache{c: rescache.New[cachedSession](sessionCacheBytes, 0)}
 }
 
 // Get returns the cached session for key, or compiles one via build and
 // caches it. Only the first caller for a key runs build; concurrent
-// callers block on that key's entry (counted as hits — they avoided a
-// compile) without holding the cache lock. A failed build is evicted so a
-// later call can retry.
+// callers wait on that key alone (counted as hits — they avoided a
+// compile). A build that fails or panics caches nothing and releases its
+// waiters to build for themselves.
 func (c *SessionCache) Get(key string, build func() (*Session, error)) (*Session, error) {
-	c.mu.Lock()
-	if e, ok := c.sessions[key]; ok {
-		c.hits++
-		c.mu.Unlock()
-		<-e.ready
-		return e.s, e.err
-	}
-	e := &cacheEntry{ready: make(chan struct{})}
-	c.sessions[key] = e
-	c.misses++
-	c.mu.Unlock()
-
-	// A panicking build must still publish a result and evict the entry,
-	// or every waiter (and all future Gets for the key) would block on
-	// ready forever. The panic itself propagates to the caller.
-	completed := false
-	defer func() {
-		if !completed {
-			e.err = fmt.Errorf("ort: session build for key %q panicked", key)
-			close(e.ready)
-			c.evict(key, e)
+	// BuildSession has no context to pass: a waiter waits out the build.
+	e, err := c.c.Load(context.TODO(), key, nil, func() (cachedSession, int64, error) {
+		s, err := build()
+		if err != nil {
+			return cachedSession{}, 0, err
 		}
-	}()
-	e.s, e.err = build()
-	completed = true
-	close(e.ready)
-	if e.err != nil {
-		c.evict(key, e)
-	}
-	return e.s, e.err
+		size := int64(sessionOverheadBytes)
+		for _, t := range s.graph.Initializers {
+			size += int64(len(t.Data)) * 8
+		}
+		return cachedSession{key: key, s: s}, size, nil
+	})
+	return e.s, err
 }
 
-// evict removes e from the cache — only if it is still the entry installed
-// under key: an Invalidate+Get race may have replaced it already.
-func (c *SessionCache) evict(key string, e *cacheEntry) {
-	c.mu.Lock()
-	if c.sessions[key] == e {
-		delete(c.sessions, key)
-	}
-	c.mu.Unlock()
+// Invalidate drops every session compiled from the model version with
+// this content hash: the plain-hash session and the query-specialized
+// ones keyed hash#query.
+func (c *SessionCache) Invalidate(modelHash string) {
+	c.c.Sweep(func(e cachedSession) bool { return !strings.HasPrefix(e.key, modelHash) })
 }
 
-// Invalidate drops the cached session for key (model updated in the store).
-func (c *SessionCache) Invalidate(key string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	delete(c.sessions, key)
-}
-
-// Stats returns (hits, misses).
-func (c *SessionCache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
-}
-
-// Len returns the number of cached sessions.
-func (c *SessionCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.sessions)
-}
+// Stats snapshots the cache counters.
+func (c *SessionCache) Stats() rescache.Stats { return c.c.Stats() }
 
 // serializable mirrors Graph for gob: maps with interface values need
 // registration, so attrs are encoded via a concrete holder.

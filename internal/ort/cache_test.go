@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"raven/internal/tensor"
 )
 
 // buildGraphSession compiles a tiny identity graph, giving the cache a
@@ -53,9 +55,8 @@ func TestSessionCacheSingleflight(t *testing.T) {
 			t.Fatal("concurrent gets returned different sessions")
 		}
 	}
-	hits, misses := c.Stats()
-	if misses != 1 || hits != goroutines-1 {
-		t.Errorf("stats = (%d hits, %d misses), want (%d, 1)", hits, misses, goroutines-1)
+	if st := c.Stats(); st.Misses != 1 || st.Hits != goroutines-1 {
+		t.Errorf("stats = (%d hits, %d misses), want (%d, 1)", st.Hits, st.Misses, goroutines-1)
 	}
 }
 
@@ -74,8 +75,8 @@ func TestSessionCacheConcurrentDistinctKeys(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if c.Len() != 4 {
-		t.Errorf("Len = %d, want 4", c.Len())
+	if n := c.Stats().Entries; n != 4 {
+		t.Errorf("entries = %d, want 4", n)
 	}
 }
 
@@ -95,10 +96,11 @@ func TestSessionCachePanickingBuildUnblocksWaitersAndRetries(t *testing.T) {
 		_, err := c.Get("k", func() (*Session, error) { return buildTestSession(t)() })
 		waiterDone <- err
 	}()
-	// The waiter must not hang: it either joined the panicked entry (gets
-	// its error) or arrived after eviction (builds fresh, gets nil).
-	err := <-waiterDone
-	_ = err
+	// The waiter must not hang: the panicked leader's flight is cancelled
+	// on the way out, so the waiter wakes and builds for itself.
+	if err := <-waiterDone; err != nil {
+		t.Fatalf("waiter behind a panicked build: %v", err)
+	}
 	// And a later Get must be able to build successfully.
 	if s, err := c.Get("k", buildTestSession(t)); err != nil || s == nil {
 		t.Fatalf("retry after panicked build: %v", err)
@@ -111,11 +113,66 @@ func TestSessionCacheFailedBuildRetries(t *testing.T) {
 	if _, err := c.Get("k", func() (*Session, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if c.Len() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Fatal("failed build must not stay cached")
 	}
 	s, err := c.Get("k", buildTestSession(t))
 	if err != nil || s == nil {
 		t.Fatalf("retry after failed build: %v", err)
+	}
+}
+
+// TestSessionCacheDistinctKeysDoNotSerialize holds one key's build open
+// and requires another key's Get to finish meanwhile: builds run outside
+// the cache lock, under their own key's flight only.
+func TestSessionCacheDistinctKeysDoNotSerialize(t *testing.T) {
+	c := NewSessionCache()
+	started, unblock := make(chan struct{}), make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Get("slow", func() (*Session, error) {
+			close(started)
+			<-unblock
+			return buildTestSession(t)()
+		})
+		done <- err
+	}()
+	<-started
+	if _, err := c.Get("fast", buildTestSession(t)); err != nil {
+		t.Fatal(err)
+	}
+	close(unblock)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSessionCacheByteBounded is the bound the unbounded map lacked:
+// sessions are charged their initializer bytes, and past the budget the
+// least recently used one goes. The graphs share one weight tensor, so
+// the test allocates one of them, not nine.
+func TestSessionCacheByteBounded(t *testing.T) {
+	c := NewSessionCache()
+	w := tensor.New(sessionCacheBytes / 8 / 8) // an eighth of the budget
+	build := func() (*Session, error) {
+		g := NewGraph("weighted")
+		g.Inputs = []string{"X"}
+		g.Outputs = []string{"Y"}
+		g.Initializers["W"] = w
+		g.Nodes = append(g.Nodes, &Node{Op: "Identity", Name: "id", Inputs: []string{"X"}, Outputs: []string{"Y"}})
+		return NewSessionWithOptions(g, SessionOptions{})
+	}
+	for i := 0; i < 12; i++ {
+		if _, err := c.Get(fmt.Sprintf("hash#%d", i), build); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := c.Stats()
+	if st.Bytes > sessionCacheBytes || st.Entries >= 8 || st.Evictions == 0 {
+		t.Fatalf("cache not bounded by its byte budget: %+v", st)
+	}
+	c.Invalidate("hash")
+	if st := c.Stats(); st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("Invalidate(model hash) left specialized sessions behind: %+v", st)
 	}
 }

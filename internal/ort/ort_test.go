@@ -223,9 +223,8 @@ func TestSessionCache(t *testing.T) {
 	if s1 != s2 || builds != 1 {
 		t.Errorf("cache did not reuse session (builds=%d)", builds)
 	}
-	hits, misses := c.Stats()
-	if hits != 1 || misses != 1 {
-		t.Errorf("stats = %d hits %d misses", hits, misses)
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Errorf("stats = %d hits %d misses", st.Hits, st.Misses)
 	}
 	c.Invalidate("model-hash-1")
 	if _, err := c.Get("model-hash-1", build); err != nil {
@@ -234,8 +233,8 @@ func TestSessionCache(t *testing.T) {
 	if builds != 2 {
 		t.Error("invalidate did not force rebuild")
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d", c.Len())
+	if n := c.Stats().Entries; n != 1 {
+		t.Errorf("entries = %d", n)
 	}
 }
 

@@ -487,7 +487,7 @@ func (c *conn) handleSimple(script string) bool {
 	ctx, done := c.queryCtx(ro)
 	defer done()
 	c.srv.stats.queries.Add(1)
-	if !reqopt.MayHaveSelect(script) {
+	if sql.ClassifyScript(script) == sql.ScriptSideEffectsOnly {
 		if err := c.srv.db.ExecContext(ro.Context(ctx), script); err != nil {
 			c.engineError(err)
 			return c.readyForQuery()
@@ -781,7 +781,7 @@ func (c *conn) handleParse(m *msgReader) bool {
 		// Session-management shims parse to a no-op statement so drivers
 		// that prepare their SETs still work.
 		ps = &preparedStmt{sql: q, execSQL: "\x00shim:" + tag}
-	} else if reqopt.MayHaveSelect(rw) {
+	} else if sql.ClassifyScript(rw) != sql.ScriptSideEffectsOnly {
 		if c.srv.reg.Full() {
 			c.errored = true
 			c.engineError(reqopt.ErrStmtLimit)

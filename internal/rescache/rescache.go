@@ -1,6 +1,9 @@
-// Package rescache is a byte-budgeted LRU result cache with per-key
-// singleflight, shared by the engine (materialized batches) and the
-// cluster router (serialized NDJSON responses).
+// Package rescache is the tree's one cache: a byte-budgeted LRU with
+// per-key singleflight and validation at lookup. It has four users — the
+// engine's result cache (materialized batches) and plan cache (compiled
+// templates, one unit each), the inference-session cache in internal/ort
+// (compiled sessions, sized by their weights) and the cluster router's
+// response cache (serialized NDJSON).
 //
 // Invalidation is validation-at-lookup rather than fingerprint-in-key:
 // the producer cannot know what an entry depends on (which tables a
@@ -259,6 +262,27 @@ func (c *Cache[V]) Do(ctx context.Context, key string, valid func(V) bool) (V, b
 		c.mu.Unlock()
 		return zero, false, &Flight[V]{c: c, key: key, fl: fl}, nil
 	}
+}
+
+// Load is get-or-build over Do: a hit (cached, or produced by the flight
+// this call waited on) is returned as is; a miss makes the caller the
+// leader, which runs build outside the lock and commits what it returns
+// with the size it declares. A build that fails or panics cancels the
+// flight on the way out, so its waiters wake and build for themselves —
+// nothing is cached and the next Load retries.
+func (c *Cache[V]) Load(ctx context.Context, key string, valid func(V) bool, build func() (V, int64, error)) (V, error) {
+	v, hit, fl, err := c.Do(ctx, key, valid)
+	if hit || err != nil {
+		return v, err
+	}
+	defer fl.Cancel()
+	v, size, err := build()
+	if err != nil {
+		var zero V
+		return zero, err
+	}
+	fl.Commit(v, size)
+	return v, nil
 }
 
 // Sweep drops every entry failing the validity predicate (counted as

@@ -268,35 +268,3 @@ func parseWireBool(v string) (bool, error) {
 	}
 	return false, fmt.Errorf("not a boolean: %q", v)
 }
-
-// MayHaveSelect classifies a SQL script: true routes it to the
-// streaming query path, false to ExecContext. It is a cheap
-// case-insensitive token scan, not a parse — the warm SELECT path must
-// not pay a throwaway full parse per request. Every front end (HTTP,
-// pgwire, the cluster router) classifies with this one scanner, so
-// protocols never disagree about whether a script is a read (stream,
-// route to one replica) or a pure side-effect script (ack, replicate
-// to all). The one false positive — the word SELECT inside a string
-// literal of a side-effect-only script — routes to the query path,
-// which executes the side effects and then reports "Query needs a
-// SELECT", exactly what the engine's ad-hoc surface does.
-func MayHaveSelect(script string) bool {
-	up := strings.ToUpper(script)
-	for i := 0; ; {
-		j := strings.Index(up[i:], "SELECT")
-		if j < 0 {
-			return false
-		}
-		k := i + j
-		beforeOK := k == 0 || !isIdentByte(up[k-1])
-		afterOK := k+6 >= len(up) || !isIdentByte(up[k+6])
-		if beforeOK && afterOK {
-			return true
-		}
-		i = k + 6
-	}
-}
-
-func isIdentByte(c byte) bool {
-	return c == '_' || (c >= '0' && c <= '9') || (c >= 'A' && c <= 'Z') || (c >= 'a' && c <= 'z')
-}

@@ -165,20 +165,3 @@ func TestClassify(t *testing.T) {
 }
 
 func errorsJoin(err error) error { return errors.Join(errors.New("outer"), err) }
-
-func TestMayHaveSelect(t *testing.T) {
-	cases := map[string]bool{
-		"SELECT 1":        true,
-		"select a from t": true,
-		"CREATE TABLE t (a INT); INSERT INTO t (1)": false,
-		"CREATE TABLE selector (a INT)":             false, // SELECT inside an identifier
-		"DECLARE x INT = 1; SELECT @x":              true,
-		"INSERT INTO t VALUES (1); SELECT a FROM t": true,
-		"": false,
-	}
-	for script, want := range cases {
-		if got := MayHaveSelect(script); got != want {
-			t.Errorf("%q: got %v, want %v", script, got, want)
-		}
-	}
-}

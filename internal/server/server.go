@@ -47,6 +47,7 @@ import (
 	"raven/internal/ml"
 	"raven/internal/server/reqopt"
 	"raven/internal/server/stmtreg"
+	"raven/internal/sql"
 )
 
 // Options tunes the server.
@@ -454,7 +455,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// executes the side effects then streams the SELECT; with params the
 	// script must be DECLAREs + one SELECT (the prepare surface compiles
 	// it and must not mutate the database).
-	if !scriptMayHaveSelect(req.SQL) {
+	if sql.ClassifyScript(req.SQL) == sql.ScriptSideEffectsOnly {
 		if err := s.db.ExecContext(ro.Context(ctx), req.SQL); err != nil {
 			writeError(w, err)
 			return
@@ -749,11 +750,3 @@ func paramList(m map[string]string) []raven.Param {
 	}
 	return out
 }
-
-// ScriptMayHaveSelect classifies scripts for other packages (the
-// cluster router routes reads to one replica and replicates side-effect
-// scripts to all). It is reqopt.MayHaveSelect — every front end
-// classifies with the same scanner, so protocols never disagree.
-func ScriptMayHaveSelect(script string) bool { return reqopt.MayHaveSelect(script) }
-
-func scriptMayHaveSelect(script string) bool { return reqopt.MayHaveSelect(script) }

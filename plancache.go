@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"raven/internal/ir"
 	"raven/internal/plan"
@@ -39,108 +38,17 @@ type cachedPlan struct {
 	tables []*storage.Table
 }
 
-// defaultPlanCacheSize bounds the engine-level plan cache. Entries are a
-// few KB (an optimized IR graph), so the default is generous for a
-// serving workload's distinct statement set.
-const defaultPlanCacheSize = 256
-
-// planCache is the engine-level compiled-plan cache keyed by (SQL text,
-// options fingerprint, catalog version). It is what makes prepare-once/
+// defaultPlanCacheSize bounds the engine-level plan cache (DB.plans): a
+// rescache.Cache keyed by (SQL text, options fingerprint) and validated
+// at lookup against the catalog version. It is what makes prepare-once/
 // execute-many and warm repeated queries skip parse/bind/optimize — the
 // session-state amortization the paper credits for its warm-run speedups
-// (§5 observation ii), applied to plans.
-type planCache struct {
-	mu      sync.Mutex
-	entries map[string]*planEntry
-	hits    uint64
-	misses  uint64
-	// evictions counts entries dropped for capacity (LRU); invalidations
-	// counts entries dropped because the catalog moved underneath them.
-	// Separately visible in /stats: a hot eviction churn means the cache
-	// is undersized, an invalidation churn means DDL/model-store traffic.
-	evictions     uint64
-	invalidations uint64
-	max           int
-	// tick orders uses for LRU eviction: ad-hoc statements with inline
-	// literals each occupy their own key, so without recency the churn
-	// they generate would evict hot repeated statements at random.
-	tick uint64
-}
-
-// planEntry pairs a cached plan with its last-use tick.
-type planEntry struct {
-	plan *cachedPlan
-	used uint64
-}
-
-func newPlanCache(max int) *planCache {
-	return &planCache{entries: make(map[string]*planEntry), max: max}
-}
-
-// get returns the cached plan for key if it was compiled against the
-// current catalog version; a stale entry is dropped and counts as a miss.
-func (c *planCache) get(key string, version uint64) *cachedPlan {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[key]
-	if ok && e.plan.version == version {
-		c.hits++
-		c.tick++
-		e.used = c.tick
-		return e.plan
-	}
-	if ok {
-		delete(c.entries, key)
-		c.invalidations++
-	}
-	c.misses++
-	return nil
-}
-
-// put caches a plan, first evicting entries invalidated by catalog
-// changes, then the least-recently-used entries if the cache is still
-// over capacity. current is the catalog version now: a plan whose compile
-// straddled a catalog change (p.version != current) is already stale and
-// is not inserted — and must not evict the fresher entries around it.
-func (c *planCache) put(key string, p *cachedPlan, current uint64) {
-	if p.version != current {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, e := range c.entries {
-		if e.plan.version != current {
-			delete(c.entries, k)
-			c.invalidations++
-		}
-	}
-	for len(c.entries) >= c.max {
-		var lruKey string
-		var lruUsed uint64
-		for k, e := range c.entries {
-			if lruKey == "" || e.used < lruUsed {
-				lruKey, lruUsed = k, e.used
-			}
-		}
-		delete(c.entries, lruKey)
-		c.evictions++
-	}
-	c.tick++
-	c.entries[key] = &planEntry{plan: p, used: c.tick}
-}
-
-// sweep drops every entry not compiled against the current catalog
-// version, counting them as invalidations.
-func (c *planCache) sweep(current uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for k, e := range c.entries {
-		if e.plan.version != current {
-			delete(c.entries, k)
-			c.invalidations++
-		}
-	}
-}
+// (§5 observation ii), applied to plans. Entries are a few KB (an
+// optimized IR graph) and each is charged one unit, so the LRU evicts by
+// count; recency matters because ad-hoc statements with inline literals
+// each occupy their own key, and without it their churn would evict hot
+// repeated statements at random.
+const defaultPlanCacheSize = 256
 
 // sweepStaleCaches eagerly drops plan- and result-cache entries
 // compiled against an older catalog version. Both caches already
@@ -152,30 +60,24 @@ func (c *planCache) sweep(current uint64) {
 // after any statement or model store that bumps the catalog version.
 func (db *DB) sweepStaleCaches() {
 	current := db.catalog.Version()
-	db.plans.sweep(current)
+	db.plans.Sweep(func(p *cachedPlan) bool { return p.version == current })
 	if db.results != nil {
 		db.results.Sweep(func(e *resultEntry) bool { return e.version == current })
 	}
 }
 
-// info snapshots the cache counters for DB.Stats / the /stats endpoint.
-func (c *planCache) info() PlanCacheInfo {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+// planCacheInfo reshapes the cache counters for DB.Stats / the /stats
+// endpoint under the field names PlanCacheInfo has always had.
+func (db *DB) planCacheInfo() PlanCacheInfo {
+	s := db.plans.Stats()
 	return PlanCacheInfo{
-		Hits:          c.hits,
-		Misses:        c.misses,
-		Evictions:     c.evictions,
-		Invalidations: c.invalidations,
-		Size:          len(c.entries),
-		Capacity:      c.max,
+		Hits:          s.Hits,
+		Misses:        s.Misses,
+		Evictions:     s.Evictions,
+		Invalidations: s.Invalidations,
+		Size:          s.Entries,
+		Capacity:      int(s.MaxBytes),
 	}
-}
-
-func (c *planCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
 }
 
 // planKey builds the cache key: every compile-relevant input that is not

@@ -21,9 +21,9 @@
 // scan order. A plan therefore returns exactly the rows, in exactly the
 // order, at any degree of parallelism. Pipeline breakers (join build,
 // GROUP BY, ORDER BY) consume one pipeline with the same workers and
-// start the next. Inference sessions come from a contention-friendly
-// cache that compiles each model at most once under per-key locks, so
-// workers and concurrent queries never serialize behind one compile.
+// start the next. Inference sessions come from a byte-bounded cache that
+// compiles each model at most once per key, so workers and concurrent
+// queries never serialize behind one compile.
 //
 // The engine-wide degree of parallelism defaults to GOMAXPROCS and is set
 // at Open time with WithParallelism (WithMorselSize tunes the work unit);
@@ -40,13 +40,15 @@
 //   - Prepare compiles a statement once (parse → bind → unified IR →
 //     cross optimization) into a Stmt whose Query calls reuse the plan and
 //     bind @var parameters per execution. An engine-level plan cache —
-//     keyed by SQL text, option fingerprint and catalog version — also
-//     makes repeated ad-hoc Query calls skip recompilation; DDL and model
-//     stores bump the catalog version, invalidating stale plans.
+//     keyed by SQL text and option fingerprint, valid for one catalog
+//     version — also makes repeated ad-hoc Query calls skip recompilation;
+//     DDL and model stores bump the catalog version, invalidating plans.
 //   - QueryContext (and Stmt.QueryContext) returns a streaming Rows
 //     (Next/Scan/Err/Close) and honors context cancellation and deadlines
 //     throughout execution: morsel-exchange workers, pipeline breakers and
-//     inference predictors all observe ctx and shut down cleanly.
+//     inference predictors all observe ctx and shut down cleanly. Every
+//     entry point is a thin caller of one funnel (DB.run): result-cache
+//     lookup, admission, plan, parameter binding, lowering, streaming.
 //   - Query and QueryWithOptions remain as thin materializing wrappers
 //     returning a Result (Rows.Collect under the hood), with latency split
 //     into CompileTime and ExecTime.
@@ -143,9 +145,9 @@ type QueryOptions struct {
 	// standalone-runtime behaviour in Fig 3).
 	DisableSessionCache bool
 	// DisablePlanCache forces a full recompile (parse → bind → optimize)
-	// on every call — the cold-query baseline the PreparedPredict bench
-	// measures against. It also makes the call ineligible for the result
-	// cache: a caller asking for the cold path means it.
+	// on every call: the plan cache is neither consulted nor filled. It
+	// also makes the call ineligible for the result cache: a caller
+	// asking for the cold path means it.
 	DisablePlanCache bool
 	// NoResultCache makes this call bypass the result cache entirely: no
 	// lookup, no population. The wire protocol's per-request no_cache
@@ -195,8 +197,9 @@ type DB struct {
 	// vars holds engine-wide session variables set by Exec DECLARE.
 	// DECLAREs inside a Query or Prepare script are statement-scoped: they
 	// overlay these for that statement only and never leak back.
-	vars  map[string]string
-	plans *planCache
+	vars map[string]string
+	// plans is the compiled-plan cache (see defaultPlanCacheSize).
+	plans *rescache.Cache[*cachedPlan]
 	// compiles counts full front-half compilations (parse → bind →
 	// optimize); prepared re-executions and plan-cache hits don't move it.
 	compiles atomic.Uint64
@@ -225,16 +228,6 @@ type DB struct {
 	results         *rescache.Cache[*resultEntry]
 	resHitMu        sync.Mutex
 	resHitsByTenant map[string]uint64
-
-	// negCache remembers recent compile failures (parse/bind — the
-	// errors a wire front end maps to 4xx) so a client hammering the
-	// same broken query is refused from memory instead of re-parsing
-	// every time. Entries are tiny (an error string), capped at
-	// maxNegEntries, expire after negCacheTTL and are dropped the moment
-	// the catalog moves — DDL can turn the error into a success.
-	negMu    sync.Mutex
-	negCache map[string]negEntry
-	negHits  uint64
 
 	// durable is the on-disk storage backend; nil (the default) keeps the
 	// engine fully in-memory. Configured at Open by WithDataDir.
@@ -442,7 +435,7 @@ func Open(opts ...Option) (*DB, error) {
 	db := &DB{
 		runtime:            rt.NewRuntime(),
 		vars:               make(map[string]string),
-		plans:              newPlanCache(defaultPlanCacheSize),
+		plans:              rescache.New[*cachedPlan](defaultPlanCacheSize, 1),
 		DefaultParallelism: runtime.GOMAXPROCS(0),
 	}
 	for _, o := range opts {
@@ -766,14 +759,16 @@ func (db *DB) StoreModel(name string, p *ml.Pipeline) error {
 	if err != nil {
 		return err
 	}
+	replaced, _ := db.catalog.Models.Latest(name) // nil on a first store
 	if err := db.catalog.Models.PutModel(name, "gob-pipeline", blob, nil); err != nil {
 		return err
 	}
-	// A new version invalidates any cached inference session, and the
-	// catalog bump invalidates every compiled plan that embedded the old
-	// model (inlined trees, translated tensor graphs).
-	if m, err := db.catalog.Models.Latest(name); err == nil {
-		db.runtime.Cache.Invalidate(m.Hash)
+	// A new version strands every inference session compiled from the
+	// version it replaces (session keys start with that version's content
+	// hash), and the catalog bump invalidates every compiled plan that
+	// embedded the old model (inlined trees, translated tensor graphs).
+	if replaced != nil {
+		db.runtime.Cache.Invalidate(replaced.Hash)
 	}
 	db.catalog.BumpVersion()
 	db.sweepStaleCaches()
@@ -855,20 +850,35 @@ func (db *DB) QueryContext(ctx context.Context, q string) (*Rows, error) {
 // cross-optimization (NN translation, inlining) is itself CPU-heavy —
 // and the slot is held until Rows.Close.
 func (db *DB) QueryContextWithOptions(ctx context.Context, q string, opts QueryOptions) (*Rows, error) {
-	start := time.Now()
+	// Undeclared @vars fail inside the binder (AllowParams is off for the
+	// ad-hoc surface), with an error pointing at DECLARE/Prepare.
 	vars := db.varsSnapshot()
+	return db.run(ctx, q, opts, vars, false, nil, func() (*cachedPlan, error) { return db.planFor(q, opts, vars, false) })
+}
+
+// run is the one path every query takes, whichever entry point it came
+// in by: result-cache lookup, admission, plan, parameter binding,
+// lowering, and the tee that fills the cache as the stream is consumed.
+// The entry points differ only in what they pass: the variable snapshot
+// the key and the plan are built from, whether @vars are parameters, and
+// where the plan comes from (the plan cache, or a Stmt's template).
+//
+// Two things are acquired here and nowhere else — a result-cache flight
+// (when the call is cache-eligible and misses) and an admission slot —
+// and every exit returns both exactly once: an error before the Rows
+// exists releases the slot and cancels the flight (waking waiters to
+// execute for themselves) right here; after that the Rows owns them, the
+// slot until Close and the flight until the tee settles it.
+func (db *DB) run(ctx context.Context, q string, opts QueryOptions, vars map[string]string, allowParams bool, params []Param, plan func() (*cachedPlan, error)) (*Rows, error) {
+	start := time.Now()
 	// The result cache is consulted before admission: a hit costs zero
 	// scheduler slots, and a miss makes this call the flight leader other
 	// concurrent identical calls wait on instead of queueing themselves.
 	var fl *rescache.Flight[*resultEntry]
-	var key string
 	if db.resultCacheEligible(ctx, opts, q) {
-		key = db.resultKey(q, opts, false, vars, nil)
-		if nerr := db.negLookup(key); nerr != nil {
-			return nil, nerr
-		}
-		rows, hit, flight, err := db.resultLookup(ctx, key, opts, start)
-		if hit || err != nil {
+		key := db.resultKey(q, opts, allowParams, vars, params)
+		rows, flight, err := db.resultLookup(ctx, key, opts, start)
+		if rows != nil || err != nil {
 			return rows, err
 		}
 		fl = flight
@@ -878,16 +888,7 @@ func (db *DB) QueryContextWithOptions(ctx context.Context, q string, opts QueryO
 		fl.Cancel()
 		return nil, err
 	}
-	// Undeclared @vars fail inside the binder (AllowParams is off for the
-	// ad-hoc surface), with an error pointing at DECLARE/Prepare.
-	tpl, err := db.planFor(q, opts, vars, false)
-	if err != nil {
-		release()
-		fl.Cancel()
-		db.noteNegative(key, err)
-		return nil, err
-	}
-	op, err := db.lower(ctx, tpl.graph, tpl.sessionKey, opts)
+	tpl, op, err := db.instantiate(ctx, opts, params, plan)
 	if err != nil {
 		release()
 		fl.Cancel()
@@ -896,11 +897,33 @@ func (db *DB) QueryContextWithOptions(ctx context.Context, q string, opts QueryO
 	return leaderRows(ctx, db, op, fl, tpl, start, release)
 }
 
+// instantiate turns a plan source into this call's operator tree:
+// resolve the template, bind params into a per-call clone (the shared
+// template is never mutated), lower.
+func (db *DB) instantiate(ctx context.Context, opts QueryOptions, params []Param, plan func() (*cachedPlan, error)) (*cachedPlan, exec.Operator, error) {
+	tpl, err := plan()
+	if err != nil {
+		return nil, nil, err
+	}
+	graph := tpl.graph
+	if len(tpl.params) > 0 || len(params) > 0 {
+		vals, err := paramValues(tpl.params, params)
+		if err != nil {
+			return nil, nil, err
+		}
+		if graph, err = bindGraphParams(graph, vals); err != nil {
+			return nil, nil, err
+		}
+	}
+	op, err := db.lower(ctx, graph, tpl.sessionKey, opts)
+	return tpl, op, err
+}
+
 // PlanCacheStats returns the plan cache's cumulative (hits, misses).
 // DB.Stats carries the fuller picture (size, capacity, evictions).
 func (db *DB) PlanCacheStats() (hits, misses uint64) {
-	i := db.plans.info()
-	return i.Hits, i.Misses
+	s := db.plans.Stats()
+	return s.Hits, s.Misses
 }
 
 // PlanCacheInfo describes the engine plan cache for stats endpoints.
@@ -916,11 +939,10 @@ type PlanCacheInfo struct {
 	Capacity      int    `json:"capacity"`
 }
 
-// SessionCacheInfo describes the inference-session cache.
-type SessionCacheInfo struct {
-	Hits   int `json:"hits"`
-	Misses int `json:"misses"`
-}
+// SessionCacheInfo describes the inference-session cache: the same
+// counter shape as the result cache (hits, misses, evictions,
+// invalidations, bytes, entries, …).
+type SessionCacheInfo = rescache.Stats
 
 // Stats is the consolidated engine statistics snapshot served by
 // ravenserved's /stats endpoint.
@@ -948,12 +970,12 @@ type StorageStats = storage.DurableStats
 // Stats snapshots the engine's caches and scheduler.
 func (db *DB) Stats() Stats {
 	st := Stats{
-		PlanCache:      db.plans.info(),
+		PlanCache:      db.planCacheInfo(),
+		SessionCache:   db.runtime.Cache.Stats(),
 		ResultCache:    db.resultCacheInfo(),
 		Compiles:       db.compiles.Load(),
 		CatalogVersion: db.catalog.Version(),
 	}
-	st.SessionCache.Hits, st.SessionCache.Misses = db.runtime.Cache.Stats()
 	if db.sched != nil {
 		s := db.sched.Stats()
 		st.Scheduler = &s
@@ -1008,22 +1030,31 @@ func cacheablePlan(opts QueryOptions) bool {
 func (db *DB) planFor(q string, opts QueryOptions, vars map[string]string, allowParams bool) (*cachedPlan, error) {
 	cacheable := cacheablePlan(opts)
 	var key string
+	current := db.catalog.Version()
 	if cacheable {
 		key = db.planKey(q, opts, allowParams, vars)
-		if p := db.plans.get(key, db.catalog.Version()); p != nil {
+		if p, ok := db.plans.Get(key, func(p *cachedPlan) bool { return p.version == current }); ok {
 			return p, nil
 		}
 	}
 	sel, svars, hadSideEffects, err := db.splitScript(q, !allowParams, vars)
+	if db.catalog.Version() != current {
+		// The script's own DDL (even a partially applied one) moved the
+		// catalog under the caches, exactly as in ExecContext.
+		db.sweepStaleCaches()
+	}
 	if err != nil {
 		return nil, err
 	}
-	p, err := db.buildPlan(q, sel, svars, opts, allowParams)
+	db.compiles.Add(1)
+	p, err := db.buildPlan(q, sel, svars, opts, allowParams, nil)
 	if err != nil {
 		return nil, err
 	}
-	if cacheable && !hadSideEffects {
-		db.plans.put(key, p, db.catalog.Version())
+	// A plan whose compile straddled a catalog change is already stale:
+	// it serves this call and is not inserted.
+	if cacheable && !hadSideEffects && p.version == db.catalog.Version() {
+		db.plans.Put(key, p, 1)
 	}
 	return p, nil
 }
@@ -1070,8 +1101,10 @@ func (db *DB) splitScript(q string, allowSideEffects bool, base map[string]strin
 
 // buildPlan runs the front half once: bind → unified IR → cross optimizer
 // (or the always-on relational pass), producing an immutable template.
-func (db *DB) buildPlan(q string, sel *sql.SelectStmt, vars map[string]string, opts QueryOptions, allowParams bool) (*cachedPlan, error) {
-	db.compiles.Add(1)
+// Explain is the same call with a report to fill: the bound plan and the
+// IR are written as they stand before the next stage rewrites them in
+// place, so what Explain prints is what a query with these options runs.
+func (db *DB) buildPlan(q string, sel *sql.SelectStmt, vars map[string]string, opts QueryOptions, allowParams bool, report *strings.Builder) (*cachedPlan, error) {
 	version := db.catalog.Version()
 	binder := plan.NewBinder(db.catalog)
 	binder.AllowParams = allowParams
@@ -1082,73 +1115,67 @@ func (db *DB) buildPlan(q string, sel *sql.SelectStmt, vars map[string]string, o
 	if err != nil {
 		return nil, err
 	}
+	if report != nil {
+		report.WriteString("== logical plan ==\n" + plan.Explain(logical))
+	}
 
 	// The cache key and the scanned-table set must be derived before IR
 	// construction: FromPlan splices the Predict node out of the plan.
 	cacheKey := db.modelCacheKey(logical)
 	tables := collectPlanTables(logical)
 
-	graph, err := ir.FromPlan(logical, db.resolvePipeline)
+	graph, err := ir.FromPlan(logical, db.LoadModel)
 	if err != nil {
 		return nil, err
 	}
-
-	var applied []string
-	if opts.DisableSessionCache {
-		cacheKey = ""
+	if report != nil {
+		report.WriteString("\n== unified IR ==\n" + graph.Explain())
 	}
-	if !opts.CrossOptimize {
-		// Standard DB optimizations (predicate/projection pushdown, join
-		// elimination) always run — SQL Server's optimizer does not switch
-		// off. Only the cross-IR rules are gated by CrossOptimize.
-		xo := xopt.Options{Relational: true, RelOpt: &relopt.Optimizer{Catalog: db.catalog, AssumeRI: true}}
-		res, err := xopt.Optimize(graph, xo)
-		if err != nil {
-			return nil, err
-		}
-		applied = res.Applied
-		graph = res.Graph
-	} else {
-		xo := xopt.DefaultOptions(&relopt.Optimizer{Catalog: db.catalog, AssumeRI: true})
-		xo.UseDataStatistics = opts.UseStatistics
-		xo.ModelQuerySplitting = opts.ModelQuerySplitting
-		if opts.DisableInlining {
-			xo.ModelInlining = false
-		}
-		if opts.DisableNNTranslation {
-			xo.NNTranslation = false
-		}
-		if opts.DisablePruning {
-			xo.PredicateModelPruning = false
-		}
-		if opts.DisableProjectionPushdown {
-			xo.ModelProjectionPushdown = false
-		}
-		xo.UseGPU = opts.UseGPU
-		res, err := xopt.Optimize(graph, xo)
-		if err != nil {
-			return nil, err
-		}
-		applied = res.Applied
-		graph = res.Graph
+
+	res, err := xopt.Optimize(graph, db.optimizerOptions(opts))
+	if err != nil {
+		return nil, err
+	}
+	switch {
+	case opts.DisableSessionCache:
+		cacheKey = ""
+	case opts.CrossOptimize && cacheKey != "" && len(res.Applied) > 0:
 		// The optimized model is specialized to this query's predicates:
 		// key the session cache by model hash + query fingerprint so
 		// differently-specialized sessions never collide, while identical
 		// repeated queries (warm runs) still hit.
-		if cacheKey != "" && len(applied) > 0 {
-			sum := sha256.Sum256([]byte(q))
-			cacheKey += "#" + hex.EncodeToString(sum[:8])
-		}
+		sum := sha256.Sum256([]byte(q))
+		cacheKey += "#" + hex.EncodeToString(sum[:8])
 	}
 
 	return &cachedPlan{
-		graph:      graph,
-		applied:    applied,
+		graph:      res.Graph,
+		applied:    res.Applied,
 		sessionKey: cacheKey,
-		params:     collectGraphParams(graph),
+		params:     collectGraphParams(res.Graph),
 		version:    version,
 		tables:     tables,
 	}, nil
+}
+
+// optimizerOptions is the one QueryOptions → xopt.Options mapping.
+func (db *DB) optimizerOptions(opts QueryOptions) xopt.Options {
+	ro := &relopt.Optimizer{Catalog: db.catalog, AssumeRI: true}
+	if !opts.CrossOptimize {
+		// Standard DB optimizations (predicate/projection pushdown, join
+		// elimination) always run — SQL Server's optimizer does not switch
+		// off. Only the cross-IR rules are gated by CrossOptimize.
+		return xopt.Options{Relational: true, RelOpt: ro}
+	}
+	xo := xopt.DefaultOptions(ro)
+	xo.UseDataStatistics = opts.UseStatistics
+	xo.ModelQuerySplitting = opts.ModelQuerySplitting
+	xo.ModelInlining = !opts.DisableInlining
+	xo.NNTranslation = !opts.DisableNNTranslation
+	xo.PredicateModelPruning = !opts.DisablePruning
+	xo.ModelProjectionPushdown = !opts.DisableProjectionPushdown
+	xo.UseGPU = opts.UseGPU
+	return xo
 }
 
 // lower turns a compiled template into a fresh executable operator tree.
@@ -1172,11 +1199,6 @@ func (db *DB) lower(ctx context.Context, graph *ir.Graph, sessionKey string, opt
 		CacheKey:              sessionKey,
 	}
 	return codegen.Compile(graph, cfg)
-}
-
-// resolvePipeline loads the stored pipeline behind a model name.
-func (db *DB) resolvePipeline(name string) (*ml.Pipeline, error) {
-	return db.LoadModel(name)
 }
 
 // modelCacheKey derives the session-cache key from the (first) PREDICT
@@ -1203,8 +1225,9 @@ func (db *DB) modelCacheKey(p plan.Node) string {
 }
 
 // Explain returns a report of the query's plans: the bound logical plan,
-// the unified IR before and after cross optimization (with engine
-// placement), and the regenerated SQL.
+// the unified IR before and after optimization (with engine placement
+// and the rules that fired — the same list a query run with these options
+// reports as AppliedRules), and the regenerated SQL.
 func (db *DB) Explain(q string, opts QueryOptions) (string, error) {
 	// Same statement-scoped DECLARE handling as Query/Prepare, and like
 	// Prepare, explaining must not mutate the database.
@@ -1212,74 +1235,16 @@ func (db *DB) Explain(q string, opts QueryOptions) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	binder := plan.NewBinder(db.catalog)
-	for k, v := range vars {
-		binder.Vars[k] = v
-	}
-	logical, err := binder.BindSelect(sel)
-	if err != nil {
-		return "", err
-	}
 	var sb strings.Builder
-	sb.WriteString("== logical plan ==\n")
-	sb.WriteString(plan.Explain(logical))
-
-	graph, err := ir.FromPlan(logical, db.resolvePipeline)
+	p, err := db.buildPlan(q, sel, vars, opts, false, &sb)
 	if err != nil {
 		return "", err
 	}
-	sb.WriteString("\n== unified IR ==\n")
-	sb.WriteString(graph.Explain())
-
-	if opts.CrossOptimize {
-		xo := xopt.DefaultOptions(&relopt.Optimizer{Catalog: db.catalog, AssumeRI: true})
-		xo.UseDataStatistics = opts.UseStatistics
-		xo.ModelQuerySplitting = opts.ModelQuerySplitting
-		if opts.DisableInlining {
-			xo.ModelInlining = false
-		}
-		if opts.DisableNNTranslation {
-			xo.NNTranslation = false
-		}
-		res, err := xopt.Optimize(graph, xo)
-		if err != nil {
-			return "", err
-		}
-		sb.WriteString("\n== optimized IR (rules: " + strings.Join(res.Applied, ", ") + ") ==\n")
-		sb.WriteString(res.Graph.Explain())
-		sb.WriteString("\n== regenerated SQL ==\n")
-		sb.WriteString(codegen.GenerateSQL(res.Graph))
-	}
+	sb.WriteString("\n== optimized IR (rules: " + strings.Join(p.applied, ", ") + ") ==\n")
+	sb.WriteString(p.graph.Explain())
+	sb.WriteString("\n== regenerated SQL ==\n")
+	sb.WriteString(codegen.GenerateSQL(p.graph))
 	return sb.String(), nil
-}
-
-// QuerySQLOnly executes a SELECT without the IR/cross-optimizer machinery
-// (pure relational path with the standard optimizer); useful for data
-// exploration and tests.
-func (db *DB) QuerySQLOnly(q string) (*types.Batch, error) {
-	st, err := sql.Parse(q)
-	if err != nil {
-		return nil, err
-	}
-	sel, ok := st.(*sql.SelectStmt)
-	if !ok {
-		return nil, fmt.Errorf("raven: QuerySQLOnly needs a SELECT")
-	}
-	binder := plan.NewBinder(db.catalog)
-	logical, err := binder.BindSelect(sel)
-	if err != nil {
-		return nil, err
-	}
-	ro := &relopt.Optimizer{Catalog: db.catalog, AssumeRI: true}
-	logical, err = ro.Optimize(logical)
-	if err != nil {
-		return nil, err
-	}
-	op, err := exec.Compile(logical, &exec.Env{Parallelism: db.DefaultParallelism, MorselSize: db.MorselSize, Tuner: db.tuner})
-	if err != nil {
-		return nil, err
-	}
-	return exec.Collect(op)
 }
 
 // Filter is re-exported so examples can build predicates programmatically.

@@ -87,17 +87,18 @@ func TestExecDDLAndInsert(t *testing.T) {
 		INSERT INTO t VALUES (1, 2.5, 'a', TRUE), (2, 3.5, 'b', FALSE)`); err != nil {
 		t.Fatal(err)
 	}
-	out, err := db.QuerySQLOnly("SELECT id, x FROM t WHERE ok = TRUE")
+	relational := QueryOptions{CrossOptimize: false}
+	out, err := db.QueryWithOptions("SELECT id, x FROM t WHERE ok = TRUE", relational)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Len() != 1 || out.Col("x").Floats[0] != 2.5 {
-		t.Errorf("result = %v", out)
+	if out.Batch.Len() != 1 || out.Batch.Col("x").Floats[0] != 2.5 {
+		t.Errorf("result = %v", out.Batch)
 	}
 	if err := db.Exec("DROP TABLE t"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.QuerySQLOnly("SELECT * FROM t"); err == nil {
+	if _, err := db.QueryWithOptions("SELECT * FROM t", relational); err == nil {
 		t.Error("dropped table should not resolve")
 	}
 	if err := db.Exec("SELECT 1"); err == nil {
@@ -244,11 +245,11 @@ func TestSessionCacheWarmsAcrossQueries(t *testing.T) {
 	if _, err := db.QueryWithOptions(q, opts); err != nil {
 		t.Fatal(err)
 	}
-	_, misses1 := db.Runtime().Cache.Stats()
+	misses1 := db.Stats().SessionCache.Misses
 	if _, err := db.QueryWithOptions(q, opts); err != nil {
 		t.Fatal(err)
 	}
-	hits, misses2 := db.Runtime().Cache.Stats()
+	hits, misses2 := db.Stats().SessionCache.Hits, db.Stats().SessionCache.Misses
 	if misses2 != misses1 {
 		t.Errorf("second run recompiled the session (misses %d -> %d)", misses1, misses2)
 	}
@@ -260,8 +261,43 @@ func TestSessionCacheWarmsAcrossQueries(t *testing.T) {
 	if _, err := db.QueryWithOptions(q, opts); err != nil {
 		t.Fatal(err)
 	}
-	if db.Runtime().Cache.Len() > 1 {
+	if db.Stats().SessionCache.Entries > 1 {
 		t.Error("uncached run polluted the session cache")
+	}
+}
+
+// TestSessionCacheBoundedAndSweptOnStore is the leak the unbounded
+// session map had: under cross-optimization every distinct-literal
+// PREDICT compiles a session under its own key (model hash # query), and
+// a model store must drop the sessions compiled from the version it
+// replaces. 1,000 such queries across 20 model versions may leave only
+// the last version's sessions, inside the byte budget.
+func TestSessionCacheBoundedAndSweptOnStore(t *testing.T) {
+	db := MustOpen()
+	if err := db.Exec(`CREATE TABLE pts (id INT PRIMARY KEY, age FLOAT); INSERT INTO pts VALUES (1, 30.0), (2, 60.0)`); err != nil {
+		t.Fatal(err)
+	}
+	const versions, perVersion = 20, 50
+	for v := 0; v < versions; v++ {
+		if err := db.StoreModel("risk", lrPipeline(0.01*float64(v+1))); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < perVersion; i++ {
+			q := fmt.Sprintf(`SELECT p.s FROM PREDICT(MODEL='risk', DATA=pts AS d) WITH (s FLOAT) AS p WHERE d.age > %d`, v*perVersion+i)
+			if _, err := db.Query(q); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := db.Stats().SessionCache
+	if st.Misses != versions*perVersion {
+		t.Fatalf("expected one session compile per distinct query, got %+v", st)
+	}
+	if st.Entries > perVersion || st.Invalidations < (versions-1)*perVersion {
+		t.Errorf("sessions of superseded model versions survive StoreModel: %+v", st)
+	}
+	if st.Bytes <= 0 || st.Bytes > st.MaxBytes {
+		t.Errorf("session cache outside its byte budget: %+v", st)
 	}
 }
 
@@ -312,6 +348,42 @@ func TestExplainShowsStages(t *testing.T) {
 	for _, want := range []string{"logical plan", "unified IR", "optimized IR", "regenerated SQL", "MLD"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("explain missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestExplainIsWhatRuns holds Explain to the plan the engine executes:
+// under every option that changes which rules fire, the rule list it
+// prints is the AppliedRules of a query run with the same options.
+func TestExplainIsWhatRuns(t *testing.T) {
+	db, _ := hospitalDB(t, 1000)
+	cases := []struct {
+		name string
+		set  func(*QueryOptions)
+	}{
+		{"default", func(*QueryOptions) {}},
+		{"CrossOptimize=false", func(o *QueryOptions) { o.CrossOptimize = false }},
+		{"DisableInlining", func(o *QueryOptions) { o.DisableInlining = true }},
+		{"DisableNNTranslation", func(o *QueryOptions) { o.DisableNNTranslation = true }},
+		{"DisablePruning", func(o *QueryOptions) { o.DisablePruning = true }},
+		{"DisableProjectionPushdown", func(o *QueryOptions) { o.DisableProjectionPushdown = true }},
+		{"ModelQuerySplitting", func(o *QueryOptions) { o.ModelQuerySplitting = true }},
+		{"UseStatistics", func(o *QueryOptions) { o.UseStatistics = true }},
+	}
+	for _, c := range cases {
+		opts := DefaultQueryOptions()
+		c.set(&opts)
+		res, err := db.QueryWithOptions(runningExampleQuery, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		out, err := db.Explain(runningExampleQuery, opts)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want := "== optimized IR (rules: " + strings.Join(res.AppliedRules, ", ") + ") =="
+		if !strings.Contains(out, want) {
+			t.Errorf("%s: Explain does not show the rules the query ran with, want %q in:\n%s", c.name, want, out)
 		}
 	}
 }

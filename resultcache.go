@@ -7,12 +7,12 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 	"time"
 
 	"raven/internal/exec"
 	"raven/internal/rescache"
 	"raven/internal/sched"
+	"raven/internal/sql"
 	"raven/internal/storage"
 	"raven/internal/types"
 )
@@ -94,36 +94,7 @@ func (db *DB) resultCacheEligible(ctx context.Context, opts QueryOptions, q stri
 	if resultCacheBypassed(ctx) {
 		return false
 	}
-	return readOnlyScript(q)
-}
-
-// readOnlyScript reports whether every statement in the script starts
-// with SELECT or DECLARE. The scan is textual and conservative: a
-// statement boundary split inside a string literal can only make a
-// cacheable script look uncacheable, never the reverse.
-func readOnlyScript(q string) bool {
-	for _, stmt := range strings.Split(q, ";") {
-		s := strings.TrimSpace(stmt)
-		if s == "" {
-			continue
-		}
-		switch strings.ToUpper(firstWord(s)) {
-		case "SELECT", "DECLARE":
-		default:
-			return false
-		}
-	}
-	return true
-}
-
-func firstWord(s string) string {
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if !(c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z') {
-			return s[:i]
-		}
-	}
-	return s
+	return sql.ClassifyScript(q) == sql.ScriptReadOnly
 }
 
 // resultKey extends the plan-cache key (SQL, options fingerprint,
@@ -146,21 +117,18 @@ func (db *DB) resultKey(q string, opts QueryOptions, allowParams bool, vars map[
 }
 
 // resultLookup consults the cache under singleflight. Outcomes:
-// (rows, true, nil, nil) — a hit, served without touching admission;
-// (nil, false, flight, nil) — a miss with leadership, the caller must
-// execute and settle the flight; (nil, false, nil, err) — ctx expired
-// while waiting on another caller's flight.
-func (db *DB) resultLookup(ctx context.Context, key string, opts QueryOptions, start time.Time) (*Rows, bool, *rescache.Flight[*resultEntry], error) {
+// (rows, nil, nil) — a hit, served without touching admission;
+// (nil, flight, nil) — a miss with leadership, the caller must execute
+// and settle the flight; (nil, nil, err) — ctx expired while waiting on
+// another caller's flight.
+func (db *DB) resultLookup(ctx context.Context, key string, opts QueryOptions, start time.Time) (*Rows, *rescache.Flight[*resultEntry], error) {
 	e, hit, fl, err := db.results.Do(ctx, key, db.resultEntryValid)
-	if err != nil {
-		return nil, false, nil, err
-	}
 	if !hit {
-		return nil, false, fl, nil
+		return nil, fl, err
 	}
 	db.noteResultHit(ctx, opts)
 	rows, err := newRows(ctx, &cachedBatchOp{schema: e.schema, batch: e.batch}, e.applied, time.Since(start), nil)
-	return rows, true, nil, err
+	return rows, nil, err
 }
 
 // noteResultHit attributes a cache hit to the call's tenant, mirroring
@@ -196,11 +164,6 @@ const maxTenantHitKeys = 128
 type ResultCacheInfo struct {
 	rescache.Stats
 	HitsByTenant map[string]uint64 `json:"hits_by_tenant,omitempty"`
-	// NegHits counts queries refused from the negative cache — repeat
-	// compile failures served without re-parsing; NegEntries is the
-	// number of remembered failures (each a short error string).
-	NegHits    uint64 `json:"neg_hits,omitempty"`
-	NegEntries int    `json:"neg_entries,omitempty"`
 }
 
 func (db *DB) resultCacheInfo() *ResultCacheInfo {
@@ -216,75 +179,7 @@ func (db *DB) resultCacheInfo() *ResultCacheInfo {
 		}
 	}
 	db.resHitMu.Unlock()
-	db.negMu.Lock()
-	info.NegHits = db.negHits
-	info.NegEntries = len(db.negCache)
-	db.negMu.Unlock()
 	return info
-}
-
-// negEntry is one remembered compile failure. The catalog version pins
-// its validity the same way resultEntryValid pins a positive entry's:
-// DDL or a model store may legitimately turn the error into a success,
-// so a stale-version entry never answers.
-type negEntry struct {
-	err     error
-	version uint64
-	until   time.Time
-}
-
-// negCacheTTL bounds how long a compile failure answers from memory.
-// Short on purpose: negative entries exist to absorb tight client retry
-// loops, not to make errors sticky. Tests may shorten it.
-var negCacheTTL = time.Second
-
-// maxNegEntries bounds the negative cache; at the cap an arbitrary
-// entry is evicted — with a 1s TTL the population self-cleans, the cap
-// only guards against a burst of distinct broken queries.
-const maxNegEntries = 256
-
-// negLookup answers a query from the negative cache: a non-nil return
-// is the remembered compile error, served before admission and before
-// the result-cache flight. Expired and stale-version entries are
-// dropped, not served.
-func (db *DB) negLookup(key string) error {
-	if db.results == nil || key == "" {
-		return nil
-	}
-	db.negMu.Lock()
-	defer db.negMu.Unlock()
-	e, ok := db.negCache[key]
-	if !ok {
-		return nil
-	}
-	if time.Now().After(e.until) || e.version != db.catalog.Version() {
-		delete(db.negCache, key)
-		return nil
-	}
-	db.negHits++
-	return e.err
-}
-
-// noteNegative remembers a compile failure under the query's result key.
-// Callers pass the key they looked up with (empty when the call was not
-// cache-eligible, which makes this a no-op) and the planFor error —
-// never execution or admission errors, which are transient.
-func (db *DB) noteNegative(key string, err error) {
-	if db.results == nil || key == "" || err == nil {
-		return
-	}
-	db.negMu.Lock()
-	defer db.negMu.Unlock()
-	if db.negCache == nil {
-		db.negCache = make(map[string]negEntry, maxNegEntries)
-	}
-	if _, ok := db.negCache[key]; !ok && len(db.negCache) >= maxNegEntries {
-		for k := range db.negCache {
-			delete(db.negCache, k)
-			break
-		}
-	}
-	db.negCache[key] = negEntry{err: err, version: db.catalog.Version(), until: time.Now().Add(negCacheTTL)}
 }
 
 // cachedBatchOp serves one cached batch as an operator so hits flow
@@ -358,7 +253,8 @@ func (db *DB) teeResult(op exec.Operator, fl *rescache.Flight[*resultEntry], tpl
 // the flight at end of stream: Commit on a complete, under-cap result;
 // Abandon the moment the accumulation crosses the per-entry cap;
 // Cancel on error or early close, releasing waiters to execute for
-// themselves.
+// themselves. A flight settles once and ignores every later call, so
+// Close need not know whether Next already settled it.
 type teeOp struct {
 	inner exec.Operator
 	fl    *rescache.Flight[*resultEntry]
@@ -369,7 +265,6 @@ type teeOp struct {
 
 	abandoned bool
 	eof       bool
-	settled   bool
 }
 
 func (t *teeOp) Schema() *types.Schema { return t.inner.Schema() }
@@ -388,14 +283,12 @@ func (t *teeOp) Next() (*types.Batch, error) {
 		if err := t.acc.Append(b); err != nil {
 			t.abandoned = true
 			t.acc = nil
-			t.settled = true
 			t.fl.Cancel()
 		} else {
 			t.size += batchBytes(b)
 			if t.size > t.cap {
 				t.abandoned = true
 				t.acc = nil
-				t.settled = true
 				t.fl.Abandon()
 			}
 		}
@@ -405,14 +298,11 @@ func (t *teeOp) Next() (*types.Batch, error) {
 
 func (t *teeOp) Close() error {
 	err := t.inner.Close()
-	if !t.settled {
-		t.settled = true
-		if t.eof && !t.abandoned {
-			t.entry.batch = t.acc
-			t.fl.Commit(t.entry, t.size)
-		} else {
-			t.fl.Cancel()
-		}
+	if t.eof && !t.abandoned {
+		t.entry.batch = t.acc
+		t.fl.Commit(t.entry, t.size)
+	} else {
+		t.fl.Cancel()
 	}
 	return err
 }

@@ -141,13 +141,13 @@ func TestDropTableSweepsCaches(t *testing.T) {
 	db := cacheTestDB(t, 1<<20)
 	const q = `SELECT id FROM t WHERE x > 2.0`
 	queryIDs(t, db, context.Background(), q) // warm plan + result caches
-	if db.plans.len() == 0 || db.results.Stats().Entries == 0 {
+	if db.plans.Stats().Entries == 0 || db.results.Stats().Entries == 0 {
 		t.Fatal("warm-up did not populate the caches")
 	}
 	if err := db.Exec(`DROP TABLE t`); err != nil {
 		t.Fatal(err)
 	}
-	if n := db.plans.len(); n != 0 {
+	if n := db.plans.Stats().Entries; n != 0 {
 		t.Fatalf("plan cache still holds %d entries after DROP TABLE", n)
 	}
 	if s := db.results.Stats(); s.Entries != 0 || s.Bytes != 0 {

@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"sync"
-	"time"
 
 	"raven/internal/ir"
 	"raven/internal/plan"
-	"raven/internal/rescache"
 	"raven/internal/types"
 )
 
@@ -156,73 +154,11 @@ func (s *Stmt) Query(params ...Param) (*Rows, error) {
 // a per-call clone, and cancellation reaches every operator and
 // predictor. Prepared executions pass through the same admission control
 // as ad-hoc queries (the slot is held until Rows.Close), so a fleet of
-// warm statements cannot oversubscribe the engine either.
+// warm statements cannot oversubscribe the engine either. The result
+// cache is keyed with the prepare-time variable snapshot (exactly what
+// template() compiles with) plus the call's parameter values.
 func (s *Stmt) QueryContext(ctx context.Context, params ...Param) (*Rows, error) {
-	start := time.Now()
-	db := s.db
-	// Result-cache lookup before admission, keyed with the prepare-time
-	// variable snapshot (exactly what template() compiles with) plus the
-	// call's parameter values. A hit costs zero scheduler slots.
-	var fl *rescache.Flight[*resultEntry]
-	var key string
-	if db.resultCacheEligible(ctx, s.opts, s.sql) {
-		key = db.resultKey(s.sql, s.opts, true, s.vars, params)
-		if nerr := db.negLookup(key); nerr != nil {
-			return nil, nerr
-		}
-		rows, hit, flight, err := db.resultLookup(ctx, key, s.opts, start)
-		if hit || err != nil {
-			return rows, err
-		}
-		fl = flight
-	}
-	release, err := db.admit(ctx, s.opts)
-	if err != nil {
-		fl.Cancel()
-		return nil, err
-	}
-	tpl, err := s.template()
-	if err != nil {
-		release()
-		fl.Cancel()
-		// A re-prepare failure is a compile error like any other: the
-		// catalog moved and the statement no longer binds.
-		db.noteNegative(key, err)
-		return nil, err
-	}
-	return db.executeTemplate(ctx, tpl, s.opts, params, release, start, fl)
-}
-
-// executeTemplate is the shared back half of every parameterized
-// execution path (Stmt.QueryContext, QueryContextParams): bind params
-// into a per-call clone, lower, stream. It owns release — and the
-// result-cache flight, when the caller is a leader — from the moment it
-// is called: every error path returns the admission slot and cancels
-// the flight (waking waiters to execute for themselves), success hands
-// both to the returned Rows via the tee.
-func (db *DB) executeTemplate(ctx context.Context, tpl *cachedPlan, opts QueryOptions, params []Param, release func(), start time.Time, fl *rescache.Flight[*resultEntry]) (*Rows, error) {
-	graph := tpl.graph
-	if len(tpl.params) > 0 || len(params) > 0 {
-		vals, err := paramValues(tpl.params, params)
-		if err != nil {
-			release()
-			fl.Cancel()
-			return nil, err
-		}
-		graph, err = bindGraphParams(graph, vals)
-		if err != nil {
-			release()
-			fl.Cancel()
-			return nil, err
-		}
-	}
-	op, err := db.lower(ctx, graph, tpl.sessionKey, opts)
-	if err != nil {
-		release()
-		fl.Cancel()
-		return nil, err
-	}
-	return leaderRows(ctx, db, op, fl, tpl, start, release)
+	return s.db.run(ctx, s.sql, s.opts, s.vars, true, params, s.template)
 }
 
 // QueryContextParams is the ad-hoc parameterized query surface: like
@@ -234,34 +170,8 @@ func (db *DB) executeTemplate(ctx context.Context, tpl *cachedPlan, opts QueryOp
 // bursts of parameterized SQL. Side-effecting statements are rejected,
 // exactly as in Prepare.
 func (db *DB) QueryContextParams(ctx context.Context, q string, opts QueryOptions, params ...Param) (*Rows, error) {
-	start := time.Now()
 	vars := db.varsSnapshot()
-	var fl *rescache.Flight[*resultEntry]
-	var key string
-	if db.resultCacheEligible(ctx, opts, q) {
-		key = db.resultKey(q, opts, true, vars, params)
-		if nerr := db.negLookup(key); nerr != nil {
-			return nil, nerr
-		}
-		rows, hit, flight, err := db.resultLookup(ctx, key, opts, start)
-		if hit || err != nil {
-			return rows, err
-		}
-		fl = flight
-	}
-	release, err := db.admit(ctx, opts)
-	if err != nil {
-		fl.Cancel()
-		return nil, err
-	}
-	tpl, err := db.planFor(q, opts, vars, true)
-	if err != nil {
-		release()
-		fl.Cancel()
-		db.noteNegative(key, err)
-		return nil, err
-	}
-	return db.executeTemplate(ctx, tpl, opts, params, release, start, fl)
+	return db.run(ctx, q, opts, vars, true, params, func() (*cachedPlan, error) { return db.planFor(q, opts, vars, true) })
 }
 
 // paramValues validates the supplied params against the declared set:
