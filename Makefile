@@ -5,7 +5,7 @@ COVER_FLOOR ?= 70
 # Ceiling for `make loc` (non-test Go lines, benchmark/ excluded): the
 # current total rounded up to the next 50. ROADMAP aim 2 says the number
 # goes down; a PR that lowers it lowers this with it.
-LOC_CEILING ?= 28850
+LOC_CEILING ?= 28700
 
 .PHONY: all build test test-benchmark race vet fmt-check bench bench-micro cover smoke loc ci
 
@@ -64,10 +64,11 @@ smoke:
 bench:
 	$(GO) run ./cmd/ravenbench -quick
 
-# bench-micro runs the data-plane micro-benchmarks (typed kernels, vector
-# pooling, gather) with allocation reporting.
+# bench-micro runs the micro-benchmarks with allocation reporting: the
+# data plane (typed kernels, vector pooling, gather) and, beside the
+# selection-pushdown rule, selective PREDICT queries end to end.
 bench-micro:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/types ./internal/expr
+	$(GO) test -run='^$$' -bench=. -benchmem ./internal/types ./internal/expr ./internal/xopt
 
 # loc prints non-test Go lines per package, benchmark/ excluded — the
 # number ROADMAP aim 2 tracks — and fails above LOC_CEILING. It also

@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"raven"
@@ -30,26 +31,33 @@ FROM PREDICT(MODEL = @model, DATA = data AS d)
 WITH (length_of_stay FLOAT) AS p
 WHERE d.pregnant = 1 AND p.length_of_stay > 0.5`
 
-func main() {
-	rows := flag.Int("rows", 10000, "rows per generated table")
-	query := flag.String("query", runningExample, "inference query to explain")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ravenexplain", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	rows := fs.Int("rows", 10000, "rows per generated table")
+	query := fs.String("query", runningExample, "inference query to explain")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 
 	db := raven.MustOpen()
 	h, err := data.GenHospital(db.Catalog(), *rows, 4000, 42)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	tree := train.FitTree(h.TrainX, h.TrainY, train.TreeOptions{MaxDepth: 5, MinLeaf: 20})
 	if err := db.StoreModel("duration_of_stay", &ml.Pipeline{Final: tree, InputColumns: h.FeatureCols}); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	out, err := db.Explain(*query, raven.DefaultQueryOptions())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	fmt.Println(out)
+	fmt.Fprintln(stdout, out)
+	return 0
 }

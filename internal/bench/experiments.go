@@ -382,7 +382,7 @@ func Fig2d(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		// GPU: results computed on host; report the device-model charged
-		// time (simulated accelerator — see DESIGN.md).
+		// time (ort.GPUProvider: a priced model, not a measurement).
 		var charged time.Duration
 		_, st, err := gpuSess.Run(map[string]*tensor.Tensor{"X": xt})
 		if err != nil {

@@ -224,20 +224,6 @@ func (rt *Router) AddMember(name, base string) error {
 	return nil
 }
 
-// RemoveMember drops a replica from the desired set. In-flight queries
-// on it finish; nothing new routes there.
-func (rt *Router) RemoveMember(name string) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	delete(rt.members, name)
-	for i, n := range rt.names {
-		if n == name {
-			rt.names = append(rt.names[:i], rt.names[i+1:]...)
-			break
-		}
-	}
-}
-
 // snapshotMembers returns the registered members in name order.
 func (rt *Router) snapshotMembers() []*member {
 	rt.mu.Lock()

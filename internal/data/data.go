@@ -300,88 +300,3 @@ func GenFlightsCategorical(cat *storage.Catalog, n int, nDest, nCarrier int, tra
 }
 
 func exp(x float64) float64 { return math.Exp(x) }
-
-// GenFlightsClustered creates a wide feature table with latent group
-// structure: rows belong to one of `groups` fleets/route-clusters, and
-// within a group the first `fixedPerGroup` features are constant (the
-// one-hot encodings of that group's airport/carrier). K-means recovers the
-// groups, letting model clustering precompile narrower per-cluster models
-// (§4.1, Fig 2(b)).
-func GenFlightsClustered(cat *storage.Catalog, n, d, groups, fixedPerGroup, trainN int, seed int64) (*Flights, error) {
-	if fixedPerGroup > d {
-		return nil, fmt.Errorf("data: fixedPerGroup %d > d %d", fixedPerGroup, d)
-	}
-	rng := rand.New(rand.NewSource(seed))
-	cols := make([]types.Column, 0, d+1)
-	cols = append(cols, types.Column{Name: "id", Type: types.Int})
-	featureCols := make([]string, d)
-	for j := 0; j < d; j++ {
-		featureCols[j] = fmt.Sprintf("f%d", j)
-		cols = append(cols, types.Column{Name: featureCols[j], Type: types.Float})
-	}
-	tb := storage.NewTable("flights_clustered", types.NewSchema(cols...))
-
-	// group signatures: well-separated constant patterns
-	sig := make([][]float64, groups)
-	for g := range sig {
-		sig[g] = make([]float64, fixedPerGroup)
-		for j := range sig[g] {
-			// indicator-style values, separated by group id
-			sig[g][j] = float64((g >> (j % 5)) & 1 * 10)
-			if j == 0 {
-				sig[g][j] = float64(g) * 20 // strong separation feature
-			}
-		}
-	}
-	w := make([]float64, d)
-	for j := range w {
-		w[j] = rng.NormFloat64() * 0.3
-	}
-	genRow := func(rng *rand.Rand, out []float64) int {
-		g := rng.Intn(groups)
-		copy(out[:fixedPerGroup], sig[g])
-		for j := fixedPerGroup; j < d; j++ {
-			out[j] = rng.NormFloat64()
-		}
-		return g
-	}
-	label := func(f []float64, rng *rand.Rand) float64 {
-		z := 0.0
-		for j, x := range f {
-			z += w[j] * x
-		}
-		if 1/(1+exp(-z)) > rng.Float64() {
-			return 1
-		}
-		return 0
-	}
-	row := make([]float64, d)
-	vals := make([]any, d+1)
-	for i := 0; i < n; i++ {
-		genRow(rng, row)
-		vals[0] = int64(i)
-		for j, x := range row {
-			vals[j+1] = x
-		}
-		if err := tb.AppendRow(vals...); err != nil {
-			return nil, err
-		}
-	}
-	if err := cat.AddTable(tb); err != nil {
-		return nil, err
-	}
-	cat.SetUniqueKey(tb.Name, "id")
-
-	trainRng := rand.New(rand.NewSource(seed + 1))
-	tx := make([]float64, trainN*d)
-	ty := make([]float64, trainN)
-	for i := 0; i < trainN; i++ {
-		genRow(trainRng, tx[i*d:(i+1)*d])
-		ty[i] = label(tx[i*d:(i+1)*d], trainRng)
-	}
-	return &Flights{
-		FeatureCols: featureCols,
-		TrainX:      ml.Matrix{Data: tx, Rows: trainN, Cols: d},
-		TrainY:      ty,
-	}, nil
-}

@@ -73,15 +73,10 @@ func findPredict(p plan.Node) (*plan.Predict, plan.Node) {
 	}
 	switch p.(type) {
 	case *plan.Filter, *plan.Project, *plan.Sort, *plan.Limit, *plan.Distinct, *plan.Aggregate:
-		child := p.Children()[0]
-		pr, above := findPredict(child)
-		if pr == nil {
-			return nil, nil
-		}
-		if above == nil {
+		if pr, _ := findPredict(p.Children()[0]); pr != nil {
 			return pr, p
 		}
-		return pr, p
+		return nil, nil
 	default:
 		return nil, nil
 	}

@@ -12,7 +12,7 @@ import (
 // provider executes them on the CPU for correctness but *prices* them with
 // an analytic device model (launch latency, compute throughput, memory
 // bandwidth), reproducing the shape of hardware-accelerated scoring without
-// hardware (see DESIGN.md §3, GPU substitution).
+// hardware: RunStats.Wall is measured, RunStats.Charged is modelled.
 type Provider interface {
 	Name() string
 	// Threads is the intra-op parallelism granted to kernels.

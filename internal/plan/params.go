@@ -50,6 +50,28 @@ func nodeExprs(n Node) []expr.Expr {
 	}
 }
 
+// ReferencedColumns lists, with repeats, the columns the fragment rooted
+// at n reads from its input: every expression's columns, sort keys and
+// group keys.
+func ReferencedColumns(n Node) []string {
+	var out []string
+	for _, e := range nodeExprs(n) {
+		out = append(out, expr.Columns(e)...)
+	}
+	switch x := n.(type) {
+	case *Sort:
+		for _, k := range x.Keys {
+			out = append(out, k.Col)
+		}
+	case *Aggregate:
+		out = append(out, x.GroupBy...)
+	}
+	for _, c := range n.Children() {
+		out = append(out, ReferencedColumns(c)...)
+	}
+	return out
+}
+
 // BindParams returns the plan with every parameter replaced by a literal
 // whose type is inferred from its value in vals (expr.LiteralFromString).
 // Nodes containing parameters (and their ancestors) are shallow-cloned so

@@ -1,8 +1,10 @@
 // Package relopt implements the standard relational optimizations the
 // paper leans on (§2 "standard DB optimizations"): predicate pushdown
-// (through joins and below PREDICT), projection pushdown / column pruning
-// into scans, join elimination on unique keys, filter merging and
-// constant folding. The cross optimizer invokes these after its
+// through joins, projection pushdown / column pruning into scans, join
+// elimination on unique keys, filter merging and constant folding. It
+// sees purely relational plans: the cross optimizer (package xopt) cuts
+// the query at PREDICT, moves the selections that may cross it into the
+// fragment below, and invokes these rules on that fragment after its
 // model-driven rewrites (e.g. dropped features enable join elimination).
 package relopt
 
@@ -19,9 +21,6 @@ import (
 // Optimizer rewrites logical plans.
 type Optimizer struct {
 	Catalog *storage.Catalog
-	// ModelInputs resolves the input columns a PREDICT node consumes, so
-	// column pruning keeps them. nil treats PREDICT as needing everything.
-	ModelInputs func(modelName string) ([]string, error)
 	// AssumeRI allows join elimination on declared unique keys assuming
 	// referential integrity (every probe row matches exactly one build
 	// row). The synthetic generators guarantee this.
@@ -89,9 +88,7 @@ func subset(cols []string, set map[string]bool) bool {
 }
 
 // pushFilters moves filter conjuncts as close to the scans as legality
-// allows: through joins (side-wise), below PREDICT when the conjunct does
-// not reference prediction outputs, and below per-row projections that
-// simply rename columns.
+// allows: through joins, side-wise, and across an equi-join's keys.
 func (o *Optimizer) pushFilters(n plan.Node) (plan.Node, bool, error) {
 	changed := false
 	// recurse first
@@ -126,12 +123,16 @@ func (o *Optimizer) pushFilters(n plan.Node) (plan.Node, bool, error) {
 				// on the left join key holds for the right key too, so the
 				// build side can filter before hashing.
 				if len(cols) == 1 && strings.EqualFold(cols[0], child.LeftCol) {
-					rightPush = append(rightPush, renameColumn(c, child.LeftCol, child.RightCol))
+					if r, ok := renameColumn(c, child.LeftCol, child.RightCol); ok {
+						rightPush = append(rightPush, r)
+					}
 				}
 			case subset(cols, rightCols):
 				rightPush = append(rightPush, c)
 				if len(cols) == 1 && strings.EqualFold(cols[0], child.RightCol) {
-					leftPush = append(leftPush, renameColumn(c, child.RightCol, child.LeftCol))
+					if r, ok := renameColumn(c, child.RightCol, child.LeftCol); ok {
+						leftPush = append(leftPush, r)
+					}
 				}
 			default:
 				kept = append(kept, c)
@@ -153,35 +154,6 @@ func (o *Optimizer) pushFilters(n plan.Node) (plan.Node, bool, error) {
 		}
 		return f, changed, nil
 
-	case *plan.Predict:
-		outCols := make(map[string]bool)
-		for _, c := range child.OutputCols {
-			outCols[strings.ToLower(c.Name)] = true
-		}
-		var push []expr.Expr
-		for _, c := range conjuncts {
-			refsOutput := false
-			for _, col := range expr.Columns(c) {
-				if outCols[col] {
-					refsOutput = true
-					break
-				}
-			}
-			if refsOutput {
-				kept = append(kept, c)
-			} else {
-				push = append(push, c)
-			}
-		}
-		if len(push) == 0 {
-			return f, changed, nil
-		}
-		child.SetChild(0, &plan.Filter{Child: child.Children()[0], Pred: expr.And(push)})
-		if len(kept) == 0 {
-			return child, true, nil
-		}
-		return &plan.Filter{Child: child, Pred: expr.And(kept)}, true, nil
-
 	case *plan.Filter:
 		// merge immediately-adjacent filters so later passes see one
 		merged := &plan.Filter{Child: child.Child, Pred: expr.NewBinary(expr.OpAnd, child.Pred, f.Pred)}
@@ -193,20 +165,40 @@ func (o *Optimizer) pushFilters(n plan.Node) (plan.Node, bool, error) {
 }
 
 // renameColumn returns e with every reference to column `from` replaced by
-// `to` (used for transitive join-key predicate propagation).
-func renameColumn(e expr.Expr, from, to string) expr.Expr {
+// `to` (used for transitive join-key predicate propagation). It reports
+// false when e holds a node type it does not know how to rewrite: a
+// reference it could not see must not reach the other side under the
+// wrong name, so the caller keeps such a conjunct on its own side only.
+func renameColumn(e expr.Expr, from, to string) (expr.Expr, bool) {
+	ok := true
+	sub := func(e expr.Expr) expr.Expr {
+		r, rok := renameColumn(e, from, to)
+		ok = ok && rok
+		return r
+	}
 	switch x := e.(type) {
 	case *expr.Column:
 		if strings.EqualFold(x.BareName(), from) {
-			return &expr.Column{Name: to}
+			return &expr.Column{Name: to}, true
 		}
-		return x
+		return x, true
+	case *expr.Literal, *expr.Param:
+		return e, true
 	case *expr.Binary:
-		return expr.NewBinary(x.Op, renameColumn(x.L, from, to), renameColumn(x.R, from, to))
+		return expr.NewBinary(x.Op, sub(x.L), sub(x.R)), ok
 	case *expr.Not:
-		return &expr.Not{E: renameColumn(x.E, from, to)}
+		return &expr.Not{E: sub(x.E)}, ok
+	case *expr.Case:
+		out := &expr.Case{Whens: make([]expr.When, len(x.Whens))}
+		for i, w := range x.Whens {
+			out.Whens[i] = expr.When{Cond: sub(w.Cond), Then: sub(w.Then)}
+		}
+		if x.Else != nil {
+			out.Else = sub(x.Else)
+		}
+		return out, ok
 	default:
-		return e
+		return nil, false
 	}
 }
 
@@ -297,37 +289,6 @@ func (o *Optimizer) prune(n plan.Node, required []string) (plan.Node, error) {
 			return nil, err
 		}
 		x.Child = child
-		return x, nil
-
-	case *plan.Predict:
-		need := append([]string(nil), required...)
-		if o.ModelInputs != nil {
-			ins, err := o.ModelInputs(x.ModelName)
-			if err != nil {
-				return nil, err
-			}
-			need = append(need, ins...)
-		} else {
-			for _, c := range x.Child.Schema().Columns {
-				need = append(need, c.Name)
-			}
-		}
-		// prediction outputs are produced here, not consumed below
-		outSet := make(map[string]bool)
-		for _, c := range x.OutputCols {
-			outSet[strings.ToLower(c.Name)] = true
-		}
-		var childNeed []string
-		for _, c := range need {
-			if !outSet[strings.ToLower(c)] {
-				childNeed = append(childNeed, c)
-			}
-		}
-		child, err := o.prune(x.Child, childNeed)
-		if err != nil {
-			return nil, err
-		}
-		x.SetChild(0, child)
 		return x, nil
 
 	case *plan.Join:

@@ -77,31 +77,6 @@ func TestPredicatePushdownThroughJoin(t *testing.T) {
 	}
 }
 
-func TestPredicatePushdownBelowPredict(t *testing.T) {
-	cat := hospitalCatalog(t)
-	tb, _ := cat.Table("patient_info")
-	scan := plan.NewScan(tb)
-	pr := plan.NewPredict(scan, "m", []types.Column{{Name: "score", Type: types.Float}})
-	pred := expr.And([]expr.Expr{
-		expr.NewBinary(expr.OpEq, &expr.Column{Name: "pregnant"}, expr.IntLit(1)),
-		expr.NewBinary(expr.OpGt, &expr.Column{Name: "score"}, expr.FloatLit(7)),
-	})
-	root := &plan.Filter{Child: pr, Pred: pred}
-	o := &Optimizer{Catalog: cat, AssumeRI: true}
-	opt, err := o.Optimize(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := plan.Explain(opt)
-	// score predicate stays above Predict; pregnant predicate goes below.
-	iPredict := strings.Index(s, "Predict")
-	iScore := strings.Index(s, "score")
-	iPreg := strings.Index(s, "pregnant")
-	if iScore > iPredict || iPreg < iPredict {
-		t.Errorf("pushdown wrong:\n%s", s)
-	}
-}
-
 func TestColumnPruningIntoScan(t *testing.T) {
 	cat := hospitalCatalog(t)
 	p := bindQ(t, cat, "SELECT age FROM patient_info WHERE pregnant = 1")
@@ -166,31 +141,6 @@ func TestConstantFoldingDropsTrueFilter(t *testing.T) {
 	}
 }
 
-func TestModelInputsKeptByPruning(t *testing.T) {
-	cat := hospitalCatalog(t)
-	tb, _ := cat.Table("patient_info")
-	pr := plan.NewPredict(plan.NewScan(tb), "m", []types.Column{{Name: "score", Type: types.Float}})
-	proj, err := plan.NewProject(pr, []expr.Expr{&expr.Column{Name: "score"}}, []string{"score"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := &Optimizer{
-		Catalog:  cat,
-		AssumeRI: true,
-		ModelInputs: func(name string) ([]string, error) {
-			return []string{"age", "pregnant"}, nil
-		},
-	}
-	opt, err := o.Optimize(proj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := plan.Explain(opt)
-	if !strings.Contains(s, "cols=[age,pregnant]") {
-		t.Errorf("model inputs not preserved by pruning:\n%s", s)
-	}
-}
-
 func TestOptimizedPlanStillBindsSchemas(t *testing.T) {
 	cat := hospitalCatalog(t)
 	p := bindQ(t, cat, `SELECT pi.age, bt.bp FROM patient_info AS pi
@@ -203,5 +153,30 @@ func TestOptimizedPlanStillBindsSchemas(t *testing.T) {
 	sch := opt.Schema()
 	if sch.Len() != 2 || sch.IndexOf("age") < 0 || sch.IndexOf("bp") < 0 {
 		t.Errorf("schema broken after optimize: %v", sch)
+	}
+}
+
+// opaqueExpr is a node type renameColumn has never heard of.
+type opaqueExpr struct{ expr.Expr }
+
+// TestRenameColumnTotalOrRefuses: the rename behind transitive join-key
+// propagation reaches every column reference expr.Columns can see — CASE
+// arms included — and refuses an expression holding a node it does not
+// know instead of passing its references through unrenamed.
+func TestRenameColumnTotalOrRefuses(t *testing.T) {
+	k := &expr.Column{Name: "a.k"}
+	e := expr.NewBinary(expr.OpEq, &expr.Case{
+		Whens: []expr.When{{Cond: expr.NewBinary(expr.OpGt, k, &expr.Param{Name: "p"}), Then: k}},
+		Else:  &expr.Not{E: expr.NewBinary(expr.OpLt, k, expr.IntLit(3))},
+	}, expr.IntLit(1))
+	got, ok := renameColumn(e, "k", "fk")
+	if !ok || got.String() != "(CASE WHEN (fk > @p) THEN fk ELSE (NOT (fk < 3)) END = 1)" {
+		t.Errorf("renamed = %v (ok=%v)", got, ok)
+	}
+	if e.String() != "(CASE WHEN (a.k > @p) THEN a.k ELSE (NOT (a.k < 3)) END = 1)" {
+		t.Errorf("input mutated: %v", e)
+	}
+	if _, ok := renameColumn(expr.NewBinary(expr.OpEq, opaqueExpr{k}, expr.IntLit(1)), "k", "fk"); ok {
+		t.Error("an unknown node type was passed through as if it held no column")
 	}
 }

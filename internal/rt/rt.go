@@ -246,15 +246,6 @@ func (r *Runtime) NNPredictor(cacheKey string, p *ml.Pipeline, outType types.Dat
 	return &SessionPredictor{Session: s, InputCols: p.InputColumns, OutType: outType}, nil
 }
 
-// GraphPredictor wraps a prebuilt LA graph (from the cross optimizer).
-func (r *Runtime) GraphPredictor(cacheKey string, g *ort.Graph, inputCols []string, outType types.DataType) (*SessionPredictor, error) {
-	s, err := r.BuildSession(cacheKey, g)
-	if err != nil {
-		return nil, err
-	}
-	return &SessionPredictor{Session: s, InputCols: inputCols, OutType: outType}, nil
-}
-
 // ContextPredictor makes any predictor observe query cancellation: each
 // PredictBatch first polls the context, so a cancelled query stops scoring
 // at batch granularity even when the wrapped runtime knows nothing about

@@ -331,12 +331,6 @@ type StatsResponse struct {
 
 // ---- handlers ----
 
-// statusFor maps an engine error to its HTTP status through the shared
-// front-end error table (reqopt.Classify) — the same table pgwire maps
-// to SQLSTATEs, so the two protocols cannot classify one error
-// differently.
-func statusFor(err error) int { return reqopt.HTTPStatus(err) }
-
 func writeError(w http.ResponseWriter, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	cl := reqopt.Classify(err)

@@ -382,15 +382,6 @@ func (v *Vector) Append(val any) error {
 // AppendFloats bulk-appends xs to a FLOAT vector.
 func (v *Vector) AppendFloats(xs []float64) { v.Floats = append(v.Floats, xs...) }
 
-// AppendInts bulk-appends xs to an INT vector.
-func (v *Vector) AppendInts(xs []int64) { v.Ints = append(v.Ints, xs...) }
-
-// AppendBools bulk-appends xs to a BOOL vector.
-func (v *Vector) AppendBools(xs []bool) { v.Bools = append(v.Bools, xs...) }
-
-// AppendStrings bulk-appends xs to a VARCHAR vector.
-func (v *Vector) AppendStrings(xs []string) { v.Strings = append(v.Strings, xs...) }
-
 // resize returns s with length n, reusing capacity when possible. The
 // exposed values are unspecified.
 func resize[T any](s []T, n int) []T {

@@ -1,7 +1,7 @@
 // Package xopt is Raven's Cross Optimizer (paper §4): transformation rules
 // over the unified IR that pass information between data and ML operators
-// (predicate-based model pruning, model-projection pushdown, model
-// clustering) and operator transformations (model inlining to SQL CASE,
+// (selection pushdown below PREDICT, predicate-based model pruning,
+// model-projection pushdown, model clustering) and operator transformations (model inlining to SQL CASE,
 // NN translation to tensor graphs, model/query splitting), followed by
 // standard relational optimization and engine placement. The initial
 // optimizer is heuristic, applying rules in a fixed order (§4.3).
@@ -26,9 +26,10 @@ type columnFacts struct {
 }
 
 // gatherFacts walks the IR collecting predicates that constrain rows
-// flowing into the ML stage: filters in the source plan and filters in the
-// sink that reference only source columns (those also hold for every row
-// scored, because the sink only drops rows).
+// flowing into the ML stage: filters in the source plan — where selection
+// pushdown has already put the WHERE conjuncts that could cross the model
+// — and whatever the sink still filters on source columns (a conjunct
+// above a UDF, or a graph optimized without that rule).
 //
 // Sink filters constrain the rows that *survive*; they are still sound for
 // model pruning only when the prediction of dropped rows is irrelevant —
@@ -64,8 +65,8 @@ func gatherFacts(g *ir.Graph, useStats bool) *columnFacts {
 			}
 		})
 	}
-	// Sink filters on source columns: conjuncts referencing prediction
-	// outputs are skipped (handled by relopt pushdown anyway).
+	// Sink filters on source columns: a conjunct referencing a prediction
+	// output says nothing about the model's inputs and is skipped.
 	if sink := g.SinkRel(); sink != nil {
 		outCols := predictionColumns(g)
 		walkPlan(sink.Plan, func(n plan.Node) {

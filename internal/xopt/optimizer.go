@@ -1,15 +1,16 @@
 package xopt
 
 import (
-	"raven/internal/expr"
 	"raven/internal/ir"
 	"raven/internal/plan"
 	"raven/internal/relopt"
+	"raven/internal/types"
 )
 
 // Options selects which rules run. The zero value disables everything;
 // DefaultOptions enables the paper's standard set.
 type Options struct {
+	SelectionPushdown       bool // WHERE conjuncts on data columns cross PREDICT
 	PredicateModelPruning   bool
 	UseDataStatistics       bool // derive predicates from table stats (§4.1)
 	ModelProjectionPushdown bool
@@ -29,6 +30,7 @@ type Options struct {
 // trees, so both default on and the driver prefers inlining when it fires.
 func DefaultOptions(ro *relopt.Optimizer) Options {
 	return Options{
+		SelectionPushdown:       true,
 		PredicateModelPruning:   true,
 		ModelProjectionPushdown: true,
 		ModelInlining:           true,
@@ -60,7 +62,16 @@ func Optimize(g *ir.Graph, opts Options) (*Result, error) {
 		return nil
 	}
 
-	// 1. Cross-IR information passing.
+	// 1. Cross-IR information passing. Selections cross first, while the
+	// graph is still source ← transforms ← model ← sink: the model rules
+	// then see the filters where the relational pass will find them.
+	if opts.SelectionPushdown {
+		if err := apply("selection-pushdown", func() (bool, error) {
+			return ruleSelectionPushdown(g)
+		}); err != nil {
+			return nil, err
+		}
+	}
 	if opts.PredicateModelPruning {
 		if err := apply("predicate-based-model-pruning", func() (bool, error) {
 			return rulePredicateModelPruning(g, opts.UseDataStatistics)
@@ -122,40 +133,16 @@ func Optimize(g *ir.Graph, opts Options) (*Result, error) {
 }
 
 // optimizeSourcePlan runs the relational optimizer over the source plan
-// with the model's (possibly narrowed) input columns as the required set.
+// with the columns the rest of the graph reads — the model's (possibly
+// narrowed) inputs, and whatever the fragments above reference, e.g.
+// SELECT d.id — as the required set.
 func optimizeSourcePlan(g *ir.Graph, ro *relopt.Optimizer) (bool, error) {
 	src, ok := g.Source().(*ir.RelNode)
 	if !ok {
 		return false, nil
 	}
-	inputs := modelInputColumns(g)
-	saved := ro.ModelInputs
-	if inputs != nil {
-		ro.ModelInputs = func(string) ([]string, error) { return inputs, nil }
-	}
-	defer func() { ro.ModelInputs = saved }()
-
 	before := plan.Explain(src.Plan)
-	// Wrap with a synthetic Predict so pruning keeps the model inputs; we
-	// instead call prune directly via a projection-preserving trick: the
-	// optimizer prunes to the root schema, so temporarily cap the plan
-	// with a projection of needed columns when inputs are known.
-	needed := inputs
-	if needed == nil {
-		// No ML stage (e.g. after model inlining): the columns the middle
-		// and sink RA fragments reference are what the source must keep.
-		needed = middleReferencedColumns(g)
-	}
-	if needed == nil {
-		for _, c := range src.Plan.Schema().Columns {
-			needed = append(needed, c.Name)
-		}
-	} else {
-		// prediction consumers above may reference extra columns (e.g.
-		// SELECT d.id): keep every column the sink references too.
-		needed = append(needed, sinkReferencedColumns(g)...)
-	}
-	opt, err := ro.OptimizeFor(src.Plan, needed)
+	opt, err := ro.OptimizeFor(src.Plan, columnsReadAbove(g, src, src.Plan.Schema()))
 	if err != nil {
 		return false, err
 	}
@@ -163,112 +150,36 @@ func optimizeSourcePlan(g *ir.Graph, ro *relopt.Optimizer) (bool, error) {
 	return plan.Explain(opt) != before, nil
 }
 
-// modelInputColumns returns the columns the ML stage consumes, or nil when
-// there is no ML stage.
-func modelInputColumns(g *ir.Graph) []string {
-	for _, n := range g.Chain() {
+// columnsReadAbove returns the columns of below's output (schema out) that
+// the nodes above it read: what relational fragments reference and what
+// models, tensor graphs and split conditions consume. Names are matched
+// across fragments without tracking renames, which can only keep a column
+// too many. When nothing sits above below, or a UDF does — it is opaque
+// and may read anything — every column is needed.
+func columnsReadAbove(g *ir.Graph, below ir.Node, out *types.Schema) []string {
+	chain := g.Chain()
+	for len(chain) > 0 && chain[0] != below {
+		chain = chain[1:]
+	}
+	if len(chain) < 2 {
+		return out.Names()
+	}
+	var cols []string
+	for _, n := range chain[1:] {
 		switch x := n.(type) {
+		case *ir.RelNode:
+			cols = append(cols, plan.ReferencedColumns(x.Plan)...)
 		case *ir.ModelNode:
-			return x.InputCols
+			cols = append(cols, x.InputCols...)
 		case *ir.LANode:
-			return x.InputCols
+			cols = append(cols, x.InputCols...)
 		case *ir.SplitNode:
-			cols := map[string]bool{x.CondCol: true}
-			var out []string
-			for c := range cols {
-				out = append(out, c)
-			}
-			if m, ok := x.Left.(*ir.ModelNode); ok {
-				out = append(out, m.InputCols...)
-			}
-			if m, ok := x.Right.(*ir.ModelNode); ok {
-				out = append(out, m.InputCols...)
-			}
-			return out
+			cols = append(cols, x.CondCol)
+		case *ir.UDFNode:
+			return out.Names()
 		}
 	}
-	return nil
-}
-
-// middleReferencedColumns collects the columns referenced by RA fragments
-// between source and root (e.g. an inlined CASE projection). It returns
-// nil when there are no such fragments.
-func middleReferencedColumns(g *ir.Graph) []string {
-	src := g.Source()
-	seen := make(map[string]bool)
-	found := false
-	for _, n := range g.Chain() {
-		rn, ok := n.(*ir.RelNode)
-		if !ok || rn == src || rn.In == nil {
-			continue
-		}
-		found = true
-		walkPlan(rn.Plan, func(p plan.Node) {
-			switch x := p.(type) {
-			case *plan.Filter:
-				for _, c := range expr.Columns(x.Pred) {
-					seen[c] = true
-				}
-			case *plan.Project:
-				for _, e := range x.Exprs {
-					for _, c := range expr.Columns(e) {
-						seen[c] = true
-					}
-				}
-			}
-		})
-	}
-	if !found {
-		return nil
-	}
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	return out
-}
-
-// sinkReferencedColumns collects the source columns the sink plan touches.
-func sinkReferencedColumns(g *ir.Graph) []string {
-	sink := g.SinkRel()
-	if sink == nil {
-		return nil
-	}
-	seen := make(map[string]bool)
-	walkPlan(sink.Plan, func(n plan.Node) {
-		switch x := n.(type) {
-		case *plan.Filter:
-			for _, c := range expr.Columns(x.Pred) {
-				seen[c] = true
-			}
-		case *plan.Project:
-			for _, e := range x.Exprs {
-				for _, c := range expr.Columns(e) {
-					seen[c] = true
-				}
-			}
-		case *plan.Sort:
-			for _, k := range x.Keys {
-				seen[k.Col] = true
-			}
-		case *plan.Aggregate:
-			for _, gc := range x.GroupBy {
-				seen[gc] = true
-			}
-			for _, a := range x.Aggs {
-				if a.Arg != nil {
-					for _, c := range expr.Columns(a.Arg) {
-						seen[c] = true
-					}
-				}
-			}
-		}
-	})
-	out := make([]string, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	return out
+	return cols
 }
 
 func placeEngines(g *ir.Graph) {

@@ -37,6 +37,87 @@ func stepTransformers(steps []*ir.TransformNode) []ml.Transformer {
 	return out
 }
 
+// ruleSelectionPushdown moves WHERE conjuncts across the ML operator: a
+// conjunct sitting directly above a fragment's Input that reads only
+// columns of the relational fragment feeding the model becomes a filter
+// on top of that fragment's plan, and the relational pass pushes it on
+// through the joins onto the scans. Scoring is row-wise and deterministic, so exactly the
+// rows the original plan returned are scored and returned; the rest are
+// never joined or scored. It crosses only transforms and models — a UDF
+// is opaque — and one stage at a time: under stacked PREDICTs a conjunct
+// lands on top of the user-written fragment between them, which may
+// rename or drop the column, and goes no further. Conjuncts on a
+// prediction output, ORs mixing both sides and filters over a LIMIT or
+// an aggregate stay where they are.
+func ruleSelectionPushdown(g *ir.Graph) (bool, error) {
+	moved := false
+	for _, n := range g.Chain() {
+		if rn, ok := n.(*ir.RelNode); ok && rn.In != nil && pushSelections(g, rn) {
+			moved = true
+		}
+	}
+	return moved, nil
+}
+
+func pushSelections(g *ir.Graph, rn *ir.RelNode) bool {
+	var below *ir.RelNode
+	scored := make(map[string]bool)
+	for n := rn.In; below == nil; n = n.Input() {
+		switch x := n.(type) {
+		case *ir.TransformNode:
+		case *ir.ModelNode:
+			scored[strings.ToLower(x.OutputCol.Name)] = true
+		case *ir.RelNode:
+			below = x
+		default:
+			return false
+		}
+	}
+	var parent plan.Node
+	cur := rn.Plan
+	for {
+		kids := cur.Children()
+		if len(kids) != 1 {
+			return false
+		}
+		if _, leaf := kids[0].(*plan.Input); leaf {
+			break
+		}
+		parent, cur = cur, kids[0]
+	}
+	f, ok := cur.(*plan.Filter)
+	if !ok {
+		return false
+	}
+	var move, keep []expr.Expr
+	for _, c := range expr.Conjuncts(f.Pred) {
+		crosses := true
+		for _, col := range expr.Columns(c) {
+			if scored[col] || below.Plan.Schema().IndexOf(col) < 0 {
+				crosses = false
+			}
+		}
+		if crosses {
+			move = append(move, c)
+		} else {
+			keep = append(keep, c)
+		}
+	}
+	if len(move) == 0 {
+		return false
+	}
+	below.Plan = &plan.Filter{Child: below.Plan, Pred: expr.And(move)}
+	switch {
+	case len(keep) > 0:
+		f.Pred = expr.And(keep)
+	case parent != nil:
+		parent.SetChild(0, f.Child)
+	default:
+		replaceInput(g, rn, rn.In) // the fragment was only the filter
+	}
+	return true
+}
+
 // rulePredicateModelPruning implements §4.1 predicate-based model pruning:
 // derive row constraints from predicates (and optionally statistics), map
 // them into feature space, and specialize the model — cutting dead tree
@@ -365,19 +446,13 @@ func ruleModelInlining(g *ir.Graph) (bool, error) {
 	caseExpr := treeToCase(tree, 0, colExpr)
 
 	// Build the relational fragment: pass through only the columns the
-	// sink actually references (all of them when there is no sink), append
-	// the score column. Narrow pass-through is what later lets projection
-	// pushdown shrink scans and eliminate joins below.
+	// nodes above actually read (all of them when the model is the root),
+	// append the score column. Narrow pass-through is what later lets
+	// projection pushdown shrink scans and eliminate joins below.
 	inSchema := inputRowSchema(g, model)
 	keep := map[string]bool{}
-	if g.SinkRel() != nil {
-		for _, c := range sinkReferencedColumns(g) {
-			keep[strings.ToLower(c)] = true
-		}
-	} else {
-		for _, c := range inSchema.Columns {
-			keep[strings.ToLower(c.Name)] = true
-		}
+	for _, c := range columnsReadAbove(g, model, inSchema) {
+		keep[strings.ToLower(c)] = true
 	}
 	var exprs []expr.Expr
 	var names []string

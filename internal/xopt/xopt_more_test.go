@@ -239,3 +239,89 @@ func TestClusteredEncodedModelValidation(t *testing.T) {
 		t.Error("width mismatch should fail")
 	}
 }
+
+func colCmp(op expr.BinOp, col string, v float64) expr.Expr {
+	return expr.NewBinary(op, &expr.Column{Name: col}, expr.FloatLit(v))
+}
+
+// TestSelectionPushdownPlacement pins where each kind of conjunct ends up.
+func TestSelectionPushdownPlacement(t *testing.T) {
+	mixedOr := expr.NewBinary(expr.OpOr, colCmp(expr.OpGt, "age", 30), colCmp(expr.OpGt, "score", 0.9))
+
+	// Data conjuncts cross; prediction conjuncts and mixed ORs stay.
+	g, _ := hospitalGraph(t, fig1Tree(), expr.And([]expr.Expr{pregnantEq1(), colCmp(expr.OpGt, "score", 0.5), mixedOr}))
+	if ok, _ := ruleSelectionPushdown(g); !ok {
+		t.Fatal("rule did not fire")
+	}
+	if got := plan.Explain(g.SourcePlan()); !strings.HasPrefix(got, "Filter((pregnant = 1))\n  Join") {
+		t.Errorf("source plan:\n%s", got)
+	}
+	if got := plan.Explain(g.SinkRel().Plan); !strings.HasPrefix(got, "Filter(((score > 0.5) AND ((age > 30) OR (score > 0.9))))\n  Input") {
+		t.Errorf("sink plan:\n%s", got)
+	}
+
+	// A sink that was only the filter disappears with it.
+	g, _ = hospitalGraph(t, fig1Tree(), pregnantEq1())
+	if ok, _ := ruleSelectionPushdown(g); !ok || g.SinkRel() != nil {
+		t.Errorf("fired=%v, graph after:\n%s", ok, g.Explain())
+	}
+
+	// Nothing to move: the rule does not report itself.
+	g, _ = hospitalGraph(t, fig1Tree(), mixedOr)
+	if ok, _ := ruleSelectionPushdown(g); ok {
+		t.Error("rule reported a move with only a mixed OR in the sink")
+	}
+
+	// A filter over a LIMIT is not directly above Input: it sees the first
+	// rows of the unfiltered stream, so it stays.
+	g, _ = hospitalGraph(t, fig1Tree(), nil)
+	sink := g.SinkRel()
+	sink.Plan = &plan.Filter{Child: &plan.Limit{Child: sink.Plan, N: 5}, Pred: pregnantEq1()}
+	if ok, _ := ruleSelectionPushdown(g); ok {
+		t.Error("a filter over a LIMIT crossed PREDICT")
+	}
+
+	// An opaque UDF below the model stops the conjunct.
+	g, _ = hospitalGraph(t, fig1Tree(), pregnantEq1())
+	_, model := mldChain(g)
+	model.In = &ir.UDFNode{Name: "opaque", In: model.In}
+	if ok, _ := ruleSelectionPushdown(g); ok {
+		t.Error("a selection crossed a UDF")
+	}
+}
+
+// TestSelectionPushdownStackedOneStageAtATime: under stacked PREDICTs the
+// fragment between the models may rename columns — here it swaps age and
+// pregnant — so the outer conjunct lands on top of that fragment and goes
+// no further, while the fragment's own WHERE crosses the inner model.
+func TestSelectionPushdownStackedOneStageAtATime(t *testing.T) {
+	g, _ := hospitalGraph(t, fig1Tree(), colCmp(expr.OpGt, "pregnant", 40))
+	outer := g.SinkRel()
+	inner := outer.In.(*ir.ModelNode)
+	inSchema := inner.In.(*ir.RelNode).Plan.Schema().Concat(types.NewSchema(inner.OutputCol))
+	swap, err := plan.NewProject(
+		&plan.Filter{Child: &plan.Input{Sch: inSchema}, Pred: colCmp(expr.OpGt, "weight", 60)},
+		[]expr.Expr{&expr.Column{Name: "age"}, &expr.Column{Name: "pregnant"}, &expr.Column{Name: "score"}},
+		[]string{"pregnant", "age", "bp"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	middle := &ir.RelNode{Plan: swap, In: inner}
+	outerModel := &ir.ModelNode{M: &ml.LogisticRegression{W: []float64{1, 1}}, InputCols: []string{"age", "bp"},
+		OutputCol: types.Column{Name: "score2", Type: types.Float}, In: middle}
+	outer.In = outerModel
+	outer.Plan.(*plan.Filter).Child = &plan.Input{Sch: swap.Schema().Concat(types.NewSchema(outerModel.OutputCol))}
+
+	if ok, _ := ruleSelectionPushdown(g); !ok {
+		t.Fatal("rule did not fire")
+	}
+	if g.Root != outerModel {
+		t.Errorf("outer sink survived:\n%s", g.Explain())
+	}
+	if got := plan.Explain(middle.Plan); !strings.HasPrefix(got, "Filter((pregnant > 40))\n  Project(age AS pregnant, pregnant AS age, score AS bp)\n    Input") {
+		t.Errorf("middle fragment:\n%s", got)
+	}
+	if got := plan.Explain(g.SourcePlan()); !strings.HasPrefix(got, "Filter((weight > 60))\n  Join") {
+		t.Errorf("source plan:\n%s", got)
+	}
+}

@@ -370,20 +370,28 @@ func TestExplainIsWhatRuns(t *testing.T) {
 		{"ModelQuerySplitting", func(o *QueryOptions) { o.ModelQuerySplitting = true }},
 		{"UseStatistics", func(o *QueryOptions) { o.UseStatistics = true }},
 	}
-	for _, c := range cases {
-		opts := DefaultQueryOptions()
-		c.set(&opts)
-		res, err := db.QueryWithOptions(runningExampleQuery, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		out, err := db.Explain(runningExampleQuery, opts)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		want := "== optimized IR (rules: " + strings.Join(res.AppliedRules, ", ") + ") =="
-		if !strings.Contains(out, want) {
-			t.Errorf("%s: Explain does not show the rules the query ran with, want %q in:\n%s", c.name, want, out)
+	pointQuery := `SELECT d.id, p.s ` + predictOver("duration_of_stay", hospitalJoin) + `WHERE d.id = 123`
+	for _, q := range []string{runningExampleQuery, pointQuery} {
+		for _, c := range cases {
+			opts := DefaultQueryOptions()
+			c.set(&opts)
+			res, err := db.QueryWithOptions(q, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			out, err := db.Explain(q, opts)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
+			}
+			want := "== optimized IR (rules: " + strings.Join(res.AppliedRules, ", ") + ") =="
+			if !strings.Contains(out, want) {
+				t.Errorf("%s: Explain does not show the rules the query ran with, want %q in:\n%s", c.name, want, out)
+			}
+			// The selection crosses PREDICT under every cross-optimizer
+			// rule set and never on the relational-only reference path.
+			if moved := strings.Contains(want, selectionRule); moved != opts.CrossOptimize {
+				t.Errorf("%s: rules %v, want %s reported: %v", c.name, res.AppliedRules, selectionRule, opts.CrossOptimize)
+			}
 		}
 	}
 }
