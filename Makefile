@@ -7,7 +7,7 @@ COVER_FLOOR ?= 70
 # goes down; a PR that lowers it lowers this with it.
 LOC_CEILING ?= 28700
 
-.PHONY: all build test test-benchmark race vet fmt-check bench bench-micro cover smoke loc ci
+.PHONY: all build test test-benchmark race vet fmt-check fuzz bench bench-micro cover smoke loc ci
 
 all: ci
 
@@ -65,10 +65,19 @@ bench:
 	$(GO) run ./cmd/ravenbench -quick
 
 # bench-micro runs the micro-benchmarks with allocation reporting: the
-# data plane (typed kernels, vector pooling, gather) and, beside the
-# selection-pushdown rule, selective PREDICT queries end to end.
+# data plane (typed kernels, vector pooling, gather), the tree kernel on
+# the benchmark's two forest shapes (ns/row), the bounded sort beside the
+# unbounded one and, beside the selection-pushdown rule, selective PREDICT
+# queries end to end.
 bench-micro:
-	$(GO) test -run='^$$' -bench=. -benchmem ./internal/types ./internal/expr ./internal/xopt
+	$(GO) test -run='^$$' -bench=. -benchmem ./internal/types ./internal/expr ./internal/xopt ./internal/ml ./internal/exec
+
+# fuzz gives the tree kernel's native fuzzer a short budget on top of its
+# checked-in corpus (internal/ml/testdata/fuzz), which plain `go test`
+# already replays: random forests and matrices against the reference
+# walker.
+fuzz:
+	$(GO) test -run='^$$' -fuzz=FuzzForestKernel -fuzztime=5s ./internal/ml
 
 # loc prints non-test Go lines per package, benchmark/ excluded — the
 # number ROADMAP aim 2 tracks — and fails above LOC_CEILING. It also
@@ -88,5 +97,6 @@ loc:
 # the gate is cover + race rather than test + race + a separate cover.
 # The servers are driven end to end by test-benchmark (real ravenserved
 # and ravenrouter children) and by their packages' own tests. loc holds
-# the line-count ceiling and the one-cache-implementation guard.
-ci: fmt-check build vet loc cover race test-benchmark smoke
+# the line-count ceiling and the one-cache-implementation guard; fuzz is
+# five seconds of the tree kernel's fuzzer.
+ci: fmt-check build vet loc cover race fuzz test-benchmark smoke

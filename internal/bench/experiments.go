@@ -29,8 +29,8 @@ type Config struct {
 	// are unaffected.
 	Parallelism int
 	MorselSize  int
-	// Adaptive opens the engines with WithAdaptiveMorsels, so morsel,
-	// serial-scan and inference batch sizes self-tune. The standard
+	// Adaptive opens the engines with WithAdaptiveMorsels, so morsel and
+	// serial-scan sizes self-tune. The standard
 	// configs enable it — it is the engine's recommended mode — and an
 	// explicit MorselSize still wins inside the engine.
 	Adaptive bool

@@ -36,8 +36,8 @@ type Config struct {
 	ParallelThresholdRows int
 	// MorselSize is the rows-per-morsel of table scans (0 = default).
 	MorselSize int
-	// Tuner, when set, adapts morsel and inference batch sizes (engine
-	// option WithAdaptiveMorsels). Explicit sizes win.
+	// Tuner, when set, adapts morsel sizes (engine option
+	// WithAdaptiveMorsels). Explicit sizes win.
 	Tuner *exec.Tuner
 	// CacheKey identifies the model for session caching; empty disables
 	// caching (the standalone-runtime behaviour).
@@ -197,11 +197,11 @@ func buildPredictor(cfg *Config, pipe *ml.Pipeline, outType types.DataType) (exe
 	r := cfg.runtime()
 	switch cfg.Mode {
 	case rt.ModeInProcess:
-		return pipelinePredictor(cfg, pipe, outType), nil
+		return rt.NewPipelinePredictor(pipe, outType), nil
 	case rt.ModeInProcessNN:
 		return r.NNPredictor(cfg.CacheKey, pipe, outType)
 	case rt.ModeOutOfProcess:
-		inner := pipelinePredictor(cfg, pipe, outType)
+		inner := rt.NewPipelinePredictor(pipe, outType)
 		return &rt.OutOfProcessPredictor{Inner: inner, Startup: r.ExternalStartup, Ctx: cfg.Ctx}, nil
 	case rt.ModeContainer:
 		pred, _, err := rt.NewContainerPredictor(pipe, outType)
@@ -209,19 +209,6 @@ func buildPredictor(cfg *Config, pipe *ml.Pipeline, outType types.DataType) (exe
 	default:
 		return nil, fmt.Errorf("codegen: unknown mode %v", cfg.Mode)
 	}
-}
-
-// pipelinePredictor builds the in-process interpreted predictor, with the
-// inference chunk size tuned to the pipeline's feature width when the
-// engine runs adaptively.
-func pipelinePredictor(cfg *Config, pipe *ml.Pipeline, outType types.DataType) *rt.PipelinePredictor {
-	p := rt.NewPipelinePredictor(pipe, outType)
-	if cfg.Tuner != nil && len(pipe.InputColumns) > 0 {
-		if d, err := pipe.FeatureDim(len(pipe.InputColumns)); err == nil {
-			p.BatchRows = cfg.Tuner.InferenceBatch(d)
-		}
-	}
-	return p
 }
 
 // compileSplit lowers model/query splitting: the source plan is compiled

@@ -228,11 +228,7 @@ func (c *compiler) compile(n plan.Node) (*Exchange, error) {
 		if err != nil {
 			return nil, err
 		}
-		keys := make([]SortKeySpec, len(x.Keys))
-		for i, k := range x.Keys {
-			keys[i] = SortKeySpec{Col: k.Col, Desc: k.Desc}
-		}
-		s, err := NewRunSort(src, env.parallelism(), keys, env.Ctx)
+		s, err := NewRunSort(src, env.parallelism(), x.Keys, env.Ctx)
 		if err != nil {
 			return nil, err
 		}
@@ -243,7 +239,11 @@ func (c *compiler) compile(n plan.Node) (*Exchange, error) {
 		if err != nil {
 			return nil, err
 		}
-		return env.Pipeline(&LimitOp{Child: UnwrapIdleExchange(child), N: x.N}), nil
+		op := UnwrapIdleExchange(child)
+		if rs, ok := op.(*RunSort); ok && x.TopK() != nil {
+			rs.Limit = x.N
+		}
+		return env.Pipeline(&LimitOp{Child: op, N: x.N}), nil
 
 	case *plan.Distinct:
 		child, err := c.compile(x.Child)

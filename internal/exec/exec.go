@@ -11,8 +11,7 @@
 package exec
 
 import (
-	"math"
-	"strings"
+	"cmp"
 
 	"raven/internal/types"
 )
@@ -87,57 +86,21 @@ func Collect(op Operator) (*types.Batch, error) {
 	}
 }
 
-// SortKeySpec is one ordering key. Sorting itself is RunSort (sorted
-// per-morsel runs plus a streaming k-way merge) in parallel_breakers.go.
-type SortKeySpec struct {
-	Col  string
-	Desc bool
-}
-
-// compareAt compares rows i and j of one vector.
-func compareAt(v *types.Vector, i, j int) int { return compareVecs(v, i, v, j) }
-
 // compareVecs compares row i of a with row j of b (same type). INT keys
 // compare as int64 — going through AsFloat would collapse keys above
 // 2^53 into equality and mis-sort large surrogate keys. NaN floats sort
-// before every other value (like sort.Float64s): the comparator must be
-// a total order or run merging would emit rows in morsel-boundary-
-// dependent positions around NaNs, breaking the any-DOP parity
-// guarantee.
+// before every other value (cmp.Compare's order, like sort.Float64s): the
+// comparator must be a total order or run merging would emit rows in
+// morsel-boundary-dependent positions around NaNs, breaking the any-DOP
+// parity guarantee.
 func compareVecs(a *types.Vector, i int, b *types.Vector, j int) int {
 	switch a.Type {
 	case types.String:
-		return strings.Compare(a.Strings[i], b.Strings[j])
+		return cmp.Compare(a.Strings[i], b.Strings[j])
 	case types.Int:
-		x, y := a.Ints[i], b.Ints[j]
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		default:
-			return 0
-		}
+		return cmp.Compare(a.Ints[i], b.Ints[j])
 	default:
-		x, y := a.AsFloat(i), b.AsFloat(j)
-		switch {
-		case x < y:
-			return -1
-		case x > y:
-			return 1
-		case x == y:
-			return 0
-		default: // at least one NaN
-			xn, yn := math.IsNaN(x), math.IsNaN(y)
-			switch {
-			case xn && yn:
-				return 0
-			case xn:
-				return -1
-			default:
-				return 1
-			}
-		}
+		return cmp.Compare(a.AsFloat(i), b.AsFloat(j))
 	}
 }
 

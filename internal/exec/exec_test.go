@@ -202,7 +202,7 @@ func TestHashAggregate(t *testing.T) {
 
 func TestRunSortOrders(t *testing.T) {
 	tb := numbersTable(t, 10)
-	so, err := NewRunSort(scanPipe(t, tb, nil).Source, 1, []SortKeySpec{{Col: "grp"}, {Col: "id", Desc: true}}, nil)
+	so, err := NewRunSort(scanPipe(t, tb, nil).Source, 1, []plan.SortKey{{Col: "grp"}, {Col: "id", Desc: true}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,14 +14,17 @@
 //     HashProbeStage inside the left scan's exchange.
 //   - RunSort stable-sorts each morsel into a run and streams a k-way
 //     heap merge of the runs, breaking key ties by global row position —
-//     exactly a stable sort of the whole input.
+//     exactly a stable sort of the whole input. Under a LIMIT k a run is
+//     only its morsel's first k rows.
 package exec
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -385,6 +388,10 @@ func buildJoinTables(src MorselSource, dop int, ctx context.Context, keyIdx int)
 	}
 	kv := all.Vecs[keyIdx]
 	intKeys := kv.Type == types.Int
+	part := func(i int) int { return jb.anyPartAt(kv, i) }
+	if intKeys {
+		part = func(i int) int { return jb.intPart(kv.Ints[i]) }
+	}
 
 	// Phase 2: partition rows in parallel over row ranges, collecting
 	// per-chunk per-partition row lists. Chunks are ordered row ranges,
@@ -403,22 +410,12 @@ func buildJoinTables(src MorselSource, dop int, ctx context.Context, keyIdx int)
 			hi = n
 		}
 		lists := make([][]int32, nParts)
-		if intKeys {
-			for i := lo; i < hi; i++ {
-				if i&0xFFFF == 0 && ctxErr(ctx) != nil {
-					return
-				}
-				p := jb.intPart(kv.Ints[i])
-				lists[p] = append(lists[p], int32(i))
+		for i := lo; i < hi; i++ {
+			if i&0xFFFF == 0 && ctxErr(ctx) != nil {
+				return
 			}
-		} else {
-			for i := lo; i < hi; i++ {
-				if i&0xFFFF == 0 && ctxErr(ctx) != nil {
-					return
-				}
-				p := jb.anyPartAt(kv, i)
-				lists[p] = append(lists[p], int32(i))
-			}
+			p := part(i)
+			lists[p] = append(lists[p], int32(i))
 		}
 		byChunk[ci] = lists
 	})
@@ -435,44 +432,40 @@ func buildJoinTables(src MorselSource, dop int, ctx context.Context, keyIdx int)
 		jb.anyParts = make([]map[any][]int32, nParts)
 	}
 	forEachWorker(dop, func(w int) {
-		inserted := 0
 		for p := w; p < nParts; p += dop {
 			if intKeys {
-				m := make(map[int64][]int32)
-				for ci := 0; ci < nChunks; ci++ {
-					if byChunk[ci] == nil || ctxErr(ctx) != nil {
-						return // a phase-2 worker bailed on cancellation
-					}
-					for _, i := range byChunk[ci][p] {
-						if inserted&0xFFFF == 0 && ctxErr(ctx) != nil {
-							return
-						}
-						inserted++
-						k := kv.Ints[i]
-						m[k] = append(m[k], i)
-					}
-				}
-				jb.intParts[p] = m
+				jb.intParts[p] = buildPartition(ctx, byChunk, p, func(i int32) int64 { return kv.Ints[i] })
 			} else {
-				m := make(map[any][]int32)
-				for ci := 0; ci < nChunks; ci++ {
-					if byChunk[ci] == nil || ctxErr(ctx) != nil {
-						return
-					}
-					for _, i := range byChunk[ci][p] {
-						if inserted&0xFFFF == 0 && ctxErr(ctx) != nil {
-							return
-						}
-						inserted++
-						k := kv.Value(int(i))
-						m[k] = append(m[k], i)
-					}
-				}
-				jb.anyParts[p] = m
+				jb.anyParts[p] = buildPartition(ctx, byChunk, p, func(i int32) any { return kv.Value(int(i)) })
 			}
 		}
 	})
 	return jb, ctxErr(ctx)
+}
+
+// buildPartition builds partition p's table from its row lists, in chunk
+// order. Phase 2 already counted the partition's rows, so the map is sized
+// to them up front — exact for a unique key — and never rehashes on the way
+// up. A cancelled build returns early; the caller reports ctx's error.
+func buildPartition[K comparable](ctx context.Context, byChunk [][][]int32, p int, key func(i int32) K) map[K][]int32 {
+	rows := 0
+	for _, lists := range byChunk {
+		if lists == nil {
+			return nil // a phase-2 worker bailed on cancellation
+		}
+		rows += len(lists[p])
+	}
+	m := make(map[K][]int32, rows)
+	for _, lists := range byChunk {
+		for j, i := range lists[p] {
+			if j&0xFFFF == 0 && ctxErr(ctx) != nil {
+				return nil
+			}
+			k := key(i)
+			m[k] = append(m[k], i)
+		}
+	}
+	return m
 }
 
 // HashProbeStage probes the partitioned build tables. It is pushed onto
@@ -621,7 +614,6 @@ func (j *ParallelHashJoin) Close() error {
 type sortRun struct {
 	seq  int
 	b    *types.Batch
-	keys []*types.Vector
 	perm []int
 	// permHandle returns perm's backing array to the selection pool once
 	// the merge drains this run.
@@ -637,7 +629,12 @@ type sortRun struct {
 type RunSort struct {
 	Source MorselSource
 	DOP    int
-	Keys   []SortKeySpec
+	Keys   []plan.SortKey
+	// Limit, when positive, promises that only the first Limit rows will be
+	// read (the LIMIT directly above the sort): a run then holds just its
+	// morsel's first Limit rows, since no other row of the morsel can be
+	// among the first Limit overall. The rows that are read are the same.
+	Limit int
 	// Ctx cancels the run-sort and merge phases.
 	Ctx context.Context
 
@@ -653,7 +650,7 @@ type RunSort struct {
 }
 
 // NewRunSort builds the operator, resolving sort keys eagerly.
-func NewRunSort(src MorselSource, dop int, keys []SortKeySpec, ctx context.Context) (*RunSort, error) {
+func NewRunSort(src MorselSource, dop int, keys []plan.SortKey, ctx context.Context) (*RunSort, error) {
 	schema := src.Schema()
 	keyIdx := make([]int, len(keys))
 	for i, k := range keys {
@@ -669,6 +666,98 @@ func NewRunSort(src MorselSource, dop int, keys []SortKeySpec, ctx context.Conte
 // Schema implements Operator.
 func (s *RunSort) Schema() *types.Schema { return s.schema }
 
+// rowOrder compares rows i and j of one batch.
+type rowOrder func(i, j int) int
+
+// ordered resolves a key column's comparison once for the whole column
+// (compareVecs decides the type again on every call). cmp.Compare is the
+// total order compareVecs documents: NaN before everything else.
+func ordered[T cmp.Ordered](xs []T, desc bool) rowOrder {
+	if desc {
+		return func(i, j int) int { return cmp.Compare(xs[j], xs[i]) }
+	}
+	return func(i, j int) int { return cmp.Compare(xs[i], xs[j]) }
+}
+
+// orderOf returns b's row order under the sort keys alone; callers add the
+// row-position tie-break (a stable sort, or firstRows' own).
+func (s *RunSort) orderOf(b *types.Batch) rowOrder {
+	byKey := make([]rowOrder, len(s.Keys))
+	for k, key := range s.Keys {
+		switch v := b.Vecs[s.keyIdx[k]]; {
+		case v.Const:
+			byKey[k] = func(int, int) int { return 0 }
+		case v.Type == types.String:
+			byKey[k] = ordered(v.Strings, key.Desc)
+		case v.Type == types.Int:
+			byKey[k] = ordered(v.Ints, key.Desc)
+		case v.Type == types.Float:
+			byKey[k] = ordered(v.Floats, key.Desc)
+		default:
+			sign := 1
+			if key.Desc {
+				sign = -1
+			}
+			byKey[k] = func(i, j int) int { return sign * compareVecs(v, i, v, j) }
+		}
+	}
+	if len(byKey) == 1 {
+		return byKey[0]
+	}
+	return func(i, j int) int {
+		for _, c := range byKey {
+			if r := c(i, j); r != 0 {
+				return r
+			}
+		}
+		return 0
+	}
+}
+
+// siftDown restores the heap property below h[i]; less(h[a], h[b]) puts
+// h[a] nearer the root.
+func siftDown[T any](h []T, i int, less func(a, b T) bool) {
+	for {
+		l, r, m := 2*i+1, 2*i+2, i
+		if l < len(h) && less(h[l], h[m]) {
+			m = l
+		}
+		if r < len(h) && less(h[r], h[m]) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+}
+
+// firstRows returns, ascending, which k of rows 0..n-1 come first in
+// (order, row) order, reusing keep's storage. keep is a heap of the k best
+// rows so far with the last of them at the root, so almost every row is
+// turned away by one comparison.
+func firstRows(n, k int, order rowOrder, keep []int) []int {
+	after := func(a, b int) bool {
+		c := order(a, b)
+		return c > 0 || (c == 0 && a > b)
+	}
+	for i := 0; i < k; i++ {
+		keep = append(keep, i)
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		siftDown(keep, i, after)
+	}
+	for i := k; i < n; i++ {
+		if order(i, keep[0]) < 0 { // a tie loses: i is the later row
+			keep[0] = i
+			siftDown(keep, 0, after)
+		}
+	}
+	slices.Sort(keep)
+	return keep
+}
+
 // Open implements Operator: produce sorted runs in parallel and heapify.
 func (s *RunSort) Open() error {
 	s.runs, s.heap = nil, nil
@@ -677,38 +766,32 @@ func (s *RunSort) Open() error {
 	}
 	var mu sync.Mutex
 	err := consumeMorsels(s.Source, s.DOP, s.Ctx, func(w, seq int, b *types.Batch) error {
-		// Copy the morsel into a pooled run buffer. The morsel batch may
-		// alias table storage or other live batches; the copy is private to
-		// the sort, which is what lets it recycle once drained.
+		// Copy the morsel — under a limit, its first Limit rows, in morsel
+		// order — into a pooled run buffer. The morsel batch may alias table
+		// storage or other live batches; the copy is private to the sort,
+		// which is what lets it recycle once drained.
 		rb := s.pool.Get()
-		rb.Grow(b.Len())
-		if err := rb.Append(b); err != nil {
-			return err
+		if s.Limit > 0 && s.Limit < b.Len() {
+			sel := getSel()
+			*sel = firstRows(b.Len(), s.Limit, s.orderOf(b), (*sel)[:0])
+			for c, v := range b.Vecs {
+				v.GatherInto(rb.Vecs[c], *sel)
+			}
+			putSel(sel)
+		} else {
+			rb.Grow(b.Len())
+			if err := rb.Append(b); err != nil {
+				s.pool.Put(rb)
+				return err
+			}
 		}
-		r := &sortRun{seq: seq, b: rb}
-		r.keys = make([]*types.Vector, len(s.keyIdx))
-		for i, ki := range s.keyIdx {
-			r.keys[i] = rb.Vecs[ki]
-		}
-		r.permHandle = getSel()
+		r := &sortRun{seq: seq, b: rb, permHandle: getSel()}
 		perm := (*r.permHandle)[:0]
-		for i := 0; i < b.Len(); i++ {
+		for i := 0; i < rb.Len(); i++ {
 			perm = append(perm, i)
 		}
 		r.perm = perm
-		sort.SliceStable(r.perm, func(a, c int) bool {
-			for ki, k := range s.Keys {
-				cmp := compareAt(r.keys[ki], r.perm[a], r.perm[c])
-				if cmp == 0 {
-					continue
-				}
-				if k.Desc {
-					return cmp > 0
-				}
-				return cmp < 0
-			}
-			return false
-		})
+		slices.SortStableFunc(r.perm, s.orderOf(rb))
 		mu.Lock()
 		s.runs = append(s.runs, r)
 		mu.Unlock()
@@ -720,7 +803,7 @@ func (s *RunSort) Open() error {
 	sort.Slice(s.runs, func(a, b int) bool { return s.runs[a].seq < s.runs[b].seq })
 	s.heap = append(s.heap, s.runs...)
 	for i := len(s.heap)/2 - 1; i >= 0; i-- {
-		s.siftDown(i)
+		siftDown(s.heap, i, s.runLess)
 	}
 	return nil
 }
@@ -730,38 +813,19 @@ func (s *RunSort) Open() error {
 func (s *RunSort) runLess(a, b *sortRun) bool {
 	ia, ib := a.perm[a.pos], b.perm[b.pos]
 	for ki, k := range s.Keys {
-		cmp := compareVecs(a.keys[ki], ia, b.keys[ki], ib)
-		if cmp == 0 {
+		c := compareVecs(a.b.Vecs[s.keyIdx[ki]], ia, b.b.Vecs[s.keyIdx[ki]], ib)
+		if c == 0 {
 			continue
 		}
 		if k.Desc {
-			return cmp > 0
+			return c > 0
 		}
-		return cmp < 0
+		return c < 0
 	}
 	if a.seq != b.seq {
 		return a.seq < b.seq
 	}
 	return ia < ib
-}
-
-func (s *RunSort) siftDown(i int) {
-	n := len(s.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && s.runLess(s.heap[l], s.heap[m]) {
-			m = l
-		}
-		if r < n && s.runLess(s.heap[r], s.heap[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		s.heap[i], s.heap[m] = s.heap[m], s.heap[i]
-		i = m
-	}
 }
 
 // releaseRun returns a drained run's buffers to their pools. The output
@@ -771,7 +835,6 @@ func (s *RunSort) releaseRun(r *sortRun) {
 	if r.b != nil {
 		s.pool.Put(r.b)
 		r.b = nil
-		r.keys = nil
 	}
 	if r.permHandle != nil {
 		*r.permHandle = r.perm[:0]
@@ -812,9 +875,7 @@ func (s *RunSort) Next() (*types.Batch, error) {
 			s.heap = s.heap[:last]
 			s.releaseRun(r)
 		}
-		if len(s.heap) > 0 {
-			s.siftDown(0)
-		}
+		siftDown(s.heap, 0, s.runLess)
 	}
 	return out, nil
 }

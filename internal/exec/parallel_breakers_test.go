@@ -66,17 +66,17 @@ func TestCompareVecsInt64Precision(t *testing.T) {
 	if float64(v.Ints[0]) != float64(v.Ints[1]) {
 		t.Fatal("test premise broken: keys distinguishable as float64")
 	}
-	if c := compareAt(v, 0, 1); c != -1 {
-		t.Errorf("compareAt(2^53, 2^53+1) = %d, want -1", c)
+	if c := compareVecs(v, 0, v, 1); c != -1 {
+		t.Errorf("compareVecs(2^53, 2^53+1) = %d, want -1", c)
 	}
-	if c := compareAt(v, 3, 4); c != 1 {
-		t.Errorf("compareAt(2^60+7, 2^60) = %d, want 1", c)
+	if c := compareVecs(v, 3, v, 4); c != 1 {
+		t.Errorf("compareVecs(2^60+7, 2^60) = %d, want 1", c)
 	}
-	if c := compareAt(v, 2, 0); c != -1 {
-		t.Errorf("compareAt(-2^60, 2^53) = %d, want -1", c)
+	if c := compareVecs(v, 2, v, 0); c != -1 {
+		t.Errorf("compareVecs(-2^60, 2^53) = %d, want -1", c)
 	}
-	if c := compareAt(v, 4, 4); c != 0 {
-		t.Errorf("compareAt(x, x) = %d, want 0", c)
+	if c := compareVecs(v, 4, v, 4); c != 0 {
+		t.Errorf("compareVecs(x, x) = %d, want 0", c)
 	}
 }
 

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
@@ -35,7 +36,7 @@ func newPoolRunSort(t *testing.T, tb *storage.Table, ctx context.Context) *RunSo
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := NewRunSort(src, 4, []SortKeySpec{{Col: "k"}}, ctx)
+	s, err := NewRunSort(src, 4, []plan.SortKey{{Col: "k"}}, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,14 +119,27 @@ func TestRunSortRecycledRunsNeverAliasResults(t *testing.T) {
 	verifyPoolSort(t, "retained results after recycling", n, first)
 }
 
+// poolLimits runs a pool-contract test over the unbounded sort and over
+// one whose runs are truncated to their first 50 rows (RunSort.Limit): the
+// truncated copy takes a different path into the run buffer, and must
+// give it back on every path out all the same.
+func poolLimits(t *testing.T, test func(t *testing.T, limit int)) {
+	for _, limit := range []int{0, 50} {
+		t.Run(fmt.Sprintf("limit=%d", limit), func(t *testing.T) { test(t, limit) })
+	}
+}
+
 // TestRunSortEarlyCloseReturnsRuns: a partially drained sort (LIMIT
 // shape) must hand every undrained run back to the pool on Close, and
 // the rows already emitted must survive the next query's reuse of those
 // buffers.
-func TestRunSortEarlyCloseReturnsRuns(t *testing.T) {
+func TestRunSortEarlyCloseReturnsRuns(t *testing.T) { poolLimits(t, testRunSortEarlyCloseReturnsRuns) }
+
+func testRunSortEarlyCloseReturnsRuns(t *testing.T, limit int) {
 	const n = 10_000
 	tb := poolSortTable(t, n)
 	s := newPoolRunSort(t, tb, context.Background())
+	s.Limit = limit
 
 	if err := s.Open(); err != nil {
 		t.Fatal(err)
@@ -155,6 +169,9 @@ func TestRunSortEarlyCloseReturnsRuns(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	if limit > 0 {
+		head = head.Slice(0, limit) // all a reader under LIMIT may look at
+	}
 	verifyPoolSort(t, "head batch after early close", head.Len(), []*types.Batch{head})
 }
 
@@ -183,6 +200,10 @@ func (c *cancelAfterSource) NextMorsel() (int, *types.Batch, error) {
 // every run that was already built to the pool (the goroutine-leak tests
 // cover the workers; this covers the buffers).
 func TestRunSortCancelledMidMorselReleasesRuns(t *testing.T) {
+	poolLimits(t, testRunSortCancelledMidMorselReleasesRuns)
+}
+
+func testRunSortCancelledMidMorselReleasesRuns(t *testing.T, limit int) {
 	const n = 20_000
 	tb := poolSortTable(t, n)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -192,10 +213,11 @@ func TestRunSortCancelledMidMorselReleasesRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &cancelAfterSource{src: inner, cancel: cancel, after: 3}
-	s, err := NewRunSort(src, 4, []SortKeySpec{{Col: "k"}}, ctx)
+	s, err := NewRunSort(src, 4, []plan.SortKey{{Col: "k"}}, ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Limit = limit
 	if err := s.Open(); err == nil {
 		// Workers may have drained everything before the cancel landed on
 		// a 1-core box; that is not a failure of the pool contract.
@@ -218,7 +240,9 @@ func TestRunSortCancelledMidMorselReleasesRuns(t *testing.T) {
 // TestRunSortErrorPathReleasesRuns: a source that fails partway through
 // (storage error shape) must leave the pool balanced once the operator
 // closes, and the operator must stay usable for the retry.
-func TestRunSortErrorPathReleasesRuns(t *testing.T) {
+func TestRunSortErrorPathReleasesRuns(t *testing.T) { poolLimits(t, testRunSortErrorPathReleasesRuns) }
+
+func testRunSortErrorPathReleasesRuns(t *testing.T, limit int) {
 	const n = 20_000
 	tb := poolSortTable(t, n)
 	inner, err := NewTableMorselSource(tb, []string{"k", "v"}, 256)
@@ -226,10 +250,11 @@ func TestRunSortErrorPathReleasesRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := &failAfterSource{src: inner, after: 5}
-	s, err := NewRunSort(src, 4, []SortKeySpec{{Col: "k"}}, context.Background())
+	s, err := NewRunSort(src, 4, []plan.SortKey{{Col: "k"}}, context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.Limit = limit
 	if err := s.Open(); err == nil {
 		t.Fatal("Open succeeded past an erroring source")
 	}

@@ -10,8 +10,7 @@ import (
 
 // Tuning targets. Morsels aim for a fixed service time: long enough to
 // amortize claim/merge overhead, short enough that the reorder window and
-// load imbalance stay small. Inference chunks aim for a feature matrix
-// that stays cache-resident.
+// load imbalance stay small.
 const (
 	// targetMorselNanos is the per-morsel service time the tuner steers
 	// toward (4ms, the classic morsel-driven scheduling quantum).
@@ -21,26 +20,19 @@ const (
 	minMorselsPerWorker = 4
 	// maxMorselSize bounds how much a single morsel may buffer.
 	maxMorselSize = 64 * types.DefaultBatchSize
-	// inferenceBytesBudget bounds the flat feature matrix one inference
-	// chunk materializes (~L2-sized).
-	inferenceBytesBudget = 256 << 10
 	// ewmaAlpha weights new per-morsel observations.
 	ewmaAlpha = 0.2
 )
 
-// Tuner adapts the data plane's batch sizes at lowering time: morsel size
-// from table cardinality and the observed per-morsel service times of
-// earlier queries, and inference chunk rows from the model's feature
-// width. One Tuner serves a whole engine; all methods are safe for
+// Tuner adapts the data plane's morsel size at lowering time, from table
+// cardinality and the observed per-morsel service times of earlier
+// queries. One Tuner serves a whole engine; all methods are safe for
 // concurrent use.
 type Tuner struct {
 	// nanosPerRowBits is an EWMA of observed per-row service time,
 	// stored as float64 bits (0 = no samples yet).
 	nanosPerRowBits atomic.Uint64
 	samples         atomic.Int64
-	// lastFeatureDim remembers the width of the last tuned predictor so
-	// Stats can report the matching chunk recommendation.
-	lastFeatureDim atomic.Int64
 }
 
 // NewTuner returns an empty tuner (no observations yet).
@@ -104,27 +96,6 @@ func (t *Tuner) MorselSize(tableRows, dop int) int {
 	return size
 }
 
-// InferenceBatch recommends the rows scored per inference chunk for a
-// model of the given feature width: as many rows as keep the flat
-// float64 matrix within the cache budget, clamped to
-// [DefaultBatchSize/8, DefaultBatchSize].
-func (t *Tuner) InferenceBatch(featureDim int) int {
-	if featureDim <= 0 {
-		return types.DefaultBatchSize
-	}
-	if t != nil {
-		t.lastFeatureDim.Store(int64(featureDim))
-	}
-	rows := inferenceBytesBudget / (8 * featureDim)
-	if rows > types.DefaultBatchSize {
-		rows = types.DefaultBatchSize
-	}
-	if min := types.DefaultBatchSize / 8; rows < min {
-		rows = min
-	}
-	return rows
-}
-
 // TunerStats is a snapshot of the tuner's state for stats endpoints.
 type TunerStats struct {
 	// Samples counts morsel observations folded in since Open.
@@ -134,9 +105,6 @@ type TunerStats struct {
 	// MorselSize is the current recommendation for a large scan at the
 	// given engine DOP (what the next big parallel query would use).
 	MorselSize int `json:"morsel_size"`
-	// InferenceBatch is the chunk recommendation at the representative
-	// feature width of the last tuned predictor (0 if none was tuned).
-	InferenceBatch int `json:"inference_batch,omitempty"`
 }
 
 // Stats snapshots the tuner. dop is the engine's default parallelism,
@@ -149,9 +117,6 @@ func (t *Tuner) Stats(dop int) TunerStats {
 		Samples:     t.samples.Load(),
 		NanosPerRow: t.nanosPerRow(),
 		MorselSize:  t.MorselSize(1<<30, dop),
-	}
-	if d := t.lastFeatureDim.Load(); d > 0 {
-		st.InferenceBatch = t.InferenceBatch(int(d))
 	}
 	return st
 }

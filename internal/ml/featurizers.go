@@ -50,24 +50,10 @@ func FitScaler(in Matrix) *StandardScaler {
 }
 
 // Transform implements Transformer.
-func (s *StandardScaler) Transform(in Matrix) (Matrix, error) {
-	if in.Cols != len(s.Mean) {
-		return Matrix{}, fmt.Errorf("ml: scaler fitted on %d cols, input has %d", len(s.Mean), in.Cols)
-	}
-	out := make([]float64, len(in.Data))
-	for i := 0; i < in.Rows; i++ {
-		row := in.Row(i)
-		orow := out[i*in.Cols : (i+1)*in.Cols]
-		for j, x := range row {
-			orow[j] = (x - s.Mean[j]) / s.Scale[j]
-		}
-	}
-	return Matrix{Data: out, Rows: in.Rows, Cols: in.Cols}, nil
-}
+func (s *StandardScaler) Transform(in Matrix) (Matrix, error) { return transformAlloc(s, in) }
 
-// TransformInto implements TransformerInto: same per-element scaling as
-// Transform, writing into dst. dst may alias in.Data (the op is
-// elementwise).
+// TransformInto implements TransformerInto. dst may alias in.Data (the op
+// is elementwise).
 func (s *StandardScaler) TransformInto(in Matrix, dst []float64) (Matrix, error) {
 	if in.Cols != len(s.Mean) {
 		return Matrix{}, fmt.Errorf("ml: scaler fitted on %d cols, input has %d", len(s.Mean), in.Cols)
@@ -154,43 +140,7 @@ func (e *OneHotEncoder) OutputDim(d int) (int, error) {
 }
 
 // Transform implements Transformer.
-func (e *OneHotEncoder) Transform(in Matrix) (Matrix, error) {
-	outD, err := e.OutputDim(in.Cols)
-	if err != nil {
-		return Matrix{}, err
-	}
-	for _, c := range e.Cols {
-		if c >= in.Cols {
-			return Matrix{}, fmt.Errorf("ml: onehot col %d out of range (input width %d)", c, in.Cols)
-		}
-	}
-	out := make([]float64, in.Rows*outD)
-	// layout: passthrough columns first (original order), then one
-	// indicator block per categorical column in e.Cols order.
-	for i := 0; i < in.Rows; i++ {
-		row := in.Row(i)
-		orow := out[i*outD : (i+1)*outD]
-		pos := 0
-		for j, x := range row {
-			if e.isCategorical(j) < 0 {
-				orow[pos] = x
-				pos++
-			}
-		}
-		for ci, c := range e.Cols {
-			cats := e.Categories[ci]
-			x := row[c]
-			for k, v := range cats {
-				if x == v {
-					orow[pos+k] = 1
-					break
-				}
-			}
-			pos += len(cats)
-		}
-	}
-	return Matrix{Data: out, Rows: in.Rows, Cols: outD}, nil
-}
+func (e *OneHotEncoder) Transform(in Matrix) (Matrix, error) { return transformAlloc(e, in) }
 
 // TransformInto implements TransformerInto. dst must not alias in.Data
 // (the encoding widens rows).
@@ -208,6 +158,8 @@ func (e *OneHotEncoder) TransformInto(in Matrix, dst []float64) (Matrix, error) 
 	for i := range out {
 		out[i] = 0
 	}
+	// layout: passthrough columns first (original order), then one
+	// indicator block per categorical column in e.Cols order.
 	for i := 0; i < in.Rows; i++ {
 		row := in.Row(i)
 		orow := out[i*outD : (i+1)*outD]
@@ -241,17 +193,13 @@ func (e *OneHotEncoder) Kind() string { return "onehot" }
 // "dest = X" pins that indicator to 1 and all siblings to 0 (paper §4.1).
 // inputDim is the width of the encoder's input.
 func (e *OneHotEncoder) OutputIndexOfCategory(inputDim, inputCol int, category float64) (int, error) {
-	ci := e.isCategorical(inputCol)
-	if ci < 0 {
-		return -1, fmt.Errorf("ml: column %d is not categorical", inputCol)
+	lo, _, err := e.IndicatorRange(inputDim, inputCol)
+	if err != nil {
+		return -1, err
 	}
-	pos := inputDim - len(e.Cols) // passthrough block width
-	for k := 0; k < ci; k++ {
-		pos += len(e.Categories[k])
-	}
-	for k, v := range e.Categories[ci] {
+	for k, v := range e.Categories[e.isCategorical(inputCol)] {
 		if v == category {
-			return pos + k, nil
+			return lo + k, nil
 		}
 	}
 	return -1, fmt.Errorf("ml: category %v unknown for column %d", category, inputCol)
@@ -294,22 +242,7 @@ type ColumnSelect struct {
 }
 
 // Transform implements Transformer.
-func (c *ColumnSelect) Transform(in Matrix) (Matrix, error) {
-	for _, j := range c.Indices {
-		if j < 0 || j >= in.Cols {
-			return Matrix{}, fmt.Errorf("ml: select index %d out of range (width %d)", j, in.Cols)
-		}
-	}
-	out := make([]float64, in.Rows*len(c.Indices))
-	for i := 0; i < in.Rows; i++ {
-		row := in.Row(i)
-		orow := out[i*len(c.Indices) : (i+1)*len(c.Indices)]
-		for k, j := range c.Indices {
-			orow[k] = row[j]
-		}
-	}
-	return Matrix{Data: out, Rows: in.Rows, Cols: len(c.Indices)}, nil
-}
+func (c *ColumnSelect) Transform(in Matrix) (Matrix, error) { return transformAlloc(c, in) }
 
 // TransformInto implements TransformerInto. dst must not alias in.Data.
 func (c *ColumnSelect) TransformInto(in Matrix, dst []float64) (Matrix, error) {

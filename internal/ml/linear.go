@@ -19,32 +19,24 @@ func (m *LinearRegression) NumFeatures() int { return len(m.W) }
 func (m *LinearRegression) Kind() string { return "linreg" }
 
 // Predict implements Model.
-func (m *LinearRegression) Predict(in Matrix) ([]float64, error) {
-	if in.Cols != len(m.W) {
-		return nil, fmt.Errorf("ml: linreg expects %d features, got %d", len(m.W), in.Cols)
-	}
-	out := make([]float64, in.Rows)
-	for i := 0; i < in.Rows; i++ {
-		row := in.Row(i)
-		s := m.B
-		for j, w := range m.W {
-			s += w * row[j]
-		}
-		out[i] = s
-	}
-	return out, nil
-}
+func (m *LinearRegression) Predict(in Matrix) ([]float64, error) { return predictAlloc(m, in) }
 
 // PredictInto implements ModelInto.
 func (m *LinearRegression) PredictInto(in Matrix, out []float64, _ *PredictScratch) error {
-	if in.Cols != len(m.W) {
-		return fmt.Errorf("ml: linreg expects %d features, got %d", len(m.W), in.Cols)
+	return affineInto("linreg", m.W, m.B, in, out)
+}
+
+// affineInto writes b + w·x for every row x of in: the arithmetic linear
+// and logistic regression share, in one order of operations.
+func affineInto(kind string, w []float64, b float64, in Matrix, out []float64) error {
+	if in.Cols != len(w) {
+		return fmt.Errorf("ml: %s expects %d features, got %d", kind, len(w), in.Cols)
 	}
 	for i := 0; i < in.Rows; i++ {
 		row := in.Row(i)
-		s := m.B
-		for j, w := range m.W {
-			s += w * row[j]
+		s := b
+		for j, wj := range w {
+			s += wj * row[j]
 		}
 		out[i] = s
 	}
@@ -67,33 +59,14 @@ func (m *LogisticRegression) NumFeatures() int { return len(m.W) }
 func (m *LogisticRegression) Kind() string { return "logreg" }
 
 // Predict implements Model.
-func (m *LogisticRegression) Predict(in Matrix) ([]float64, error) {
-	if in.Cols != len(m.W) {
-		return nil, fmt.Errorf("ml: logreg expects %d features, got %d", len(m.W), in.Cols)
-	}
-	out := make([]float64, in.Rows)
-	for i := 0; i < in.Rows; i++ {
-		row := in.Row(i)
-		s := m.B
-		for j, w := range m.W {
-			s += w * row[j]
-		}
-		out[i] = 1 / (1 + math.Exp(-s))
-	}
-	return out, nil
-}
+func (m *LogisticRegression) Predict(in Matrix) ([]float64, error) { return predictAlloc(m, in) }
 
 // PredictInto implements ModelInto.
 func (m *LogisticRegression) PredictInto(in Matrix, out []float64, _ *PredictScratch) error {
-	if in.Cols != len(m.W) {
-		return fmt.Errorf("ml: logreg expects %d features, got %d", len(m.W), in.Cols)
+	if err := affineInto("logreg", m.W, m.B, in, out); err != nil {
+		return err
 	}
-	for i := 0; i < in.Rows; i++ {
-		row := in.Row(i)
-		s := m.B
-		for j, w := range m.W {
-			s += w * row[j]
-		}
+	for i, s := range out[:in.Rows] {
 		out[i] = 1 / (1 + math.Exp(-s))
 	}
 	return nil

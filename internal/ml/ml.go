@@ -3,10 +3,13 @@
 // ensembles, linear and logistic regression, multi-layer perceptrons, and
 // the scikit-learn-style featurizers (scaling, one-hot encoding, feature
 // union) composed into Pipelines. This package is the reproduction's
-// stand-in for scikit-learn: models are evaluated the way an interpreted
-// classical framework evaluates them (per-row recursive tree traversal,
-// per-step featurizer passes), which is exactly the baseline the paper's
-// operator transformations beat (§4.2).
+// stand-in for scikit-learn: featurizers run as per-step passes over a
+// row-major matrix, the way an interpreted classical framework runs them
+// (the baseline the paper's operator transformations beat, §4.2), while
+// trees and forests score through one compiled kernel (kernel.go): packed
+// nodes, a tile of rows walked level by level for each tree's full depth,
+// no data-dependent branch — the "engine owns the model" half of the
+// paper's §5 claim.
 package ml
 
 import (
@@ -72,22 +75,12 @@ type Pipeline struct {
 	InputColumns []string
 }
 
-// Predict featurizes and scores the matrix.
+// Predict featurizes and scores the matrix: PredictInto with a fresh
+// score slice and scratch.
 func (p *Pipeline) Predict(in Matrix) ([]float64, error) {
-	cur := in
-	var err error
-	for i, s := range p.Steps {
-		cur, err = s.Transform(cur)
-		if err != nil {
-			return nil, fmt.Errorf("ml: pipeline step %d (%s): %w", i, s.Kind(), err)
-		}
-	}
-	if p.Final == nil {
-		return nil, fmt.Errorf("ml: pipeline has no final model")
-	}
-	out, err := p.Final.Predict(cur)
-	if err != nil {
-		return nil, fmt.Errorf("ml: pipeline model (%s): %w", p.Final.Kind(), err)
+	out := make([]float64, in.Rows)
+	if err := p.PredictInto(in, out, &PredictScratch{}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -96,9 +89,11 @@ func (p *Pipeline) Predict(in Matrix) ([]float64, error) {
 // scratch serves one goroutine at a time; concurrent predictors keep one
 // per worker (typically via a sync.Pool).
 type PredictScratch struct {
-	bufs [2][]float64 // ping-pong buffers for featurizer outputs
-	next int
-	tree []float64 // per-tree scores inside ensemble models
+	bufs   [2][]float64 // ping-pong buffers for featurizer outputs
+	next   int
+	cols   [][]float64 // per-feature views of a row-major matrix, for the tree kernel
+	tile   []float64   // the tree kernel's gathered features
+	matrix []float64   // PredictColumns' row-major chunk
 }
 
 // buffer returns a scratch slice of length n, alternating between two
@@ -112,14 +107,6 @@ func (sc *PredictScratch) buffer(n int) []float64 {
 	return (*b)[:n]
 }
 
-// treeBuffer returns a scratch slice of length n for per-submodel scores.
-func (sc *PredictScratch) treeBuffer(n int) []float64 {
-	if cap(sc.tree) < n {
-		sc.tree = make([]float64, n)
-	}
-	return sc.tree[:n]
-}
-
 // TransformerInto is an optional Transformer extension: write the
 // transformed matrix into dst (length rows × output width) instead of
 // allocating a fresh one. dst must not alias in.Data unless the step is
@@ -128,17 +115,76 @@ type TransformerInto interface {
 	TransformInto(in Matrix, dst []float64) (Matrix, error)
 }
 
+// transformAlloc is Transform for a step that has an Into form: the same
+// code writing into a fresh matrix.
+func transformAlloc(s interface {
+	Transformer
+	TransformerInto
+}, in Matrix) (Matrix, error) {
+	d, err := s.OutputDim(in.Cols)
+	if err != nil {
+		return Matrix{}, err
+	}
+	return s.TransformInto(in, make([]float64, in.Rows*d))
+}
+
 // ModelInto is an optional Model extension: score into out (length
 // in.Rows), using sc for internal temporaries.
 type ModelInto interface {
 	PredictInto(in Matrix, out []float64, sc *PredictScratch) error
 }
 
+// predictAlloc is Predict for a model that has an Into form: the same code
+// writing into a fresh score slice.
+func predictAlloc(m ModelInto, in Matrix) ([]float64, error) {
+	out := make([]float64, in.Rows)
+	if err := m.PredictInto(in, out, &PredictScratch{}); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// chunkBytes bounds the row-major matrix PredictColumns gathers for a
+// pipeline that needs one (~L2-sized), and with it every featurizer
+// intermediate, however large the batch.
+const chunkBytes = 256 << 10
+
+// PredictColumns scores rows whose features arrive one slice per input
+// column, each at least len(out) long — the layout relational batches
+// already have. A tree or forest with no featurizer steps in front reads
+// the columns as they are; any other pipeline is fed row-major chunks
+// gathered from them. Scores equal Predict's on the same values bit for bit.
+func (p *Pipeline) PredictColumns(cols [][]float64, out []float64, sc *PredictScratch) error {
+	if m, ok := p.Final.(kernelled); ok && len(p.Steps) == 0 {
+		k, err := m.kernel()
+		if err != nil {
+			return err
+		}
+		return k.score(cols, 1, out, sc)
+	}
+	d := len(cols)
+	chunk := max(chunkBytes/(8*max(d, 1)), 512)
+	if cap(sc.matrix) < chunk*d {
+		sc.matrix = make([]float64, chunk*d)
+	}
+	for lo := 0; lo < len(out); lo += chunk {
+		hi := min(lo+chunk, len(out))
+		m := Matrix{Data: sc.matrix[:(hi-lo)*d], Rows: hi - lo, Cols: d}
+		for j, c := range cols {
+			for i, x := range c[lo:hi] {
+				m.Data[i*d+j] = x
+			}
+		}
+		if err := p.PredictInto(m, out[lo:hi], sc); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // PredictInto is Predict writing scores into out (length in.Rows), reusing
-// sc's buffers for featurizer outputs and model temporaries. Scores are
-// bit-identical to Predict: every Into implementation replicates its
-// allocating counterpart's float operations exactly; steps and models
-// without an Into form fall back to the allocating path.
+// sc's buffers for featurizer outputs and model temporaries; steps and
+// models without an Into form fall back to their allocating one.
 func (p *Pipeline) PredictInto(in Matrix, out []float64, sc *PredictScratch) error {
 	if p.Final == nil {
 		return fmt.Errorf("ml: pipeline has no final model")

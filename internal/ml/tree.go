@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 )
 
 // DecisionTree is a fitted binary decision tree in array form (the layout
@@ -18,6 +19,8 @@ type DecisionTree struct {
 	Right     []int
 	Value     []float64
 	NFeat     int
+
+	kern atomic.Pointer[kernel] // compiled on first Predict; see kernel.go
 }
 
 // Leaf reports whether node i is a leaf.
@@ -26,21 +29,29 @@ func (t *DecisionTree) Leaf(i int) bool { return t.Feature[i] < 0 }
 // NumNodes returns the node count.
 func (t *DecisionTree) NumNodes() int { return len(t.Feature) }
 
-// Depth returns the maximum root-to-leaf depth.
+// Depth returns the maximum root-to-leaf depth, or -1 when the child
+// links loop back on themselves (a corrupt model).
 func (t *DecisionTree) Depth() int {
-	var walk func(i int) int
-	walk = func(i int) int {
-		if t.Leaf(i) {
-			return 0
-		}
-		l, r := walk(t.Left[i]), walk(t.Right[i])
-		if l > r {
-			return l + 1
-		}
-		return r + 1
-	}
 	if t.NumNodes() == 0 {
 		return 0
+	}
+	const onPath = -1
+	memo := make([]int, t.NumNodes()) // 0 unvisited, onPath, or depth below + 1
+	var walk func(i int) int
+	walk = func(i int) int {
+		switch {
+		case t.Leaf(i):
+			return 0
+		case memo[i] != 0:
+			return memo[i] - 1 // onPath comes out negative: a cycle
+		}
+		memo[i] = onPath
+		l, r := walk(t.Left[i]), walk(t.Right[i])
+		if l < 0 || r < 0 {
+			return -1
+		}
+		memo[i] = max(l, r) + 2
+		return max(l, r) + 1
 	}
 	return walk(0)
 }
@@ -51,55 +62,29 @@ func (t *DecisionTree) NumFeatures() int { return t.NFeat }
 // Kind implements Model.
 func (t *DecisionTree) Kind() string { return "tree" }
 
-// Predict implements Model: per-row root-to-leaf traversal, the way an
-// interpreted classical framework scores a tree.
-func (t *DecisionTree) Predict(in Matrix) ([]float64, error) {
-	if in.Cols != t.NFeat {
-		return nil, fmt.Errorf("ml: tree expects %d features, got %d", t.NFeat, in.Cols)
-	}
-	out := make([]float64, in.Rows)
-	for i := 0; i < in.Rows; i++ {
-		row := in.Row(i)
-		n := 0
-		for !t.Leaf(n) {
-			if row[t.Feature[n]] <= t.Threshold[n] {
-				n = t.Left[n]
-			} else {
-				n = t.Right[n]
-			}
-		}
-		out[i] = t.Value[n]
-	}
-	return out, nil
+func (t *DecisionTree) kernel() (*kernel, error) {
+	return cachedKernel(&t.kern, []*DecisionTree{t}, false)
 }
 
-// PredictInto implements ModelInto: same traversal as Predict, writing into
-// out instead of allocating.
-func (t *DecisionTree) PredictInto(in Matrix, out []float64, _ *PredictScratch) error {
-	if in.Cols != t.NFeat {
-		return fmt.Errorf("ml: tree expects %d features, got %d", t.NFeat, in.Cols)
-	}
-	for i := 0; i < in.Rows; i++ {
-		row := in.Row(i)
-		n := 0
-		for !t.Leaf(n) {
-			if row[t.Feature[n]] <= t.Threshold[n] {
-				n = t.Left[n]
-			} else {
-				n = t.Right[n]
-			}
-		}
-		out[i] = t.Value[n]
-	}
-	return nil
+// Predict implements Model.
+func (t *DecisionTree) Predict(in Matrix) ([]float64, error) { return predictAlloc(t, in) }
+
+// PredictInto implements ModelInto.
+func (t *DecisionTree) PredictInto(in Matrix, out []float64, sc *PredictScratch) error {
+	return scoreMatrix(t, in, out, sc)
 }
 
 // UsedFeatures implements Model.
-func (t *DecisionTree) UsedFeatures() []int {
+func (t *DecisionTree) UsedFeatures() []int { return usedFeatures([]*DecisionTree{t}) }
+
+// usedFeatures returns the sorted set of features the trees split on.
+func usedFeatures(trees []*DecisionTree) []int {
 	seen := make(map[int]bool)
-	for _, f := range t.Feature {
-		if f >= 0 {
-			seen[f] = true
+	for _, t := range trees {
+		for _, f := range t.Feature {
+			if f >= 0 {
+				seen[f] = true
+			}
 		}
 	}
 	out := make([]int, 0, len(seen))
@@ -131,12 +116,7 @@ type Constraints map[int]Interval
 // gets cheaper to evaluate (29% in the paper's example).
 func (t *DecisionTree) Prune(c Constraints) *DecisionTree {
 	nt := &DecisionTree{NFeat: t.NFeat}
-	root := buildWith(t, nt, 0, c)
-	if root != 0 {
-		// buildWith appends nodes post-order, so the root may not be node
-		// 0; renumber so callers can assume root 0.
-		nt = nt.rerooted(root)
-	}
+	buildWith(t, nt, 0, c) // preorder: the surviving root is node 0
 	return nt
 }
 
@@ -173,9 +153,11 @@ func buildWith(src, dst *DecisionTree, i int, c Constraints) int {
 			return buildWith(src, dst, src.Right[i], c)
 		}
 	}
+	self := dst.addSplit(f, thr, -1, -1)
 	l := buildWith(src, dst, src.Left[i], tighten(c, f, thr, true))
 	r := buildWith(src, dst, src.Right[i], tighten(c, f, thr, false))
-	return dst.addSplit(f, thr, l, r)
+	dst.Left[self], dst.Right[self] = l, r // after the appends below moved the arrays
+	return self
 }
 
 func (t *DecisionTree) addLeaf(v float64) int {
@@ -260,6 +242,8 @@ func (t *DecisionTree) SplitOnRoot() (feature int, threshold float64, left, righ
 // forests built from class-probability leaves.
 type RandomForest struct {
 	Trees []*DecisionTree
+
+	kern atomic.Pointer[kernel] // compiled on first Predict; see kernel.go
 }
 
 // NumFeatures implements Model.
@@ -273,69 +257,18 @@ func (f *RandomForest) NumFeatures() int {
 // Kind implements Model.
 func (f *RandomForest) Kind() string { return "forest" }
 
-// Predict implements Model.
-func (f *RandomForest) Predict(in Matrix) ([]float64, error) {
-	if len(f.Trees) == 0 {
-		return nil, fmt.Errorf("ml: empty forest")
-	}
-	out := make([]float64, in.Rows)
-	for _, t := range f.Trees {
-		p, err := t.Predict(in)
-		if err != nil {
-			return nil, err
-		}
-		for i, v := range p {
-			out[i] += v
-		}
-	}
-	inv := 1 / float64(len(f.Trees))
-	for i := range out {
-		out[i] *= inv
-	}
-	return out, nil
-}
+func (f *RandomForest) kernel() (*kernel, error) { return cachedKernel(&f.kern, f.Trees, true) }
 
-// PredictInto implements ModelInto. Trees accumulate in the same order and
-// the mean is taken by the same single multiply as Predict, so scores are
-// bit-identical.
+// Predict implements Model.
+func (f *RandomForest) Predict(in Matrix) ([]float64, error) { return predictAlloc(f, in) }
+
+// PredictInto implements ModelInto.
 func (f *RandomForest) PredictInto(in Matrix, out []float64, sc *PredictScratch) error {
-	if len(f.Trees) == 0 {
-		return fmt.Errorf("ml: empty forest")
-	}
-	for i := range out {
-		out[i] = 0
-	}
-	tmp := sc.treeBuffer(in.Rows)
-	for _, t := range f.Trees {
-		if err := t.PredictInto(in, tmp, sc); err != nil {
-			return err
-		}
-		for i, v := range tmp {
-			out[i] += v
-		}
-	}
-	inv := 1 / float64(len(f.Trees))
-	for i := range out {
-		out[i] *= inv
-	}
-	return nil
+	return scoreMatrix(f, in, out, sc)
 }
 
 // UsedFeatures implements Model.
-func (f *RandomForest) UsedFeatures() []int {
-	seen := make(map[int]bool)
-	for _, t := range f.Trees {
-		for _, u := range t.UsedFeatures() {
-			seen[u] = true
-		}
-	}
-	out := make([]int, 0, len(seen))
-	for u := range seen {
-		out = append(out, u)
-	}
-	sort.Ints(out)
-	return out
-}
+func (f *RandomForest) UsedFeatures() []int { return usedFeatures(f.Trees) }
 
 // Prune applies predicate-based pruning to every tree in the forest.
 func (f *RandomForest) Prune(c Constraints) *RandomForest {

@@ -340,6 +340,17 @@ func (l *Limit) SetChild(i int, n Node) { l.Child = n }
 
 func (l *Limit) String() string { return fmt.Sprintf("Limit(%d)", l.N) }
 
+// TopK returns the Sort directly beneath the limit, or nil: the pair the
+// executor runs as one bounded sort, each run keeping only its first N
+// rows.
+func (l *Limit) TopK() *Sort {
+	s, _ := l.Child.(*Sort)
+	if l.N < 1 {
+		return nil
+	}
+	return s
+}
+
 // Distinct removes duplicate rows.
 type Distinct struct {
 	Child Node
@@ -392,19 +403,28 @@ func (p *Predict) SetChild(i int, n Node) {
 
 func (p *Predict) String() string { return fmt.Sprintf("Predict(model=%s)", p.ModelName) }
 
-// Explain renders the plan tree indented, one node per line.
+// Explain renders the plan tree indented, one node per line. A sort
+// bounded by the limit above it (Limit.TopK) says so: "Sort(k DESC; top 5)".
 func Explain(n Node) string {
 	var sb strings.Builder
-	var walk func(n Node, depth int)
-	walk = func(n Node, depth int) {
+	var walk func(n Node, depth int, bound *Limit)
+	walk = func(n Node, depth int, bound *Limit) {
+		line := n.String()
+		if bound != nil {
+			line = fmt.Sprintf("%s; top %d)", strings.TrimSuffix(line, ")"), bound.N)
+		}
 		sb.WriteString(strings.Repeat("  ", depth))
-		sb.WriteString(n.String())
+		sb.WriteString(line)
 		sb.WriteByte('\n')
+		var below *Limit
+		if l, ok := n.(*Limit); ok && l.TopK() != nil {
+			below = l
+		}
 		for _, c := range n.Children() {
-			walk(c, depth+1)
+			walk(c, depth+1, below)
 		}
 	}
-	walk(n, 0)
+	walk(n, 0, nil)
 	return sb.String()
 }
 

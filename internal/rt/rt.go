@@ -11,6 +11,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -81,28 +82,23 @@ func floatVector(scores []float64, t types.DataType) *types.Vector {
 	}
 }
 
-// PipelinePredictor interprets an ml.Pipeline per batch: the classical
-// framework execution model (per-tree traversal, per-step featurizers).
+// PipelinePredictor scores batches through an ml.Pipeline, handing it the
+// batch's own columns (ml.Pipeline.PredictColumns): no feature matrix is
+// built here.
 type PipelinePredictor struct {
 	Pipe      *ml.Pipeline
 	InputCols []string
 	OutType   types.DataType
-	// BatchRows caps how many rows are featurized and scored at a time:
-	// the feature matrix and pipeline intermediates stay at
-	// BatchRows×width regardless of how large the relational batch is.
-	// Zero scores each batch whole. The adaptive tuner sets this from the
-	// pipeline's feature width.
-	BatchRows int
 
 	scratch sync.Pool // *pipeScratch
 }
 
-// pipeScratch is the per-worker reusable state of one PredictBatch call:
-// the flat feature matrix plus the pipeline's internal buffers. Output
-// scores are NOT here — they escape into the result vector.
+// pipeScratch is the per-worker reusable state of one PredictBatch call.
+// Output scores are NOT here — they escape into the result vector.
 type pipeScratch struct {
-	matrix []float64
-	sc     ml.PredictScratch
+	cols  [][]float64 // one slice per input column
+	wide  []float64   // INT, BOOL and broadcast columns widened to float64
+	inner ml.PredictScratch
 }
 
 // NewPipelinePredictor builds the predictor; InputCols defaults to the
@@ -114,36 +110,36 @@ func NewPipelinePredictor(p *ml.Pipeline, outType types.DataType) *PipelinePredi
 // PredictBatch implements exec.Predictor. Safe for concurrent use: each
 // call checks out a private scratch.
 func (p *PipelinePredictor) PredictBatch(b *types.Batch) ([]*types.Vector, error) {
-	n := b.Len()
-	d := len(p.InputCols)
-	chunk := n
-	if p.BatchRows > 0 && p.BatchRows < n {
-		chunk = p.BatchRows
+	vecs, err := b.NumericCols(p.InputCols)
+	if err != nil {
+		return nil, err
 	}
 	s, _ := p.scratch.Get().(*pipeScratch)
 	if s == nil {
 		s = &pipeScratch{}
 	}
-	if cap(s.matrix) < chunk*d {
-		s.matrix = make([]float64, chunk*d)
+	defer func() {
+		clear(s.cols) // a pooled scratch must not pin the batch's columns
+		p.scratch.Put(s)
+	}()
+	// FLOAT columns are handed over as they are; the rest are widened into
+	// scratch, one column after another (when wide has to grow, the columns
+	// widened so far stay behind, intact, in the array it outgrew).
+	n := b.Len()
+	s.cols, s.wide = s.cols[:0], s.wide[:0]
+	for _, v := range vecs {
+		col := v.Floats
+		if v.Type != types.Float || v.Const {
+			s.wide = slices.Grow(s.wide, n)[:len(s.wide)+n]
+			col = s.wide[len(s.wide)-n:]
+			v.WidenInto(col, 1)
+		}
+		s.cols = append(s.cols, col)
 	}
 	scores := make([]float64, n) // escapes via floatVector; never pooled
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if err := b.FloatMatrixRangeInto(s.matrix, p.InputCols, lo, hi); err != nil {
-			p.scratch.Put(s)
-			return nil, err
-		}
-		m := ml.Matrix{Data: s.matrix[:(hi-lo)*d], Rows: hi - lo, Cols: d}
-		if err := p.Pipe.PredictInto(m, scores[lo:hi], &s.sc); err != nil {
-			p.scratch.Put(s)
-			return nil, err
-		}
+	if err := p.Pipe.PredictColumns(s.cols, scores, &s.inner); err != nil {
+		return nil, err
 	}
-	p.scratch.Put(s)
 	return []*types.Vector{floatVector(scores, p.OutType)}, nil
 }
 

@@ -224,3 +224,76 @@ func TestModeStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestPipelinePredictorColumnsMatchMatrix: the predictor hands the
+// pipeline the batch's own columns — FLOAT as they are, INT, BOOL and
+// broadcast ones widened — and the scores must equal, bit for bit, what
+// the pipeline computes from the row-major matrix of the same batch: for
+// a forest (columns go straight to the tree kernel), for a featurized
+// model (gathered back into row-major chunks, several per batch), and
+// again when a pooled scratch is reused on a batch of another size.
+func TestPipelinePredictorColumnsMatchMatrix(t *testing.T) {
+	cols := []string{"f", "i", "b", "c"}
+	batch := func(n int) *types.Batch {
+		b := types.NewBatch(types.NewSchema(
+			types.Column{Name: "f", Type: types.Float},
+			types.Column{Name: "i", Type: types.Int},
+			types.Column{Name: "b", Type: types.Bool},
+		))
+		rng := rand.New(rand.NewSource(int64(n)))
+		for r := 0; r < n; r++ {
+			f := rng.NormFloat64()
+			switch r % 37 {
+			case 0:
+				f = math.NaN()
+			case 1:
+				f = math.Copysign(0, -1)
+			case 2:
+				f = math.Inf(-1)
+			}
+			if err := b.AppendRow(f, int64(rng.Intn(7)-3), rng.Intn(2) == 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.Schema = b.Schema.Concat(types.NewSchema(types.Column{Name: "c", Type: types.Float}))
+		b.Vecs = append(b.Vecs, types.ConstFloat(0.25, n))
+		return b
+	}
+	leaf := func(v float64) *ml.DecisionTree {
+		return &ml.DecisionTree{Feature: []int{-1}, Threshold: []float64{0}, Left: []int{-1}, Right: []int{-1}, Value: []float64{v}, NFeat: 4}
+	}
+	split := func(f int, thr float64, l, r float64) *ml.DecisionTree {
+		return &ml.DecisionTree{Feature: []int{f, -1, -1}, Threshold: []float64{thr, 0, 0}, Left: []int{1, -1, -1}, Right: []int{2, -1, -1}, Value: []float64{0, l, r}, NFeat: 4}
+	}
+	pipes := map[string]*ml.Pipeline{
+		"forest": {InputColumns: cols, Final: &ml.RandomForest{Trees: []*ml.DecisionTree{
+			split(0, 0, 0.1, 0.7), split(1, 0, 0.2, 0.9), split(2, 0.5, 0.3, 0.6), split(3, 0.25, 0.4, 0.5), leaf(0.05),
+		}}},
+		"scaled logreg": {InputColumns: cols,
+			Steps: []ml.Transformer{&ml.StandardScaler{Mean: []float64{0.5, 1, 0.5, 0}, Scale: []float64{2, 3, 1, 1}}},
+			Final: &ml.LogisticRegression{W: []float64{0.3, -0.2, 0.9, 4}, B: -0.1}},
+	}
+	for name, pipe := range pipes {
+		p := NewPipelinePredictor(pipe, types.Float)
+		for _, n := range []int{9000, 0, 1, 65} {
+			b := batch(n)
+			data, _, err := b.FloatMatrix(cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := pipe.Predict(ml.Matrix{Data: data, Rows: n, Cols: len(cols)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.PredictBatch(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for r := range want {
+				if math.Float64bits(got[0].Floats[r]) != math.Float64bits(want[r]) && !(math.IsNaN(want[r]) && math.IsNaN(got[0].Floats[r])) {
+					t.Fatalf("%s, %d rows: row %d scores %v from the columns, %v from the matrix", name, n, r, got[0].Floats[r], want[r])
+				}
+			}
+		}
+	}
+}

@@ -128,67 +128,38 @@ func (b *Batch) String() string {
 	return sb.String()
 }
 
+// NumericCols resolves the named columns to their vectors, once, for
+// callers that read them as float64 features: FLOAT columns as they are,
+// INT and BOOL widened.
+func (b *Batch) NumericCols(names []string) ([]*Vector, error) {
+	vecs := make([]*Vector, len(names))
+	for j, name := range names {
+		v := b.Col(name)
+		if v == nil {
+			return nil, fmt.Errorf("types: column %q not in batch schema %v", name, b.Schema)
+		}
+		if v.Type != Float && v.Type != Int && v.Type != Bool {
+			return nil, fmt.Errorf("types: column %q has non-numeric type %v", name, v.Type)
+		}
+		vecs[j] = v
+	}
+	return vecs, nil
+}
+
 // FloatMatrix extracts the named columns into a flat row-major float64
 // matrix (n rows × len(cols) features). This is the bridge from relational
-// batches to ML feature matrices; Bool and Int columns are widened.
+// batches to ML feature matrices.
 func (b *Batch) FloatMatrix(cols []string) ([]float64, int, error) {
-	out := make([]float64, b.Len()*len(cols))
-	n, err := b.FloatMatrixInto(out, cols)
+	vecs, err := b.NumericCols(cols)
 	if err != nil {
 		return nil, 0, err
 	}
-	return out, n, nil
-}
-
-// FloatMatrixInto is FloatMatrix writing into a caller-provided buffer of
-// length ≥ b.Len()*len(cols), so predictors can recycle the feature matrix
-// across batches. Every cell is written.
-func (b *Batch) FloatMatrixInto(out []float64, cols []string) (int, error) {
 	n := b.Len()
-	if err := b.FloatMatrixRangeInto(out, cols, 0, n); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// FloatMatrixRangeInto extracts rows [lo, hi) of the named columns into out
-// (length ≥ (hi-lo)*len(cols)), so predictors can chunk inference over a
-// large batch without allocating per-chunk views.
-func (b *Batch) FloatMatrixRangeInto(out []float64, cols []string, lo, hi int) error {
-	n := hi - lo
-	d := len(cols)
-	for j, name := range cols {
-		v := b.Col(name)
-		if v == nil {
-			return fmt.Errorf("types: column %q not in batch schema %v", name, b.Schema)
-		}
-		// Broadcast columns hold one physical row; stride 0 repeats it.
-		stride := 1
-		base := lo
-		if v.Const {
-			stride = 0
-			base = 0
-		}
-		switch v.Type {
-		case Float:
-			for i := 0; i < n; i++ {
-				out[i*d+j] = v.Floats[base+i*stride]
-			}
-		case Int:
-			for i := 0; i < n; i++ {
-				out[i*d+j] = float64(v.Ints[base+i*stride])
-			}
-		case Bool:
-			for i := 0; i < n; i++ {
-				if v.Bools[base+i*stride] {
-					out[i*d+j] = 1
-				} else {
-					out[i*d+j] = 0
-				}
-			}
-		default:
-			return fmt.Errorf("types: column %q has non-numeric type %v", name, v.Type)
+	out := make([]float64, n*len(cols))
+	for j, v := range vecs {
+		if n > 0 {
+			v.WidenInto(out[j:], len(vecs))
 		}
 	}
-	return nil
+	return out, n, nil
 }

@@ -100,24 +100,15 @@ func BenchmarkBatchPoolGetPut(b *testing.B) {
 	}
 }
 
-func BenchmarkFloatMatrixRangeInto(b *testing.B) {
-	s := NewSchema(
-		Column{Name: "x", Type: Float},
-		Column{Name: "y", Type: Float},
-		Column{Name: "z", Type: Int},
-	)
-	bt := NewBatch(s)
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < DefaultBatchSize; i++ {
-		_ = bt.AppendRow(rng.NormFloat64(), rng.NormFloat64(), int64(i))
+func BenchmarkWidenInto(b *testing.B) {
+	v := NewVector(Int, DefaultBatchSize)
+	for i := range v.Ints {
+		v.Ints[i] = int64(i)
 	}
-	cols := []string{"x", "y", "z"}
-	out := make([]float64, DefaultBatchSize*len(cols))
+	out := make([]float64, DefaultBatchSize)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := bt.FloatMatrixRangeInto(out, cols, 0, DefaultBatchSize); err != nil {
-			b.Fatal(err)
-		}
+		v.WidenInto(out, 1)
 	}
 }

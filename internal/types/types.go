@@ -324,6 +324,36 @@ func (v *Vector) AsFloat(i int) float64 {
 	}
 }
 
+// WidenInto writes a FLOAT, INT or BOOL vector as float64 to dst[0],
+// dst[stride], dst[2*stride], ...: stride 1 fills a column, stride d one
+// column of a row-major matrix d wide. Bool maps to 0/1 and a broadcast
+// vector repeats its one physical row.
+func (v *Vector) WidenInto(dst []float64, stride int) {
+	n, step := v.Len(), 1
+	if v.Const {
+		step = 0
+	}
+	switch v.Type {
+	case Float:
+		for i := 0; i < n; i++ {
+			dst[i*stride] = v.Floats[i*step]
+		}
+	case Int:
+		for i := 0; i < n; i++ {
+			dst[i*stride] = float64(v.Ints[i*step])
+		}
+	case Bool:
+		for i := 0; i < n; i++ {
+			dst[i*stride] = 0
+			if v.Bools[i*step] {
+				dst[i*stride] = 1
+			}
+		}
+	default:
+		panic(fmt.Sprintf("types: WidenInto of %v", v.Type))
+	}
+}
+
 // FloatAt returns row i of a FLOAT vector, resolving broadcast.
 func (v *Vector) FloatAt(i int) float64 { return v.Floats[v.phys(i)] }
 
@@ -534,37 +564,10 @@ func (v *Vector) GatherInto(dst *Vector, sel []int) {
 	n := len(sel)
 	if v.Const {
 		// Gathering a broadcast repeats its single physical row.
-		switch v.Type {
-		case Float:
-			dst.Floats = resize(dst.Floats, n)
-			x := v.Floats[0]
-			for i := range dst.Floats {
-				dst.Floats[i] = x
-			}
-		case Int:
-			dst.Ints = resize(dst.Ints, n)
-			x := v.Ints[0]
-			for i := range dst.Ints {
-				dst.Ints[i] = x
-			}
-		case Bool:
-			dst.Bools = resize(dst.Bools, n)
-			x := v.Bools[0]
-			for i := range dst.Bools {
-				dst.Bools[i] = x
-			}
-		case String:
-			dst.Strings = resize(dst.Strings, n)
-			x := v.Strings[0]
-			for i := range dst.Strings {
-				dst.Strings[i] = x
-			}
-		}
-		if v.IsNull(0) {
-			for i := 0; i < n; i++ {
-				dst.SetNull(i)
-			}
-		}
+		rep := *v
+		rep.Length = n
+		dst.Floats, dst.Ints, dst.Bools, dst.Strings = dst.Floats[:0], dst.Ints[:0], dst.Bools[:0], dst.Strings[:0]
+		_ = dst.AppendVector(&rep) // same type: cannot fail
 		return
 	}
 	switch v.Type {
@@ -604,35 +607,9 @@ func (v *Vector) Densify() *Vector {
 	if !v.Const {
 		return v
 	}
-	n := v.Length
-	out := NewVector(v.Type, n)
-	switch v.Type {
-	case Float:
-		x := v.Floats[0]
-		for i := range out.Floats {
-			out.Floats[i] = x
-		}
-	case Int:
-		x := v.Ints[0]
-		for i := range out.Ints {
-			out.Ints[i] = x
-		}
-	case Bool:
-		x := v.Bools[0]
-		for i := range out.Bools {
-			out.Bools[i] = x
-		}
-	case String:
-		x := v.Strings[0]
-		for i := range out.Strings {
-			out.Strings[i] = x
-		}
-	}
-	if v.IsNull(0) {
-		for i := 0; i < n; i++ {
-			out.SetNull(i)
-		}
-	}
+	out := &Vector{Type: v.Type}
+	out.Grow(v.Length)
+	_ = out.AppendVector(v) // same type: cannot fail
 	return out
 }
 

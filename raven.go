@@ -209,8 +209,8 @@ type DB struct {
 	// MorselSize is the engine-wide rows-per-morsel for parallel plans; 0
 	// uses the executor default.
 	MorselSize int
-	// tuner adapts morsel and inference batch sizes from
-	// table statistics and observed per-morsel service times; nil unless
+	// tuner adapts morsel sizes from table statistics and observed
+	// per-morsel service times; nil unless
 	// WithAdaptiveMorsels was given.
 	tuner *exec.Tuner
 
@@ -289,8 +289,7 @@ func WithMorselSize(n int) Option {
 
 // WithAdaptiveMorsels turns on adaptive batch sizing: the engine tunes
 // rows-per-morsel from table cardinality and the per-morsel service times
-// it observes (one morsel per small table at one worker), and chunks
-// interpreted inference to the model's feature width. Explicit sizes
+// it observes (one morsel per small table at one worker). Explicit sizes
 // still win: a query (or engine) MorselSize overrides the tuned morsel
 // size. The tuner's current estimates appear in Stats().Adaptive.
 func WithAdaptiveMorsels() Option {
