@@ -5,7 +5,7 @@ COVER_FLOOR ?= 70
 # Ceiling for `make loc` (non-test Go lines, benchmark/ excluded): the
 # current total rounded up to the next 50. ROADMAP aim 2 says the number
 # goes down; a PR that lowers it lowers this with it.
-LOC_CEILING ?= 28700
+LOC_CEILING ?= 28200
 
 .PHONY: all build test test-benchmark race vet fmt-check fuzz bench bench-micro cover smoke loc ci
 
@@ -83,7 +83,9 @@ fuzz:
 # number ROADMAP aim 2 tracks — and fails above LOC_CEILING. It also
 # fails if anything outside internal/rescache counts an eviction or picks
 # an LRU victim: there is one cache implementation, and caches are
-# instances of it.
+# instances of it. And it fails if the fragment cut comes back: there is
+# one plan tree and one filter-pushdown rule (relopt.PushFilters), so no
+# RelNode wrapper, no plan.Input placeholder and no second pushdown.
 LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'
 loc:
 	@$(LOC_FILES) | xargs wc -l | awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
@@ -91,6 +93,9 @@ loc:
 		if (t > ceiling) { printf "FAIL: %d non-test lines, ceiling %d\n", t, ceiling; exit 1 } }'
 	@second=$$($(LOC_FILES) ! -path './internal/rescache/*' | xargs grep -lE 'victions\+\+|lru[A-Za-z]* *(:=|=|,)' || true); \
 	if [ -n "$$second" ]; then echo "FAIL: eviction loop outside internal/rescache:"; echo "$$second"; exit 1; fi
+	@cut=$$($(LOC_FILES) | xargs grep -nE 'type RelNode|plan\.Input\b|func (\([^)]*\) )?(pushSelections|[pP]ushFilters)\(' \
+		| grep -v '^./internal/relopt/relopt.go:[0-9]*:func (o \*Optimizer) PushFilters(' || true); \
+	if [ -n "$$cut" ]; then echo "FAIL: a cut plan tree or a second filter pushdown:"; echo "$$cut"; exit 1; fi
 
 # ci runs the suite twice, not three times: cover subsumes a plain
 # `make test` (same tests, plus the coverage floor and cover.out), so

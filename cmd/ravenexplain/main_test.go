@@ -19,8 +19,12 @@ func TestRunningExampleShowsSelectionPushdown(t *testing.T) {
 	if !strings.Contains(strings.SplitN(rules, "\n", 2)[0], "selection-pushdown") {
 		t.Errorf("rule list does not name selection-pushdown:\n%s", out)
 	}
-	if !strings.Contains(out, "--       Filter((pregnant = 1))\n--         Scan(patient_info") {
+	if !strings.Contains(out, "--             Filter((pregnant = 1))\n--               Scan(patient_info") {
 		t.Errorf("regenerated SQL does not show the filter on the patient_info scan:\n%s", out)
+	}
+	// The optimized IR is the tree that runs, not one line per fragment.
+	if !strings.Contains(out, "          [RA/db] RA:Filter((pregnant = 1))\n            [RA/db] RA:Scan(patient_info, cols=[") {
+		t.Errorf("optimized IR does not show the pushed filter and the narrowed scan:\n%s", out)
 	}
 }
 
@@ -35,6 +39,9 @@ func TestTopKQueryShowsBoundedSort(t *testing.T) {
 	out := stdout.String()
 	if !strings.Contains(out, "Limit(100)\n  Sort(score DESC, id; top 100)\n") {
 		t.Errorf("logical plan does not show the bounded sort:\n%s", out)
+	}
+	if !strings.Contains(out, "[RA/db] RA:Limit(100)\n  [RA/db] RA:Sort(score DESC, id; top 100)\n") {
+		t.Errorf("optimized IR does not show the bounded sort:\n%s", out)
 	}
 	if !strings.Contains(out, "--   Limit(100)\n--     Sort(score DESC, id; top 100)\n") {
 		t.Errorf("regenerated SQL does not show the bounded sort:\n%s", out)

@@ -8,6 +8,7 @@ package codegen
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 
 	"raven/internal/exec"
@@ -51,155 +52,150 @@ func (c *Config) runtime() *rt.Runtime {
 	return c.Runtime
 }
 
-// Compile lowers the IR graph into a physical operator.
+// Compile lowers the IR tree into a physical operator: exec compiles the
+// relational operators and hands every ML operator to this package's
+// hook, so one pipeline threads through DB and ML stages alike.
 func Compile(g *ir.Graph, cfg *Config) (exec.Operator, error) {
-	ex, err := compileNode(g.Root, cfg)
-	if err != nil {
-		return nil, err
-	}
-	// The root may still carry a stage-free re-entry exchange; nothing can
-	// push onto it now.
-	return exec.UnwrapIdleExchange(ex), nil
-}
-
-func env(cfg *Config) *exec.Env {
-	return &exec.Env{
+	c := &compiler{cfg: cfg, keys: make(map[string]int)}
+	c.env = &exec.Env{
 		Ctx:                   cfg.Ctx,
 		Parallelism:           cfg.Parallelism,
 		ParallelThresholdRows: cfg.ParallelThresholdRows,
 		MorselSize:            cfg.MorselSize,
 		Tuner:                 cfg.Tuner,
+		Lower:                 c.lower,
 	}
+	return exec.Compile(g.Root, c.env)
 }
 
-// compileNode lowers one IR node (and its inputs) to its morsel pipeline:
-// relational fragments, ML scoring stages and split branches all extend or
-// start an exec.Exchange, so one pipeline threads through DB and ML stages
-// alike.
-func compileNode(n ir.Node, cfg *Config) (*exec.Exchange, error) {
+type compiler struct {
+	cfg *Config
+	env *exec.Env
+	// keys counts the session keys handed out so far, by base key.
+	keys map[string]int
+}
+
+// sessionKey returns the session-cache key for a model operator's next
+// tensor session: Config.CacheKey when the caller set one, else the
+// operator's own, and never the same key twice in one plan — two models
+// must not answer from each other's session. Empty means uncached.
+func (c *compiler) sessionKey(op *ir.Scorer) string {
+	key := op.SessionKey
+	if c.cfg.CacheKey != "" {
+		key = c.cfg.CacheKey
+	}
+	if key == "" {
+		return ""
+	}
+	n := c.keys[key]
+	c.keys[key]++
+	if n > 0 {
+		key += "~" + strconv.Itoa(n)
+	}
+	return key
+}
+
+// lower compiles one ML operator onto the pipeline of its child.
+func (c *compiler) lower(n plan.Node, below func(plan.Node) (*exec.Exchange, error)) (*exec.Exchange, error) {
 	switch x := n.(type) {
-	case *ir.RelNode:
-		var input *exec.Exchange
-		if x.In != nil {
-			var err error
-			if input, err = compileNode(x.In, cfg); err != nil {
-				return nil, err
-			}
-		}
-		return exec.CompilePipeline(x.Plan, env(cfg), input)
-
-	case *ir.TransformNode:
-		// Transforms compile together with their consuming model; reaching
-		// one directly means a malformed chain.
-		return nil, fmt.Errorf("codegen: dangling transform node (no model above it)")
-
 	case *ir.ModelNode:
-		steps, below := collectTransforms(x.In)
-		if below == nil {
-			return nil, fmt.Errorf("codegen: model node has no relational input")
-		}
-		input, err := compileNode(below, cfg)
-		if err != nil {
-			return nil, err
-		}
-		pipe := &ml.Pipeline{Steps: steps, Final: x.M, InputColumns: x.InputCols}
-		pred, err := buildPredictor(cfg, pipe, x.OutputCol.Type)
-		if err != nil {
-			return nil, err
-		}
-		return pushPredict(cfg, input, pred, x.OutputCol)
+		pipe := &ml.Pipeline{Steps: x.Steps, Final: x.M, InputColumns: x.InputCols}
+		return c.score(&x.Scorer, below, nil, func() (exec.Predictor, error) { return c.predictor(&x.Scorer, pipe) })
 
 	case *ir.LANode:
-		steps, below := collectTransforms(x.In)
-		if len(steps) > 0 {
-			return nil, fmt.Errorf("codegen: transforms below an LA node should have been fused")
-		}
-		if below == nil {
-			return nil, fmt.Errorf("codegen: LA node has no relational input")
-		}
-		input, err := compileNode(below, cfg)
-		if err != nil {
-			return nil, err
-		}
-		r := cfg.runtime()
-		var sess *ort.Session
-		if x.UseGPU {
-			gpuRT := &rt.Runtime{Cache: r.Cache, Provider: ort.DefaultGPU(), GraphOptimize: r.GraphOptimize}
-			key := cfg.CacheKey
-			if key != "" {
-				key += "/gpu"
+		return c.score(&x.Scorer, below, nil, func() (exec.Predictor, error) {
+			r, key := c.cfg.runtime(), c.sessionKey(&x.Scorer)
+			if x.UseGPU {
+				r = &rt.Runtime{Cache: r.Cache, Provider: ort.DefaultGPU(), GraphOptimize: r.GraphOptimize}
+				if key != "" {
+					key += "/gpu"
+				}
 			}
-			sess, err = gpuRT.BuildSession(key, x.G)
-		} else {
-			sess, err = r.BuildSession(cfg.CacheKey, x.G)
+			sess, err := r.BuildSession(key, x.G)
+			if err != nil {
+				return nil, err
+			}
+			return &rt.SessionPredictor{Session: sess, InputCols: x.InputCols, OutType: x.OutputCol.Type}, nil
+		})
+
+	case *ir.SplitNode:
+		// The input is compiled once per branch with a complementary
+		// filter, each branch scores with its own sub-model, and the two
+		// branch pipelines run back to back (all of the left branch's
+		// rows, then the right's).
+		col := &expr.Column{Name: x.CondCol}
+		var parts []exec.Operator
+		for _, b := range []struct {
+			cond expr.Expr
+			m    ml.Model
+		}{
+			{expr.NewBinary(expr.OpLe, col, expr.FloatLit(x.Threshold)), x.Left},
+			{expr.NewBinary(expr.OpGt, col, expr.FloatLit(x.Threshold)), x.Right},
+		} {
+			pipe := &ml.Pipeline{Final: b.m, InputColumns: x.InputCols}
+			ex, err := c.score(&x.Scorer, below, &exec.FilterStage{Pred: b.cond}, func() (exec.Predictor, error) { return c.predictor(&x.Scorer, pipe) })
+			if err != nil {
+				return nil, err
+			}
+			parts = append(parts, ex)
 		}
-		if err != nil {
-			return nil, err
-		}
-		pred := &rt.SessionPredictor{Session: sess, InputCols: x.InputCols, OutType: x.OutputCol.Type}
-		return pushPredict(cfg, input, pred, x.OutputCol)
+		return c.env.Pipeline(&exec.Concat{Parts: parts}), nil
 
 	case *ir.UDFNode:
 		// A UDF is an ordered operator over its input's stream, like LIMIT:
 		// the opaque batch function carries no concurrency-safety contract,
 		// so it never becomes a stage. Whatever sits above re-enters a
 		// pipeline over its output.
-		input, err := compileNode(x.In, cfg)
+		input, err := below(x.Child)
 		if err != nil {
 			return nil, err
 		}
-		return env(cfg).Pipeline(&udfOp{child: exec.UnwrapIdleExchange(input), fn: x.Fn, schema: x.Out}), nil
-
-	case *ir.SplitNode:
-		return compileSplit(x, cfg)
+		return c.env.Pipeline(&udfOp{child: exec.UnwrapIdleExchange(input), fn: x.Fn, schema: x.Out}), nil
 
 	default:
 		return nil, fmt.Errorf("codegen: cannot compile IR node %T", n)
 	}
 }
 
-// pushPredict lowers an ML scoring stage: the score becomes one more stage
-// in its input's pipeline, so scan, filter and inference all run on the
-// worker that claimed the morsel. Pipeline breakers (join, aggregate,
-// sort) do not seal the plan: exec re-enters a fresh pipeline above each
-// one, so a PREDICT over a join or GROUP BY result pushes here too.
-func pushPredict(cfg *Config, input *exec.Exchange, pred exec.Predictor, outCol types.Column) (*exec.Exchange, error) {
-	if cfg.Ctx != nil {
-		pred = &rt.ContextPredictor{Ctx: cfg.Ctx, Inner: pred}
+// score lowers an ML scoring stage: compile the operator's input, build
+// its predictor, and push the score as one more stage of the input's
+// pipeline (after guard, when the operator scores only some rows), so
+// scan, filter and inference all run on the worker that claimed the
+// morsel. Pipeline breakers (join, aggregate, sort) do not seal the plan:
+// exec re-enters a fresh pipeline above each one, so a PREDICT over a join
+// or GROUP BY result pushes here too.
+func (c *compiler) score(op *ir.Scorer, below func(plan.Node) (*exec.Exchange, error), guard exec.Stage, build func() (exec.Predictor, error)) (*exec.Exchange, error) {
+	if op.Child == nil {
+		return nil, fmt.Errorf("codegen: model operator %q has no input", op.Model)
 	}
-	if err := input.Push(&exec.PredictStage{Predictor: pred, OutputCols: []types.Column{outCol}}); err != nil {
+	input, err := below(op.Child)
+	if err != nil {
 		return nil, err
 	}
-	return input, nil
-}
-
-// collectTransforms walks down consecutive TransformNodes, returning the
-// steps in execution order and the node below them.
-func collectTransforms(n ir.Node) ([]ml.Transformer, ir.Node) {
-	var rev []ml.Transformer
-	for {
-		t, ok := n.(*ir.TransformNode)
-		if !ok {
-			break
+	if guard != nil {
+		if err := input.Push(guard); err != nil {
+			return nil, err
 		}
-		rev = append(rev, t.T)
-		n = t.In
 	}
-	// rev is model-adjacent first; reverse into execution order.
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
+	pred, err := build()
+	if err != nil {
+		return nil, err
 	}
-	return rev, n
+	if c.cfg.Ctx != nil {
+		pred = &rt.ContextPredictor{Ctx: c.cfg.Ctx, Inner: pred}
+	}
+	return input, input.Push(&exec.PredictStage{Predictor: pred, OutputCols: []types.Column{op.OutputCol}})
 }
 
-// buildPredictor maps the configured mode to a predictor implementation.
-func buildPredictor(cfg *Config, pipe *ml.Pipeline, outType types.DataType) (exec.Predictor, error) {
+// predictor maps the configured mode to a predictor for pipe.
+func (c *compiler) predictor(op *ir.Scorer, pipe *ml.Pipeline) (exec.Predictor, error) {
+	cfg, outType := c.cfg, op.OutputCol.Type
 	r := cfg.runtime()
 	switch cfg.Mode {
 	case rt.ModeInProcess:
 		return rt.NewPipelinePredictor(pipe, outType), nil
 	case rt.ModeInProcessNN:
-		return r.NNPredictor(cfg.CacheKey, pipe, outType)
+		return r.NNPredictor(c.sessionKey(op), pipe, outType)
 	case rt.ModeOutOfProcess:
 		inner := rt.NewPipelinePredictor(pipe, outType)
 		return &rt.OutOfProcessPredictor{Inner: inner, Startup: r.ExternalStartup, Ctx: cfg.Ctx}, nil
@@ -209,46 +205,6 @@ func buildPredictor(cfg *Config, pipe *ml.Pipeline, outType types.DataType) (exe
 	default:
 		return nil, fmt.Errorf("codegen: unknown mode %v", cfg.Mode)
 	}
-}
-
-// compileSplit lowers model/query splitting: the source plan is compiled
-// once per branch with a complementary filter, each branch scores with its
-// own sub-model, and the two branch pipelines run back to back (all of the
-// left branch's rows, then the right's).
-func compileSplit(s *ir.SplitNode, cfg *Config) (*exec.Exchange, error) {
-	src, ok := s.In.(*ir.RelNode)
-	if !ok {
-		return nil, fmt.Errorf("codegen: split requires a relational source, got %T", s.In)
-	}
-	build := func(m ir.Node, cond expr.Expr) (*exec.Exchange, error) {
-		model, ok := m.(*ir.ModelNode)
-		if !ok {
-			return nil, fmt.Errorf("codegen: split branch must be a model node, got %T", m)
-		}
-		ex, err := exec.CompilePipeline(src.Plan, env(cfg), nil)
-		if err != nil {
-			return nil, err
-		}
-		if err := ex.Push(&exec.FilterStage{Pred: cond}); err != nil {
-			return nil, err
-		}
-		pipe := &ml.Pipeline{Final: model.M, InputColumns: model.InputCols}
-		pred, err := buildPredictor(cfg, pipe, model.OutputCol.Type)
-		if err != nil {
-			return nil, err
-		}
-		return pushPredict(cfg, ex, pred, model.OutputCol)
-	}
-	col := &expr.Column{Name: s.CondCol}
-	left, err := build(s.Left, expr.NewBinary(expr.OpLe, col, expr.FloatLit(s.Threshold)))
-	if err != nil {
-		return nil, err
-	}
-	right, err := build(s.Right, expr.NewBinary(expr.OpGt, col, expr.FloatLit(s.Threshold)))
-	if err != nil {
-		return nil, err
-	}
-	return env(cfg).Pipeline(&exec.Concat{Parts: []exec.Operator{left, right}}), nil
 }
 
 // udfOp applies an opaque batch function.
@@ -271,33 +227,32 @@ func (u *udfOp) Next() (*types.Batch, error) {
 
 // GenerateSQL renders a best-effort SQL text for the optimized IR — the
 // "new SQL query reflecting the optimizations" the Runtime Code Generator
-// emits (§2). It is for inspection, not re-parsing fidelity.
+// emits (§2): the one tree that runs, relational operators as the plan
+// prints them and ML operators as the calls they stand for. It is for
+// inspection, not re-parsing fidelity.
 func GenerateSQL(g *ir.Graph) string {
-	var sb strings.Builder
-	sb.WriteString("-- regenerated by Raven runtime code generator\n")
-	for i, n := range g.Chain() {
-		switch x := n.(type) {
-		case *ir.RelNode:
-			fmt.Fprintf(&sb, "-- stage %d (DB):\n%s", i, indentPlan(x.Plan))
-		case *ir.TransformNode:
-			fmt.Fprintf(&sb, "-- stage %d (ML): featurizer %s\n", i, x.T.Kind())
-		case *ir.ModelNode:
-			fmt.Fprintf(&sb, "-- stage %d (ML): PREDICT %s(%s) AS %s\n", i, x.M.Kind(), strings.Join(x.InputCols, ", "), x.OutputCol.Name)
-		case *ir.LANode:
-			fmt.Fprintf(&sb, "-- stage %d (ML): tensor graph (%d ops) over (%s) AS %s\n", i, x.G.NumNodes(), strings.Join(x.InputCols, ", "), x.OutputCol.Name)
-		case *ir.SplitNode:
-			fmt.Fprintf(&sb, "-- stage %d: UNION of %s <= %v and %s > %v branches\n", i, x.CondCol, x.Threshold, x.CondCol, x.Threshold)
-		case *ir.UDFNode:
-			fmt.Fprintf(&sb, "-- stage %d (ML): UDF %s\n", i, x.Name)
+	return "-- regenerated by Raven runtime code generator\n" + plan.Render(g.Root, "--   ", func(n plan.Node) []string {
+		predict := func(m ml.Model, op *ir.Scorer) string {
+			return fmt.Sprintf("PREDICT %s(%s) AS %s", m.Kind(), strings.Join(op.InputCols, ", "), op.OutputCol.Name)
 		}
-	}
-	return sb.String()
-}
-
-func indentPlan(p plan.Node) string {
-	lines := strings.Split(strings.TrimRight(plan.Explain(p), "\n"), "\n")
-	for i := range lines {
-		lines[i] = "--   " + lines[i]
-	}
-	return strings.Join(lines, "\n") + "\n"
+		switch x := n.(type) {
+		case *ir.ModelNode:
+			lines := []string{predict(x.M, &x.Scorer)}
+			for _, st := range x.Steps {
+				lines = append(lines, "featurizer "+st.Kind())
+			}
+			return lines
+		case *ir.LANode:
+			return []string{fmt.Sprintf("tensor graph (%d ops) over (%s) AS %s", x.G.NumNodes(), strings.Join(x.InputCols, ", "), x.OutputCol.Name)}
+		case *ir.SplitNode:
+			return []string{
+				fmt.Sprintf("UNION of %s <= %v and %s > %v branches", x.CondCol, x.Threshold, x.CondCol, x.Threshold),
+				predict(x.Left, &x.Scorer), predict(x.Right, &x.Scorer),
+			}
+		case *ir.UDFNode:
+			return []string{"UDF " + x.Name}
+		default:
+			return []string{n.String()}
+		}
+	})
 }

@@ -33,13 +33,12 @@ func featureTable(t *testing.T, n int) *storage.Table {
 	return tb
 }
 
+func scorer(src ir.Node) ir.Scorer {
+	return ir.Scorer{Child: src, Model: "m", InputCols: []string{"a", "b"}, OutputCol: types.Column{Name: "score", Type: types.Float}}
+}
+
 func lrModelNode(src ir.Node) *ir.ModelNode {
-	return &ir.ModelNode{
-		M:         &ml.LogisticRegression{W: []float64{1, -1}, B: 0.5},
-		InputCols: []string{"a", "b"},
-		OutputCol: types.Column{Name: "score", Type: types.Float},
-		In:        src,
-	}
+	return &ir.ModelNode{Scorer: scorer(src), M: &ml.LogisticRegression{W: []float64{1, -1}, B: 0.5}}
 }
 
 func collect(t *testing.T, op exec.Operator) *types.Batch {
@@ -53,9 +52,7 @@ func collect(t *testing.T, op exec.Operator) *types.Batch {
 
 func TestCompileModelChain(t *testing.T) {
 	tb := featureTable(t, 500)
-	src := &ir.RelNode{Plan: plan.NewScan(tb)}
-	mn := lrModelNode(src)
-	g := &ir.Graph{Root: mn}
+	g := &ir.Graph{Root: lrModelNode(plan.NewScan(tb))}
 	for _, mode := range []rt.Mode{rt.ModeInProcess, rt.ModeInProcessNN} {
 		op, err := Compile(g, &Config{Mode: mode, Parallelism: 1})
 		if err != nil {
@@ -75,17 +72,12 @@ func TestCompileModelChain(t *testing.T) {
 	}
 }
 
-func TestCompileWithSinkFragment(t *testing.T) {
+func TestCompileFilterAboveModel(t *testing.T) {
 	tb := featureTable(t, 300)
-	src := &ir.RelNode{Plan: plan.NewScan(tb)}
-	mn := lrModelNode(src)
-	outSchema := tb.Schema().Concat(types.NewSchema(types.Column{Name: "score", Type: types.Float}))
-	sinkPlan := &plan.Filter{
-		Child: &plan.Input{Sch: outSchema},
+	g := &ir.Graph{Root: &plan.Filter{
+		Child: lrModelNode(plan.NewScan(tb)),
 		Pred:  expr.NewBinary(expr.OpGt, &expr.Column{Name: "score"}, expr.FloatLit(0.6)),
-	}
-	sink := &ir.RelNode{Plan: sinkPlan, In: mn}
-	g := &ir.Graph{Root: sink}
+	}}
 	op, err := Compile(g, &Config{Mode: rt.ModeInProcess, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -105,8 +97,7 @@ func TestCompileLANode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &ir.RelNode{Plan: plan.NewScan(tb)}
-	la := &ir.LANode{G: graph, InputCols: []string{"a", "b"}, OutputCol: types.Column{Name: "score", Type: types.Float}, In: src}
+	la := &ir.LANode{Scorer: scorer(plan.NewScan(tb)), G: graph}
 	g := &ir.Graph{Root: la}
 	op, err := Compile(g, &Config{Parallelism: 1, CacheKey: "k"})
 	if err != nil {
@@ -130,16 +121,22 @@ func TestCompileLANode(t *testing.T) {
 
 func TestCompileSplitNode(t *testing.T) {
 	tb := featureTable(t, 1000)
-	src := &ir.RelNode{Plan: plan.NewScan(tb)}
-	left := &ir.ModelNode{M: &ml.LogisticRegression{W: []float64{0, 0}, B: -10}, InputCols: []string{"a", "b"}, OutputCol: types.Column{Name: "score", Type: types.Float}}
-	right := &ir.ModelNode{M: &ml.LogisticRegression{W: []float64{0, 0}, B: 10}, InputCols: []string{"a", "b"}, OutputCol: types.Column{Name: "score", Type: types.Float}}
-	split := &ir.SplitNode{CondCol: "a", Threshold: 0, Left: left, Right: right, In: src}
+	split := &ir.SplitNode{Scorer: scorer(plan.NewScan(tb)), CondCol: "a", Threshold: 0,
+		Left: &ml.LogisticRegression{W: []float64{0, 0}, B: -10}, Right: &ml.LogisticRegression{W: []float64{0, 0}, B: 10}}
 	g := &ir.Graph{Root: split}
-	op, err := Compile(g, &Config{Mode: rt.ModeInProcess, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
+	// The two branches are two models: on tensor sessions cached under
+	// the caller's key, neither may answer from the other's.
+	for _, cfg := range []*Config{{Mode: rt.ModeInProcess, Parallelism: 1}, {Mode: rt.ModeInProcessNN, Parallelism: 1, CacheKey: "k"}} {
+		op, err := Compile(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSplit(t, collect(t, op))
 	}
-	out := collect(t, op)
+}
+
+func checkSplit(t *testing.T, out *types.Batch) {
+	t.Helper()
 	if out.Len() != 1000 {
 		t.Fatalf("rows = %d (split lost rows)", out.Len())
 	}
@@ -158,7 +155,6 @@ func TestCompileSplitNode(t *testing.T) {
 
 func TestCompileUDFNode(t *testing.T) {
 	tb := featureTable(t, 100)
-	src := &ir.RelNode{Plan: plan.NewScan(tb)}
 	outSchema := types.NewSchema(types.Column{Name: "doubled", Type: types.Float})
 	udf := &ir.UDFNode{
 		Name: "double_a",
@@ -171,7 +167,7 @@ func TestCompileUDFNode(t *testing.T) {
 			}
 			return &types.Batch{Schema: outSchema, Vecs: []*types.Vector{v}}, nil
 		},
-		In: src,
+		Child: plan.NewScan(tb),
 	}
 	g := &ir.Graph{Root: udf}
 	op, err := Compile(g, &Config{Parallelism: 1})
@@ -185,13 +181,6 @@ func TestCompileUDFNode(t *testing.T) {
 }
 
 func TestCompileErrors(t *testing.T) {
-	// dangling transform
-	tb := featureTable(t, 10)
-	src := &ir.RelNode{Plan: plan.NewScan(tb)}
-	tr := &ir.TransformNode{T: &ml.ColumnSelect{Indices: []int{0}}, In: src}
-	if _, err := Compile(&ir.Graph{Root: tr}, &Config{}); err == nil {
-		t.Error("dangling transform should fail")
-	}
 	// model without input
 	mn := lrModelNode(nil)
 	if _, err := Compile(&ir.Graph{Root: mn}, &Config{}); err == nil {
@@ -201,20 +190,19 @@ func TestCompileErrors(t *testing.T) {
 
 func TestGenerateSQL(t *testing.T) {
 	tb := featureTable(t, 10)
-	src := &ir.RelNode{Plan: plan.NewScan(tb)}
-	mn := lrModelNode(src)
-	g := &ir.Graph{Root: mn}
-	s := GenerateSQL(g)
-	if !strings.Contains(s, "PREDICT") || !strings.Contains(s, "Scan(t)") {
+	sc := &ml.StandardScaler{Mean: []float64{0, 0}, Scale: []float64{1, 1}}
+	mn := lrModelNode(plan.NewScan(tb))
+	mn.Steps = []ml.Transformer{sc}
+	s := GenerateSQL(&ir.Graph{Root: &plan.Limit{Child: mn, N: 5}})
+	want := "--   Limit(5)\n--     PREDICT logreg(a, b) AS score\n--       featurizer " + sc.Kind() + "\n--       Scan(t)\n"
+	if !strings.HasSuffix(s, want) {
 		t.Errorf("generated SQL:\n%s", s)
 	}
 }
 
 func TestParallelCompileThroughModel(t *testing.T) {
 	tb := featureTable(t, 200000)
-	src := &ir.RelNode{Plan: plan.NewScan(tb)}
-	mn := lrModelNode(src)
-	g := &ir.Graph{Root: mn}
+	g := &ir.Graph{Root: lrModelNode(plan.NewScan(tb))}
 	op, err := Compile(g, &Config{Mode: rt.ModeInProcess, Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)

@@ -19,9 +19,7 @@ func BenchmarkOneWorkerScanFilterPredict(b *testing.B) {
 		"m", []types.Column{{Name: "score", Type: types.Float}})
 	env := &Env{
 		Parallelism: 1,
-		PredictorFactory: func(string, *types.Schema, []types.Column) (Predictor, error) {
-			return constPredictor{bias: 1}, nil
-		},
+		Lower:       scoreWith(constPredictor{bias: 1}),
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -8,16 +8,19 @@ import (
 	"raven/internal/types"
 )
 
-// Env carries what compilation needs beyond the plan: how to build
-// predictors for PREDICT nodes and the degree of parallelism.
+// Env carries what compilation needs beyond the plan: how to lower the
+// operators this package does not define and the degree of parallelism.
 type Env struct {
 	// Ctx cancels execution of the compiled plan: every pipeline polls it
 	// once per morsel and pipeline breakers between phases. Nil means not
 	// cancellable.
 	Ctx context.Context
-	// PredictorFactory builds a Predictor for a model against the given
-	// input schema. The runtime package provides the implementations.
-	PredictorFactory func(modelName string, inputSchema *types.Schema, outCols []types.Column) (Predictor, error)
+	// Lower compiles a node the compiler does not know — the ML operators
+	// of the unified IR; the runtime code generator supplies it. below
+	// compiles a child of the node, this hook included, to its
+	// still-pushable pipeline, so one pipeline threads through relational
+	// and ML stages alike.
+	Lower func(n plan.Node, below func(plan.Node) (*Exchange, error)) (*Exchange, error)
 	// Parallelism is the pipeline worker count. 1 runs every pipeline
 	// inline on the caller's goroutine (the Fig 3 ablation); 0 defaults
 	// to 1.
@@ -85,23 +88,16 @@ func (e *Env) Pipeline(op Operator) *Exchange {
 // automatic parallel scan+PREDICT (paper §5, observation iii) with
 // deterministic output — and a small one's runs inline.
 func Compile(n plan.Node, env *Env) (Operator, error) {
-	ex, err := CompilePipeline(n, env, nil)
-	if err != nil {
-		return nil, err
-	}
-	return UnwrapIdleExchange(ex), nil
-}
-
-// CompilePipeline is Compile for a plan fragment inside a larger
-// pipeline: it returns the fragment's still-pushable exchange, and input,
-// when non-nil, stands for the fragment's plan.Input placeholder (the
-// pipeline of the ML stage below it). The runtime code generator uses
-// this to thread one pipeline through relational and ML stages alike.
-func CompilePipeline(n plan.Node, env *Env, input *Exchange) (*Exchange, error) {
 	if env == nil {
 		env = &Env{}
 	}
-	return (&compiler{env: env, input: input}).compile(n)
+	ex, err := (&compiler{env: env}).compile(n)
+	if err != nil {
+		return nil, err
+	}
+	// The root may still carry a stage-free re-entry exchange; nothing can
+	// push onto it now.
+	return UnwrapIdleExchange(ex), nil
 }
 
 // UnwrapIdleExchange strips a stage-free exchange wrapped around an
@@ -123,8 +119,7 @@ func UnwrapIdleExchange(op Operator) Operator {
 }
 
 type compiler struct {
-	env   *Env
-	input *Exchange
+	env *Env
 }
 
 // push compiles child and appends st to its pipeline.
@@ -153,12 +148,6 @@ func (c *compiler) breakerSource(child plan.Node) (MorselSource, error) {
 func (c *compiler) compile(n plan.Node) (*Exchange, error) {
 	env := c.env
 	switch x := n.(type) {
-	case *plan.Input:
-		if c.input == nil {
-			return nil, fmt.Errorf("exec: plan.Input with no bound input pipeline")
-		}
-		return c.input, nil
-
 	case *plan.Scan:
 		dop, rows := env.parallelism(), x.Table.NumRows()
 		if rows < env.threshold() {
@@ -178,18 +167,6 @@ func (c *compiler) compile(n plan.Node) (*Exchange, error) {
 
 	case *plan.Project:
 		return c.push(x.Child, &ProjectStage{Exprs: x.Exprs, Names: x.Names})
-
-	case *plan.Predict:
-		if env.PredictorFactory == nil {
-			return nil, fmt.Errorf("exec: plan contains PREDICT but Env has no PredictorFactory")
-		}
-		// One predictor shared by every worker: predictors are stateless
-		// per call (sessions are cached underneath).
-		pred, err := env.PredictorFactory(x.ModelName, x.Child.Schema(), x.OutputCols)
-		if err != nil {
-			return nil, err
-		}
-		return c.push(x.Child, &PredictStage{Predictor: pred, OutputCols: x.OutputCols})
 
 	case *plan.Join:
 		build, err := c.breakerSource(x.Right)
@@ -253,6 +230,9 @@ func (c *compiler) compile(n plan.Node) (*Exchange, error) {
 		return env.Pipeline(&DistinctOp{Child: UnwrapIdleExchange(child)}), nil
 
 	default:
-		return nil, fmt.Errorf("exec: cannot compile plan node %T", n)
+		if env.Lower == nil {
+			return nil, fmt.Errorf("exec: cannot compile plan node %T", n)
+		}
+		return env.Lower(n, c.compile)
 	}
 }

@@ -285,6 +285,19 @@ func (p constPredictor) PredictBatch(b *types.Batch) ([]*types.Vector, error) {
 	return []*types.Vector{out}, nil
 }
 
+// scoreWith is an Env.Lower hook for tests: it scores every plan.Predict
+// with p, as one more stage of the pipeline below it.
+func scoreWith(p Predictor) func(plan.Node, func(plan.Node) (*Exchange, error)) (*Exchange, error) {
+	return func(n plan.Node, below func(plan.Node) (*Exchange, error)) (*Exchange, error) {
+		pr := n.(*plan.Predict)
+		ex, err := below(pr.Child)
+		if err != nil {
+			return nil, err
+		}
+		return ex, ex.Push(&PredictStage{Predictor: p, OutputCols: pr.OutputCols})
+	}
+}
+
 func TestPredictStage(t *testing.T) {
 	tb := numbersTable(t, 100)
 	p := pushAll(t, scanPipe(t, tb, nil),
@@ -333,9 +346,7 @@ func TestCompilePlanWithParallelism(t *testing.T) {
 	pr := plan.NewPredict(f, "m", []types.Column{{Name: "score", Type: types.Float}})
 	env := &Env{
 		Parallelism: 4,
-		PredictorFactory: func(name string, in *types.Schema, out []types.Column) (Predictor, error) {
-			return constPredictor{bias: 1}, nil
-		},
+		Lower:       scoreWith(constPredictor{bias: 1}),
 	}
 	op, err := Compile(pr, env)
 	if err != nil {

@@ -54,9 +54,7 @@ func inlinePlans(t *testing.T) map[string]plan.Node {
 func inlineEnv(ctx context.Context) *Env {
 	return &Env{
 		Ctx: ctx, Parallelism: 1, MorselSize: 512,
-		PredictorFactory: func(string, *types.Schema, []types.Column) (Predictor, error) {
-			return constPredictor{bias: 1}, nil
-		},
+		Lower: scoreWith(constPredictor{bias: 1}),
 	}
 }
 

@@ -237,11 +237,9 @@ func TestCompiledExchangeConcurrentQueriesShareTable(t *testing.T) {
 	pr := plan.NewPredict(f, "m", []types.Column{{Name: "score", Type: types.Float}})
 	env := &Env{
 		Parallelism: 4,
-		PredictorFactory: func(string, *types.Schema, []types.Column) (Predictor, error) {
-			return constPredictor{bias: 7}, nil
-		},
+		Lower:       scoreWith(constPredictor{bias: 7}),
 	}
-	serialEnv := &Env{Parallelism: 1, PredictorFactory: env.PredictorFactory}
+	serialEnv := &Env{Parallelism: 1, Lower: env.Lower}
 	sop, err := Compile(pr, serialEnv)
 	if err != nil {
 		t.Fatal(err)

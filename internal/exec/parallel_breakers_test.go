@@ -608,9 +608,7 @@ func TestBlockedPredictorBelowBuildAndMerge(t *testing.T) {
 	defer cancel()
 	env := parEnv(4)
 	env.Ctx = ctx
-	env.PredictorFactory = func(string, *types.Schema, []types.Column) (Predictor, error) {
-		return blockingPredictor{ctx: ctx}, nil
-	}
+	env.Lower = scoreWith(blockingPredictor{ctx: ctx})
 
 	// (a) blocked predictor feeding the join build (right input).
 	pr := plan.NewPredict(plan.NewScan(tb), "m", []types.Column{{Name: "s", Type: types.Float}})

@@ -251,29 +251,6 @@ func DeriveRanges(pred Expr) map[string]Range {
 	return out
 }
 
-// DeriveEqualities extracts column = constant conjuncts, including string
-// equalities (for one-hot categorical pruning). Numeric values come back
-// as float64, strings as string.
-func DeriveEqualities(pred Expr) map[string]any {
-	out := make(map[string]any)
-	for _, c := range Conjuncts(pred) {
-		b, ok := c.(*Binary)
-		if !ok || b.Op != OpEq {
-			continue
-		}
-		col, lit, op := normalizeComparison(b)
-		if col == nil || op != OpEq {
-			continue
-		}
-		if lit.DT == types.String {
-			out[strings.ToLower(col.BareName())] = lit.S
-		} else {
-			out[strings.ToLower(col.BareName())] = lit.AsFloat()
-		}
-	}
-	return out
-}
-
 // normalizeComparison rewrites a comparison so the column is on the left,
 // returning (column, literal, effective op). Either side may be the column.
 func normalizeComparison(b *Binary) (*Column, *Literal, BinOp) {

@@ -579,6 +579,26 @@ func (e *Case) Type(s *types.Schema) (types.DataType, error) {
 	return out, nil
 }
 
+// gatherRows is b.Gather(sel) into pooled vectors. The sub-batches of a
+// CASE are private to its evaluation — every arm result is scattered
+// into the output before the next arm runs — so they go back to the pool
+// through putRows instead of to the collector: a tree inlined as nested
+// CASEs gathers each row once per level.
+func gatherRows(b *types.Batch, sel []int) *types.Batch {
+	vecs := make([]*types.Vector, len(b.Vecs))
+	for i, v := range b.Vecs {
+		vecs[i] = types.GetVector(v.Type, 0)
+		v.GatherInto(vecs[i], sel)
+	}
+	return &types.Batch{Schema: b.Schema, Vecs: vecs}
+}
+
+func putRows(b *types.Batch) {
+	for _, v := range b.Vecs {
+		types.PutVector(v)
+	}
+}
+
 // Eval implements Expr. Evaluation is mask-driven: each arm's THEN runs
 // only on the rows its condition selects (gathered into a sub-batch), so a
 // decision tree inlined as nested CASEs costs O(depth·n) — the same
@@ -596,6 +616,13 @@ func (e *Case) Eval(b *types.Batch) (*types.Vector, error) {
 		idx[i] = i
 	}
 	cur := b
+	// cur is b or a sub-batch this call gathered; only the latter is ours
+	// to recycle.
+	defer func() {
+		if cur != b {
+			putRows(cur)
+		}
+	}()
 	// scatter reads arm results through the broadcast-aware accessors so
 	// literal THEN arms need no materialized vector.
 	scatter := func(vals *types.Vector, rows []int) {
@@ -623,7 +650,7 @@ func (e *Case) Eval(b *types.Batch) (*types.Vector, error) {
 		if cond.Type != types.Bool {
 			return nil, fmt.Errorf("expr: CASE condition evaluated to %v", cond.Type)
 		}
-		var selT, selF []int // positions within cur
+		var selT, selF []int // positions within cur, sized in one allocation
 		if cond.Const {
 			// broadcast condition: every remaining row takes one side
 			if cond.Bools[0] {
@@ -639,6 +666,14 @@ func (e *Case) Eval(b *types.Batch) (*types.Vector, error) {
 			PutEvalResult(w.Cond, cond)
 			continue
 		}
+		nT := 0
+		for _, ok := range cond.Bools {
+			if ok {
+				nT++
+			}
+		}
+		sel := make([]int, len(cond.Bools))
+		selT, selF = sel[:0:nT], sel[nT:nT]
 		for k, ok := range cond.Bools {
 			if ok {
 				selT = append(selT, k)
@@ -651,29 +686,37 @@ func (e *Case) Eval(b *types.Batch) (*types.Vector, error) {
 			sub := cur
 			rows := idx
 			if len(selT) < len(idx) {
-				sub = cur.Gather(selT)
-				rows = make([]int, len(selT))
+				sub = gatherRows(cur, selT)
+				rows = selT // positions become output rows in place
 				for k, p := range selT {
 					rows[k] = idx[p]
 				}
 			}
 			vals, err := w.Then.Eval(sub)
+			if err == nil {
+				scatter(vals, rows)
+				PutEvalResult(w.Then, vals)
+			}
+			if sub != cur {
+				putRows(sub)
+			}
 			if err != nil {
 				return nil, err
 			}
-			scatter(vals, rows)
-			PutEvalResult(w.Then, vals)
 		}
 		if len(selF) == 0 {
 			return out, nil
 		}
 		if len(selF) < len(idx) {
-			cur = cur.Gather(selF)
-			nidx := make([]int, len(selF))
-			for k, p := range selF {
-				nidx[k] = idx[p]
+			next := gatherRows(cur, selF)
+			if cur != b {
+				putRows(cur)
 			}
-			idx = nidx
+			cur = next
+			for k, p := range selF {
+				selF[k] = idx[p]
+			}
+			idx = selF
 		}
 	}
 	vals, err := e.Else.Eval(cur)

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math"
+	"sync"
 	"testing"
 
 	"raven/internal/types"
@@ -157,6 +158,78 @@ func TestCase(t *testing.T) {
 	}
 }
 
+// TestCaseRecyclesOnlyItsOwnRows pins what the pooled sub-batches of
+// Case.Eval must not break: a nested CASE whose arms are bare columns
+// (results that alias the sub-batch they were evaluated on) equals the
+// row-wise reference, evaluation after evaluation and from concurrent
+// callers, and leaves the input batch as it was.
+func TestCaseRecyclesOnlyItsOwnRows(t *testing.T) {
+	const n = 257
+	b := types.NewBatch(types.NewSchema(
+		types.Column{Name: "x", Type: types.Float}, types.Column{Name: "y", Type: types.Float},
+		types.Column{Name: "z", Type: types.Float}))
+	for i := 0; i < n; i++ {
+		if err := b.AppendRow(float64(i%11), float64(i%7)+0.5, float64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	col := func(name string) Expr { return &Column{Name: name} }
+	le := func(name string, v float64) Expr { return NewBinary(OpLe, col(name), FloatLit(v)) }
+	inner := &Case{Whens: []When{{Cond: le("y", 3), Then: col("z")}}, Else: col("x")}
+	e := &Case{
+		Whens: []When{
+			{Cond: le("x", 2), Then: inner},
+			{Cond: le("x", 7), Then: &Case{Whens: []When{{Cond: le("y", 1), Then: FloatLit(-1)}}, Else: inner}},
+		},
+		Else: col("y"),
+	}
+	want := make([]float64, n)
+	for i := range want {
+		x, y, z := b.Vecs[0].Floats[i], b.Vecs[1].Floats[i], b.Vecs[2].Floats[i]
+		in := x
+		if y <= 3 {
+			in = z
+		}
+		switch {
+		case x <= 2:
+			want[i] = in
+		case x <= 7 && y <= 1:
+			want[i] = -1
+		case x <= 7:
+			want[i] = in
+		default:
+			want[i] = y
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for round := 0; round < 20; round++ {
+				v, err := e.Eval(b)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				for i, w := range want {
+					if v.Floats[i] != w {
+						t.Errorf("round %d row %d = %v, want %v", round, i, v.Floats[i], w)
+						return
+					}
+				}
+				PutEvalResult(e, v)
+			}
+		}()
+	}
+	wg.Wait()
+	for i := 0; i < n; i++ {
+		if b.Vecs[2].Floats[i] != float64(i) || b.Vecs[0].Len() != n {
+			t.Fatalf("input batch changed at row %d", i)
+		}
+	}
+}
+
 func TestConjunctsAndAnd(t *testing.T) {
 	a := NewBinary(OpGt, &Column{Name: "x"}, IntLit(1))
 	b := NewBinary(OpLt, &Column{Name: "y"}, IntLit(2))
@@ -270,24 +343,6 @@ func TestDeriveRanges(t *testing.T) {
 	})
 	if r2 := DeriveRanges(e2); !r2["x"].Empty() {
 		t.Errorf("contradiction not empty: %+v", r2["x"])
-	}
-}
-
-func TestDeriveEqualities(t *testing.T) {
-	e := And([]Expr{
-		NewBinary(OpEq, &Column{Name: "dest"}, StringLit("SFO")),
-		NewBinary(OpEq, IntLit(1), &Column{Name: "pregnant"}),
-		NewBinary(OpGt, &Column{Name: "age"}, IntLit(3)), // not equality
-	})
-	eq := DeriveEqualities(e)
-	if eq["dest"] != "SFO" {
-		t.Errorf("dest = %v", eq["dest"])
-	}
-	if eq["pregnant"] != 1.0 {
-		t.Errorf("pregnant = %v", eq["pregnant"])
-	}
-	if _, ok := eq["age"]; ok {
-		t.Error("inequality must not appear")
 	}
 }
 

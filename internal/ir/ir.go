@@ -1,14 +1,17 @@
-// Package ir defines Raven's unified intermediate representation (paper
-// §3): a single DAG mixing relational-algebra (RA) operators, classical-ML
-// operators and featurizers (MLD), linear-algebra graphs (LA), and opaque
-// UDFs. SQL queries lower into RA nodes; model pipelines extracted by the
-// static analyzer lower into MLD chains; NN translation rewrites MLD chains
-// into LA nodes. The cross optimizer (package xopt) rewrites this graph.
+// Package ir defines the ML operators of Raven's unified intermediate
+// representation (paper §3): one plan tree mixing relational-algebra (RA)
+// operators — package plan's — with classical-ML operators and their
+// featurizers (MLD), linear-algebra graphs (LA) and opaque UDFs. FromPlan
+// replaces each bound PREDICT, wherever it sits, with the stored
+// pipeline's model operator; NN translation rewrites a model operator
+// into an LA node, inlining into a relational projection. Every operator
+// here implements plan.Node and declares plan.Extension, which is all the
+// relational rules need to move filters and prune columns around it. The
+// cross optimizer (package xopt) rewrites this tree.
 package ir
 
 import (
 	"fmt"
-	"strings"
 
 	"raven/internal/ml"
 	"raven/internal/ort"
@@ -16,7 +19,9 @@ import (
 	"raven/internal/types"
 )
 
-// Category classifies operators per the paper's taxonomy (§3.1).
+// Category classifies operators per the paper's taxonomy (§3.1). It also
+// decides the engine that runs one (§4.3): RA on the database engine,
+// everything else on the ML runtime.
 type Category uint8
 
 // Operator categories.
@@ -41,254 +46,200 @@ func (c Category) String() string {
 	}
 }
 
-// Engine names the runtime chosen to execute a node (paper §4.3: part of
-// optimization is picking the engine per operator).
-type Engine uint8
-
-// Engines.
-const (
-	EngineUnassigned Engine = iota
-	EngineDB
-	EngineML
-)
-
-// String implements fmt.Stringer.
-func (e Engine) String() string {
-	switch e {
-	case EngineDB:
+// Engine names the runtime that executes operators of the category.
+func (c Category) Engine() string {
+	if c == RA {
 		return "db"
-	case EngineML:
-		return "ml"
-	default:
-		return "?"
 	}
+	return "ml"
 }
 
-// Node is one unified-IR operator.
-type Node interface {
-	// Input returns the upstream node (nil for sources).
-	Input() Node
-	// SetInput replaces the upstream node.
-	SetInput(Node)
-	// Cat is the operator category.
-	Cat() Category
-	fmt.Stringer
+// Node is one operator of the unified IR.
+type Node = plan.Node
+
+// categoryOf classifies a node: the operators of this package say what
+// they are, anything else is relational.
+func categoryOf(n Node) Category {
+	if c, ok := n.(interface{ Cat() Category }); ok {
+		return c.Cat()
+	}
+	return RA
 }
 
-// RelNode wraps a relational subplan. For graph sources, Plan is a full
-// scan/join/filter tree and In is nil. Elsewhere Plan operates on the rows
-// produced by In, with a plan.Input placeholder at its leaf.
-type RelNode struct {
-	Plan   plan.Node
-	In     Node
-	Engine Engine
-}
-
-// Input implements Node.
-func (n *RelNode) Input() Node { return n.In }
-
-// SetInput implements Node.
-func (n *RelNode) SetInput(i Node) { n.In = i }
-
-// Cat implements Node.
-func (n *RelNode) Cat() Category { return RA }
-
-func (n *RelNode) String() string {
-	first := strings.SplitN(plan.Explain(n.Plan), "\n", 2)[0]
-	return fmt.Sprintf("RA:%s", first)
-}
-
-// TransformNode is one featurization step (MLD category).
-type TransformNode struct {
-	T      ml.Transformer
-	In     Node
-	Engine Engine
-}
-
-// Input implements Node.
-func (n *TransformNode) Input() Node { return n.In }
-
-// SetInput implements Node.
-func (n *TransformNode) SetInput(i Node) { n.In = i }
-
-// Cat implements Node.
-func (n *TransformNode) Cat() Category { return MLD }
-
-func (n *TransformNode) String() string { return "MLD:transform:" + n.T.Kind() }
-
-// ModelNode is the final predictor of a pipeline (MLD category). Its
-// output is the input rows with OutputCol appended.
-type ModelNode struct {
-	M ml.Model
-	// InputCols names the relational columns feeding feature 0..d-1 of the
-	// first transform (or the model itself when there are no transforms).
+// Scorer is what the model operators share: each reads InputCols of its
+// child's rows and appends OutputCol, row by row.
+type Scorer struct {
+	Child Node
+	// Model is the stored model's name.
+	Model     string
 	InputCols []string
 	OutputCol types.Column
-	In        Node
-	Engine    Engine
+	// SessionKey keys this operator's tensor session in the session cache;
+	// empty builds an uncached session.
+	SessionKey string
 }
 
-// Input implements Node.
-func (n *ModelNode) Input() Node { return n.In }
+// Op returns the shared part of a model operator.
+func (s *Scorer) Op() *Scorer { return s }
 
-// SetInput implements Node.
-func (n *ModelNode) SetInput(i Node) { n.In = i }
+// Schema implements plan.Node.
+func (s *Scorer) Schema() *types.Schema {
+	return s.Child.Schema().Concat(types.NewSchema(s.OutputCol))
+}
 
-// Cat implements Node.
+// Children implements plan.Node.
+func (s *Scorer) Children() []Node { return []Node{s.Child} }
+
+// SetChild implements plan.Node.
+func (s *Scorer) SetChild(_ int, n Node) { s.Child = n }
+
+// Reads implements plan.Extension.
+func (s *Scorer) Reads() []string { return s.InputCols }
+
+// Adds implements plan.Extension.
+func (s *Scorer) Adds() []string { return []string{s.OutputCol.Name} }
+
+// RowWise implements plan.Extension.
+func (s *Scorer) RowWise() bool { return true }
+
+// ModelNode is a stored pipeline: featurizer Steps, then the predictor M
+// (MLD category).
+type ModelNode struct {
+	Scorer
+	// Steps featurize InputCols in order; M scores the last step's output.
+	Steps []ml.Transformer
+	M     ml.Model
+}
+
+// Cat is the operator category.
 func (n *ModelNode) Cat() Category { return MLD }
 
+// Clone implements plan.Extension.
+func (n *ModelNode) Clone() Node { c := *n; return &c }
+
 func (n *ModelNode) String() string {
-	return fmt.Sprintf("MLD:model:%s -> %s", n.M.Kind(), n.OutputCol.Name)
+	return fmt.Sprintf("model:%s -> %s", n.M.Kind(), n.OutputCol.Name)
 }
 
 // LANode holds a compiled tensor graph (the result of NN translation).
 // Input "X" of the graph is fed from InputCols; output "Y" lands in
 // OutputCol.
 type LANode struct {
-	G         *ort.Graph
-	InputCols []string
-	OutputCol types.Column
-	In        Node
-	Engine    Engine
+	Scorer
+	G *ort.Graph
 	// UseGPU requests the simulated accelerator provider.
 	UseGPU bool
 }
 
-// Input implements Node.
-func (n *LANode) Input() Node { return n.In }
-
-// SetInput implements Node.
-func (n *LANode) SetInput(i Node) { n.In = i }
-
-// Cat implements Node.
+// Cat is the operator category.
 func (n *LANode) Cat() Category { return LA }
 
+// Clone implements plan.Extension.
+func (n *LANode) Clone() Node { c := *n; return &c }
+
 func (n *LANode) String() string {
-	return fmt.Sprintf("LA:graph(%d nodes) -> %s", n.G.NumNodes(), n.OutputCol.Name)
+	return fmt.Sprintf("graph(%d nodes) -> %s", n.G.NumNodes(), n.OutputCol.Name)
 }
 
-// UDFNode wraps opaque row-at-a-time code the static analyzer could not
-// translate (paper §3.1). Fn maps an input batch to an output batch.
-type UDFNode struct {
-	Name   string
-	Fn     func(*types.Batch) (*types.Batch, error)
-	Out    *types.Schema
-	In     Node
-	Engine Engine
-}
-
-// Input implements Node.
-func (n *UDFNode) Input() Node { return n.In }
-
-// SetInput implements Node.
-func (n *UDFNode) SetInput(i Node) { n.In = i }
-
-// Cat implements Node.
-func (n *UDFNode) Cat() Category { return UDF }
-
-func (n *UDFNode) String() string { return "UDF:" + n.Name }
-
-// SplitNode unions two alternative subchains, each guarded by a predicate
-// on the source rows — the result of model/query splitting (paper §2).
-// Rows satisfying Cond flow through Left, the rest through Right.
+// SplitNode scores each row with one of two sub-models picked by a test
+// on an input column — the result of model/query splitting (paper §2).
+// Rows with CondCol <= Threshold go to Left, the rest to Right.
 type SplitNode struct {
-	CondCol   string // source column tested
-	Threshold float64
-	// Left handles rows with CondCol <= Threshold, Right the rest.
-	Left, Right Node
-	In          Node
+	Scorer
+	CondCol     string
+	Threshold   float64
+	Left, Right ml.Model
 }
 
-// Input implements Node.
-func (n *SplitNode) Input() Node { return n.In }
+// Cat is the operator category.
+func (n *SplitNode) Cat() Category { return MLD }
 
-// SetInput implements Node.
-func (n *SplitNode) SetInput(i Node) { n.In = i }
-
-// Cat implements Node.
-func (n *SplitNode) Cat() Category { return RA }
+// Clone implements plan.Extension.
+func (n *SplitNode) Clone() Node { c := *n; return &c }
 
 func (n *SplitNode) String() string {
-	return fmt.Sprintf("RA:split(%s <= %v)", n.CondCol, n.Threshold)
+	return fmt.Sprintf("split(%s <= %v) -> %s", n.CondCol, n.Threshold, n.OutputCol.Name)
 }
 
-// Graph is a unified-IR plan: a chain/DAG ending at Root (typically
-// sink-RA ← model ← transforms ← source-RA).
+// UDFNode wraps opaque code the static analyzer could not translate
+// (paper §3.1). Fn maps an input batch to an output batch of schema Out.
+type UDFNode struct {
+	Child Node
+	Name  string
+	Fn    func(*types.Batch) (*types.Batch, error)
+	Out   *types.Schema
+}
+
+// Cat is the operator category.
+func (n *UDFNode) Cat() Category { return UDF }
+
+// Schema implements plan.Node.
+func (n *UDFNode) Schema() *types.Schema { return n.Out }
+
+// Children implements plan.Node.
+func (n *UDFNode) Children() []Node { return []Node{n.Child} }
+
+// SetChild implements plan.Node.
+func (n *UDFNode) SetChild(_ int, c Node) { n.Child = c }
+
+// Reads implements plan.Extension; an opaque operator may read anything.
+func (n *UDFNode) Reads() []string { return nil }
+
+// Adds implements plan.Extension.
+func (n *UDFNode) Adds() []string { return nil }
+
+// RowWise implements plan.Extension: a UDF is opaque.
+func (n *UDFNode) RowWise() bool { return false }
+
+// Clone implements plan.Extension.
+func (n *UDFNode) Clone() Node { c := *n; return &c }
+
+func (n *UDFNode) String() string { return n.Name }
+
+// Graph is a unified-IR plan: one tree of relational and ML operators.
 type Graph struct {
 	Root Node
 }
 
-// Chain returns the nodes from source to root, linearized. SplitNode
-// branches contribute their nodes depth-first.
-func (g *Graph) Chain() []Node {
-	var out []Node
-	var walk func(n Node)
-	walk = func(n Node) {
-		if n == nil {
-			return
-		}
-		walk(n.Input())
-		if s, ok := n.(*SplitNode); ok {
-			walk(s.Left)
-			walk(s.Right)
-		}
-		out = append(out, n)
-	}
-	walk(g.Root)
-	return out
-}
-
-// Source returns the bottom-most node.
-func (g *Graph) Source() Node {
-	n := g.Root
-	for n.Input() != nil {
-		n = n.Input()
-	}
-	return n
-}
-
-// Explain renders the IR with categories and engine assignments, the
-// unified-IR view the paper's Fig 1 shows.
+// Explain renders the tree with categories and engine assignments, the
+// unified-IR view the paper's Fig 1 shows. A model's featurizer steps
+// print below it in the order they run, then its input.
 func (g *Graph) Explain() string {
-	var sb strings.Builder
-	nodes := g.Chain()
-	for i := len(nodes) - 1; i >= 0; i-- {
-		n := nodes[i]
-		eng := ""
+	return plan.Render(g.Root, "", func(n Node) []string {
+		c := categoryOf(n)
+		tag := fmt.Sprintf("[%s/%s] %s:", c, c.Engine(), c)
+		lines := []string{tag + n.String()}
 		switch x := n.(type) {
-		case *RelNode:
-			eng = x.Engine.String()
-		case *TransformNode:
-			eng = x.Engine.String()
 		case *ModelNode:
-			eng = x.Engine.String()
-		case *LANode:
-			eng = x.Engine.String()
-		case *UDFNode:
-			eng = x.Engine.String()
+			for _, st := range x.Steps {
+				lines = append(lines, tag+"transform:"+st.Kind())
+			}
+		case *SplitNode:
+			lines = append(lines, tag+"model:"+x.Left.Kind(), tag+"model:"+x.Right.Kind())
 		}
-		fmt.Fprintf(&sb, "[%s/%s] %s\n", n.Cat(), eng, n)
-	}
-	return sb.String()
+		return lines
+	})
 }
 
-// Find returns the first node in the chain satisfying pred, or nil.
+// Find returns the first node, parents before children, satisfying pred,
+// or nil.
 func (g *Graph) Find(pred func(Node) bool) Node {
-	for _, n := range g.Chain() {
-		if pred(n) {
-			return n
+	var found Node
+	plan.Walk(g.Root, func(n Node) {
+		if found == nil && pred(n) {
+			found = n
 		}
-	}
-	return nil
+	})
+	return found
 }
 
-// CountCategory counts chain nodes in the given category.
-func (g *Graph) CountCategory(c Category) int {
-	n := 0
-	for _, node := range g.Chain() {
-		if node.Cat() == c {
-			n++
+// ModelOps returns the shared part of every model operator of the tree.
+func (g *Graph) ModelOps() []*Scorer {
+	var out []*Scorer
+	plan.Walk(g.Root, func(n Node) {
+		if s, ok := n.(interface{ Op() *Scorer }); ok {
+			out = append(out, s.Op())
 		}
-	}
-	return n
+	})
+	return out
 }

@@ -48,11 +48,11 @@ func TestFromPlanNoPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := g.Root.(*RelNode); !ok {
+	if _, ok := g.Root.(*plan.Scan); !ok {
 		t.Fatalf("root = %T", g.Root)
 	}
-	if g.CountCategory(MLD) != 0 {
-		t.Error("phantom MLD nodes")
+	if len(g.ModelOps()) != 0 {
+		t.Error("phantom model operators")
 	}
 }
 
@@ -63,38 +63,54 @@ func TestFromPlanExpandsPredict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := g.Chain()
-	// source RelNode, TransformNode, ModelNode
-	if len(chain) != 3 {
-		t.Fatalf("chain = %d nodes:\n%s", len(chain), g.Explain())
+	// The model operator, its one featurizer step riding on it, over the scan.
+	mn, ok := g.Root.(*ModelNode)
+	if !ok || len(mn.Steps) != 1 {
+		t.Fatalf("root:\n%s", g.Explain())
 	}
-	if chain[0].Cat() != RA || chain[1].Cat() != MLD || chain[2].Cat() != MLD {
-		t.Errorf("categories = %v %v %v", chain[0].Cat(), chain[1].Cat(), chain[2].Cat())
+	if categoryOf(mn) != MLD || categoryOf(mn.Child) != RA {
+		t.Errorf("categories = %v over %v", categoryOf(mn), categoryOf(mn.Child))
 	}
-	mn := chain[2].(*ModelNode)
-	if mn.OutputCol.Name != "score" || len(mn.InputCols) != 1 {
+	if mn.OutputCol.Name != "score" || len(mn.InputCols) != 1 || mn.Model != "m" {
 		t.Errorf("model node = %+v", mn)
 	}
-	if g.SourcePlan() == nil {
-		t.Error("source plan missing")
+	if _, ok := mn.Child.(*plan.Scan); !ok {
+		t.Errorf("model input = %T", mn.Child)
+	}
+	if got := mn.Schema().Names(); len(got) != 3 || got[2] != "score" {
+		t.Errorf("schema = %v", got)
 	}
 }
 
-func TestFromPlanSinkAbovePredict(t *testing.T) {
+// TestFromPlanReplacesPredictInPlace: a PREDICT stays where the binder put
+// it — under a limit, under a join, stacked on another — and the relational
+// operators around it stay the nodes they were.
+func TestFromPlanReplacesPredictInPlace(t *testing.T) {
 	tb := smallTable(t, "t")
-	pr := plan.NewPredict(plan.NewScan(tb), "m", []types.Column{{Name: "score", Type: types.Float}})
-	lim := &plan.Limit{Child: pr, N: 3}
+	score := []types.Column{{Name: "score", Type: types.Float}}
+	inner := plan.NewPredict(plan.NewScan(tb), "m", score)
+	outer := plan.NewPredict(inner, "m", []types.Column{{Name: "score2", Type: types.Float}})
+	join, err := plan.NewJoin(outer, plan.NewScan(smallTable(t, "u")), "id", "id")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lim := &plan.Limit{Child: join, N: 3}
 	g, err := FromPlan(lim, resolver(testPipeline()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sink := g.SinkRel()
-	if sink == nil {
-		t.Fatal("no sink rel")
+	if g.Root != plan.Node(lim) || lim.Child != plan.Node(join) {
+		t.Fatalf("relational operators were replaced:\n%s", g.Explain())
 	}
-	s := plan.Explain(sink.Plan)
-	if !strings.Contains(s, "Limit") || !strings.Contains(s, "Input") {
-		t.Errorf("sink plan:\n%s", s)
+	top, ok := join.Left.(*ModelNode)
+	if !ok || top.OutputCol.Name != "score2" {
+		t.Fatalf("join input = %T:\n%s", join.Left, g.Explain())
+	}
+	if below, ok := top.Child.(*ModelNode); !ok || below.OutputCol.Name != "score" {
+		t.Fatalf("stacked model input = %T", top.Child)
+	}
+	if len(g.ModelOps()) != 2 {
+		t.Errorf("model operators = %d", len(g.ModelOps()))
 	}
 }
 
@@ -140,23 +156,26 @@ func TestCategoryAndEngineStrings(t *testing.T) {
 	if RA.String() != "RA" || LA.String() != "LA" || MLD.String() != "MLD" || UDF.String() != "UDF" {
 		t.Error("category strings")
 	}
-	if EngineDB.String() != "db" || EngineML.String() != "ml" || EngineUnassigned.String() != "?" {
-		t.Error("engine strings")
+	if RA.Engine() != "db" || LA.Engine() != "ml" || MLD.Engine() != "ml" || UDF.Engine() != "ml" {
+		t.Error("engine of a category")
 	}
 }
 
-func TestSplitNodeChain(t *testing.T) {
+// TestExplainPrintsTheTree: every operator on its own line under its tag,
+// a model's parts one level below it, before its input.
+func TestExplainPrintsTheTree(t *testing.T) {
 	tb := smallTable(t, "t")
-	src := &RelNode{Plan: plan.NewScan(tb)}
-	l := &ModelNode{M: &ml.LogisticRegression{W: []float64{1}}, InputCols: []string{"x"}, OutputCol: types.Column{Name: "s", Type: types.Float}}
-	r := &ModelNode{M: &ml.LogisticRegression{W: []float64{2}}, InputCols: []string{"x"}, OutputCol: types.Column{Name: "s", Type: types.Float}}
-	sp := &SplitNode{CondCol: "x", Threshold: 2, Left: l, Right: r, In: src}
-	g := &Graph{Root: sp}
-	chain := g.Chain()
-	if len(chain) != 4 { // src, l, r, split
-		t.Errorf("chain = %d", len(chain))
-	}
-	if !strings.Contains(sp.String(), "split") {
-		t.Error("split String()")
+	op := Scorer{Child: plan.NewScan(tb), InputCols: []string{"x"}, OutputCol: types.Column{Name: "s", Type: types.Float}}
+	sp := &SplitNode{Scorer: op, CondCol: "x", Threshold: 2,
+		Left: &ml.LogisticRegression{W: []float64{1}}, Right: &ml.LogisticRegression{W: []float64{2}}}
+	udf := &UDFNode{Name: "f", Child: sp, Out: sp.Schema()}
+	want := "[RA/db] RA:Limit(3)\n" +
+		"  [UDF/ml] UDF:f\n" +
+		"    [MLD/ml] MLD:split(x <= 2) -> s\n" +
+		"      [MLD/ml] MLD:model:logreg\n" +
+		"      [MLD/ml] MLD:model:logreg\n" +
+		"      [RA/db] RA:Scan(t)\n"
+	if got := (&Graph{Root: &plan.Limit{Child: udf, N: 3}}).Explain(); got != want {
+		t.Errorf("explain:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -12,16 +12,11 @@ import (
 // as-is.
 func CollectParams(n Node) []string {
 	seen := map[string]bool{}
-	var walk func(n Node)
-	walk = func(n Node) {
+	Walk(n, func(n Node) {
 		for _, e := range nodeExprs(n) {
 			expr.WalkParams(e, func(p *expr.Param) { seen[p.Name] = true })
 		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(n)
+	})
 	out := make([]string, 0, len(seen))
 	for name := range seen {
 		out = append(out, name)
@@ -48,28 +43,6 @@ func nodeExprs(n Node) []expr.Expr {
 	default:
 		return nil
 	}
-}
-
-// ReferencedColumns lists, with repeats, the columns the fragment rooted
-// at n reads from its input: every expression's columns, sort keys and
-// group keys.
-func ReferencedColumns(n Node) []string {
-	var out []string
-	for _, e := range nodeExprs(n) {
-		out = append(out, expr.Columns(e)...)
-	}
-	switch x := n.(type) {
-	case *Sort:
-		for _, k := range x.Keys {
-			out = append(out, k.Col)
-		}
-	case *Aggregate:
-		out = append(out, x.GroupBy...)
-	}
-	for _, c := range n.Children() {
-		out = append(out, ReferencedColumns(c)...)
-	}
-	return out
 }
 
 // BindParams returns the plan with every parameter replaced by a literal
@@ -183,8 +156,17 @@ func bindParams(n Node, vals map[string]string) (Node, bool, error) {
 			return n, false, nil
 		}
 		return &Distinct{Child: newChildren[0]}, true, nil
+	case Extension:
+		// No expressions of its own, but a filter bound below it must not
+		// be dropped: the clone takes the new child.
+		if !childChanged {
+			return n, false, nil
+		}
+		c := x.Clone()
+		c.SetChild(0, newChildren[0])
+		return c, true, nil
 	default:
-		// Leaves (Scan, Input) and unknown nodes carry no expressions.
+		// Scan carries no expressions and has no children.
 		return n, false, nil
 	}
 }

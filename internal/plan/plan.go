@@ -1,7 +1,9 @@
-// Package plan defines the relational logical plan and the binder that
-// lowers parsed SQL onto the catalog. The plan is the RA fragment of the
-// paper's unified IR; ir.FromPlan wraps these nodes into unified-IR nodes
-// so the cross optimizer can rewrite data and ML operators together.
+// Package plan defines the logical plan tree and the binder that lowers
+// parsed SQL onto the catalog. Its own nodes are the relational operators
+// of the paper's unified IR; the ML operators are defined in package ir,
+// implement Node and Extension, and sit in the same tree (ir.FromPlan puts
+// them where the binder left a Predict), so one optimizer rewrites data
+// and ML operators together.
 package plan
 
 import (
@@ -22,6 +24,34 @@ type Node interface {
 	// SetChild replaces the i-th child (used by rewrite rules).
 	SetChild(i int, n Node)
 	fmt.Stringer
+}
+
+// Extension is the contract an operator defined outside this package
+// declares so the relational rules can work around it without knowing
+// what it computes. It has one child.
+type Extension interface {
+	Node
+	// Reads names the input columns the operator consumes.
+	Reads() []string
+	// Adds names the columns it appends to its input's.
+	Adds() []string
+	// RowWise reports that the operator passes every input column
+	// through unchanged, row by row and deterministically: a row's output
+	// depends on that row alone, so a filter on input columns means the
+	// same above and below it, and an input column nothing reads can be
+	// dropped. Otherwise the operator is opaque — it may read, rewrite or
+	// drop anything, and nothing moves across it.
+	RowWise() bool
+	// Clone returns a shallow copy (BindParams never mutates a template).
+	Clone() Node
+}
+
+// Walk calls fn on n and every node below it, parents first.
+func Walk(n Node, fn func(Node)) {
+	fn(n)
+	for _, c := range n.Children() {
+		Walk(c, fn)
+	}
 }
 
 // Scan reads a stored table, optionally projecting a subset of columns.
@@ -406,16 +436,27 @@ func (p *Predict) String() string { return fmt.Sprintf("Predict(model=%s)", p.Mo
 // Explain renders the plan tree indented, one node per line. A sort
 // bounded by the limit above it (Limit.TopK) says so: "Sort(k DESC; top 5)".
 func Explain(n Node) string {
+	return Render(n, "", func(n Node) []string { return []string{n.String()} })
+}
+
+// Render is Explain with every line starting with prefix and the text of
+// each node supplied by the caller. An operator made of parts (a model's
+// featurizer steps) gives a line for itself and one per part: the parts
+// print a level below it, before its children.
+func Render(n Node, prefix string, text func(Node) []string) string {
 	var sb strings.Builder
 	var walk func(n Node, depth int, bound *Limit)
 	walk = func(n Node, depth int, bound *Limit) {
-		line := n.String()
+		lines := text(n)
 		if bound != nil {
-			line = fmt.Sprintf("%s; top %d)", strings.TrimSuffix(line, ")"), bound.N)
+			lines[0] = fmt.Sprintf("%s; top %d)", strings.TrimSuffix(lines[0], ")"), bound.N)
 		}
-		sb.WriteString(strings.Repeat("  ", depth))
-		sb.WriteString(line)
-		sb.WriteByte('\n')
+		for i, line := range lines {
+			sb.WriteString(prefix)
+			sb.WriteString(strings.Repeat("  ", depth+min(i, 1)))
+			sb.WriteString(line)
+			sb.WriteByte('\n')
+		}
 		var below *Limit
 		if l, ok := n.(*Limit); ok && l.TopK() != nil {
 			below = l
@@ -427,21 +468,3 @@ func Explain(n Node) string {
 	walk(n, 0, nil)
 	return sb.String()
 }
-
-// Input is a placeholder leaf standing for rows supplied by an enclosing
-// context — the splice point the unified IR uses when a relational subplan
-// sits above ML operators (its rows come from the model stage below).
-type Input struct {
-	Sch *types.Schema
-}
-
-// Schema implements Node.
-func (in *Input) Schema() *types.Schema { return in.Sch }
-
-// Children implements Node.
-func (in *Input) Children() []Node { return nil }
-
-// SetChild implements Node.
-func (in *Input) SetChild(int, Node) { panic("plan: Input has no children") }
-
-func (in *Input) String() string { return "Input" }

@@ -2,14 +2,18 @@
 // paper leans on (§2 "standard DB optimizations"): predicate pushdown
 // through joins, projection pushdown / column pruning into scans, join
 // elimination on unique keys, filter merging and constant folding. It
-// sees purely relational plans: the cross optimizer (package xopt) cuts
-// the query at PREDICT, moves the selections that may cross it into the
-// fragment below, and invokes these rules on that fragment after its
-// model-driven rewrites (e.g. dropped features enable join elimination).
+// runs over the whole plan tree, ML operators included: an operator it
+// does not know declares plan.Extension — columns read, columns added,
+// row-wise or opaque — and filter pushdown and column pruning work around
+// it from that alone. The cross optimizer (package xopt) invokes it twice
+// on the root: PushFilters before the model rules, so they see the
+// selections as facts about their input, and Optimize after them (dropped
+// features enable join elimination).
 package relopt
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"raven/internal/expr"
@@ -27,46 +31,55 @@ type Optimizer struct {
 	AssumeRI bool
 }
 
-// Optimize runs all rules to fixpoint (bounded), returning a new root.
-// The root's full output schema is treated as required.
-func (o *Optimizer) Optimize(root plan.Node) (plan.Node, error) {
-	all := make([]string, 0, root.Schema().Len())
-	for _, c := range root.Schema().Columns {
-		all = append(all, c.Name)
-	}
-	return o.OptimizeFor(root, all)
-}
+// maxPasses bounds every run-to-fixpoint loop.
+const maxPasses = 8
 
-// OptimizeFor runs all rules to fixpoint (bounded) with an explicit set of
-// required output columns — the cross optimizer passes the model's input
-// columns here so projection pushdown can cut everything else.
-func (o *Optimizer) OptimizeFor(root plan.Node, required []string) (plan.Node, error) {
-	var err error
-	for i := 0; i < 8; i++ {
-		changed := false
-		root, changed, err = o.pushFilters(root)
-		if err != nil {
-			return nil, err
+// PushFilters runs filter pushdown alone to fixpoint (bounded), letting
+// conjuncts cross row-wise extension operators too — the cross
+// optimizer's selection pushdown. It reports whether any conjunct crossed
+// one, and whether any moved within the relational operators.
+func (o *Optimizer) PushFilters(root plan.Node) (out plan.Node, crossed, moved bool, err error) {
+	for i := 0; i < maxPasses; i++ {
+		p, changed := pass{cross: true}, false
+		if root, changed, err = p.push(root); err != nil {
+			return nil, false, false, err
 		}
-		c2 := false
-		root, c2, err = o.mergeAndSimplifyFilters(root)
-		if err != nil {
-			return nil, err
-		}
-		root, err = o.prune(root, required)
-		if err != nil {
-			return nil, err
-		}
-		c3 := false
-		root, c3, err = o.eliminateJoins(root)
-		if err != nil {
-			return nil, err
-		}
-		if !changed && !c2 && !c3 {
+		crossed, moved = crossed || p.crossed, moved || changed
+		if !changed && !p.crossed {
 			break
 		}
 	}
-	return root, nil
+	return root, crossed, moved, nil
+}
+
+// Optimize runs all rules to fixpoint (bounded), returning a new root and
+// whether any rule changed the plan. The root's full output schema is
+// treated as required. Filters stay on their side of extension operators:
+// with the cross optimizer off this is the plan that scores every row the
+// written query scores.
+func (o *Optimizer) Optimize(root plan.Node) (out plan.Node, changed bool, err error) {
+	required := root.Schema().Names()
+	for i := 0; i < maxPasses; i++ {
+		var p pass
+		var c1, c2, c3 bool
+		if root, c1, err = p.push(root); err != nil {
+			return nil, false, err
+		}
+		if root, c2, err = o.mergeAndSimplifyFilters(root); err != nil {
+			return nil, false, err
+		}
+		if root, err = p.prune(root, required); err != nil {
+			return nil, false, err
+		}
+		if root, c3, err = o.eliminateJoins(root); err != nil {
+			return nil, false, err
+		}
+		changed = changed || c1 || c2 || c3 || p.pruned
+		if !c1 && !c2 && !c3 {
+			break
+		}
+	}
+	return root, changed, nil
 }
 
 // schemaCols returns lower-cased column names of a node's schema.
@@ -87,13 +100,27 @@ func subset(cols []string, set map[string]bool) bool {
 	return true
 }
 
-// pushFilters moves filter conjuncts as close to the scans as legality
-// allows: through joins, side-wise, and across an equi-join's keys.
-func (o *Optimizer) pushFilters(n plan.Node) (plan.Node, bool, error) {
+// hasName reports whether col is one of names, whatever the case.
+func hasName(names []string, col string) bool {
+	return slices.ContainsFunc(names, func(n string) bool { return strings.EqualFold(n, col) })
+}
+
+// pass is the bookkeeping of one traversal of the rules.
+type pass struct {
+	cross   bool // conjuncts may move below row-wise extension operators
+	crossed bool // one did
+	pruned  bool // a scan or a projection lost a column
+}
+
+// push moves filter conjuncts one operator closer to the scans where
+// legality allows: through joins, side-wise, and across an equi-join's
+// keys; below a row-wise extension operator when they read none of the
+// columns it adds. It reports relational moves; a crossing sets crossed.
+func (p *pass) push(n plan.Node) (plan.Node, bool, error) {
 	changed := false
 	// recurse first
 	for i, c := range n.Children() {
-		nc, ch, err := o.pushFilters(c)
+		nc, ch, err := p.push(c)
 		if err != nil {
 			return nil, false, err
 		}
@@ -158,6 +185,31 @@ func (o *Optimizer) pushFilters(n plan.Node) (plan.Node, bool, error) {
 		// merge immediately-adjacent filters so later passes see one
 		merged := &plan.Filter{Child: child.Child, Pred: expr.NewBinary(expr.OpAnd, child.Pred, f.Pred)}
 		return merged, true, nil
+
+	case plan.Extension:
+		// Scoring is row-wise and deterministic, so exactly the rows the
+		// filter above would keep are scored and returned; the rest are
+		// never joined or scored. Nothing crosses an opaque operator.
+		if !p.cross || !child.RowWise() {
+			return f, changed, nil
+		}
+		var move []expr.Expr
+		for _, c := range conjuncts {
+			if slices.ContainsFunc(expr.Columns(c), func(col string) bool { return hasName(child.Adds(), col) }) {
+				kept = append(kept, c)
+			} else {
+				move = append(move, c)
+			}
+		}
+		if len(move) == 0 {
+			return f, changed, nil
+		}
+		child.SetChild(0, &plan.Filter{Child: child.Children()[0], Pred: expr.And(move)})
+		p.crossed = true
+		if len(kept) == 0 {
+			return child, changed, nil
+		}
+		return &plan.Filter{Child: child, Pred: expr.And(kept)}, changed, nil
 
 	default:
 		return f, changed, nil
@@ -229,7 +281,7 @@ func (o *Optimizer) mergeAndSimplifyFilters(n plan.Node) (plan.Node, bool, error
 	return n, changed, nil
 }
 
-func (o *Optimizer) prune(n plan.Node, required []string) (plan.Node, error) {
+func (p *pass) prune(n plan.Node, required []string) (plan.Node, error) {
 	uniq := func(cols []string) []string {
 		seen := make(map[string]bool)
 		var out []string
@@ -245,9 +297,6 @@ func (o *Optimizer) prune(n plan.Node, required []string) (plan.Node, error) {
 	required = uniq(required)
 
 	switch x := n.(type) {
-	case *plan.Input:
-		return x, nil
-
 	case *plan.Scan:
 		// order columns as in the table schema for determinism
 		var cols []string
@@ -262,17 +311,15 @@ func (o *Optimizer) prune(n plan.Node, required []string) (plan.Node, error) {
 		if len(cols) == 0 && x.Table.Schema().Len() > 0 {
 			cols = []string{x.Table.Schema().Columns[0].Name}
 		}
-		if len(cols) == x.Table.Schema().Len() {
-			return x, nil // full width; leave as-is
+		if len(cols) == x.Table.Schema().Len() || slices.Equal(cols, x.Cols) {
+			return x, nil // full width, or narrowed to this already
 		}
-		if err := x.SetCols(cols); err != nil {
-			return nil, err
-		}
-		return x, nil
+		p.pruned = true
+		return x, x.SetCols(cols)
 
 	case *plan.Filter:
 		need := append(required, expr.Columns(x.Pred)...)
-		child, err := o.prune(x.Child, need)
+		child, err := p.prune(x.Child, need)
 		if err != nil {
 			return nil, err
 		}
@@ -280,13 +327,28 @@ func (o *Optimizer) prune(n plan.Node, required []string) (plan.Node, error) {
 		return x, nil
 
 	case *plan.Project:
-		var need []string
-		for _, e := range x.Exprs {
+		// An output nothing above reads goes (one stays, for the row
+		// count); what is left decides what the child must produce.
+		var exprs []expr.Expr
+		var names, need []string
+		for i, e := range x.Exprs {
+			if hasName(required, x.Names[i]) {
+				exprs, names = append(exprs, e), append(names, x.Names[i])
+			}
+		}
+		if len(exprs) == 0 {
+			exprs, names = x.Exprs[:1], x.Names[:1]
+		}
+		for _, e := range exprs {
 			need = append(need, expr.Columns(e)...)
 		}
-		child, err := o.prune(x.Child, need)
+		child, err := p.prune(x.Child, need)
 		if err != nil {
 			return nil, err
+		}
+		if len(exprs) < len(x.Exprs) {
+			p.pruned = true
+			return plan.NewProject(child, exprs, names)
 		}
 		x.Child = child
 		return x, nil
@@ -304,11 +366,11 @@ func (o *Optimizer) prune(n plan.Node, required []string) (plan.Node, error) {
 		}
 		leftNeed = append(leftNeed, x.LeftCol)
 		rightNeed = append(rightNeed, x.RightCol)
-		left, err := o.prune(x.Left, leftNeed)
+		left, err := p.prune(x.Left, leftNeed)
 		if err != nil {
 			return nil, err
 		}
-		right, err := o.prune(x.Right, rightNeed)
+		right, err := p.prune(x.Right, rightNeed)
 		if err != nil {
 			return nil, err
 		}
@@ -325,7 +387,7 @@ func (o *Optimizer) prune(n plan.Node, required []string) (plan.Node, error) {
 				need = append(need, expr.Columns(a.Arg)...)
 			}
 		}
-		child, err := o.prune(x.Child, need)
+		child, err := p.prune(x.Child, need)
 		if err != nil {
 			return nil, err
 		}
@@ -337,7 +399,7 @@ func (o *Optimizer) prune(n plan.Node, required []string) (plan.Node, error) {
 		for _, k := range x.Keys {
 			need = append(need, k.Col)
 		}
-		child, err := o.prune(x.Child, need)
+		child, err := p.prune(x.Child, need)
 		if err != nil {
 			return nil, err
 		}
@@ -345,7 +407,7 @@ func (o *Optimizer) prune(n plan.Node, required []string) (plan.Node, error) {
 		return x, nil
 
 	case *plan.Limit:
-		child, err := o.prune(x.Child, required)
+		child, err := p.prune(x.Child, required)
 		if err != nil {
 			return nil, err
 		}
@@ -358,11 +420,31 @@ func (o *Optimizer) prune(n plan.Node, required []string) (plan.Node, error) {
 		for _, c := range x.Child.Schema().Columns {
 			need = append(need, c.Name)
 		}
-		child, err := o.prune(x.Child, need)
+		child, err := p.prune(x.Child, need)
 		if err != nil {
 			return nil, err
 		}
 		x.Child = child
+		return x, nil
+
+	case plan.Extension:
+		// Required below = required above − added + read; an opaque
+		// operator may read anything.
+		kid := x.Children()[0]
+		need := kid.Schema().Names()
+		if x.RowWise() {
+			need = append([]string(nil), x.Reads()...)
+			for _, r := range required {
+				if !hasName(x.Adds(), r) {
+					need = append(need, r)
+				}
+			}
+		}
+		child, err := p.prune(kid, need)
+		if err != nil {
+			return nil, err
+		}
+		x.SetChild(0, child)
 		return x, nil
 
 	default:

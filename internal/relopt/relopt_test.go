@@ -62,7 +62,7 @@ func TestPredicatePushdownThroughJoin(t *testing.T) {
 		JOIN blood_tests AS bt ON pi.id = bt.id
 		WHERE pi.pregnant = 1 AND bt.bp > 120`)
 	o := &Optimizer{Catalog: cat, AssumeRI: true}
-	opt, err := o.Optimize(p)
+	opt, _, err := o.Optimize(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestColumnPruningIntoScan(t *testing.T) {
 	cat := hospitalCatalog(t)
 	p := bindQ(t, cat, "SELECT age FROM patient_info WHERE pregnant = 1")
 	o := &Optimizer{Catalog: cat, AssumeRI: true}
-	opt, err := o.Optimize(p)
+	opt, _, err := o.Optimize(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestJoinEliminationOnUnusedSide(t *testing.T) {
 		JOIN blood_tests AS bt ON pi.id = bt.id
 		JOIN prenatal_tests AS pt ON bt.id = pt.id`)
 	o := &Optimizer{Catalog: cat, AssumeRI: true}
-	opt, err := o.Optimize(p)
+	opt, _, err := o.Optimize(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestJoinEliminationOnUnusedSide(t *testing.T) {
 	p2 := bindQ(t, cat, `SELECT pi.age FROM patient_info AS pi
 		JOIN prenatal_tests AS pt ON pi.id = pt.id`)
 	o2 := &Optimizer{Catalog: cat, AssumeRI: false}
-	opt2, err := o2.Optimize(p2)
+	opt2, _, err := o2.Optimize(p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestConstantFoldingDropsTrueFilter(t *testing.T) {
 		Pred:  expr.NewBinary(expr.OpGt, expr.IntLit(2), expr.IntLit(1)),
 	}
 	o := &Optimizer{Catalog: cat}
-	opt, err := o.Optimize(root)
+	opt, _, err := o.Optimize(root)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestOptimizedPlanStillBindsSchemas(t *testing.T) {
 	p := bindQ(t, cat, `SELECT pi.age, bt.bp FROM patient_info AS pi
 		JOIN blood_tests AS bt ON pi.id = bt.id WHERE pi.age > 30`)
 	o := &Optimizer{Catalog: cat, AssumeRI: true}
-	opt, err := o.Optimize(p)
+	opt, _, err := o.Optimize(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,5 +178,107 @@ func TestRenameColumnTotalOrRefuses(t *testing.T) {
 	}
 	if _, ok := renameColumn(expr.NewBinary(expr.OpEq, opaqueExpr{k}, expr.IntLit(1)), "k", "fk"); ok {
 		t.Error("an unknown node type was passed through as if it held no column")
+	}
+}
+
+// ext is the smallest plan.Extension: it reads column read, adds column
+// added, and is row-wise or opaque as told.
+type ext struct {
+	child       plan.Node
+	read, added string
+	rowWise     bool
+}
+
+func (e *ext) Schema() *types.Schema {
+	return e.child.Schema().Concat(types.NewSchema(types.Column{Name: e.added, Type: types.Float}))
+}
+func (e *ext) Children() []plan.Node       { return []plan.Node{e.child} }
+func (e *ext) SetChild(_ int, n plan.Node) { e.child = n }
+func (e *ext) String() string              { return "ext" }
+func (e *ext) Reads() []string             { return []string{e.read} }
+func (e *ext) Adds() []string              { return []string{e.added} }
+func (e *ext) RowWise() bool               { return e.rowWise }
+func (e *ext) Clone() plan.Node            { c := *e; return &c }
+
+// TestExtensionContract: the rules know an operator they were not written
+// for by its contract alone. Below a row-wise one go the conjuncts that
+// read nothing it adds (only when asked to cross), and the columns
+// required above minus the added plus the read; an opaque one stops
+// filters and requires its whole input.
+func TestExtensionContract(t *testing.T) {
+	cat := hospitalCatalog(t)
+	o := &Optimizer{Catalog: cat, AssumeRI: true}
+	build := func(rowWise bool) plan.Node {
+		join := bindQ(t, cat, `SELECT * FROM patient_info AS pi JOIN blood_tests AS bt ON pi.id = bt.id`)
+		where := expr.And([]expr.Expr{
+			expr.NewBinary(expr.OpGt, &expr.Column{Name: "age"}, expr.IntLit(30)),
+			expr.NewBinary(expr.OpGt, &expr.Column{Name: "score"}, expr.FloatLit(0.5)),
+			expr.NewBinary(expr.OpEq, &expr.Param{Name: "on"}, expr.IntLit(1)),
+		})
+		root, err := plan.NewProject(
+			&plan.Filter{Child: &ext{child: join, read: "bp", added: "score", rowWise: rowWise}, Pred: where},
+			[]expr.Expr{&expr.Column{Name: "id"}, &expr.Column{Name: "score"}}, []string{"id", "score"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return root
+	}
+	optimize := func(root plan.Node, cross bool) (string, bool) {
+		t.Helper()
+		crossed := false
+		if cross {
+			var err error
+			if root, crossed, _, err = o.PushFilters(root); err != nil {
+				t.Fatal(err)
+			}
+		}
+		root, _, err := o.Optimize(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan.Explain(root), crossed
+	}
+
+	got, crossed := optimize(build(true), true)
+	want := "Project(id AS id, score AS score)\n" +
+		"  Filter((score > 0.5))\n" +
+		"    ext\n" +
+		"      Join(id = id)\n" +
+		"        Filter(((age > 30) AND (@on = 1)))\n" +
+		"          Scan(patient_info, cols=[id,age])\n" +
+		"        Scan(blood_tests)\n"
+	if !crossed || got != want {
+		t.Errorf("row-wise, crossing (crossed=%v):\n%s\nwant:\n%s", crossed, got, want)
+	}
+
+	// The same operator without the crossing rule: the filter stays whole
+	// above it, pruning still sees through it.
+	got, _ = optimize(build(true), false)
+	if !strings.HasPrefix(got, "Project(id AS id, score AS score)\n  Filter((((age > 30) AND (score > 0.5)) AND (@on = 1)))\n    ext\n      Join(id = id)\n        Scan(patient_info, cols=[id,age])") {
+		t.Errorf("row-wise, not crossing:\n%s", got)
+	}
+
+	got, crossed = optimize(build(false), true)
+	if crossed || !strings.HasPrefix(got, "Project(id AS id, score AS score)\n  Filter((((age > 30) AND (score > 0.5)) AND (@on = 1)))\n    ext\n      Join(id = id)\n        Scan(patient_info)\n        Scan(blood_tests)") {
+		t.Errorf("opaque (crossed=%v):\n%s", crossed, got)
+	}
+}
+
+// TestProjectOutputsNothingReadsArePruned: a derived table's unread
+// outputs go, and with them the columns only they needed; the query's own
+// select list is untouched.
+func TestProjectOutputsNothingReadsArePruned(t *testing.T) {
+	cat := hospitalCatalog(t)
+	p := bindQ(t, cat, `SELECT t.a FROM (SELECT pi.age AS a, pi.gender AS g, pi.pregnant + 1 AS p1 FROM patient_info AS pi) AS t WHERE t.g = 1`)
+	opt, _, err := (&Optimizer{Catalog: cat}).Optimize(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "Project(a AS a)\n  Filter((g = 1))\n    Project(age AS a, gender AS g)\n      Scan(patient_info, cols=[age,gender])\n"
+	if got := plan.Explain(opt); got != want {
+		t.Errorf("plan:\n%s\nwant:\n%s", got, want)
+	}
+	if opt.Schema().Len() != 1 {
+		t.Errorf("schema = %v", opt.Schema())
 	}
 }

@@ -1,10 +1,14 @@
 // Package xopt is Raven's Cross Optimizer (paper §4): transformation rules
-// over the unified IR that pass information between data and ML operators
-// (selection pushdown below PREDICT, predicate-based model pruning,
-// model-projection pushdown, model clustering) and operator transformations (model inlining to SQL CASE,
-// NN translation to tensor graphs, model/query splitting), followed by
-// standard relational optimization and engine placement. The initial
-// optimizer is heuristic, applying rules in a fixed order (§4.3).
+// over the one plan tree that holds relational and ML operators alike.
+// Information passes between them (selection pushdown below the model
+// operators, predicate-based model pruning, model-projection pushdown,
+// model clustering), operators transform (model inlining to SQL CASE, NN
+// translation to tensor graphs, model/query splitting), and the standard
+// relational optimizations run over the whole tree. The relational rules
+// are package relopt's, which knows an ML operator only by the contract it
+// declares (plan.Extension); the model rules here are applied to every
+// model operator of the tree. The initial optimizer is heuristic, applying
+// rules in a fixed order (§4.3).
 package xopt
 
 import (
@@ -12,103 +16,90 @@ import (
 	"strings"
 
 	"raven/internal/expr"
-	"raven/internal/ir"
 	"raven/internal/ml"
 	"raven/internal/plan"
 )
 
-// columnFacts aggregates what the relational side knows about the rows
-// reaching the model: per-column value ranges (from WHERE conjuncts and,
-// optionally, data statistics) and exact equalities.
-type columnFacts struct {
-	ranges map[string]expr.Range
-	equals map[string]float64
+// columnFacts is what is known about every row an operator emits: a value
+// range per (lower-cased) column, an equality being the range [v, v].
+type columnFacts map[string]expr.Range
+
+func (f columnFacts) narrow(col string, r expr.Range) {
+	cur, ok := f[col]
+	if !ok {
+		cur = expr.FullRange()
+	}
+	f[col] = cur.Intersect(r)
 }
 
-// gatherFacts walks the IR collecting predicates that constrain rows
-// flowing into the ML stage: filters in the source plan — where selection
-// pushdown has already put the WHERE conjuncts that could cross the model
-// — and whatever the sink still filters on source columns (a conjunct
-// above a UDF, or a graph optimized without that rule).
+// factsOf computes the facts that hold for n's output rows, bottom-up
+// through each operator's contract, so a fact follows its column and never
+// leaks onto another of the same name: table statistics (optionally, §4.1:
+// "this technique can also be applied based on data properties instead of
+// explicit selections") enter at a Scan; a Filter intersects its
+// conjuncts' ranges in; a Join's rows satisfy both inputs' facts; a
+// Project keeps a fact only for a bare column reference, under its output
+// name; an Aggregate keeps its group keys'; Sort, Limit and Distinct only
+// drop rows; a row-wise extension operator passes its input's facts
+// through and an opaque one (a UDF) none.
 //
-// Sink filters constrain the rows that *survive*; they are still sound for
-// model pruning only when the prediction of dropped rows is irrelevant —
-// which holds for inference queries that filter on source columns (the
-// paper's pregnant=1): rows failing the predicate never contribute output,
-// so the model may be specialized to the passing rows.
-func gatherFacts(g *ir.Graph, useStats bool) *columnFacts {
-	f := &columnFacts{ranges: make(map[string]expr.Range), equals: make(map[string]float64)}
-	merge := func(pred expr.Expr) {
-		for col, r := range expr.DeriveRanges(pred) {
-			cur, ok := f.ranges[col]
-			if !ok {
-				cur = expr.FullRange()
-			}
-			f.ranges[col] = cur.Intersect(r)
+// A model may be specialized to these facts because rows failing them
+// never reach it — the paper's pregnant = 1, once selection pushdown has
+// moved it below the model.
+func factsOf(n plan.Node, useStats bool) columnFacts {
+	f := columnFacts{}
+	switch x := n.(type) {
+	case *plan.Scan:
+		if useStats {
+			addStatFacts(f, x)
 		}
-		for col, v := range expr.DeriveEqualities(pred) {
-			if x, ok := v.(float64); ok {
-				f.equals[col] = x
+	case *plan.Filter:
+		f = factsOf(x.Child, useStats)
+		for col, r := range expr.DeriveRanges(x.Pred) {
+			f.narrow(col, r)
+		}
+	case *plan.Join:
+		// Left columns shadow right ones of the same name in the output.
+		f = factsOf(x.Left, useStats)
+		for col, r := range factsOf(x.Right, useStats) {
+			if x.Left.Schema().IndexOf(col) < 0 {
+				f[col] = r
 			}
 		}
-	}
-	// Source-plan filters.
-	if sp := g.SourcePlan(); sp != nil {
-		walkPlan(sp, func(n plan.Node) {
-			if fl, ok := n.(*plan.Filter); ok {
-				merge(fl.Pred)
-			}
-			if useStats {
-				if sc, ok := n.(*plan.Scan); ok {
-					addStatFacts(f, sc)
+	case *plan.Project:
+		in := factsOf(x.Child, useStats)
+		for i := len(x.Exprs) - 1; i >= 0; i-- { // the first of a repeated name wins
+			name := strings.ToLower(x.Names[i])
+			delete(f, name)
+			if c, ok := x.Exprs[i].(*expr.Column); ok {
+				if r, ok := in[strings.ToLower(c.BareName())]; ok {
+					f[name] = r
 				}
 			}
-		})
-	}
-	// Sink filters on source columns: a conjunct referencing a prediction
-	// output says nothing about the model's inputs and is skipped.
-	if sink := g.SinkRel(); sink != nil {
-		outCols := predictionColumns(g)
-		walkPlan(sink.Plan, func(n plan.Node) {
-			fl, ok := n.(*plan.Filter)
-			if !ok {
-				return
+		}
+	case *plan.Aggregate:
+		in := factsOf(x.Child, useStats)
+		for _, g := range x.GroupBy {
+			if r, ok := in[strings.ToLower(g)]; ok {
+				f[strings.ToLower(g)] = r
 			}
-			for _, c := range expr.Conjuncts(fl.Pred) {
-				refsOut := false
-				for _, col := range expr.Columns(c) {
-					if outCols[col] {
-						refsOut = true
-						break
-					}
-				}
-				if !refsOut {
-					merge(c)
-				}
+		}
+	case *plan.Sort, *plan.Limit, *plan.Distinct:
+		f = factsOf(n.Children()[0], useStats)
+	case plan.Extension:
+		if x.RowWise() {
+			f = factsOf(x.Children()[0], useStats)
+			for _, c := range x.Adds() {
+				delete(f, strings.ToLower(c))
 			}
-		})
+		}
 	}
 	return f
 }
 
-func predictionColumns(g *ir.Graph) map[string]bool {
-	out := make(map[string]bool)
-	for _, n := range g.Chain() {
-		switch x := n.(type) {
-		case *ir.ModelNode:
-			out[strings.ToLower(x.OutputCol.Name)] = true
-		case *ir.LANode:
-			out[strings.ToLower(x.OutputCol.Name)] = true
-		}
-	}
-	return out
-}
-
-// addStatFacts derives predicates from data properties (paper §4.1: "this
-// technique can also be applied based on data properties instead of
-// explicit selections"): single-valued columns become equalities, and
-// min/max become ranges.
-func addStatFacts(f *columnFacts, sc *plan.Scan) {
+// addStatFacts derives facts from data properties: min/max become a
+// range, which for a single-valued column is an equality.
+func addStatFacts(f columnFacts, sc *plan.Scan) {
 	for _, c := range sc.Schema().Columns {
 		if !c.Type.IsNumeric() && c.Type.String() != "BOOL" {
 			continue
@@ -117,22 +108,7 @@ func addStatFacts(f *columnFacts, sc *plan.Scan) {
 		if err != nil || st.NumRows == 0 {
 			continue
 		}
-		col := strings.ToLower(c.Name)
-		if st.DistinctCount == 1 {
-			f.equals[col] = st.Min
-		}
-		cur, ok := f.ranges[col]
-		if !ok {
-			cur = expr.FullRange()
-		}
-		f.ranges[col] = cur.Intersect(expr.Range{Lo: st.Min, Hi: st.Max})
-	}
-}
-
-func walkPlan(n plan.Node, fn func(plan.Node)) {
-	fn(n)
-	for _, c := range n.Children() {
-		walkPlan(c, fn)
+		f.narrow(strings.ToLower(c.Name), expr.Range{Lo: st.Min, Hi: st.Max})
 	}
 }
 
@@ -146,20 +122,13 @@ type featureFacts struct {
 // feature constraints by pushing them through the featurizer chain. It
 // supports ColumnSelect, StandardScaler and OneHotEncoder; a FeatureUnion
 // or unknown transformer stops the mapping (sound but conservative).
-func mapFactsThroughTransforms(facts *columnFacts, inputCols []string, steps []ml.Transformer) (*featureFacts, bool) {
+func mapFactsThroughTransforms(facts columnFacts, inputCols []string, steps []ml.Transformer) (*featureFacts, bool) {
 	// Per-feature interval at the current layer; start from input columns.
 	width := len(inputCols)
 	ranges := make(map[int]expr.Range, width)
 	for j, col := range inputCols {
-		if r, ok := facts.ranges[strings.ToLower(col)]; ok {
+		if r, ok := facts[strings.ToLower(col)]; ok {
 			ranges[j] = r
-		}
-		if v, ok := facts.equals[strings.ToLower(col)]; ok {
-			cur, ok2 := ranges[j]
-			if !ok2 {
-				cur = expr.FullRange()
-			}
-			ranges[j] = cur.Intersect(expr.Range{Lo: v, Hi: v})
 		}
 	}
 	for _, s := range steps {

@@ -4,7 +4,6 @@ import (
 	"raven/internal/ir"
 	"raven/internal/plan"
 	"raven/internal/relopt"
-	"raven/internal/types"
 )
 
 // Options selects which rules run. The zero value disables everything;
@@ -18,8 +17,8 @@ type Options struct {
 	NNTranslation           bool
 	UseGPU                  bool // LA nodes request the simulated accelerator
 	ModelQuerySplitting     bool
-	// Relational enables the standard DB optimizations pass over the
-	// source plan (predicate/projection pushdown, join elimination).
+	// Relational enables the standard DB optimizations pass over the tree
+	// (predicate/projection pushdown, join elimination).
 	Relational bool
 	RelOpt     *relopt.Optimizer
 }
@@ -27,7 +26,8 @@ type Options struct {
 // DefaultOptions enables the heuristic rule set of §4.3: cross-IR
 // information passing first, then operator transformations, then standard
 // relational optimization. Inlining wins over NN translation for small
-// trees, so both default on and the driver prefers inlining when it fires.
+// trees, so both default on and a model that was inlined is not
+// translated.
 func DefaultOptions(ro *relopt.Optimizer) Options {
 	return Options{
 		SelectionPushdown:       true,
@@ -46,155 +46,94 @@ type Result struct {
 	Applied []string
 }
 
-// Optimize runs the heuristic cross optimizer: rules fire in a fixed
-// order, each at most once, mirroring the paper's initial (pre-Cascades)
-// optimizer (§4.3).
+// Optimize runs the heuristic cross optimizer over the one tree: rules
+// fire in the fixed order below, mirroring the paper's initial
+// (pre-Cascades) optimizer (§4.3). A model rule is applied to every model
+// operator of the tree, each over its own featurizer steps and the facts
+// that hold for its own input, and reports itself if it fired on any.
 func Optimize(g *ir.Graph, opts Options) (*Result, error) {
 	res := &Result{Graph: g}
-	apply := func(name string, fn func() (bool, error)) error {
-		ok, err := fn()
+	var relational bool
+	rules := []struct {
+		name string
+		on   bool
+		fn   func() (bool, error)
+	}{
+		// 1. Cross-IR information passing. Selections sink first — through
+		// the joins and, being row-wise, below the model operators — so
+		// the model rules find them as facts about their input.
+		{"selection-pushdown", opts.SelectionPushdown && opts.RelOpt != nil, func() (crossed bool, err error) {
+			g.Root, crossed, relational, err = opts.RelOpt.PushFilters(g.Root)
+			return crossed, err
+		}},
+		{"predicate-based-model-pruning", opts.PredicateModelPruning, func() (bool, error) {
+			return eachModel(g, func(m *ir.ModelNode) (plan.Node, bool, error) {
+				return m, pruneModel(m, factsOf(m.Child, opts.UseDataStatistics)), nil
+			})
+		}},
+		{"model-projection-pushdown", opts.ModelProjectionPushdown, func() (bool, error) {
+			return eachModel(g, projectModel)
+		}},
+		// 2. Operator transformations. Splitting first (it needs the raw
+		// tree); then inlining; NN translation for the models inlining
+		// left (an inlined model has already left the MLD category).
+		{"model-query-splitting", opts.ModelQuerySplitting, func() (bool, error) { return eachModel(g, splitModel) }},
+		{"model-inlining", opts.ModelInlining, func() (bool, error) { return eachModel(g, inlineModel) }},
+		{"nn-translation", opts.NNTranslation, func() (bool, error) {
+			return eachModel(g, func(m *ir.ModelNode) (plan.Node, bool, error) { return translateModel(m, opts.UseGPU) })
+		}},
+		// 3. Standard relational optimizations over the whole tree (the
+		// paper's §2 "standard DB optimizations": pushdown, and the column
+		// pruning and join elimination the narrowed model inputs enable).
+		// What step 1 moved within the relational operators counts here.
+		{"relational-optimizations", opts.Relational && opts.RelOpt != nil, func() (changed bool, err error) {
+			g.Root, changed, err = opts.RelOpt.Optimize(g.Root)
+			return relational || changed, err
+		}},
+	}
+	for _, r := range rules {
+		if !r.on {
+			continue
+		}
+		fired, err := r.fn()
 		if err != nil {
-			return err
-		}
-		if ok {
-			res.Applied = append(res.Applied, name)
-		}
-		return nil
-	}
-
-	// 1. Cross-IR information passing. Selections cross first, while the
-	// graph is still source ← transforms ← model ← sink: the model rules
-	// then see the filters where the relational pass will find them.
-	if opts.SelectionPushdown {
-		if err := apply("selection-pushdown", func() (bool, error) {
-			return ruleSelectionPushdown(g)
-		}); err != nil {
 			return nil, err
 		}
-	}
-	if opts.PredicateModelPruning {
-		if err := apply("predicate-based-model-pruning", func() (bool, error) {
-			return rulePredicateModelPruning(g, opts.UseDataStatistics)
-		}); err != nil {
-			return nil, err
+		if fired {
+			res.Applied = append(res.Applied, r.name)
 		}
 	}
-	if opts.ModelProjectionPushdown {
-		if err := apply("model-projection-pushdown", func() (bool, error) {
-			return ruleModelProjectionPushdown(g)
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// 2. Operator transformations. Splitting first (it needs the raw
-	// tree); then inlining; NN translation only when inlining didn't fire
-	// (an inlined model has already left the MLD category).
-	if opts.ModelQuerySplitting {
-		if err := apply("model-query-splitting", func() (bool, error) {
-			return ruleModelQuerySplitting(g)
-		}); err != nil {
-			return nil, err
-		}
-	}
-	inlined := false
-	if opts.ModelInlining {
-		if err := apply("model-inlining", func() (bool, error) {
-			ok, err := ruleModelInlining(g)
-			inlined = ok
-			return ok, err
-		}); err != nil {
-			return nil, err
-		}
-	}
-	if opts.NNTranslation && !inlined {
-		if err := apply("nn-translation", func() (bool, error) {
-			return ruleNNTranslation(g, opts.UseGPU)
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// 3. Standard relational optimizations over the source plan (the
-	// paper's §2 "standard DB optimizations": pushdown + join elimination
-	// enabled by the narrowed model inputs).
-	if opts.Relational && opts.RelOpt != nil {
-		if err := apply("relational-optimizations", func() (bool, error) {
-			return optimizeSourcePlan(g, opts.RelOpt)
-		}); err != nil {
-			return nil, err
-		}
-	}
-
-	// 4. Engine placement (§4.3): RA nodes to the DB engine, MLD/LA nodes
-	// to the ML runtime.
-	placeEngines(g)
 	return res, nil
 }
 
-// optimizeSourcePlan runs the relational optimizer over the source plan
-// with the columns the rest of the graph reads — the model's (possibly
-// narrowed) inputs, and whatever the fragments above reference, e.g.
-// SELECT d.id — as the required set.
-func optimizeSourcePlan(g *ir.Graph, ro *relopt.Optimizer) (bool, error) {
-	src, ok := g.Source().(*ir.RelNode)
-	if !ok {
-		return false, nil
+// eachModel applies fn to every model operator of the tree, deepest
+// first, and puts the node fn returns in its place. It reports whether fn
+// fired on any.
+func eachModel(g *ir.Graph, fn func(*ir.ModelNode) (plan.Node, bool, error)) (bool, error) {
+	fired := false
+	var visit func(n plan.Node) (plan.Node, error)
+	visit = func(n plan.Node) (plan.Node, error) {
+		for i, c := range n.Children() {
+			nc, err := visit(c)
+			if err != nil {
+				return nil, err
+			}
+			if nc != c {
+				n.SetChild(i, nc)
+			}
+		}
+		m, ok := n.(*ir.ModelNode)
+		if !ok {
+			return n, nil
+		}
+		out, ok, err := fn(m)
+		fired = fired || ok
+		return out, err
 	}
-	before := plan.Explain(src.Plan)
-	opt, err := ro.OptimizeFor(src.Plan, columnsReadAbove(g, src, src.Plan.Schema()))
+	root, err := visit(g.Root)
 	if err != nil {
 		return false, err
 	}
-	src.Plan = opt
-	return plan.Explain(opt) != before, nil
-}
-
-// columnsReadAbove returns the columns of below's output (schema out) that
-// the nodes above it read: what relational fragments reference and what
-// models, tensor graphs and split conditions consume. Names are matched
-// across fragments without tracking renames, which can only keep a column
-// too many. When nothing sits above below, or a UDF does — it is opaque
-// and may read anything — every column is needed.
-func columnsReadAbove(g *ir.Graph, below ir.Node, out *types.Schema) []string {
-	chain := g.Chain()
-	for len(chain) > 0 && chain[0] != below {
-		chain = chain[1:]
-	}
-	if len(chain) < 2 {
-		return out.Names()
-	}
-	var cols []string
-	for _, n := range chain[1:] {
-		switch x := n.(type) {
-		case *ir.RelNode:
-			cols = append(cols, plan.ReferencedColumns(x.Plan)...)
-		case *ir.ModelNode:
-			cols = append(cols, x.InputCols...)
-		case *ir.LANode:
-			cols = append(cols, x.InputCols...)
-		case *ir.SplitNode:
-			cols = append(cols, x.CondCol)
-		case *ir.UDFNode:
-			return out.Names()
-		}
-	}
-	return cols
-}
-
-func placeEngines(g *ir.Graph) {
-	for _, n := range g.Chain() {
-		switch x := n.(type) {
-		case *ir.RelNode:
-			x.Engine = ir.EngineDB
-		case *ir.TransformNode:
-			x.Engine = ir.EngineML
-		case *ir.ModelNode:
-			x.Engine = ir.EngineML
-		case *ir.LANode:
-			x.Engine = ir.EngineML
-		case *ir.UDFNode:
-			x.Engine = ir.EngineML
-		}
-	}
+	g.Root = root
+	return fired, nil
 }

@@ -3,146 +3,34 @@ package xopt
 import (
 	"fmt"
 	"sort"
-	"strings"
 
 	"raven/internal/expr"
 	"raven/internal/ir"
 	"raven/internal/ml"
 	"raven/internal/nnconv"
 	"raven/internal/plan"
-	"raven/internal/types"
 )
 
-// mldChain extracts the featurizer steps and model node of the (single)
-// MLD chain in the graph, in execution order.
-func mldChain(g *ir.Graph) (steps []*ir.TransformNode, model *ir.ModelNode) {
-	for _, n := range g.Chain() {
-		switch x := n.(type) {
-		case *ir.TransformNode:
-			steps = append(steps, x)
-		case *ir.ModelNode:
-			if model == nil {
-				model = x
-			}
-		}
-	}
-	return steps, model
-}
-
-func stepTransformers(steps []*ir.TransformNode) []ml.Transformer {
-	out := make([]ml.Transformer, len(steps))
-	for i, s := range steps {
-		out[i] = s.T
-	}
-	return out
-}
-
-// ruleSelectionPushdown moves WHERE conjuncts across the ML operator: a
-// conjunct sitting directly above a fragment's Input that reads only
-// columns of the relational fragment feeding the model becomes a filter
-// on top of that fragment's plan, and the relational pass pushes it on
-// through the joins onto the scans. Scoring is row-wise and deterministic, so exactly the
-// rows the original plan returned are scored and returned; the rest are
-// never joined or scored. It crosses only transforms and models — a UDF
-// is opaque — and one stage at a time: under stacked PREDICTs a conjunct
-// lands on top of the user-written fragment between them, which may
-// rename or drop the column, and goes no further. Conjuncts on a
-// prediction output, ORs mixing both sides and filters over a LIMIT or
-// an aggregate stay where they are.
-func ruleSelectionPushdown(g *ir.Graph) (bool, error) {
-	moved := false
-	for _, n := range g.Chain() {
-		if rn, ok := n.(*ir.RelNode); ok && rn.In != nil && pushSelections(g, rn) {
-			moved = true
-		}
-	}
-	return moved, nil
-}
-
-func pushSelections(g *ir.Graph, rn *ir.RelNode) bool {
-	var below *ir.RelNode
-	scored := make(map[string]bool)
-	for n := rn.In; below == nil; n = n.Input() {
-		switch x := n.(type) {
-		case *ir.TransformNode:
-		case *ir.ModelNode:
-			scored[strings.ToLower(x.OutputCol.Name)] = true
-		case *ir.RelNode:
-			below = x
-		default:
-			return false
-		}
-	}
-	var parent plan.Node
-	cur := rn.Plan
-	for {
-		kids := cur.Children()
-		if len(kids) != 1 {
-			return false
-		}
-		if _, leaf := kids[0].(*plan.Input); leaf {
-			break
-		}
-		parent, cur = cur, kids[0]
-	}
-	f, ok := cur.(*plan.Filter)
-	if !ok {
-		return false
-	}
-	var move, keep []expr.Expr
-	for _, c := range expr.Conjuncts(f.Pred) {
-		crosses := true
-		for _, col := range expr.Columns(c) {
-			if scored[col] || below.Plan.Schema().IndexOf(col) < 0 {
-				crosses = false
-			}
-		}
-		if crosses {
-			move = append(move, c)
-		} else {
-			keep = append(keep, c)
-		}
-	}
-	if len(move) == 0 {
-		return false
-	}
-	below.Plan = &plan.Filter{Child: below.Plan, Pred: expr.And(move)}
-	switch {
-	case len(keep) > 0:
-		f.Pred = expr.And(keep)
-	case parent != nil:
-		parent.SetChild(0, f.Child)
-	default:
-		replaceInput(g, rn, rn.In) // the fragment was only the filter
-	}
-	return true
-}
-
-// rulePredicateModelPruning implements §4.1 predicate-based model pruning:
-// derive row constraints from predicates (and optionally statistics), map
-// them into feature space, and specialize the model — cutting dead tree
+// pruneModel implements §4.1 predicate-based model pruning on one model
+// operator: map the facts that hold for its input rows into feature space
+// through its own steps, and specialize the model — cutting dead tree
 // branches, or folding pinned features into a linear model's bias.
-func rulePredicateModelPruning(g *ir.Graph, useStats bool) (bool, error) {
-	steps, model := mldChain(g)
-	if model == nil {
-		return false, nil
+func pruneModel(model *ir.ModelNode, facts columnFacts) bool {
+	if len(facts) == 0 {
+		return false
 	}
-	facts := gatherFacts(g, useStats)
-	if len(facts.ranges) == 0 && len(facts.equals) == 0 {
-		return false, nil
-	}
-	ff, ok := mapFactsThroughTransforms(facts, model.InputCols, stepTransformers(steps))
+	ff, ok := mapFactsThroughTransforms(facts, model.InputCols, model.Steps)
 	if !ok || (len(ff.constraints) == 0 && len(ff.pinned) == 0) {
-		return false, nil
+		return false
 	}
 	switch m := model.M.(type) {
 	case *ml.DecisionTree:
 		pruned := m.Prune(ff.constraints)
 		if pruned.NumNodes() >= m.NumNodes() {
-			return false, nil
+			return false
 		}
 		model.M = pruned
-		return true, nil
+		return true
 	case *ml.RandomForest:
 		pruned := m.Prune(ff.constraints)
 		before, after := 0, 0
@@ -151,52 +39,48 @@ func rulePredicateModelPruning(g *ir.Graph, useStats bool) (bool, error) {
 			after += pruned.Trees[i].NumNodes()
 		}
 		if after >= before {
-			return false, nil
+			return false
 		}
 		model.M = pruned
-		return true, nil
+		return true
 	case *ml.LogisticRegression:
 		if len(ff.pinned) == 0 {
-			return false, nil
+			return false
 		}
 		narrowed, kept := m.PinFeatures(ff.pinned)
 		if len(kept) == len(m.W) {
-			return false, nil
+			return false
 		}
 		model.M = narrowed
-		appendFeatureSelect(g, model, kept)
-		return true, nil
+		appendFeatureSelect(model, kept)
+		return true
 	default:
-		return false, nil
+		return false
 	}
 }
 
-// appendFeatureSelect inserts a feature-space ColumnSelect immediately
-// before the model (after all existing transforms).
-func appendFeatureSelect(g *ir.Graph, model *ir.ModelNode, kept []int) {
-	sel := &ir.TransformNode{T: &ml.ColumnSelect{Indices: kept}, In: model.In, Engine: ir.EngineML}
-	model.In = sel
+// appendFeatureSelect adds a feature-space ColumnSelect immediately
+// before the model (after all existing steps).
+func appendFeatureSelect(model *ir.ModelNode, kept []int) {
+	model.Steps = append(model.Steps[:len(model.Steps):len(model.Steps)], &ml.ColumnSelect{Indices: kept})
 }
 
-// ruleModelProjectionPushdown implements §4.1 model-projection pushdown:
-// features the model provably ignores (zero weights, pruned branches) are
-// projected out — the model narrows, and when the featurizer chain permits
-// it the projection propagates to the relational side, shrinking scans and
-// enabling join elimination.
-func ruleModelProjectionPushdown(g *ir.Graph) (bool, error) {
-	steps, model := mldChain(g)
-	if model == nil {
-		return false, nil
-	}
+// projectModel implements §4.1 model-projection pushdown on one model
+// operator: features the model provably ignores (zero weights, pruned
+// branches) are projected out — the model narrows, and when its featurizer
+// steps permit it so do its input columns, which is what lets the
+// relational pass shrink scans and eliminate joins below it.
+func projectModel(model *ir.ModelNode) (plan.Node, bool, error) {
+	steps := model.Steps
 	changed := false
 	switch m := model.M.(type) {
 	case *ml.LogisticRegression:
 		if m.Sparsity() == 0 {
-			return false, nil
+			return model, false, nil
 		}
 		narrowed, kept := m.Compact()
 		if len(kept) == len(m.W) {
-			return false, nil
+			return model, false, nil
 		}
 		model.M = narrowed
 		if len(steps) == 0 {
@@ -207,7 +91,7 @@ func ruleModelProjectionPushdown(g *ir.Graph) (bool, error) {
 			}
 			model.InputCols = newCols
 		} else {
-			appendFeatureSelect(g, model, kept)
+			appendFeatureSelect(model, kept)
 		}
 		changed = true
 	case *ml.DecisionTree, *ml.RandomForest:
@@ -219,7 +103,7 @@ func ruleModelProjectionPushdown(g *ir.Graph) (bool, error) {
 			nf = m.(*ml.RandomForest).NumFeatures()
 		}
 		if len(used) == 0 || len(used) >= nf {
-			return false, nil
+			return model, false, nil
 		}
 		remap := make(map[int]int, len(used))
 		for i, f := range used {
@@ -229,7 +113,7 @@ func ruleModelProjectionPushdown(g *ir.Graph) (bool, error) {
 		case *ml.DecisionTree:
 			nt, err := t.RemapFeatures(remap, len(used))
 			if err != nil {
-				return false, err
+				return nil, false, err
 			}
 			model.M = nt
 		case *ml.RandomForest:
@@ -237,7 +121,7 @@ func ruleModelProjectionPushdown(g *ir.Graph) (bool, error) {
 			for i, tr := range t.Trees {
 				x, err := tr.RemapFeatures(remap, len(used))
 				if err != nil {
-					return false, err
+					return nil, false, err
 				}
 				nf.Trees[i] = x
 			}
@@ -250,25 +134,25 @@ func ruleModelProjectionPushdown(g *ir.Graph) (bool, error) {
 			}
 			model.InputCols = newCols
 		} else {
-			appendFeatureSelect(g, model, used)
+			appendFeatureSelect(model, used)
 		}
 		changed = true
 	}
-	if !changed {
-		return false, nil
+	if changed {
+		// With steps present, try to narrow the input columns too: an
+		// input column is droppable when no used feature depends on it.
+		narrowInputColumns(model)
 	}
-	// With transforms present, try to narrow the input columns too: an
-	// input column is droppable when no used feature depends on it.
-	return true, narrowInputColumns(g)
+	return model, changed, nil
 }
 
-// narrowInputColumns back-maps feature usage through supported transforms
-// (select/scaler/onehot chains) and rebuilds the chain over the reduced
-// input column set.
-func narrowInputColumns(g *ir.Graph) error {
-	steps, model := mldChain(g)
-	if model == nil || len(steps) == 0 {
-		return nil
+// narrowInputColumns back-maps feature usage through supported steps
+// (select/scaler/onehot chains) and rebuilds them over the reduced input
+// column set.
+func narrowInputColumns(model *ir.ModelNode) {
+	steps := model.Steps
+	if len(steps) == 0 {
+		return
 	}
 	// Forward usability check only for chains of select/scaler/onehot.
 	used := make(map[int]bool)
@@ -278,7 +162,7 @@ func narrowInputColumns(g *ir.Graph) error {
 	// Walk backwards from model input to pipeline input.
 	for i := len(steps) - 1; i >= 0; i-- {
 		prev := make(map[int]bool)
-		switch t := steps[i].T.(type) {
+		switch t := steps[i].(type) {
 		case *ml.ColumnSelect:
 			for out, in := range t.Indices {
 				if used[out] {
@@ -290,7 +174,7 @@ func narrowInputColumns(g *ir.Graph) error {
 		case *ml.OneHotEncoder:
 			inDim := t.InputDim
 			if inDim == 0 {
-				return nil // cannot back-map without the fitted width
+				return // cannot back-map without the fitted width
 			}
 			for j := 0; j < inDim; j++ {
 				if out, err := t.PassthroughOutputIndex(j); err == nil {
@@ -311,7 +195,7 @@ func narrowInputColumns(g *ir.Graph) error {
 				}
 			}
 		default:
-			return nil // unsupported transform: keep all inputs
+			return // unsupported transform: keep all inputs
 		}
 		used = prev
 	}
@@ -323,21 +207,24 @@ func narrowInputColumns(g *ir.Graph) error {
 	}
 	sort.Ints(keep)
 	if len(keep) == len(model.InputCols) || len(keep) == 0 {
-		return nil
+		return
 	}
-	// Rebuild: the simplest sound rewrite inserts a leading ColumnSelect
-	// over the kept columns only when every later step can be re-indexed.
-	// Chains starting with a OneHotEncoder or Scaler over the full input
-	// are re-fitted by subsetting their per-column state.
+	// Rebuild: the simplest sound rewrite re-indexes the leading steps
+	// over the kept columns, and only when every one of them can be:
+	// a scaler over the full input is re-fitted by subsetting its
+	// per-column state, a select by remapping its indices. The steps are
+	// rewritten in a copy that replaces the model's only once all are.
 	remap := make(map[int]int, len(keep))
 	for i, j := range keep {
 		remap[j] = i
 	}
-	for _, sn := range steps {
-		switch t := sn.T.(type) {
+	steps = append([]ml.Transformer(nil), steps...)
+rewrite:
+	for i, st := range steps {
+		switch t := st.(type) {
 		case *ml.StandardScaler:
 			if len(t.Mean) != len(model.InputCols) {
-				return nil // not the leading full-width scaler; bail
+				return // not the leading full-width scaler; bail
 			}
 			nm := make([]float64, len(keep))
 			ns := make([]float64, len(keep))
@@ -345,80 +232,42 @@ func narrowInputColumns(g *ir.Graph) error {
 				nm[i] = t.Mean[j]
 				ns[i] = t.Scale[j]
 			}
-			sn.T = &ml.StandardScaler{Mean: nm, Scale: ns}
+			steps[i] = &ml.StandardScaler{Mean: nm, Scale: ns}
 		case *ml.ColumnSelect:
 			ni := make([]int, len(t.Indices))
 			for i, j := range t.Indices {
 				nj, ok := remap[j]
 				if !ok {
-					return nil
+					return
 				}
 				ni[i] = nj
 			}
-			sn.T = &ml.ColumnSelect{Indices: ni}
-			// After an explicit select, later steps see unchanged indices.
-			remapLater := true
-			_ = remapLater
-			// Later steps operate on select output; stop re-indexing.
-			goto done
+			steps[i] = &ml.ColumnSelect{Indices: ni}
+			// Later steps operate on the select's output, whose indices
+			// did not change: stop re-indexing.
+			break rewrite
 		default:
-			return nil
+			return
 		}
 	}
-done:
 	newCols := make([]string, len(keep))
 	for i, j := range keep {
 		newCols[i] = model.InputCols[j]
 	}
-	model.InputCols = newCols
-	return nil
+	model.Steps, model.InputCols = steps, newCols
 }
 
-// ruleNNTranslation implements §4.2 NN translation: the MLD chain compiles
-// into a tensor graph executable by the ort runtime (with CPU intra-op
-// parallelism or the simulated GPU).
-func ruleNNTranslation(g *ir.Graph, useGPU bool) (bool, error) {
-	steps, model := mldChain(g)
-	if model == nil {
-		return false, nil
-	}
-	pipe := &ml.Pipeline{Steps: stepTransformers(steps), Final: model.M, InputColumns: model.InputCols}
+// translateModel implements §4.2 NN translation on one model operator:
+// its steps and model compile into a tensor graph executable by the ort
+// runtime (with CPU intra-op parallelism or the simulated GPU), and an LA
+// node takes the operator's place.
+func translateModel(model *ir.ModelNode, useGPU bool) (plan.Node, bool, error) {
+	pipe := &ml.Pipeline{Steps: model.Steps, Final: model.M, InputColumns: model.InputCols}
 	graph, err := nnconv.TranslatePipeline(pipe)
 	if err != nil {
-		return false, fmt.Errorf("xopt: NN translation: %w", err)
+		return nil, false, fmt.Errorf("xopt: NN translation: %w", err)
 	}
-	la := &ir.LANode{
-		G:         graph,
-		InputCols: model.InputCols,
-		OutputCol: model.OutputCol,
-		Engine:    ir.EngineML,
-		UseGPU:    useGPU,
-	}
-	// Splice: LA node replaces the whole MLD chain.
-	var below ir.Node
-	if len(steps) > 0 {
-		below = steps[0].In
-	} else {
-		below = model.In
-	}
-	la.In = below
-	replaceInput(g, model, la)
-	return true, nil
-}
-
-// replaceInput rewires whichever node consumed old to consume new; if old
-// was the root, new becomes the root.
-func replaceInput(g *ir.Graph, old, new ir.Node) {
-	if g.Root == old {
-		g.Root = new
-		return
-	}
-	for _, n := range g.Chain() {
-		if n.Input() == old {
-			n.SetInput(new)
-			return
-		}
-	}
+	return &ir.LANode{Scorer: model.Scorer, G: graph, UseGPU: useGPU}, true, nil
 }
 
 // InlineMaxNodes bounds the tree size model inlining accepts; beyond this
@@ -426,78 +275,35 @@ func replaceInput(g *ir.Graph, old, new ir.Node) {
 // inlining limits).
 const InlineMaxNodes = 511
 
-// ruleModelInlining implements §4.2 model inlining: a small decision tree
-// whose featurization is a pure column mapping (none, select, scaler)
-// becomes a relational CASE expression evaluated entirely by the DB engine
-// — no data leaves the relational runtime (the paper's ~17× at 300K rows).
-func ruleModelInlining(g *ir.Graph) (bool, error) {
-	steps, model := mldChain(g)
-	if model == nil {
-		return false, nil
-	}
+// inlineModel implements §4.2 model inlining on one model operator: a
+// small decision tree whose featurization is a pure column mapping (none,
+// select, scaler) becomes a relational CASE expression evaluated entirely
+// by the DB engine — no data leaves the relational runtime (the paper's
+// ~17× at 300K rows). The projection passes every input column through
+// and appends the score; column pruning then drops what nothing above
+// reads, which is what lets it shrink scans and eliminate joins below.
+func inlineModel(model *ir.ModelNode) (plan.Node, bool, error) {
 	tree, ok := model.M.(*ml.DecisionTree)
 	if !ok || tree.NumNodes() > InlineMaxNodes {
-		return false, nil
+		return model, false, nil
 	}
-	colExpr, ok := featureColumnExprs(model.InputCols, stepTransformers(steps))
+	colExpr, ok := featureColumnExprs(model.InputCols, model.Steps)
 	if !ok {
-		return false, nil
-	}
-	caseExpr := treeToCase(tree, 0, colExpr)
-
-	// Build the relational fragment: pass through only the columns the
-	// nodes above actually read (all of them when the model is the root),
-	// append the score column. Narrow pass-through is what later lets
-	// projection pushdown shrink scans and eliminate joins below.
-	inSchema := inputRowSchema(g, model)
-	keep := map[string]bool{}
-	for _, c := range columnsReadAbove(g, model, inSchema) {
-		keep[strings.ToLower(c)] = true
+		return model, false, nil
 	}
 	var exprs []expr.Expr
 	var names []string
-	for _, c := range inSchema.Columns {
-		if !keep[strings.ToLower(c.Name)] {
-			continue
-		}
+	for _, c := range model.Child.Schema().Columns {
 		exprs = append(exprs, &expr.Column{Name: c.Name})
 		names = append(names, c.Name)
 	}
-	exprs = append(exprs, caseExpr)
+	exprs = append(exprs, treeToCase(tree, 0, colExpr))
 	names = append(names, model.OutputCol.Name)
-	proj, err := plan.NewProject(&plan.Input{Sch: inSchema}, exprs, names)
+	proj, err := plan.NewProject(model.Child, exprs, names)
 	if err != nil {
-		return false, err
+		return nil, false, err
 	}
-	rel := &ir.RelNode{Plan: proj, Engine: ir.EngineDB}
-	var below ir.Node
-	if len(steps) > 0 {
-		below = steps[0].In
-	} else {
-		below = model.In
-	}
-	rel.In = below
-	replaceInput(g, model, rel)
-	return true, nil
-}
-
-// inputRowSchema reconstructs the schema of rows entering the MLD stage.
-func inputRowSchema(g *ir.Graph, model *ir.ModelNode) *types.Schema {
-	// The node feeding the first MLD node is relational; use its plan
-	// schema.
-	n := model.In
-	for n != nil {
-		if rn, ok := n.(*ir.RelNode); ok {
-			return rn.Plan.Schema()
-		}
-		n = n.Input()
-	}
-	// Fallback: input columns as floats.
-	cols := make([]types.Column, len(model.InputCols))
-	for i, c := range model.InputCols {
-		cols[i] = types.Column{Name: c, Type: types.Float}
-	}
-	return types.NewSchema(cols...)
+	return proj, true, nil
 }
 
 // featureColumnExprs maps each model feature to a relational expression
@@ -563,35 +369,18 @@ func treeToCase(t *ml.DecisionTree, node int, colExpr func(int) (expr.Expr, bool
 	}
 }
 
-// ruleModelQuerySplitting implements §2's model/query splitting: the tree's
-// root test partitions rows into a cheap branch and a complex branch, each
-// scored by its own sub-model and unioned — enabling independent
-// optimization of the two sides (akin to model cascades).
-func ruleModelQuerySplitting(g *ir.Graph) (bool, error) {
-	steps, model := mldChain(g)
-	if model == nil || len(steps) > 0 {
-		return false, nil // only bare trees over direct columns
-	}
+// splitModel implements §2's model/query splitting on one model operator:
+// the tree's root test partitions rows into a cheap branch and a complex
+// branch, each scored by its own sub-model and unioned — enabling
+// independent optimization of the two sides (akin to model cascades).
+func splitModel(model *ir.ModelNode) (plan.Node, bool, error) {
 	tree, ok := model.M.(*ml.DecisionTree)
-	if !ok || tree.NumNodes() < 7 {
-		return false, nil
+	if !ok || len(model.Steps) > 0 || tree.NumNodes() < 7 {
+		return model, false, nil // only bare trees over direct columns
 	}
 	f, thr, left, right, err := tree.SplitOnRoot()
-	if err != nil {
-		return false, nil
+	if err != nil || f >= len(model.InputCols) {
+		return model, false, nil
 	}
-	if f >= len(model.InputCols) {
-		return false, nil
-	}
-	leftNode := &ir.ModelNode{M: left, InputCols: model.InputCols, OutputCol: model.OutputCol, Engine: ir.EngineML}
-	rightNode := &ir.ModelNode{M: right, InputCols: model.InputCols, OutputCol: model.OutputCol, Engine: ir.EngineML}
-	split := &ir.SplitNode{
-		CondCol:   model.InputCols[f],
-		Threshold: thr,
-		Left:      leftNode,
-		Right:     rightNode,
-		In:        model.In,
-	}
-	replaceInput(g, model, split)
-	return true, nil
+	return &ir.SplitNode{Scorer: model.Scorer, CondCol: model.InputCols[f], Threshold: thr, Left: left, Right: right}, true, nil
 }

@@ -16,19 +16,17 @@ import (
 
 func TestForestPruningAndProjection(t *testing.T) {
 	forest := &ml.RandomForest{Trees: []*ml.DecisionTree{fig1Tree(), fig1Tree()}}
-	g, _ := hospitalGraph(t, forest, pregnantEq1())
-	ok, err := rulePredicateModelPruning(g, false)
-	if err != nil || !ok {
-		t.Fatal(ok, err)
+	g, cat := hospitalGraph(t, forest, pregnantEq1())
+	if !run(t, g, cat, pruningRule, pruning) {
+		t.Fatal("pruning did not fire")
 	}
-	_, model := mldChain(g)
+	model := modelOf(t, g)
 	pf := model.M.(*ml.RandomForest)
 	if pf.Trees[0].NumNodes() >= fig1Tree().NumNodes() {
 		t.Error("forest trees not pruned")
 	}
-	ok, err = ruleModelProjectionPushdown(g)
-	if err != nil || !ok {
-		t.Fatal(ok, err)
+	if !run(t, g, cat, "model-projection-pushdown", projection) {
+		t.Fatal("projection pushdown did not fire")
 	}
 	// after pruning on pregnant=1, only bp remains used
 	if len(model.InputCols) >= len(hospCols) {
@@ -45,8 +43,8 @@ func TestForestPruningNoChangeWithoutSplits(t *testing.T) {
 	tr.Right = []int{2, -1, -1}
 	tr.Value = []float64{0, 1, 2}
 	forest := &ml.RandomForest{Trees: []*ml.DecisionTree{tr}}
-	g, _ := hospitalGraph(t, forest, pregnantEq1())
-	if ok, _ := rulePredicateModelPruning(g, false); ok {
+	g, cat := hospitalGraph(t, forest, pregnantEq1())
+	if run(t, g, cat, pruningRule, pruning) {
 		t.Error("pruning fired without prunable splits")
 	}
 }
@@ -54,10 +52,7 @@ func TestForestPruningNoChangeWithoutSplits(t *testing.T) {
 func TestMapFactsThroughScalerAndSelect(t *testing.T) {
 	sc := &ml.StandardScaler{Mean: []float64{10, 0}, Scale: []float64{2, 1}}
 	sel := &ml.ColumnSelect{Indices: []int{0}}
-	facts := &columnFacts{
-		ranges: map[string]expr.Range{"x": {Lo: 10, Hi: 14}},
-		equals: map[string]float64{},
-	}
+	facts := columnFacts{"x": {Lo: 10, Hi: 14}}
 	ff, ok := mapFactsThroughTransforms(facts, []string{"x", "y"}, []ml.Transformer{sc, sel})
 	if !ok {
 		t.Fatal("mapping failed")
@@ -74,7 +69,7 @@ func TestMapFactsThroughScalerAndSelect(t *testing.T) {
 
 func TestMapFactsBailsOnUnion(t *testing.T) {
 	u := &ml.FeatureUnion{Parts: []ml.Transformer{&ml.ColumnSelect{Indices: []int{0}}}}
-	facts := &columnFacts{ranges: map[string]expr.Range{"x": {Lo: 1, Hi: 1}}, equals: map[string]float64{}}
+	facts := columnFacts{"x": {Lo: 1, Hi: 1}}
 	if _, ok := mapFactsThroughTransforms(facts, []string{"x"}, []ml.Transformer{u}); ok {
 		t.Error("union should stop constraint mapping (conservative)")
 	}
@@ -92,23 +87,39 @@ func TestNarrowInputColumnsThroughScaler(t *testing.T) {
 	))
 	_ = tb.AppendRow(1.0, 2.0, 3.0)
 	_ = cat.AddTable(tb)
-	src := &ir.RelNode{Plan: plan.NewScan(tb)}
-	tr := &ir.TransformNode{T: sc, In: src}
-	mn := &ir.ModelNode{M: lr, InputCols: []string{"a", "b", "c"}, OutputCol: types.Column{Name: "s", Type: types.Float}, In: tr}
-	g := &ir.Graph{Root: mn}
-	ok, err := ruleModelProjectionPushdown(g)
-	if err != nil || !ok {
-		t.Fatal(ok, err)
+	g := &ir.Graph{Root: scoreNode(plan.NewScan(tb), lr, []string{"a", "b", "c"}, "s", sc)}
+	if !run(t, g, cat, "model-projection-pushdown", projection) {
+		t.Fatal("rule did not fire")
 	}
-	_, model := mldChain(g)
+	model := modelOf(t, g)
 	if len(model.InputCols) != 1 || model.InputCols[0] != "b" {
 		t.Errorf("inputs = %v, want [b]", model.InputCols)
 	}
 	// narrowed scaler must be width 1 with the right mean
-	steps, _ := mldChain(g)
-	nsc, ok2 := steps[0].T.(*ml.StandardScaler)
-	if !ok2 || len(nsc.Mean) != 1 || nsc.Mean[0] != 2 {
-		t.Errorf("scaler not narrowed: %+v", steps[0].T)
+	nsc, ok := model.Steps[0].(*ml.StandardScaler)
+	if !ok || len(nsc.Mean) != 1 || nsc.Mean[0] != 2 {
+		t.Errorf("scaler not narrowed: %+v", model.Steps[0])
+	}
+}
+
+// TestNarrowInputColumnsAllOrNothing: a step the rewrite cannot re-index
+// after one it can (one-hot behind a scaler) leaves every step and the
+// input columns as they were, not a narrowed scaler over the full input.
+func TestNarrowInputColumnsAllOrNothing(t *testing.T) {
+	sc := &ml.StandardScaler{Mean: []float64{1, 2, 3}, Scale: []float64{1, 1, 1}}
+	enc := &ml.OneHotEncoder{Cols: []int{2}, Categories: [][]float64{{0, 1}}, InputDim: 3}
+	lr := &ml.LogisticRegression{W: []float64{0, 2, 0, 1}, B: 0}
+	tb := storage.NewTable("t", types.NewSchema(
+		types.Column{Name: "a", Type: types.Float},
+		types.Column{Name: "b", Type: types.Float},
+		types.Column{Name: "c", Type: types.Float},
+	))
+	model := scoreNode(plan.NewScan(tb), lr, []string{"a", "b", "c"}, "s", sc, enc)
+	if _, fired, err := projectModel(model); err != nil || !fired {
+		t.Fatal(fired, err)
+	}
+	if got := model.Steps[0].(*ml.StandardScaler); len(got.Mean) != 3 || len(model.InputCols) != 3 {
+		t.Errorf("half-narrowed pipeline: scaler width %d over inputs %v", len(got.Mean), model.InputCols)
 	}
 }
 
@@ -125,8 +136,8 @@ func TestOptimizeWithSplittingOption(t *testing.T) {
 	if !strings.Contains(strings.Join(res.Applied, ","), "model-query-splitting") {
 		t.Errorf("splitting did not fire: %v", res.Applied)
 	}
-	if res.Graph.Find(func(n ir.Node) bool { _, ok := n.(*ir.SplitNode); return ok }) == nil {
-		t.Error("no split node in optimized graph")
+	if _, ok := res.Graph.Root.(*ir.SplitNode); !ok {
+		t.Errorf("no split node in optimized graph:\n%s", res.Graph.Explain())
 	}
 }
 
@@ -146,22 +157,56 @@ func TestOptimizeNNTranslationPath(t *testing.T) {
 	if la == nil {
 		t.Fatal("no LA node")
 	}
-	if la.(*ir.LANode).Engine != ir.EngineML {
-		t.Error("LA node not placed on ML engine")
+	if !strings.Contains(res.Graph.Explain(), "[LA/ml] LA:graph(") {
+		t.Errorf("LA node not placed on ML engine:\n%s", res.Graph.Explain())
 	}
 }
 
-func TestGatherFactsSkipsPredictionColumns(t *testing.T) {
-	g, _ := hospitalGraph(t, fig1Tree(), expr.And([]expr.Expr{
-		pregnantEq1(),
-		expr.NewBinary(expr.OpGt, &expr.Column{Name: "score"}, expr.FloatLit(0.5)),
-	}))
-	facts := gatherFacts(g, false)
-	if _, ok := facts.ranges["score"]; ok {
-		t.Error("prediction column leaked into facts")
+// TestFactsFollowColumns: facts are computed bottom-up through each
+// operator's contract, so a fact stays with its column and with nothing
+// else of the same name.
+func TestFactsFollowColumns(t *testing.T) {
+	g, _ := hospitalGraph(t, fig1Tree(), nil)
+	model := modelOf(t, g)
+	join := model.Child.(*plan.Join)
+	join.Left = &plan.Filter{Child: join.Left, Pred: expr.And([]expr.Expr{pregnantEq1(), colCmp(expr.OpGt, "age", 30)})}
+	join.Right = &plan.Filter{Child: join.Right, Pred: colCmp(expr.OpLe, "bp", 120)}
+
+	// A join's rows satisfy both inputs' facts; a row-wise model passes
+	// them through, and says nothing about the column it adds.
+	scored := &plan.Filter{Child: model, Pred: colCmp(expr.OpGt, "score", 0.5)}
+	f := factsOf(scored, false)
+	if f["pregnant"].Lo != 1 || f["pregnant"].Hi != 1 || f["age"].Lo <= 30 || f["bp"].Hi != 120 || f["score"].Lo <= 0.5 {
+		t.Errorf("facts above the model: %+v", f)
 	}
-	if r, ok := facts.ranges["pregnant"]; !ok || r.Lo != 1 {
-		t.Errorf("pregnant fact missing: %+v", facts.ranges)
+	if _, leaked := factsOf(model.Child, false)["score"]; leaked {
+		t.Error("a fact about the prediction reached the model's own input")
+	}
+
+	// A projection keeps a fact for a bare column reference only, under
+	// its output name: bp's range moves to "age", age's own is gone, and
+	// an expression over pregnant carries nothing.
+	proj, err := plan.NewProject(scored,
+		[]expr.Expr{&expr.Column{Name: "bp"}, expr.NewBinary(expr.OpAdd, &expr.Column{Name: "pregnant"}, expr.IntLit(1)), &expr.Column{Name: "score"}},
+		[]string{"age", "pregnant", "s"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f = factsOf(proj, false)
+	if len(f) != 2 || f["age"].Hi != 120 || f["s"].Lo <= 0.5 {
+		t.Errorf("facts above the renaming projection: %+v", f)
+	}
+
+	// An aggregate keeps its group keys'; an opaque operator keeps none.
+	agg, err := plan.NewAggregate(proj, []string{"age"}, []plan.AggSpec{{Func: plan.AggMax, Arg: &expr.Column{Name: "s"}, Name: "s"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f = factsOf(agg, false); len(f) != 1 || f["age"].Hi != 120 {
+		t.Errorf("facts above the aggregate: %+v", f)
+	}
+	if f = factsOf(&ir.UDFNode{Name: "opaque", Child: proj, Out: proj.Schema()}, false); len(f) != 0 {
+		t.Errorf("facts crossed a UDF: %+v", f)
 	}
 }
 
@@ -244,84 +289,91 @@ func colCmp(op expr.BinOp, col string, v float64) expr.Expr {
 	return expr.NewBinary(op, &expr.Column{Name: col}, expr.FloatLit(v))
 }
 
+// selection runs selection pushdown alone and reports whether it fired.
+func selection(t *testing.T, g *ir.Graph, cat *storage.Catalog) bool {
+	t.Helper()
+	return run(t, g, cat, "selection-pushdown", func(o *Options) { o.SelectionPushdown = true })
+}
+
 // TestSelectionPushdownPlacement pins where each kind of conjunct ends up.
 func TestSelectionPushdownPlacement(t *testing.T) {
 	mixedOr := expr.NewBinary(expr.OpOr, colCmp(expr.OpGt, "age", 30), colCmp(expr.OpGt, "score", 0.9))
 
-	// Data conjuncts cross; prediction conjuncts and mixed ORs stay.
-	g, _ := hospitalGraph(t, fig1Tree(), expr.And([]expr.Expr{pregnantEq1(), colCmp(expr.OpGt, "score", 0.5), mixedOr}))
-	if ok, _ := ruleSelectionPushdown(g); !ok {
+	// Data conjuncts cross, and go on through the join; prediction
+	// conjuncts and mixed ORs stay.
+	g, cat := hospitalGraph(t, fig1Tree(), expr.And([]expr.Expr{pregnantEq1(), colCmp(expr.OpGt, "score", 0.5), mixedOr}))
+	if !selection(t, g, cat) {
 		t.Fatal("rule did not fire")
 	}
-	if got := plan.Explain(g.SourcePlan()); !strings.HasPrefix(got, "Filter((pregnant = 1))\n  Join") {
-		t.Errorf("source plan:\n%s", got)
-	}
-	if got := plan.Explain(g.SinkRel().Plan); !strings.HasPrefix(got, "Filter(((score > 0.5) AND ((age > 30) OR (score > 0.9))))\n  Input") {
-		t.Errorf("sink plan:\n%s", got)
+	want := "Filter(((score > 0.5) AND ((age > 30) OR (score > 0.9))))\n  model:tree -> score\n    Join(id = id)\n      Filter((pregnant = 1))\n        Scan(patient_info)\n"
+	if got := plan.Explain(g.Root); !strings.HasPrefix(got, want) {
+		t.Errorf("plan:\n%s", got)
 	}
 
-	// A sink that was only the filter disappears with it.
-	g, _ = hospitalGraph(t, fig1Tree(), pregnantEq1())
-	if ok, _ := ruleSelectionPushdown(g); !ok || g.SinkRel() != nil {
+	// A filter that was only data conjuncts disappears from above the model.
+	g, cat = hospitalGraph(t, fig1Tree(), pregnantEq1())
+	if ok := selection(t, g, cat); !ok || g.Root != plan.Node(modelOf(t, g)) {
 		t.Errorf("fired=%v, graph after:\n%s", ok, g.Explain())
 	}
 
 	// Nothing to move: the rule does not report itself.
-	g, _ = hospitalGraph(t, fig1Tree(), mixedOr)
-	if ok, _ := ruleSelectionPushdown(g); ok {
-		t.Error("rule reported a move with only a mixed OR in the sink")
+	g, cat = hospitalGraph(t, fig1Tree(), mixedOr)
+	if selection(t, g, cat) {
+		t.Error("rule reported a move with only a mixed OR above the model")
 	}
 
-	// A filter over a LIMIT is not directly above Input: it sees the first
-	// rows of the unfiltered stream, so it stays.
-	g, _ = hospitalGraph(t, fig1Tree(), nil)
-	sink := g.SinkRel()
-	sink.Plan = &plan.Filter{Child: &plan.Limit{Child: sink.Plan, N: 5}, Pred: pregnantEq1()}
-	if ok, _ := ruleSelectionPushdown(g); ok {
+	// A filter over a LIMIT is not directly above the model: it sees the
+	// first rows of the unfiltered stream, so it stays.
+	g, cat = hospitalGraph(t, fig1Tree(), nil)
+	g.Root = &plan.Filter{Child: &plan.Limit{Child: g.Root, N: 5}, Pred: pregnantEq1()}
+	if selection(t, g, cat) {
 		t.Error("a filter over a LIMIT crossed PREDICT")
 	}
 
-	// An opaque UDF below the model stops the conjunct.
-	g, _ = hospitalGraph(t, fig1Tree(), pregnantEq1())
-	_, model := mldChain(g)
-	model.In = &ir.UDFNode{Name: "opaque", In: model.In}
-	if ok, _ := ruleSelectionPushdown(g); ok {
-		t.Error("a selection crossed a UDF")
+	// An opaque UDF below the model stops the conjunct there.
+	g, cat = hospitalGraph(t, fig1Tree(), pregnantEq1())
+	model := modelOf(t, g)
+	model.Child = &ir.UDFNode{Name: "opaque", Child: model.Child, Out: model.Child.Schema()}
+	if ok := selection(t, g, cat); !ok || !strings.HasPrefix(plan.Explain(g.Root), "model:tree -> score\n  Filter((pregnant = 1))\n    opaque\n      Join(id = id)\n        Scan(") {
+		t.Errorf("fired=%v, want the selection between the model and the UDF:\n%s", ok, g.Explain())
+	}
+
+	// With the rule off nothing crosses, and the relational pass leaves the
+	// filter where the query wrote it: the reference plan.
+	g, cat = hospitalGraph(t, fig1Tree(), pregnantEq1())
+	if run(t, g, cat, "selection-pushdown", func(o *Options) { o.Relational = true }); !strings.HasPrefix(plan.Explain(g.Root), "Filter((pregnant = 1))\n  model:tree") {
+		t.Errorf("a selection crossed the model with the rule off:\n%s", g.Explain())
 	}
 }
 
-// TestSelectionPushdownStackedOneStageAtATime: under stacked PREDICTs the
-// fragment between the models may rename columns — here it swaps age and
-// pregnant — so the outer conjunct lands on top of that fragment and goes
-// no further, while the fragment's own WHERE crosses the inner model.
-func TestSelectionPushdownStackedOneStageAtATime(t *testing.T) {
-	g, _ := hospitalGraph(t, fig1Tree(), colCmp(expr.OpGt, "pregnant", 40))
-	outer := g.SinkRel()
-	inner := outer.In.(*ir.ModelNode)
-	inSchema := inner.In.(*ir.RelNode).Plan.Schema().Concat(types.NewSchema(inner.OutputCol))
+// TestSelectionPushdownStacked: under stacked PREDICTs the projection
+// between the models may rename columns — here it swaps age and pregnant —
+// so the outer conjunct lands on top of that projection and goes no
+// further, while the WHERE under it crosses the inner model.
+func TestSelectionPushdownStacked(t *testing.T) {
+	g, cat := hospitalGraph(t, fig1Tree(), nil)
 	swap, err := plan.NewProject(
-		&plan.Filter{Child: &plan.Input{Sch: inSchema}, Pred: colCmp(expr.OpGt, "weight", 60)},
+		&plan.Filter{Child: g.Root, Pred: colCmp(expr.OpGt, "weight", 60)},
 		[]expr.Expr{&expr.Column{Name: "age"}, &expr.Column{Name: "pregnant"}, &expr.Column{Name: "score"}},
 		[]string{"pregnant", "age", "bp"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	middle := &ir.RelNode{Plan: swap, In: inner}
-	outerModel := &ir.ModelNode{M: &ml.LogisticRegression{W: []float64{1, 1}}, InputCols: []string{"age", "bp"},
-		OutputCol: types.Column{Name: "score2", Type: types.Float}, In: middle}
-	outer.In = outerModel
-	outer.Plan.(*plan.Filter).Child = &plan.Input{Sch: swap.Schema().Concat(types.NewSchema(outerModel.OutputCol))}
+	outer := scoreNode(swap, &ml.LogisticRegression{W: []float64{1, 1}}, []string{"age", "bp"}, "score2")
+	g.Root = &plan.Filter{Child: outer, Pred: colCmp(expr.OpGt, "pregnant", 40)}
 
-	if ok, _ := ruleSelectionPushdown(g); !ok {
+	if !selection(t, g, cat) {
 		t.Fatal("rule did not fire")
 	}
-	if g.Root != outerModel {
-		t.Errorf("outer sink survived:\n%s", g.Explain())
-	}
-	if got := plan.Explain(middle.Plan); !strings.HasPrefix(got, "Filter((pregnant > 40))\n  Project(age AS pregnant, pregnant AS age, score AS bp)\n    Input") {
-		t.Errorf("middle fragment:\n%s", got)
-	}
-	if got := plan.Explain(g.SourcePlan()); !strings.HasPrefix(got, "Filter((weight > 60))\n  Join") {
-		t.Errorf("source plan:\n%s", got)
+	want := "model:logreg -> score2\n" +
+		"  Filter((pregnant > 40))\n" +
+		"    Project(age AS pregnant, pregnant AS age, score AS bp)\n" +
+		"      model:tree -> score\n" +
+		"        Join(id = id)\n" +
+		"          Filter((weight > 60))\n" +
+		"            Scan(patient_info)\n" +
+		"          Scan(blood_tests)\n"
+	if got := plan.Explain(g.Root); got != want {
+		t.Errorf("plan:\n%s\nwant:\n%s", got, want)
 	}
 }

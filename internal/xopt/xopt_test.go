@@ -42,7 +42,8 @@ func fig1Tree() *ml.DecisionTree {
 
 var hospCols = []string{"pregnant", "age", "gender", "weight", "bp"}
 
-// hospitalGraph builds source(join) <- model <- sink(filter+project) IR.
+// hospitalGraph builds filter(pred) over model over join, the tree the
+// binder and ir.FromPlan produce for a PREDICT with a WHERE above it.
 func hospitalGraph(t *testing.T, model ml.Model, pred expr.Expr) (*ir.Graph, *storage.Catalog) {
 	t.Helper()
 	cat := storage.NewCatalog()
@@ -67,27 +68,51 @@ func hospitalGraph(t *testing.T, model ml.Model, pred expr.Expr) (*ir.Graph, *st
 	cat.SetUniqueKey("patient_info", "id")
 	cat.SetUniqueKey("blood_tests", "id")
 
-	scan1 := plan.NewScan(pi)
-	scan2 := plan.NewScan(bt)
-	join, err := plan.NewJoin(scan1, scan2, "id", "id")
+	join, err := plan.NewJoin(plan.NewScan(pi), plan.NewScan(bt), "id", "id")
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := &ir.RelNode{Plan: join}
-	mn := &ir.ModelNode{
-		M:         model,
-		InputCols: hospCols,
-		OutputCol: types.Column{Name: "score", Type: types.Float},
-		In:        src,
-	}
-	outSchema := join.Schema().Concat(types.NewSchema(types.Column{Name: "score", Type: types.Float}))
-	var sinkPlan plan.Node = &plan.Input{Sch: outSchema}
+	var root plan.Node = scoreNode(join, model, hospCols, "score")
 	if pred != nil {
-		sinkPlan = &plan.Filter{Child: sinkPlan, Pred: pred}
+		root = &plan.Filter{Child: root, Pred: pred}
 	}
-	sink := &ir.RelNode{Plan: sinkPlan, In: mn}
-	return &ir.Graph{Root: sink}, cat
+	return &ir.Graph{Root: root}, cat
 }
+
+func scoreNode(child plan.Node, m ml.Model, cols []string, out string, steps ...ml.Transformer) *ir.ModelNode {
+	return &ir.ModelNode{
+		Scorer: ir.Scorer{Child: child, InputCols: cols, OutputCol: types.Column{Name: out, Type: types.Float}},
+		Steps:  steps, M: m,
+	}
+}
+
+// modelOf returns the (first) model operator of the tree.
+func modelOf(t *testing.T, g *ir.Graph) *ir.ModelNode {
+	t.Helper()
+	m, ok := g.Find(func(n ir.Node) bool { _, ok := n.(*ir.ModelNode); return ok }).(*ir.ModelNode)
+	if !ok {
+		t.Fatalf("no model operator in:\n%s", g.Explain())
+	}
+	return m
+}
+
+// run optimizes g with exactly the rules set switches on, and reports
+// whether rule fired.
+func run(t *testing.T, g *ir.Graph, cat *storage.Catalog, rule string, set func(*Options)) bool {
+	t.Helper()
+	opts := Options{RelOpt: &relopt.Optimizer{Catalog: cat, AssumeRI: true}}
+	set(&opts)
+	res, err := Optimize(g, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return strings.Contains(strings.Join(res.Applied, ","), rule)
+}
+
+func pruning(o *Options)    { o.SelectionPushdown, o.PredicateModelPruning = true, true }
+func projection(o *Options) { o.ModelProjectionPushdown = true }
+
+const pruningRule = "predicate-based-model-pruning"
 
 func pregnantEq1() expr.Expr {
 	return expr.NewBinary(expr.OpEq, &expr.Column{Name: "pregnant"}, expr.IntLit(1))
@@ -96,15 +121,11 @@ func pregnantEq1() expr.Expr {
 func TestPredicatePruningShrinksTree(t *testing.T) {
 	tree := fig1Tree()
 	before := tree.NumNodes()
-	g, _ := hospitalGraph(t, tree, pregnantEq1())
-	ok, err := rulePredicateModelPruning(g, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	g, cat := hospitalGraph(t, tree, pregnantEq1())
+	if !run(t, g, cat, pruningRule, pruning) {
 		t.Fatal("rule did not fire")
 	}
-	_, model := mldChain(g)
+	model := modelOf(t, g)
 	after := model.M.(*ml.DecisionTree).NumNodes()
 	if after >= before {
 		t.Errorf("tree did not shrink: %d -> %d", before, after)
@@ -118,12 +139,8 @@ func TestPredicatePruningShrinksTree(t *testing.T) {
 }
 
 func TestPredicatePruningNoPredicatesNoChange(t *testing.T) {
-	g, _ := hospitalGraph(t, fig1Tree(), nil)
-	ok, err := rulePredicateModelPruning(g, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ok {
+	g, cat := hospitalGraph(t, fig1Tree(), nil)
+	if run(t, g, cat, pruningRule, pruning) {
 		t.Error("rule fired without predicates")
 	}
 }
@@ -143,18 +160,11 @@ func TestPredicatePruningFromStatistics(t *testing.T) {
 		_ = pi.AppendRow(int64(1), float64(30+i), int64(i%2), 60.0, float64(100+i))
 	}
 	_ = cat.AddTable(pi)
-	src := &ir.RelNode{Plan: plan.NewScan(pi)}
-	mn := &ir.ModelNode{M: fig1Tree(), InputCols: hospCols, OutputCol: types.Column{Name: "score", Type: types.Float}, In: src}
-	g := &ir.Graph{Root: mn}
-	ok, err := rulePredicateModelPruning(g, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	g := &ir.Graph{Root: scoreNode(plan.NewScan(pi), fig1Tree(), hospCols, "score")}
+	if !run(t, g, cat, pruningRule, func(o *Options) { o.PredicateModelPruning, o.UseDataStatistics = true, true }) {
 		t.Fatal("stat-derived pruning did not fire")
 	}
-	_, model := mldChain(g)
-	for _, f := range model.M.UsedFeatures() {
+	for _, f := range modelOf(t, g).M.UsedFeatures() {
 		if f == 0 {
 			t.Error("pregnant split survived although the column is constant")
 		}
@@ -163,15 +173,11 @@ func TestPredicatePruningFromStatistics(t *testing.T) {
 
 func TestProjectionPushdownNarrowsModelAndInputs(t *testing.T) {
 	lr := &ml.LogisticRegression{W: []float64{0.5, 0, 0, 0, 1.5}, B: 0.1}
-	g, _ := hospitalGraph(t, lr, nil)
-	ok, err := ruleModelProjectionPushdown(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	g, cat := hospitalGraph(t, lr, nil)
+	if !run(t, g, cat, "model-projection-pushdown", projection) {
 		t.Fatal("rule did not fire")
 	}
-	_, model := mldChain(g)
+	model := modelOf(t, g)
 	if got := len(model.M.(*ml.LogisticRegression).W); got != 2 {
 		t.Errorf("model width = %d, want 2", got)
 	}
@@ -181,71 +187,54 @@ func TestProjectionPushdownNarrowsModelAndInputs(t *testing.T) {
 }
 
 func TestProjectionPushdownEnablesJoinElimination(t *testing.T) {
-	// Model reads only patient_info columns; after pushdown the
-	// blood_tests join must disappear.
+	// Model reads only patient_info columns and the query only the score;
+	// after pushdown the blood_tests join must disappear.
 	lr := &ml.LogisticRegression{W: []float64{1, 0.5, 0, 0, 0}, B: 0}
 	g, cat := hospitalGraph(t, lr, nil)
-	if ok, err := ruleModelProjectionPushdown(g); err != nil || !ok {
-		t.Fatal(ok, err)
-	}
-	ro := &relopt.Optimizer{Catalog: cat, AssumeRI: true}
-	if _, err := optimizeSourcePlan(g, ro); err != nil {
+	root, err := plan.NewProject(g.Root, []expr.Expr{&expr.Column{Name: "score"}}, []string{"score"})
+	if err != nil {
 		t.Fatal(err)
 	}
-	s := plan.Explain(g.SourcePlan())
+	g.Root = root
+	if !run(t, g, cat, "relational-optimizations", func(o *Options) { o.ModelProjectionPushdown, o.Relational = true, true }) {
+		t.Fatal("the relational pass changed nothing")
+	}
+	s := g.Explain()
 	if strings.Contains(s, "blood_tests") {
 		t.Errorf("join not eliminated:\n%s", s)
 	}
 }
 
 func TestNNTranslationReplacesChainWithLANode(t *testing.T) {
-	g, _ := hospitalGraph(t, fig1Tree(), nil)
-	ok, err := ruleNNTranslation(g, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	g, cat := hospitalGraph(t, fig1Tree(), nil)
+	if !run(t, g, cat, "nn-translation", func(o *Options) { o.NNTranslation = true }) {
 		t.Fatal("rule did not fire")
 	}
-	if g.CountCategory(ir.MLD) != 0 {
-		t.Error("MLD nodes survived translation")
+	la, ok := g.Root.(*ir.LANode)
+	if !ok || strings.Contains(g.Explain(), "MLD") {
+		t.Fatalf("the model was not replaced by an LA node:\n%s", g.Explain())
 	}
-	if g.CountCategory(ir.LA) != 1 {
-		t.Error("no LA node produced")
-	}
-	la := g.Find(func(n ir.Node) bool { _, ok := n.(*ir.LANode); return ok }).(*ir.LANode)
 	if la.G.NumNodes() == 0 || la.OutputCol.Name != "score" {
 		t.Errorf("LA node = %+v", la)
 	}
 }
 
 func TestModelInliningProducesCase(t *testing.T) {
-	g, _ := hospitalGraph(t, fig1Tree(), nil)
-	ok, err := ruleModelInlining(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	g, cat := hospitalGraph(t, fig1Tree(), nil)
+	if !run(t, g, cat, "model-inlining", inlining) {
 		t.Fatal("rule did not fire")
 	}
-	if g.CountCategory(ir.MLD) != 0 {
-		t.Error("model not removed")
+	// The model is now a projection with a CASE, passing its input through.
+	proj, ok := g.Root.(*plan.Project)
+	if !ok || len(g.ModelOps()) != 0 {
+		t.Fatalf("model not replaced by a projection:\n%s", g.Explain())
 	}
-	// The middle node is now a RelNode whose plan projects a CASE.
-	var caseFound bool
-	for _, n := range g.Chain() {
-		rn, ok := n.(*ir.RelNode)
-		if !ok {
-			continue
-		}
-		if strings.Contains(plan.Explain(rn.Plan), "CASE") {
-			caseFound = true
-		}
-	}
-	if !caseFound {
-		t.Errorf("no CASE in inlined plan:\n%s", g.Explain())
+	if n := len(proj.Exprs); n != 7 || proj.Names[n-1] != "score" || !strings.Contains(proj.Exprs[n-1].String(), "CASE") {
+		t.Errorf("inlined projection:\n%s", g.Explain())
 	}
 }
+
+func inlining(o *Options) { o.ModelInlining = true }
 
 func TestModelInliningWithScaler(t *testing.T) {
 	tree := &ml.DecisionTree{NFeat: 1}
@@ -261,17 +250,12 @@ func TestModelInliningWithScaler(t *testing.T) {
 	_ = tb.AppendRow(5.0)
 	_ = tb.AppendRow(15.0)
 	_ = cat.AddTable(tb)
-	src := &ir.RelNode{Plan: plan.NewScan(tb)}
-	tr := &ir.TransformNode{T: sc, In: src}
-	mn := &ir.ModelNode{M: tree, InputCols: []string{"x"}, OutputCol: types.Column{Name: "y", Type: types.Float}, In: tr}
-	g := &ir.Graph{Root: mn}
-
-	ok, err := ruleModelInlining(g)
-	if err != nil || !ok {
-		t.Fatal(ok, err)
+	g := &ir.Graph{Root: scoreNode(plan.NewScan(tb), tree, []string{"x"}, "y", sc)}
+	if !run(t, g, cat, "model-inlining", inlining) {
+		t.Fatal("rule did not fire")
 	}
 	s := g.Explain()
-	if !strings.Contains(s, "CASE") {
+	if !strings.Contains(s, "CASE WHEN (((x - 10) / 2) <= 0)") {
 		t.Errorf("no CASE:\n%s", s)
 	}
 }
@@ -301,35 +285,29 @@ func TestInliningSkipsLargeTreesAndOneHot(t *testing.T) {
 		return self
 	}
 	build(10) // 2^11-1 nodes > InlineMaxNodes
-	g, _ := hospitalGraph(t, big, nil)
-	if ok, _ := ruleModelInlining(g); ok {
+	g, cat := hospitalGraph(t, big, nil)
+	if run(t, g, cat, "model-inlining", inlining) {
 		t.Error("inlined an oversized tree")
 	}
 
 	// onehot chain blocks inlining
 	enc := &ml.OneHotEncoder{Cols: []int{0}, Categories: [][]float64{{0, 1}}, InputDim: 5}
-	g2, _ := hospitalGraph(t, fig1Tree(), nil)
-	_, model := mldChain(g2)
-	model.In = &ir.TransformNode{T: enc, In: model.In}
-	if ok, _ := ruleModelInlining(g2); ok {
+	g2, cat := hospitalGraph(t, fig1Tree(), nil)
+	modelOf(t, g2).Steps = []ml.Transformer{enc}
+	if run(t, g2, cat, "model-inlining", inlining) {
 		t.Error("inlined through a one-hot encoder")
 	}
 }
 
 func TestModelQuerySplitting(t *testing.T) {
-	g, _ := hospitalGraph(t, fig1Tree(), nil)
-	ok, err := ruleModelQuerySplitting(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
+	g, cat := hospitalGraph(t, fig1Tree(), nil)
+	if !run(t, g, cat, "model-query-splitting", func(o *Options) { o.ModelQuerySplitting = true }) {
 		t.Fatal("rule did not fire")
 	}
-	sn := g.Find(func(n ir.Node) bool { _, ok := n.(*ir.SplitNode); return ok })
-	if sn == nil {
-		t.Fatal("no split node")
+	split, ok := g.Root.(*ir.SplitNode)
+	if !ok {
+		t.Fatalf("no split node:\n%s", g.Explain())
 	}
-	split := sn.(*ir.SplitNode)
 	if split.CondCol != "pregnant" || split.Threshold != 0.5 {
 		t.Errorf("split = %s <= %v", split.CondCol, split.Threshold)
 	}
@@ -349,19 +327,14 @@ func TestOptimizeDriverOrderAndEnginePlacement(t *testing.T) {
 		}
 	}
 	// everything is relational after inlining: engines all db
-	for _, n := range res.Graph.Chain() {
-		if rn, ok := n.(*ir.RelNode); ok && rn.Engine != ir.EngineDB {
-			t.Errorf("RA node not placed on DB engine")
-		}
+	if ex := res.Graph.Explain(); strings.Contains(ex, "/ml]") || !strings.Contains(ex, "[RA/db]") {
+		t.Errorf("an operator is still placed on the ML runtime:\n%s", ex)
 	}
 }
 
 func TestMapFactsThroughOneHot(t *testing.T) {
 	enc := &ml.OneHotEncoder{Cols: []int{1}, Categories: [][]float64{{3, 7, 9}}, InputDim: 2}
-	facts := &columnFacts{
-		ranges: map[string]expr.Range{"dest": {Lo: 7, Hi: 7}},
-		equals: map[string]float64{"dest": 7},
-	}
+	facts := columnFacts{"dest": {Lo: 7, Hi: 7}}
 	ff, ok := mapFactsThroughTransforms(facts, []string{"dist", "dest"}, []ml.Transformer{enc})
 	if !ok {
 		t.Fatal("mapping failed")
@@ -392,19 +365,15 @@ func TestCategoricalPruningPinsLogReg(t *testing.T) {
 		_ = tb.AppendRow(float64(i*100), float64(i%3))
 	}
 	_ = cat.AddTable(tb)
-	src := &ir.RelNode{Plan: &plan.Filter{
+	src := &plan.Filter{
 		Child: plan.NewScan(tb),
 		Pred:  expr.NewBinary(expr.OpEq, &expr.Column{Name: "dest"}, expr.FloatLit(1)),
-	}}
-	tr := &ir.TransformNode{T: enc, In: src}
-	mn := &ir.ModelNode{M: lr, InputCols: []string{"distance", "dest"}, OutputCol: types.Column{Name: "p", Type: types.Float}, In: tr}
-	g := &ir.Graph{Root: mn}
-	ok, err := rulePredicateModelPruning(g, false)
-	if err != nil || !ok {
-		t.Fatal(ok, err)
 	}
-	_, model := mldChain(g)
-	nw := len(model.M.(*ml.LogisticRegression).W)
+	g := &ir.Graph{Root: scoreNode(src, lr, []string{"distance", "dest"}, "p", enc)}
+	if !run(t, g, cat, pruningRule, pruning) {
+		t.Fatal("rule did not fire")
+	}
+	nw := len(modelOf(t, g).M.(*ml.LogisticRegression).W)
 	if nw != 1 {
 		t.Errorf("pinned model width = %d, want 1 (only distance left)", nw)
 	}
@@ -493,18 +462,13 @@ func TestOptimizePreservesSemantics(t *testing.T) {
 	// Predictions for pregnant=1 rows must match the original tree; check
 	// via whatever the chain became (inlined CASE or model). We verify on
 	// the inlined plan by evaluating its CASE against batches.
-	var inlined *ir.RelNode
-	for _, nd := range res.Graph.Chain() {
-		if rn, ok := nd.(*ir.RelNode); ok && rn.In != nil {
-			if strings.Contains(plan.Explain(rn.Plan), "CASE") {
-				inlined = rn
-			}
-		}
-	}
-	if inlined == nil {
+	proj, ok := res.Graph.Find(func(n ir.Node) bool {
+		p, ok := n.(*plan.Project)
+		return ok && strings.Contains(p.String(), "CASE")
+	}).(*plan.Project)
+	if !ok {
 		t.Skip("tree was not inlined for this shape")
 	}
-	proj := inlined.Plan.(*plan.Project)
 	// build a batch with pregnant=1 rows
 	sch := types.NewSchema(
 		types.Column{Name: "pregnant", Type: types.Float},

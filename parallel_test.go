@@ -164,7 +164,7 @@ func TestBreakerPlansByteIdenticalToSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(ex, "RA:split(") {
+	if !strings.Contains(ex, "MLD:split(") {
 		t.Fatalf("split query did not split:\n%s", ex)
 	}
 	assertParityMatrix(t, db, ModeInProcess, split)

@@ -19,19 +19,18 @@ import (
 // scans between one worker and DOP-wide) and parameterized plans are cloned,
 // never mutated, at bind time.
 type cachedPlan struct {
+	// graph is the optimized tree; its model operators carry their
+	// session-cache keys.
 	graph   *ir.Graph
 	applied []string
-	// sessionKey keys the inference-session cache (model hash, possibly
-	// query-specialized); empty disables session caching.
-	sessionKey string
 	// params names the unbound @parameters the plan needs at execute time,
 	// sorted. Non-empty only for prepared statements.
 	params []string
 	// version is the catalog version the plan was compiled against; any
 	// DDL or model store bumps it, invalidating the plan.
 	version uint64
-	// tables lists every table the bound plan scans, collected from the
-	// logical plan before IR construction (FromPlan splices nodes out).
+	// tables lists every table the bound plan scans, before optimization
+	// can eliminate a join.
 	// The result cache snapshots their data versions around execution;
 	// the plan cache itself doesn't need them (plans survive appends —
 	// results don't).
@@ -152,19 +151,11 @@ func isIdentChar(c byte) bool {
 func collectPlanTables(n plan.Node) []*storage.Table {
 	var out []*storage.Table
 	seen := map[*storage.Table]bool{}
-	var walk func(plan.Node)
-	walk = func(n plan.Node) {
-		if n == nil {
-			return
-		}
+	plan.Walk(n, func(n plan.Node) {
 		if s, ok := n.(*plan.Scan); ok && !seen[s.Table] {
 			seen[s.Table] = true
 			out = append(out, s.Table)
 		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(n)
+	})
 	return out
 }

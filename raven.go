@@ -899,8 +899,8 @@ func (db *DB) run(ctx context.Context, q string, opts QueryOptions, vars map[str
 // instantiate turns a plan source into this call's operator tree:
 // resolve the template, bind params into a per-call clone (the shared
 // template is never mutated), lower.
-func (db *DB) instantiate(ctx context.Context, opts QueryOptions, params []Param, plan func() (*cachedPlan, error)) (*cachedPlan, exec.Operator, error) {
-	tpl, err := plan()
+func (db *DB) instantiate(ctx context.Context, opts QueryOptions, params []Param, template func() (*cachedPlan, error)) (*cachedPlan, exec.Operator, error) {
+	tpl, err := template()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -910,11 +910,13 @@ func (db *DB) instantiate(ctx context.Context, opts QueryOptions, params []Param
 		if err != nil {
 			return nil, nil, err
 		}
-		if graph, err = bindGraphParams(graph, vals); err != nil {
+		root, err := plan.BindParams(graph.Root, vals)
+		if err != nil {
 			return nil, nil, err
 		}
+		graph = &ir.Graph{Root: root}
 	}
-	op, err := db.lower(ctx, graph, tpl.sessionKey, opts)
+	op, err := db.lower(ctx, graph, opts)
 	return tpl, op, err
 }
 
@@ -1118,11 +1120,7 @@ func (db *DB) buildPlan(q string, sel *sql.SelectStmt, vars map[string]string, o
 		report.WriteString("== logical plan ==\n" + plan.Explain(logical))
 	}
 
-	// The cache key and the scanned-table set must be derived before IR
-	// construction: FromPlan splices the Predict node out of the plan.
-	cacheKey := db.modelCacheKey(logical)
 	tables := collectPlanTables(logical)
-
 	graph, err := ir.FromPlan(logical, db.LoadModel)
 	if err != nil {
 		return nil, err
@@ -1135,25 +1133,31 @@ func (db *DB) buildPlan(q string, sel *sql.SelectStmt, vars map[string]string, o
 	if err != nil {
 		return nil, err
 	}
-	switch {
-	case opts.DisableSessionCache:
-		cacheKey = ""
-	case opts.CrossOptimize && cacheKey != "" && len(res.Applied) > 0:
-		// The optimized model is specialized to this query's predicates:
-		// key the session cache by model hash + query fingerprint so
+	if !opts.DisableSessionCache {
+		// Each model operator keys its tensor sessions by its own model's
+		// stored hash (a new version of the model strands them by that
+		// prefix). An optimized model is specialized to this query's
+		// predicates: the query fingerprint joins the key so
 		// differently-specialized sessions never collide, while identical
 		// repeated queries (warm runs) still hit.
-		sum := sha256.Sum256([]byte(q))
-		cacheKey += "#" + hex.EncodeToString(sum[:8])
+		suffix := ""
+		if opts.CrossOptimize && len(res.Applied) > 0 {
+			sum := sha256.Sum256([]byte(q))
+			suffix = "#" + hex.EncodeToString(sum[:8])
+		}
+		for _, op := range res.Graph.ModelOps() {
+			if m, err := db.catalog.Models.Latest(op.Model); err == nil {
+				op.SessionKey = m.Hash + suffix
+			}
+		}
 	}
 
 	return &cachedPlan{
-		graph:      res.Graph,
-		applied:    res.Applied,
-		sessionKey: cacheKey,
-		params:     collectGraphParams(res.Graph),
-		version:    version,
-		tables:     tables,
+		graph:   res.Graph,
+		applied: res.Applied,
+		params:  plan.CollectParams(res.Graph.Root),
+		version: version,
+		tables:  tables,
 	}, nil
 }
 
@@ -1181,7 +1185,7 @@ func (db *DB) optimizerOptions(opts QueryOptions) xopt.Options {
 // It runs per execution — cheap relative to the front half — so cached
 // plans still adapt to current table sizes (one-worker vs DOP-wide scans)
 // and carry the call's context into every operator.
-func (db *DB) lower(ctx context.Context, graph *ir.Graph, sessionKey string, opts QueryOptions) (exec.Operator, error) {
+func (db *DB) lower(ctx context.Context, graph *ir.Graph, opts QueryOptions) (exec.Operator, error) {
 	par := db.effectiveParallelism(ctx, opts)
 	morsel := opts.MorselSize
 	if morsel == 0 {
@@ -1195,32 +1199,8 @@ func (db *DB) lower(ctx context.Context, graph *ir.Graph, sessionKey string, opt
 		ParallelThresholdRows: opts.ParallelThresholdRows,
 		MorselSize:            morsel,
 		Tuner:                 db.tuner,
-		CacheKey:              sessionKey,
 	}
 	return codegen.Compile(graph, cfg)
-}
-
-// modelCacheKey derives the session-cache key from the (first) PREDICT
-// model's stored hash.
-func (db *DB) modelCacheKey(p plan.Node) string {
-	var key string
-	var walk func(n plan.Node)
-	walk = func(n plan.Node) {
-		if key != "" {
-			return
-		}
-		if pr, ok := n.(*plan.Predict); ok {
-			if m, err := db.catalog.Models.Latest(pr.ModelName); err == nil {
-				key = m.Hash
-			}
-			return
-		}
-		for _, c := range n.Children() {
-			walk(c)
-		}
-	}
-	walk(p)
-	return key
 }
 
 // Explain returns a report of the query's plans: the bound logical plan,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/gob"
 	"fmt"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -88,6 +89,27 @@ func selectionDB(t testing.TB, rows int) *DB {
 		Left: []int{1, -1, 3, -1, -1}, Right: []int{2, -1, 4, -1, -1}, Value: []float64{0, 0.2, 0, 0.5, 0.9},
 	}, []string{"x", "y"})
 	store("ab_lr", &ml.LogisticRegression{W: []float64{0.05, 1.5}, B: -0.2}, []string{"x", "y"})
+	// z <= 2 → 0.1, else 0.7: b.z never exceeds 0.9, so statistics about
+	// b.z read as a fact about another column called z prune the 0.7 leaf.
+	store("zy_tree", &ml.DecisionTree{
+		NFeat: 2, Feature: []int{0, -1, -1}, Threshold: []float64{2, 0, 0},
+		Left: []int{1, -1, -1}, Right: []int{2, -1, -1}, Value: []float64{0, 0.1, 0.7},
+	}, []string{"z", "y"})
+	// ab_tree and ab_lr again, each behind its own scaler (thresholds and
+	// weights are in scaled space).
+	for name, pipe := range map[string]*ml.Pipeline{
+		"ab_tree_sc": {Steps: []ml.Transformer{&ml.StandardScaler{Mean: []float64{1, -0.5}, Scale: []float64{2, 3}}},
+			Final: &ml.DecisionTree{
+				NFeat: 2, Feature: []int{0, -1, 1, -1, -1}, Threshold: []float64{0.25, 0, 0.4, 0, 0},
+				Left: []int{1, -1, 3, -1, -1}, Right: []int{2, -1, 4, -1, -1}, Value: []float64{0, 0.2, 0, 0.5, 0.9},
+			}, InputColumns: []string{"x", "y"}},
+		"ab_lr_sc": {Steps: []ml.Transformer{&ml.StandardScaler{Mean: []float64{-2, 0.5}, Scale: []float64{4, 0.25}}},
+			Final: &ml.LogisticRegression{W: []float64{0.3, 1.1}, B: -0.4}, InputColumns: []string{"x", "y"}},
+	} {
+		if err := db.StoreModel(name, pipe); err != nil {
+			t.Fatal(err)
+		}
+	}
 	return db
 }
 
@@ -95,14 +117,30 @@ func selectionDB(t testing.TB, rows int) *DB {
 // reference is the same SQL with CrossOptimize off — the plan that filters
 // after scoring — unless twin is set: then it is twin, under the same
 // options, which spells the selection inside the DATA subquery by hand.
+// ref adjusts the reference's options further.
 type selectionCase struct {
 	name   string
 	q      string
 	params []Param
 	set    func(*QueryOptions)
+	ref    func(*QueryOptions)
 	twin   string
 	moves  bool // the rule must (not) report itself
 }
+
+// stackedScalers is a stacked PREDICT whose two pipelines each carry a
+// scaler; the fragment between them renames the inner score onto y.
+const stackedScalers = `SELECT d2.k, d2.x, p2.s2 FROM PREDICT(MODEL='ab_lr_sc', DATA=(SELECT d.k AS k, d.x AS x, p.s AS y ` +
+	`FROM PREDICT(MODEL='ab_tree_sc', DATA=` + abJoin + `) WITH (s FLOAT) AS p WHERE d.z > 0.2) AS d2) WITH (s2 FLOAT) AS p2 WHERE d2.k > 10`
+
+// uncachedTensorSessions makes a reference score every model as a tensor
+// graph translated from the stored pipeline, each on a session of its own.
+func uncachedTensorSessions(o *QueryOptions) { o.Mode, o.DisableSessionCache = ModeInProcessNN, true }
+
+// joinAbovePredict joins the scored rows to a table: the PREDICT sits
+// under a JOIN, and both conjuncts belong below it.
+const joinAbovePredict = `SELECT d.id, x.glucose, p.s ` + `FROM PREDICT(MODEL='duration_of_stay', DATA=` + hospitalJoin +
+	`) WITH (s FLOAT) AS p JOIN blood_tests AS x ON d.id = x.id WHERE x.glucose > 100 AND d.age > `
 
 var selectionCases = []selectionCase{
 	{name: "point literal", moves: true,
@@ -146,6 +184,35 @@ var selectionCases = []selectionCase{
 	{name: "stacked PREDICT, renaming middle fragment", moves: true, set: func(o *QueryOptions) { o.DisableNNTranslation = true },
 		q: `SELECT d2.k, d2.x, p2.s2 FROM PREDICT(MODEL='ab_lr', DATA=(SELECT d.x AS k, d.k AS x, p.s AS y ` +
 			predictOver("ab_tree", abJoin) + `WHERE d.z > 0.2) AS d2) WITH (s2 FLOAT) AS p2 WHERE d2.k > 0`},
+
+	// The rows below failed on the fragment-cutting optimizer, each with
+	// wrong values or an error, not a missed optimization.
+	//
+	// A filter above a projection that renames bp onto age says nothing
+	// about the model's age input. It is not pushed through the projection
+	// either.
+	{name: "sink filter on a renamed column", moves: false,
+		q: `SELECT t.id, t.s FROM (SELECT d.id, d.bp AS age, p.s ` + predictOver("duration_of_stay", hospitalJoin) + `) AS t WHERE t.age > 150`},
+	{name: "source filter under a renaming projection", moves: false,
+		q: `SELECT d.k, d.x, p.s ` + predictOver("ab_tree", `(SELECT a.k, a.g AS x, b.y FROM a JOIN b ON a.k = b.fk WHERE a.x > 0) AS d`)},
+	{name: "statistics under a renaming projection", moves: false, set: func(o *QueryOptions) { o.UseStatistics = true },
+		q: `SELECT d.k, d.z, p.s ` + predictOver("zy_tree", `(SELECT a.k, a.x AS z, b.y FROM a JOIN b ON a.k = b.fk) AS d`)},
+	// Each model's rules see that model's featurizers only. Where the
+	// outer regression runs as a tensor graph, so does the reference.
+	{name: "stacked PREDICT, a scaler in both pipelines", moves: true, q: stackedScalers, ref: uncachedTensorSessions},
+	{name: "stacked scalers, no inlining", moves: true, q: stackedScalers, ref: uncachedTensorSessions,
+		set: func(o *QueryOptions) { o.DisableInlining = true }},
+	{name: "stacked scalers, no NN translation", moves: true, q: stackedScalers, set: func(o *QueryOptions) { o.DisableNNTranslation = true }},
+	// Two tensor sessions in one plan, cached: each model operator has its
+	// own key.
+	{name: "stacked PREDICT on cached tensor sessions", moves: true, q: stackedScalers, ref: uncachedTensorSessions,
+		set: func(o *QueryOptions) { o.Mode, o.DisableInlining = ModeInProcessNN, true }},
+	{name: "JOIN above PREDICT", moves: true, q: joinAbovePredict + `60`,
+		twin: `SELECT d.id, d.glucose, p.s ` + predictOver("duration_of_stay", hospitalJoinWhere("bt.glucose > 100 AND pi.age > 60"))},
+	{name: "three-deep stack", moves: true, set: func(o *QueryOptions) { o.DisableNNTranslation = true },
+		q: `SELECT d3.k, d3.x, p3.s3 FROM PREDICT(MODEL='ab_tree', DATA=(SELECT d2.k AS k, d2.y AS x, p2.s2 AS y ` +
+			`FROM PREDICT(MODEL='ab_lr', DATA=(SELECT d.k AS k, d.x AS x, p.s AS y ` + predictOver("ab_tree", abJoin) +
+			`WHERE d.z > 0.2) AS d2) WITH (s2 FLOAT) AS p2 WHERE d2.x > -5) AS d3) WITH (s3 FLOAT) AS p3 WHERE d3.k > 10`},
 }
 
 func collectParams(t *testing.T, db *DB, q string, opts QueryOptions, params []Param) *Result {
@@ -180,6 +247,9 @@ func TestSelectionPushdownExact(t *testing.T) {
 				refOpts.CrossOptimize = false
 			}
 			refOpts.Parallelism = 1
+			if tc.ref != nil {
+				tc.ref(&refOpts)
+			}
 			want := collectParams(t, db, refQ, refOpts, tc.params)
 			if want.Batch.Len() == 0 {
 				t.Fatal("reference result empty (query shape broken)")
@@ -201,11 +271,12 @@ func TestSelectionPushdownExact(t *testing.T) {
 
 // TestSelectionStaysAboveUDF: a UDF is opaque, so a conjunct on a column
 // it may have rewritten must not cross it. This one negates x; a filter on
-// x pushed below it would keep the complementary rows.
+// x pushed below it would keep the complementary rows. The model above the
+// UDF is row-wise: the conjunct crosses that, and stops.
 func TestSelectionStaysAboveUDF(t *testing.T) {
 	db := selectionDB(t, 200)
 	q := `SELECT d.k, d.x, p.s ` + predictOver("ab_tree", abJoin) + `WHERE d.x > 0`
-	run := func(opts QueryOptions) (*types.Batch, []string) {
+	run := func(opts QueryOptions) (*types.Batch, *ir.Graph) {
 		t.Helper()
 		st, err := sql.Parse(q)
 		if err != nil {
@@ -219,9 +290,9 @@ func TestSelectionStaysAboveUDF(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		model := g.Find(func(n ir.Node) bool { _, ok := n.(*ir.ModelNode); return ok })
-		src := g.Source().(*ir.RelNode)
-		model.SetInput(&ir.UDFNode{Name: "negate_x", Out: src.Plan.Schema(), In: src, Fn: func(b *types.Batch) (*types.Batch, error) {
+		model := g.Find(func(n ir.Node) bool { _, ok := n.(*ir.ModelNode); return ok }).(*ir.ModelNode)
+		src := model.Child
+		model.Child = &ir.UDFNode{Name: "negate_x", Out: src.Schema(), Child: src, Fn: func(b *types.Batch) (*types.Batch, error) {
 			neg := types.NewVector(types.Float, b.Len())
 			for i := range neg.Floats {
 				neg.Floats[i] = -b.Col("x").AsFloat(i)
@@ -229,12 +300,12 @@ func TestSelectionStaysAboveUDF(t *testing.T) {
 			out := &types.Batch{Schema: b.Schema, Vecs: append([]*types.Vector(nil), b.Vecs...)}
 			out.Vecs[b.Schema.IndexOf("x")] = neg
 			return out, nil
-		}})
+		}}
 		res, err := xopt.Optimize(g, db.optimizerOptions(opts))
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, err := db.lower(context.Background(), res.Graph, "", opts)
+		op, err := db.lower(context.Background(), res.Graph, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,64 +313,112 @@ func TestSelectionStaysAboveUDF(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out, res.Applied
+		return out, res.Graph
 	}
 	want, _ := run(QueryOptions{CrossOptimize: false, Parallelism: 1})
 	if want.Len() == 0 {
 		t.Fatal("reference result empty")
 	}
 	for _, dop := range []int{1, 2, 8} {
-		got, applied := run(QueryOptions{CrossOptimize: true, DisableNNTranslation: true, Parallelism: dop, ParallelThresholdRows: 1})
-		if strings.Contains(strings.Join(applied, ","), selectionRule) {
-			t.Errorf("dop %d: a selection crossed the UDF: %v", dop, applied)
+		got, g := run(QueryOptions{CrossOptimize: true, DisableNNTranslation: true, Parallelism: dop, ParallelThresholdRows: 1})
+		udf := g.Find(func(n ir.Node) bool { _, ok := n.(*ir.UDFNode); return ok })
+		if ex := g.Explain(); udf == nil || !strings.Contains(ex, "Filter((x > 0))") || strings.Contains(plan.Explain(udf), "Filter(") {
+			t.Errorf("dop %d: want the selection directly above the UDF:\n%s", dop, ex)
 		}
 		batchesIdentical(t, fmt.Sprintf("dop %d", dop), want, got)
 	}
 }
 
-// TestSelectionPushdownPreparedConcurrent: the hoisted @id lives in the
-// source fragment of the shared template now. 8 goroutines re-execute one
+// TestSelectionPushdownPreparedConcurrent: the hoisted @id lives below the
+// model operators of the shared template. 8 goroutines re-execute one
 // statement with 100 different ids; clone-on-bind must keep the template
-// untouched, so every execution sees its own id and nobody else's.
+// untouched — and must clone the ML operators above a bound filter, not
+// only the relational ones — so every execution sees its own id and nobody
+// else's. With inlining off the model operators stay in the template.
 func TestSelectionPushdownPreparedConcurrent(t *testing.T) {
 	db := selectionDB(t, 1000)
-	all, err := db.QueryWithOptions(`SELECT d.id, p.s `+predictOver("duration_of_stay", hospitalJoin), QueryOptions{CrossOptimize: false, Parallelism: 1})
-	if err != nil {
-		t.Fatal(err)
+	keepModels := DefaultQueryOptions()
+	keepModels.DisableInlining, keepModels.DisableNNTranslation = true, true
+	stackedOver := func(where string) string {
+		return `SELECT d2.k, p2.s2 FROM PREDICT(MODEL='ab_lr', DATA=(SELECT d.k AS k, d.x AS x, p.s AS y ` +
+			predictOver("ab_tree", abJoin) + where + `) AS d2) WITH (s2 FLOAT) AS p2`
 	}
-	score := make(map[int64]float64, all.Batch.Len())
-	for i := 0; i < all.Batch.Len(); i++ {
-		score[all.Batch.Col("id").Ints[i]] = all.Batch.Col("s").Floats[i]
-	}
-	st, err := db.Prepare(`SELECT d.id, p.s ` + predictOver("duration_of_stay", hospitalJoin) + `WHERE d.id = @id`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 100; i++ {
-				id := int64((i*37 + w*11) % 1000)
-				rows, err := st.Query(P("id", strconv.FormatInt(id, 10)))
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				res, err := rows.Collect()
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if res.Batch.Len() != 1 || res.Batch.Col("id").Ints[0] != id || res.Batch.Col("s").Floats[0] != score[id] {
-					t.Errorf("@id=%d returned %v, want one row scored %v", id, res.Batch, score[id])
-					return
-				}
+	for _, tc := range []struct {
+		name   string
+		all, q string // the unfiltered query (key, score), and q = all restricted to key = @id
+		opts   QueryOptions
+		keys   int
+	}{
+		{"point", `SELECT d.id, p.s ` + predictOver("duration_of_stay", hospitalJoin),
+			`SELECT d.id, p.s ` + predictOver("duration_of_stay", hospitalJoin) + `WHERE d.id = @id`, DefaultQueryOptions(), 1000},
+		{"JOIN above PREDICT", `SELECT d.id, p.s ` + predictOver("duration_of_stay", hospitalJoin),
+			`SELECT d.id, p.s ` + predictOver("duration_of_stay", hospitalJoin) + `JOIN blood_tests AS x ON d.id = x.id WHERE d.id = @id`, keepModels, 1000},
+		{"stacked PREDICT", stackedOver(``), stackedOver(`WHERE d.k = @id`), keepModels, 120},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			all, err := db.QueryWithOptions(tc.all, QueryOptions{CrossOptimize: false, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
+			scores := make(map[int64][]float64, all.Batch.Len())
+			for i := 0; i < all.Batch.Len(); i++ {
+				key := all.Batch.Vecs[0].Ints[i]
+				scores[key] = append(scores[key], all.Batch.Vecs[1].Floats[i])
+			}
+			st, err := db.PrepareWithOptions(tc.q, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < 100; i++ {
+						id := int64((i*37 + w*11) % tc.keys)
+						rows, err := st.Query(P("id", strconv.FormatInt(id, 10)))
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						res, err := rows.Collect()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						got := append([]float64(nil), res.Batch.Vecs[1].Floats[:res.Batch.Len()]...)
+						for _, k := range res.Batch.Vecs[0].Ints[:res.Batch.Len()] {
+							if k != id {
+								got = nil
+							}
+						}
+						if fmt.Sprint(got) != fmt.Sprint(scores[id]) {
+							t.Errorf("@id=%d returned %v, want scores %v", id, res.Batch, scores[id])
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+		})
 	}
-	wg.Wait()
+}
+
+// TestPredictUnderJoin: a JOIN written above a PREDICT is one tree with it.
+// The conjunct on the scored rows' side sinks through the join, crosses
+// the model and reaches the scan it reads, and Explain shows it there.
+func TestPredictUnderJoin(t *testing.T) {
+	db := selectionDB(t, 500)
+	opts := DefaultQueryOptions()
+	opts.DisableInlining, opts.DisableNNTranslation = true, true
+	out, err := db.Explain(joinAbovePredict+`60`, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ir := out[strings.Index(out, "== optimized IR"):strings.Index(out, "== regenerated SQL")]
+	if !regexp.MustCompile(`(?s)MLD:model:tree -> s\n.*RA:Filter\(\(age > 60\)\)\n *\[RA/db\] RA:Scan\(patient_info`).MatchString(ir) {
+		t.Errorf("want age > 60 on the patient_info scan below the model:\n%s", ir)
+	}
 }
 
 // countingModel scores every row 0.5 and counts the rows it was asked to

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sync"
 
-	"raven/internal/ir"
-	"raven/internal/plan"
 	"raven/internal/types"
 )
 
@@ -123,7 +121,7 @@ func (s *Stmt) ResultSchema(ctx context.Context) (*types.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	op, err := s.db.lower(ctx, tpl.graph, tpl.sessionKey, s.opts)
+	op, err := s.db.lower(ctx, tpl.graph, s.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -198,108 +196,4 @@ func paramValues(declared []string, supplied []Param) (map[string]string, error)
 		}
 	}
 	return vals, nil
-}
-
-// collectGraphParams gathers the unbound parameter names across every
-// relational fragment of the IR graph.
-func collectGraphParams(g *ir.Graph) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, n := range g.Chain() {
-		if rel, ok := n.(*ir.RelNode); ok {
-			for _, name := range plan.CollectParams(rel.Plan) {
-				if !seen[name] {
-					seen[name] = true
-					out = append(out, name)
-				}
-			}
-		}
-	}
-	return out
-}
-
-// bindGraphParams returns the graph with parameters substituted as
-// literals, cloning only the nodes on the path to a change so the shared
-// template stays immutable under concurrent executions.
-func bindGraphParams(g *ir.Graph, vals map[string]string) (*ir.Graph, error) {
-	root, changed, err := bindNodeParams(g.Root, vals)
-	if err != nil {
-		return nil, err
-	}
-	if !changed {
-		return g, nil
-	}
-	return &ir.Graph{Root: root}, nil
-}
-
-func bindNodeParams(n ir.Node, vals map[string]string) (ir.Node, bool, error) {
-	if n == nil {
-		return nil, false, nil
-	}
-	in, inChanged, err := bindNodeParams(n.Input(), vals)
-	if err != nil {
-		return nil, false, err
-	}
-	switch x := n.(type) {
-	case *ir.RelNode:
-		p, err := plan.BindParams(x.Plan, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if p == x.Plan && !inChanged {
-			return n, false, nil
-		}
-		nn := *x
-		nn.Plan = p
-		nn.In = in
-		return &nn, true, nil
-	case *ir.SplitNode:
-		left, lc, err := bindNodeParams(x.Left, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		right, rc, err := bindNodeParams(x.Right, vals)
-		if err != nil {
-			return nil, false, err
-		}
-		if !inChanged && !lc && !rc {
-			return n, false, nil
-		}
-		nn := *x
-		nn.In, nn.Left, nn.Right = in, left, right
-		return &nn, true, nil
-	case *ir.TransformNode:
-		if !inChanged {
-			return n, false, nil
-		}
-		nn := *x
-		nn.In = in
-		return &nn, true, nil
-	case *ir.ModelNode:
-		if !inChanged {
-			return n, false, nil
-		}
-		nn := *x
-		nn.In = in
-		return &nn, true, nil
-	case *ir.LANode:
-		if !inChanged {
-			return n, false, nil
-		}
-		nn := *x
-		nn.In = in
-		return &nn, true, nil
-	case *ir.UDFNode:
-		if !inChanged {
-			return n, false, nil
-		}
-		nn := *x
-		nn.In = in
-		return &nn, true, nil
-	default:
-		if inChanged {
-			return nil, false, fmt.Errorf("raven: cannot rebind parameters under IR node %T", n)
-		}
-		return n, false, nil
-	}
 }
