@@ -33,6 +33,12 @@ func queryFingerprint(t *testing.T, db *DB, q string) string {
 	if err != nil {
 		t.Fatalf("query %q: %v", q, err)
 	}
+	return rowsFingerprint(t, q, rows)
+}
+
+// rowsFingerprint renders and closes the rows of query q.
+func rowsFingerprint(t *testing.T, q string, rows *Rows) string {
+	t.Helper()
 	defer rows.Close()
 	cols := rows.Columns()
 	vals := make([]any, len(cols))

@@ -31,8 +31,8 @@ func TestGenHospitalShape(t *testing.T) {
 	// invariants: pregnant implies female, fetal_hr nonzero iff pregnant
 	pi, _ := cat.Table("patient_info")
 	pt, _ := cat.Table("prenatal_tests")
-	pib, _ := pi.Scan()
-	ptb, _ := pt.Scan()
+	pib, _ := pi.ScanRange(0, pi.NumRows(), nil)
+	ptb, _ := pt.ScanRange(0, pt.NumRows(), nil)
 	for i := 0; i < pib.Len(); i++ {
 		preg := pib.Col("pregnant").Ints[i]
 		gender := pib.Col("gender").Ints[i]
@@ -73,8 +73,8 @@ func TestGenHospitalDeterministic(t *testing.T) {
 	}
 	t1, _ := c1.Table("patient_info")
 	t2, _ := c2.Table("patient_info")
-	b1, _ := t1.Scan()
-	b2, _ := t2.Scan()
+	b1, _ := t1.ScanRange(0, t1.NumRows(), nil)
+	b2, _ := t2.ScanRange(0, t2.NumRows(), nil)
 	for i := 0; i < b1.Len(); i++ {
 		if b1.Col("age").Floats[i] != b2.Col("age").Floats[i] {
 			t.Fatal("same seed produced different tables")

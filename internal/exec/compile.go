@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"raven/internal/expr"
 	"raven/internal/plan"
 	"raven/internal/types"
 )
@@ -163,7 +164,15 @@ func (c *compiler) compile(n plan.Node) (*Exchange, error) {
 		return ex, nil
 
 	case *plan.Filter:
-		return c.push(x.Child, &FilterStage{Pred: x.Pred})
+		ex, err := c.push(x.Child, &FilterStage{Pred: x.Pred})
+		if scan, ok := x.Child.(*plan.Scan); ok && err == nil {
+			// The filter still runs on every row read; its ranges only let
+			// the scan skip sealed segments that hold no passing row.
+			if segs, _ := scan.Table.Segments(); segs > 0 {
+				ex.Source.(*TableMorselSource).Ranges = expr.DeriveRanges(x.Pred)
+			}
+		}
+		return ex, err
 
 	case *plan.Project:
 		return c.push(x.Child, &ProjectStage{Exprs: x.Exprs, Names: x.Names})

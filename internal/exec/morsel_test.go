@@ -277,3 +277,29 @@ func TestCompiledExchangeConcurrentQueriesShareTable(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// BenchmarkTableMorselSource builds, opens and drains a two-column scan
+// of an in-memory 100,000-row table: the scan every in-memory query
+// runs, whose work segment pruning and column pushdown leave alone.
+func BenchmarkTableMorselSource(b *testing.B) {
+	tb := numbersTable(b, 100000)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		src, err := NewTableMorselSource(tb, []string{"id", "x"}, DefaultMorselSize)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := src.Open(); err != nil {
+			b.Fatal(err)
+		}
+		for {
+			_, m, err := src.NextMorsel()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if m == nil {
+				break
+			}
+		}
+	}
+}

@@ -212,9 +212,11 @@ func (r Range) Empty() bool { return r.Lo > r.Hi }
 
 // DeriveRanges extracts per-column value ranges implied by a predicate's
 // top-level conjuncts ("pregnant = 1 AND age > 35" → pregnant ∈ [1,1],
-// age ∈ (35,∞)). This feeds predicate-based model pruning (§4.1); the
-// strict bound of > / < is approximated by nudging one ULP, which is exact
-// for the comparisons trees perform.
+// age ∈ (35,∞)). This feeds predicate-based model pruning (§4.1) and
+// segment pruning under a scan; the strict bound of > / < is approximated
+// by nudging one ULP, which is exact for the comparisons trees perform
+// and for integers within ±2^53. Only numeric and BOOL literals bound a
+// range.
 func DeriveRanges(pred Expr) map[string]Range {
 	out := make(map[string]Range)
 	add := func(col string, r Range) {
@@ -231,7 +233,7 @@ func DeriveRanges(pred Expr) map[string]Range {
 			continue
 		}
 		col, lit, op := normalizeComparison(b)
-		if col == nil {
+		if col == nil || !lit.DT.IsNumeric() && lit.DT != types.Bool {
 			continue
 		}
 		v := lit.AsFloat()

@@ -344,6 +344,10 @@ func TestDeriveRanges(t *testing.T) {
 	if r2 := DeriveRanges(e2); !r2["x"].Empty() {
 		t.Errorf("contradiction not empty: %+v", r2["x"])
 	}
+	// A VARCHAR literal bounds no numeric interval.
+	if r3 := DeriveRanges(NewBinary(OpEq, &Column{Name: "s"}, StringLit("a"))); len(r3) != 0 {
+		t.Errorf("string literal derived %+v", r3)
+	}
 }
 
 func TestLiteralString(t *testing.T) {

@@ -2,6 +2,7 @@ package segment
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 
@@ -66,80 +67,111 @@ func DecodeBatch(schema *types.Schema, data []byte) (*types.Batch, error) {
 			return bad(fmt.Sprintf("column %s is %v in payload, %v in schema",
 				schema.Columns[c].Name, typ, schema.Columns[c].Type))
 		}
-		var nullWords []uint64
+		var nulls []byte
 		if hasNulls {
 			nw := (rows + 63) / 64
 			if pos+8*nw > len(data) {
 				return bad("truncated null words")
 			}
-			nullWords = make([]uint64, nw)
-			for i := range nullWords {
-				nullWords[i] = binary.LittleEndian.Uint64(data[pos+8*i:])
-			}
+			nulls = data[pos : pos+8*nw]
 			pos += 8 * nw
 		}
 		v := b.Vecs[c]
 		switch typ {
-		case types.Float:
-			if pos+8*rows > len(data) {
-				return bad("truncated FLOAT data")
+		case types.Float, types.Int, types.Bool:
+			w := width(typ)
+			if pos+w*rows > len(data) {
+				return bad(fmt.Sprintf("truncated %v data", typ))
 			}
-			v.Grow(rows)
-			for i := 0; i < rows; i++ {
-				v.Floats = append(v.Floats, math.Float64frombits(binary.LittleEndian.Uint64(data[pos+8*i:])))
-			}
-			pos += 8 * rows
-		case types.Int:
-			if pos+8*rows > len(data) {
-				return bad("truncated INT data")
-			}
-			v.Grow(rows)
-			for i := 0; i < rows; i++ {
-				v.Ints = append(v.Ints, int64(binary.LittleEndian.Uint64(data[pos+8*i:])))
-			}
-			pos += 8 * rows
-		case types.Bool:
-			if pos+rows > len(data) {
-				return bad("truncated BOOL data")
-			}
-			v.Grow(rows)
-			for i := 0; i < rows; i++ {
-				v.Bools = append(v.Bools, data[pos+i] != 0)
-			}
-			pos += rows
+			decodeFixed(v, data[pos:], rows)
+			pos += w * rows
 		case types.String:
 			if pos+4*(rows+1) > len(data) {
 				return bad("truncated VARCHAR offsets")
 			}
-			offs := make([]uint32, rows+1)
-			for i := range offs {
-				offs[i] = binary.LittleEndian.Uint32(data[pos+4*i:])
-			}
+			offs := data[pos : pos+4*(rows+1)]
 			pos += 4 * (rows + 1)
-			blobLen := int(offs[rows])
+			blobLen := int(binary.LittleEndian.Uint32(offs[4*rows:]))
 			if pos+blobLen > len(data) {
 				return bad("truncated VARCHAR blob")
 			}
-			blob := data[pos : pos+blobLen]
-			v.Grow(rows)
-			for i := 0; i < rows; i++ {
-				if offs[i] > offs[i+1] || int(offs[i+1]) > blobLen {
-					return bad("VARCHAR offsets out of order")
-				}
-				v.Strings = append(v.Strings, string(blob[offs[i]:offs[i+1]]))
+			if err := decodeStrings(v, offs, data[pos:pos+blobLen], 0, rows); err != nil {
+				return bad(err.Error())
 			}
 			pos += blobLen
 		default:
 			return bad(fmt.Sprintf("unsupported column type %v", typ))
 		}
-		for i := 0; i < rows; i++ {
-			if nullWords != nil && nullWords[i>>6]&(1<<(uint(i)&63)) != 0 {
-				v.SetNull(i)
-			}
+		if nulls != nil {
+			markNulls(v, nulls, 0, rows)
 		}
 	}
 	if pos != len(data) {
 		return bad("trailing bytes")
 	}
 	return b, nil
+}
+
+// width is the encoded size of one FLOAT, INT or BOOL value.
+func width(t types.DataType) int {
+	if t == types.Bool {
+		return 1
+	}
+	return 8
+}
+
+// decodeFixed appends the n FLOAT, INT or BOOL values encoded in raw to
+// dst, which has their type.
+func decodeFixed(dst *types.Vector, raw []byte, n int) {
+	le := binary.LittleEndian
+	dst.Grow(n)
+	switch dst.Type {
+	case types.Float:
+		for i := 0; i < n; i++ {
+			dst.Floats = append(dst.Floats, math.Float64frombits(le.Uint64(raw[8*i:])))
+		}
+	case types.Int:
+		for i := 0; i < n; i++ {
+			dst.Ints = append(dst.Ints, int64(le.Uint64(raw[8*i:])))
+		}
+	case types.Bool:
+		for i := 0; i < n; i++ {
+			dst.Bools = append(dst.Bools, raw[i] != 0)
+		}
+	}
+}
+
+// decodeStrings appends the n strings that offs — n+1 cumulative u32
+// offsets — index into blob, which holds the bytes from offset base on.
+// Offsets that decrease or leave blob are refused: trusted, they would
+// wrap into a ≈4 GiB length.
+func decodeStrings(dst *types.Vector, offs, blob []byte, base uint32, n int) error {
+	at := func(i int) uint32 { return binary.LittleEndian.Uint32(offs[4*i:]) }
+	for i := 0; i < n; i++ {
+		if at(i) > at(i+1) {
+			return errors.New("VARCHAR offsets out of order")
+		}
+	}
+	first, last := at(0), at(n)
+	if first < base || int64(last-base) > int64(len(blob)) {
+		return errors.New("VARCHAR offsets past the blob")
+	}
+	all := string(blob[first-base : last-base]) // one allocation; rows are substrings
+	dst.Grow(n)
+	for i := 0; i < n; i++ {
+		dst.Strings = append(dst.Strings, all[at(i)-first:at(i+1)-first])
+	}
+	return nil
+}
+
+// markNulls marks NULL each row i of [lo, hi), the last hi-lo rows of
+// dst, whose bit is set in words: the little-endian null words from word
+// lo/64 on.
+func markNulls(dst *types.Vector, words []byte, lo, hi int) {
+	base := dst.Len() - (hi - lo)
+	for i := lo; i < hi; i++ {
+		if binary.LittleEndian.Uint64(words[8*(i/64-lo/64):])&(1<<(uint(i)&63)) != 0 {
+			dst.SetNull(base + i - lo)
+		}
+	}
 }

@@ -30,6 +30,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync"
 
 	"raven/internal/types"
 )
@@ -51,9 +52,11 @@ type colMeta struct {
 	Nulls bool    `json:"nulls,omitempty"`
 	Min   float64 `json:"min,omitempty"`
 	Max   float64 `json:"max,omitempty"`
-	// HasStats marks Min/Max as meaningful: numeric column with at
-	// least one non-NULL row.
-	HasStats bool `json:"has_stats,omitempty"`
+	// HasStats marks Min/Max as bounds on every non-NULL row: numeric or
+	// BOOL, some row non-NULL, none NaN (which the engine's comparisons
+	// find equal to anything) or ±Inf (which JSON cannot hold). The key
+	// replaces "has_stats", which older writers set over NaN.
+	HasStats bool `json:"bounds,omitempty"`
 }
 
 type footer struct {
@@ -209,7 +212,8 @@ func encodeColumn(v *types.Vector, rows int) (*columnBlock, error) {
 	return b, nil
 }
 
-// columnMinMax computes min/max over non-NULL rows of a numeric column.
+// columnMinMax computes min/max over non-NULL rows of a numeric column,
+// reporting none when a row is NaN or ±Inf (see colMeta.HasStats).
 func columnMinMax(v *types.Vector, rows int) (lo, hi float64, ok bool) {
 	if !v.Type.IsNumeric() && v.Type != types.Bool {
 		return 0, 0, false
@@ -220,6 +224,9 @@ func columnMinMax(v *types.Vector, rows int) (lo, hi float64, ok bool) {
 			continue
 		}
 		x := v.AsFloat(i)
+		if x != x { // NaN
+			return 0, 0, false
+		}
 		if x < lo {
 			lo = x
 		}
@@ -228,7 +235,7 @@ func columnMinMax(v *types.Vector, rows int) (lo, hi float64, ok bool) {
 		}
 		ok = true
 	}
-	if !ok {
+	if !ok || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
 		return 0, 0, false
 	}
 	return lo, hi, true
@@ -237,10 +244,9 @@ func columnMinMax(v *types.Vector, rows int) (lo, hi float64, ok bool) {
 // Reader serves row ranges out of one sealed segment file. Reads go
 // through ReadAt, so a Reader is safe for concurrent scans.
 type Reader struct {
-	path   string
-	f      *os.File
-	ft     footer
-	schema *types.Schema
+	path string
+	f    *os.File
+	ft   footer
 	// dataEnd is where the footer begins; Verify checksums [0, dataEnd).
 	dataEnd int64
 }
@@ -295,14 +301,12 @@ func Open(path string) (*Reader, error) {
 	if _, err := f.ReadAt(magic, 0); err != nil || !bytes.Equal(magic, fileMagic) {
 		return corrupt("bad file magic")
 	}
-	cols := make([]types.Column, len(ft.Cols))
-	for i, c := range ft.Cols {
+	for _, c := range ft.Cols {
 		if c.Off < int64(len(fileMagic)) || c.Off+c.Len > dataEnd {
 			return corrupt(fmt.Sprintf("column %s block out of bounds", c.Name))
 		}
-		cols[i] = types.Column{Name: c.Name, Type: types.DataType(c.Type)}
 	}
-	return &Reader{path: path, f: f, ft: ft, schema: types.NewSchema(cols...), dataEnd: dataEnd}, nil
+	return &Reader{path: path, f: f, ft: ft, dataEnd: dataEnd}, nil
 }
 
 // Path returns the segment's file path.
@@ -311,15 +315,16 @@ func (r *Reader) Path() string { return r.path }
 // Rows returns the segment's row count.
 func (r *Reader) Rows() int { return r.ft.Rows }
 
-// Schema returns the segment's column layout.
-func (r *Reader) Schema() *types.Schema { return r.schema }
-
 // Stats returns (min, max, true) for a numeric column with at least one
-// non-NULL row, as recorded at seal time.
+// non-NULL row and no NaN or ±Inf, as recorded at seal time.
 func (r *Reader) Stats(col int) (lo, hi float64, ok bool) {
 	c := r.ft.Cols[col]
 	return c.Min, c.Max, c.HasStats
 }
+
+// HasNulls reports whether any row of the column is NULL. Stats skip
+// NULL rows, but a NULL row keeps a value slot that filters compare.
+func (r *Reader) HasNulls(col int) bool { return r.ft.Cols[col].Nulls }
 
 // Bytes returns the segment file size in bytes.
 func (r *Reader) Bytes() int64 { return r.dataEnd + trailerSize }
@@ -362,84 +367,70 @@ func (r *Reader) ReadColumnRange(col, lo, hi int, dst *types.Vector) error {
 		return nil
 	}
 	cm := r.ft.Cols[col]
-	base := dst.Len()
 	n := hi - lo
 	dataOff := cm.Off
-	var nullWords []uint64
 	if cm.Nulls {
-		nw := (r.ft.Rows + 63) / 64
-		dataOff += int64(8 * nw)
-		// Read only the words covering [lo, hi).
-		w0, w1 := lo/64, (hi+63)/64
-		raw := make([]byte, 8*(w1-w0))
-		if _, err := r.f.ReadAt(raw, cm.Off+int64(8*w0)); err != nil {
-			return err
-		}
-		nullWords = make([]uint64, w1-w0)
-		for i := range nullWords {
-			nullWords[i] = binary.LittleEndian.Uint64(raw[8*i:])
-		}
+		dataOff += int64(8 * ((r.ft.Rows + 63) / 64))
 	}
-	typ := types.DataType(cm.Type)
-	switch typ {
-	case types.Float:
-		raw := make([]byte, 8*n)
-		if _, err := r.f.ReadAt(raw, dataOff+int64(8*lo)); err != nil {
+	bufp := scratchPool.Get().(*[]byte)
+	defer scratchPool.Put(bufp)
+	switch typ := types.DataType(cm.Type); typ {
+	case types.Float, types.Int, types.Bool:
+		w := width(typ)
+		raw := scratch(bufp, w*n)
+		if _, err := r.f.ReadAt(raw, dataOff+int64(w*lo)); err != nil {
 			return err
 		}
-		dst.Grow(n)
-		for i := 0; i < n; i++ {
-			dst.Floats = append(dst.Floats, math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:])))
-		}
-	case types.Int:
-		raw := make([]byte, 8*n)
-		if _, err := r.f.ReadAt(raw, dataOff+int64(8*lo)); err != nil {
-			return err
-		}
-		dst.Grow(n)
-		for i := 0; i < n; i++ {
-			dst.Ints = append(dst.Ints, int64(binary.LittleEndian.Uint64(raw[8*i:])))
-		}
-	case types.Bool:
-		raw := make([]byte, n)
-		if _, err := r.f.ReadAt(raw, dataOff+int64(lo)); err != nil {
-			return err
-		}
-		dst.Grow(n)
-		for i := 0; i < n; i++ {
-			dst.Bools = append(dst.Bools, raw[i] != 0)
-		}
+		decodeFixed(dst, raw, n)
 	case types.String:
-		offRaw := make([]byte, 4*(n+1))
-		if _, err := r.f.ReadAt(offRaw, dataOff+int64(4*lo)); err != nil {
+		// The offsets, then the blob they index, share the buffer; the blob
+		// must fit the column block before it is read (Open checks no data).
+		blobAt := 4 * (n + 1)
+		raw := scratch(bufp, blobAt)
+		if _, err := r.f.ReadAt(raw, dataOff+int64(4*lo)); err != nil {
 			return err
 		}
-		offs := make([]uint32, n+1)
-		for i := range offs {
-			offs[i] = binary.LittleEndian.Uint32(offRaw[4*i:])
+		first, last := binary.LittleEndian.Uint32(raw), binary.LittleEndian.Uint32(raw[4*n:])
+		blobOff := dataOff + int64(4*(r.ft.Rows+1)) + int64(first)
+		if last < first || blobOff+int64(last-first) > cm.Off+cm.Len {
+			return &CorruptError{Path: r.path, Reason: fmt.Sprintf("column %s: VARCHAR offsets past the column block", cm.Name)}
 		}
-		blobBase := dataOff + int64(4*(r.ft.Rows+1))
-		blob := make([]byte, offs[n]-offs[0])
-		if len(blob) > 0 {
-			if _, err := r.f.ReadAt(blob, blobBase+int64(offs[0])); err != nil {
-				return err
-			}
+		raw = scratch(bufp, blobAt+int(last-first))
+		if _, err := r.f.ReadAt(raw[blobAt:], blobOff); err != nil {
+			return err
 		}
-		dst.Grow(n)
-		for i := 0; i < n; i++ {
-			dst.Strings = append(dst.Strings, string(blob[offs[i]-offs[0]:offs[i+1]-offs[0]]))
+		if err := decodeStrings(dst, raw[:blobAt], raw[blobAt:], first, n); err != nil {
+			return &CorruptError{Path: r.path, Reason: fmt.Sprintf("column %s: %v", cm.Name, err)}
 		}
 	default:
 		return fmt.Errorf("segment: unsupported column type %v", typ)
 	}
-	if nullWords != nil {
-		for i := lo; i < hi; i++ {
-			if nullWords[(i/64)-lo/64]&(1<<(uint(i)&63)) != 0 {
-				dst.SetNull(base + (i - lo))
-			}
+	if cm.Nulls {
+		// Read only the words covering [lo, hi).
+		w0, w1 := lo/64, (hi+63)/64
+		raw := scratch(bufp, 8*(w1-w0))
+		if _, err := r.f.ReadAt(raw, cm.Off+int64(8*w0)); err != nil {
+			return err
 		}
+		markNulls(dst, raw, lo, hi)
 	}
 	return nil
+}
+
+// scratchPool recycles ReadColumnRange's raw read buffers. A buffer
+// belongs to one call, which copies every value out before returning it.
+var scratchPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// scratch returns the call's buffer resized to n bytes, keeping the
+// bytes it already holds.
+func scratch(p *[]byte, n int) []byte {
+	if cap(*p) < n {
+		grown := make([]byte, n)
+		copy(grown, *p)
+		*p = grown
+	}
+	*p = (*p)[:n]
+	return *p
 }
 
 // Quarantine renames a damaged segment file aside (path + ".quarantined")

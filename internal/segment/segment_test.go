@@ -2,6 +2,7 @@ package segment
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -87,6 +88,35 @@ func TestWriteOpenRoundtrip(t *testing.T) {
 	}
 }
 
+// TestWriteNonFiniteFloats: a FLOAT column holding NaN or ±Inf seals
+// (JSON cannot encode infinite bounds) and reports no stats, since no
+// interval bounds what the engine's comparisons see in it.
+func TestWriteNonFiniteFloats(t *testing.T) {
+	for name, vals := range map[string][]float64{
+		"all NaN":   {math.NaN(), math.NaN()},
+		"mixed NaN": {1, math.NaN(), 3},
+		"+Inf":      {1, math.Inf(1)},
+		"-Inf":      {math.Inf(-1), 2},
+	} {
+		b := types.NewBatch(types.NewSchema(types.Column{Name: "f", Type: types.Float}))
+		for _, v := range vals {
+			_ = b.AppendRow(v)
+		}
+		path := filepath.Join(t.TempDir(), "t.seg")
+		if err := Write(path, b); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		r, err := Open(path)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, _, ok := r.Stats(0); ok {
+			t.Errorf("%s: column reported stats", name)
+		}
+		r.Close()
+	}
+}
+
 // TestRangeReads checks arbitrary sub-ranges, including ones that are
 // not word-aligned in the null bitmap.
 func TestRangeReads(t *testing.T) {
@@ -110,6 +140,34 @@ func TestRangeReads(t *testing.T) {
 		}
 		want := b.Slice(lo, hi)
 		batchEqual(t, want, got)
+	}
+}
+
+// BenchmarkReadColumnRange decodes one 4,096-row morsel of each column
+// type out of a 16,384-row segment into a reused vector, so allocs/op
+// counts the reader's own garbage.
+func BenchmarkReadColumnRange(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "t.seg")
+	if err := Write(path, testBatch(16384)); err != nil {
+		b.Fatal(err)
+	}
+	r, err := Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer r.Close()
+	for c, col := range testSchema().Columns {
+		b.Run(col.Type.String(), func(b *testing.B) {
+			dst := types.NewVector(col.Type, 0)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst.Reset()
+				lo := (i % 4) * 4096
+				if err := r.ReadColumnRange(c, lo, lo+4096, dst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

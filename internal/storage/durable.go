@@ -64,7 +64,9 @@ type Durable struct {
 	segSeq      atomic.Uint64
 	walRecords  atomic.Uint64 // replayed at recovery + appended since
 	checkpoints atomic.Uint64
-	lastRec     atomic.Int64 // last recovery duration, nanoseconds
+	lastRec     atomic.Int64  // last recovery duration, nanoseconds
+	segsScanned atomic.Uint64 // sealed segments scans read (Table.Spans)
+	segsPruned  atomic.Uint64 // ... and left out by their footer bounds
 
 	stopOnce  sync.Once
 	stop      chan struct{}
@@ -111,6 +113,10 @@ type DurableStats struct {
 	LastRecoveryMs int64  `json:"last_recovery_ms"`
 	Checkpoints    uint64 `json:"checkpoints"`
 	Fsync          string `json:"fsync"`
+	// SegmentsScanned and SegmentsPruned count the sealed segments table
+	// scans read and skipped by footer min/max, once per scan opened.
+	SegmentsScanned uint64 `json:"segments_scanned"`
+	SegmentsPruned  uint64 `json:"segments_pruned"`
 }
 
 // WAL record types.
@@ -629,66 +635,38 @@ func (d *Durable) compactTable(t *Table) ([]string, error) {
 	parts := t.sealedSnapshot()
 	var out []sealedPart
 	var garbage []string
-	changed := false
-	i := 0
-	for i < len(parts) {
-		if parts[i].rows >= d.opts.SegmentRows {
-			out = append(out, parts[i])
-			i++
-			continue
-		}
-		j := i
+	for i, pos := 0, 0; i < len(parts); {
+		j, end := i, pos
 		for j < len(parts) && parts[j].rows < d.opts.SegmentRows {
+			end += parts[j].rows
 			j++
 		}
 		if j-i < 2 {
-			out = append(out, parts[i:j]...)
-			i = j
+			out = append(out, parts[i])
+			i, pos = i+1, pos+parts[i].rows
 			continue
 		}
-		changed = true
-		accum := types.NewBatch(t.schema)
-		flush := func(b *types.Batch) error {
-			file := fmt.Sprintf("%s-%08d.seg", sanitizeName(t.Name), d.segSeq.Add(1))
-			path := filepath.Join(d.dir, "seg", file)
+		for _, p := range parts[i:j] {
+			garbage = append(garbage, p.r.Path())
+		}
+		for lo := pos; lo < end; lo += d.opts.SegmentRows {
+			b, err := t.ScanRange(lo, min(lo+d.opts.SegmentRows, end), nil)
+			if err != nil {
+				return nil, fmt.Errorf("storage: compact %s: %w", t.Name, err)
+			}
+			path := filepath.Join(d.dir, "seg", fmt.Sprintf("%s-%08d.seg", sanitizeName(t.Name), d.segSeq.Add(1)))
 			if err := segment.Write(path, b); err != nil {
-				return err
+				return nil, err
 			}
 			r, err := segment.Open(path)
 			if err != nil {
-				return err
-			}
-			out = append(out, sealedPart{r: r, rows: b.Len()})
-			return nil
-		}
-		for k := i; k < j; k++ {
-			for col := range accum.Vecs {
-				if err := parts[k].r.ReadColumnRange(col, 0, parts[k].rows, accum.Vecs[col]); err != nil {
-					return nil, fmt.Errorf("storage: compact %s: %w", t.Name, err)
-				}
-			}
-			garbage = append(garbage, parts[k].r.Path())
-			for accum.Len() >= d.opts.SegmentRows {
-				if err := flush(accum.Slice(0, d.opts.SegmentRows)); err != nil {
-					return nil, err
-				}
-				rest := types.NewBatch(t.schema)
-				for col := range rest.Vecs {
-					if err := rest.Vecs[col].AppendVector(accum.Vecs[col].Slice(d.opts.SegmentRows, accum.Len())); err != nil {
-						return nil, err
-					}
-				}
-				accum = rest
-			}
-		}
-		if accum.Len() > 0 {
-			if err := flush(accum); err != nil {
 				return nil, err
 			}
+			out = append(out, sealedPart{r: r, rows: b.Len()})
 		}
-		i = j
+		i, pos = j, end
 	}
-	if !changed {
+	if garbage == nil {
 		return nil, nil
 	}
 	if err := t.replaceSealed(out); err != nil {
@@ -1032,17 +1010,19 @@ func (d *Durable) LastRecovery() time.Duration { return time.Duration(d.lastRec.
 // Stats summarizes the durable state for DB.Stats().
 func (d *Durable) Stats() DurableStats {
 	st := DurableStats{
-		WalRecords:     d.walRecords.Load(),
-		LastRecoveryMs: int64(d.LastRecovery() / time.Millisecond),
-		Checkpoints:    d.checkpoints.Load(),
-		Fsync:          d.opts.Fsync.String(),
+		WalRecords:      d.walRecords.Load(),
+		LastRecoveryMs:  int64(d.LastRecovery() / time.Millisecond),
+		Checkpoints:     d.checkpoints.Load(),
+		Fsync:           d.opts.Fsync.String(),
+		SegmentsScanned: d.segsScanned.Load(),
+		SegmentsPruned:  d.segsPruned.Load(),
 	}
 	d.rotateMu.RLock()
 	st.WalBytes = d.log.Size()
 	d.rotateMu.RUnlock()
 	for _, name := range d.catalog.TableNames() {
 		if t, err := d.catalog.Table(name); err == nil {
-			segs, rows := t.sealedInfo()
+			segs, rows := t.Segments()
 			st.Segments += segs
 			st.SealedRows += rows
 		}

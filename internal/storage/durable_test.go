@@ -1,11 +1,14 @@
 package storage
 
 import (
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"raven/internal/expr"
 	"raven/internal/types"
 	"raven/internal/wal"
 )
@@ -45,7 +48,7 @@ func tableInts(t *testing.T, c *Catalog, name string) []int64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := tb.Scan()
+	b, err := tb.ScanRange(0, tb.NumRows(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +155,7 @@ func TestDurableCheckpointAndRestart(t *testing.T) {
 	}
 	// All 500 rows sealed at checkpoint: the tail was folded in.
 	tb, _ := c2.Table("t")
-	if _, rows := tb.sealedInfo(); rows != 500 {
+	if _, rows := tb.Segments(); rows != 500 {
 		t.Errorf("sealed rows = %d, want 500", rows)
 	}
 }
@@ -311,7 +314,7 @@ func TestDurableCompaction(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	after, rows := tb.sealedInfo()
+	after, rows := tb.Segments()
 	if after >= 6 {
 		t.Errorf("compaction never folded: %d segments for 6 checkpointed batches", after)
 	}
@@ -341,7 +344,7 @@ func TestDurableScanRangeAcrossSegments(t *testing.T) {
 	loadRows(t, c, "t", 200, 0) // 3 segments of 64 + tail of 8
 	tb, _ := c.Table("t")
 	for _, rng := range [][2]int{{0, 200}, {60, 70}, {63, 65}, {100, 130}, {190, 200}, {192, 200}} {
-		b, err := tb.ScanRange(rng[0], rng[1])
+		b, err := tb.ScanRange(rng[0], rng[1], nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -354,6 +357,15 @@ func TestDurableScanRangeAcrossSegments(t *testing.T) {
 			}
 		}
 	}
+	// A projected range decodes only the listed column, across segments
+	// and into the tail.
+	b, err := tb.ScanRange(60, 196, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Schema.Len() != 1 || b.Schema.Columns[0].Name != "x" || b.Len() != 136 || b.Vecs[0].Floats[135] != 97.5 {
+		t.Fatalf("projected range = %v, %d rows", b.Schema, b.Len())
+	}
 	// Column stats stream across segments too.
 	st, err := tb.Stats("id")
 	if err != nil {
@@ -361,6 +373,46 @@ func TestDurableScanRangeAcrossSegments(t *testing.T) {
 	}
 	if st.Min != 0 || st.Max != 199 || st.NumRows != 200 {
 		t.Errorf("stats = %+v", st)
+	}
+}
+
+// TestDurableSpans: a scan reads the unsealed tail and only the sealed
+// segments whose footer bounds can meet its ranges, and the backend
+// counts both kinds once per call.
+func TestDurableSpans(t *testing.T) {
+	c, d := openDurable(t, t.TempDir(), 64)
+	defer d.Close(false)
+	if err := c.AddTable(NewTable("t", intFloatSchema())); err != nil {
+		t.Fatal(err)
+	}
+	loadRows(t, c, "t", 200, 0) // ids 0-63, 64-127, 128-191 sealed; 192-199 the tail
+	tb, _ := c.Table("t")
+	id := func(lo, hi float64) map[string]expr.Range { return map[string]expr.Range{"id": {Lo: lo, Hi: hi}} }
+	for _, tc := range []struct {
+		lo, hi          int
+		ranges          map[string]expr.Range
+		want            []Span
+		scanned, pruned uint64
+	}{
+		{0, math.MaxInt, nil, nil, 3, 0},
+		{0, math.MaxInt, id(0, 127), []Span{{0, 64}, {64, 128}, {192, 200}}, 2, 1},
+		{0, math.MaxInt, id(70, 100), []Span{{64, 128}, {192, 200}}, 1, 2},
+		{0, math.MaxInt, id(500, 600), []Span{{192, 200}}, 0, 3},
+		{0, math.MaxInt, map[string]expr.Range{"x": {Lo: 96, Hi: 1000}}, []Span{{192, 200}}, 0, 3},
+		{0, math.MaxInt, id(100, 10), []Span{{192, 200}}, 0, 3}, // empty range
+		{100, 150, id(0, 10), []Span{}, 0, 2},
+		{100, 150, id(140, 150), []Span{{128, 150}}, 1, 1},
+		{0, math.MaxInt, map[string]expr.Range{"nope": {Lo: 1, Hi: 0}}, nil, 3, 0},
+	} {
+		before := d.Stats()
+		got, end := tb.Spans(tc.lo, tc.hi, tc.ranges)
+		after := d.Stats()
+		if end != min(tc.hi, 200) || (got == nil) != (tc.want == nil) || fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("Spans(%d, %d, %v) = %v, %d; want %v", tc.lo, tc.hi, tc.ranges, got, end, tc.want)
+		}
+		if s, p := after.SegmentsScanned-before.SegmentsScanned, after.SegmentsPruned-before.SegmentsPruned; s != tc.scanned || p != tc.pruned {
+			t.Errorf("Spans(%d, %d, %v) counted %d read, %d pruned; want %d, %d", tc.lo, tc.hi, tc.ranges, s, p, tc.scanned, tc.pruned)
+		}
 	}
 }
 
@@ -412,7 +464,7 @@ func TestDurableConcurrentAppends(t *testing.T) {
 					return
 				}
 				if i%10 == 0 {
-					if _, err := tb.ScanRange(0, tb.NumRows()); err != nil {
+					if _, err := tb.ScanRange(0, tb.NumRows(), nil); err != nil {
 						done <- err
 						return
 					}

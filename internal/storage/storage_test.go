@@ -22,7 +22,7 @@ func TestTableAppendScan(t *testing.T) {
 	if tb.NumRows() != 10 {
 		t.Fatalf("NumRows = %d", tb.NumRows())
 	}
-	b, err := tb.ScanRange(3, 6)
+	b, err := tb.ScanRange(3, 6, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,10 +30,10 @@ func TestTableAppendScan(t *testing.T) {
 		t.Fatalf("ScanRange = %v", b.Vecs[0].Ints)
 	}
 	// Out-of-range clamps.
-	if got, _ := tb.ScanRange(8, 100); got.Len() != 2 {
+	if got, _ := tb.ScanRange(8, 100, nil); got.Len() != 2 {
 		t.Errorf("clamped scan len = %d, want 2", got.Len())
 	}
-	if got, _ := tb.ScanRange(100, 200); got.Len() != 0 {
+	if got, _ := tb.ScanRange(100, 200, nil); got.Len() != 0 {
 		t.Errorf("empty scan len = %d, want 0", got.Len())
 	}
 }
@@ -71,7 +71,7 @@ func TestTableConcurrentAppendScan(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
 				_ = tb.AppendRow(int64(i), float64(i))
-				_, _ = tb.ScanRange(0, tb.NumRows())
+				_, _ = tb.ScanRange(0, tb.NumRows(), nil)
 			}
 		}()
 	}

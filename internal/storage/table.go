@@ -13,6 +13,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"raven/internal/expr"
 	"raven/internal/segment"
 	"raven/internal/types"
 )
@@ -31,6 +32,7 @@ type sealedPart struct {
 type Table struct {
 	Name   string
 	schema *types.Schema
+	ords   []int // 0..n-1: the columns a nil ScanRange list means
 
 	mu         sync.RWMutex
 	cols       []*types.Vector // the live tail
@@ -57,11 +59,11 @@ type Table struct {
 
 // NewTable creates an empty table with the given schema.
 func NewTable(name string, schema *types.Schema) *Table {
-	cols := make([]*types.Vector, schema.Len())
+	cols, ords := make([]*types.Vector, schema.Len()), make([]int, schema.Len())
 	for i, c := range schema.Columns {
-		cols[i] = types.NewVector(c.Type, 0)
+		cols[i], ords[i] = types.NewVector(c.Type, 0), i
 	}
-	return &Table{Name: name, schema: schema, cols: cols}
+	return &Table{Name: name, schema: schema, cols: cols, ords: ords}
 }
 
 // Schema returns the table schema.
@@ -231,44 +233,44 @@ func (t *Table) closeSealed() {
 	}
 }
 
-// sealedInfo returns (segment count, sealed row count).
-func (t *Table) sealedInfo() (int, int) {
+// Segments returns (sealed segment count, sealed row count).
+func (t *Table) Segments() (int, int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.sealed), t.sealedRows
 }
 
-// ScanRange returns a batch over rows [lo, hi). Ranges entirely inside
-// the in-memory tail — always, for in-memory tables — are zero-copy
-// column slices the caller must not mutate; ranges touching sealed
-// segments are materialized from disk.
-func (t *Table) ScanRange(lo, hi int) (*types.Batch, error) {
+// ScanRange returns a batch of the columns at ordinals cols (nil: all)
+// over rows [lo, hi). Ranges entirely inside the in-memory tail —
+// always, for in-memory tables — are zero-copy column slices the caller
+// must not mutate; ranges touching sealed segments are decoded from
+// disk, and only the listed columns are.
+func (t *Table) ScanRange(lo, hi int, cols []int) (*types.Batch, error) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if hi > t.rows {
-		hi = t.rows
-	}
-	if lo > hi {
-		lo = hi
-	}
-	if lo < 0 {
-		lo = 0
+	hi = min(hi, t.rows)
+	lo = max(min(lo, hi), 0)
+	schema := t.schema
+	if cols == nil {
+		cols = t.ords
+	} else {
+		schema = t.schema.Project(cols)
 	}
 	if lo >= t.sealedRows {
-		vecs := make([]*types.Vector, len(t.cols))
-		for i, c := range t.cols {
-			vecs[i] = c.Slice(lo-t.sealedRows, hi-t.sealedRows)
+		vecs := make([]*types.Vector, len(cols))
+		for i, c := range cols {
+			vecs[i] = t.cols[c].Slice(lo-t.sealedRows, hi-t.sealedRows)
 		}
-		return &types.Batch{Schema: t.schema, Vecs: vecs}, nil
+		return &types.Batch{Schema: schema, Vecs: vecs}, nil
 	}
-	out := types.NewBatch(t.schema)
+	out := types.NewBatch(schema)
 	out.Grow(hi - lo)
 	pos := 0
 	for _, p := range t.sealed {
 		if lo < pos+p.rows && hi > pos {
 			s, e := max(lo, pos), min(hi, pos+p.rows)
-			for c := range out.Vecs {
-				if err := p.r.ReadColumnRange(c, s-pos, e-pos, out.Vecs[c]); err != nil {
+			for i, v := range out.Vecs {
+				if err := p.r.ReadColumnRange(cols[i], s-pos, e-pos, v); err != nil {
 					return nil, fmt.Errorf("storage: table %s: segment %s: %w", t.Name, p.r.Path(), err)
 				}
 			}
@@ -276,8 +278,8 @@ func (t *Table) ScanRange(lo, hi int) (*types.Batch, error) {
 		pos += p.rows
 	}
 	if hi > t.sealedRows {
-		for c := range out.Vecs {
-			if err := out.Vecs[c].AppendVector(t.cols[c].Slice(0, hi-t.sealedRows)); err != nil {
+		for i, v := range out.Vecs {
+			if err := v.AppendVector(t.cols[cols[i]].Slice(0, hi-t.sealedRows)); err != nil {
 				return nil, fmt.Errorf("storage: table %s: %w", t.Name, err)
 			}
 		}
@@ -285,40 +287,72 @@ func (t *Table) ScanRange(lo, hi int) (*types.Batch, error) {
 	return out, nil
 }
 
-// Scan returns the whole table as one batch (zero-copy when fully
-// in-memory).
-func (t *Table) Scan() (*types.Batch, error) { return t.ScanRange(0, t.NumRows()) }
+// Span is the half-open row range [Lo, Hi).
+type Span struct{ Lo, Hi int }
 
-// scanColumn appends rows [lo, hi) of column idx to dst, reading sealed
-// segments and the tail as needed — the single-column sibling of
-// ScanRange that statistics use so they never materialize the full
-// table width.
-func (t *Table) scanColumn(idx, lo, hi int, dst *types.Vector) error {
+// Spans snapshots, under one lock, the rows of [lo, hi) a scan must read:
+// end is hi clipped to the row count; spans is nil when that is all of
+// [lo, end). It leaves out each sealed segment whose footer bounds on a
+// column in ranges (keyed as by expr.DeriveRanges) miss that range, never
+// the tail. Spans are row positions, which sealing and compaction keep.
+// Each call adds the segments it reads and skips to the backend's stats.
+func (t *Table) Spans(lo, hi int, ranges map[string]expr.Range) (spans []Span, end int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if hi > t.rows {
-		hi = t.rows
+	end = min(hi, t.rows)
+	if len(t.sealed) == 0 {
+		return nil, end
 	}
-	if lo > hi {
-		lo = hi
-	}
-	pos := 0
+	var scanned, pruned uint64
+	pos, spans := 0, []Span{} // non-nil even when every row is left out
 	for _, p := range t.sealed {
-		if lo < pos+p.rows && hi > pos {
-			s, e := max(lo, pos), min(hi, pos+p.rows)
-			if err := p.r.ReadColumnRange(idx, s-pos, e-pos, dst); err != nil {
-				return fmt.Errorf("storage: table %s: segment %s: %w", t.Name, p.r.Path(), err)
-			}
-		}
+		s, e := max(lo, pos), min(end, pos+p.rows)
 		pos += p.rows
+		if s >= e {
+			continue
+		}
+		if t.cannotMatch(p.r, ranges) {
+			pruned++
+			continue
+		}
+		scanned++
+		spans = append(spans, Span{s, e})
 	}
-	if hi > t.sealedRows {
-		s := max(lo, t.sealedRows)
-		if err := dst.AppendVector(t.cols[idx].Slice(s-t.sealedRows, hi-t.sealedRows)); err != nil {
-			return fmt.Errorf("storage: table %s: %w", t.Name, err)
+	if s := max(lo, t.sealedRows); s < end {
+		spans = append(spans, Span{s, end})
+	}
+	if d, ok := t.backend.(*Durable); ok {
+		d.segsScanned.Add(scanned)
+		d.segsPruned.Add(pruned)
+	}
+	if pruned == 0 {
+		return nil, end
+	}
+	return spans, end
+}
+
+// cannotMatch reports whether r's footer proves no row of it lies in one
+// of ranges. Bounds count only if they cover every value a filter
+// compares: recorded (not VARCHAR, NULL-only, NaN or ±Inf), no NULL value
+// slots, and for INT all within ±2^53, beyond which DeriveRanges' one-ULP
+// nudge is inexact: `ts > 2^53` becomes ts >= 2^53+2, while row 2^53+1's
+// footer value rounds to 2^53.
+func (t *Table) cannotMatch(r *segment.Reader, ranges map[string]expr.Range) bool {
+	exact := func(x float64) bool { return math.IsInf(x, 0) || math.Abs(x) <= 1<<53 }
+	for name, rg := range ranges {
+		c := t.schema.IndexOf(name)
+		if c < 0 {
+			continue
+		}
+		lo, hi, ok := r.Stats(c)
+		if !ok || r.HasNulls(c) || t.schema.Columns[c].Type == types.Int && !(exact(lo) && exact(hi) && exact(rg.Lo) && exact(rg.Hi)) {
+			continue
+		}
+		if hi < rg.Lo || lo > rg.Hi || rg.Empty() {
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
 // ColumnStats summarizes one column for optimizer use: min/max for numeric
@@ -356,14 +390,13 @@ func (t *Table) Stats(col string) (*ColumnStats, error) {
 	st := &ColumnStats{Name: col, Min: math.Inf(1), Max: math.Inf(-1), NumRows: rows}
 	seenF := make(map[float64]struct{})
 	seenS := make(map[string]struct{})
-	v := types.NewVector(typ, 0)
+	cols := []int{idx}
 	for lo := 0; lo < rows; lo += statsChunk {
-		hi := min(lo+statsChunk, rows)
-		v.Reset()
-		if err := t.scanColumn(idx, lo, hi, v); err != nil {
+		b, err := t.ScanRange(lo, min(lo+statsChunk, rows), cols)
+		if err != nil {
 			return nil, err
 		}
-		n := v.Len()
+		v, n := b.Vecs[0], b.Len()
 		switch typ {
 		case types.Float, types.Int, types.Bool:
 			for i := 0; i < n; i++ {
