@@ -5,7 +5,7 @@ COVER_FLOOR ?= 70
 # Ceiling for `make loc` (non-test Go lines, benchmark/ excluded): the
 # current total rounded up to the next 50. ROADMAP aim 2 says the number
 # goes down; a PR that lowers it lowers this with it.
-LOC_CEILING ?= 28250
+LOC_CEILING ?= 28300
 
 .PHONY: all build test test-benchmark race vet fmt-check fuzz bench bench-micro cover smoke loc ci
 
@@ -69,17 +69,21 @@ bench:
 # the benchmark's two forest shapes (ns/row), the bounded sort beside the
 # unbounded one, the table scan source, the segment column reader and,
 # beside the selection-pushdown rule, selective PREDICT queries end to end.
+# The hash join runs once more at two workers, the benchmark's DOP.
 bench-micro:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/types ./internal/expr ./internal/xopt ./internal/ml ./internal/exec ./internal/segment
+	$(GO) test -run='^$$' -bench=BenchmarkParallelHashJoin -benchmem -cpu 2 ./internal/exec
 
 # fuzz gives each native fuzzer a short budget on top of its checked-in
 # corpus (testdata/fuzz beside it), which plain `go test` already
 # replays: random forests and matrices against the tree kernel's
-# reference walker, and damaged segment data areas against the reader
-# (an error or the rows, never a panic or an outsized allocation).
+# reference walker, damaged segment data areas against the reader (an
+# error or the rows, never a panic or an outsized allocation), and random
+# join keys of every type against the serial reference join.
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzForestKernel -fuzztime=5s ./internal/ml
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentReader -fuzztime=5s ./internal/segment
+	$(GO) test -run='^$$' -fuzz=FuzzHashJoin -fuzztime=5s ./internal/exec
 
 # loc prints non-test Go lines per package, benchmark/ excluded — the
 # number ROADMAP aim 2 tracks — and fails above LOC_CEILING. It also
@@ -90,7 +94,9 @@ fuzz:
 # RelNode wrapper, no plan.Input placeholder and no second pushdown. And
 # it fails if storage stops honouring the scan's column list: a table
 # scan in internal/exec projecting after the read, or a second column-read
-# path in internal/storage beside Table.ScanRange.
+# path in internal/storage beside Table.ScanRange. And it fails if the
+# join grows a second table layout: internal/exec builds one flat table,
+# with no Go map of row lists and no buildPartition.
 LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'
 loc:
 	@$(LOC_FILES) | xargs wc -l | awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
@@ -104,6 +110,8 @@ loc:
 	@scan=$$( { $(LOC_FILES) -path './internal/exec/*' | xargs grep -nE '[A-Za-z0-9_]\.Project\(s\.colIdx\)'; \
 		$(LOC_FILES) -path './internal/storage/*' | xargs grep -n 'func (t \*Table) scanColumn'; } || true); \
 	if [ -n "$$scan" ]; then echo "FAIL: a projection after the scan or a second column-read path:"; echo "$$scan"; exit 1; fi
+	@join=$$($(LOC_FILES) -path './internal/exec/*' | xargs grep -nE 'map\[(int64|any)\]\[\]int32|func buildPartition' || true); \
+	if [ -n "$$join" ]; then echo "FAIL: a second join table layout:"; echo "$$join"; exit 1; fi
 
 # ci runs the suite twice, not three times: cover subsumes a plain
 # `make test` (same tests, plus the coverage floor and cover.out), so
@@ -111,5 +119,5 @@ loc:
 # The servers are driven end to end by test-benchmark (real ravenserved
 # and ravenrouter children) and by their packages' own tests. loc holds
 # the line-count ceiling and the structural guards; fuzz is five seconds
-# each of the tree kernel's and the segment reader's fuzzers.
+# each of the tree kernel's, the segment reader's and the join's fuzzers.
 ci: fmt-check build vet loc cover race fuzz test-benchmark smoke

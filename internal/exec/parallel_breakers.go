@@ -9,8 +9,10 @@
 //     and merges them; exact float summation (fsum.go) plus first-seen
 //     (seq, row) group ordering make the result DOP-invariant.
 //   - ParallelHashJoin materializes the build side in morsel order, then
-//     builds key-hash-partitioned tables in parallel (no partition is
-//     shared between build workers); the probe side runs as a pushable
+//     builds one flat table per key-hash partition in parallel (no
+//     partition is shared between build workers): open-addressing slots
+//     of {key, first row}, and one next-row chain over the build rows. A
+//     NULL key matches nothing. The probe side runs as a pushable
 //     HashProbeStage inside the left scan's exchange.
 //   - RunSort stable-sorts each morsel into a run and streams a k-way
 //     heap merge of the runs, breaking key ties by global row position —
@@ -287,40 +289,55 @@ func (h *ParallelHashAggregate) Close() error {
 // ---------------------------------------------------------------------------
 // Parallel hash join
 
+// joinSlot is one entry of a partition's table: one distinct key, as its
+// code, and 1 + the key's first build row. A zero head marks an empty
+// slot, so a fresh allocation is an empty table.
+type joinSlot struct {
+	code int64
+	head int32
+}
+
 // joinBuild is the partitioned hash table over the materialized build
-// side. Partitions are disjoint by key hash, so build workers own
-// partitions exclusively and never synchronize; each partition's match
-// lists hold global build-row ordinals in increasing order, which is what
-// makes probe output identical to a single-table build.
+// side. Partitions are disjoint by key, so build workers own partitions
+// exclusively and never synchronize. A partition's table is a
+// power-of-two slot array at load factor ≤ ½, probed linearly — none at
+// all when it has no rows. A slot holds one key, and next chains that
+// key's build rows in increasing row order, which is what makes probe
+// output identical to a single-table build. NULL keys, and FLOAT NaN,
+// equal nothing: they are never tabled, and a NULL probe key is never
+// looked up.
 type joinBuild struct {
 	rightAll *types.Batch
-	shift    uint // 64 - log2(len(parts))
-	mask     int
-	// intParts is the typed fast path used when the build key is INT;
-	// anyParts handles every other key type (keyed by the boxed value).
-	intParts []map[int64][]int32
-	anyParts []map[any][]int32
+	keys     *types.Vector // rightAll's key column
+	bits     uint          // log2(len(parts))
+	parts    [][]joinSlot
+	// next[r] is 1 + the build row after r with r's key, or 0.
+	next []int32
 }
 
 const fibMix = 0x9E3779B97F4A7C15
 
-func (jb *joinBuild) intPart(k int64) int {
-	return int((uint64(k)*fibMix)>>jb.shift) & jb.mask
+// noSlot is the empty slot a probe into a partition with no rows finds.
+var noSlot joinSlot
+
+// keyCode is the code a non-NULL key is tabled and probed under: an INT
+// key itself, any other key a 64-bit hash that equal keys share.
+func keyCode(v *types.Vector, i int) int64 {
+	if v.Type == types.Int {
+		return v.Ints[i]
+	}
+	return keyHash(v, i)
 }
 
-// anyPartAt hashes row i of a non-INT key vector to its partition. NULL
-// rows hash to partition 0 so build and probe agree regardless of the
-// undefined raw value behind the null mask.
-func (jb *joinBuild) anyPartAt(v *types.Vector, i int) int {
-	if v.IsNull(i) {
-		return 0
-	}
+// keyHash hashes a FLOAT (its bits, ±0 collapsed since they compare
+// equal), BOOL (0 or 1) or VARCHAR (FNV-1a) key.
+func keyHash(v *types.Vector, i int) int64 {
 	var h uint64
 	switch v.Type {
 	case types.Float:
 		f := v.Floats[i]
 		if f == 0 {
-			f = 0 // +0.0 and -0.0 compare equal but differ in bits: same partition
+			f = 0 // +0.0 and -0.0 compare equal but differ in bits
 		}
 		h = math.Float64bits(f)
 	case types.Bool:
@@ -334,7 +351,29 @@ func (jb *joinBuild) anyPartAt(v *types.Vector, i int) int {
 			h *= 1099511628211
 		}
 	}
-	return int((h*fibMix)>>jb.shift) & jb.mask
+	return int64(h)
+}
+
+// slot finds row i of kv's key, code c: the slot of its partition that
+// holds the key, or else the empty slot where it would go. The top bits
+// of the mixed code pick the partition and the bits below them the home
+// slot, so one partition's keys spread over all its slots. Equal INT
+// codes are equal keys; for other types the slot's first build row
+// confirms the match (compareVecs treats NaN as equal to NaN, but no NaN
+// is ever tabled).
+func (jb *joinBuild) slot(c int64, kv *types.Vector, i int) *joinSlot {
+	m := uint64(c) * fibMix
+	p := jb.parts[m>>(64-jb.bits)]
+	if len(p) == 0 {
+		return &noSlot
+	}
+	mask := uint64(len(p) - 1)
+	for s := m << jb.bits >> bits.LeadingZeros64(mask); ; s = (s + 1) & mask {
+		sl := &p[s]
+		if sl.head == 0 || sl.code == c && (kv.Type == types.Int || compareVecs(jb.keys, int(sl.head-1), kv, i) == 0) {
+			return sl
+		}
+	}
 }
 
 // buildJoinTables materializes the build input (in morsel order) and
@@ -381,22 +420,21 @@ func buildJoinTables(src MorselSource, dop int, ctx context.Context, keyIdx int)
 	for nParts < 4*dop && nParts < 256 {
 		nParts <<= 1
 	}
+	kv := all.Vecs[keyIdx]
 	jb := &joinBuild{
 		rightAll: all,
-		shift:    uint(64 - bits.TrailingZeros(uint(nParts))),
-		mask:     nParts - 1,
+		keys:     kv,
+		bits:     uint(bits.TrailingZeros(uint(nParts))),
+		parts:    make([][]joinSlot, nParts),
+		next:     make([]int32, n),
 	}
-	kv := all.Vecs[keyIdx]
-	intKeys := kv.Type == types.Int
-	part := func(i int) int { return jb.anyPartAt(kv, i) }
-	if intKeys {
-		part = func(i int) int { return jb.intPart(kv.Ints[i]) }
-	}
+	nulls := kv.HasNulls()
 
 	// Phase 2: partition rows in parallel over row ranges, collecting
-	// per-chunk per-partition row lists. Chunks are ordered row ranges,
-	// so concatenating a partition's lists in chunk order preserves
-	// global row order — and phase 3 never has to rescan the table.
+	// per-chunk per-partition row lists; a key that equals nothing goes in
+	// no list. Chunks are ordered row ranges, so a partition's lists in
+	// chunk order hold its rows in global row order — and phase 3 never
+	// has to rescan the table.
 	chunk := (n + dop - 1) / dop
 	if chunk < 1 {
 		chunk = 1
@@ -414,7 +452,10 @@ func buildJoinTables(src MorselSource, dop int, ctx context.Context, keyIdx int)
 			if i&0xFFFF == 0 && ctxErr(ctx) != nil {
 				return
 			}
-			p := part(i)
+			if nulls && kv.IsNull(i) || kv.Type == types.Float && math.IsNaN(kv.Floats[i]) {
+				continue
+			}
+			p := uint64(keyCode(kv, i)) * fibMix >> (64 - jb.bits)
 			lists[p] = append(lists[p], int32(i))
 		}
 		byChunk[ci] = lists
@@ -424,48 +465,41 @@ func buildJoinTables(src MorselSource, dop int, ctx context.Context, keyIdx int)
 	}
 
 	// Phase 3: build. Worker w owns partitions p with p%dop == w, so no
-	// map is ever shared; it walks its partitions' row lists in chunk
-	// order, keeping every match list in global row order.
-	if intKeys {
-		jb.intParts = make([]map[int64][]int32, nParts)
-	} else {
-		jb.anyParts = make([]map[any][]int32, nParts)
-	}
+	// table is ever shared, and each entry of next belongs to one row's
+	// partition.
 	forEachWorker(dop, func(w int) {
 		for p := w; p < nParts; p += dop {
-			if intKeys {
-				jb.intParts[p] = buildPartition(ctx, byChunk, p, func(i int32) int64 { return kv.Ints[i] })
-			} else {
-				jb.anyParts[p] = buildPartition(ctx, byChunk, p, func(i int32) any { return kv.Value(int(i)) })
-			}
+			jb.fill(ctx, p, byChunk)
 		}
 	})
 	return jb, ctxErr(ctx)
 }
 
-// buildPartition builds partition p's table from its row lists, in chunk
-// order. Phase 2 already counted the partition's rows, so the map is sized
-// to them up front — exact for a unique key — and never rehashes on the way
-// up. A cancelled build returns early; the caller reports ctx's error.
-func buildPartition[K comparable](ctx context.Context, byChunk [][][]int32, p int, key func(i int32) K) map[K][]int32 {
+// fill sizes partition p's table to its row lists and inserts the rows
+// last first, prepending each to its key's chain, so every chain ends up
+// in increasing row order. A cancelled build returns early; the caller
+// reports ctx's error.
+func (jb *joinBuild) fill(ctx context.Context, p int, byChunk [][][]int32) {
 	rows := 0
 	for _, lists := range byChunk {
-		if lists == nil {
-			return nil // a phase-2 worker bailed on cancellation
-		}
 		rows += len(lists[p])
 	}
-	m := make(map[K][]int32, rows)
-	for _, lists := range byChunk {
-		for j, i := range lists[p] {
+	if rows == 0 {
+		return
+	}
+	jb.parts[p] = make([]joinSlot, 2<<bits.Len(uint(rows-1))) // ≥ 2·rows
+	for ci := len(byChunk) - 1; ci >= 0; ci-- {
+		list := byChunk[ci][p]
+		for j := len(list) - 1; j >= 0; j-- {
 			if j&0xFFFF == 0 && ctxErr(ctx) != nil {
-				return nil
+				return
 			}
-			k := key(i)
-			m[k] = append(m[k], i)
+			r := list[j]
+			c := keyCode(jb.keys, int(r))
+			sl := jb.slot(c, jb.keys, int(r))
+			sl.code, jb.next[r], sl.head = c, sl.head, r+1
 		}
 	}
-	return m
 }
 
 // HashProbeStage probes the partitioned build tables. It is pushed onto
@@ -503,52 +537,60 @@ func (p *HashProbeStage) OutSchema(in *types.Schema) (*types.Schema, error) {
 	return p.out, nil
 }
 
-// Apply implements Stage. The build tables are immutable once bound, so
-// concurrent probes from every exchange worker are safe.
+// Apply implements Stage: each row walks its key's chain, and the output
+// takes the matched rows of every left column and of the right columns
+// kept. The build tables are immutable once bound, so concurrent probes
+// from every exchange worker are safe.
 func (p *HashProbeStage) Apply(b *types.Batch) (*types.Batch, error) {
 	jb := p.bld
 	if jb == nil {
 		return nil, fmt.Errorf("exec: probe stage applied before the join build phase")
 	}
 	kv := b.Vecs[p.leftIdx]
+	if kv.Type != jb.keys.Type {
+		return nil, nil // typed key mismatch: no matches
+	}
+	nulls := kv.HasNulls()
 	lp, rp := getSel(), getSel()
 	leftSel, rightSel := (*lp)[:0], (*rp)[:0]
-	release := func() {
-		*lp, *rp = leftSel, rightSel
-		putSel(lp)
-		putSel(rp)
-	}
-	if jb.intParts != nil {
-		if kv.Type != types.Int {
-			release()
-			return nil, nil // typed key mismatch: no matches
+	for i, n := 0, kv.Len(); i < n; i++ {
+		if nulls && kv.IsNull(i) {
+			continue
 		}
-		for i, k := range kv.Ints {
-			for _, r := range jb.intParts[jb.intPart(k)][k] {
-				leftSel = append(leftSel, i)
-				rightSel = append(rightSel, int(r))
-			}
-		}
-	} else {
-		for i := 0; i < b.Len(); i++ {
-			k := kv.Value(i)
-			for _, r := range jb.anyParts[jb.anyPartAt(kv, i)][k] {
-				leftSel = append(leftSel, i)
-				rightSel = append(rightSel, int(r))
-			}
+		for r := jb.slot(keyCode(kv, i), kv, i).head; r != 0; r = jb.next[r-1] {
+			leftSel = append(leftSel, i)
+			rightSel = append(rightSel, int(r-1))
 		}
 	}
-	if len(leftSel) == 0 {
-		release()
-		return nil, nil
+	var out *types.Batch
+	if len(leftSel) > 0 {
+		vecs := make([]*types.Vector, 0, len(b.Vecs)+len(p.rightSel))
+		pick := rowsOf(leftSel)
+		for _, v := range b.Vecs {
+			vecs = append(vecs, pick(v))
+		}
+		pick = rowsOf(rightSel)
+		for _, c := range p.rightSel {
+			vecs = append(vecs, pick(jb.rightAll.Vecs[c]))
+		}
+		out = &types.Batch{Schema: p.out, Vecs: vecs}
 	}
-	lpart := b.Gather(leftSel)
-	rpart := jb.rightAll.Gather(rightSel).Project(p.rightSel)
-	release()
-	vecs := make([]*types.Vector, 0, len(lpart.Vecs)+len(rpart.Vecs))
-	vecs = append(vecs, lpart.Vecs...)
-	vecs = append(vecs, rpart.Vecs...)
-	return &types.Batch{Schema: p.out, Vecs: vecs}, nil
+	*lp, *rp = leftSel, rightSel
+	putSel(lp)
+	putSel(rp)
+	return out, nil
+}
+
+// rowsOf returns how to take rows sel of a column: a zero-copy view when
+// sel is consecutive rows — a probe morsel whose keys match one run of
+// build rows in order — and a gathered copy otherwise.
+func rowsOf(sel []int) func(v *types.Vector) *types.Vector {
+	for i, r := range sel {
+		if r != sel[0]+i {
+			return func(v *types.Vector) *types.Vector { return v.Gather(sel) }
+		}
+	}
+	return func(v *types.Vector) *types.Vector { return v.Slice(sel[0], sel[0]+len(sel)) }
 }
 
 // ParallelHashJoin runs the partitioned parallel build at Open and then

@@ -299,74 +299,6 @@ func TestParallelJoinMatchesSerialReference(t *testing.T) {
 	}
 }
 
-func TestParallelJoinStringKeys(t *testing.T) {
-	left := storage.NewTable("sl", types.NewSchema(
-		types.Column{Name: "g", Type: types.String},
-		types.Column{Name: "a", Type: types.Int},
-	))
-	right := storage.NewTable("sr", types.NewSchema(
-		types.Column{Name: "g", Type: types.String},
-		types.Column{Name: "w", Type: types.Float},
-	))
-	for i := 0; i < 5000; i++ {
-		_ = left.AppendRow(fmt.Sprintf("g%d", i%97), int64(i))
-	}
-	for i := 0; i < 97; i += 2 {
-		_ = right.AppendRow(fmt.Sprintf("g%d", i), float64(i)*1.5)
-	}
-	j, err := plan.NewJoin(plan.NewScan(left), plan.NewScan(right), "g", "g")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := compileCollect(t, j, parEnv(1))
-	got := compileCollect(t, j, parEnv(8))
-	if want.Len() == 0 {
-		t.Fatal("string join empty")
-	}
-	batchesEqual(t, "string-key join", want, got)
-}
-
-// TestParallelJoinSignedZeroFloatKeys is the regression for partitioning
-// float keys by raw bits: +0.0 and -0.0 compare equal (and the serial
-// join matches them) but have different bit patterns, so the partition
-// hash must collapse them or matches silently vanish.
-func TestParallelJoinSignedZeroFloatKeys(t *testing.T) {
-	left := storage.NewTable("zl", types.NewSchema(
-		types.Column{Name: "k", Type: types.Float},
-		types.Column{Name: "a", Type: types.Int},
-	))
-	right := storage.NewTable("zr", types.NewSchema(
-		types.Column{Name: "k", Type: types.Float},
-		types.Column{Name: "w", Type: types.Int},
-	))
-	negZero := math.Copysign(0, -1)
-	_ = left.AppendRow(0.0, int64(1))
-	_ = left.AppendRow(negZero, int64(2))
-	_ = left.AppendRow(3.5, int64(3))
-	_ = right.AppendRow(negZero, int64(10))
-	_ = right.AppendRow(3.5, int64(30))
-	j, err := plan.NewJoin(plan.NewScan(left), plan.NewScan(right), "k", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	ref, err := NewHashJoin(scanPipe(t, left, nil), scanPipe(t, right, nil), "k", "k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Collect(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want.Len() != 3 { // both zeros match -0.0, plus the 3.5 row
-		t.Fatalf("reference rows = %d, want 3", want.Len())
-	}
-	for _, dop := range []int{1, 4} {
-		got := compileCollect(t, j, parEnv(dop))
-		batchesEqual(t, fmt.Sprintf("signed-zero join dop=%d", dop), want, got)
-	}
-}
-
 // TestIdleExchangeUnwrapped asserts a root-level breaker is not left
 // inside a stage-free re-parallelization exchange (pure overhead once
 // nothing pushes above it).

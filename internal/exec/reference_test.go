@@ -1,11 +1,11 @@
 package exec
 
-// The serial HashJoin and HashAggregate, moved here unchanged when the
-// serial operator set left the production package: they are the
-// independent oracles TestParallelJoinMatchesSerialReference,
-// TestParallelJoinSignedZeroFloatKeys and
-// TestParallelAggregateMatchesSerialReference compare the compiled
-// pipelines against.
+// The serial HashJoin and HashAggregate, moved here when the serial
+// operator set left the production package: they are the independent
+// oracles TestParallelJoinMatchesSerialReference, TestParallelJoinMatrix,
+// FuzzHashJoin and TestParallelAggregateMatchesSerialReference compare
+// the compiled pipelines against. HashJoin's map-based table is the one
+// the flat join table replaced.
 
 import (
 	"context"
@@ -65,15 +65,22 @@ func (j *HashJoin) Open() error {
 	}
 	j.rightAll = all
 	kv := all.Vecs[j.rightIdx]
+	// A NULL key matches nothing, so it is never tabled.
 	if kv.Type == types.Int {
 		j.builtInt = make(map[int64][]int32, all.Len())
 		for i := 0; i < all.Len(); i++ {
+			if kv.IsNull(i) {
+				continue
+			}
 			k := kv.Ints[i]
 			j.builtInt[k] = append(j.builtInt[k], int32(i))
 		}
 	} else {
 		j.built = make(map[any][]int, all.Len())
 		for i := 0; i < all.Len(); i++ {
+			if kv.IsNull(i) {
+				continue
+			}
 			k := kv.Value(i)
 			j.built[k] = append(j.built[k], i)
 		}
@@ -104,6 +111,9 @@ func (j *HashJoin) Next() (*types.Batch, error) {
 		leftSel, rightSel := (*lp)[:0], (*rp)[:0]
 		if j.builtInt != nil && kv.Type == types.Int {
 			for i, k := range kv.Ints {
+				if kv.IsNull(i) {
+					continue
+				}
 				for _, r := range j.builtInt[k] {
 					leftSel = append(leftSel, i)
 					rightSel = append(rightSel, int(r))
@@ -111,6 +121,9 @@ func (j *HashJoin) Next() (*types.Batch, error) {
 			}
 		} else {
 			for i := 0; i < b.Len(); i++ {
+				if kv.IsNull(i) {
+					continue
+				}
 				for _, r := range j.built[kv.Value(i)] {
 					leftSel = append(leftSel, i)
 					rightSel = append(rightSel, r)
