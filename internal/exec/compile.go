@@ -165,12 +165,10 @@ func (c *compiler) compile(n plan.Node) (*Exchange, error) {
 
 	case *plan.Filter:
 		ex, err := c.push(x.Child, &FilterStage{Pred: x.Pred})
-		if scan, ok := x.Child.(*plan.Scan); ok && err == nil {
+		if _, ok := x.Child.(*plan.Scan); ok && err == nil {
 			// The filter still runs on every row read; its ranges only let
-			// the scan skip sealed segments that hold no passing row.
-			if segs, _ := scan.Table.Segments(); segs > 0 {
-				ex.Source.(*TableMorselSource).Ranges = expr.DeriveRanges(x.Pred)
-			}
+			// the scan leave out rows that cannot pass it.
+			ex.Source.(*TableMorselSource).Ranges = expr.DeriveRanges(x.Pred)
 		}
 		return ex, err
 

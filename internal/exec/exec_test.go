@@ -65,15 +65,22 @@ func TestTableMorselSourceProjectionAndRange(t *testing.T) {
 	if _, err := NewTableMorselSource(tb, []string{"nope"}, 0); err == nil {
 		t.Error("bad projection should fail")
 	}
-	ranged := scanPipe(t, tb, nil)
-	src := ranged.Source.(*TableMorselSource)
-	src.Lo, src.Hi = 10, 20
-	o3, err := Collect(ranged)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if o3.Len() != 10 || o3.Vecs[0].Ints[0] != 10 {
-		t.Errorf("range scan = %d rows, first id %v", o3.Len(), o3.Vecs[0].Ints[0])
+	// id is sorted, so ranges on it cut the scan to exactly the rows in
+	// range; on x (FLOAT) they leave it whole.
+	for _, tc := range []struct {
+		col        string
+		lo, hi     float64
+		rows, from int
+	}{{"id", 10, 19, 10, 10}, {"id", 9.5, 9.75, 0, 0}, {"x", 5, 9.5, 10000, 0}} {
+		ranged := scanPipe(t, tb, nil)
+		ranged.Source.(*TableMorselSource).Ranges = map[string]expr.Range{tc.col: {Lo: tc.lo, Hi: tc.hi}}
+		o3, err := Collect(ranged)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if o3.Len() != tc.rows || tc.rows > 0 && o3.Vecs[0].Ints[0] != int64(tc.from) {
+			t.Errorf("%s in [%v, %v]: range scan = %d rows, want %d from id %d", tc.col, tc.lo, tc.hi, o3.Len(), tc.rows, tc.from)
+		}
 	}
 }
 
@@ -321,8 +328,7 @@ func TestConcatMatchesOnePipeline(t *testing.T) {
 	tb := numbersTable(t, 100000)
 	build := func(lo, hi int) Operator {
 		ex := scanPipe(t, tb, nil)
-		src := ex.Source.(*TableMorselSource)
-		src.Lo, src.Hi = lo, hi
+		ex.Source.(*TableMorselSource).Ranges = map[string]expr.Range{"id": {Lo: float64(lo), Hi: float64(hi - 1)}}
 		return pushAll(t, ex,
 			&FilterStage{Pred: expr.NewBinary(expr.OpGt, &expr.Column{Name: "x"}, expr.FloatLit(10))},
 			&PredictStage{Predictor: constPredictor{bias: 5}, OutputCols: []types.Column{{Name: "score", Type: types.Float}}})

@@ -1,10 +1,9 @@
 package exec
 
 import (
-	"cmp"
 	"context"
 	"fmt"
-	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,30 +32,25 @@ type MorselSource interface {
 	Schema() *types.Schema
 }
 
-// TableMorselSource splits a storage.Table row range into fixed-size
-// morsels claimed from a shared atomic cursor. Claims are contention-free
-// (one Add per morsel); in-memory rows come as zero-copy slices.
+// TableMorselSource splits the rows of a storage.Table a scan must read
+// into fixed-size morsels claimed from a shared atomic cursor. Claims are
+// contention-free (one Add per morsel); in-memory rows come as zero-copy
+// slices.
 type TableMorselSource struct {
 	Table *storage.Table
 	// Cols projects a subset; nil scans all columns.
 	Cols []string
-	// Lo, Hi bound the row range; Hi==0 means the table end (snapshot at
-	// Open).
-	Lo, Hi int
 	// MorselSize is rows per claim; 0 means DefaultMorselSize.
 	MorselSize int
 	// Ranges are the intervals (expr.DeriveRanges) of a filter that runs
-	// on every row this source yields: Open skips the sealed segments
-	// whose footer bounds show no row can pass it. Nil reads them all.
+	// on every row this source yields: Open leaves out the rows
+	// storage.Table.Spans shows cannot pass it. Nil reads them all.
 	Ranges map[string]expr.Range
 
 	schema *types.Schema
 	colIdx []int
-	cursor atomic.Int64
-	end    int64
-	// pruned marks a scan that left segments out: the cursor then indexes
-	// morsels, the row ranges of what is left.
-	pruned  bool
+	// cursor indexes morsels, the row ranges Open left to read.
+	cursor  atomic.Int64
 	morsels []storage.Span
 }
 
@@ -83,47 +77,37 @@ func NewTableMorselSource(t *storage.Table, cols []string, morselSize int) (*Tab
 // Schema implements MorselSource.
 func (s *TableMorselSource) Schema() *types.Schema { return s.schema }
 
-// Open implements MorselSource. It snapshots the table length and the
-// segments worth reading, so concurrent appends never tear the scan.
+// Open implements MorselSource. It snapshots the spans worth reading, so
+// concurrent appends never tear the scan.
 func (s *TableMorselSource) Open() error {
 	if s.MorselSize <= 0 {
 		s.MorselSize = DefaultMorselSize
 	}
-	spans, end := s.Table.Spans(s.Lo, cmp.Or(s.Hi, math.MaxInt), s.Ranges)
-	s.end, s.pruned, s.morsels = int64(end), spans != nil, s.morsels[:0]
+	spans, n := s.Table.Spans(s.Ranges), 0
+	for _, sp := range spans {
+		n += (sp.Hi - sp.Lo + s.MorselSize - 1) / s.MorselSize
+	}
+	s.morsels = slices.Grow(s.morsels[:0], n)
 	for _, sp := range spans {
 		for lo := sp.Lo; lo < sp.Hi; lo += s.MorselSize {
 			s.morsels = append(s.morsels, storage.Span{Lo: lo, Hi: min(lo+s.MorselSize, sp.Hi)})
 		}
 	}
-	s.cursor.Store(int64(s.Lo))
-	if s.pruned {
-		s.cursor.Store(0)
-	}
+	s.cursor.Store(0)
 	return nil
 }
 
 // NextMorsel implements MorselSource.
 func (s *TableMorselSource) NextMorsel() (int, *types.Batch, error) {
-	size := int64(s.MorselSize)
-	var seq, lo, hi int64
-	if !s.pruned {
-		lo = s.cursor.Add(size) - size
-		if lo >= s.end {
-			return 0, nil, nil
-		}
-		hi, seq = min(lo+size, s.end), (lo-int64(s.Lo))/size
-	} else {
-		if seq = s.cursor.Add(1) - 1; seq >= int64(len(s.morsels)) {
-			return 0, nil, nil
-		}
-		lo, hi = int64(s.morsels[seq].Lo), int64(s.morsels[seq].Hi)
+	seq := int(s.cursor.Add(1) - 1)
+	if seq >= len(s.morsels) {
+		return 0, nil, nil
 	}
-	b, err := s.Table.ScanRange(int(lo), int(hi), s.colIdx)
+	b, err := s.Table.ScanRange(s.morsels[seq].Lo, s.morsels[seq].Hi, s.colIdx)
 	if err != nil {
 		return 0, nil, err
 	}
-	return int(seq), b, nil
+	return seq, b, nil
 }
 
 // Close implements MorselSource.

@@ -3,6 +3,7 @@ package exec
 import (
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"raven/internal/expr"
 	"raven/internal/plan"
+	"raven/internal/storage"
 	"raven/internal/types"
 )
 
@@ -300,6 +302,107 @@ func BenchmarkTableMorselSource(b *testing.B) {
 			if m == nil {
 				break
 			}
+		}
+	}
+}
+
+// rangeScanTable is a 20,000-row table(id INT, x FLOAT) whose id is
+// 0..19999 in row order, or the same ids shuffled.
+func rangeScanTable(tb testing.TB, shuffled bool) *storage.Table {
+	tb.Helper()
+	const n = 20000
+	ids := make([]int64, n)
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	if shuffled {
+		rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+	}
+	b := types.NewBatch(types.NewSchema(types.Column{Name: "id", Type: types.Int}, types.Column{Name: "x", Type: types.Float}))
+	for _, id := range ids {
+		if err := b.AppendRow(id, float64(id)/2); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	t := storage.NewTable("r", b.Schema)
+	if err := t.AppendBatch(b); err != nil {
+		tb.Fatal(err)
+	}
+	return t
+}
+
+// rangeScanCases are a 2,000-row range and a point lookup on id.
+var rangeScanCases = []struct {
+	name string
+	pred expr.Expr
+	rows int
+}{
+	{"range_2k", expr.NewBinary(expr.OpAnd,
+		expr.NewBinary(expr.OpGe, &expr.Column{Name: "id"}, expr.IntLit(5000)),
+		expr.NewBinary(expr.OpLt, &expr.Column{Name: "id"}, expr.IntLit(7000))), 2000},
+	{"point", expr.NewBinary(expr.OpEq, &expr.Column{Name: "id"}, expr.IntLit(12345)), 1},
+}
+
+// TestFilterOnScanNarrowsTheScan: a compiled filter directly on a scan
+// hands its ranges to the scan source, which on a sorted key reads only
+// the rows in range — and on a shuffled one reads them all.
+func TestFilterOnScanNarrowsTheScan(t *testing.T) {
+	for _, shuffled := range []bool{false, true} {
+		tb := rangeScanTable(t, shuffled)
+		for _, c := range rangeScanCases {
+			op, err := Compile(&plan.Filter{Child: plan.NewScan(tb), Pred: c.pred}, &Env{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, err := Collect(op)
+			if err != nil {
+				t.Fatal(err)
+			}
+			read := 0
+			for _, m := range op.(*Exchange).Source.(*TableMorselSource).morsels {
+				read += m.Hi - m.Lo
+			}
+			if want := map[bool]int{false: c.rows, true: tb.NumRows()}[shuffled]; out.Len() != c.rows || read != want {
+				t.Errorf("%s, shuffled %v: %d rows out of %d read, want %d of %d", c.name, shuffled, out.Len(), read, c.rows, want)
+			}
+		}
+	}
+}
+
+// BenchmarkRangeScan compiles and drains a filter on a scan of a
+// 20,000-row table at DOP 1: a 2,000-row range and a point on a key
+// stored sorted (the scan binary-searches it) and shuffled (it reads and
+// filters every row).
+func BenchmarkRangeScan(b *testing.B) {
+	for _, order := range []string{"sorted", "shuffled"} {
+		tb := rangeScanTable(b, order == "shuffled")
+		for _, c := range rangeScanCases {
+			b.Run(order+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					op, err := Compile(&plan.Filter{Child: plan.NewScan(tb), Pred: c.pred}, &Env{Parallelism: 1})
+					if err != nil {
+						b.Fatal(err)
+					}
+					if err := op.Open(); err != nil {
+						b.Fatal(err)
+					}
+					rows := 0
+					for {
+						m, err := op.Next()
+						if err != nil {
+							b.Fatal(err)
+						}
+						if m == nil {
+							break
+						}
+						rows += m.Len()
+					}
+					if err := op.Close(); err != nil || rows != c.rows {
+						b.Fatalf("%d rows (%v), want %d", rows, err, c.rows)
+					}
+				}
+			})
 		}
 	}
 }

@@ -10,6 +10,7 @@ package storage
 import (
 	"fmt"
 	"math"
+	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -39,6 +40,9 @@ type Table struct {
 	sealed     []sealedPart
 	sealedRows int
 	rows       int // total rows: sealedRows + tail length
+	// sorted[c] holds while INT column c of the tail has no NULL and never
+	// decreases: it licenses Spans' binary search. Observed, not declared.
+	sorted []bool
 
 	// appendMu serializes durable appends end-to-end (WAL record, then
 	// memory apply, then a possible seal) so log order always equals
@@ -63,7 +67,30 @@ func NewTable(name string, schema *types.Schema) *Table {
 	for i, c := range schema.Columns {
 		cols[i], ords[i] = types.NewVector(c.Type, 0), i
 	}
-	return &Table{Name: name, schema: schema, cols: cols, ords: ords}
+	t := &Table{Name: name, schema: schema, cols: cols, ords: ords, sorted: make([]bool, len(cols))}
+	t.resetSorted()
+	return t
+}
+
+// resetSorted marks every INT column of an empty tail sorted.
+func (t *Table) resetSorted() {
+	for i, c := range t.schema.Columns {
+		t.sorted[i] = c.Type == types.Int
+	}
+}
+
+// track extends the sortedness flags over the tail rows appended from
+// tail row from on, in O(rows appended). A failed append clears them all:
+// a wrongly cleared flag costs a scan, a stale one a wrong answer.
+func (t *Table) track(from int, err error) error {
+	for c, ok := range t.sorted {
+		v := t.cols[c]
+		for i := from; ok && i < t.rows-t.sealedRows; i++ {
+			ok = !v.IsNull(i) && (i == 0 || v.Ints[i-1] <= v.Ints[i])
+		}
+		t.sorted[c] = ok && err == nil
+	}
+	return err
 }
 
 // Schema returns the table schema.
@@ -103,11 +130,11 @@ func (t *Table) AppendRow(vals ...any) error {
 	t.dataVersion.Add(1)
 	for i, v := range vals {
 		if err := t.cols[i].Append(v); err != nil {
-			return fmt.Errorf("storage: table %s: %w", t.Name, err)
+			return t.track(0, fmt.Errorf("storage: table %s: %w", t.Name, err))
 		}
 	}
 	t.rows++
-	return nil
+	return t.track(t.rows-t.sealedRows-1, nil)
 }
 
 // AppendBatch appends all rows of a batch whose columns match the schema.
@@ -130,11 +157,11 @@ func (t *Table) applyBatch(b *types.Batch) error {
 	t.dataVersion.Add(1)
 	for i := range t.cols {
 		if err := t.cols[i].AppendVector(b.Vecs[i]); err != nil {
-			return fmt.Errorf("storage: table %s: %w", t.Name, err)
+			return t.track(0, fmt.Errorf("storage: table %s: %w", t.Name, err))
 		}
 	}
 	t.rows += b.Len()
-	return nil
+	return t.track(t.rows-t.sealedRows-b.Len(), nil)
 }
 
 // tailLen returns the number of rows currently in the in-memory tail.
@@ -174,6 +201,7 @@ func (t *Table) sealTail(r *segment.Reader, n int) error {
 		cols[i] = types.NewVector(c.Type, 0)
 	}
 	t.cols = cols
+	t.resetSorted()
 	return nil
 }
 
@@ -290,62 +318,74 @@ func (t *Table) ScanRange(lo, hi int, cols []int) (*types.Batch, error) {
 // Span is the half-open row range [Lo, Hi).
 type Span struct{ Lo, Hi int }
 
-// Spans snapshots, under one lock, the rows of [lo, hi) a scan must read:
-// end is hi clipped to the row count; spans is nil when that is all of
-// [lo, end). It leaves out each sealed segment whose footer bounds on a
-// column in ranges (keyed as by expr.DeriveRanges) miss that range, never
-// the tail. Spans are row positions, which sealing and compaction keep.
+// Spans snapshots, under one lock, the rows a scan filtered by ranges
+// (keyed as by expr.DeriveRanges) must read, in row order. It leaves out
+// each sealed segment whose footer bounds on a ranged column miss that
+// range, and cuts the tail down by binary search on each ranged INT
+// column the tail holds sorted — so only rows the filter would drop are
+// left out. Spans are row positions, which sealing and compaction keep.
 // Each call adds the segments it reads and skips to the backend's stats.
-func (t *Table) Spans(lo, hi int, ranges map[string]expr.Range) (spans []Span, end int) {
+func (t *Table) Spans(ranges map[string]expr.Range) []Span {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	end = min(hi, t.rows)
-	if len(t.sealed) == 0 {
-		return nil, end
-	}
+	var spans []Span
 	var scanned, pruned uint64
-	pos, spans := 0, []Span{} // non-nil even when every row is left out
+	pos := 0
 	for _, p := range t.sealed {
-		s, e := max(lo, pos), min(end, pos+p.rows)
-		pos += p.rows
-		if s >= e {
-			continue
-		}
-		if t.cannotMatch(p.r, ranges) {
+		if pos += p.rows; t.cannotMatch(p.r, ranges) {
 			pruned++
 			continue
 		}
 		scanned++
-		spans = append(spans, Span{s, e})
+		spans = append(spans, Span{pos - p.rows, pos})
 	}
-	if s := max(lo, t.sealedRows); s < end {
-		spans = append(spans, Span{s, end})
+	s, e := 0, t.rows-t.sealedRows
+	for name, rg := range ranges {
+		if c := t.schema.IndexOf(name); c >= 0 && t.sorted[c] && s < e {
+			v := t.cols[c].Ints[s:e]
+			if exactInts(float64(v[0]), float64(v[len(v)-1]), rg) {
+				e = s + sort.Search(len(v), func(i int) bool { return float64(v[i]) > rg.Hi })
+				s += sort.Search(len(v), func(i int) bool { return float64(v[i]) >= rg.Lo })
+			}
+		}
+	}
+	if s < e {
+		spans = append(spans, Span{t.sealedRows + s, t.sealedRows + e})
 	}
 	if d, ok := t.backend.(*Durable); ok {
 		d.segsScanned.Add(scanned)
 		d.segsPruned.Add(pruned)
 	}
-	if pruned == 0 {
-		return nil, end
+	return spans
+}
+
+// exactInts reports whether rg, compared against INT values in [lo, hi],
+// says exactly what a filter's comparisons say. Every finite bound must lie
+// strictly within ±2^53, where float64 holds each integer and DeriveRanges'
+// one-ULP nudge is exact: `ts < 2^53+1` becomes ts <= 2^53-1, while a row
+// 2^53 passes it, and row 2^53+1's footer value rounds onto 2^53. NaN
+// fails too.
+func exactInts(lo, hi float64, rg expr.Range) bool {
+	for _, x := range []float64{lo, hi, rg.Lo, rg.Hi} {
+		if !math.IsInf(x, 0) && !(math.Abs(x) < 1<<53) {
+			return false
+		}
 	}
-	return spans, end
+	return true
 }
 
 // cannotMatch reports whether r's footer proves no row of it lies in one
 // of ranges. Bounds count only if they cover every value a filter
 // compares: recorded (not VARCHAR, NULL-only, NaN or ±Inf), no NULL value
-// slots, and for INT all within ±2^53, beyond which DeriveRanges' one-ULP
-// nudge is inexact: `ts > 2^53` becomes ts >= 2^53+2, while row 2^53+1's
-// footer value rounds to 2^53.
+// slots, and for INT exact (exactInts).
 func (t *Table) cannotMatch(r *segment.Reader, ranges map[string]expr.Range) bool {
-	exact := func(x float64) bool { return math.IsInf(x, 0) || math.Abs(x) <= 1<<53 }
 	for name, rg := range ranges {
 		c := t.schema.IndexOf(name)
 		if c < 0 {
 			continue
 		}
 		lo, hi, ok := r.Stats(c)
-		if !ok || r.HasNulls(c) || t.schema.Columns[c].Type == types.Int && !(exact(lo) && exact(hi) && exact(rg.Lo) && exact(rg.Hi)) {
+		if !ok || r.HasNulls(c) || t.schema.Columns[c].Type == types.Int && !exactInts(lo, hi, rg) {
 			continue
 		}
 		if hi < rg.Lo || lo > rg.Hi || rg.Empty() {

@@ -1133,16 +1133,19 @@ func (db *DB) buildPlan(q string, sel *sql.SelectStmt, vars map[string]string, o
 	if err != nil {
 		return nil, err
 	}
-	if !opts.DisableSessionCache {
-		// Each model operator keys its tensor sessions by its own model's
-		// stored hash (a new version of the model strands them by that
-		// prefix). An optimized model is specialized to this query's
-		// predicates: the query fingerprint joins the key so
-		// differently-specialized sessions never collide, while identical
-		// repeated queries (warm runs) still hit.
+	// Each model operator keys its tensor sessions by its own model's stored
+	// hash (a new version of the model strands them by that prefix). An
+	// optimized model is specialized to what it was compiled from — the
+	// plan-cache key (text, referenced variables, every option) and the
+	// catalog — which joins the key so differently-specialized sessions
+	// never collide, while identical repeated queries (warm runs) still hit.
+	// A model specialized by statistics is specialized to the data as well:
+	// like its plan, its sessions are not cached.
+	specialized := opts.CrossOptimize && len(res.Applied) > 0
+	if !opts.DisableSessionCache && !(specialized && opts.UseStatistics) {
 		suffix := ""
-		if opts.CrossOptimize && len(res.Applied) > 0 {
-			sum := sha256.Sum256([]byte(q))
+		if specialized {
+			sum := sha256.Sum256(fmt.Appendf(nil, "%d|%s", version, db.planKey(q, opts, allowParams, vars)))
 			suffix = "#" + hex.EncodeToString(sum[:8])
 		}
 		for _, op := range res.Graph.ModelOps() {
