@@ -257,23 +257,15 @@ func run(db *raven.DB, stmt string, explain bool, timeout time.Duration, cacheOn
 	fmt.Println(strings.Join(cols, "\t"))
 	const maxPrint = 25
 	n := 0
-	vals := make([]any, len(cols))
-	ptrs := make([]any, len(cols))
-	for j := range vals {
-		ptrs[j] = &vals[j]
-	}
-	for rows.Next() {
-		if n < maxPrint {
-			if err := rows.Scan(ptrs...); err != nil {
-				return err
-			}
-			parts := make([]string, len(vals))
-			for j, v := range vals {
-				parts[j] = fmt.Sprintf("%v", v)
+	for b := rows.NextBatch(); b != nil; b = rows.NextBatch() {
+		for i := 0; i < b.Len() && n+i < maxPrint; i++ {
+			parts := make([]string, len(b.Vecs))
+			for j, v := range b.Vecs {
+				parts[j] = fmt.Sprintf("%v", v.Value(i))
 			}
 			fmt.Println(strings.Join(parts, "\t"))
 		}
-		n++
+		n += b.Len()
 	}
 	if err := rows.Err(); err != nil {
 		return err

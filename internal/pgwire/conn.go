@@ -3,8 +3,10 @@ package pgwire
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"strconv"
 	"strings"
@@ -551,25 +553,14 @@ func (c *conn) commandComplete(tag string) bool {
 // transport error returns ok = false.
 func (c *conn) streamRows(rows *raven.Rows, withDescription bool) (n int, ok bool) {
 	defer rows.Close()
-	sch := rows.Schema()
-	if withDescription {
-		if !c.writeRowDescription(sch) {
+	if withDescription && !c.writeRowDescription(rows.Schema()) {
+		return 0, false
+	}
+	for b := rows.NextBatch(); b != nil; b = rows.NextBatch() {
+		if !c.writeRows(b) {
 			return 0, false
 		}
-	}
-	vals := make([]any, sch.Len())
-	ptrs := make([]any, sch.Len())
-	for i := range vals {
-		ptrs[i] = &vals[i]
-	}
-	for rows.Next() {
-		if err := rows.Scan(ptrs...); err != nil {
-			return -1, c.engineError(err)
-		}
-		if !c.writeDataRow(vals) {
-			return 0, false
-		}
-		n++
+		n += b.Len()
 	}
 	if err := rows.Err(); err != nil {
 		// Status already on the wire (rows may have streamed); the error
@@ -595,35 +586,53 @@ func (c *conn) writeRowDescription(sch *types.Schema) bool {
 	return c.buf.finish(c.w) == nil
 }
 
-func (c *conn) writeDataRow(vals []any) bool {
-	c.buf.start(msgDataRow)
-	c.buf.int16(len(vals))
-	for _, v := range vals {
-		if v == nil {
-			c.buf.int32(-1)
-			continue
-		}
-		var s string
-		switch x := v.(type) {
-		case int64:
-			s = strconv.FormatInt(x, 10)
-		case float64:
-			s = strconv.FormatFloat(x, 'g', -1, 64)
-		case bool:
-			if x {
-				s = "t"
-			} else {
-				s = "f"
+// writeRows sends one DataRow per row of b, each value formatted from its
+// typed vector into the frame: length reserved, text appended, patched.
+func (c *conn) writeRows(b *types.Batch) bool {
+	for i, n := 0, b.Len(); i < n; i++ {
+		c.buf.start(msgDataRow)
+		c.buf.int16(len(b.Vecs))
+		for _, v := range b.Vecs {
+			if v.IsNull(i) {
+				c.buf.int32(-1)
+				continue
 			}
-		case string:
-			s = x
-		default:
-			s = fmt.Sprintf("%v", x)
+			at := len(c.buf.b)
+			c.buf.int32(0)
+			c.buf.b = appendText(c.buf.b, v, i)
+			binary.BigEndian.PutUint32(c.buf.b[at:], uint32(len(c.buf.b)-at-4))
 		}
-		c.buf.int32(len(s))
-		c.buf.bytes([]byte(s))
+		if c.buf.finish(c.w) != nil {
+			return false
+		}
 	}
-	return c.buf.finish(c.w) == nil
+	return true
+}
+
+// appendText appends row i of v in pg text format. FLOAT is strconv's
+// shortest 'g', which round-trips exactly, except that ±Inf is postgres'
+// float8 Infinity / -Infinity (JDBC's Double.parseDouble rejects +Inf).
+func appendText(dst []byte, v *types.Vector, i int) []byte {
+	switch v.Type {
+	case types.Int:
+		return strconv.AppendInt(dst, v.IntAt(i), 10)
+	case types.Float:
+		f := v.FloatAt(i)
+		switch {
+		case math.IsInf(f, 1):
+			return append(dst, "Infinity"...)
+		case math.IsInf(f, -1):
+			return append(dst, "-Infinity"...)
+		}
+		return strconv.AppendFloat(dst, f, 'g', -1, 64) // NaN is "NaN" in both
+	case types.Bool:
+		if v.BoolAt(i) {
+			return append(dst, 't')
+		}
+		return append(dst, 'f')
+	default:
+		return append(dst, v.StringAt(i)...)
+	}
 }
 
 // ---- extended protocol ----

@@ -4,7 +4,7 @@
 // script runner:
 //
 //	POST /query            ad-hoc SQL (DDL/INSERT/SELECT/PREDICT), rows
-//	                       streamed as NDJSON from Rows.Next
+//	                       streamed as NDJSON from Rows.NextBatch
 //	POST /prepare          compile a statement server-side, returns {id}
 //	POST /stmt/{id}/query  execute a prepared statement with @var params
 //	                       (warm path: no parse/bind/optimize per call)
@@ -37,9 +37,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -48,6 +51,7 @@ import (
 	"raven/internal/server/reqopt"
 	"raven/internal/server/stmtreg"
 	"raven/internal/sql"
+	"raven/internal/types"
 )
 
 // Options tunes the server.
@@ -665,21 +669,22 @@ func (s *Server) handleStoreModel(w http.ResponseWriter, r *http.Request) {
 
 // streamRows writes the NDJSON stream: a header object, one array per
 // row, and a trailer (or {"error": ...} if the stream broke mid-way).
-// The first row is fetched before the status line commits, so a query
-// that dies before producing anything (deadline mid-scan, bad cast)
-// still gets a real error status; after the first row the status is on
-// the wire and errors travel as a trailer line. Rows flush in batches so
-// clients see results while the scan runs.
+// The first batch is fetched before the status line commits, so a query
+// that dies before producing anything still gets a real error status;
+// after that every failure ends the stream in an error line. Rows are
+// written and flushed once per engine batch: its rows arrive together,
+// so flushing them one by one would get none to the client sooner.
 func streamRows(w http.ResponseWriter, rows *raven.Rows) {
 	defer rows.Close()
-	ok := rows.Next()
-	if !ok {
-		if err := rows.Err(); err != nil {
-			writeError(w, err)
-			return
-		}
+	b := rows.NextBatch()
+	if b == nil && rows.Err() != nil {
+		writeError(w, rows.Err())
+		return
 	}
-	flusher, _ := w.(http.Flusher)
+	flush := func() {}
+	if f, ok := w.(http.Flusher); ok {
+		flush = f.Flush
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 
@@ -692,36 +697,27 @@ func streamRows(w http.ResponseWriter, rows *raven.Rows) {
 		Columns []string `json:"columns"`
 		Types   []string `json:"types"`
 	}{rows.Columns(), typeNames})
-	if flusher != nil {
-		// The header (and soon the first rows) must reach the client
-		// while the scan runs — that is the point of streaming. Early
-		// rows flush individually for first-row latency; once the stream
-		// is clearly a bulk transfer, flushing every 64 rows amortizes
-		// the syscall.
-		flusher.Flush()
-	}
 
-	vals := make([]any, sch.Len())
-	ptrs := make([]any, sch.Len())
-	for i := range vals {
-		ptrs[i] = &vals[i]
-	}
+	buf := rowBufs.Get().(*[]byte)
+	defer func() {
+		if cap(*buf) <= 64<<10 {
+			rowBufs.Put(buf)
+		}
+	}()
 	n := 0
-	for ; ok; ok = rows.Next() {
-		if err := rows.Scan(ptrs...); err != nil {
-			enc.Encode(ErrorLine{Error: err.Error()})
-			return
+	var err error
+	for ; b != nil; b = rows.NextBatch() {
+		if *buf, err = writeBatch(w, *buf, b); err != nil {
+			break
 		}
-		if err := enc.Encode(vals); err != nil {
-			// Client hung up; rows.Close (deferred) cancels the executor.
-			return
-		}
-		n++
-		if flusher != nil && (n <= 8 || n%64 == 0) {
-			flusher.Flush()
-		}
+		n += b.Len()
+		flush()
 	}
-	if err := rows.Err(); err != nil {
+	if err == nil {
+		err = rows.Err()
+	}
+	if err != nil {
+		// After a failed write the client is gone; rows.Close cancels.
 		enc.Encode(ErrorLine{Error: err.Error()})
 		return
 	}
@@ -732,9 +728,86 @@ func streamRows(w http.ResponseWriter, rows *raven.Rows) {
 		ExecMS:    float64(rows.ExecTime().Microseconds()) / 1000,
 		Rules:     rows.AppliedRules,
 	})
-	if flusher != nil {
-		flusher.Flush()
+	flush()
+}
+
+// rowBufs recycles the NDJSON encode buffer across requests. It starts
+// small: a fresh 32 KiB per request shows on one-row cache hits.
+var rowBufs = sync.Pool{New: func() any { b := make([]byte, 0, 1<<10); return &b }}
+
+// writeBatch encodes every row of b into buf and writes it to w at the
+// end of the batch and whenever buf passes 32 KiB, returning buf emptied.
+func writeBatch(w io.Writer, buf []byte, b *types.Batch) ([]byte, error) {
+	for i, n := 0, b.Len(); i < n; i++ {
+		buf = appendRow(buf, b.Vecs, i)
+		if len(buf) >= 32<<10 || i == n-1 {
+			if _, err := w.Write(buf); err != nil {
+				return buf[:0], err
+			}
+			buf = buf[:0]
+		}
 	}
+	return buf, nil
+}
+
+// appendRow appends row i as one NDJSON line, byte for byte what
+// json.Encoder writes for the row's values as a []any — except that a
+// non-finite FLOAT, which encoding/json refuses, is the string "NaN",
+// "Infinity" or "-Infinity".
+func appendRow(buf []byte, vecs []*types.Vector, i int) []byte {
+	buf = append(buf, '[')
+	for j, v := range vecs {
+		if j > 0 {
+			buf = append(buf, ',')
+		}
+		switch {
+		case v.IsNull(i):
+			buf = append(buf, "null"...)
+		case v.Type == types.Int:
+			buf = strconv.AppendInt(buf, v.IntAt(i), 10)
+		case v.Type == types.Float:
+			buf = appendFloat(buf, v.FloatAt(i))
+		case v.Type == types.Bool:
+			buf = strconv.AppendBool(buf, v.BoolAt(i))
+		default:
+			buf = appendString(buf, v.StringAt(i))
+		}
+	}
+	return append(buf, ']', '\n')
+}
+
+// appendFloat spells f as encoding/json does: 'f', or 'e' below 1e-6 and
+// from 1e21 up, with a one-digit negative exponent written "e-7".
+func appendFloat(buf []byte, f float64) []byte {
+	switch abs := math.Abs(f); {
+	case math.IsNaN(f):
+		return append(buf, `"NaN"`...)
+	case math.IsInf(f, 1):
+		return append(buf, `"Infinity"`...)
+	case math.IsInf(f, -1):
+		return append(buf, `"-Infinity"`...)
+	case abs != 0 && (abs < 1e-6 || abs >= 1e21):
+		buf = strconv.AppendFloat(buf, f, 'e', -1, 64)
+		if n := len(buf); buf[n-4] == 'e' && buf[n-3] == '-' && buf[n-2] == '0' {
+			buf[n-2] = buf[n-1]
+			buf = buf[:n-1]
+		}
+		return buf
+	}
+	return strconv.AppendFloat(buf, f, 'f', -1, 64)
+}
+
+// appendString quotes printable ASCII that encoding/json leaves alone
+// itself (it escapes <, > and & for HTML) and hands anything else to it.
+func appendString(buf []byte, s string) []byte {
+	for k := 0; k < len(s); k++ {
+		if c := s[k]; c < 0x20 || c >= 0x80 || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s)
+			return append(buf, q...)
+		}
+	}
+	buf = append(append(buf, '"'), s...)
+	return append(buf, '"')
 }
 
 func paramList(m map[string]string) []raven.Param {

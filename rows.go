@@ -49,6 +49,9 @@ type Rows struct {
 	release func()
 }
 
+// noRows is the empty batch a Rows starts on, so cur is never nil.
+var noRows = &types.Batch{}
+
 // newRows wraps an already-compiled operator tree and opens it. applied
 // is copied: the exported AppliedRules field must not alias a cached
 // plan's shared slice, or a caller mutating it would corrupt the template
@@ -63,6 +66,7 @@ func newRows(ctx context.Context, op exec.Operator, applied []string, compileTim
 		ctx:          ctx,
 		schema:       op.Schema(),
 		execStart:    time.Now(),
+		cur:          noRows,
 		idx:          -1,
 		release:      release,
 	}
@@ -86,33 +90,57 @@ func (r *Rows) Schema() *types.Schema { return r.schema }
 // needed. It returns false at end of stream or on error — check Err to
 // tell the two apart.
 func (r *Rows) Next() bool {
+	if r.idx+1 < r.cur.Len() && r.live() {
+		r.idx++
+		return true
+	}
+	if r.NextBatch() == nil {
+		return false
+	}
+	r.idx = 0
+	return true
+}
+
+// NextBatch returns the rest of the current batch, or else the next
+// non-empty one, and nil at end of stream or on error (check Err). The
+// batch is valid until the next Next, NextBatch or Close; Scan fails
+// until Next moves to a row again. Front ends encode straight from its
+// typed vectors, with no per-row boxing.
+func (r *Rows) NextBatch() *types.Batch {
+	if !r.live() {
+		return nil
+	}
+	if r.idx+1 < r.cur.Len() {
+		b := r.cur.Slice(r.idx+1, r.cur.Len())
+		r.idx = r.cur.Len()
+		return b
+	}
+	for {
+		b, err := r.op.Next()
+		if err != nil || b == nil {
+			r.err = err
+			r.Close()
+			return nil
+		}
+		if b.Len() > 0 {
+			r.cur, r.idx = b, b.Len()
+			return b
+		}
+	}
+}
+
+// live reports whether the stream can still yield rows. The compiled
+// operators observe the context themselves; this check additionally
+// covers consumers idling between batches, so a cancelled Rows stops
+// (and releases its executor) on the next Next or NextBatch call.
+func (r *Rows) live() bool {
 	if r.closed || r.err != nil {
 		return false
 	}
-	// The compiled operators observe the context themselves; this check
-	// additionally covers consumers idling between batches, so a cancelled
-	// Rows stops (and releases its executor) on the next Next call.
-	if r.ctx != nil {
-		if err := r.ctx.Err(); err != nil {
-			r.err = err
-			r.Close()
-			return false
-		}
-	}
-	r.idx++
-	for r.cur == nil || r.idx >= r.cur.Len() {
-		b, err := r.op.Next()
-		if err != nil {
-			r.err = err
-			r.Close()
-			return false
-		}
-		if b == nil {
-			r.Close()
-			return false
-		}
-		r.cur = b
-		r.idx = 0
+	if r.ctx != nil && r.ctx.Err() != nil {
+		r.err = r.ctx.Err()
+		r.Close()
+		return false
 	}
 	return true
 }
@@ -121,7 +149,7 @@ func (r *Rows) Next() bool {
 // *int64/*int for INT, *float64 for FLOAT (INT widens), *bool for BIT,
 // *string for VARCHAR, or *any for anything.
 func (r *Rows) Scan(dest ...any) error {
-	if r.cur == nil || r.idx < 0 || r.idx >= r.cur.Len() {
+	if r.idx < 0 || r.idx >= r.cur.Len() {
 		return fmt.Errorf("raven: Scan called without a successful Next")
 	}
 	if len(dest) != len(r.cur.Vecs) {
@@ -206,40 +234,15 @@ func (r *Rows) ExecTime() time.Duration {
 // replayed, and a closed or exhausted Rows yields an empty Result).
 func (r *Rows) Collect() (*Result, error) {
 	defer r.Close()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.closed {
-		// Closed without error (exhausted or explicitly closed): nothing
-		// left to drain, and the operator must not be polled again.
-		return &Result{
-			Batch:        types.NewBatch(r.schema),
-			AppliedRules: r.AppliedRules,
-			CompileTime:  r.CompileTime,
-			ExecTime:     r.execTime,
-			Elapsed:      r.CompileTime + r.execTime,
-		}, nil
-	}
 	out := types.NewBatch(r.schema)
-	if r.cur != nil && r.idx+1 < r.cur.Len() {
-		if err := out.Append(r.cur.Slice(r.idx+1, r.cur.Len())); err != nil {
-			return nil, err
-		}
-	}
-	for {
-		b, err := r.op.Next()
-		if err != nil {
-			r.err = err
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
+	for b := r.NextBatch(); b != nil; b = r.NextBatch() {
 		if err := out.Append(b); err != nil {
 			return nil, err
 		}
 	}
-	r.Close()
+	if r.err != nil {
+		return nil, r.err
+	}
 	return &Result{
 		Batch:        out,
 		AppliedRules: r.AppliedRules,
