@@ -5,7 +5,7 @@ COVER_FLOOR ?= 70
 # Ceiling for `make loc` (non-test Go lines, benchmark/ excluded): the
 # current total rounded up to the next 50. ROADMAP aim 2 says the number
 # goes down; a PR that lowers it lowers this with it.
-LOC_CEILING ?= 28395
+LOC_CEILING ?= 28200
 
 .PHONY: all build test test-benchmark race vet fmt-check fuzz bench bench-micro cover smoke loc ci
 
@@ -110,6 +110,9 @@ fuzz:
 # And it fails if a front end boxes rows again: results leave
 # internal/server and internal/pgwire from typed batches, so no
 # rows.Scan, no per-row enc.Encode(vals) and no writeDataRow.
+# And it fails if the router grows a result cache again: there is one
+# result-cache tier, the replica engine's, so internal/cluster does not
+# import internal/rescache.
 LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'
 loc:
 	@$(LOC_FILES) | xargs wc -l | awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
@@ -130,6 +133,8 @@ loc:
 	@boxed=$$($(LOC_FILES) \( -path './internal/server/*' -o -path './internal/pgwire/*' \) \
 		| xargs grep -nE 'rows\.Scan\(|enc\.Encode\(vals\)|func \(c \*conn\) writeDataRow' || true); \
 	if [ -n "$$boxed" ]; then echo "FAIL: a per-row boxing path in a front end:"; echo "$$boxed"; exit 1; fi
+	@tier=$$($(LOC_FILES) -path './internal/cluster/*' | xargs grep -n '"raven/internal/rescache"' || true); \
+	if [ -n "$$tier" ]; then echo "FAIL: a second result-cache tier in the router:"; echo "$$tier"; exit 1; fi
 
 # ci runs the suite twice, not three times: cover subsumes a plain
 # `make test` (same tests, plus the coverage floor and cover.out), so

@@ -66,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	only := fs.String("only", "", "comma-separated experiment ids ("+experimentIDs()+")")
 	runs := fs.Int("runs", 0, "measured runs per point (default 3, or 1 with -quick)")
 	parallelism := fs.Int("parallelism", 0, "degree of parallelism for experiment engines (0 = engine default, 1 = serial)")
-	morsel := fs.Int("morsel", 0, "rows per parallel work unit (0 = engine default)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -94,7 +93,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Runs = *runs
 	}
 	cfg.Parallelism = *parallelism
-	cfg.MorselSize = *morsel
 
 	ctx := context.Background()
 	if *timeout > 0 {

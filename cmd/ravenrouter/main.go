@@ -8,7 +8,6 @@
 //	ravenrouter [-addr :8090] -replica name=http://host:port ...
 //	            [-probe-interval D] [-probe-timeout D] [-fail-threshold N]
 //	            [-spill-queue N] [-retries N] [-hedge]
-//	            [-result-cache-bytes N]
 //
 // The router health-checks every replica on a jittered interval and
 // converges membership (healthy / degraded / draining / down). Reads
@@ -75,7 +74,6 @@ func main() {
 	spillQueue := flag.Int("spill-queue", 4, "home-replica admission-queue depth at which tenant traffic spills to the least-loaded replica")
 	retries := flag.Int("retries", 3, "attempts per idempotent read across replicas (exponential backoff + jitter between attempts)")
 	hedge := flag.Bool("hedge", false, "hedge slow reads: race a second replica after the observed p99 latency")
-	resultCacheBytes := flag.Int64("result-cache-bytes", 0, "router response cache budget in bytes: repeated idempotent reads are answered without a replica round-trip until the next replicated side effect (0 = off)")
 	var replicas replicaFlags
 	flag.Var(&replicas, "replica", "replica to front, as name=http://host:port or a bare URL (repeatable)")
 	flag.Parse()
@@ -86,13 +84,12 @@ func main() {
 	}
 
 	rt := cluster.New(cluster.Options{
-		ProbeInterval:    *probeInterval,
-		ProbeTimeout:     *probeTimeout,
-		FailThreshold:    *failThreshold,
-		SpillQueueDepth:  *spillQueue,
-		Retry:            server.RetryPolicy{MaxAttempts: *retries},
-		Hedge:            *hedge,
-		ResultCacheBytes: *resultCacheBytes,
+		ProbeInterval:   *probeInterval,
+		ProbeTimeout:    *probeTimeout,
+		FailThreshold:   *failThreshold,
+		SpillQueueDepth: *spillQueue,
+		Retry:           server.RetryPolicy{MaxAttempts: *retries},
+		Hedge:           *hedge,
 	})
 	for _, r := range replicas {
 		if err := rt.AddMember(r.name, r.base); err != nil {

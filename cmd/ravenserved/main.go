@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	ravenserved [-addr :8080] [-rows N] [-parallelism N] [-morsel N]
+//	ravenserved [-addr :8080] [-rows N] [-parallelism N]
 //	            [-max-queries N] [-max-slots N] [-queue N] [-queue-timeout D]
 //	            [-query-timeout D] [-drain-timeout D] [-drain-grace D]
 //	            [-result-cache-bytes N] [-tenant name=maxq[:maxslots] ...]
@@ -120,7 +120,6 @@ func main() {
 	rows := flag.Int("rows", 100000, "rows per preloaded demo table")
 	preload := flag.Bool("preload", true, "preload the demo workload (hospital + flights tables and models)")
 	parallelism := flag.Int("parallelism", 0, "engine degree of parallelism (0 = GOMAXPROCS, 1 = serial)")
-	morsel := flag.Int("morsel", 0, "rows per parallel work unit (0 = engine default)")
 	maxQueries := flag.Int("max-queries", 2*runtime.GOMAXPROCS(0), "admission limit: max concurrent queries (0 = unlimited, no scheduler)")
 	maxSlots := flag.Int("max-slots", 4*runtime.GOMAXPROCS(0), "admission limit: max total worker slots across running queries; requested DOP is capped to fit (0 = queries-only limit)")
 	queueDepth := flag.Int("queue", 64, "admission queue depth (queries waiting beyond the limit; 0 = reject immediately)")
@@ -138,10 +137,7 @@ func main() {
 	segmentRows := flag.Int("segment-rows", 0, "rows per sealed on-disk segment for -data-dir (0 = default 65536)")
 	flag.Parse()
 
-	opts := []raven.Option{
-		raven.WithParallelism(*parallelism),
-		raven.WithMorselSize(*morsel),
-	}
+	opts := []raven.Option{raven.WithParallelism(*parallelism)}
 	if *resultCacheBytes > 0 {
 		opts = append(opts, raven.WithResultCache(*resultCacheBytes))
 	}

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	ravensql [-rows N] [-file script.sql] [-parallelism N] [-morsel N]
+//	ravensql [-rows N] [-file script.sql] [-parallelism N]
 //	         [-timeout D] [-result-cache-bytes N]
 //	echo "SELECT COUNT(*) AS n FROM patient_info" | ravensql
 //
@@ -50,7 +50,6 @@ func main() {
 	file := flag.String("file", "", "SQL script file ('-' or empty reads stdin)")
 	explain := flag.Bool("explain", false, "print plans instead of executing")
 	parallelism := flag.Int("parallelism", 0, "degree of parallelism for query execution (0 = GOMAXPROCS, 1 = serial)")
-	morsel := flag.Int("morsel", 0, "rows per parallel work unit (0 = engine default)")
 	timeout := flag.Duration("timeout", 0, "per-query deadline for SELECTs (0 = none), e.g. 500ms or 30s; DDL/INSERT statements are not bounded")
 	cacheBytes := flag.Int64("result-cache-bytes", 64<<20, "semantic result cache budget in bytes; the cache starts toggled off — enable it with a \\cache on meta line (0 = never built)")
 	dataDir := flag.String("data-dir", "", "durable data directory: writes are WAL-logged and recovered on restart; preload is skipped when the directory already holds the demo tables (empty = in-memory)")
@@ -58,7 +57,7 @@ func main() {
 	segmentRows := flag.Int("segment-rows", 0, "rows per sealed on-disk segment for -data-dir (0 = default 65536)")
 	flag.Parse()
 
-	db, err := setup(*rows, *parallelism, *morsel, *cacheBytes, *dataDir, *fsync, *segmentRows)
+	db, err := setup(*rows, *parallelism, *cacheBytes, *dataDir, *fsync, *segmentRows)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "setup:", err)
 		os.Exit(1)
@@ -131,8 +130,8 @@ func runMeta(db *raven.DB, line string, cacheOn *bool, cacheBytes int64) error {
 	}
 }
 
-func setup(rows, parallelism, morsel int, cacheBytes int64, dataDir, fsync string, segmentRows int) (*raven.DB, error) {
-	opts := []raven.Option{raven.WithParallelism(parallelism), raven.WithMorselSize(morsel)}
+func setup(rows, parallelism int, cacheBytes int64, dataDir, fsync string, segmentRows int) (*raven.DB, error) {
+	opts := []raven.Option{raven.WithParallelism(parallelism)}
 	if cacheBytes > 0 {
 		opts = append(opts, raven.WithResultCache(cacheBytes))
 	}

@@ -23,22 +23,19 @@ type Config struct {
 	Quick bool
 	// Warm and Runs control timing (paper: averages over warm runs).
 	Warm, Runs int
-	// Parallelism and MorselSize configure the engines the experiments
-	// build (0 keeps the engine defaults). Experiments that pin DOP
-	// explicitly (e.g. Fig2a's serial baselines) override per query and
-	// are unaffected.
+	// Parallelism configures the engines the experiments build (0 keeps
+	// the engine default). Experiments that pin DOP explicitly (e.g.
+	// Fig2a's serial baselines) override per query and are unaffected.
 	Parallelism int
-	MorselSize  int
 	// Adaptive opens the engines with WithAdaptiveMorsels, so morsel and
-	// serial-scan sizes self-tune. The standard
-	// configs enable it — it is the engine's recommended mode — and an
-	// explicit MorselSize still wins inside the engine.
+	// serial-scan sizes self-tune. The standard configs enable it — it is
+	// the engine's recommended mode.
 	Adaptive bool
 }
 
-// open builds an engine honoring the configured DOP and morsel size.
+// open builds an engine honoring the configured DOP.
 func (c Config) open() *raven.DB {
-	opts := []raven.Option{raven.WithParallelism(c.Parallelism), raven.WithMorselSize(c.MorselSize)}
+	opts := []raven.Option{raven.WithParallelism(c.Parallelism)}
 	if c.Adaptive {
 		opts = append(opts, raven.WithAdaptiveMorsels())
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -52,15 +53,15 @@ func newTestCluster(t *testing.T, n int) *testCluster {
 	return newTestClusterOpts(t, n, Options{ProbeInterval: 50 * time.Millisecond})
 }
 
-func newTestClusterOpts(t *testing.T, n int, opts Options) *testCluster {
+func newTestClusterOpts(t *testing.T, n int, opts Options, extra ...raven.Option) *testCluster {
 	t.Helper()
 	tc := &testCluster{serveErr: make(chan error, 1)}
 	srvOpts := server.Options{DrainGrace: 200 * time.Millisecond}
-	engOpts := []raven.Option{
+	engOpts := append([]raven.Option{
 		raven.WithParallelism(1),
 		raven.WithMaxConcurrentQueries(4),
 		raven.WithSchedulerQueue(32, 5*time.Second),
-	}
+	}, extra...)
 	for i := 0; i < n; i++ {
 		r, err := SpawnReplica(fmt.Sprintf("r%d", i), srvOpts, engOpts...)
 		if err != nil {
@@ -267,6 +268,77 @@ func TestReplicationAndAffinity(t *testing.T) {
 
 	tc.close(t)
 	assertGoroutinesReturn(t, base)
+}
+
+// TestReplicaResultCacheFreshThroughRouter: the router keeps no cache
+// of its own, so a repeated read through it is answered by the serving
+// replica's engine result cache, and a write replicated through the
+// router is visible to the very next read — ad hoc and prepared.
+func TestReplicaResultCacheFreshThroughRouter(t *testing.T) {
+	tc := newTestClusterOpts(t, 2, Options{ProbeInterval: 50 * time.Millisecond}, raven.WithResultCache(1<<20))
+	defer tc.close(t)
+	tc.seedData(t, 40)
+	tn := tenantHomedOn(tc.rt, "r1")
+	pr, err := tc.c.Prepare(server.QueryRequest{SQL: "SELECT id FROM pts WHERE id >= @lo", Tenant: tn})
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func(path, body string) (replica string, rows int) {
+		t.Helper()
+		resp, err := http.Post(tc.c.Base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, err %v: %s", path, resp.StatusCode, err, b)
+		}
+		for _, line := range strings.Split(string(b), "\n") {
+			if strings.HasPrefix(line, "[") {
+				rows++
+			}
+		}
+		return resp.Header.Get("X-Raven-Replica"), rows
+	}
+	hits := func(name string) uint64 {
+		for _, r := range tc.reps {
+			if r.Name == name {
+				return r.DB.Stats().ResultCache.Hits
+			}
+		}
+		t.Fatalf("no replica %q", name)
+		return 0
+	}
+	adhoc := func() (string, int) {
+		return read("/query", fmt.Sprintf(`{"sql":"SELECT id FROM pts","tenant":%q}`, tn))
+	}
+	prepared := func() (string, int) {
+		return read("/stmt/"+pr.ID+"/query", `{"params":{"lo":"10"}}`)
+	}
+	for _, c := range []struct {
+		name       string // each case inserts one row matching both reads
+		read       func() (string, int)
+		cold, warm int
+	}{{"ad hoc", adhoc, 40, 41}, {"prepared", prepared, 31, 32}} { // prepared: ids 10..39 and the ad hoc insert
+		rep, n := c.read()
+		if rep != "r1" || n != c.cold {
+			t.Fatalf("%s cold read: replica %q, %d rows; want r1, %d", c.name, rep, n, c.cold)
+		}
+		before := hits(rep)
+		if rep, n = c.read(); rep != "r1" || n != c.cold {
+			t.Fatalf("%s repeat read: replica %q, %d rows; want r1, %d", c.name, rep, n, c.cold)
+		}
+		if hits(rep) <= before {
+			t.Fatalf("%s repeat read was not a result-cache hit on %s", c.name, rep)
+		}
+		if err := tc.c.Exec(fmt.Sprintf("INSERT INTO pts VALUES (%d, 1, 1)", 100+c.cold)); err != nil {
+			t.Fatal(err)
+		}
+		if _, n = c.read(); n != c.warm {
+			t.Fatalf("%s read after a replicated INSERT: %d rows, want %d (stale cache hit)", c.name, n, c.warm)
+		}
+	}
 }
 
 func asHTTP(err error, out **server.HTTPError) bool {
@@ -599,7 +671,7 @@ func TestHedgedRequests(t *testing.T) {
 	fast := newFake(0)
 	defer fast.Close()
 
-	rt := New(Options{Hedge: true, HedgeMinSamples: 1})
+	rt := New(Options{Hedge: true})
 	defer rt.Close()
 	if err := rt.AddMember("slow", slow.URL); err != nil {
 		t.Fatal(err)
@@ -608,7 +680,9 @@ func TestHedgedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	rt.ProbeNow(context.Background())
-	rt.lat.record(10 * time.Millisecond) // prime the p99 estimate
+	for range hedgeMinSamples { // prime the p99 estimate
+		rt.lat.record(10 * time.Millisecond)
+	}
 
 	// A tenant homed on the slow replica.
 	tn := tenantHomedOn(rt, "slow")

@@ -67,10 +67,9 @@ type member struct {
 	// log order exactly once per member lifetime.
 	applyMu sync.Mutex
 	// appliedSeq is the highest log entry applied this replica lifetime.
-	// Writes happen under applyMu; it is atomic so the read path can
-	// snapshot replication progress before dispatching a request (the
-	// response-cache freshness gate) without blocking behind a slow
-	// apply holding applyMu for up to ApplyTimeout.
+	// Writes happen under applyMu; it is atomic so the probe and the
+	// fan-out can read replication progress without blocking behind a
+	// slow apply holding applyMu for up to applyTimeout.
 	appliedSeq  atomic.Uint64
 	lastVersion uint64 // catalog version read back after the last apply/probe
 
@@ -108,7 +107,7 @@ func (rt *Router) run() {
 	defer close(rt.loopDone)
 	// The loop context dies with the router, not with a tick: probes
 	// bound themselves with ProbeTimeout and repair replays with
-	// ApplyTimeout per entry, so a long catch-up (restarted replica, slow
+	// applyTimeout per entry, so a long catch-up (restarted replica, slow
 	// TRAIN entries) is not squeezed into one probe budget — but Close
 	// still cuts it off promptly.
 	ctx, cancel := context.WithCancel(context.Background())
@@ -158,7 +157,7 @@ func (rt *Router) reconcile(ctx context.Context) {
 
 // probeMember observes one replica and converges its state. Only the
 // health probe itself runs under ProbeTimeout; a repair replay gets
-// ApplyTimeout per entry (via applyEntry) and resumes from appliedSeq,
+// applyTimeout per entry (via applyEntry) and resumes from appliedSeq,
 // so a replica with a long or slow log to catch up on converges over
 // however many passes it needs instead of failing each one at the
 // probe deadline.

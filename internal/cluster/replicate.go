@@ -42,23 +42,14 @@ func (e *logEntry) describe() string {
 }
 
 // appendEntry assigns the next seq under the router lock and returns
-// the entry. Appending moves the log head, which is every response-
-// cache key's prefix — existing entries are already unreachable, so
-// the Clear below reclaims their bytes eagerly rather than leaving
-// dead keys to age out of the LRU. (A read still in flight across the
-// append may Put one last dead-key entry afterwards; it is never
-// looked up and evicts first.)
+// the entry.
 func (rt *Router) appendEntry(e logEntry) *logEntry {
 	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	rt.logSeq++
 	e.seq = rt.logSeq
 	rt.log = append(rt.log, e)
-	entry := &rt.log[len(rt.log)-1]
-	rt.mu.Unlock()
-	if rt.respCache != nil {
-		rt.respCache.Clear()
-	}
-	return entry
+	return &rt.log[len(rt.log)-1]
 }
 
 // logHead returns the seq of the newest entry (0 = empty log).
@@ -174,12 +165,12 @@ func (rt *Router) replicate(ctx context.Context, e logEntry) error {
 }
 
 // applyEntry applies one log entry to one member, retrying transient
-// failures. Each call runs under its own ApplyTimeout-derived deadline,
+// failures. Each call runs under its own applyTimeout-derived deadline,
 // independent of the probe interval and the default client timeout, so
 // slow entries (a long TRAIN, a large model upload) get a real budget
 // both on the fan-out path and during reconciler repair.
 func (rt *Router) applyEntry(ctx context.Context, m *member, e *logEntry) error {
-	actx, cancel := context.WithTimeout(ctx, rt.opts.ApplyTimeout)
+	actx, cancel := context.WithTimeout(ctx, applyTimeout)
 	defer cancel()
 	if e.kind == entryModel {
 		return rt.opts.Retry.Do(actx, server.Transient, func() error {

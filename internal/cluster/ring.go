@@ -21,6 +21,10 @@
 //     retry (exponential backoff + jitter), optional hedged reads after
 //     a p99-based delay, router-side prepared statements lazily prepared
 //     per replica, and aggregated cluster stats.
+//
+// The router caches no results: a repeated read is answered by the home
+// replica's own engine result cache (raven.WithResultCache), which
+// affinity keeps warm and the replica's catalog version keeps fresh.
 package cluster
 
 import (

@@ -14,7 +14,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"raven/internal/rescache"
 	"raven/internal/server"
 	"raven/internal/sql"
 )
@@ -25,15 +24,10 @@ type Options struct {
 	// tick is jittered ±25% so probe bursts never synchronize.
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe (default 2s). Repair replays
-	// triggered by a probe run under ApplyTimeout per entry instead, so
+	// triggered by a probe run under applyTimeout per entry instead, so
 	// a replica with a long log to catch up on is not required to do it
 	// inside one probe budget.
 	ProbeTimeout time.Duration
-	// ApplyTimeout bounds applying a single replication-log entry to one
-	// replica (default 2m) — fan-out and reconciler repair both. Slow
-	// entries (a long TRAIN, a large model upload) need a budget
-	// decoupled from probe cadence and the general ClientTimeout.
-	ApplyTimeout time.Duration
 	// FailThreshold is how many consecutive probe failures mark a
 	// member down (default 2 — one blip is a restarting listener).
 	FailThreshold int
@@ -50,21 +44,23 @@ type Options struct {
 	// is raced on the next-ranked healthy replica and the first response
 	// wins. Reads only — side effects never hedge.
 	Hedge bool
-	// HedgeMinSamples gates hedging until the latency window has seen
-	// enough reads to estimate a p99 (default 16).
-	HedgeMinSamples int
-	// ClientTimeout bounds probe/replication requests (default 5s).
-	// Routed queries are bounded by the caller's own deadline instead.
-	ClientTimeout time.Duration
-	// ResultCacheBytes enables the router's response cache: that many
-	// bytes of serialized read responses, keyed by (replication-log seq,
-	// tenant, statement, parameters) and cleared on every log append. A
-	// hit is served from the router without touching a replica — no
-	// round-trip, no retry, no hedge. 0 leaves it off.
-	ResultCacheBytes int64
 	// HTTP overrides the transport (tests); nil uses a dedicated client.
 	HTTP *http.Client
 }
+
+const (
+	// applyTimeout bounds applying a single replication-log entry to one
+	// replica — fan-out and reconciler repair both. Slow entries (a long
+	// TRAIN, a large model upload) need a budget decoupled from probe
+	// cadence and clientTimeout.
+	applyTimeout = 2 * time.Minute
+	// hedgeMinSamples gates hedging until the latency window has seen
+	// enough reads to estimate a p99.
+	hedgeMinSamples = 16
+	// clientTimeout bounds probe/replication requests. Routed queries are
+	// bounded by the caller's own deadline instead.
+	clientTimeout = 5 * time.Second
+)
 
 func (o Options) withDefaults() Options {
 	if o.ProbeInterval <= 0 {
@@ -73,20 +69,11 @@ func (o Options) withDefaults() Options {
 	if o.ProbeTimeout <= 0 {
 		o.ProbeTimeout = 2 * time.Second
 	}
-	if o.ApplyTimeout <= 0 {
-		o.ApplyTimeout = 2 * time.Minute
-	}
 	if o.FailThreshold <= 0 {
 		o.FailThreshold = 2
 	}
 	if o.SpillQueueDepth <= 0 {
 		o.SpillQueueDepth = 4
-	}
-	if o.HedgeMinSamples <= 0 {
-		o.HedgeMinSamples = 16
-	}
-	if o.ClientTimeout <= 0 {
-		o.ClientTimeout = 5 * time.Second
 	}
 	if o.HTTP == nil {
 		o.HTTP = &http.Client{}
@@ -129,21 +116,6 @@ type Router struct {
 	hedged, hedgeWins        atomic.Uint64
 	reprepared, repairs      atomic.Uint64
 	skipped                  atomic.Uint64
-
-	// respCache holds fully-buffered read responses (nil = disabled).
-	// Entries validate against the replication-log seq they were captured
-	// under, and the whole cache is cleared on every log append — the
-	// router's side effects are exactly the log, so "log unchanged" is
-	// "every replica read set unchanged".
-	respCache *rescache.Cache[*cachedResponse]
-}
-
-// cachedResponse is one buffered upstream read response. The log seq it
-// was captured under lives in its key, not here — see respCacheKey.
-type cachedResponse struct {
-	replica     string
-	contentType string
-	body        []byte
 }
 
 // routerStmt is a router-side prepared statement: the prepare request
@@ -166,9 +138,6 @@ func New(opts Options) *Router {
 		stmts:    make(map[string]*routerStmt),
 		stop:     make(chan struct{}),
 		loopDone: make(chan struct{}),
-	}
-	if rt.opts.ResultCacheBytes > 0 {
-		rt.respCache = rescache.New[*cachedResponse](rt.opts.ResultCacheBytes, 0)
 	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", rt.handleQuery)
@@ -210,7 +179,7 @@ func (rt *Router) AddMember(name, base string) error {
 	m := &member{
 		name:  name,
 		base:  strings.TrimRight(base, "/"),
-		c:     &server.Client{Base: strings.TrimRight(base, "/"), HTTP: rt.opts.HTTP, Timeout: rt.opts.ClientTimeout},
+		c:     &server.Client{Base: strings.TrimRight(base, "/"), HTTP: rt.opts.HTTP, Timeout: clientTimeout},
 		stmts: make(map[string]string),
 	}
 	rt.mu.Lock()
@@ -299,83 +268,6 @@ func requestTenant(r *http.Request, body string) string {
 	return body
 }
 
-// ---- response cache ----
-
-// respCacheKey builds a read's cache identity. The replication-log seq
-// leads the key (captured at request start, before any replica
-// executes): the router's only side-effect channel is the log, so a
-// response captured under seq N is valid exactly while the head is
-// still N — an append mid-flight strands the entry under a key nothing
-// will ever look up again. Fields are length-prefixed so values cannot
-// smuggle separators and collide two requests onto one key.
-func respCacheKey(seq uint64, kind, tenant, stmt string, params map[string]string, opts *server.QueryOptions) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "s%d|%s|%d:%s|%d:%s", seq, kind, len(tenant), tenant, len(stmt), stmt)
-	names := make([]string, 0, len(params))
-	for k := range params {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		fmt.Fprintf(&sb, "|%d:%s=%d:%s", len(k), k, len(params[k]), params[k])
-	}
-	if opts != nil {
-		if b, err := json.Marshal(opts); err == nil {
-			sb.WriteString("|o=")
-			sb.Write(b)
-		}
-	}
-	return sb.String()
-}
-
-// respCacheServe writes a cached response if one exists for key,
-// reporting whether it did. A hit costs no replica round-trip, no
-// retry and no hedge; the X-Raven-Cache header makes it visible.
-func (rt *Router) respCacheServe(w http.ResponseWriter, key string) bool {
-	e, ok := rt.respCache.Get(key, nil)
-	if !ok {
-		return false
-	}
-	w.Header().Set("Content-Type", e.contentType)
-	w.Header().Set("X-Raven-Replica", e.replica)
-	w.Header().Set("X-Raven-Cache", "hit")
-	w.WriteHeader(http.StatusOK)
-	w.Write(e.body)
-	return true
-}
-
-// cappedTee relays to w while accumulating a copy, abandoning the copy
-// (not the relay) the moment it crosses cap — an oversize response
-// streams through at full speed without the router holding all of it.
-type cappedTee struct {
-	w          io.Writer
-	buf        bytes.Buffer
-	cap        int64
-	overflowed bool
-}
-
-func (t *cappedTee) Write(p []byte) (int, error) {
-	if !t.overflowed {
-		if int64(t.buf.Len()+len(p)) > t.cap {
-			t.overflowed = true
-			t.buf.Reset()
-		} else {
-			t.buf.Write(p)
-		}
-	}
-	return t.w.Write(p)
-}
-
-// streamComplete reports whether a buffered NDJSON read response ended
-// in a trailer line. A stream that broke after the 200 status was on
-// the wire ends in an {"error": ...} line instead; caching that would
-// replay the failure from then on.
-func streamComplete(body []byte) bool {
-	b := bytes.TrimRight(body, "\r\n \t")
-	i := bytes.LastIndexByte(b, '\n')
-	return bytes.HasPrefix(b[i+1:], []byte(`{"rows"`))
-}
-
 // ---- read path: streaming proxy with retry + hedging ----
 
 // flushWriter flushes after every write so NDJSON rows stream through
@@ -400,14 +292,6 @@ type attempt struct {
 	resp   *http.Response
 	err    error
 	cancel context.CancelFunc
-	// applied is the member's replication progress snapshotted before
-	// the request was dispatched. A response is only cacheable when this
-	// is at least the log seq in its cache key: during a write fan-out
-	// the log head has already moved but a healthy-looking member may
-	// not have applied the new entry yet, and a read it serves in that
-	// window is pre-write data that must not be cached under the
-	// post-write seq.
-	applied uint64
 }
 
 func (a *attempt) discard() {
@@ -441,11 +325,10 @@ func (rt *Router) tryMember(ctx context.Context, m *member, path string, body []
 			}
 		}
 	}
-	applied := m.appliedSeq.Load()
 	m.inflight.Add(1)
 	resp, err := rt.opts.HTTP.Do(req)
 	m.inflight.Add(-1)
-	return attempt{m: m, resp: resp, err: err, cancel: cancel, applied: applied}
+	return attempt{m: m, resp: resp, err: err, cancel: cancel}
 }
 
 // retryableStatus: pre-execution admission rejections. A 503 from a
@@ -461,12 +344,8 @@ func retryableStatus(code int) bool {
 // the prepared path differs per replica — and may error (prepare
 // failed); notFound, if set, is called when a member answers 404 so the
 // caller can invalidate a cached statement id before the retry.
-// cacheKey, when non-empty, asks relay to capture the winning response
-// into the router's response cache; cacheSeq is the log seq baked into
-// that key (relay refuses to cache a response from a member that had
-// not yet applied up to it).
 func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, tenant string, body []byte,
-	pathFor func(ctx context.Context, m *member) (string, error), notFound func(m *member), cacheKey string, cacheSeq uint64) {
+	pathFor func(ctx context.Context, m *member) (string, error), notFound func(m *member)) {
 
 	targets := rt.targetsFor(tenant)
 	if len(targets) == 0 {
@@ -530,7 +409,7 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, tenant strin
 			last = attempt{m: m, err: &server.HTTPError{Status: a.resp.StatusCode, Msg: a.resp.Status}}
 			continue
 		default:
-			rt.relay(w, a, cacheKey, cacheSeq)
+			rt.relay(w, a)
 			return
 		}
 	}
@@ -551,16 +430,8 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, tenant strin
 }
 
 // relay copies the upstream response through, flushing per write so
-// row streams stay streams. A non-empty cacheKey tees the stream into
-// the response cache — only a 200 that fits the per-entry cap, copied
-// to completion (client still connected) and ending in a trailer line
-// (no mid-stream error) is kept, and only when the serving member had
-// applied the log at least up to cacheSeq before the request was
-// dispatched. Without that gate, a read racing a write fan-out — log
-// head already at N, this member still applying entry N — would
-// capture pre-write data under the post-write key and serve it stale
-// once the write acks.
-func (rt *Router) relay(w http.ResponseWriter, a attempt, cacheKey string, cacheSeq uint64) {
+// row streams stay streams.
+func (rt *Router) relay(w http.ResponseWriter, a attempt) {
 	defer a.resp.Body.Close()
 	defer a.cancel()
 	for _, h := range []string{"Content-Type", "Retry-After"} {
@@ -574,23 +445,9 @@ func (rt *Router) relay(w http.ResponseWriter, a attempt, cacheKey string, cache
 	if f, ok := w.(http.Flusher); ok {
 		fw.f = f
 	}
-	var tee *cappedTee
-	var dst io.Writer = fw
-	if rt.respCache != nil && cacheKey != "" && a.applied >= cacheSeq && a.resp.StatusCode == http.StatusOK {
-		tee = &cappedTee{w: fw, cap: rt.respCache.EntryCap()}
-		dst = tee
-	}
 	a.m.inflight.Add(1)
-	_, err := io.Copy(dst, a.resp.Body)
+	io.Copy(fw, a.resp.Body)
 	a.m.inflight.Add(-1)
-	if tee != nil && err == nil && !tee.overflowed && streamComplete(tee.buf.Bytes()) {
-		body := append([]byte(nil), tee.buf.Bytes()...)
-		rt.respCache.Put(cacheKey, &cachedResponse{
-			replica:     a.m.name,
-			contentType: a.resp.Header.Get("Content-Type"),
-			body:        body,
-		}, int64(len(body)+len(cacheKey))+64)
-	}
 }
 
 // hedgedFirst races the first attempt on two replicas when the primary
@@ -704,32 +561,18 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Response cache: key under the log head as of now — before any
-	// replica executes — so a side effect landing mid-flight strands the
-	// captured entry instead of ever serving it stale. A hit returns
-	// without touching targets, retry or hedging at all.
-	var cacheKey string
-	var cacheSeq uint64
-	if rt.respCache != nil && !req.NoCache { // read-only, hence cacheable: the engine's own gate
-		cacheSeq = rt.logHead()
-		cacheKey = respCacheKey(cacheSeq, "q", tenant, req.SQL, req.Params, req.Options)
-		if rt.respCacheServe(w, cacheKey) {
-			return
-		}
-	}
-
 	pathFor := func(context.Context, *member) (string, error) { return "/query", nil }
 	targets := rt.targetsFor(tenant)
-	if rt.opts.Hedge && len(targets) >= 2 && rt.lat.size() >= rt.opts.HedgeMinSamples {
+	if rt.opts.Hedge && len(targets) >= 2 && rt.lat.size() >= hedgeMinSamples {
 		a := rt.hedgedFirst(r.Context(), targets, "/query", "/query", body, r.Header)
 		if a.err == nil {
 			rt.routed.Add(1) // served here; the fall-through path is counted by proxyRead
-			rt.relay(w, a, cacheKey, cacheSeq)
+			rt.relay(w, a)
 			return
 		}
 		// Both hedge legs failed; fall through to the plain retry loop.
 	}
-	rt.proxyRead(w, r, tenant, body, pathFor, nil, cacheKey, cacheSeq)
+	rt.proxyRead(w, r, tenant, body, pathFor, nil)
 }
 
 func (rt *Router) handleStoreModel(w http.ResponseWriter, r *http.Request) {
@@ -855,19 +698,6 @@ func (rt *Router) handleStmtQuery(w http.ResponseWriter, r *http.Request) {
 		tenant = rs.req.Tenant
 	}
 
-	// Prepared statements are compile-only (the prepare surface rejects
-	// side effects), so every execution is a cacheable read; the router
-	// statement id — never reused — stands in for SQL and options.
-	var cacheKey string
-	var cacheSeq uint64
-	if rt.respCache != nil && !req.NoCache {
-		cacheSeq = rt.logHead()
-		cacheKey = respCacheKey(cacheSeq, "t", tenant, rs.id, req.Params, nil)
-		if rt.respCacheServe(w, cacheKey) {
-			return
-		}
-	}
-
 	pathFor := func(ctx context.Context, m *member) (string, error) {
 		id, err := rt.ensureStmt(ctx, m, rs)
 		if err != nil {
@@ -884,7 +714,7 @@ func (rt *Router) handleStmtQuery(w http.ResponseWriter, r *http.Request) {
 		m.stmtMu.Unlock()
 		rt.reprepared.Add(1)
 	}
-	rt.proxyRead(w, r, tenant, body, pathFor, notFound, cacheKey, cacheSeq)
+	rt.proxyRead(w, r, tenant, body, pathFor, notFound)
 }
 
 func (rt *Router) handleStmtDelete(w http.ResponseWriter, r *http.Request) {
@@ -932,9 +762,6 @@ type RouterStats struct {
 	LogSkipped uint64  `json:"log_skipped"`
 	Statements int     `json:"statements"`
 	P99Millis  float64 `json:"p99_ms"`
-	// Cache is the response cache's counters (absent when disabled).
-	// Hits here never touched a replica.
-	Cache *rescache.Stats `json:"cache,omitempty"`
 }
 
 // MemberInfo is one replica's row in cluster stats.
@@ -998,11 +825,6 @@ func (rt *Router) Stats(ctx context.Context) ClusterStats {
 	stmts := len(rt.stmts)
 	entries := rt.logSeq
 	rt.mu.Unlock()
-	var cacheStats *rescache.Stats
-	if rt.respCache != nil {
-		s := rt.respCache.Stats()
-		cacheStats = &s
-	}
 	return ClusterStats{
 		Router: RouterStats{
 			Members:    len(members),
@@ -1018,7 +840,6 @@ func (rt *Router) Stats(ctx context.Context) ClusterStats {
 			LogSkipped: rt.skipped.Load(),
 			Statements: stmts,
 			P99Millis:  float64(rt.lat.p99()) / float64(time.Millisecond),
-			Cache:      cacheStats,
 		},
 		Members: infos,
 	}

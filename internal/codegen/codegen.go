@@ -106,7 +106,7 @@ func (c *compiler) lower(n plan.Node, below func(plan.Node) (*exec.Exchange, err
 		return c.score(&x.Scorer, below, nil, func() (exec.Predictor, error) {
 			r, key := c.cfg.runtime(), c.sessionKey(&x.Scorer)
 			if x.UseGPU {
-				r = &rt.Runtime{Cache: r.Cache, Provider: ort.DefaultGPU(), GraphOptimize: r.GraphOptimize}
+				r = &rt.Runtime{Cache: r.Cache, Provider: ort.DefaultGPU()}
 				if key != "" {
 					key += "/gpu"
 				}

@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"raven/internal/expr"
@@ -20,20 +21,42 @@ type Binder struct {
 	// PREDICT model names still resolve at bind time — the chosen model
 	// shapes the whole optimized plan — so MODEL=@var requires a DECLARE.
 	AllowParams bool
-	// ctes maps in-scope CTE names to their bound plans.
-	ctes map[string]Node
+	// ctes maps in-scope CTE names to their definitions.
+	ctes map[string]*cteDef
+}
+
+// cteDef is one in-scope CTE: its AST and the CTEs visible where it was
+// defined. Every reference binds a subtree of its own — a rule that
+// pushes a filter into one reference in place must not reach another —
+// and the first takes the tree bound (and checked) at the definition.
+type cteDef struct {
+	sel   *sql.SelectStmt
+	scope map[string]*cteDef
+	bound Node
+}
+
+// bindCTE returns a fresh subtree for one reference to d.
+func (b *Binder) bindCTE(d *cteDef) (Node, error) {
+	if n := d.bound; n != nil {
+		d.bound = nil
+		return n, nil
+	}
+	saved := b.ctes
+	b.ctes = d.scope
+	defer func() { b.ctes = saved }()
+	return b.BindSelect(d.sel)
 }
 
 // NewBinder returns a binder over the catalog.
 func NewBinder(cat *storage.Catalog) *Binder {
-	return &Binder{Catalog: cat, Vars: make(map[string]string), ctes: make(map[string]Node)}
+	return &Binder{Catalog: cat, Vars: make(map[string]string), ctes: make(map[string]*cteDef)}
 }
 
 // BindSelect lowers a SELECT statement to a logical plan.
 func (b *Binder) BindSelect(st *sql.SelectStmt) (Node, error) {
 	// CTEs bind in order and are visible to later CTEs and the body.
 	saved := b.ctes
-	b.ctes = make(map[string]Node, len(saved)+len(st.CTEs))
+	b.ctes = make(map[string]*cteDef, len(saved)+len(st.CTEs))
 	for k, v := range saved {
 		b.ctes[k] = v
 	}
@@ -43,7 +66,7 @@ func (b *Binder) BindSelect(st *sql.SelectStmt) (Node, error) {
 		if err != nil {
 			return nil, fmt.Errorf("plan: binding CTE %q: %w", cte.Name, err)
 		}
-		b.ctes[strings.ToLower(cte.Name)] = p
+		b.ctes[strings.ToLower(cte.Name)] = &cteDef{sel: cte.Select, scope: maps.Clone(b.ctes), bound: p}
 	}
 
 	var cur Node
@@ -206,7 +229,7 @@ func (b *Binder) bindTableRef(ref sql.TableRef) (Node, error) {
 	switch r := ref.(type) {
 	case *sql.TableName:
 		if cte, ok := b.ctes[strings.ToLower(r.Name)]; ok {
-			return cte, nil
+			return b.bindCTE(cte)
 		}
 		t, err := b.Catalog.Table(r.Name)
 		if err != nil {

@@ -193,9 +193,8 @@ func (p *SessionPredictor) Charged() (time.Duration, int) {
 type Runtime struct {
 	Cache *ort.SessionCache
 	// Provider executes LA graphs; nil means CPU with full parallelism.
+	// Sessions always run the ort graph optimizer.
 	Provider ort.Provider
-	// GraphOptimize toggles the ort graph optimizer (ablation hook).
-	GraphOptimize bool
 	// ExternalStartup is the simulated boot time of the external runtime
 	// for ModeOutOfProcess.
 	ExternalStartup time.Duration
@@ -205,7 +204,6 @@ type Runtime struct {
 func NewRuntime() *Runtime {
 	return &Runtime{
 		Cache:           ort.NewSessionCache(),
-		GraphOptimize:   true,
 		ExternalStartup: DefaultExternalStartup,
 	}
 }
@@ -216,7 +214,7 @@ func NewRuntime() *Runtime {
 // query.
 func (r *Runtime) BuildSession(cacheKey string, g *ort.Graph) (*ort.Session, error) {
 	build := func() (*ort.Session, error) {
-		opts := ort.SessionOptions{Optimize: r.GraphOptimize, Provider: r.Provider}
+		opts := ort.SessionOptions{Optimize: true, Provider: r.Provider}
 		if opts.Provider == nil {
 			opts.Provider = ort.CPUProvider{}
 		}

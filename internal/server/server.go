@@ -227,12 +227,8 @@ type QueryOptions struct {
 	// Parallelism requests a DOP; the server clamps it to 8×GOMAXPROCS
 	// (on top of any engine slot budget), because goroutine fan-out is
 	// allocated per request and wire clients are untrusted.
-	Parallelism int `json:"parallelism,omitempty"`
-	MorselSize  int `json:"morsel_size,omitempty"`
-	// ParallelThresholdRows gates parallel execution by scan size
-	// (1 forces parallelism on small tables).
-	ParallelThresholdRows int  `json:"parallel_threshold_rows,omitempty"`
-	DisablePlanCache      bool `json:"disable_plan_cache,omitempty"`
+	Parallelism      int  `json:"parallelism,omitempty"`
+	DisablePlanCache bool `json:"disable_plan_cache,omitempty"`
 }
 
 func (o *QueryOptions) engine() raven.QueryOptions {
@@ -251,12 +247,6 @@ func (o *QueryOptions) engine() raven.QueryOptions {
 		par = cap
 	}
 	opts.Parallelism = par
-	if o.MorselSize > 0 {
-		opts.MorselSize = o.MorselSize
-	}
-	if o.ParallelThresholdRows > 0 {
-		opts.ParallelThresholdRows = o.ParallelThresholdRows
-	}
 	opts.DisablePlanCache = o.DisablePlanCache
 	return opts
 }

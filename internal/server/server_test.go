@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -729,5 +730,44 @@ func TestLegacyWireAliases(t *testing.T) {
 	if db.Stats().Scheduler.Tenants["prep-tenant"].Admitted < 2 {
 		t.Fatalf("prepared statement's registered tenant not inherited: %+v",
 			db.Stats().Scheduler.Tenants)
+	}
+}
+
+// TestRemovedWireOptionsRejected: options.morsel_size and
+// options.parallel_threshold_rows are not part of the wire protocol, so
+// a body carrying either is a 400 naming the field — on the ad hoc and
+// the prepared path — while every remaining options field is accepted.
+func TestRemovedWireOptionsRejected(t *testing.T) {
+	db := raven.MustOpen()
+	t.Cleanup(func() { db.Close() })
+	if err := db.ExecContext(context.Background(), `CREATE TABLE w (a INT); INSERT INTO w VALUES (1), (2)`); err != nil {
+		t.Fatal(err)
+	}
+	c, _, hc := startServer(t, db, Options{})
+	pr, err := c.Prepare(QueryRequest{SQL: `SELECT a FROM w`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	post := func(path, body string) (int, string) {
+		t.Helper()
+		resp, err := hc.Post(c.Base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	for _, path := range []string{"/query", "/stmt/" + pr.ID + "/query"} {
+		for _, field := range []string{"morsel_size", "parallel_threshold_rows"} {
+			body := fmt.Sprintf(`{"sql":"SELECT a FROM w","options":{"parallelism":2,%q:1}}`, field)
+			if code, msg := post(path, body); code != http.StatusBadRequest || !strings.Contains(msg, field) {
+				t.Errorf("%s with options.%s: status %d, body %q; want 400 naming the field", path, field, code, msg)
+			}
+		}
+		body := `{"sql":"SELECT a FROM w","options":{"cross_optimize":false,"parallelism":2,"disable_plan_cache":true}}`
+		if code, msg := post(path, body); code != http.StatusOK {
+			t.Errorf("%s with every remaining option: status %d, body %q", path, code, msg)
+		}
 	}
 }

@@ -79,28 +79,23 @@ type Durable struct {
 type DurableOptions struct {
 	// Fsync is the WAL sync policy (default FsyncAlways).
 	Fsync wal.Policy
-	// FsyncInterval is the background sync period under FsyncInterval.
-	FsyncInterval time.Duration
 	// SegmentRows seals a table tail into a segment once it reaches this
 	// many rows (default 65536).
 	SegmentRows int
-	// CheckpointWalBytes triggers a background checkpoint once the live
-	// WAL exceeds this size (default 64 MiB).
-	CheckpointWalBytes int64
-	// CheckpointPoll is how often the background loop looks at the WAL
-	// size (default 2s).
-	CheckpointPoll time.Duration
 }
+
+const (
+	// checkpointWalBytes triggers a background checkpoint once the live
+	// WAL exceeds this size.
+	checkpointWalBytes = 64 << 20
+	// checkpointPoll is how often the background loop looks at the WAL
+	// size.
+	checkpointPoll = 2 * time.Second
+)
 
 func (o *DurableOptions) defaults() {
 	if o.SegmentRows <= 0 {
 		o.SegmentRows = 1 << 16
-	}
-	if o.CheckpointWalBytes <= 0 {
-		o.CheckpointWalBytes = 64 << 20
-	}
-	if o.CheckpointPoll <= 0 {
-		o.CheckpointPoll = 2 * time.Second
 	}
 }
 
@@ -225,7 +220,7 @@ func (d *Durable) walPath(seq uint64) string {
 }
 
 func (d *Durable) walOpts() wal.Options {
-	return wal.Options{Policy: d.opts.Fsync, Interval: d.opts.FsyncInterval}
+	return wal.Options{Policy: d.opts.Fsync}
 }
 
 // sanitizeName maps a table name onto a filesystem-safe segment file
@@ -982,7 +977,7 @@ func (d *Durable) sweepOrphans(c *Catalog, man *manifestFile) {
 
 func (d *Durable) checkpointLoop() {
 	defer close(d.done)
-	ticker := time.NewTicker(d.opts.CheckpointPoll)
+	ticker := time.NewTicker(checkpointPoll)
 	defer ticker.Stop()
 	for {
 		select {
@@ -992,7 +987,7 @@ func (d *Durable) checkpointLoop() {
 			d.rotateMu.RLock()
 			size := d.log.Size()
 			d.rotateMu.RUnlock()
-			if size > d.opts.CheckpointWalBytes {
+			if size > checkpointWalBytes {
 				if err := d.Checkpoint(); err != nil {
 					// A failed background checkpoint leaves the previous
 					// manifest + WAL chain intact; the next WAL append will

@@ -36,9 +36,9 @@ const (
 	// survives kill -9 and power loss. Concurrent appenders share fsyncs
 	// via group commit.
 	FsyncAlways Policy = iota
-	// FsyncInterval syncs on a background timer: an acknowledged write
-	// survives process death (the data is in the OS page cache) but the
-	// last interval may be lost on power failure.
+	// FsyncInterval syncs on a background timer (every syncInterval):
+	// an acknowledged write survives process death (the data is in the OS
+	// page cache) but the last interval may be lost on power failure.
 	FsyncInterval
 	// FsyncOff never syncs except at clean close and checkpoint: fastest
 	// loads, weakest guarantee.
@@ -74,13 +74,12 @@ func (p Policy) String() string {
 // Options configures a Log.
 type Options struct {
 	Policy Policy
-	// Interval is the background sync period under FsyncInterval;
-	// defaults to 50ms.
-	Interval time.Duration
 }
 
 const (
-	headerSize = 9
+	// syncInterval is the background sync period under FsyncInterval.
+	syncInterval = 50 * time.Millisecond
+	headerSize   = 9
 	// maxRecord bounds a single payload; a length field beyond it is
 	// treated as corruption rather than an allocation request.
 	maxRecord = 1 << 28
@@ -151,20 +150,16 @@ func open(path string, o Options, size int64) (*Log, error) {
 	l := &Log{path: path, policy: o.Policy, f: f, off: size, synced: size}
 	l.syncCnd = sync.NewCond(&l.syncMu)
 	if o.Policy == FsyncInterval {
-		iv := o.Interval
-		if iv <= 0 {
-			iv = 50 * time.Millisecond
-		}
 		l.stop = make(chan struct{})
 		l.done = make(chan struct{})
-		go l.flushLoop(iv)
+		go l.flushLoop()
 	}
 	return l, nil
 }
 
-func (l *Log) flushLoop(iv time.Duration) {
+func (l *Log) flushLoop() {
 	defer close(l.done)
-	t := time.NewTicker(iv)
+	t := time.NewTicker(syncInterval)
 	defer t.Stop()
 	for {
 		select {

@@ -232,13 +232,13 @@ func TestConcurrentParallelQueriesOverSharedTables(t *testing.T) {
 }
 
 func TestOpenOptions(t *testing.T) {
-	db := MustOpen(WithParallelism(3), WithMorselSize(2048))
-	if db.DefaultParallelism != 3 || db.MorselSize != 2048 {
-		t.Fatalf("options not applied: dop=%d morsel=%d", db.DefaultParallelism, db.MorselSize)
+	db := MustOpen(WithParallelism(3))
+	if db.DefaultParallelism != 3 {
+		t.Fatalf("option not applied: dop=%d", db.DefaultParallelism)
 	}
 	// Out-of-range values keep defaults.
-	db2 := MustOpen(WithParallelism(0), WithMorselSize(-1))
-	if db2.DefaultParallelism < 1 || db2.MorselSize != 0 {
-		t.Fatalf("bad option handling: dop=%d morsel=%d", db2.DefaultParallelism, db2.MorselSize)
+	db2 := MustOpen(WithParallelism(0))
+	if db2.DefaultParallelism < 1 {
+		t.Fatalf("bad option handling: dop=%d", db2.DefaultParallelism)
 	}
 }

@@ -26,11 +26,11 @@
 // queries never serialize behind one compile.
 //
 // The engine-wide degree of parallelism defaults to GOMAXPROCS and is set
-// at Open time with WithParallelism (WithMorselSize tunes the work unit);
-// QueryOptions.Parallelism overrides it per query, with 1 running every
-// pipeline and breaker inline. Scans of small tables (below
-// QueryOptions.ParallelThresholdRows, default 50k rows) run as one-worker
-// pipelines regardless, since fan-out costs more than it saves.
+// at Open time with WithParallelism; QueryOptions.Parallelism overrides
+// it per query, with 1 running every pipeline and breaker inline. Scans of
+// small tables (below QueryOptions.ParallelThresholdRows, default 50k rows)
+// run as one-worker pipelines regardless, since fan-out costs more than it
+// saves.
 //
 // # Serving API
 //
@@ -206,9 +206,6 @@ type DB struct {
 	// DefaultParallelism is the morsel-exchange worker count for queries
 	// that leave QueryOptions.Parallelism at 0. Defaults to GOMAXPROCS.
 	DefaultParallelism int
-	// MorselSize is the engine-wide rows-per-morsel for parallel plans; 0
-	// uses the executor default.
-	MorselSize int
 	// tuner adapts morsel sizes from table statistics and observed
 	// per-morsel service times; nil unless
 	// WithAdaptiveMorsels was given.
@@ -277,21 +274,11 @@ func WithParallelism(n int) Option {
 	}
 }
 
-// WithMorselSize sets the engine-wide rows-per-morsel for parallel plans.
-// Values < 1 are ignored.
-func WithMorselSize(n int) Option {
-	return func(db *DB) {
-		if n >= 1 {
-			db.MorselSize = n
-		}
-	}
-}
-
 // WithAdaptiveMorsels turns on adaptive batch sizing: the engine tunes
 // rows-per-morsel from table cardinality and the per-morsel service times
 // it observes (one morsel per small table at one worker). Explicit sizes
-// still win: a query (or engine) MorselSize overrides the tuned morsel
-// size. The tuner's current estimates appear in Stats().Adaptive.
+// still win: a query's MorselSize overrides the tuned morsel size. The
+// tuner's current estimates appear in Stats().Adaptive.
 func WithAdaptiveMorsels() Option {
 	return func(db *DB) {
 		db.tuner = exec.NewTuner()
@@ -1190,17 +1177,13 @@ func (db *DB) optimizerOptions(opts QueryOptions) xopt.Options {
 // and carry the call's context into every operator.
 func (db *DB) lower(ctx context.Context, graph *ir.Graph, opts QueryOptions) (exec.Operator, error) {
 	par := db.effectiveParallelism(ctx, opts)
-	morsel := opts.MorselSize
-	if morsel == 0 {
-		morsel = db.MorselSize
-	}
 	cfg := &codegen.Config{
 		Runtime:               db.runtime,
 		Ctx:                   ctx,
 		Mode:                  opts.Mode,
 		Parallelism:           par,
 		ParallelThresholdRows: opts.ParallelThresholdRows,
-		MorselSize:            morsel,
+		MorselSize:            opts.MorselSize,
 		Tuner:                 db.tuner,
 	}
 	return codegen.Compile(graph, cfg)

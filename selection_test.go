@@ -517,3 +517,38 @@ func TestTransitiveFilterRenamesInsideCase(t *testing.T) {
 		}
 	}
 }
+
+// cteTwiceCases reference one CTE twice, each reference under its own
+// filter; twin writes the CTE inline at both places.
+var cteTwiceCases = []struct{ name, q string }{
+	{"over PREDICT", `SELECT u.k, u.s, v.s2 FROM (SELECT d.k AS k, p.s AS s FROM PREDICT(MODEL='ab_tree', DATA=(SELECT * FROM c) AS d) WITH (s FLOAT) AS p WHERE d.y > 1) AS u ` +
+		`JOIN (SELECT e.k AS k2, q.s AS s2 FROM PREDICT(MODEL='ab_tree', DATA=(SELECT * FROM c) AS e) WITH (s FLOAT) AS q WHERE e.y <= 1) AS v ON u.k = v.k2`},
+	{"relational", `SELECT u.k FROM (SELECT c.k AS k FROM c WHERE c.y > 1) AS u JOIN (SELECT c.k AS k2 FROM c WHERE c.y <= 1) AS v ON u.k = v.k2`},
+}
+
+// TestCTEReferencedTwice: each reference to a CTE is a subtree of its
+// own, so a filter pushed into one reference never reaches the other.
+// Both rows returned 0 rows when the two references shared one bound
+// subtree (with the inline twin returning 21).
+func TestCTEReferencedTwice(t *testing.T) {
+	db := selectionDB(t, 100)
+	const body = `SELECT * FROM a JOIN b ON a.k = b.fk`
+	for _, tc := range cteTwiceCases {
+		q := `WITH c AS (` + body + `) ` + tc.q
+		twin := strings.ReplaceAll(tc.q, "FROM c", "FROM ("+body+") AS c")
+		t.Run(tc.name, func(t *testing.T) {
+			for _, cross := range []bool{true, false} {
+				for _, dop := range []int{1, 4} {
+					opts := DefaultQueryOptions()
+					opts.CrossOptimize, opts.Parallelism, opts.ParallelThresholdRows = cross, dop, 1
+					label := fmt.Sprintf("cross-optimize %v, dop %d", cross, dop)
+					want := collectParams(t, db, twin, opts, nil)
+					if want.Batch.Len() == 0 {
+						t.Fatalf("%s: inline twin returned no rows (query shape broken)", label)
+					}
+					batchesIdentical(t, label, want.Batch, collectParams(t, db, q, opts, nil).Batch)
+				}
+			}
+		})
+	}
+}
