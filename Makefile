@@ -5,7 +5,7 @@ COVER_FLOOR ?= 70
 # Ceiling for `make loc` (non-test Go lines, benchmark/ excluded): the
 # current total rounded up to the next 50. ROADMAP aim 2 says the number
 # goes down; a PR that lowers it lowers this with it.
-LOC_CEILING ?= 28200
+LOC_CEILING ?= 28100
 
 .PHONY: all build test test-benchmark race vet fmt-check fuzz bench bench-micro cover smoke loc ci
 
@@ -45,8 +45,8 @@ vet:
 	$(GO) vet ./...
 
 # cover reports statement coverage and enforces a floor so the serving-API
-# surface (prepared statements, plan cache, streaming, cancellation) stays
-# tested as it grows.
+# surface (prepared statements, result cache, streaming, cancellation)
+# stays tested as it grows.
 cover:
 	$(GO) test -coverprofile=cover.out ./...
 	@$(GO) tool cover -func=cover.out | tail -1

@@ -248,9 +248,8 @@ func TestQueryContextParams(t *testing.T) {
 	rows2.Close()
 }
 
-// TestDBStatsConsolidated checks the /stats source of truth: plan cache
-// counters (incl. size), session cache, scheduler and compiles all
-// present and plausible.
+// TestDBStatsConsolidated checks the /stats source of truth: session
+// cache, scheduler and compiles all present and plausible.
 func TestDBStatsConsolidated(t *testing.T) {
 	db := MustOpen(WithMaxConcurrentQueries(4))
 	if _, err := genHospitalInto(db, 500); err != nil {
@@ -263,9 +262,6 @@ func TestDBStatsConsolidated(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := db.Stats()
-	if st.PlanCache.Hits == 0 || st.PlanCache.Misses == 0 || st.PlanCache.Size == 0 || st.PlanCache.Capacity != defaultPlanCacheSize {
-		t.Fatalf("plan cache: %+v", st.PlanCache)
-	}
 	// The tree model inlines rather than compiling a tensor session, so
 	// only the shape of the session-cache section is checked here (its
 	// counting has its own tests in internal/ort).
@@ -282,46 +278,6 @@ func TestDBStatsConsolidated(t *testing.T) {
 	plain := MustOpen()
 	if plain.Stats().Scheduler != nil {
 		t.Fatal("schedulerless engine reported scheduler stats")
-	}
-}
-
-// TestPlanCacheEvictionCounter fills the plan cache past capacity with
-// distinct ad-hoc statements and watches Size stay bounded while
-// Evictions count; a DDL then moves Invalidations.
-func TestPlanCacheEvictionCounter(t *testing.T) {
-	db := MustOpen()
-	if err := db.Exec(`CREATE TABLE evict_t (k INT PRIMARY KEY, v FLOAT)`); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Exec(`INSERT INTO evict_t VALUES (1, 1.0)`); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i <= defaultPlanCacheSize+10; i++ {
-		if _, err := db.Query(fmt.Sprintf(`SELECT k FROM evict_t WHERE k > %d`, i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st := db.Stats().PlanCache
-	if st.Size > st.Capacity {
-		t.Fatalf("size %d exceeds capacity %d", st.Size, st.Capacity)
-	}
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions after overfilling: %+v", st)
-	}
-	// Cache a query, invalidate via DDL, re-run: the stale entry is
-	// dropped and counted.
-	q := `SELECT k FROM evict_t WHERE k > 0`
-	if _, err := db.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Exec(`CREATE TABLE evict_t2 (k INT PRIMARY KEY)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Query(q); err != nil {
-		t.Fatal(err)
-	}
-	if got := db.Stats().PlanCache.Invalidations; got == 0 {
-		t.Fatal("catalog bump did not count an invalidation")
 	}
 }
 

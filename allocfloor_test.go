@@ -91,7 +91,9 @@ func genBreakerTables(cat *storage.Catalog, rows, dimRows, segs int, seed int64)
 // the typed kernels, vector pooling and adaptive batching must keep
 // steady-state heap allocations per input row at DOP 1 at least 5x below
 // what the boxed (pre-typed-kernel) data plane cost on the same
-// workloads. Each case's floor is on the mean over its queries.
+// workloads. Each case's floor is on the mean over its queries. Each
+// query runs as a prepared statement: the budget is the data plane's,
+// and a repeated statement compiles once only through Prepare.
 func TestAllocationFloors(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates on its own")
@@ -147,8 +149,15 @@ func TestAllocationFloors(t *testing.T) {
 			}
 			var total float64
 			for _, q := range tc.queries {
+				st, err := db.PrepareWithOptions(q, tc.opts)
+				if err != nil {
+					t.Fatal(err)
+				}
 				apr := allocsPerRow(t, tc.rows, func() error {
-					_, err := db.QueryWithOptions(q, tc.opts)
+					rows, err := st.Query()
+					if err == nil {
+						_, err = rows.Collect()
+					}
 					return err
 				})
 				t.Logf("%.5f allocs/row: %s", apr, q)

@@ -62,8 +62,8 @@ func BenchmarkStaticAnalysis(b *testing.B) { runExperiment(b, bench.StaticAnalys
 // optimizations against the unoptimized external path.
 func BenchmarkRunningExample(b *testing.B) { runExperiment(b, bench.RunningExample) }
 
-// BenchmarkPreparedPredict measures prepared/plan-cached execution against
-// cold per-call compilation on a small inference query.
+// BenchmarkPreparedPredict measures prepared execution against cold
+// per-call compilation on a small inference query.
 func BenchmarkPreparedPredict(b *testing.B) { runExperiment(b, bench.PreparedPredict) }
 
 // BenchmarkQueryOptimizedVsBaseline measures one optimized inference query

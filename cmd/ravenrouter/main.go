@@ -12,7 +12,7 @@
 // The router health-checks every replica on a jittered interval and
 // converges membership (healthy / degraded / draining / down). Reads
 // route by rendezvous-hashed tenant affinity — a tenant's queries keep
-// hitting the same replica, so its plan cache and statement registry
+// hitting the same replica, so its result cache and statement registry
 // stay warm — spilling to the least-loaded healthy replica when the
 // home's admission queue is saturated, with per-replica retries
 // (exponential backoff + jitter) and optional hedging (-hedge) once the

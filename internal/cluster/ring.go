@@ -6,7 +6,7 @@
 // The pieces:
 //
 //   - ring.go: rendezvous (highest-random-weight) hashing gives every
-//     tenant a stable home replica, keeping that replica's plan cache
+//     tenant a stable home replica, keeping that replica's result cache
 //     and statement registry warm for the tenant's query shapes, with a
 //     deterministic spill order when the home is saturated or down.
 //   - member.go: replica membership. A reconciler loop probes each member's
@@ -36,7 +36,7 @@ import (
 // tenant, highest first: index 0 is the tenant's home replica, the rest
 // the deterministic spill order. Rendezvous hashing gives minimal
 // disruption — adding or removing one member only moves the tenants
-// whose top choice changed, so the other replicas' plan caches and
+// whose top choice changed, so the other replicas' result caches and
 // statement registries stay warm.
 func rankMembers(tenant string, names []string) []string {
 	ranked := make([]string, len(names))

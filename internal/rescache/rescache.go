@@ -1,9 +1,7 @@
 // Package rescache is the tree's one cache: a byte-budgeted LRU with
-// per-key singleflight and validation at lookup. It has four users — the
-// engine's result cache (materialized batches) and plan cache (compiled
-// templates, one unit each), the inference-session cache in internal/ort
-// (compiled sessions, sized by their weights) and the cluster router's
-// response cache (serialized NDJSON).
+// per-key singleflight and validation at lookup. It has two users — the
+// engine's result cache (materialized batches) and the inference-session
+// cache in internal/ort (compiled sessions, sized by their weights).
 //
 // Invalidation is validation-at-lookup rather than fingerprint-in-key:
 // the producer cannot know what an entry depends on (which tables a
@@ -300,17 +298,6 @@ func (c *Cache[V]) Sweep(valid func(V) bool) {
 			c.stats.Invalidations++
 		}
 	}
-}
-
-// Clear drops every entry (counted as invalidations). In-progress
-// flights are untouched — their results will simply land in the empty
-// cache. The router calls this on replication-log appends.
-func (c *Cache[V]) Clear() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.stats.Invalidations += uint64(len(c.entries))
-	c.entries = make(map[string]*entry[V])
-	c.bytes = 0
 }
 
 // Stats snapshots the counters.

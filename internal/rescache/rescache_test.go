@@ -237,17 +237,6 @@ func TestSingleflightWaiterCtxExpiry(t *testing.T) {
 	}
 }
 
-func TestClear(t *testing.T) {
-	c := New[int](100, 100)
-	c.Put("a", 1, 10)
-	c.Put("b", 2, 10)
-	c.Clear()
-	s := c.Stats()
-	if s.Entries != 0 || s.Bytes != 0 || s.Invalidations != 2 {
-		t.Fatalf("stats after Clear = %+v", s)
-	}
-}
-
 func TestConcurrentMixedOps(t *testing.T) {
 	c := New[int](512, 128)
 	var wg sync.WaitGroup
@@ -273,7 +262,7 @@ func TestConcurrentMixedOps(t *testing.T) {
 					}
 				case 3:
 					if i%50 == 0 {
-						c.Clear()
+						c.Sweep(func(int) bool { return false })
 					}
 				}
 			}

@@ -227,8 +227,7 @@ type QueryOptions struct {
 	// Parallelism requests a DOP; the server clamps it to 8×GOMAXPROCS
 	// (on top of any engine slot budget), because goroutine fan-out is
 	// allocated per request and wire clients are untrusted.
-	Parallelism      int  `json:"parallelism,omitempty"`
-	DisablePlanCache bool `json:"disable_plan_cache,omitempty"`
+	Parallelism int `json:"parallelism,omitempty"`
 }
 
 func (o *QueryOptions) engine() raven.QueryOptions {
@@ -247,7 +246,6 @@ func (o *QueryOptions) engine() raven.QueryOptions {
 		par = cap
 	}
 	opts.Parallelism = par
-	opts.DisablePlanCache = o.DisablePlanCache
 	return opts
 }
 
@@ -458,8 +456,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		// Parameterized ad-hoc query: the prepare-surface compile (typed
 		// @var binding) runs inside admission, so a burst of distinct
 		// parameterized texts cannot oversubscribe the CPU on compiles.
-		// The plan cache makes the repeat case as cheap as a server-side
-		// prepared statement.
+		// A client repeating one text should /prepare it instead.
 		rows, err = s.db.QueryContextParams(ctx, req.SQL, opts, paramList(req.Params)...)
 		if err != nil && strings.Contains(err.Error(), "must not mutate") {
 			err = errors.New("parameterized query scripts must contain only DECLAREs and a single SELECT; run DDL/INSERT in a separate call without params")

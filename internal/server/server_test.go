@@ -169,7 +169,7 @@ func TestPreparedStatementOverWire(t *testing.T) {
 	if st.Server.Statements != 1 || st.Server.Prepares != 1 {
 		t.Fatalf("stats: %+v", st.Server)
 	}
-	if st.Engine.PlanCache.Capacity == 0 || st.Engine.SessionCache.Misses == 0 {
+	if st.Engine.Compiles == 0 || st.Engine.SessionCache.Misses == 0 {
 		t.Fatalf("engine stats missing: %+v", st.Engine)
 	}
 	if err := c.CloseStmt(pr.ID); err != nil {
@@ -733,10 +733,11 @@ func TestLegacyWireAliases(t *testing.T) {
 	}
 }
 
-// TestRemovedWireOptionsRejected: options.morsel_size and
-// options.parallel_threshold_rows are not part of the wire protocol, so
-// a body carrying either is a 400 naming the field — on the ad hoc and
-// the prepared path — while every remaining options field is accepted.
+// TestRemovedWireOptionsRejected: options.morsel_size,
+// options.parallel_threshold_rows and options.disable_plan_cache are not
+// part of the wire protocol, so a body carrying any of them is a 400
+// naming the field — on the ad hoc and the prepared path — while every
+// remaining options field is accepted.
 func TestRemovedWireOptionsRejected(t *testing.T) {
 	db := raven.MustOpen()
 	t.Cleanup(func() { db.Close() })
@@ -759,13 +760,14 @@ func TestRemovedWireOptionsRejected(t *testing.T) {
 		return resp.StatusCode, string(b)
 	}
 	for _, path := range []string{"/query", "/stmt/" + pr.ID + "/query"} {
-		for _, field := range []string{"morsel_size", "parallel_threshold_rows"} {
-			body := fmt.Sprintf(`{"sql":"SELECT a FROM w","options":{"parallelism":2,%q:1}}`, field)
-			if code, msg := post(path, body); code != http.StatusBadRequest || !strings.Contains(msg, field) {
-				t.Errorf("%s with options.%s: status %d, body %q; want 400 naming the field", path, field, code, msg)
+		for _, field := range []string{`"morsel_size":1`, `"parallel_threshold_rows":1`, `"disable_plan_cache":true`} {
+			body := fmt.Sprintf(`{"sql":"SELECT a FROM w","options":{"parallelism":2,%s}}`, field)
+			name, _, _ := strings.Cut(strings.Trim(field, `"`), `"`)
+			if code, msg := post(path, body); code != http.StatusBadRequest || !strings.Contains(msg, name) {
+				t.Errorf("%s with options.%s: status %d, body %q; want 400 naming the field", path, name, code, msg)
 			}
 		}
-		body := `{"sql":"SELECT a FROM w","options":{"cross_optimize":false,"parallelism":2,"disable_plan_cache":true}}`
+		body := `{"sql":"SELECT a FROM w","options":{"cross_optimize":false,"parallelism":2}}`
 		if code, msg := post(path, body); code != http.StatusOK {
 			t.Errorf("%s with every remaining option: status %d, body %q", path, code, msg)
 		}

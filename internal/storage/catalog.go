@@ -20,8 +20,8 @@ type Catalog struct {
 	// keys). The relational optimizer uses this for join elimination.
 	uniqueKeys map[string]map[string]bool
 	// version counts schema-affecting mutations (DDL, unique-key changes,
-	// model stores). Compiled-plan caches key on it so any change that
-	// could invalidate a bound plan forces a recompile.
+	// model stores). Prepared templates and cached results record it, so
+	// any change that could invalidate a bound plan forces a recompile.
 	version atomic.Uint64
 
 	// backend, when non-nil, intercepts mutations for durability. Set

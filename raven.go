@@ -39,10 +39,10 @@
 //
 //   - Prepare compiles a statement once (parse → bind → unified IR →
 //     cross optimization) into a Stmt whose Query calls reuse the plan and
-//     bind @var parameters per execution. An engine-level plan cache —
-//     keyed by SQL text and option fingerprint, valid for one catalog
-//     version — also makes repeated ad-hoc Query calls skip recompilation;
-//     DDL and model stores bump the catalog version, invalidating plans.
+//     bind @var parameters per execution. The Stmt is the one owner of a
+//     compiled template: ad-hoc Query calls compile on every call. DDL
+//     and model stores bump the catalog version, and a Stmt whose
+//     template is older re-prepares on its next execution.
 //   - QueryContext (and Stmt.QueryContext) returns a streaming Rows
 //     (Next/Scan/Err/Close) and honors context cancellation and deadlines
 //     throughout execution: morsel-exchange workers, pipeline breakers and
@@ -144,23 +144,24 @@ type QueryOptions struct {
 	// DisableSessionCache compiles a fresh session per query (the
 	// standalone-runtime behaviour in Fig 3).
 	DisableSessionCache bool
-	// DisablePlanCache forces a full recompile (parse → bind → optimize)
-	// on every call: the plan cache is neither consulted nor filled. It
-	// also makes the call ineligible for the result cache: a caller
-	// asking for the cold path means it.
+	// DisablePlanCache has no effect: there is no engine plan cache, and
+	// ad-hoc queries compile on every call.
+	//
+	// Deprecated: use Prepare to amortize a compile and NoResultCache to
+	// force a fresh execution.
 	DisablePlanCache bool
 	// NoResultCache makes this call bypass the result cache entirely: no
 	// lookup, no population. The wire protocol's per-request no_cache
 	// flag maps here. Like Tenant/Priority it never affects the compiled
-	// plan, so it is absent from the plan-cache key.
+	// plan, so it is absent from planKey.
 	NoResultCache bool
 	// Tenant attributes this query's admission to a tenant: per-tenant
 	// quotas (WithTenantQuota) and per-tenant stats apply. Empty means
 	// the engine's default tenant. A context tag (ContextWithTenant)
 	// overrides it per call. Tenant and Priority only shape admission —
 	// they never affect the compiled plan, so they are deliberately
-	// absent from the plan-cache key and cached plans are shared across
-	// tenants.
+	// absent from planKey, and cached results and a Stmt's template are
+	// shared across tenants.
 	Tenant string
 	// Priority orders waiting admissions (higher first; see
 	// sched aging for the starvation guard). 0 is the default class.
@@ -180,8 +181,9 @@ type Result struct {
 	// AppliedRules lists the cross-optimizer rules that fired.
 	AppliedRules []string
 	// CompileTime is the time spent producing the executable plan: parse,
-	// bind, cross-optimize and lowering. Near zero on plan-cache hits and
-	// prepared re-executions — the observable benefit of the plan cache.
+	// bind, cross-optimize and lowering. Near zero on prepared
+	// re-executions and result-cache hits — the observable benefit of
+	// Prepare.
 	CompileTime time.Duration
 	// ExecTime is the time spent executing the plan and materializing rows.
 	ExecTime time.Duration
@@ -198,10 +200,9 @@ type DB struct {
 	// DECLAREs inside a Query or Prepare script are statement-scoped: they
 	// overlay these for that statement only and never leak back.
 	vars map[string]string
-	// plans is the compiled-plan cache (see defaultPlanCacheSize).
-	plans *rescache.Cache[*cachedPlan]
 	// compiles counts full front-half compilations (parse → bind →
-	// optimize); prepared re-executions and plan-cache hits don't move it.
+	// optimize): one per ad-hoc call, one per Prepare or re-prepare;
+	// prepared re-executions and result-cache hits don't move it.
 	compiles atomic.Uint64
 	// DefaultParallelism is the morsel-exchange worker count for queries
 	// that leave QueryOptions.Parallelism at 0. Defaults to GOMAXPROCS.
@@ -421,7 +422,6 @@ func Open(opts ...Option) (*DB, error) {
 	db := &DB{
 		runtime:            rt.NewRuntime(),
 		vars:               make(map[string]string),
-		plans:              rescache.New[*cachedPlan](defaultPlanCacheSize, 1),
 		DefaultParallelism: runtime.GOMAXPROCS(0),
 	}
 	for _, o := range opts {
@@ -608,13 +608,13 @@ func (db *DB) ExecContext(ctx context.Context, script string) error {
 	if err != nil {
 		return err
 	}
-	// Sweep stale plan/result-cache entries once the script is done (even
-	// a partially-applied one changed the catalog), so a DROP TABLE does
-	// not leave cached plans pinning the dropped table's data.
+	// Sweep stale result-cache entries once the script is done (even a
+	// partially-applied one changed the catalog), so a DROP TABLE does
+	// not leave cached results pinning the dropped table's data.
 	ver := db.catalog.Version()
 	defer func() {
 		if db.catalog.Version() != ver {
-			db.sweepStaleCaches()
+			db.sweepStaleResults()
 		}
 	}()
 	for _, st := range stmts {
@@ -757,7 +757,7 @@ func (db *DB) StoreModel(name string, p *ml.Pipeline) error {
 		db.runtime.Cache.Invalidate(replaced.Hash)
 	}
 	db.catalog.BumpVersion()
-	db.sweepStaleCaches()
+	db.sweepStaleResults()
 	return nil
 }
 
@@ -821,11 +821,10 @@ func (db *DB) QueryWithOptions(q string, opts QueryOptions) (*Result, error) {
 	return rows.Collect()
 }
 
-// QueryContext compiles (or fetches from the plan cache) and executes a
-// SELECT with default options, streaming the result. Cancellation or
-// deadline expiry on ctx stops execution promptly — exchange workers,
-// pipeline breakers and predictors all observe it — and surfaces as
-// ctx.Err() from Rows.
+// QueryContext compiles and executes a SELECT with default options,
+// streaming the result. Cancellation or deadline expiry on ctx stops
+// execution promptly — exchange workers, pipeline breakers and
+// predictors all observe it — and surfaces as ctx.Err() from Rows.
 func (db *DB) QueryContext(ctx context.Context, q string) (*Rows, error) {
 	return db.QueryContextWithOptions(ctx, q, DefaultQueryOptions())
 }
@@ -847,7 +846,7 @@ func (db *DB) QueryContextWithOptions(ctx context.Context, q string, opts QueryO
 // lowering, and the tee that fills the cache as the stream is consumed.
 // The entry points differ only in what they pass: the variable snapshot
 // the key and the plan are built from, whether @vars are parameters, and
-// where the plan comes from (the plan cache, or a Stmt's template).
+// where the plan comes from (a fresh compile, or a Stmt's template).
 //
 // Two things are acquired here and nowhere else — a result-cache flight
 // (when the call is cache-eligible and misses) and an admission slot —
@@ -907,26 +906,6 @@ func (db *DB) instantiate(ctx context.Context, opts QueryOptions, params []Param
 	return tpl, op, err
 }
 
-// PlanCacheStats returns the plan cache's cumulative (hits, misses).
-// DB.Stats carries the fuller picture (size, capacity, evictions).
-func (db *DB) PlanCacheStats() (hits, misses uint64) {
-	s := db.plans.Stats()
-	return s.Hits, s.Misses
-}
-
-// PlanCacheInfo describes the engine plan cache for stats endpoints.
-type PlanCacheInfo struct {
-	Hits   uint64 `json:"hits"`
-	Misses uint64 `json:"misses"`
-	// Evictions counts entries dropped to make room (LRU); Invalidations
-	// counts entries dropped because a catalog change (DDL, model store)
-	// made them stale.
-	Evictions     uint64 `json:"evictions"`
-	Invalidations uint64 `json:"invalidations"`
-	Size          int    `json:"size"`
-	Capacity      int    `json:"capacity"`
-}
-
 // SessionCacheInfo describes the inference-session cache: the same
 // counter shape as the result cache (hits, misses, evictions,
 // invalidations, bytes, entries, …).
@@ -935,7 +914,6 @@ type SessionCacheInfo = rescache.Stats
 // Stats is the consolidated engine statistics snapshot served by
 // ravenserved's /stats endpoint.
 type Stats struct {
-	PlanCache    PlanCacheInfo    `json:"plan_cache"`
 	SessionCache SessionCacheInfo `json:"session_cache"`
 	// ResultCache is nil unless the engine was opened WithResultCache.
 	ResultCache *ResultCacheInfo `json:"result_cache,omitempty"`
@@ -958,7 +936,6 @@ type StorageStats = storage.DurableStats
 // Stats snapshots the engine's caches and scheduler.
 func (db *DB) Stats() Stats {
 	st := Stats{
-		PlanCache:      db.planCacheInfo(),
 		SessionCache:   db.runtime.Cache.Stats(),
 		ResultCache:    db.resultCacheInfo(),
 		Compiles:       db.compiles.Load(),
@@ -997,54 +974,27 @@ func (db *DB) varsSnapshot() map[string]string {
 	return out
 }
 
-// cacheablePlan reports whether plans for these options may be reused
-// across calls. Statistics-derived pruning (UseStatistics) specializes the
-// model to the data range at compile time, and INSERTs don't bump the
-// catalog version — so those plans would go stale silently and are always
-// recompiled.
-func cacheablePlan(opts QueryOptions) bool {
-	return !opts.DisablePlanCache && !opts.UseStatistics
-}
-
-// planFor resolves a compiled plan through the cache: hit when possible,
-// full compile otherwise. allowParams selects the prepare surface — @var
-// placeholders become execute-time parameters and side-effecting
-// statements are rejected (preparing must not mutate the database). On
-// the ad-hoc surface, side-effecting statements (CREATE/INSERT/DROP)
-// execute exactly once here and make the script uncacheable. vars is the
-// session-variable snapshot to compile with: a fresh one for ad-hoc
-// queries, a Stmt's prepare-time snapshot on re-prepares so the
-// statement's meaning never drifts.
+// planFor compiles a statement: the whole front half, every call.
+// allowParams selects the prepare surface — @var placeholders become
+// execute-time parameters and side-effecting statements are rejected
+// (preparing must not mutate the database). On the ad-hoc surface,
+// side-effecting statements (CREATE/INSERT/DROP) execute exactly once
+// here. vars is the session-variable snapshot to compile with: a fresh
+// one for ad-hoc queries, a Stmt's prepare-time snapshot on re-prepares
+// so the statement's meaning never drifts.
 func (db *DB) planFor(q string, opts QueryOptions, vars map[string]string, allowParams bool) (*cachedPlan, error) {
-	cacheable := cacheablePlan(opts)
-	var key string
 	current := db.catalog.Version()
-	if cacheable {
-		key = db.planKey(q, opts, allowParams, vars)
-		if p, ok := db.plans.Get(key, func(p *cachedPlan) bool { return p.version == current }); ok {
-			return p, nil
-		}
-	}
-	sel, svars, hadSideEffects, err := db.splitScript(q, !allowParams, vars)
+	sel, svars, err := db.splitScript(q, !allowParams, vars)
 	if db.catalog.Version() != current {
 		// The script's own DDL (even a partially applied one) moved the
-		// catalog under the caches, exactly as in ExecContext.
-		db.sweepStaleCaches()
+		// catalog under the result cache, exactly as in ExecContext.
+		db.sweepStaleResults()
 	}
 	if err != nil {
 		return nil, err
 	}
 	db.compiles.Add(1)
-	p, err := db.buildPlan(q, sel, svars, opts, allowParams, nil)
-	if err != nil {
-		return nil, err
-	}
-	// A plan whose compile straddled a catalog change is already stale:
-	// it serves this call and is not inserted.
-	if cacheable && !hadSideEffects && p.version == db.catalog.Version() {
-		db.plans.Put(key, p, 1)
-	}
-	return p, nil
+	return db.buildPlan(q, sel, svars, opts, allowParams, nil)
 }
 
 // splitScript parses a query script into its single SELECT and the
@@ -1053,10 +1003,10 @@ func (db *DB) planFor(q string, opts QueryOptions, vars map[string]string, allow
 // Query's variables are visible to that query alone (Exec DECLARE is the
 // session-level API). Side-effecting statements run via execOne when
 // allowSideEffects is set and are rejected otherwise (Prepare/Explain).
-func (db *DB) splitScript(q string, allowSideEffects bool, base map[string]string) (sel *sql.SelectStmt, vars map[string]string, hadSideEffects bool, err error) {
+func (db *DB) splitScript(q string, allowSideEffects bool, base map[string]string) (sel *sql.SelectStmt, vars map[string]string, err error) {
 	stmts, err := sql.ParseScript(q)
 	if err != nil {
-		return nil, nil, false, err
+		return nil, nil, err
 	}
 	vars = make(map[string]string, len(base))
 	for k, v := range base {
@@ -1068,23 +1018,22 @@ func (db *DB) splitScript(q string, allowSideEffects bool, base map[string]strin
 			vars[x.Name] = x.Value
 		case *sql.SelectStmt:
 			if sel != nil {
-				return nil, nil, false, fmt.Errorf("raven: multiple SELECTs in one Query call")
+				return nil, nil, fmt.Errorf("raven: multiple SELECTs in one Query call")
 			}
 			sel = x
 		default:
 			if !allowSideEffects {
-				return nil, nil, false, fmt.Errorf("raven: only DECLARE and a single SELECT are allowed here (Prepare/Explain must not mutate the database), got %T", st)
+				return nil, nil, fmt.Errorf("raven: only DECLARE and a single SELECT are allowed here (Prepare/Explain must not mutate the database), got %T", st)
 			}
 			if err := db.execOne(st); err != nil {
-				return nil, nil, false, err
+				return nil, nil, err
 			}
-			hadSideEffects = true
 		}
 	}
 	if sel == nil {
-		return nil, nil, false, fmt.Errorf("raven: Query needs a SELECT statement")
+		return nil, nil, fmt.Errorf("raven: Query needs a SELECT statement")
 	}
-	return sel, vars, hadSideEffects, nil
+	return sel, vars, nil
 }
 
 // buildPlan runs the front half once: bind → unified IR → cross optimizer
@@ -1123,7 +1072,7 @@ func (db *DB) buildPlan(q string, sel *sql.SelectStmt, vars map[string]string, o
 	// Each model operator keys its tensor sessions by its own model's stored
 	// hash (a new version of the model strands them by that prefix). An
 	// optimized model is specialized to what it was compiled from — the
-	// plan-cache key (text, referenced variables, every option) and the
+	// planKey (text, referenced variables, every option) and the
 	// catalog — which joins the key so differently-specialized sessions
 	// never collide, while identical repeated queries (warm runs) still hit.
 	// A model specialized by statistics is specialized to the data as well:
@@ -1151,6 +1100,21 @@ func (db *DB) buildPlan(q string, sel *sql.SelectStmt, vars map[string]string, o
 	}, nil
 }
 
+// collectPlanTables walks a bound logical plan for the tables it scans,
+// deduplicated in first-visit order. Scan is the only node that holds a
+// table, so this is the complete read set.
+func collectPlanTables(n plan.Node) []*storage.Table {
+	var out []*storage.Table
+	seen := map[*storage.Table]bool{}
+	plan.Walk(n, func(n plan.Node) {
+		if s, ok := n.(*plan.Scan); ok && !seen[s.Table] {
+			seen[s.Table] = true
+			out = append(out, s.Table)
+		}
+	})
+	return out
+}
+
 // optimizerOptions is the one QueryOptions → xopt.Options mapping.
 func (db *DB) optimizerOptions(opts QueryOptions) xopt.Options {
 	ro := &relopt.Optimizer{Catalog: db.catalog, AssumeRI: true}
@@ -1172,9 +1136,9 @@ func (db *DB) optimizerOptions(opts QueryOptions) xopt.Options {
 }
 
 // lower turns a compiled template into a fresh executable operator tree.
-// It runs per execution — cheap relative to the front half — so cached
-// plans still adapt to current table sizes (one-worker vs DOP-wide scans)
-// and carry the call's context into every operator.
+// It runs per execution — cheap relative to the front half — so prepared
+// templates still adapt to current table sizes (one-worker vs DOP-wide
+// scans) and carry the call's context into every operator.
 func (db *DB) lower(ctx context.Context, graph *ir.Graph, opts QueryOptions) (exec.Operator, error) {
 	par := db.effectiveParallelism(ctx, opts)
 	cfg := &codegen.Config{
@@ -1196,7 +1160,7 @@ func (db *DB) lower(ctx context.Context, graph *ir.Graph, opts QueryOptions) (ex
 func (db *DB) Explain(q string, opts QueryOptions) (string, error) {
 	// Same statement-scoped DECLARE handling as Query/Prepare, and like
 	// Prepare, explaining must not mutate the database.
-	sel, vars, _, err := db.splitScript(q, false, db.varsSnapshot())
+	sel, vars, err := db.splitScript(q, false, db.varsSnapshot())
 	if err != nil {
 		return "", err
 	}

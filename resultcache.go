@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"raven/internal/exec"
@@ -82,13 +83,14 @@ func resultCacheBypassed(ctx context.Context) bool {
 }
 
 // resultCacheEligible gates the cache to calls it can serve correctly:
-// the cache exists, nothing opted out, the plan is reusable
-// (UseStatistics specializes to a data range; DisablePlanCache is the
-// explicit cold path), and the script is read-only — a script with side
-// effects must execute every one of them on every call, so it can
-// neither be served from cache nor funneled through singleflight.
+// the cache exists, nothing opted out, the plan is not specialized to a
+// data range (UseStatistics prunes the model by the data's min/max at
+// compile time, and INSERTs don't bump the catalog version), and the
+// script is read-only — a script with side effects must execute every
+// one of them on every call, so it can neither be served from cache nor
+// funneled through singleflight.
 func (db *DB) resultCacheEligible(ctx context.Context, opts QueryOptions, q string) bool {
-	if db.results == nil || opts.NoResultCache || !cacheablePlan(opts) {
+	if db.results == nil || opts.NoResultCache || opts.UseStatistics {
 		return false
 	}
 	if resultCacheBypassed(ctx) {
@@ -97,9 +99,9 @@ func (db *DB) resultCacheEligible(ctx context.Context, opts QueryOptions, q stri
 	return sql.ClassifyScript(q) == sql.ScriptReadOnly
 }
 
-// resultKey extends the plan-cache key (SQL, options fingerprint,
-// referenced vars) with the execute-time parameter values — the full
-// semantic identity of one result. The catalog and data versions are
+// resultKey extends planKey (SQL, options fingerprint, referenced vars)
+// with the execute-time parameter values — the full semantic identity
+// of one result. The catalog and data versions are
 // deliberately absent: they are validated at lookup, so an invalidated
 // entry is dropped (and counted) instead of stranded under a dead key.
 func (db *DB) resultKey(q string, opts QueryOptions, allowParams bool, vars map[string]string, params []Param) string {
@@ -114,6 +116,88 @@ func (db *DB) resultKey(q string, opts QueryOptions, allowParams bool, vars map[
 		fmt.Fprintf(h, "%d:%s=%d:%s;", len(p.Name), p.Name, len(p.Value), p.Value)
 	}
 	return key + "|p=" + hex.EncodeToString(h.Sum(nil)[:12])
+}
+
+// planKey fingerprints every compile-relevant input that is not the
+// catalog version (which is checked at lookup): the identity of a
+// compiled plan, and so the stem of the result-cache key and of a
+// specialized model's session key. Execution knobs (parallelism, morsel
+// size, thresholds) are deliberately absent — they are applied when the
+// template lowers to operators, so one result serves every DOP. vars is
+// the session-variable snapshot the caller also compiles with, so key
+// and plan cannot disagree under a concurrent Exec DECLARE.
+func (db *DB) planKey(q string, opts QueryOptions, allowParams bool, vars map[string]string) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "x=%t s=%t q=%t di=%t dn=%t dp=%t dj=%t g=%t m=%d dc=%t ap=%t",
+		opts.CrossOptimize, opts.UseStatistics, opts.ModelQuerySplitting,
+		opts.DisableInlining, opts.DisableNNTranslation, opts.DisablePruning,
+		opts.DisableProjectionPushdown, opts.UseGPU, opts.Mode,
+		opts.DisableSessionCache, allowParams)
+	// Session variables bind as literals, so the ones this statement
+	// references are compile inputs too. Only referenced vars enter the
+	// key: otherwise every unrelated DECLARE would strand the whole
+	// cache's entries under dead keys. The reference scan is textual
+	// (cheap, runs before parsing); a false positive — an @name inside a
+	// string literal — only adds harmless key entropy.
+	if len(vars) > 0 {
+		names := make([]string, 0, len(vars))
+		for k := range vars {
+			if referencesVar(q, k) {
+				names = append(names, k)
+			}
+		}
+		if len(names) > 0 {
+			sort.Strings(names)
+			// Length-prefix each field so values containing the join
+			// characters cannot collide two different environments onto
+			// one fingerprint.
+			h := sha256.New()
+			for _, k := range names {
+				fmt.Fprintf(h, "%d:%s=%d:%s;", len(k), k, len(vars[k]), vars[k])
+			}
+			sb.WriteString("|v=" + hex.EncodeToString(h.Sum(nil)[:8]))
+		}
+	}
+	sb.WriteString("|")
+	sb.WriteString(q)
+	return sb.String()
+}
+
+// referencesVar reports whether q contains an @name token for the given
+// variable, requiring a non-identifier character after the name so @min
+// does not match @minage.
+func referencesVar(q, name string) bool {
+	for i := 0; i+len(name) < len(q); {
+		j := strings.Index(q[i:], "@"+name)
+		if j < 0 {
+			return false
+		}
+		end := i + j + 1 + len(name)
+		if end >= len(q) || !isIdentChar(q[end]) {
+			return true
+		}
+		i = end
+	}
+	return false
+}
+
+func isIdentChar(c byte) bool {
+	return c == '_' || (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+}
+
+// sweepStaleResults eagerly drops result-cache entries computed against
+// an older catalog version. Lookups already validate, so staleness is
+// never served either way — this pass exists for memory: entries pin
+// the tables their plans scan, so after a DROP TABLE the dropped table's
+// column data would otherwise stay reachable until LRU pressure or a
+// chance lookup happened to touch each entry. Called after any statement
+// or model store that bumps the catalog version.
+func (db *DB) sweepStaleResults() {
+	if db.results == nil {
+		return
+	}
+	current := db.catalog.Version()
+	db.results.Sweep(func(e *resultEntry) bool { return e.version == current })
 }
 
 // resultLookup consults the cache under singleflight. Outcomes:

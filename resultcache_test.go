@@ -108,8 +108,8 @@ func TestResultCacheDDLAndModelInvalidation(t *testing.T) {
 		t.Fatalf("read after DDL drifted: %d rows", len(got))
 	}
 
-	// Re-storing the model bumps the catalog too: plans embedding the old
-	// model and results computed by it both go.
+	// Re-storing the model bumps the catalog too: results computed by the
+	// old model go.
 	pipe, err := db.LoadModel("duration_of_stay")
 	if err != nil {
 		t.Fatal(err)
@@ -133,22 +133,19 @@ func TestResultCacheDDLAndModelInvalidation(t *testing.T) {
 // TestResultCacheSingleflightCollapse drives 32 concurrent identical
 // queries into a cold cache: exactly one executes (one scheduler
 // admission, MaxActive <= 1), the rest are served from its flight.
-// TestDropTableSweepsCaches pins the proactive sweep: cached plans and
-// results pin the tables their plans scan, so a DROP TABLE must unpin
-// them on the catalog bump itself — not when LRU pressure or a chance
-// lookup eventually touches each entry (on a quiet cache, never).
+// TestDropTableSweepsCaches pins the proactive sweep: cached results pin
+// the tables their plans scan, so a DROP TABLE must unpin them on the
+// catalog bump itself — not when LRU pressure or a chance lookup
+// eventually touches each entry (on a quiet cache, never).
 func TestDropTableSweepsCaches(t *testing.T) {
 	db := cacheTestDB(t, 1<<20)
 	const q = `SELECT id FROM t WHERE x > 2.0`
-	queryIDs(t, db, context.Background(), q) // warm plan + result caches
-	if db.plans.Stats().Entries == 0 || db.results.Stats().Entries == 0 {
-		t.Fatal("warm-up did not populate the caches")
+	queryIDs(t, db, context.Background(), q) // warm the result cache
+	if db.results.Stats().Entries == 0 {
+		t.Fatal("warm-up did not populate the cache")
 	}
 	if err := db.Exec(`DROP TABLE t`); err != nil {
 		t.Fatal(err)
-	}
-	if n := db.plans.Stats().Entries; n != 0 {
-		t.Fatalf("plan cache still holds %d entries after DROP TABLE", n)
 	}
 	if s := db.results.Stats(); s.Entries != 0 || s.Bytes != 0 {
 		t.Fatalf("result cache still holds data after DROP TABLE: %+v", s)
@@ -383,10 +380,6 @@ func TestResultCacheBypasses(t *testing.T) {
 	}
 	ctx := ContextWithoutResultCache(context.Background())
 	queryIDs(t, db, ctx, q)
-	cold := DefaultQueryOptions()
-	cold.DisablePlanCache = true
-	rows, err := db.QueryContextWithOptions(context.Background(), q, cold)
-	collectIDs(t, rows, err)
 
 	rc := db.Stats().ResultCache
 	if rc.Hits != 0 || rc.Misses != 0 || rc.Entries != 0 {

@@ -28,10 +28,11 @@ import (
 // result. A Rows must not be shared across goroutines.
 type Rows struct {
 	// AppliedRules lists the cross-optimizer rules that fired when the
-	// plan was compiled (cached plans report the rules from compile time).
+	// plan was compiled (prepared re-executions and result-cache hits
+	// report the rules from compile time).
 	AppliedRules []string
 	// CompileTime is the time spent producing the executable plan for this
-	// call: near zero on plan-cache hits and prepared re-executions.
+	// call: near zero on prepared re-executions and result-cache hits.
 	CompileTime time.Duration
 
 	op        exec.Operator

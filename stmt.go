@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sync"
 
+	"raven/internal/ir"
+	"raven/internal/storage"
 	"raven/internal/types"
 )
 
@@ -22,6 +24,32 @@ type Param struct {
 
 // P builds a Param.
 func P(name, value string) Param { return Param{Name: name, Value: value} }
+
+// cachedPlan is one compiled statement template: the front half of query
+// processing (parse → bind → unified IR → cross optimization) done once.
+// A Stmt holds one across executions; an ad-hoc call compiles its own and
+// drops it. It is immutable after construction — executions lower it
+// into fresh operator trees (codegen re-runs per call, so data growth
+// still flips scans between one worker and DOP-wide) and parameterized
+// plans are cloned, never mutated, at bind time.
+type cachedPlan struct {
+	// graph is the optimized tree; its model operators carry their
+	// session-cache keys.
+	graph   *ir.Graph
+	applied []string
+	// params names the unbound @parameters the plan needs at execute time,
+	// sorted. Non-empty only for prepared statements.
+	params []string
+	// version is the catalog version the plan was compiled against; any
+	// DDL or model store bumps it, and a Stmt holding an older template
+	// re-prepares.
+	version uint64
+	// tables lists every table the bound plan scans, before optimization
+	// can eliminate a join. The result cache snapshots their data
+	// versions around execution: a template survives appends, results
+	// don't.
+	tables []*storage.Table
+}
 
 // Stmt is a prepared statement: parse → bind → unified IR → cross
 // optimization ran once at Prepare, and every Query call reuses the
