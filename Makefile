@@ -5,7 +5,7 @@ COVER_FLOOR ?= 70
 # Ceiling for `make loc` (non-test Go lines, benchmark/ excluded): the
 # current total rounded up to the next 50. ROADMAP aim 2 says the number
 # goes down; a PR that lowers it lowers this with it.
-LOC_CEILING ?= 28100
+LOC_CEILING ?= 27850
 
 .PHONY: all build test test-benchmark race vet fmt-check fuzz bench bench-micro cover smoke loc ci
 
@@ -110,9 +110,10 @@ fuzz:
 # And it fails if a front end boxes rows again: results leave
 # internal/server and internal/pgwire from typed batches, so no
 # rows.Scan, no per-row enc.Encode(vals) and no writeDataRow.
-# And it fails if the router grows a result cache again: there is one
-# result-cache tier, the replica engine's, so internal/cluster does not
-# import internal/rescache.
+# And it fails if the router grows a result cache again: the router is a
+# proxy that decodes bodies and headers with internal/server's code, and
+# there is one result-cache tier, the replica engine's, so
+# internal/cluster does not import internal/rescache.
 LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'
 loc:
 	@$(LOC_FILES) | xargs wc -l | awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \

@@ -6,24 +6,25 @@
 // Usage:
 //
 //	ravenrouter [-addr :8090] -replica name=http://host:port ...
-//	            [-probe-interval D] [-probe-timeout D] [-fail-threshold N]
-//	            [-spill-queue N] [-retries N] [-hedge]
 //
-// The router health-checks every replica on a jittered interval and
-// converges membership (healthy / degraded / draining / down). Reads
-// route by rendezvous-hashed tenant affinity — a tenant's queries keep
-// hitting the same replica, so its result cache and statement registry
-// stay warm — spilling to the least-loaded healthy replica when the
-// home's admission queue is saturated, with per-replica retries
-// (exponential backoff + jitter) and optional hedging (-hedge) once the
-// observed p99 is known. Side-effect scripts (POST /query without a
-// SELECT) and stored models (POST /model) replicate to every replica
-// through an ordered log with catalog-version read-back; replicas that
-// restart or miss entries are repaired by replay before they take
-// traffic again. Prepared statements get router-side ids, prepared
-// lazily per replica and re-prepared transparently after a replica
-// restart. GET /stats aggregates the whole cluster; GET /healthz is 200
-// while at least one replica is routable.
+// The router is a proxy: it decodes request bodies and X-Raven-* headers
+// with the replica's own code, so it accepts and refuses exactly what a
+// replica does, and forwards all five request-option headers. It
+// health-checks every replica every 250ms (jittered ±25%) and converges
+// membership (healthy / degraded / draining / down; two failed probes
+// mark a replica down). Reads route by rendezvous-hashed tenant
+// affinity — a tenant's queries keep hitting the same replica, so its
+// result cache and statement registry stay warm — spilling to the
+// least-loaded healthy replica when the home's admission queue is 4
+// deep, with up to 3 attempts across replicas (exponential backoff +
+// jitter). Side-effect scripts (POST /query without a SELECT) and
+// stored models (POST /model) replicate to every replica through an
+// ordered log with catalog-version read-back; replicas that restart or
+// miss entries are repaired by replay before they take traffic again.
+// Prepared statements get router-side ids, prepared lazily per replica
+// and re-prepared transparently after a replica restart. GET /stats
+// aggregates the whole cluster; GET /healthz is 200 while at least one
+// replica is routable.
 package main
 
 import (
@@ -39,7 +40,6 @@ import (
 	"time"
 
 	"raven/internal/cluster"
-	"raven/internal/server"
 )
 
 // replicaFlags collects repeatable -replica flags: name=base, or a bare
@@ -68,12 +68,6 @@ func (f *replicaFlags) Set(v string) error {
 
 func main() {
 	addr := flag.String("addr", ":8090", "listen address (host:port)")
-	probeInterval := flag.Duration("probe-interval", 250*time.Millisecond, "replica health-probe interval (jittered ±25%)")
-	probeTimeout := flag.Duration("probe-timeout", 2*time.Second, "bound on one probe/reconcile pass")
-	failThreshold := flag.Int("fail-threshold", 2, "consecutive probe failures before a replica is marked down")
-	spillQueue := flag.Int("spill-queue", 4, "home-replica admission-queue depth at which tenant traffic spills to the least-loaded replica")
-	retries := flag.Int("retries", 3, "attempts per idempotent read across replicas (exponential backoff + jitter between attempts)")
-	hedge := flag.Bool("hedge", false, "hedge slow reads: race a second replica after the observed p99 latency")
 	var replicas replicaFlags
 	flag.Var(&replicas, "replica", "replica to front, as name=http://host:port or a bare URL (repeatable)")
 	flag.Parse()
@@ -83,14 +77,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	rt := cluster.New(cluster.Options{
-		ProbeInterval:   *probeInterval,
-		ProbeTimeout:    *probeTimeout,
-		FailThreshold:   *failThreshold,
-		SpillQueueDepth: *spillQueue,
-		Retry:           server.RetryPolicy{MaxAttempts: *retries},
-		Hedge:           *hedge,
-	})
+	rt := cluster.New()
 	for _, r := range replicas {
 		if err := rt.AddMember(r.name, r.base); err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -105,8 +92,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "listen:", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "ravenrouter listening on %s, fronting %d replicas (probe=%v hedge=%v)\n",
-		l.Addr(), len(replicas), *probeInterval, *hedge)
+	fmt.Fprintf(os.Stderr, "ravenrouter listening on %s, fronting %d replicas\n", l.Addr(), len(replicas))
 
 	srv := &http.Server{Handler: rt.Handler()}
 	serveErr := make(chan error, 1)

@@ -17,6 +17,7 @@ import (
 	"raven"
 	"raven/internal/ml"
 	"raven/internal/server"
+	"raven/internal/server/reqopt"
 )
 
 // assertGoroutinesReturn polls the goroutine count back to baseline —
@@ -49,11 +50,7 @@ type testCluster struct {
 	serveErr chan error
 }
 
-func newTestCluster(t *testing.T, n int) *testCluster {
-	return newTestClusterOpts(t, n, Options{ProbeInterval: 50 * time.Millisecond})
-}
-
-func newTestClusterOpts(t *testing.T, n int, opts Options, extra ...raven.Option) *testCluster {
+func newTestCluster(t *testing.T, n int, extra ...raven.Option) *testCluster {
 	t.Helper()
 	tc := &testCluster{serveErr: make(chan error, 1)}
 	srvOpts := server.Options{DrainGrace: 200 * time.Millisecond}
@@ -71,7 +68,7 @@ func newTestClusterOpts(t *testing.T, n int, opts Options, extra ...raven.Option
 	}
 	// No Start(): tests drive reconciliation with ProbeNow for
 	// determinism instead of racing a background loop.
-	tc.rt = New(opts)
+	tc.rt = New()
 	for _, r := range tc.reps {
 		if err := tc.rt.AddMember(r.Name, r.Base); err != nil {
 			t.Fatal(err)
@@ -275,7 +272,7 @@ func TestReplicationAndAffinity(t *testing.T) {
 // replica's engine result cache, and a write replicated through the
 // router is visible to the very next read — ad hoc and prepared.
 func TestReplicaResultCacheFreshThroughRouter(t *testing.T) {
-	tc := newTestClusterOpts(t, 2, Options{ProbeInterval: 50 * time.Millisecond}, raven.WithResultCache(1<<20))
+	tc := newTestCluster(t, 2, raven.WithResultCache(1<<20))
 	defer tc.close(t)
 	tc.seedData(t, 40)
 	tn := tenantHomedOn(tc.rt, "r1")
@@ -283,9 +280,16 @@ func TestReplicaResultCacheFreshThroughRouter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	read := func(path, body string) (replica string, rows int) {
+	read := func(path, body string, noCache bool) (replica string, rows int) {
 		t.Helper()
-		resp, err := http.Post(tc.c.Base+path, "application/json", strings.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, tc.c.Base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if noCache {
+			req.Header.Set(reqopt.HeaderNoCache, "1")
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,32 +314,41 @@ func TestReplicaResultCacheFreshThroughRouter(t *testing.T) {
 		t.Fatalf("no replica %q", name)
 		return 0
 	}
-	adhoc := func() (string, int) {
-		return read("/query", fmt.Sprintf(`{"sql":"SELECT id FROM pts","tenant":%q}`, tn))
+	adhoc := func(noCache bool) (string, int) {
+		return read("/query", fmt.Sprintf(`{"sql":"SELECT id FROM pts","tenant":%q}`, tn), noCache)
 	}
-	prepared := func() (string, int) {
-		return read("/stmt/"+pr.ID+"/query", `{"params":{"lo":"10"}}`)
+	prepared := func(noCache bool) (string, int) {
+		return read("/stmt/"+pr.ID+"/query", `{"params":{"lo":"10"}}`, noCache)
 	}
 	for _, c := range []struct {
 		name       string // each case inserts one row matching both reads
-		read       func() (string, int)
+		read       func(noCache bool) (string, int)
 		cold, warm int
 	}{{"ad hoc", adhoc, 40, 41}, {"prepared", prepared, 31, 32}} { // prepared: ids 10..39 and the ad hoc insert
-		rep, n := c.read()
+		rep, n := c.read(false)
 		if rep != "r1" || n != c.cold {
 			t.Fatalf("%s cold read: replica %q, %d rows; want r1, %d", c.name, rep, n, c.cold)
 		}
 		before := hits(rep)
-		if rep, n = c.read(); rep != "r1" || n != c.cold {
+		if rep, n = c.read(false); rep != "r1" || n != c.cold {
 			t.Fatalf("%s repeat read: replica %q, %d rows; want r1, %d", c.name, rep, n, c.cold)
 		}
 		if hits(rep) <= before {
 			t.Fatalf("%s repeat read was not a result-cache hit on %s", c.name, rep)
 		}
+		// X-Raven-No-Cache reaches the replica through the router: the
+		// same read bypasses the cache there, as it does sent directly.
+		before = hits(rep)
+		if rep, n = c.read(true); rep != "r1" || n != c.cold {
+			t.Fatalf("%s no-cache read: replica %q, %d rows; want r1, %d", c.name, rep, n, c.cold)
+		}
+		if hits(rep) != before {
+			t.Fatalf("%s read with %s: 1 was a result-cache hit on %s", c.name, reqopt.HeaderNoCache, rep)
+		}
 		if err := tc.c.Exec(fmt.Sprintf("INSERT INTO pts VALUES (%d, 1, 1)", 100+c.cold)); err != nil {
 			t.Fatal(err)
 		}
-		if _, n = c.read(); n != c.warm {
+		if _, n = c.read(false); n != c.warm {
 			t.Fatalf("%s read after a replicated INSERT: %d rows, want %d (stale cache hit)", c.name, n, c.warm)
 		}
 	}
@@ -479,7 +492,21 @@ func TestDrainUnderLoad(t *testing.T) {
 	ctx := context.Background()
 	tc := newTestCluster(t, 2)
 	tc.seedData(t, 64)
-	tc.rt.Start() // background reconciler: the drain must be probe-visible
+	// A reconciler on a 50ms tick: the drain must be probe-visible.
+	stopProbes, probesDone := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(probesDone)
+		tick := time.NewTicker(50 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stopProbes:
+				return
+			case <-tick.C:
+				tc.rt.ProbeNow(ctx)
+			}
+		}
+	}()
 
 	ref, err := tc.c.Query(server.QueryRequest{SQL: testQuery})
 	if err != nil {
@@ -526,6 +553,8 @@ func TestDrainUnderLoad(t *testing.T) {
 	time.Sleep(250 * time.Millisecond)
 	close(done)
 	wg.Wait()
+	close(stopProbes)
+	<-probesDone
 
 	if len(qerrs) > 0 {
 		t.Fatalf("%d of %d queries failed across the drain; first: %v", len(qerrs), queries, qerrs[0])
@@ -596,30 +625,45 @@ func TestFailingReplicationEntry(t *testing.T) {
 	assertGoroutinesReturn(t, base)
 }
 
-// TestHeaderTagsForwarded: the router must forward X-Raven-Tenant and
-// X-Raven-Priority to the replica. The replica gives headers precedence
-// over the body exactly so a fronting proxy can tag untrusted clients —
-// if the router drops them it routes by the header tenant while the
-// replica admits and bills the (often empty) body tenant, silently
-// bypassing per-tenant quotas and priority.
+// TestHeaderTagsForwarded: the router must forward every request-option
+// header (reqopt.Headers) to the replica, on every route that reaches
+// one. The replica gives headers precedence over the body exactly so a
+// fronting proxy can tag untrusted clients — a header the router drops
+// silently bypasses per-tenant quotas and priority, the result-cache
+// bypass, the requested DOP or the deadline.
 func TestHeaderTagsForwarded(t *testing.T) {
+	want := map[string]string{
+		reqopt.HeaderTenant:    "alice",
+		reqopt.HeaderPriority:  "7",
+		reqopt.HeaderDOP:       "2",
+		reqopt.HeaderTimeoutMS: "9000",
+		reqopt.HeaderNoCache:   "1",
+	}
+	if len(want) != len(reqopt.Headers) {
+		t.Fatalf("test covers %d headers, reqopt has %d", len(want), len(reqopt.Headers))
+	}
 	var mu sync.Mutex
-	var gotTenant, gotPriority string
+	seen := map[string]http.Header{} // replica route -> headers it got
+	const stream = `{"columns":["a"],"types":["INT"]}` + "\n[1]\n" + `{"rows":1,"compile_ms":0,"exec_ms":0}` + "\n"
+	answer := func(route, body string) http.HandlerFunc {
+		return func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			seen[route] = r.Header.Clone()
+			mu.Unlock()
+			fmt.Fprint(w, body)
+		}
+	}
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		json.NewEncoder(w).Encode(server.Health{Status: "ok", CatalogVersion: 1})
 	})
-	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		gotTenant = r.Header.Get("X-Raven-Tenant")
-		gotPriority = r.Header.Get("X-Raven-Priority")
-		mu.Unlock()
-		fmt.Fprint(w, `{"columns":["a"],"types":["INT"]}`+"\n[1]\n"+`{"rows":1,"compile_ms":0,"exec_ms":0}`+"\n")
-	})
+	mux.HandleFunc("POST /query", answer("/query", stream))
+	mux.HandleFunc("POST /prepare", answer("/prepare", `{"id":"s1"}`))
+	mux.HandleFunc("POST /stmt/s1/query", answer("/stmt/{id}/query", stream))
 	rep := httptest.NewServer(mux)
 	defer rep.Close()
 
-	rt := New(Options{})
+	rt := New()
 	defer rt.Close()
 	if err := rt.AddMember("only", rep.URL); err != nil {
 		t.Fatal(err)
@@ -628,90 +672,132 @@ func TestHeaderTagsForwarded(t *testing.T) {
 	front := httptest.NewServer(rt.Handler())
 	defer front.Close()
 
-	req, err := http.NewRequest(http.MethodPost, front.URL+"/query",
-		strings.NewReader(`{"sql":"SELECT a FROM t"}`))
-	if err != nil {
+	post := func(path, body string) []byte {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPost, front.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h, v := range want {
+			req.Header.Set(h, v)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("routed %s: status %d: %s", path, resp.StatusCode, b)
+		}
+		return b
+	}
+	post("/query", `{"sql":"SELECT a FROM t"}`)
+	var pr server.PrepareResponse
+	if err := json.Unmarshal(post("/prepare", `{"sql":"SELECT a FROM t"}`), &pr); err != nil {
 		t.Fatal(err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("X-Raven-Tenant", "alice")
-	req.Header.Set("X-Raven-Priority", "7")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("routed query: status %d", resp.StatusCode)
-	}
+	post("/stmt/"+pr.ID+"/query", `{}`)
+
 	mu.Lock()
 	defer mu.Unlock()
-	if gotTenant != "alice" || gotPriority != "7" {
-		t.Fatalf("replica saw tenant=%q priority=%q, want alice/7 — admission headers dropped in proxying", gotTenant, gotPriority)
+	for _, route := range []string{"/query", "/prepare", "/stmt/{id}/query"} {
+		for h, v := range want {
+			if got := seen[route].Get(h); got != v {
+				t.Errorf("replica %s saw %s=%q, want %q — dropped in proxying", route, h, got, v)
+			}
+		}
 	}
 }
 
-// TestHedgedRequests: with hedging on, a read whose first replica
-// stalls past the observed p99 is raced on the second and the fast
-// response wins.
-func TestHedgedRequests(t *testing.T) {
-	newFake := func(delay time.Duration) *httptest.Server {
-		mux := http.NewServeMux()
-		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-			json.NewEncoder(w).Encode(server.Health{Status: "ok", CatalogVersion: 1})
-		})
-		mux.HandleFunc("POST /query", func(w http.ResponseWriter, _ *http.Request) {
-			time.Sleep(delay)
-			fmt.Fprint(w, `{"columns":["a"],"types":["INT"]}`+"\n[1]\n"+`{"rows":1,"compile_ms":0,"exec_ms":0}`+"\n")
-		})
-		return httptest.NewServer(mux)
-	}
-	slow := newFake(400 * time.Millisecond)
-	defer slow.Close()
-	fast := newFake(0)
-	defer fast.Close()
-
-	rt := New(Options{Hedge: true})
-	defer rt.Close()
-	if err := rt.AddMember("slow", slow.URL); err != nil {
+// TestRouterRefusesLikeReplica: the router decodes bodies with the
+// replica's decoder, so a body a replica refuses — a field the protocol
+// does not have (TestRemovedWireOptionsRejected's inputs), or one past
+// the size limit — gets the replica's status and error from the router
+// too, instead of being re-encoded without the field and accepted.
+func TestRouterRefusesLikeReplica(t *testing.T) {
+	tc := newTestCluster(t, 1)
+	defer tc.close(t)
+	if err := tc.c.Exec(`CREATE TABLE w (a INT); INSERT INTO w VALUES (1), (2)`); err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.AddMember("fast", fast.URL); err != nil {
-		t.Fatal(err)
-	}
-	rt.ProbeNow(context.Background())
-	for range hedgeMinSamples { // prime the p99 estimate
-		rt.lat.record(10 * time.Millisecond)
-	}
-
-	// A tenant homed on the slow replica.
-	tn := tenantHomedOn(rt, "slow")
-	front := httptest.NewServer(rt.Handler())
-	defer front.Close()
-
-	start := time.Now()
-	resp, err := http.Post(front.URL+"/query", "application/json",
-		strings.NewReader(fmt.Sprintf(`{"sql":"SELECT a FROM t","tenant":%q}`, tn)))
+	blob, err := ml.Marshal(&ml.Pipeline{
+		Final:        &ml.DecisionTree{NFeat: 1, Feature: []int{-1}, Threshold: []float64{0}, Left: []int{-1}, Right: []int{-1}, Value: []float64{1}},
+		InputColumns: []string{"a"},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if took := time.Since(start); took > 300*time.Millisecond {
-		t.Fatalf("hedged read took %v — waited out the slow replica instead of hedging", took)
+	data, _ := json.Marshal(blob)
+	post := func(base, path, body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
 	}
-	if got := resp.Header.Get("X-Raven-Replica"); got != "fast" {
-		t.Fatalf("winner = %q, want the hedge target (fast)", got)
+	same := func(path, body string, want int) {
+		t.Helper()
+		dc, db := post(tc.reps[0].Base, path, body)
+		rc, rb := post(tc.c.Base, path, body)
+		if dc != want || rc != dc || rb != db {
+			t.Errorf("%s %.60q: replica %d %q, router %d %q; want both %d with one error", path, body, dc, db, rc, rb, want)
+		}
 	}
-	st := rt.Stats(context.Background())
-	if st.Router.Hedged == 0 || st.Router.HedgeWins == 0 {
-		t.Fatalf("hedge counters not incremented: hedged=%d wins=%d", st.Router.Hedged, st.Router.HedgeWins)
+	for _, field := range []string{`"morsel_size":1`, `"parallel_threshold_rows":1`, `"disable_plan_cache":true`} {
+		q := fmt.Sprintf(`{"sql":"SELECT a FROM w","options":{"parallelism":2,%s}}`, field)
+		same("/query", q, http.StatusBadRequest)
+		same("/prepare", q, http.StatusBadRequest)
+		same("/model", fmt.Sprintf(`{"name":"m","data":%s,%s}`, data, field), http.StatusBadRequest)
+	}
+	// Past 4 MiB a query body is refused unread, on both.
+	huge := fmt.Sprintf(`{"sql":"SELECT a FROM w","params":{"x":%q}}`, strings.Repeat("a", 5<<20))
+	same("/query", huge, http.StatusRequestEntityTooLarge)
+	if st := tc.rt.Stats(context.Background()); st.Router.LogEntries != 1 || st.Router.Statements != 0 {
+		t.Fatalf("refused bodies reached the cluster: %d log entries, %d statements; want 1 and 0",
+			st.Router.LogEntries, st.Router.Statements)
+	}
+}
+
+// TestStartRoutesAtOnce: Start reconciles once before its loop, so a
+// read issued right after it is routed instead of refused with 503 until
+// the first probe tick.
+func TestStartRoutesAtOnce(t *testing.T) {
+	rep, err := SpawnReplica("r0", server.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close(context.Background())
+	rc := &server.Client{Base: rep.Base, Timeout: 5 * time.Second}
+	if err := rc.Exec(`CREATE TABLE w (a INT); INSERT INTO w VALUES (1)`); err != nil {
+		t.Fatal(err)
+	}
+	rt := New()
+	defer rt.Close()
+	if err := rt.AddMember(rep.Name, rep.Base); err != nil {
+		t.Fatal(err)
+	}
+	rt.Start()
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+	resp, err := http.Post(front.URL+"/query", "application/json", strings.NewReader(`{"sql":"SELECT a FROM w"}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Raven-Replica") != "r0" {
+		t.Fatalf("read right after Start: status %d from %q: %s", resp.StatusCode, resp.Header.Get("X-Raven-Replica"), b)
 	}
 }
 
 // TestSpillOver (white box): a saturated home queue reorders targets to
 // the least-loaded replica.
 func TestSpillOver(t *testing.T) {
-	rt := New(Options{SpillQueueDepth: 4})
+	rt := New()
 	defer rt.Close()
 	if err := rt.AddMember("a", "http://127.0.0.1:1"); err != nil {
 		t.Fatal(err)

@@ -100,13 +100,13 @@ func (m *member) forgetStmts() {
 }
 
 // run is the reconciler loop: probe every member on a jittered
-// interval, converge states, repair divergence. Jitter (±20%) keeps N
+// interval, converge states, repair divergence. Jitter (±25%) keeps N
 // routers (or one router's restarts) from synchronizing their probe
 // bursts onto the replicas.
 func (rt *Router) run() {
 	defer close(rt.loopDone)
 	// The loop context dies with the router, not with a tick: probes
-	// bound themselves with ProbeTimeout and repair replays with
+	// bound themselves with probeTimeout and repair replays with
 	// applyTimeout per entry, so a long catch-up (restarted replica, slow
 	// TRAIN entries) is not squeezed into one probe budget — but Close
 	// still cuts it off promptly.
@@ -117,9 +117,8 @@ func (rt *Router) run() {
 		cancel()
 	}()
 	for {
-		iv := rt.opts.ProbeInterval
-		jit := time.Duration(rand.Int63n(int64(iv)/2+1)) - iv/4
-		t := time.NewTimer(iv + jit)
+		jit := time.Duration(rand.Int63n(int64(probeInterval)/2+1)) - probeInterval/4
+		t := time.NewTimer(probeInterval + jit)
 		select {
 		case <-rt.stop:
 			t.Stop()
@@ -133,8 +132,8 @@ func (rt *Router) run() {
 // ProbeNow runs one synchronous reconcile pass: probe all members,
 // update states, repair any member behind the log. Tests use it to
 // converge deterministically instead of sleeping through probe
-// intervals; AddMember calls it so a freshly registered
-// replica is routable before the first tick.
+// intervals; Start runs one so the members registered before it are
+// routable before the first tick.
 func (rt *Router) ProbeNow(ctx context.Context) {
 	rt.reconcile(ctx)
 }
@@ -156,13 +155,13 @@ func (rt *Router) reconcile(ctx context.Context) {
 }
 
 // probeMember observes one replica and converges its state. Only the
-// health probe itself runs under ProbeTimeout; a repair replay gets
+// health probe itself runs under probeTimeout; a repair replay gets
 // applyTimeout per entry (via applyEntry) and resumes from appliedSeq,
 // so a replica with a long or slow log to catch up on converges over
 // however many passes it needs instead of failing each one at the
 // probe deadline.
 func (rt *Router) probeMember(ctx context.Context, m *member) {
-	pctx, pcancel := context.WithTimeout(ctx, rt.opts.ProbeTimeout)
+	pctx, pcancel := context.WithTimeout(ctx, probeTimeout)
 	h, err := m.c.Health(pctx)
 	pcancel()
 	now := time.Now()
@@ -175,7 +174,7 @@ func (rt *Router) probeMember(ctx context.Context, m *member) {
 		m.consecFails++
 		fails := m.consecFails
 		m.probeMu.Unlock()
-		if fails >= rt.opts.FailThreshold {
+		if fails >= failThreshold {
 			m.setState(StateDown)
 		}
 		return

@@ -173,11 +173,11 @@ func (rt *Router) applyEntry(ctx context.Context, m *member, e *logEntry) error 
 	actx, cancel := context.WithTimeout(ctx, applyTimeout)
 	defer cancel()
 	if e.kind == entryModel {
-		return rt.opts.Retry.Do(actx, server.Transient, func() error {
+		return server.Retry(actx, func() error {
 			return m.c.StoreModel(actx, server.ModelRequest{Name: e.name, Data: e.data, Tenant: e.tenant})
 		})
 	}
-	return rt.opts.Retry.Do(actx, server.Transient, func() error {
+	return server.Retry(actx, func() error {
 		res, qerr := m.c.QueryContext(actx, server.QueryRequest{SQL: e.sql, Tenant: e.tenant})
 		if qerr != nil {
 			return qerr

@@ -17,10 +17,12 @@
 //     models fan out to all members with catalog-version read-back;
 //     members that miss entries (crash, restart, network) are repaired
 //     by replaying the log before they take traffic again.
-//   - router.go: the data plane — streaming query proxy with per-replica
-//     retry (exponential backoff + jitter), optional hedged reads after
-//     a p99-based delay, router-side prepared statements lazily prepared
-//     per replica, and aggregated cluster stats.
+//   - router.go: the data plane — a streaming proxy on the replica's
+//     routes, decoding bodies and X-Raven-* headers with
+//     internal/server's code and forwarding every request-option
+//     header, with per-replica retry (exponential backoff + jitter),
+//     router-side prepared statements lazily prepared per replica, and
+//     aggregated cluster stats. Its tuning is constants, not options.
 //
 // The router caches no results: a repeated read is answered by the home
 // replica's own engine result cache (raven.WithResultCache), which

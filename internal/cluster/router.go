@@ -15,82 +15,49 @@ import (
 	"time"
 
 	"raven/internal/server"
+	"raven/internal/server/reqopt"
 	"raven/internal/sql"
 )
 
-// Options tunes the router.
-type Options struct {
-	// ProbeInterval is the reconciler's base tick (default 250ms); each
-	// tick is jittered ±25% so probe bursts never synchronize.
-	ProbeInterval time.Duration
-	// ProbeTimeout bounds one health probe (default 2s). Repair replays
-	// triggered by a probe run under applyTimeout per entry instead, so
-	// a replica with a long log to catch up on is not required to do it
-	// inside one probe budget.
-	ProbeTimeout time.Duration
-	// FailThreshold is how many consecutive probe failures mark a
-	// member down (default 2 — one blip is a restarting listener).
-	FailThreshold int
-	// SpillQueueDepth: when the home replica's probed admission queue is
-	// at least this deep, the tenant's queries spill to the least-loaded
-	// healthy replica instead (default 4; affinity is a warm-cache
-	// optimization, not a correctness constraint).
-	SpillQueueDepth int
-	// Retry is the per-replica retry policy for idempotent reads and
-	// replication (zero value = server.DefaultRetry).
-	Retry server.RetryPolicy
-	// Hedge enables hedged reads: if a routed query's response header
-	// has not arrived within the observed p99 latency, the same request
-	// is raced on the next-ranked healthy replica and the first response
-	// wins. Reads only — side effects never hedge.
-	Hedge bool
-	// HTTP overrides the transport (tests); nil uses a dedicated client.
-	HTTP *http.Client
-}
-
+// The router's fixed tuning: it proxies, and the replicas own every
+// setting worth changing per deployment. Retries take the client
+// policy (server.RetryAttempts tries, jittered exponential backoff).
 const (
+	// probeInterval is the reconciler's base tick; each tick is jittered
+	// ±25% so probe bursts never synchronize.
+	probeInterval = 250 * time.Millisecond
+	// probeTimeout bounds one health probe. Repair replays triggered by
+	// a probe run under applyTimeout per entry instead, so a replica
+	// with a long log to catch up on is not required to do it inside
+	// one probe budget.
+	probeTimeout = 2 * time.Second
+	// failThreshold is how many consecutive probe failures mark a
+	// member down (one blip is a restarting listener).
+	failThreshold = 2
+	// spillQueueDepth: when the home replica's probed admission queue is
+	// at least this deep, the tenant's queries spill to the least-loaded
+	// healthy replica instead (affinity is a warm-cache optimization,
+	// not a correctness constraint).
+	spillQueueDepth = 4
 	// applyTimeout bounds applying a single replication-log entry to one
 	// replica — fan-out and reconciler repair both. Slow entries (a long
 	// TRAIN, a large model upload) need a budget decoupled from probe
 	// cadence and clientTimeout.
 	applyTimeout = 2 * time.Minute
-	// hedgeMinSamples gates hedging until the latency window has seen
-	// enough reads to estimate a p99.
-	hedgeMinSamples = 16
 	// clientTimeout bounds probe/replication requests. Routed queries are
 	// bounded by the caller's own deadline instead.
 	clientTimeout = 5 * time.Second
 )
 
-func (o Options) withDefaults() Options {
-	if o.ProbeInterval <= 0 {
-		o.ProbeInterval = 250 * time.Millisecond
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
-	}
-	if o.FailThreshold <= 0 {
-		o.FailThreshold = 2
-	}
-	if o.SpillQueueDepth <= 0 {
-		o.SpillQueueDepth = 4
-	}
-	if o.HTTP == nil {
-		o.HTTP = &http.Client{}
-	}
-	return o
-}
-
 // Router fronts N ravenserved replicas with the replica wire protocol:
 // POST /query, /prepare, /stmt/{id}/query, DELETE /stmt/{id}, POST
 // /model, GET /healthz and GET /stats (the last aggregated across the
-// cluster). Reads route by tenant affinity with spill-over, retry and
-// optional hedging; side effects replicate to every member through the
-// ordered log. Create with New, register replicas with AddMember, run
-// the reconciler with Start, serve Handler().
+// cluster). Reads route by tenant affinity with spill-over and retry;
+// side effects replicate to every member through the ordered log.
+// Create with New, register replicas with AddMember, run the reconciler
+// with Start, serve Handler().
 type Router struct {
-	opts Options
-	mux  *http.ServeMux
+	mux *http.ServeMux
 
 	mu      sync.Mutex
 	members map[string]*member
@@ -105,25 +72,26 @@ type Router struct {
 	// the new entry's seq cannot be interleaved by a concurrent DDL.
 	replMu sync.Mutex
 
-	lat latWindow
-
 	stop     chan struct{}
 	loopDone chan struct{}
 	started  atomic.Bool
 	closed   atomic.Bool
 
 	routed, spilled, retried atomic.Uint64
-	hedged, hedgeWins        atomic.Uint64
 	reprepared, repairs      atomic.Uint64
 	skipped                  atomic.Uint64
 }
 
 // routerStmt is a router-side prepared statement: the prepare request
-// is kept verbatim and replayed lazily, once per replica, on first use
-// there (and again after a replica restart wipes its registry).
+// and its request-option headers are kept verbatim and replayed lazily,
+// once per replica, on first use there (and again after a replica
+// restart wipes its registry). tenant is the resolved prepare-time
+// tenant, the affinity of executions that name none.
 type routerStmt struct {
-	id  string
-	req server.QueryRequest
+	id     string
+	req    server.QueryRequest
+	hdr    http.Header
+	tenant string
 	// params is the compiled parameter list, identical on every replica;
 	// set exactly once by whichever prepare lands first.
 	paramsOnce sync.Once
@@ -131,9 +99,8 @@ type routerStmt struct {
 }
 
 // New builds a Router. Call AddMember for each replica, then Start.
-func New(opts Options) *Router {
+func New() *Router {
 	rt := &Router{
-		opts:     opts.withDefaults(),
 		members:  make(map[string]*member),
 		stmts:    make(map[string]*routerStmt),
 		stop:     make(chan struct{}),
@@ -154,9 +121,12 @@ func New(opts Options) *Router {
 // Handler returns the router's route table.
 func (rt *Router) Handler() http.Handler { return rt.mux }
 
-// Start launches the reconciler loop. Idempotent.
+// Start runs one reconcile pass, so the members registered so far are
+// routable when it returns, then launches the reconciler loop.
+// Idempotent.
 func (rt *Router) Start() {
 	if rt.started.CompareAndSwap(false, true) {
+		rt.reconcile(context.Background())
 		go rt.run()
 	}
 }
@@ -174,12 +144,12 @@ func (rt *Router) Close() {
 }
 
 // AddMember registers a replica under a stable name. The member starts
-// Unknown; run ProbeNow (or wait a probe interval) to make it routable.
+// Unknown; Start, ProbeNow or the next probe tick makes it routable.
 func (rt *Router) AddMember(name, base string) error {
 	m := &member{
 		name:  name,
 		base:  strings.TrimRight(base, "/"),
-		c:     &server.Client{Base: strings.TrimRight(base, "/"), HTTP: rt.opts.HTTP, Timeout: clientTimeout},
+		c:     &server.Client{Base: strings.TrimRight(base, "/"), Timeout: clientTimeout},
 		stmts: make(map[string]string),
 	}
 	rt.mu.Lock()
@@ -240,7 +210,7 @@ func (rt *Router) targetsFor(tenant string) []*member {
 		return routable
 	}
 	home := routable[0]
-	if home.lastHealth().Queue < rt.opts.SpillQueueDepth {
+	if home.lastHealth().Queue < spillQueueDepth {
 		return routable
 	}
 	// Home saturated: lead with the least-loaded routable member
@@ -260,15 +230,7 @@ func (rt *Router) targetsFor(tenant string) []*member {
 	return routable
 }
 
-// requestTenant mirrors the server's precedence: header beats body.
-func requestTenant(r *http.Request, body string) string {
-	if h := r.Header.Get("X-Raven-Tenant"); h != "" {
-		return h
-	}
-	return body
-}
-
-// ---- read path: streaming proxy with retry + hedging ----
+// ---- read path: streaming proxy with retry ----
 
 // flushWriter flushes after every write so NDJSON rows stream through
 // the router instead of buffering.
@@ -305,11 +267,12 @@ func (a *attempt) discard() {
 }
 
 // tryMember issues the request to one member and waits for the
-// response header. The client's admission headers are forwarded: the
-// replica gives X-Raven-Tenant / X-Raven-Priority precedence over the
-// body exactly so a fronting proxy can tag untrusted clients, and this
-// router is that proxy — dropping them would route by the header tenant
-// while the replica admits and bills the (often empty) body tenant.
+// response header. The client's request-option headers (reqopt.Headers)
+// are forwarded: the replica gives them precedence over the body
+// exactly so a fronting proxy can tag untrusted clients, and this
+// router is that proxy — dropping one would route by the header tenant
+// while the replica admits, bills, caches and bounds the request by the
+// body alone.
 func (rt *Router) tryMember(ctx context.Context, m *member, path string, body []byte, hdr http.Header) attempt {
 	actx, cancel := context.WithCancel(ctx)
 	req, err := http.NewRequestWithContext(actx, http.MethodPost, m.base+path, bytes.NewReader(body))
@@ -318,15 +281,9 @@ func (rt *Router) tryMember(ctx context.Context, m *member, path string, body []
 		return attempt{m: m, err: err, cancel: func() {}}
 	}
 	req.Header.Set("Content-Type", "application/json")
-	if hdr != nil {
-		for _, h := range []string{"X-Raven-Tenant", "X-Raven-Priority"} {
-			if v := hdr.Get(h); v != "" {
-				req.Header.Set(h, v)
-			}
-		}
-	}
+	reqopt.CopyHeaders(req.Header, hdr)
 	m.inflight.Add(1)
-	resp, err := rt.opts.HTTP.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	m.inflight.Add(-1)
 	return attempt{m: m, resp: resp, err: err, cancel: cancel}
 }
@@ -338,41 +295,50 @@ func retryableStatus(code int) bool {
 	return code == http.StatusServiceUnavailable || code == http.StatusTooManyRequests
 }
 
+// errNoReplicas answers a read or prepare no member can take.
+var errNoReplicas = &server.HTTPError{Status: http.StatusServiceUnavailable, Msg: "no healthy replicas"}
+
+// badGateway gives a failure that carries no replica verdict (a
+// transport error, nothing reachable) the status 502; a replica's own
+// HTTP verdict keeps its status.
+func badGateway(err error) error {
+	var he *server.HTTPError
+	if errors.As(err, &he) {
+		return err
+	}
+	return &server.HTTPError{Status: http.StatusBadGateway, Msg: err.Error()}
+}
+
 // proxyRead routes a read to the tenant's targets with per-replica
-// retry and (optionally) a hedged first attempt, then streams the
-// winning response through. pathFor resolves the member-specific path —
-// the prepared path differs per replica — and may error (prepare
-// failed); notFound, if set, is called when a member answers 404 so the
-// caller can invalidate a cached statement id before the retry.
-func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, tenant string, body []byte,
+// retry, then streams the winning response through. pathFor resolves
+// the member-specific path — the prepared path differs per replica —
+// and may error (prepare failed); notFound, if set, is called when a
+// member answers 404 so the caller can invalidate a cached statement id
+// before the retry.
+func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, tenant string, req server.QueryRequest,
 	pathFor func(ctx context.Context, m *member) (string, error), notFound func(m *member)) {
 
 	targets := rt.targetsFor(tenant)
 	if len(targets) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, server.ErrorLine{Error: "no healthy replicas"})
+		server.WriteError(w, errNoReplicas)
 		return
 	}
 	rt.routed.Add(1)
 	ctx := r.Context()
-	policy := rt.opts.Retry
-	attempts := policy.MaxAttempts
-	if attempts < 1 {
-		attempts = server.DefaultRetry.MaxAttempts
-	}
-	if attempts < len(targets) {
-		attempts = len(targets) // a cluster-wide outage is worth one try everywhere
-	}
+	body, _ := json.Marshal(req) // lossless: the decoder refused any field QueryRequest lacks
+	// A cluster-wide outage is worth one try everywhere.
+	attempts := max(server.RetryAttempts, len(targets))
 
 	var last attempt
 	for i := 0; i < attempts; i++ {
 		if i > 0 {
 			rt.retried.Add(1)
-			t := time.NewTimer(policy.Backoff(i - 1))
+			t := time.NewTimer(server.RetryBackoff(i - 1))
 			select {
 			case <-t.C:
 			case <-ctx.Done():
 				t.Stop()
-				writeJSON(w, 499, server.ErrorLine{Error: ctx.Err().Error()})
+				server.WriteError(w, ctx.Err())
 				return
 			}
 		}
@@ -385,17 +351,13 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, tenant strin
 			}
 			continue
 		}
-		start := time.Now()
 		a := rt.tryMember(ctx, m, path, body, r.Header)
-		if i == 0 && a.err == nil && a.resp != nil && a.resp.StatusCode == http.StatusOK {
-			rt.lat.record(time.Since(start))
-		}
 		switch {
 		case a.err != nil:
 			a.discard()
 			last = attempt{m: m, err: a.err}
 			if ctx.Err() != nil {
-				writeJSON(w, 499, server.ErrorLine{Error: ctx.Err().Error()})
+				server.WriteError(w, ctx.Err())
 				return
 			}
 			continue
@@ -414,19 +376,7 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, tenant strin
 		}
 	}
 	// All attempts failed; surface the last error with a real status.
-	status := http.StatusBadGateway
-	var he *server.HTTPError
-	if errors.As(last.err, &he) {
-		status = he.Status
-	}
-	msg := "no attempt completed"
-	if last.err != nil {
-		msg = last.err.Error()
-	}
-	if last.m != nil {
-		msg = fmt.Sprintf("replica %s: %s", last.m.name, msg)
-	}
-	writeJSON(w, status, server.ErrorLine{Error: msg})
+	server.WriteError(w, badGateway(fmt.Errorf("replica %s: %w", last.m.name, last.err)))
 }
 
 // relay copies the upstream response through, flushing per write so
@@ -450,99 +400,18 @@ func (rt *Router) relay(w http.ResponseWriter, a attempt) {
 	a.m.inflight.Add(-1)
 }
 
-// hedgedFirst races the first attempt on two replicas when the primary
-// is slower than the observed p99: fire on targets[0], wait hedgeDelay,
-// fire on targets[1], take whichever returns a usable header first and
-// cancel the other. Used only for the first attempt of reads — every
-// later attempt is already a retry.
-func (rt *Router) hedgedFirst(ctx context.Context, targets []*member, path0, path1 string, body []byte, hdr http.Header) attempt {
-	delay := rt.lat.p99()
-	results := make(chan attempt, 2)
-	hctx, hcancel := context.WithCancel(ctx)
-	launch := func(m *member, path string) {
-		go func() {
-			a := rt.tryMember(hctx, m, path, body, hdr)
-			results <- a
-		}()
-	}
-	launch(targets[0], path0)
-	t := time.NewTimer(delay)
-	var first attempt
-	launched := 1
-	select {
-	case first = <-results:
-		t.Stop()
-	case <-t.C:
-		rt.hedged.Add(1)
-		launch(targets[1], path1)
-		launched = 2
-		first = <-results
-	}
-	usable := func(a attempt) bool {
-		return a.err == nil && !retryableStatus(a.resp.StatusCode) && a.resp.StatusCode != http.StatusNotFound
-	}
-	if usable(first) {
-		if launched == 2 && first.m == targets[1] {
-			rt.hedgeWins.Add(1)
-		}
-		// Abandon the loser once it reports in; its context dies with
-		// the winner's body copy, so no goroutine leaks past the copy.
-		if launched == 2 {
-			go func() {
-				a := <-results
-				a.discard()
-			}()
-		}
-		first.cancel = hcancel
-		return first
-	}
-	first.discard()
-	if launched == 2 {
-		second := <-results
-		if usable(second) {
-			if second.m == targets[1] {
-				rt.hedgeWins.Add(1)
-			}
-			second.cancel = hcancel
-			return second
-		}
-		second.discard()
-	}
-	hcancel()
-	return attempt{m: first.m, err: firstErr(first)}
-}
-
-func firstErr(a attempt) error {
-	if a.err != nil {
-		return a.err
-	}
-	if a.resp != nil {
-		return &server.HTTPError{Status: a.resp.StatusCode, Msg: a.resp.Status}
-	}
-	return errors.New("attempt failed")
-}
-
 // ---- handlers ----
 
-func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<22))
-	if err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorLine{Error: err.Error()})
-		return
-	}
-	var req server.QueryRequest
-	if len(bytes.TrimSpace(body)) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeJSON(w, http.StatusBadRequest, server.ErrorLine{Error: "bad request body: " + err.Error()})
-			return
-		}
-	}
-	if strings.TrimSpace(req.SQL) == "" {
-		writeJSON(w, http.StatusBadRequest, server.ErrorLine{Error: "missing sql"})
-		return
-	}
-	tenant := requestTenant(r, req.Tenant)
+// The handlers decode bodies and X-Raven-* headers with the replica's
+// own code (server.DecodeQuery, server.DecodeModel), so the router
+// accepts, refuses and routes exactly what a replica would.
 
+func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
+	req, ro, err := server.DecodeQuery(w, r, true)
+	if err != nil {
+		server.WriteError(w, err)
+		return
+	}
 	// Side-effect-only scripts replicate to every member; a read-only
 	// script routes to one. The same classifier the replicas use, so
 	// router and replica never disagree. A script mixing DDL and a
@@ -550,103 +419,61 @@ func (rt *Router) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// it at the router rather than silently diverge the cluster.
 	switch sql.ClassifyScript(req.SQL) {
 	case sql.ScriptSideEffectsOnly:
-		if err := rt.replicate(r.Context(), logEntry{kind: entryScript, sql: req.SQL, tenant: tenant}); err != nil {
-			writeJSON(w, replicateStatus(err), server.ErrorLine{Error: err.Error()})
+		if err := rt.replicate(r.Context(), logEntry{kind: entryScript, sql: req.SQL, tenant: ro.Tenant}); err != nil {
+			server.WriteError(w, badGateway(err))
 			return
 		}
-		writeJSON(w, http.StatusOK, server.ExecResponse{OK: true})
+		server.WriteJSON(w, http.StatusOK, server.ExecResponse{OK: true})
 		return
 	case sql.ScriptMixed:
-		writeJSON(w, http.StatusBadRequest, server.ErrorLine{Error: "a clustered script cannot mix side effects with a SELECT: run the DDL/INSERT script first (it replicates to all replicas), then the query"})
+		server.WriteError(w, errors.New("a clustered script cannot mix side effects with a SELECT: run the DDL/INSERT script first (it replicates to all replicas), then the query"))
 		return
 	}
-
 	pathFor := func(context.Context, *member) (string, error) { return "/query", nil }
-	targets := rt.targetsFor(tenant)
-	if rt.opts.Hedge && len(targets) >= 2 && rt.lat.size() >= hedgeMinSamples {
-		a := rt.hedgedFirst(r.Context(), targets, "/query", "/query", body, r.Header)
-		if a.err == nil {
-			rt.routed.Add(1) // served here; the fall-through path is counted by proxyRead
-			rt.relay(w, a)
-			return
-		}
-		// Both hedge legs failed; fall through to the plain retry loop.
-	}
-	rt.proxyRead(w, r, tenant, body, pathFor, nil)
+	rt.proxyRead(w, r, ro.Tenant, req, pathFor, nil)
 }
 
 func (rt *Router) handleStoreModel(w http.ResponseWriter, r *http.Request) {
-	var req server.ModelRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<26)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorLine{Error: "bad request body: " + err.Error()})
+	req, err := server.DecodeModel(w, r)
+	if err != nil {
+		server.WriteError(w, err)
 		return
 	}
-	if req.Name == "" || len(req.Data) == 0 {
-		writeJSON(w, http.StatusBadRequest, server.ErrorLine{Error: "missing model name or data"})
+	if err := rt.replicate(r.Context(), logEntry{kind: entryModel, name: req.Name, data: req.Data, tenant: req.Tenant}); err != nil {
+		server.WriteError(w, badGateway(err))
 		return
 	}
-	tenant := requestTenant(r, req.Tenant)
-	if err := rt.replicate(r.Context(), logEntry{kind: entryModel, name: req.Name, data: req.Data, tenant: tenant}); err != nil {
-		writeJSON(w, replicateStatus(err), server.ErrorLine{Error: err.Error()})
-		return
-	}
-	writeJSON(w, http.StatusOK, server.ExecResponse{OK: true})
-}
-
-// replicateStatus maps a replication failure to a response status: a
-// replica's own 4xx verdict on the entry (bad SQL everywhere → 400) is
-// the client's error and passes through; anything else — transport
-// failures, replica 5xx — is infrastructure, 502.
-func replicateStatus(err error) int {
-	var he *server.HTTPError
-	if errors.As(err, &he) && he.Status >= 400 && he.Status < 500 {
-		return he.Status
-	}
-	return http.StatusBadGateway
+	server.WriteJSON(w, http.StatusOK, server.ExecResponse{OK: true})
 }
 
 func (rt *Router) handlePrepare(w http.ResponseWriter, r *http.Request) {
-	var req server.QueryRequest
-	if err := json.NewDecoder(io.LimitReader(r.Body, 1<<22)).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorLine{Error: "bad request body: " + err.Error()})
+	req, ro, err := server.DecodeQuery(w, r, true)
+	if err != nil {
+		server.WriteError(w, err)
 		return
 	}
-	if strings.TrimSpace(req.SQL) == "" {
-		writeJSON(w, http.StatusBadRequest, server.ErrorLine{Error: "missing sql"})
-		return
-	}
-	if h := r.Header.Get("X-Raven-Tenant"); h != "" {
-		req.Tenant = h // bake the proxy-assigned tenant into the statement
-	}
-
 	// Register the statement, then prepare it eagerly on the tenant's
 	// home replica: compile errors and the parameter list surface now,
 	// synchronously, like they would against a single replica. Every
 	// other replica prepares lazily on its first execution.
 	rt.mu.Lock()
 	rt.nextID++
-	rs := &routerStmt{id: fmt.Sprintf("r%d", rt.nextID), req: req}
+	rs := &routerStmt{id: fmt.Sprintf("r%d", rt.nextID), req: req, hdr: r.Header.Clone(), tenant: ro.Tenant}
 	rt.mu.Unlock()
 
-	targets := rt.targetsFor(req.Tenant)
+	targets := rt.targetsFor(ro.Tenant)
 	if len(targets) == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, server.ErrorLine{Error: "no healthy replicas"})
+		server.WriteError(w, errNoReplicas)
 		return
 	}
-	_, err := rt.ensureStmt(r.Context(), targets[0], rs)
-	if err != nil {
-		status := http.StatusBadGateway
-		var he *server.HTTPError
-		if errors.As(err, &he) {
-			status = he.Status
-		}
-		writeJSON(w, status, server.ErrorLine{Error: err.Error()})
+	if _, err := rt.ensureStmt(r.Context(), targets[0], rs); err != nil {
+		server.WriteError(w, badGateway(err))
 		return
 	}
 	rt.mu.Lock()
 	rt.stmts[rs.id] = rs
 	rt.mu.Unlock()
-	writeJSON(w, http.StatusOK, server.PrepareResponse{ID: rs.id, Params: rs.params})
+	server.WriteJSON(w, http.StatusOK, server.PrepareResponse{ID: rs.id, Params: rs.params})
 }
 
 // ensureStmt returns the replica-side id of rs on m, preparing it
@@ -659,9 +486,9 @@ func (rt *Router) ensureStmt(ctx context.Context, m *member, rs *routerStmt) (st
 		return id, nil
 	}
 	var pr *server.PrepareResponse
-	err := rt.opts.Retry.Do(ctx, server.Transient, func() error {
+	err := server.Retry(ctx, func() error {
 		var perr error
-		pr, perr = m.c.PrepareContext(ctx, rs.req)
+		pr, perr = m.c.PrepareContext(ctx, rs.req, rs.hdr)
 		return perr
 	})
 	if err != nil {
@@ -677,25 +504,18 @@ func (rt *Router) handleStmtQuery(w http.ResponseWriter, r *http.Request) {
 	rs := rt.stmts[r.PathValue("id")]
 	rt.mu.Unlock()
 	if rs == nil {
-		writeJSON(w, http.StatusNotFound, server.ErrorLine{Error: "unknown statement id"})
+		server.WriteError(w, reqopt.ErrStmtNotFound)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<22))
+	req, ro, err := server.DecodeQuery(w, r, false)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, server.ErrorLine{Error: err.Error()})
+		server.WriteError(w, err)
 		return
-	}
-	var req server.QueryRequest
-	if len(bytes.TrimSpace(body)) > 0 {
-		if err := json.Unmarshal(body, &req); err != nil {
-			writeJSON(w, http.StatusBadRequest, server.ErrorLine{Error: "bad request body: " + err.Error()})
-			return
-		}
 	}
 	// Affinity: the execution's tenant if tagged, else the statement's.
-	tenant := requestTenant(r, req.Tenant)
+	tenant := ro.Tenant
 	if tenant == "" {
-		tenant = rs.req.Tenant
+		tenant = rs.tenant
 	}
 
 	pathFor := func(ctx context.Context, m *member) (string, error) {
@@ -714,7 +534,7 @@ func (rt *Router) handleStmtQuery(w http.ResponseWriter, r *http.Request) {
 		m.stmtMu.Unlock()
 		rt.reprepared.Add(1)
 	}
-	rt.proxyRead(w, r, tenant, body, pathFor, notFound)
+	rt.proxyRead(w, r, tenant, req, pathFor, notFound)
 }
 
 func (rt *Router) handleStmtDelete(w http.ResponseWriter, r *http.Request) {
@@ -724,7 +544,7 @@ func (rt *Router) handleStmtDelete(w http.ResponseWriter, r *http.Request) {
 	delete(rt.stmts, id)
 	rt.mu.Unlock()
 	if rs == nil {
-		writeJSON(w, http.StatusNotFound, server.ErrorLine{Error: "unknown statement id"})
+		server.WriteError(w, reqopt.ErrStmtNotFound)
 		return
 	}
 	// Best-effort close on every replica that prepared it; a replica
@@ -738,7 +558,7 @@ func (rt *Router) handleStmtDelete(w http.ResponseWriter, r *http.Request) {
 			m.c.CloseStmtContext(r.Context(), rid)
 		}
 	}
-	writeJSON(w, http.StatusOK, server.ExecResponse{OK: true})
+	server.WriteJSON(w, http.StatusOK, server.ExecResponse{OK: true})
 }
 
 // ---- observability ----
@@ -750,8 +570,6 @@ type RouterStats struct {
 	Routed     uint64 `json:"routed"`
 	Spilled    uint64 `json:"spilled"`
 	Retried    uint64 `json:"retried"`
-	Hedged     uint64 `json:"hedged"`
-	HedgeWins  uint64 `json:"hedge_wins"`
 	Reprepared uint64 `json:"reprepared"`
 	Repairs    uint64 `json:"repairs"`
 	LogEntries uint64 `json:"log_entries"`
@@ -759,9 +577,8 @@ type RouterStats struct {
 	// (terminal 4xx during replay) and was advanced past instead of
 	// being wedged in degraded forever. Non-zero means replica state
 	// has drifted from the log.
-	LogSkipped uint64  `json:"log_skipped"`
-	Statements int     `json:"statements"`
-	P99Millis  float64 `json:"p99_ms"`
+	LogSkipped uint64 `json:"log_skipped"`
+	Statements int    `json:"statements"`
 }
 
 // MemberInfo is one replica's row in cluster stats.
@@ -832,23 +649,20 @@ func (rt *Router) Stats(ctx context.Context) ClusterStats {
 			Routed:     rt.routed.Load(),
 			Spilled:    rt.spilled.Load(),
 			Retried:    rt.retried.Load(),
-			Hedged:     rt.hedged.Load(),
-			HedgeWins:  rt.hedgeWins.Load(),
 			Reprepared: rt.reprepared.Load(),
 			Repairs:    rt.repairs.Load(),
 			LogEntries: entries,
 			LogSkipped: rt.skipped.Load(),
 			Statements: stmts,
-			P99Millis:  float64(rt.lat.p99()) / float64(time.Millisecond),
 		},
 		Members: infos,
 	}
 }
 
 func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), rt.opts.ProbeTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), probeTimeout)
 	defer cancel()
-	writeJSON(w, http.StatusOK, rt.Stats(ctx))
+	server.WriteJSON(w, http.StatusOK, rt.Stats(ctx))
 }
 
 // handleHealthz reports the router's own health: ok while at least one
@@ -875,60 +689,5 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		h.Status = "unavailable"
 		status = http.StatusServiceUnavailable
 	}
-	writeJSON(w, status, h)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
-}
-
-// ---- latency window (hedge-delay estimation) ----
-
-// latWindow is a fixed ring of recent first-byte latencies for routed
-// reads; p99 over it sets the hedge delay.
-type latWindow struct {
-	mu   sync.Mutex
-	buf  [128]time.Duration
-	n    int // filled
-	next int
-}
-
-func (l *latWindow) record(d time.Duration) {
-	l.mu.Lock()
-	l.buf[l.next] = d
-	l.next = (l.next + 1) % len(l.buf)
-	if l.n < len(l.buf) {
-		l.n++
-	}
-	l.mu.Unlock()
-}
-
-func (l *latWindow) size() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.n
-}
-
-// p99 returns the 99th-percentile recorded latency (floor 1ms so an
-// all-fast window does not hedge every single request).
-func (l *latWindow) p99() time.Duration {
-	l.mu.Lock()
-	vals := make([]time.Duration, l.n)
-	copy(vals, l.buf[:l.n])
-	l.mu.Unlock()
-	if len(vals) == 0 {
-		return time.Second
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	idx := len(vals) * 99 / 100
-	if idx >= len(vals) {
-		idx = len(vals) - 1
-	}
-	d := vals[idx]
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
+	server.WriteJSON(w, status, h)
 }

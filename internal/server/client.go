@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"raven/internal/server/reqopt"
 )
 
 // Client is a minimal Go client for the wire protocol, shared by the
@@ -61,7 +63,9 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *Client) postJSON(ctx context.Context, path string, body any) (*http.Response, error) {
+// postJSON posts body as JSON to path, with hdr's request-option headers
+// (reqopt.Headers; hdr may be nil).
+func (c *Client) postJSON(ctx context.Context, path string, body any, hdr http.Header) (*http.Response, error) {
 	data, err := json.Marshal(body)
 	if err != nil {
 		return nil, err
@@ -71,6 +75,7 @@ func (c *Client) postJSON(ctx context.Context, path string, body any) (*http.Res
 		return nil, err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	reqopt.CopyHeaders(req.Header, hdr)
 	return c.httpClient().Do(req)
 }
 
@@ -92,7 +97,7 @@ func (c *Client) Query(req QueryRequest) (*StreamResult, error) {
 func (c *Client) QueryContext(ctx context.Context, req QueryRequest) (*StreamResult, error) {
 	ctx, cancel := c.reqCtx(ctx)
 	defer cancel()
-	resp, err := c.postJSON(ctx, "/query", req)
+	resp, err := c.postJSON(ctx, "/query", req, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -122,7 +127,7 @@ func (c *Client) ExecContext(ctx context.Context, sql string) error {
 func (c *Client) StoreModel(ctx context.Context, req ModelRequest) error {
 	ctx, cancel := c.reqCtx(ctx)
 	defer cancel()
-	resp, err := c.postJSON(ctx, "/model", req)
+	resp, err := c.postJSON(ctx, "/model", req, nil)
 	if err != nil {
 		return err
 	}
@@ -135,14 +140,15 @@ func (c *Client) StoreModel(ctx context.Context, req ModelRequest) error {
 
 // Prepare posts to /prepare.
 func (c *Client) Prepare(req QueryRequest) (*PrepareResponse, error) {
-	return c.PrepareContext(context.Background(), req)
+	return c.PrepareContext(context.Background(), req, nil)
 }
 
-// PrepareContext is Prepare under a context.
-func (c *Client) PrepareContext(ctx context.Context, req QueryRequest) (*PrepareResponse, error) {
+// PrepareContext is Prepare under a context, sending hdr's
+// request-option headers (a proxy forwarding its client's tags).
+func (c *Client) PrepareContext(ctx context.Context, req QueryRequest, hdr http.Header) (*PrepareResponse, error) {
 	ctx, cancel := c.reqCtx(ctx)
 	defer cancel()
-	resp, err := c.postJSON(ctx, "/prepare", req)
+	resp, err := c.postJSON(ctx, "/prepare", req, hdr)
 	if err != nil {
 		return nil, err
 	}
@@ -166,7 +172,7 @@ func (c *Client) StmtQuery(id string, req QueryRequest) (*StreamResult, error) {
 func (c *Client) StmtQueryContext(ctx context.Context, id string, req QueryRequest) (*StreamResult, error) {
 	ctx, cancel := c.reqCtx(ctx)
 	defer cancel()
-	resp, err := c.postJSON(ctx, "/stmt/"+id+"/query", req)
+	resp, err := c.postJSON(ctx, "/stmt/"+id+"/query", req, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -124,20 +124,20 @@ func TestStoreModelOverWire(t *testing.T) {
 
 // TestRetryPolicy pins the shared backoff helper's contract.
 func TestRetryPolicy(t *testing.T) {
-	p := RetryPolicy{MaxAttempts: 4, BaseDelay: time.Millisecond, MaxDelay: 4 * time.Millisecond}
+	p := retryPolicy{attempts: 4, base: time.Millisecond, max: 4 * time.Millisecond}
 
 	// Backoff windows double and cap; jitter stays inside the window.
 	for n, wantMax := range []time.Duration{time.Millisecond, 2 * time.Millisecond, 4 * time.Millisecond, 4 * time.Millisecond, 4 * time.Millisecond} {
 		for i := 0; i < 50; i++ {
-			if d := p.Backoff(n); d <= 0 || d > wantMax {
-				t.Fatalf("Backoff(%d) = %v, want in (0, %v]", n, d, wantMax)
+			if d := p.backoff(n); d <= 0 || d > wantMax {
+				t.Fatalf("backoff(%d) = %v, want in (0, %v]", n, d, wantMax)
 			}
 		}
 	}
 
-	// Retries transient failures up to MaxAttempts.
+	// Retries transient failures up to attempts.
 	calls := 0
-	err := p.Do(context.Background(), nil, func() error {
+	err := p.do(context.Background(), func() error {
 		calls++
 		return &HTTPError{Status: http.StatusServiceUnavailable, Msg: "draining"}
 	})
@@ -147,7 +147,7 @@ func TestRetryPolicy(t *testing.T) {
 
 	// Terminal errors stop immediately.
 	calls = 0
-	err = p.Do(context.Background(), nil, func() error {
+	err = p.do(context.Background(), func() error {
 		calls++
 		return &HTTPError{Status: http.StatusBadRequest, Msg: "bad sql"}
 	})
@@ -157,7 +157,7 @@ func TestRetryPolicy(t *testing.T) {
 
 	// Success after a retry returns nil.
 	calls = 0
-	err = p.Do(context.Background(), nil, func() error {
+	err = p.do(context.Background(), func() error {
 		calls++
 		if calls < 3 {
 			return errors.New("connection refused")
@@ -172,9 +172,9 @@ func TestRetryPolicy(t *testing.T) {
 	// out (the sleep here would otherwise be an hour).
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	slow := RetryPolicy{MaxAttempts: 3, BaseDelay: time.Hour, MaxDelay: time.Hour}
+	slow := retryPolicy{attempts: 3, base: time.Hour, max: time.Hour}
 	start := time.Now()
-	err = slow.Do(ctx, nil, func() error { return errors.New("transport") })
+	err = slow.do(ctx, func() error { return errors.New("transport") })
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("expired backoff: %v, want context.DeadlineExceeded", err)
 	}

@@ -74,6 +74,9 @@ func Classify(err error) Class {
 		return Class{499, SQLStateQueryCanceled, false}
 	case errors.Is(err, ErrStmtNotFound):
 		return Class{http.StatusNotFound, SQLStateInvalidStmtName, false}
+	case errors.As(err, new(*http.MaxBytesError)):
+		// A request body past the route's size limit (HTTP only).
+		return Class{http.StatusRequestEntityTooLarge, SQLStateProtocolViolation, false}
 	default:
 		return Class{http.StatusBadRequest, SQLStateSyntaxError, false}
 	}

@@ -169,38 +169,57 @@ const (
 	HeaderNoCache   = "X-Raven-No-Cache"
 )
 
+// Headers is the ctx layer's header list, in one place: FromHeaders
+// parses exactly these, and CopyHeaders forwards exactly these.
+var Headers = []string{HeaderTenant, HeaderPriority, HeaderDOP, HeaderTimeoutMS, HeaderNoCache}
+
+// CopyHeaders sets on dst each of Headers that src carries: what a
+// fronting proxy forwards to the server behind it.
+func CopyHeaders(dst, src http.Header) {
+	for _, h := range Headers {
+		if v := src.Get(h); v != "" {
+			dst.Set(h, v)
+		}
+	}
+}
+
 // FromHeaders parses the X-Raven-* headers into the ctx layer. A
 // malformed value is a client error, not silently a zero.
 func FromHeaders(h http.Header) (Options, error) {
 	var o Options
-	o.Tenant = h.Get(HeaderTenant)
-	if v := h.Get(HeaderPriority); v != "" {
-		p, err := strconv.Atoi(v)
-		if err != nil {
-			return Options{}, fmt.Errorf("bad %s %q: not an integer", HeaderPriority, v)
+	for _, name := range Headers {
+		v := h.Get(name)
+		if v == "" {
+			continue
 		}
-		o.Priority = &p
-	}
-	if v := h.Get(HeaderDOP); v != "" {
-		d, err := strconv.Atoi(v)
-		if err != nil || d < 0 {
-			return Options{}, fmt.Errorf("bad %s %q: not a non-negative integer", HeaderDOP, v)
+		switch name {
+		case HeaderTenant:
+			o.Tenant = v
+		case HeaderPriority:
+			p, err := strconv.Atoi(v)
+			if err != nil {
+				return Options{}, fmt.Errorf("bad %s %q: not an integer", name, v)
+			}
+			o.Priority = &p
+		case HeaderDOP:
+			d, err := strconv.Atoi(v)
+			if err != nil || d < 0 {
+				return Options{}, fmt.Errorf("bad %s %q: not a non-negative integer", name, v)
+			}
+			o.DOP = d
+		case HeaderTimeoutMS:
+			ms, err := strconv.ParseInt(v, 10, 64)
+			if err != nil || ms < 0 {
+				return Options{}, fmt.Errorf("bad %s %q: not a non-negative integer", name, v)
+			}
+			o.Timeout = time.Duration(ms) * time.Millisecond
+		case HeaderNoCache:
+			b, err := parseWireBool(v)
+			if err != nil {
+				return Options{}, fmt.Errorf("bad %s %q: want a boolean", name, v)
+			}
+			o.NoCache = b
 		}
-		o.DOP = d
-	}
-	if v := h.Get(HeaderTimeoutMS); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || ms < 0 {
-			return Options{}, fmt.Errorf("bad %s %q: not a non-negative integer", HeaderTimeoutMS, v)
-		}
-		o.Timeout = time.Duration(ms) * time.Millisecond
-	}
-	if v := h.Get(HeaderNoCache); v != "" {
-		b, err := parseWireBool(v)
-		if err != nil {
-			return Options{}, fmt.Errorf("bad %s %q: want a boolean", HeaderNoCache, v)
-		}
-		o.NoCache = b
 	}
 	return o, nil
 }

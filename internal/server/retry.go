@@ -8,64 +8,45 @@ import (
 	"time"
 )
 
-// RetryPolicy is exponential backoff with full jitter for the client
-// path: attempt, and on a retryable failure sleep a random slice of an
-// exponentially growing window before trying again. The cluster router
-// uses it for per-replica retries of idempotent reads, so every retry
-// loop in the system backs off the same way instead of hammering a
-// struggling replica in lockstep.
-type RetryPolicy struct {
-	// MaxAttempts bounds the total tries (first attempt included);
-	// values < 1 mean one attempt, i.e. no retrying.
-	MaxAttempts int
-	// BaseDelay seeds the backoff window (default 25ms); the window
-	// doubles per attempt up to MaxDelay (default 1s). The actual sleep
-	// is uniform in (0, window] — full jitter, so a burst of callers
-	// retrying the same dead replica spreads out instead of thundering.
-	BaseDelay time.Duration
-	MaxDelay  time.Duration
+// retryPolicy is exponential backoff with full jitter for the client
+// path: attempt, and on a transient failure sleep a random slice of an
+// exponentially growing window before trying again. The window starts
+// at base and doubles per attempt up to max; the sleep is uniform in
+// (0, window], so a burst of callers retrying the same dead replica
+// spreads out instead of thundering.
+type retryPolicy struct {
+	attempts  int // total tries, the first included
+	base, max time.Duration
 }
 
-// DefaultRetry is the policy used when a zero RetryPolicy is given.
-var DefaultRetry = RetryPolicy{MaxAttempts: 3, BaseDelay: 25 * time.Millisecond, MaxDelay: time.Second}
+// RetryAttempts bounds the tries of one retried call, the first
+// included.
+const RetryAttempts = 3
 
-func (p RetryPolicy) normalized() RetryPolicy {
-	if p.MaxAttempts < 1 {
-		p.MaxAttempts = DefaultRetry.MaxAttempts
-	}
-	if p.BaseDelay <= 0 {
-		p.BaseDelay = DefaultRetry.BaseDelay
-	}
-	if p.MaxDelay <= 0 {
-		p.MaxDelay = DefaultRetry.MaxDelay
-	}
-	return p
-}
+// clientRetry is the one policy: the cluster router's per-replica
+// retries of idempotent reads, prepares and replication all back off
+// the same way instead of hammering a struggling replica in lockstep.
+var clientRetry = retryPolicy{attempts: RetryAttempts, base: 25 * time.Millisecond, max: time.Second}
 
-// Backoff returns the jittered sleep before retry attempt n (0-based
-// count of failures so far): uniform in (0, min(BaseDelay<<n, MaxDelay)].
-func (p RetryPolicy) Backoff(n int) time.Duration {
-	p = p.normalized()
-	window := p.BaseDelay << uint(n)
-	if window > p.MaxDelay || window <= 0 { // <<-overflow guards included
-		window = p.MaxDelay
+// backoff returns the jittered sleep before retry attempt n (0-based
+// count of failures so far): uniform in (0, min(base<<n, max)].
+func (p retryPolicy) backoff(n int) time.Duration {
+	window := p.base << uint(n)
+	if window > p.max || window <= 0 { // <<-overflow guards included
+		window = p.max
 	}
 	return time.Duration(1 + rand.Int63n(int64(window)))
 }
 
-// Do runs fn up to MaxAttempts times, sleeping the jittered backoff
-// between attempts, until fn succeeds, fn fails terminally (retryable
-// returns false), ctx dies, or attempts run out — whichever comes
-// first. The last error is returned. retryable nil means Transient.
-func (p RetryPolicy) Do(ctx context.Context, retryable func(error) bool, fn func() error) error {
-	p = p.normalized()
-	if retryable == nil {
-		retryable = Transient
-	}
+// do runs fn up to p.attempts times, sleeping the jittered backoff
+// between attempts, until fn succeeds, fn fails terminally (not
+// Transient), ctx dies, or attempts run out — whichever comes first.
+// The last error is returned.
+func (p retryPolicy) do(ctx context.Context, fn func() error) error {
 	var err error
-	for attempt := 0; attempt < p.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < p.attempts; attempt++ {
 		if attempt > 0 {
-			t := time.NewTimer(p.Backoff(attempt - 1))
+			t := time.NewTimer(p.backoff(attempt - 1))
 			select {
 			case <-t.C:
 			case <-ctx.Done():
@@ -73,7 +54,7 @@ func (p RetryPolicy) Do(ctx context.Context, retryable func(error) bool, fn func
 				return ctx.Err()
 			}
 		}
-		if err = fn(); err == nil || !retryable(err) {
+		if err = fn(); err == nil || !Transient(err) {
 			return err
 		}
 		if ctx.Err() != nil {
@@ -82,6 +63,12 @@ func (p RetryPolicy) Do(ctx context.Context, retryable func(error) bool, fn func
 	}
 	return err
 }
+
+// RetryBackoff is the sleep before retry attempt n under the one policy.
+func RetryBackoff(n int) time.Duration { return clientRetry.backoff(n) }
+
+// Retry runs fn under the one policy, retrying Transient failures.
+func Retry(ctx context.Context, fn func() error) error { return clientRetry.do(ctx, fn) }
 
 // Transient classifies an error as worth retrying: transport failures
 // (connection refused/reset — the replica may be restarting) and the

@@ -323,9 +323,19 @@ type StatsResponse struct {
 
 // ---- handlers ----
 
-func writeError(w http.ResponseWriter, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	cl := reqopt.Classify(err)
+// WriteError answers with err's status and an ErrorLine: an *HTTPError
+// in err's chain keeps its own status (a router relaying a replica's
+// verdict, or naming its own), anything else takes the shared error
+// table's. A bare *HTTPError is written as its Msg.
+func WriteError(w http.ResponseWriter, err error) {
+	cl, msg := reqopt.Classify(err), err.Error()
+	var he *HTTPError
+	if errors.As(err, &he) {
+		cl = reqopt.Class{HTTPStatus: he.Status}
+		if error(he) == err {
+			msg = he.Msg
+		}
+	}
 	// Retry-After invites the client back: right for transient pressure
 	// (queue full, draining), wrong for a tenant administratively shut
 	// off with a zero quota — that 429 stays until the server is
@@ -334,17 +344,61 @@ func writeError(w http.ResponseWriter, err error) {
 	if cl.RetryAfter {
 		w.Header().Set("Retry-After", "1")
 	}
-	w.WriteHeader(cl.HTTPStatus)
-	json.NewEncoder(w).Encode(ErrorLine{Error: err.Error()})
+	WriteJSON(w, cl.HTTPStatus, ErrorLine{Error: msg})
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
+// WriteJSON answers with status and v as a JSON body.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(v)
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// Request body limits, past which a route answers 413: a query, prepare
+// or statement body is SQL and parameters; a model body carries a
+// serialized pipeline.
+const (
+	maxQueryBody = 4 << 20
+	maxModelBody = 64 << 20
+)
+
+// DecodeQuery decodes the body of POST /query, /prepare or
+// /stmt/{id}/query — the one decoder the server and the cluster router
+// share — and resolves what the request itself asks for (see
+// wireOptions). needSQL is false on the statement route, whose SQL was
+// fixed at prepare time.
+func DecodeQuery(w http.ResponseWriter, r *http.Request, needSQL bool) (QueryRequest, reqopt.Options, error) {
+	var req QueryRequest
+	if err := decodeBody(w, r, maxQueryBody, &req); err != nil {
+		return req, reqopt.Options{}, err
+	}
+	if needSQL && strings.TrimSpace(req.SQL) == "" {
+		return req, reqopt.Options{}, errors.New("missing sql")
+	}
+	ro, err := wireOptions(r, bodyOptions(&req))
+	return req, ro, err
+}
+
+// DecodeModel decodes the body of POST /model, its Tenant resolved the
+// way every route resolves it (X-Raven-Tenant over the body field).
+func DecodeModel(w http.ResponseWriter, r *http.Request) (ModelRequest, error) {
+	var req ModelRequest
+	if err := decodeBody(w, r, maxModelBody, &req); err != nil {
+		return req, err
+	}
+	if req.Name == "" || len(req.Data) == 0 {
+		return req, errors.New("missing model name or data")
+	}
+	ro, err := wireOptions(r, reqopt.Options{Tenant: req.Tenant})
+	req.Tenant = ro.Tenant
+	return req, err
+}
+
+// decodeBody decodes at most limit bytes of r's body into v, refusing
+// unknown fields: a field this protocol does not have is a 400 naming
+// it, never silently ignored.
+func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, limit))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		// An absent body is a valid empty request (e.g. executing a
@@ -357,15 +411,10 @@ func decodeBody(r *http.Request, v any) error {
 	return nil
 }
 
-// maxWirePriority is the wire clamp (see reqopt.Clamp: the scheduler's
-// aging guard makes unbounded priorities a parking-ahead attack).
-const maxWirePriority = reqopt.MaxWirePriority
-
 // bodyOptions lifts the JSON body's per-request fields into their
 // reqopt layer. The body fields (tenant/priority/no_cache/timeout_ms/
 // options.parallelism) are aliases of the X-Raven-* headers — one
-// surface, two carriers; headers win (a trusted fronting proxy tags
-// clients that cannot be trusted to tag themselves).
+// surface, two carriers.
 func bodyOptions(req *QueryRequest) reqopt.Options {
 	o := reqopt.Options{
 		Tenant:   req.Tenant,
@@ -381,52 +430,37 @@ func bodyOptions(req *QueryRequest) reqopt.Options {
 	return o
 }
 
-// requestOptions resolves a request's effective options across the
-// HTTP layers — headers > body > per-statement (stmt, may be zero) >
-// server default — and clamps the untrusted knobs.
-func (s *Server) requestOptions(r *http.Request, req *QueryRequest, stmt reqopt.Options) (reqopt.Options, error) {
+// wireOptions resolves what a request itself asks for: the X-Raven-*
+// headers over its body layer, with the untrusted knobs clamped. Headers
+// win: a trusted fronting proxy tags clients that cannot be trusted to
+// tag themselves. A replica layers the statement's and the server's
+// defaults below it (Server.resolve); the cluster router routes by its
+// tenant.
+func wireOptions(r *http.Request, body reqopt.Options) (reqopt.Options, error) {
 	hdr, err := reqopt.FromHeaders(r.Header)
 	if err != nil {
 		return reqopt.Options{}, err
 	}
-	return reqopt.Resolve(
-		hdr,
-		bodyOptions(req),
-		stmt,
-		reqopt.Options{Timeout: s.opts.DefaultTimeout},
-	).Clamp(), nil
+	return reqopt.Resolve(hdr, body).Clamp(), nil
 }
 
-// requestTag is the legacy view of the resolved admission identity
-// (kept for tests pinning the header/body precedence and clamps).
-func requestTag(r *http.Request, req *QueryRequest) (tenant string, priority int, prioritySet bool, err error) {
-	hdr, err := reqopt.FromHeaders(r.Header)
-	if err != nil {
-		return "", 0, false, err
-	}
-	ro := reqopt.Resolve(hdr, bodyOptions(req)).Clamp()
-	return ro.Tenant, ro.PriorityOr(0), ro.Priority != nil, nil
+// resolve completes a request's options below its own layer: the
+// per-statement layer (stmt, may be zero), then the server default.
+func (s *Server) resolve(ro, stmt reqopt.Options) reqopt.Options {
+	return reqopt.Resolve(ro, stmt, reqopt.Options{Timeout: s.opts.DefaultTimeout}).Clamp()
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, raven.ErrDraining)
+		WriteError(w, raven.ErrDraining)
 		return
 	}
-	var req QueryRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if strings.TrimSpace(req.SQL) == "" {
-		writeError(w, errors.New("missing sql"))
-		return
-	}
-	ro, err := s.requestOptions(r, &req, reqopt.Options{})
+	req, ro, err := DecodeQuery(w, r, true)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
+	ro = s.resolve(ro, reqopt.Options{})
 	ctx, cancel := ro.WithTimeout(r.Context())
 	defer cancel()
 	opts := req.Options.engine()
@@ -443,10 +477,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// it and must not mutate the database).
 	if sql.ClassifyScript(req.SQL) == sql.ScriptSideEffectsOnly {
 		if err := s.db.ExecContext(ro.Context(ctx), req.SQL); err != nil {
-			writeError(w, err)
+			WriteError(w, err)
 			return
 		}
-		writeJSON(w, ExecResponse{OK: true})
+		WriteJSON(w, http.StatusOK, ExecResponse{OK: true})
 		return
 	}
 
@@ -465,7 +499,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rows, err = s.db.QueryContextWithOptions(ctx, req.SQL, opts)
 	}
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	streamRows(w, rows)
@@ -473,16 +507,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, raven.ErrDraining)
+		WriteError(w, raven.ErrDraining)
 		return
 	}
-	var req QueryRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, err)
-		return
-	}
-	if strings.TrimSpace(req.SQL) == "" {
-		writeError(w, errors.New("missing sql"))
+	req, ro, err := DecodeQuery(w, r, true)
+	if err != nil {
+		WriteError(w, err)
 		return
 	}
 	// Refuse before compiling: a full registry must not cost a parse/
@@ -499,18 +529,14 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	// /query. The tag is also remembered on the registry entry
 	// (per-statement tenant registration), so executions inherit it by
 	// default.
-	ro, err := s.requestOptions(r, &req, reqopt.Options{})
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+	ro = s.resolve(ro, reqopt.Options{})
 	ctx, cancel := ro.WithTimeout(r.Context())
 	defer cancel()
 	opts := req.Options.engine()
 	ro.Apply(&opts)
 	st, err := s.db.PrepareContextWithOptions(ctx, req.SQL, opts)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	id, err := s.reg.Register("", &stmtreg.Entry{
@@ -521,28 +547,26 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 		writeStmtLimit(w)
 		return
 	}
-	writeJSON(w, PrepareResponse{ID: id, Params: st.Params()})
+	WriteJSON(w, http.StatusOK, PrepareResponse{ID: id, Params: st.Params()})
 }
 
 func writeStmtLimit(w http.ResponseWriter) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusTooManyRequests)
-	json.NewEncoder(w).Encode(ErrorLine{Error: "prepared-statement limit reached; DELETE unused statements"})
+	WriteJSON(w, http.StatusTooManyRequests, ErrorLine{Error: "prepared-statement limit reached; DELETE unused statements"})
 }
 
 func (s *Server) handleStmtQuery(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, raven.ErrDraining)
+		WriteError(w, raven.ErrDraining)
 		return
 	}
 	e, err := s.reg.Get(r.PathValue("id"))
 	if err != nil {
-		writeError(w, err) // 404 via the shared error table
+		WriteError(w, err) // 404 via the shared error table
 		return
 	}
-	var req QueryRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, err)
+	req, ro, err := DecodeQuery(w, r, false)
+	if err != nil {
+		WriteError(w, err)
 		return
 	}
 	// Per-execution options: headers > body > the statement's registered
@@ -553,17 +577,13 @@ func (s *Server) handleStmtQuery(w http.ResponseWriter, r *http.Request) {
 	// so overrides actually take effect on the warm path; a Stmt's
 	// options were fixed at prepare time, so no_cache travels by context
 	// too.
-	ro, err := s.requestOptions(r, &req, e.Opts)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
+	ro = s.resolve(ro, e.Opts)
 	ctx, cancel := ro.WithTimeout(r.Context())
 	defer cancel()
 	s.queries.Add(1)
 	rows, err := e.Stmt.QueryContext(ro.Context(ctx), paramList(req.Params)...)
 	if err != nil {
-		writeError(w, err)
+		WriteError(w, err)
 		return
 	}
 	streamRows(w, rows)
@@ -571,10 +591,10 @@ func (s *Server) handleStmtQuery(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStmtDelete(w http.ResponseWriter, r *http.Request) {
 	if err := s.reg.Remove(r.PathValue("id")); err != nil {
-		writeError(w, err) // 404 via the shared error table
+		WriteError(w, err) // 404 via the shared error table
 		return
 	}
-	writeJSON(w, ExecResponse{OK: true})
+	WriteJSON(w, http.StatusOK, ExecResponse{OK: true})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -592,11 +612,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 			resp.Pgwire = b
 		}
 	}
-	writeJSON(w, resp)
+	WriteJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
 	load := s.db.SchedulerLoad()
 	h := Health{
 		Status:         "ok",
@@ -606,11 +625,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	}
 	// Lame-duck counts: probes must see draining while queries still run,
 	// so routers stop routing before anything is refused.
+	status := http.StatusOK
 	if s.Draining() {
-		h.Status = "draining"
-		w.WriteHeader(http.StatusServiceUnavailable)
+		h.Status, status = "draining", http.StatusServiceUnavailable
 	}
-	json.NewEncoder(w).Encode(h)
+	WriteJSON(w, status, h)
 }
 
 // handleStoreModel is the wire form of DB.StoreModel: it validates the
@@ -622,34 +641,26 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // is front-half CPU like any compile.
 func (s *Server) handleStoreModel(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
-		writeError(w, raven.ErrDraining)
+		WriteError(w, raven.ErrDraining)
 		return
 	}
-	var req ModelRequest
-	if err := decodeBody(r, &req); err != nil {
-		writeError(w, err)
+	req, err := DecodeModel(w, r)
+	if err != nil {
+		WriteError(w, err)
 		return
-	}
-	if req.Name == "" || len(req.Data) == 0 {
-		writeError(w, errors.New("missing model name or data"))
-		return
-	}
-	tenant := req.Tenant
-	if h := r.Header.Get("X-Raven-Tenant"); h != "" {
-		tenant = h
 	}
 	p, err := ml.Unmarshal(req.Data)
 	if err != nil {
-		writeError(w, fmt.Errorf("bad model payload: %w", err))
+		WriteError(w, fmt.Errorf("bad model payload: %w", err))
 		return
 	}
 	ctx, cancel := reqopt.Options{Timeout: s.opts.DefaultTimeout}.WithTimeout(r.Context())
 	defer cancel()
-	if err := s.db.StoreModelContext(raven.ContextWithTenant(ctx, tenant, 0), req.Name, p); err != nil {
-		writeError(w, err)
+	if err := s.db.StoreModelContext(raven.ContextWithTenant(ctx, req.Tenant, 0), req.Name, p); err != nil {
+		WriteError(w, err)
 		return
 	}
-	writeJSON(w, ExecResponse{OK: true})
+	WriteJSON(w, http.StatusOK, ExecResponse{OK: true})
 }
 
 // ---- streaming ----
@@ -665,7 +676,7 @@ func streamRows(w http.ResponseWriter, rows *raven.Rows) {
 	defer rows.Close()
 	b := rows.NextBatch()
 	if b == nil && rows.Err() != nil {
-		writeError(w, rows.Err())
+		WriteError(w, rows.Err())
 		return
 	}
 	flush := func() {}

@@ -17,6 +17,7 @@ import (
 	"raven"
 	"raven/internal/data"
 	"raven/internal/ml"
+	"raven/internal/server/reqopt"
 	"raven/internal/train"
 )
 
@@ -612,8 +613,8 @@ func TestRequestTagPresence(t *testing.T) {
 		{"header beats body", QueryRequest{Tenant: "a", Priority: IntPtr(3)},
 			map[string]string{"X-Raven-Tenant": "b", "X-Raven-Priority": "9"}, "b", 9, true},
 		{"body only", QueryRequest{Tenant: "a", Priority: IntPtr(3)}, nil, "a", 3, true},
-		{"huge priority clamped", QueryRequest{}, map[string]string{"X-Raven-Priority": "1000000"}, "", maxWirePriority, true},
-		{"huge negative clamped", QueryRequest{Priority: IntPtr(-1000000)}, nil, "", -maxWirePriority, true},
+		{"huge priority clamped", QueryRequest{}, map[string]string{"X-Raven-Priority": "1000000"}, "", reqopt.MaxWirePriority, true},
+		{"huge negative clamped", QueryRequest{Priority: IntPtr(-1000000)}, nil, "", -reqopt.MaxWirePriority, true},
 	}
 	for _, c := range cases {
 		tenant, priority, set, err := requestTag(mk(c.hdr), &c.req)
@@ -627,6 +628,16 @@ func TestRequestTagPresence(t *testing.T) {
 	if _, _, _, err := requestTag(mk(map[string]string{"X-Raven-Priority": "high"}), &QueryRequest{}); err == nil {
 		t.Error("malformed priority header accepted")
 	}
+}
+
+// requestTag is the admission-identity view of a request's own options,
+// for the precedence and clamp cases above.
+func requestTag(r *http.Request, req *QueryRequest) (tenant string, priority int, prioritySet bool, err error) {
+	ro, err := wireOptions(r, bodyOptions(req))
+	if err != nil {
+		return "", 0, false, err
+	}
+	return ro.Tenant, ro.PriorityOr(0), ro.Priority != nil, nil
 }
 
 // status extracts the HTTP status from a client error (0 otherwise).
