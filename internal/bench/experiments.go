@@ -27,26 +27,18 @@ type Config struct {
 	// the engine default). Experiments that pin DOP explicitly (e.g.
 	// Fig2a's serial baselines) override per query and are unaffected.
 	Parallelism int
-	// Adaptive opens the engines with WithAdaptiveMorsels, so morsel and
-	// serial-scan sizes self-tune. The standard configs enable it — it is
-	// the engine's recommended mode.
-	Adaptive bool
 }
 
 // open builds an engine honoring the configured DOP.
 func (c Config) open() *raven.DB {
-	opts := []raven.Option{raven.WithParallelism(c.Parallelism)}
-	if c.Adaptive {
-		opts = append(opts, raven.WithAdaptiveMorsels())
-	}
-	return raven.MustOpen(opts...)
+	return raven.MustOpen(raven.WithParallelism(c.Parallelism))
 }
 
 // DefaultConfig mirrors the paper's methodology at laptop scale.
-func DefaultConfig() Config { return Config{Warm: 1, Runs: 3, Adaptive: true} }
+func DefaultConfig() Config { return Config{Warm: 1, Runs: 3} }
 
 // QuickConfig is used by unit-size benchmark invocations.
-func QuickConfig() Config { return Config{Quick: true, Warm: 1, Runs: 1, Adaptive: true} }
+func QuickConfig() Config { return Config{Quick: true, Warm: 1, Runs: 1} }
 
 func (c Config) sizes(full []int) []int {
 	if !c.Quick {

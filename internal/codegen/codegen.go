@@ -15,7 +15,6 @@ import (
 	"raven/internal/expr"
 	"raven/internal/ir"
 	"raven/internal/ml"
-	"raven/internal/ort"
 	"raven/internal/plan"
 	"raven/internal/rt"
 	"raven/internal/types"
@@ -37,9 +36,6 @@ type Config struct {
 	ParallelThresholdRows int
 	// MorselSize is the rows-per-morsel of table scans (0 = default).
 	MorselSize int
-	// Tuner, when set, adapts morsel sizes (engine option
-	// WithAdaptiveMorsels). Explicit sizes win.
-	Tuner *exec.Tuner
 	// CacheKey identifies the model for session caching; empty disables
 	// caching (the standalone-runtime behaviour).
 	CacheKey string
@@ -62,7 +58,6 @@ func Compile(g *ir.Graph, cfg *Config) (exec.Operator, error) {
 		Parallelism:           cfg.Parallelism,
 		ParallelThresholdRows: cfg.ParallelThresholdRows,
 		MorselSize:            cfg.MorselSize,
-		Tuner:                 cfg.Tuner,
 		Lower:                 c.lower,
 	}
 	return exec.Compile(g.Root, c.env)
@@ -104,14 +99,7 @@ func (c *compiler) lower(n plan.Node, below func(plan.Node) (*exec.Exchange, err
 
 	case *ir.LANode:
 		return c.score(&x.Scorer, below, nil, func() (exec.Predictor, error) {
-			r, key := c.cfg.runtime(), c.sessionKey(&x.Scorer)
-			if x.UseGPU {
-				r = &rt.Runtime{Cache: r.Cache, Provider: ort.DefaultGPU()}
-				if key != "" {
-					key += "/gpu"
-				}
-			}
-			sess, err := r.BuildSession(key, x.G)
+			sess, err := c.cfg.runtime().BuildSession(c.sessionKey(&x.Scorer), x.G)
 			if err != nil {
 				return nil, err
 			}

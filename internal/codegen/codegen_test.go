@@ -107,16 +107,6 @@ func TestCompileLANode(t *testing.T) {
 	if out.Len() != 400 {
 		t.Fatalf("rows = %d", out.Len())
 	}
-	// GPU variant also runs (results computed on CPU, charged per model)
-	la.UseGPU = true
-	op2, err := Compile(g, &Config{Parallelism: 1, CacheKey: "k"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out2 := collect(t, op2)
-	if math.Abs(out2.Col("score").Floats[7]-out.Col("score").Floats[7]) > 1e-12 {
-		t.Error("gpu-sim result differs from cpu")
-	}
 }
 
 func TestCompileSplitNode(t *testing.T) {

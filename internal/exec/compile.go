@@ -33,9 +33,6 @@ type Env struct {
 	// MorselSize is the rows-per-morsel of table scans; 0 means
 	// DefaultMorselSize at DOP > 1 and types.DefaultBatchSize at DOP 1.
 	MorselSize int
-	// Tuner, when set, adapts morsel sizes from table cardinality and
-	// observed service times. An explicit MorselSize still wins.
-	Tuner *Tuner
 }
 
 func (e *Env) parallelism() int {
@@ -52,15 +49,13 @@ func (e *Env) threshold() int {
 	return e.ParallelThresholdRows
 }
 
-// morselSize sizes the morsels of a dop-wide scan of rows rows. One
-// worker has no claim to amortize, so it takes batch-size morsels — the
-// least a LIMIT above can stop after.
-func (e *Env) morselSize(rows, dop int) int {
+// morselSize sizes the morsels of a dop-wide scan. One worker has no
+// claim to amortize, so it takes batch-size morsels — the least a LIMIT
+// above can stop after.
+func (e *Env) morselSize(dop int) int {
 	switch {
 	case e.MorselSize > 0:
 		return e.MorselSize
-	case e.Tuner != nil:
-		return e.Tuner.MorselSize(rows, dop)
 	case dop == 1:
 		return types.DefaultBatchSize
 	default:
@@ -154,13 +149,12 @@ func (c *compiler) compile(n plan.Node) (*Exchange, error) {
 		if rows < env.threshold() {
 			dop = 1
 		}
-		src, err := NewTableMorselSource(x.Table, x.Cols, env.morselSize(rows, dop))
+		src, err := NewTableMorselSource(x.Table, x.Cols, env.morselSize(dop))
 		if err != nil {
 			return nil, err
 		}
 		ex := NewExchange(src, dop)
 		ex.Ctx = env.Ctx
-		ex.Tuner = env.Tuner
 		return ex, nil
 
 	case *plan.Filter:

@@ -6,7 +6,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"raven/internal/expr"
 	"raven/internal/storage"
@@ -374,9 +373,6 @@ type Exchange struct {
 	// claiming and the consumer returns Ctx.Err() as soon as it observes
 	// cancellation. Nil means not cancellable.
 	Ctx context.Context
-	// Tuner, when set, receives per-morsel service-time observations so
-	// later queries size their morsels adaptively.
-	Tuner *Tuner
 
 	schema  *types.Schema
 	opened  bool
@@ -424,18 +420,6 @@ func (e *Exchange) Push(s Stage) error {
 
 // Schema implements Operator.
 func (e *Exchange) Schema() *types.Schema { return e.schema }
-
-// apply runs the stage chain on one morsel, timing it only when a Tuner
-// is attached.
-func (e *Exchange) apply(b *types.Batch) (*types.Batch, error) {
-	if e.Tuner == nil {
-		return applyStages(e.Stages, b)
-	}
-	rows, start := b.Len(), time.Now()
-	b, err := applyStages(e.Stages, b)
-	e.Tuner.ObserveMorsel(rows, time.Since(start))
-	return b, err
-}
 
 // Open implements Operator.
 func (e *Exchange) Open() error {
@@ -514,7 +498,7 @@ func (e *Exchange) work(results chan morselResult, cancel chan struct{}, window 
 		if b == nil {
 			return
 		}
-		if b, err = e.apply(b); err != nil {
+		if b, err = applyStages(e.Stages, b); err != nil {
 			send(morselResult{seq: seq, err: err})
 			return
 		}
@@ -600,7 +584,7 @@ func (e *Exchange) nextInline() (*types.Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		if b, err = e.apply(b); err != nil || b != nil {
+		if b, err = applyStages(e.Stages, b); err != nil || b != nil {
 			return b, err
 		}
 	}

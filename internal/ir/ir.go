@@ -127,8 +127,6 @@ func (n *ModelNode) String() string {
 type LANode struct {
 	Scorer
 	G *ort.Graph
-	// UseGPU requests the simulated accelerator provider.
-	UseGPU bool
 }
 
 // Cat is the operator category.

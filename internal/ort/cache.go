@@ -1,13 +1,10 @@
 package ort
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"strings"
 
 	"raven/internal/rescache"
-	"raven/internal/tensor"
 )
 
 // SessionCache keys compiled sessions by model content hash. It reproduces
@@ -72,96 +69,3 @@ func (c *SessionCache) Invalidate(modelHash string) {
 
 // Stats snapshots the cache counters.
 func (c *SessionCache) Stats() rescache.Stats { return c.c.Stats() }
-
-// serializable mirrors Graph for gob: maps with interface values need
-// registration, so attrs are encoded via a concrete holder.
-type gobGraph struct {
-	Name        string
-	Nodes       []gobNode
-	Inputs      []string
-	Outputs     []string
-	InitNames   []string
-	InitTensors []tensor.Tensor
-}
-
-type gobNode struct {
-	Op      string
-	Name    string
-	Inputs  []string
-	Outputs []string
-	AttrK   []string
-	AttrV   []gobAttr
-}
-
-type gobAttr struct {
-	Kind byte // 'f' float, 'i' int, 'I' []int, 's' string
-	F    float64
-	I    int
-	IS   []int
-	S    string
-}
-
-// Marshal serializes a graph to bytes (the model format stored in the
-// database model store).
-func Marshal(g *Graph) ([]byte, error) {
-	gg := gobGraph{Name: g.Name, Inputs: g.Inputs, Outputs: g.Outputs}
-	for name, t := range g.Initializers {
-		gg.InitNames = append(gg.InitNames, name)
-		gg.InitTensors = append(gg.InitTensors, *t)
-	}
-	for _, n := range g.Nodes {
-		gn := gobNode{Op: n.Op, Name: n.Name, Inputs: n.Inputs, Outputs: n.Outputs}
-		for k, v := range n.Attrs {
-			gn.AttrK = append(gn.AttrK, k)
-			switch x := v.(type) {
-			case float64:
-				gn.AttrV = append(gn.AttrV, gobAttr{Kind: 'f', F: x})
-			case int:
-				gn.AttrV = append(gn.AttrV, gobAttr{Kind: 'i', I: x})
-			case []int:
-				gn.AttrV = append(gn.AttrV, gobAttr{Kind: 'I', IS: x})
-			case string:
-				gn.AttrV = append(gn.AttrV, gobAttr{Kind: 's', S: x})
-			}
-		}
-		gg.Nodes = append(gg.Nodes, gn)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(gg); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// Unmarshal reverses Marshal.
-func Unmarshal(data []byte) (*Graph, error) {
-	var gg gobGraph
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&gg); err != nil {
-		return nil, err
-	}
-	g := NewGraph(gg.Name)
-	g.Inputs = gg.Inputs
-	g.Outputs = gg.Outputs
-	for i, name := range gg.InitNames {
-		t := gg.InitTensors[i]
-		g.Initializers[name] = &t
-	}
-	for _, gn := range gg.Nodes {
-		attrs := make(Attrs, len(gn.AttrK))
-		for i, k := range gn.AttrK {
-			a := gn.AttrV[i]
-			switch a.Kind {
-			case 'f':
-				attrs[k] = a.F
-			case 'i':
-				attrs[k] = a.I
-			case 'I':
-				attrs[k] = a.IS
-			case 's':
-				attrs[k] = a.S
-			}
-		}
-		g.Nodes = append(g.Nodes, &Node{Op: gn.Op, Name: gn.Name, Inputs: gn.Inputs, Outputs: gn.Outputs, Attrs: attrs})
-	}
-	return g, nil
-}

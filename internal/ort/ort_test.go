@@ -238,33 +238,6 @@ func TestSessionCache(t *testing.T) {
 	}
 }
 
-func TestMarshalRoundTrip(t *testing.T) {
-	g := linearGraph()
-	g.Add("Gather", []string{"y"}, []string{"g"}, Attrs{"cols": []int{0}})
-	g.Outputs = []string{"g"}
-	data, err := Marshal(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g2, err := Unmarshal(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s1, err := NewSession(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, err := NewSession(g2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o1, _, _ := s1.Run(feed1x3(1, 2, 3))
-	o2, _, _ := s2.Run(feed1x3(1, 2, 3))
-	if o1["g"].Data[0] != o2["g"].Data[0] {
-		t.Errorf("round trip changed result: %v vs %v", o1["g"].Data, o2["g"].Data)
-	}
-}
-
 func TestGPUProviderCharging(t *testing.T) {
 	gpu := DefaultGPU()
 	s, err := NewSessionWithOptions(linearGraph(), SessionOptions{Optimize: true, Provider: gpu})

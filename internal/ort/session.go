@@ -158,9 +158,6 @@ func NewSessionWithOptions(g *Graph, opts SessionOptions) (*Session, error) {
 // Graph returns the (optimized) graph backing the session.
 func (s *Session) Graph() *Graph { return s.graph }
 
-// Provider returns the session's execution provider.
-func (s *Session) Provider() Provider { return s.provider }
-
 // Run executes the graph on the given feeds and returns the output tensors
 // keyed by name, plus run statistics.
 func (s *Session) Run(feeds map[string]*tensor.Tensor) (map[string]*tensor.Tensor, RunStats, error) {

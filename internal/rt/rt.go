@@ -149,11 +149,6 @@ type SessionPredictor struct {
 	Session   *ort.Session
 	InputCols []string
 	OutType   types.DataType
-	// Stats accumulates charged time across calls (GPU simulation reads
-	// this instead of wall time).
-	mu      sync.Mutex
-	charged time.Duration
-	runs    int
 }
 
 // PredictBatch implements exec.Predictor.
@@ -166,14 +161,10 @@ func (p *SessionPredictor) PredictBatch(b *types.Batch) ([]*types.Vector, error)
 	if err != nil {
 		return nil, err
 	}
-	out, stats, err := p.Session.Run(map[string]*tensor.Tensor{"X": x})
+	out, _, err := p.Session.Run(map[string]*tensor.Tensor{"X": x})
 	if err != nil {
 		return nil, err
 	}
-	p.mu.Lock()
-	p.charged += stats.Charged
-	p.runs++
-	p.mu.Unlock()
 	y := out["Y"]
 	if y == nil {
 		return nil, fmt.Errorf("rt: session produced no Y output")
@@ -181,20 +172,10 @@ func (p *SessionPredictor) PredictBatch(b *types.Batch) ([]*types.Vector, error)
 	return []*types.Vector{floatVector(y.Data, p.OutType)}, nil
 }
 
-// Charged returns accumulated provider-charged time and run count.
-func (p *SessionPredictor) Charged() (time.Duration, int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.charged, p.runs
-}
-
 // Runtime builds predictors for models, caching compiled sessions by model
 // content hash — the model/session cache of §5 observation (ii).
 type Runtime struct {
 	Cache *ort.SessionCache
-	// Provider executes LA graphs; nil means CPU with full parallelism.
-	// Sessions always run the ort graph optimizer.
-	Provider ort.Provider
 	// ExternalStartup is the simulated boot time of the external runtime
 	// for ModeOutOfProcess.
 	ExternalStartup time.Duration
@@ -211,15 +192,10 @@ func NewRuntime() *Runtime {
 // BuildSession compiles (or fetches from cache) a session for the given
 // graph, keyed by cacheKey. An empty cacheKey bypasses the cache — that is
 // the "standalone ORT" behaviour of Fig 3, which reloads the model each
-// query.
+// query. Sessions run the optimized graph on the CPU with full
+// parallelism.
 func (r *Runtime) BuildSession(cacheKey string, g *ort.Graph) (*ort.Session, error) {
-	build := func() (*ort.Session, error) {
-		opts := ort.SessionOptions{Optimize: true, Provider: r.Provider}
-		if opts.Provider == nil {
-			opts.Provider = ort.CPUProvider{}
-		}
-		return ort.NewSessionWithOptions(g, opts)
-	}
+	build := func() (*ort.Session, error) { return ort.NewSession(g) }
 	if cacheKey == "" {
 		return build()
 	}

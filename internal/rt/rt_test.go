@@ -87,10 +87,6 @@ func TestNNPredictorMatchesPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertScores(t, expected(t, b), got)
-	charged, runs := p.Charged()
-	if runs != 1 || charged <= 0 {
-		t.Errorf("charged stats = %v, %d", charged, runs)
-	}
 }
 
 func TestNNPredictorSessionCacheSharing(t *testing.T) {

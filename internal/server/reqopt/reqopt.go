@@ -137,11 +137,14 @@ func (o Options) Apply(qo *raven.QueryOptions) {
 	qo.NoResultCache = qo.NoResultCache || o.NoCache
 }
 
-// Context tags ctx with the resolved admission identity (and, when
-// NoCache is set, the result-cache bypass) — the carrier for engine
-// calls that take no options (ExecContext, Stmt.QueryContext).
+// Context tags ctx with the resolved admission identity (and, when set,
+// the DOP and the result-cache bypass) — the carrier for engine calls
+// that take no options (ExecContext, Stmt.QueryContext).
 func (o Options) Context(ctx context.Context) context.Context {
 	ctx = raven.ContextWithTenant(ctx, o.Tenant, o.PriorityOr(0))
+	if o.DOP > 0 {
+		ctx = raven.ContextWithParallelism(ctx, o.DOP)
+	}
 	if o.NoCache {
 		ctx = raven.ContextWithoutResultCache(ctx)
 	}

@@ -59,16 +59,13 @@ type Options struct {
 	// DefaultTimeout bounds queries that do not carry their own
 	// timeout_ms; 0 means unbounded.
 	DefaultTimeout time.Duration
-	// MaxStatements bounds the server-side prepared-statement registry
-	// (0 = default 1024). POST /prepare past the limit fails with 429.
-	// Ignored when Statements is supplied.
-	MaxStatements int
 	// Statements, when non-nil, is the prepared-statement registry to
 	// use — ravenserved passes one registry to both the HTTP and pg
 	// front ends so prepared statements share one capacity budget and
 	// one id space (a pg-prepared SELECT is executable via
 	// POST /stmt/{id}/query and vice versa is droppable via DELETE).
-	// Nil gets a private registry bounded by MaxStatements.
+	// Nil gets a private registry of stmtreg.DefaultMax statements;
+	// POST /prepare past the limit fails with 429.
 	Statements *stmtreg.Registry
 	// DrainGrace is the lame-duck window between advertising draining on
 	// /healthz and refusing queries: Shutdown flips healthz to 503 first,
@@ -110,7 +107,7 @@ type Server struct {
 func New(db *raven.DB, opts Options) *Server {
 	reg := opts.Statements
 	if reg == nil {
-		reg = stmtreg.New(opts.MaxStatements)
+		reg = stmtreg.New(0)
 	}
 	s := &Server{db: db, opts: opts, reg: reg}
 	mux := http.NewServeMux()
@@ -193,8 +190,10 @@ func (s *Server) Abort() error {
 
 // ---- wire types ----
 
-// QueryRequest is the body of POST /query and POST /stmt/{id}/query
-// (which ignores SQL and Options — they were fixed at prepare time).
+// QueryRequest is the body of POST /query and POST /stmt/{id}/query.
+// The statement route fixes only sql and options.cross_optimize at
+// prepare time; every other field, options.parallelism included, applies
+// to each execution.
 type QueryRequest struct {
 	SQL string `json:"sql"`
 	// Params bind @var placeholders (prepared path only).
@@ -575,8 +574,8 @@ func (s *Server) handleStmtQuery(w http.ResponseWriter, r *http.Request) {
 	// demotes a statement registered at a higher priority. The context
 	// tag wins inside the engine over the Stmt's prepare-time options,
 	// so overrides actually take effect on the warm path; a Stmt's
-	// options were fixed at prepare time, so no_cache travels by context
-	// too.
+	// options were fixed at prepare time, so the DOP and no_cache travel
+	// by context too.
 	ro = s.resolve(ro, e.Opts)
 	ctx, cancel := ro.WithTimeout(r.Context())
 	defer cancel()

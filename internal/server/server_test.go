@@ -744,6 +744,48 @@ func TestLegacyWireAliases(t *testing.T) {
 	}
 }
 
+// TestDOPHeaderOnBothRoutes: X-Raven-DOP reaches the engine on the
+// prepared route as it does on the ad hoc one. Each route runs on a
+// fresh engine opened at DOP 1 with admission on, and the scheduler's
+// high-water slot mark shows what the query was charged.
+func TestDOPHeaderOnBothRoutes(t *testing.T) {
+	charged := func(path func(*Client) string) int {
+		t.Helper()
+		db := raven.MustOpen(raven.WithParallelism(1), raven.WithMaxConcurrentQueries(4))
+		t.Cleanup(func() { db.Close() })
+		if err := db.ExecContext(context.Background(), `CREATE TABLE d (a INT); INSERT INTO d VALUES (1), (2)`); err != nil {
+			t.Fatal(err)
+		}
+		c, _, hc := startServer(t, db, Options{})
+		req, err := http.NewRequest("POST", c.Base+path(c), strings.NewReader(`{"sql":"SELECT a FROM d"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(reqopt.HeaderDOP, "6")
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", req.URL.Path, resp.StatusCode)
+		}
+		return db.Stats().Scheduler.MaxSlotsInUse
+	}
+	adhoc := charged(func(*Client) string { return "/query" })
+	prepared := charged(func(c *Client) string {
+		pr, err := c.Prepare(QueryRequest{SQL: `SELECT a FROM d`})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return "/stmt/" + pr.ID + "/query"
+	})
+	if adhoc != 6 || prepared != adhoc {
+		t.Fatalf("max slots in use with X-Raven-DOP 6: /query %d, /stmt/{id}/query %d; want 6 on both", adhoc, prepared)
+	}
+}
+
 // TestRemovedWireOptionsRejected: options.morsel_size,
 // options.parallel_threshold_rows and options.disable_plan_cache are not
 // part of the wire protocol, so a body carrying any of them is a 400

@@ -15,7 +15,6 @@ type Options struct {
 	ModelProjectionPushdown bool
 	ModelInlining           bool
 	NNTranslation           bool
-	UseGPU                  bool // LA nodes request the simulated accelerator
 	ModelQuerySplitting     bool
 	// Relational enables the standard DB optimizations pass over the tree
 	// (predicate/projection pushdown, join elimination).
@@ -80,7 +79,7 @@ func Optimize(g *ir.Graph, opts Options) (*Result, error) {
 		{"model-query-splitting", opts.ModelQuerySplitting, func() (bool, error) { return eachModel(g, splitModel) }},
 		{"model-inlining", opts.ModelInlining, func() (bool, error) { return eachModel(g, inlineModel) }},
 		{"nn-translation", opts.NNTranslation, func() (bool, error) {
-			return eachModel(g, func(m *ir.ModelNode) (plan.Node, bool, error) { return translateModel(m, opts.UseGPU) })
+			return eachModel(g, translateModel)
 		}},
 		// 3. Standard relational optimizations over the whole tree (the
 		// paper's §2 "standard DB optimizations": pushdown, and the column

@@ -258,16 +258,16 @@ rewrite:
 }
 
 // translateModel implements §4.2 NN translation on one model operator:
-// its steps and model compile into a tensor graph executable by the ort
-// runtime (with CPU intra-op parallelism or the simulated GPU), and an LA
-// node takes the operator's place.
-func translateModel(model *ir.ModelNode, useGPU bool) (plan.Node, bool, error) {
+// its steps and model compile into a tensor graph that the ort runtime
+// executes on the CPU with intra-op parallelism, and an LA node takes the
+// operator's place.
+func translateModel(model *ir.ModelNode) (plan.Node, bool, error) {
 	pipe := &ml.Pipeline{Steps: model.Steps, Final: model.M, InputColumns: model.InputCols}
 	graph, err := nnconv.TranslatePipeline(pipe)
 	if err != nil {
 		return nil, false, fmt.Errorf("xopt: NN translation: %w", err)
 	}
-	return &ir.LANode{Scorer: model.Scorer, G: graph, UseGPU: useGPU}, true, nil
+	return &ir.LANode{Scorer: model.Scorer, G: graph}, true, nil
 }
 
 // InlineMaxNodes bounds the tree size model inlining accepts; beyond this

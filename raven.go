@@ -129,8 +129,6 @@ type QueryOptions struct {
 	DisableNNTranslation      bool
 	DisablePruning            bool
 	DisableProjectionPushdown bool
-	// UseGPU runs LA stages on the simulated accelerator.
-	UseGPU bool
 	// Mode executes remaining MLD stages (default ModeInProcess).
 	Mode Mode
 	// Parallelism is the morsel-exchange worker count; 0 = engine default
@@ -207,10 +205,6 @@ type DB struct {
 	// DefaultParallelism is the morsel-exchange worker count for queries
 	// that leave QueryOptions.Parallelism at 0. Defaults to GOMAXPROCS.
 	DefaultParallelism int
-	// tuner adapts morsel sizes from table statistics and observed
-	// per-morsel service times; nil unless
-	// WithAdaptiveMorsels was given.
-	tuner *exec.Tuner
 
 	// sched is the admission controller gating Query/Stmt.Query; nil
 	// (the default) admits everything immediately. Built at Open time
@@ -272,17 +266,6 @@ func WithParallelism(n int) Option {
 		if n >= 1 {
 			db.DefaultParallelism = n
 		}
-	}
-}
-
-// WithAdaptiveMorsels turns on adaptive batch sizing: the engine tunes
-// rows-per-morsel from table cardinality and the per-morsel service times
-// it observes (one morsel per small table at one worker). Explicit sizes
-// still win: a query's MorselSize overrides the tuned morsel size. The
-// tuner's current estimates appear in Stats().Adaptive.
-func WithAdaptiveMorsels() Option {
-	return func(db *DB) {
-		db.tuner = exec.NewTuner()
 	}
 }
 
@@ -373,6 +356,19 @@ type tenantCtxKey struct{}
 // front ends use it to attribute work from an X-Raven-Tenant header.
 func ContextWithTenant(ctx context.Context, tenant string, priority int) context.Context {
 	return context.WithValue(ctx, tenantCtxKey{}, sched.Tag{Tenant: tenant, Priority: priority})
+}
+
+// parallelismCtxKey carries a per-call DOP in a context.
+type parallelismCtxKey struct{}
+
+// ContextWithParallelism sets the DOP of every query run under the
+// returned context: it wins over QueryOptions.Parallelism, as
+// ContextWithTenant wins over QueryOptions.Tenant, and so reaches a Stmt
+// whose options were fixed at prepare time. Values < 1 leave the DOP to
+// the options. Admission charges it and lowering spawns it, subject to
+// the same slot caps as any other DOP.
+func ContextWithParallelism(ctx context.Context, dop int) context.Context {
+	return context.WithValue(ctx, parallelismCtxKey{}, dop)
 }
 
 // tagFor resolves the admission tag for one call: context tag first
@@ -525,15 +521,18 @@ func (db *DB) SchedulerLoad() SchedulerLoad {
 func (db *DB) CatalogVersion() uint64 { return db.catalog.Version() }
 
 // effectiveParallelism is the DOP a query actually lowers with: the
-// requested (or engine default) DOP, capped by the scheduler's worker
-// slot budget and — when the call's tenant is declared with a slot
-// quota — by that tenant budget. It is also exactly what admission
-// charges, so the charged cost and the spawned worker count agree by
-// construction. The cap is a worst-case bound — small scans below
-// ParallelThresholdRows scan with one worker anyway — so admission stays
-// conservative under load.
+// requested DOP (context tag, then options, then engine default), capped
+// by the scheduler's worker slot budget and — when the call's tenant is
+// declared with a slot quota — by that tenant budget. It is also exactly
+// what admission charges, so the charged cost and the spawned worker
+// count agree by construction. The cap is a worst-case bound — small
+// scans below ParallelThresholdRows scan with one worker anyway — so
+// admission stays conservative under load.
 func (db *DB) effectiveParallelism(ctx context.Context, opts QueryOptions) int {
 	par := opts.Parallelism
+	if d, _ := ctx.Value(parallelismCtxKey{}).(int); d > 0 {
+		par = d
+	}
 	if par == 0 {
 		par = db.DefaultParallelism
 	}
@@ -919,8 +918,6 @@ type Stats struct {
 	ResultCache *ResultCacheInfo `json:"result_cache,omitempty"`
 	// Scheduler is nil when admission control is off.
 	Scheduler *SchedulerStats `json:"scheduler,omitempty"`
-	// Adaptive is nil unless the engine was opened WithAdaptiveMorsels.
-	Adaptive *AdaptiveStats `json:"adaptive,omitempty"`
 	// Storage is nil unless the engine was opened WithDataDir.
 	Storage *StorageStats `json:"storage,omitempty"`
 	// Compiles counts full front-half compilations since Open.
@@ -945,21 +942,12 @@ func (db *DB) Stats() Stats {
 		s := db.sched.Stats()
 		st.Scheduler = &s
 	}
-	if db.tuner != nil {
-		a := db.tuner.Stats(db.DefaultParallelism)
-		st.Adaptive = &a
-	}
 	if db.durable != nil {
 		s := db.durable.Stats()
 		st.Storage = &s
 	}
 	return st
 }
-
-// AdaptiveStats is the adaptive tuner's snapshot (see Stats.Adaptive),
-// aliased so API consumers can name it without importing internal
-// packages.
-type AdaptiveStats = exec.TunerStats
 
 // varsSnapshot copies the engine session variables. Callers take one
 // snapshot per compile so the cache key and the bound plan always see the
@@ -1131,7 +1119,6 @@ func (db *DB) optimizerOptions(opts QueryOptions) xopt.Options {
 	xo.NNTranslation = !opts.DisableNNTranslation
 	xo.PredicateModelPruning = !opts.DisablePruning
 	xo.ModelProjectionPushdown = !opts.DisableProjectionPushdown
-	xo.UseGPU = opts.UseGPU
 	return xo
 }
 
@@ -1148,7 +1135,6 @@ func (db *DB) lower(ctx context.Context, graph *ir.Graph, opts QueryOptions) (ex
 		Parallelism:           par,
 		ParallelThresholdRows: opts.ParallelThresholdRows,
 		MorselSize:            opts.MorselSize,
-		Tuner:                 db.tuner,
 	}
 	return codegen.Compile(graph, cfg)
 }

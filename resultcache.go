@@ -128,10 +128,10 @@ func (db *DB) resultKey(q string, opts QueryOptions, allowParams bool, vars map[
 // and plan cannot disagree under a concurrent Exec DECLARE.
 func (db *DB) planKey(q string, opts QueryOptions, allowParams bool, vars map[string]string) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "x=%t s=%t q=%t di=%t dn=%t dp=%t dj=%t g=%t m=%d dc=%t ap=%t",
+	fmt.Fprintf(&sb, "x=%t s=%t q=%t di=%t dn=%t dp=%t dj=%t m=%d dc=%t ap=%t",
 		opts.CrossOptimize, opts.UseStatistics, opts.ModelQuerySplitting,
 		opts.DisableInlining, opts.DisableNNTranslation, opts.DisablePruning,
-		opts.DisableProjectionPushdown, opts.UseGPU, opts.Mode,
+		opts.DisableProjectionPushdown, opts.Mode,
 		opts.DisableSessionCache, allowParams)
 	// Session variables bind as literals, so the ones this statement
 	// references are compile inputs too. Only referenced vars enter the
