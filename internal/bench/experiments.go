@@ -239,7 +239,7 @@ func Fig2b(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	hcm, err := raven.BuildClusteredModel(hlr, h.TrainX, 8, 1e-9, 5)
+	hcm, err := xopt.BuildClusteredEncodedModel(&ml.OneHotEncoder{InputDim: h.TrainX.Cols}, hlr, h.TrainX, 8, 1e-9, 5)
 	if err != nil {
 		return nil, err
 	}
@@ -249,7 +249,7 @@ func Fig2b(cfg Config) (*Table, error) {
 	}
 	t.Add("original pipeline", "hospital k=1", hbase, "")
 	t.Add("clustered", "hospital k=8", hdur,
-		fmt.Sprintf("hospital: avg kept %.1f/%d features (binary features, few dropped -> no benefit)", hcm.AvgKeptFeatures(), h.TrainX.Cols))
+		fmt.Sprintf("hospital: avg active terms %.1f/%d features (binary features, few dropped -> no benefit)", hcm.AvgActiveTerms(), h.TrainX.Cols))
 	return t, nil
 }
 

@@ -1,7 +1,7 @@
 // Package codegen is Raven's Runtime Code Generator (paper §2, §5): it
 // lowers the optimized unified IR into an executable physical operator
 // tree, binding each ML stage to an execution mode (in-process pipeline,
-// in-process tensor session, out-of-process, container), and can render
+// in-process tensor session, out-of-process), and can render
 // the regenerated SQL for inspection.
 package codegen
 
@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"raven/internal/exec"
-	"raven/internal/expr"
 	"raven/internal/ir"
 	"raven/internal/ml"
 	"raven/internal/plan"
@@ -95,39 +94,16 @@ func (c *compiler) lower(n plan.Node, below func(plan.Node) (*exec.Exchange, err
 	switch x := n.(type) {
 	case *ir.ModelNode:
 		pipe := &ml.Pipeline{Steps: x.Steps, Final: x.M, InputColumns: x.InputCols}
-		return c.score(&x.Scorer, below, nil, func() (exec.Predictor, error) { return c.predictor(&x.Scorer, pipe) })
+		return c.score(&x.Scorer, below, func() (exec.Predictor, error) { return c.predictor(&x.Scorer, pipe) })
 
 	case *ir.LANode:
-		return c.score(&x.Scorer, below, nil, func() (exec.Predictor, error) {
+		return c.score(&x.Scorer, below, func() (exec.Predictor, error) {
 			sess, err := c.cfg.runtime().BuildSession(c.sessionKey(&x.Scorer), x.G)
 			if err != nil {
 				return nil, err
 			}
 			return &rt.SessionPredictor{Session: sess, InputCols: x.InputCols, OutType: x.OutputCol.Type}, nil
 		})
-
-	case *ir.SplitNode:
-		// The input is compiled once per branch with a complementary
-		// filter, each branch scores with its own sub-model, and the two
-		// branch pipelines run back to back (all of the left branch's
-		// rows, then the right's).
-		col := &expr.Column{Name: x.CondCol}
-		var parts []exec.Operator
-		for _, b := range []struct {
-			cond expr.Expr
-			m    ml.Model
-		}{
-			{expr.NewBinary(expr.OpLe, col, expr.FloatLit(x.Threshold)), x.Left},
-			{expr.NewBinary(expr.OpGt, col, expr.FloatLit(x.Threshold)), x.Right},
-		} {
-			pipe := &ml.Pipeline{Final: b.m, InputColumns: x.InputCols}
-			ex, err := c.score(&x.Scorer, below, &exec.FilterStage{Pred: b.cond}, func() (exec.Predictor, error) { return c.predictor(&x.Scorer, pipe) })
-			if err != nil {
-				return nil, err
-			}
-			parts = append(parts, ex)
-		}
-		return c.env.Pipeline(&exec.Concat{Parts: parts}), nil
 
 	case *ir.UDFNode:
 		// A UDF is an ordered operator over its input's stream, like LIMIT:
@@ -147,23 +123,17 @@ func (c *compiler) lower(n plan.Node, below func(plan.Node) (*exec.Exchange, err
 
 // score lowers an ML scoring stage: compile the operator's input, build
 // its predictor, and push the score as one more stage of the input's
-// pipeline (after guard, when the operator scores only some rows), so
-// scan, filter and inference all run on the worker that claimed the
-// morsel. Pipeline breakers (join, aggregate, sort) do not seal the plan:
-// exec re-enters a fresh pipeline above each one, so a PREDICT over a join
-// or GROUP BY result pushes here too.
-func (c *compiler) score(op *ir.Scorer, below func(plan.Node) (*exec.Exchange, error), guard exec.Stage, build func() (exec.Predictor, error)) (*exec.Exchange, error) {
+// pipeline, so scan, filter and inference all run on the worker that
+// claimed the morsel. Pipeline breakers (join, aggregate, sort) do not
+// seal the plan: exec re-enters a fresh pipeline above each one, so a
+// PREDICT over a join or GROUP BY result pushes here too.
+func (c *compiler) score(op *ir.Scorer, below func(plan.Node) (*exec.Exchange, error), build func() (exec.Predictor, error)) (*exec.Exchange, error) {
 	if op.Child == nil {
 		return nil, fmt.Errorf("codegen: model operator %q has no input", op.Model)
 	}
 	input, err := below(op.Child)
 	if err != nil {
 		return nil, err
-	}
-	if guard != nil {
-		if err := input.Push(guard); err != nil {
-			return nil, err
-		}
 	}
 	pred, err := build()
 	if err != nil {
@@ -187,9 +157,6 @@ func (c *compiler) predictor(op *ir.Scorer, pipe *ml.Pipeline) (exec.Predictor, 
 	case rt.ModeOutOfProcess:
 		inner := rt.NewPipelinePredictor(pipe, outType)
 		return &rt.OutOfProcessPredictor{Inner: inner, Startup: r.ExternalStartup, Ctx: cfg.Ctx}, nil
-	case rt.ModeContainer:
-		pred, _, err := rt.NewContainerPredictor(pipe, outType)
-		return pred, err
 	default:
 		return nil, fmt.Errorf("codegen: unknown mode %v", cfg.Mode)
 	}
@@ -220,23 +187,15 @@ func (u *udfOp) Next() (*types.Batch, error) {
 // inspection, not re-parsing fidelity.
 func GenerateSQL(g *ir.Graph) string {
 	return "-- regenerated by Raven runtime code generator\n" + plan.Render(g.Root, "--   ", func(n plan.Node) []string {
-		predict := func(m ml.Model, op *ir.Scorer) string {
-			return fmt.Sprintf("PREDICT %s(%s) AS %s", m.Kind(), strings.Join(op.InputCols, ", "), op.OutputCol.Name)
-		}
 		switch x := n.(type) {
 		case *ir.ModelNode:
-			lines := []string{predict(x.M, &x.Scorer)}
+			lines := []string{fmt.Sprintf("PREDICT %s(%s) AS %s", x.M.Kind(), strings.Join(x.InputCols, ", "), x.OutputCol.Name)}
 			for _, st := range x.Steps {
 				lines = append(lines, "featurizer "+st.Kind())
 			}
 			return lines
 		case *ir.LANode:
 			return []string{fmt.Sprintf("tensor graph (%d ops) over (%s) AS %s", x.G.NumNodes(), strings.Join(x.InputCols, ", "), x.OutputCol.Name)}
-		case *ir.SplitNode:
-			return []string{
-				fmt.Sprintf("UNION of %s <= %v and %s > %v branches", x.CondCol, x.Threshold, x.CondCol, x.Threshold),
-				predict(x.Left, &x.Scorer), predict(x.Right, &x.Scorer),
-			}
 		case *ir.UDFNode:
 			return []string{"UDF " + x.Name}
 		default:

@@ -109,36 +109,31 @@ func TestCompileLANode(t *testing.T) {
 	}
 }
 
-func TestCompileSplitNode(t *testing.T) {
+// TestStackedModelsGetOwnSessions: two different models in one plan,
+// compiled to tensor sessions under one caller key, must each score with
+// their own session — neither may answer from the other's.
+func TestStackedModelsGetOwnSessions(t *testing.T) {
 	tb := featureTable(t, 1000)
-	split := &ir.SplitNode{Scorer: scorer(plan.NewScan(tb)), CondCol: "a", Threshold: 0,
-		Left: &ml.LogisticRegression{W: []float64{0, 0}, B: -10}, Right: &ml.LogisticRegression{W: []float64{0, 0}, B: 10}}
-	g := &ir.Graph{Root: split}
-	// The two branches are two models: on tensor sessions cached under
-	// the caller's key, neither may answer from the other's.
-	for _, cfg := range []*Config{{Mode: rt.ModeInProcess, Parallelism: 1}, {Mode: rt.ModeInProcessNN, Parallelism: 1, CacheKey: "k"}} {
-		op, err := Compile(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkSplit(t, collect(t, op))
+	inner := lrModelNode(plan.NewScan(tb))
+	inner.OutputCol.Name = "s1"
+	outer := &ir.ModelNode{Scorer: scorer(inner), M: &ml.LogisticRegression{W: []float64{-2, 0.5}, B: -1}}
+	outer.OutputCol.Name = "s2"
+	op, err := Compile(&ir.Graph{Root: outer}, &Config{Mode: rt.ModeInProcessNN, Parallelism: 1, CacheKey: "k"})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func checkSplit(t *testing.T, out *types.Batch) {
-	t.Helper()
+	out := collect(t, op)
 	if out.Len() != 1000 {
-		t.Fatalf("rows = %d (split lost rows)", out.Len())
+		t.Fatalf("rows = %d", out.Len())
 	}
-	av := out.Col("a")
-	sv := out.Col("score")
-	for i := 0; i < out.Len(); i++ {
-		want := 0.0 // sigmoid(-10) ~ 0
-		if av.Floats[i] > 0 {
-			want = 1 // sigmoid(10) ~ 1
-		}
-		if math.Abs(sv.Floats[i]-want) > 1e-3 {
-			t.Fatalf("row %d routed to wrong branch: a=%v score=%v", i, av.Floats[i], sv.Floats[i])
+	for _, m := range []*ir.ModelNode{inner, outer} {
+		lr := m.M.(*ml.LogisticRegression)
+		a, b, s := out.Col("a").Floats, out.Col("b").Floats, out.Col(m.OutputCol.Name).Floats
+		for i := range s {
+			want := 1 / (1 + math.Exp(-(lr.W[0]*a[i] + lr.W[1]*b[i] + lr.B)))
+			if math.Abs(s[i]-want) > 1e-9 {
+				t.Fatalf("%s row %d: score %v, want %v from its own model", m.OutputCol.Name, i, s[i], want)
+			}
 		}
 	}
 }

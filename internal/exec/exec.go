@@ -25,7 +25,7 @@ type Operator interface {
 }
 
 // Predictor scores batches; the runtime package provides implementations
-// for the in-process, out-of-process and containerized modes.
+// for the in-process and out-of-process modes.
 // Implementations must be safe for concurrent PredictBatch calls: one
 // predictor instance is shared by all workers of a morsel-parallel plan.
 type Predictor interface {
@@ -151,66 +151,4 @@ func (d *DistinctOp) Next() (*types.Batch, error) {
 		}
 		return b.Gather(sel), nil
 	}
-}
-
-// Concat runs its parts back to back: all of part 0's batches, then part
-// 1's, and so on. It unions whole pipelines (the two branches of
-// model/query splitting); each part opens only when the one before it is
-// drained, so a DOP-wide branch has the cores to itself.
-type Concat struct {
-	Parts []Operator
-
-	cur    int  // the part being drained
-	open   bool // whether Parts[cur] is open
-	failed error
-}
-
-// Schema implements Operator.
-func (c *Concat) Schema() *types.Schema { return c.Parts[0].Schema() }
-
-// Open implements Operator.
-func (c *Concat) Open() error {
-	c.cur, c.open, c.failed = 0, false, nil
-	return nil
-}
-
-// Next implements Operator. The first error is latched, as in Exchange:
-// re-polling after a failure keeps failing instead of moving on to the
-// next part and passing off a truncated union as end-of-stream.
-func (c *Concat) Next() (*types.Batch, error) {
-	if c.failed != nil {
-		return nil, c.failed
-	}
-	for c.cur < len(c.Parts) {
-		part := c.Parts[c.cur]
-		if !c.open {
-			c.open = true // Close must reach a part whose Open failed halfway
-			if c.failed = part.Open(); c.failed != nil {
-				return nil, c.failed
-			}
-		}
-		b, err := part.Next()
-		if err != nil {
-			c.failed = err
-			return nil, err
-		}
-		if b != nil {
-			return b, nil
-		}
-		c.open = false
-		if c.failed = part.Close(); c.failed != nil {
-			return nil, c.failed
-		}
-		c.cur++
-	}
-	return nil, nil
-}
-
-// Close implements Operator.
-func (c *Concat) Close() error {
-	if !c.open {
-		return nil
-	}
-	c.open = false
-	return c.Parts[c.cur].Close()
 }

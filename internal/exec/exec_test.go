@@ -321,30 +321,6 @@ func TestPredictStage(t *testing.T) {
 	}
 }
 
-// TestConcatMatchesOnePipeline: four range pipelines run back to back
-// return exactly the rows, in exactly the order, of one pipeline over the
-// whole table.
-func TestConcatMatchesOnePipeline(t *testing.T) {
-	tb := numbersTable(t, 100000)
-	build := func(lo, hi int) Operator {
-		ex := scanPipe(t, tb, nil)
-		ex.Source.(*TableMorselSource).Ranges = map[string]expr.Range{"id": {Lo: float64(lo), Hi: float64(hi - 1)}}
-		return pushAll(t, ex,
-			&FilterStage{Pred: expr.NewBinary(expr.OpGt, &expr.Column{Name: "x"}, expr.FloatLit(10))},
-			&PredictStage{Predictor: constPredictor{bias: 5}, OutputCols: []types.Column{{Name: "score", Type: types.Float}}})
-	}
-	cat := &Concat{Parts: []Operator{build(0, 25000), build(25000, 50000), build(50000, 75000), build(75000, 100000)}}
-	got, err := Collect(cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Collect(build(0, 100000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchesEqual(t, "concat", want, got)
-}
-
 func TestCompilePlanWithParallelism(t *testing.T) {
 	tb := numbersTable(t, 200000)
 	scan := plan.NewScan(tb)
@@ -428,51 +404,5 @@ func TestCompilePredictWithoutFactory(t *testing.T) {
 	pr := plan.NewPredict(plan.NewScan(tb), "m", []types.Column{{Name: "s", Type: types.Float}})
 	if _, err := Compile(pr, &Env{}); err == nil {
 		t.Error("PREDICT without factory should fail")
-	}
-}
-
-// closeSpy records whether its child was closed.
-type closeSpy struct {
-	Operator
-	closed bool
-}
-
-func (c *closeSpy) Close() error { c.closed = true; return c.Operator.Close() }
-
-// TestConcatErrorPropagation: an error in branch 2 fails the query, is
-// latched on re-poll, and branch 1 has been closed by then.
-func TestConcatErrorPropagation(t *testing.T) {
-	tb := numbersTable(t, 100000)
-	good := &closeSpy{Operator: scanPipe(t, tb, nil)}
-	bad := &closeSpy{Operator: pushAll(t, scanPipe(t, tb, nil), &FilterStage{Pred: &expr.Column{Name: "x"}})} // non-bool predicate
-	cat := &Concat{Parts: []Operator{good, bad}}
-	if err := cat.Open(); err != nil {
-		t.Fatal(err)
-	}
-	var firstErr error
-	for {
-		b, err := cat.Next()
-		if err != nil {
-			firstErr = err
-			break
-		}
-		if b == nil {
-			t.Fatal("error inside branch 2 should surface, got clean EOF")
-		}
-	}
-	if !good.closed {
-		t.Error("branch 1 not closed before branch 2 ran")
-	}
-	// Latched: re-polling must keep failing, not pass off a truncated union.
-	if _, err := cat.Next(); err == nil {
-		t.Error("re-poll after failure should return the latched error")
-	} else if err.Error() != firstErr.Error() {
-		t.Errorf("re-poll error = %v, want %v", err, firstErr)
-	}
-	if err := cat.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !bad.closed {
-		t.Error("Close did not reach the failed branch")
 	}
 }

@@ -139,26 +139,6 @@ func (n *LANode) String() string {
 	return fmt.Sprintf("graph(%d nodes) -> %s", n.G.NumNodes(), n.OutputCol.Name)
 }
 
-// SplitNode scores each row with one of two sub-models picked by a test
-// on an input column — the result of model/query splitting (paper §2).
-// Rows with CondCol <= Threshold go to Left, the rest to Right.
-type SplitNode struct {
-	Scorer
-	CondCol     string
-	Threshold   float64
-	Left, Right ml.Model
-}
-
-// Cat is the operator category.
-func (n *SplitNode) Cat() Category { return MLD }
-
-// Clone implements plan.Extension.
-func (n *SplitNode) Clone() Node { c := *n; return &c }
-
-func (n *SplitNode) String() string {
-	return fmt.Sprintf("split(%s <= %v) -> %s", n.CondCol, n.Threshold, n.OutputCol.Name)
-}
-
 // UDFNode wraps opaque code the static analyzer could not translate
 // (paper §3.1). Fn maps an input batch to an output batch of schema Out.
 type UDFNode struct {
@@ -207,13 +187,10 @@ func (g *Graph) Explain() string {
 		c := categoryOf(n)
 		tag := fmt.Sprintf("[%s/%s] %s:", c, c.Engine(), c)
 		lines := []string{tag + n.String()}
-		switch x := n.(type) {
-		case *ModelNode:
+		if x, ok := n.(*ModelNode); ok {
 			for _, st := range x.Steps {
 				lines = append(lines, tag+"transform:"+st.Kind())
 			}
-		case *SplitNode:
-			lines = append(lines, tag+"model:"+x.Left.Kind(), tag+"model:"+x.Right.Kind())
 		}
 		return lines
 	})

@@ -162,18 +162,21 @@ func TestCategoryAndEngineStrings(t *testing.T) {
 }
 
 // TestExplainPrintsTheTree: every operator on its own line under its tag,
-// a model's parts one level below it, before its input.
+// a model's featurizer steps one level below it, in the order they run,
+// before its input.
 func TestExplainPrintsTheTree(t *testing.T) {
 	tb := smallTable(t, "t")
-	op := Scorer{Child: plan.NewScan(tb), InputCols: []string{"x"}, OutputCol: types.Column{Name: "s", Type: types.Float}}
-	sp := &SplitNode{Scorer: op, CondCol: "x", Threshold: 2,
-		Left: &ml.LogisticRegression{W: []float64{1}}, Right: &ml.LogisticRegression{W: []float64{2}}}
-	udf := &UDFNode{Name: "f", Child: sp, Out: sp.Schema()}
+	op := Scorer{Child: plan.NewScan(tb), InputCols: []string{"id", "x"}, OutputCol: types.Column{Name: "s", Type: types.Float}}
+	m := &ModelNode{Scorer: op, M: &ml.LogisticRegression{W: []float64{1, 2, 3}}, Steps: []ml.Transformer{
+		&ml.StandardScaler{Mean: []float64{0, 0}, Scale: []float64{1, 1}},
+		&ml.OneHotEncoder{Cols: []int{0}, Categories: [][]float64{{0, 1}}, InputDim: 2},
+	}}
+	udf := &UDFNode{Name: "f", Child: m, Out: m.Schema()}
 	want := "[RA/db] RA:Limit(3)\n" +
 		"  [UDF/ml] UDF:f\n" +
-		"    [MLD/ml] MLD:split(x <= 2) -> s\n" +
-		"      [MLD/ml] MLD:model:logreg\n" +
-		"      [MLD/ml] MLD:model:logreg\n" +
+		"    [MLD/ml] MLD:model:logreg -> s\n" +
+		"      [MLD/ml] MLD:transform:scaler\n" +
+		"      [MLD/ml] MLD:transform:onehot\n" +
 		"      [RA/db] RA:Scan(t)\n"
 	if got := (&Graph{Root: &plan.Limit{Child: udf, N: 3}}).Explain(); got != want {
 		t.Errorf("explain:\n%s\nwant:\n%s", got, want)

@@ -176,37 +176,8 @@ func randomTree(r *rng, nfeat, depth int) *DecisionTree {
 		t.Left[self], t.Right[self] = l, rr
 		return self
 	}
-	root := build(depth)
-	if root != 0 {
-		t = t.rerooted(root)
-	}
+	build(depth) // preorder: the root is node 0
 	return t
-}
-
-func TestTreeSplitOnRoot(t *testing.T) {
-	tr := exampleTree()
-	f, thr, left, right, err := tr.SplitOnRoot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f != 0 || thr != 0 {
-		t.Errorf("root split = (%d, %v)", f, thr)
-	}
-	in := mustMatrix(t, []float64{0, 30, 100}, 1, 3)
-	lp, _ := left.Predict(in)
-	if lp[0] != 2 {
-		t.Errorf("left branch = %v", lp[0])
-	}
-	in2 := mustMatrix(t, []float64{1, 30, 150}, 1, 3)
-	rp, _ := right.Predict(in2)
-	if rp[0] != 7 {
-		t.Errorf("right branch = %v", rp[0])
-	}
-	leaf := &DecisionTree{NFeat: 1}
-	leaf.addLeaf(1)
-	if _, _, _, _, err := leaf.SplitOnRoot(); err == nil {
-		t.Error("split of leaf-only tree should fail")
-	}
 }
 
 func TestTreeRemapFeatures(t *testing.T) {

@@ -178,25 +178,6 @@ func (t *DecisionTree) addSplit(f int, thr float64, l, r int) int {
 	return len(t.Feature) - 1
 }
 
-// rerooted returns a copy whose root is node 0 (nodes renumbered by
-// preorder from the given root).
-func (t *DecisionTree) rerooted(root int) *DecisionTree {
-	nt := &DecisionTree{NFeat: t.NFeat}
-	var copyNode func(i int) int
-	copyNode = func(i int) int {
-		if t.Leaf(i) {
-			return nt.addLeaf(t.Value[i])
-		}
-		self := nt.addSplit(t.Feature[i], t.Threshold[i], -1, -1)
-		l := copyNode(t.Left[i])
-		r := copyNode(t.Right[i])
-		nt.Left[self], nt.Right[self] = l, r
-		return self
-	}
-	copyNode(root)
-	return nt
-}
-
 // RemapFeatures renumbers feature ordinals via the given old→new map. Used
 // after model-projection pushdown narrows the input matrix. Features absent
 // from the map must be unused by the tree.
@@ -221,20 +202,6 @@ func (t *DecisionTree) RemapFeatures(remap map[int]int, newDim int) (*DecisionTr
 		nt.Feature[i] = nf
 	}
 	return nt, nil
-}
-
-// SplitOnRoot partitions the tree on its root test into the two subtrees,
-// returning (condition feature, threshold, left model, right model). This
-// is the paper's model/query splitting (§2): the pruned model becomes a
-// cheap model for one branch and a complex one for the other, each side
-// separately optimizable.
-func (t *DecisionTree) SplitOnRoot() (feature int, threshold float64, left, right *DecisionTree, err error) {
-	if t.NumNodes() == 0 || t.Leaf(0) {
-		return 0, 0, nil, nil, fmt.Errorf("ml: tree has no root split")
-	}
-	l := t.rerooted(t.Left[0])
-	r := t.rerooted(t.Right[0])
-	return t.Feature[0], t.Threshold[0], l, r, nil
 }
 
 // RandomForest averages an ensemble of trees (bagging). Predict returns the

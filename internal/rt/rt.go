@@ -2,8 +2,7 @@
 // in-process execution (interpreted MLD pipelines or compiled tensor-graph
 // sessions with model/session caching — "Raven"), out-of-process execution
 // behind a serialization boundary with runtime-startup cost ("Raven Ext",
-// the sp_execute_external_script path), and containerized execution over a
-// real localhost REST endpoint.
+// the sp_execute_external_script path).
 package rt
 
 import (
@@ -37,9 +36,6 @@ const (
 	// ModeOutOfProcess adds the external-runtime boundary: first-use
 	// startup latency plus per-batch serialization (Raven Ext).
 	ModeOutOfProcess
-	// ModeContainer scores over a localhost REST endpoint (the paper's
-	// containerized fallback).
-	ModeContainer
 )
 
 // String implements fmt.Stringer.
@@ -51,8 +47,6 @@ func (m Mode) String() string {
 		return "in-process-nn"
 	case ModeOutOfProcess:
 		return "out-of-process"
-	case ModeContainer:
-		return "container"
 	default:
 		return "unknown"
 	}

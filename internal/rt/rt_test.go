@@ -135,34 +135,6 @@ func TestOutOfProcessPredictor(t *testing.T) {
 	}
 }
 
-func TestContainerPredictor(t *testing.T) {
-	b := testBatch(t, 30)
-	pred, srv, err := NewContainerPredictor(testPipe(), types.Float)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Stop()
-	got, err := pred.PredictBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertScores(t, expected(t, b), got)
-}
-
-func TestContainerServerErrors(t *testing.T) {
-	// pipeline whose model expects the wrong width yields a 500
-	bad := &ml.Pipeline{Final: &ml.LogisticRegression{W: []float64{1, 2, 3}}, InputColumns: []string{"a", "b"}}
-	pred, srv, err := NewContainerPredictor(bad, types.Float)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Stop()
-	b := testBatch(t, 5)
-	if _, err := pred.PredictBatch(b); err == nil {
-		t.Error("width mismatch should surface as container error")
-	}
-}
-
 func TestFloatVectorConversions(t *testing.T) {
 	scores := []float64{0.2, 0.9, 1.6}
 	f := floatVector(scores, types.Float)
@@ -213,7 +185,7 @@ func TestPredictorErrorsOnMissingColumn(t *testing.T) {
 func TestModeStrings(t *testing.T) {
 	for m, want := range map[Mode]string{
 		ModeInProcess: "in-process", ModeInProcessNN: "in-process-nn",
-		ModeOutOfProcess: "out-of-process", ModeContainer: "container",
+		ModeOutOfProcess: "out-of-process",
 	} {
 		if m.String() != want {
 			t.Errorf("%d = %q", m, m.String())

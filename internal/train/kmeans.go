@@ -151,18 +151,6 @@ func (m *KMeans) Assign(x ml.Matrix) []int {
 	return out
 }
 
-// AssignOne returns the nearest-centroid index for one row.
-func (m *KMeans) AssignOne(row []float64) int {
-	k, d := m.Centroids.Rows, m.Centroids.Cols
-	best, bd := 0, math.Inf(1)
-	for c := 0; c < k; c++ {
-		if dd := sqDist(row, m.Centroids.Data[c*d:(c+1)*d]); dd < bd {
-			best, bd = c, dd
-		}
-	}
-	return best
-}
-
 // ConstantFeatures inspects the rows assigned to cluster c and returns the
 // features whose values are (within eps) constant across the cluster,
 // mapped to that constant. Those features can be pinned when compiling the

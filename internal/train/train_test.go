@@ -238,9 +238,6 @@ func TestKMeansSeparatesClusters(t *testing.T) {
 	if assign[0] == assign[n/2] {
 		t.Fatal("blobs merged")
 	}
-	if one := km.AssignOne(x.Row(0)); one != assign[0] {
-		t.Error("AssignOne disagrees with Assign")
-	}
 }
 
 func TestKMeansConstantFeatures(t *testing.T) {

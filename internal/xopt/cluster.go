@@ -9,46 +9,6 @@ import (
 	"raven/internal/train"
 )
 
-// ClusteredModel implements the paper's model clustering (§4.1): k-means
-// partitions the data offline; for each cluster, features that are
-// (near-)constant within the cluster are folded into a specialized,
-// narrower model. At scoring time each row is routed to its cluster's
-// precompiled model; rows whose cluster has no precompiled model fall back
-// to the original. Routing uses only the few features that best separate
-// the centroids, so the router costs O(k·r) per row with r « d — otherwise
-// routing would eat the savings the narrower models buy.
-type ClusteredModel struct {
-	KM       *train.KMeans
-	Fallback *ml.LogisticRegression
-	// Per cluster: the specialized model and the feature ordinals it still
-	// reads (indexed directly from the full-width row).
-	Models []*ml.LogisticRegression
-	Kept   [][]int
-	// RouteFeats are the feature ordinals used for nearest-centroid
-	// routing (chosen by between-centroid variance at build time).
-	RouteFeats []int
-}
-
-// BuildClusteredModel fits k-means on a sample and precompiles one
-// specialized model per cluster. eps bounds the within-cluster spread a
-// feature may have to be treated as constant.
-func BuildClusteredModel(lr *ml.LogisticRegression, sample ml.Matrix, k int, eps float64, seed int64) (*ClusteredModel, error) {
-	if sample.Cols != len(lr.W) {
-		return nil, fmt.Errorf("xopt: sample width %d != model features %d", sample.Cols, len(lr.W))
-	}
-	km := train.FitKMeans(sample, train.KMeansOptions{K: k, Seed: seed})
-	assign := km.Assign(sample)
-	cm := &ClusteredModel{KM: km, Fallback: lr, Models: make([]*ml.LogisticRegression, km.K()), Kept: make([][]int, km.K())}
-	for c := 0; c < km.K(); c++ {
-		consts := km.ConstantFeatures(sample, assign, c, eps)
-		spec, kept := lr.PinFeatures(consts)
-		cm.Models[c] = spec
-		cm.Kept[c] = kept
-	}
-	cm.RouteFeats = routingFeatures(km, 3)
-	return cm, nil
-}
-
 // routingFeatures picks the r features with the largest spread across
 // centroids — enough to discriminate clusters at a fraction of a full
 // d-dimensional distance computation.
@@ -87,91 +47,12 @@ func routingFeatures(km *train.KMeans, r int) []int {
 	return out
 }
 
-// route returns the nearest centroid using only the routing features.
-func (c *ClusteredModel) route(row []float64) int {
-	k := c.KM.Centroids.Rows
-	d := c.KM.Centroids.Cols
-	feats := c.RouteFeats
-	if len(feats) == 0 {
-		return c.KM.AssignOne(row)
-	}
-	best, bd := 0, 0.0
-	for cl := 0; cl < k; cl++ {
-		cent := c.KM.Centroids.Data[cl*d : (cl+1)*d]
-		s := 0.0
-		for _, f := range feats {
-			dv := row[f] - cent[f]
-			s += dv * dv
-		}
-		if cl == 0 || s < bd {
-			best, bd = cl, s
-		}
-	}
-	return best
-}
-
-// NumFeatures implements ml.Model.
-func (c *ClusteredModel) NumFeatures() int { return len(c.Fallback.W) }
-
-// Kind implements ml.Model.
-func (c *ClusteredModel) Kind() string { return "clustered-logreg" }
-
-// UsedFeatures implements ml.Model: union across cluster models plus the
-// clustering features themselves (all of them — routing reads the row).
-func (c *ClusteredModel) UsedFeatures() []int {
-	out := make([]int, len(c.Fallback.W))
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// Predict implements ml.Model: each row routes to its cluster's
-// specialized model and is scored in place over the kept feature indices
-// (no sub-matrix materialization).
-func (c *ClusteredModel) Predict(in ml.Matrix) ([]float64, error) {
-	if in.Cols != c.NumFeatures() {
-		return nil, fmt.Errorf("xopt: clustered model expects %d features, got %d", c.NumFeatures(), in.Cols)
-	}
-	out := make([]float64, in.Rows)
-	for i := 0; i < in.Rows; i++ {
-		row := in.Row(i)
-		cl := c.route(row)
-		if cl >= len(c.Models) || c.Models[cl] == nil {
-			z := c.Fallback.B
-			for j, w := range c.Fallback.W {
-				z += w * row[j]
-			}
-			out[i] = 1 / (1 + math.Exp(-z))
-			continue
-		}
-		m := c.Models[cl]
-		kept := c.Kept[cl]
-		z := m.B
-		for j, w := range m.W {
-			z += w * row[kept[j]]
-		}
-		out[i] = 1 / (1 + math.Exp(-z))
-	}
-	return out, nil
-}
-
-// AvgKeptFeatures reports the mean specialized-model width — the quantity
-// that shrinks with more clusters and drives Fig 2(b)'s gains.
-func (c *ClusteredModel) AvgKeptFeatures() float64 {
-	if len(c.Kept) == 0 {
-		return float64(c.NumFeatures())
-	}
-	total := 0
-	for _, k := range c.Kept {
-		total += len(k)
-	}
-	return float64(total) / float64(len(c.Kept))
-}
-
-// ClusteredEncodedModel is model clustering for the common
-// one-hot-encode + logistic-regression pipeline, the flight-delay shape of
-// Fig 2(b). Specialization happens in *raw* space: categorical columns that
+// ClusteredEncodedModel implements the paper's model clustering (§4.1)
+// for the one-hot-encode + logistic-regression pipeline, the flight-delay
+// shape of Fig 2(b); an encoder with no categorical columns makes it
+// clustering of a bare logistic regression. k-means partitions the data
+// offline, and each row routes to its cluster's precompiled scorer.
+// Specialization happens in *raw* space: categorical columns that
 // are constant within a cluster contribute a fixed weight folded into the
 // cluster model's bias, so the specialized scorer neither encodes nor
 // multiplies them. Non-constant categorical columns score through a

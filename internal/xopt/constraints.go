@@ -3,7 +3,7 @@
 // Information passes between them (selection pushdown below the model
 // operators, predicate-based model pruning, model-projection pushdown,
 // model clustering), operators transform (model inlining to SQL CASE, NN
-// translation to tensor graphs, model/query splitting), and the standard
+// translation to tensor graphs), and the standard
 // relational optimizations run over the whole tree. The relational rules
 // are package relopt's, which knows an ML operator only by the contract it
 // declares (plan.Extension); the model rules here are applied to every

@@ -15,7 +15,6 @@ type Options struct {
 	ModelProjectionPushdown bool
 	ModelInlining           bool
 	NNTranslation           bool
-	ModelQuerySplitting     bool
 	// Relational enables the standard DB optimizations pass over the tree
 	// (predicate/projection pushdown, join elimination).
 	Relational bool
@@ -73,10 +72,9 @@ func Optimize(g *ir.Graph, opts Options) (*Result, error) {
 		{"model-projection-pushdown", opts.ModelProjectionPushdown, func() (bool, error) {
 			return eachModel(g, projectModel)
 		}},
-		// 2. Operator transformations. Splitting first (it needs the raw
-		// tree); then inlining; NN translation for the models inlining
-		// left (an inlined model has already left the MLD category).
-		{"model-query-splitting", opts.ModelQuerySplitting, func() (bool, error) { return eachModel(g, splitModel) }},
+		// 2. Operator transformations: inlining, then NN translation for
+		// the models inlining left (an inlined model has already left the
+		// MLD category).
 		{"model-inlining", opts.ModelInlining, func() (bool, error) { return eachModel(g, inlineModel) }},
 		{"nn-translation", opts.NNTranslation, func() (bool, error) {
 			return eachModel(g, translateModel)

@@ -368,19 +368,3 @@ func treeToCase(t *ml.DecisionTree, node int, colExpr func(int) (expr.Expr, bool
 		Else: treeToCase(t, t.Right[node], colExpr),
 	}
 }
-
-// splitModel implements §2's model/query splitting on one model operator:
-// the tree's root test partitions rows into a cheap branch and a complex
-// branch, each scored by its own sub-model and unioned — enabling
-// independent optimization of the two sides (akin to model cascades).
-func splitModel(model *ir.ModelNode) (plan.Node, bool, error) {
-	tree, ok := model.M.(*ml.DecisionTree)
-	if !ok || len(model.Steps) > 0 || tree.NumNodes() < 7 {
-		return model, false, nil // only bare trees over direct columns
-	}
-	f, thr, left, right, err := tree.SplitOnRoot()
-	if err != nil || f >= len(model.InputCols) {
-		return model, false, nil
-	}
-	return &ir.SplitNode{Scorer: model.Scorer, CondCol: model.InputCols[f], Threshold: thr, Left: left, Right: right}, true, nil
-}

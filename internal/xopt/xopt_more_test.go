@@ -123,24 +123,6 @@ func TestNarrowInputColumnsAllOrNothing(t *testing.T) {
 	}
 }
 
-func TestOptimizeWithSplittingOption(t *testing.T) {
-	g, cat := hospitalGraph(t, fig1Tree(), nil)
-	opts := DefaultOptions(&relopt.Optimizer{Catalog: cat, AssumeRI: true})
-	opts.ModelQuerySplitting = true
-	opts.ModelInlining = false
-	opts.NNTranslation = false
-	res, err := Optimize(g, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(strings.Join(res.Applied, ","), "model-query-splitting") {
-		t.Errorf("splitting did not fire: %v", res.Applied)
-	}
-	if _, ok := res.Graph.Root.(*ir.SplitNode); !ok {
-		t.Errorf("no split node in optimized graph:\n%s", res.Graph.Explain())
-	}
-}
-
 func TestOptimizeNNTranslationPath(t *testing.T) {
 	g, cat := hospitalGraph(t, fig1Tree(), pregnantEq1())
 	opts := DefaultOptions(&relopt.Optimizer{Catalog: cat, AssumeRI: true})
@@ -214,7 +196,7 @@ func TestRoutingFeaturesDegenerate(t *testing.T) {
 	// single-cluster model has no routing features
 	sample := ml.Matrix{Data: []float64{1, 2, 3, 4}, Rows: 2, Cols: 2}
 	lr := &ml.LogisticRegression{W: []float64{1, 1}}
-	cm, err := BuildClusteredModel(lr, sample, 1, 1e-9, 1)
+	cm, err := BuildClusteredEncodedModel(&ml.OneHotEncoder{InputDim: 2}, lr, sample, 1, 1e-9, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,20 +299,6 @@ func TestInliningSkipsLargeTreesAndOneHot(t *testing.T) {
 	}
 }
 
-func TestModelQuerySplitting(t *testing.T) {
-	g, cat := hospitalGraph(t, fig1Tree(), nil)
-	if !run(t, g, cat, "model-query-splitting", func(o *Options) { o.ModelQuerySplitting = true }) {
-		t.Fatal("rule did not fire")
-	}
-	split, ok := g.Root.(*ir.SplitNode)
-	if !ok {
-		t.Fatalf("no split node:\n%s", g.Explain())
-	}
-	if split.CondCol != "pregnant" || split.Threshold != 0.5 {
-		t.Errorf("split = %s <= %v", split.CondCol, split.Threshold)
-	}
-}
-
 func TestOptimizeDriverOrderAndEnginePlacement(t *testing.T) {
 	g, cat := hospitalGraph(t, fig1Tree(), pregnantEq1())
 	opts := DefaultOptions(&relopt.Optimizer{Catalog: cat, AssumeRI: true})
@@ -400,12 +386,13 @@ func TestClusteredModelMatchesFallback(t *testing.T) {
 		w[j] = rng.NormFloat64()
 	}
 	lr := &ml.LogisticRegression{W: w, B: 0.2}
-	cm, err := BuildClusteredModel(lr, sm, 4, 1e-9, 7)
+	// An encoder with no categorical columns: clustering of the bare LR.
+	cm, err := BuildClusteredEncodedModel(&ml.OneHotEncoder{InputDim: d}, lr, sm, 4, 1e-9, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cm.AvgKeptFeatures() >= float64(d) {
-		t.Errorf("clustering pinned nothing: avg kept = %v", cm.AvgKeptFeatures())
+	if cm.AvgActiveTerms() >= float64(d) {
+		t.Errorf("clustering pinned nothing: avg active terms = %v", cm.AvgActiveTerms())
 	}
 	want, err := lr.Predict(sm)
 	if err != nil {
@@ -421,14 +408,15 @@ func TestClusteredModelMatchesFallback(t *testing.T) {
 			t.Fatalf("clustered model diverges at %d: %v vs %v", i, want[i], got[i])
 		}
 	}
-	if cm.Kind() != "clustered-logreg" || cm.NumFeatures() != d {
-		t.Error("metadata wrong")
+	if cm.K() != 4 {
+		t.Errorf("K = %d, want 4", cm.K())
 	}
 }
 
 func TestClusteredModelWidthMismatch(t *testing.T) {
 	lr := &ml.LogisticRegression{W: []float64{1, 2}}
-	if _, err := BuildClusteredModel(lr, ml.Matrix{Rows: 1, Cols: 3, Data: []float64{1, 2, 3}}, 2, 1e-9, 1); err == nil {
+	enc := &ml.OneHotEncoder{InputDim: len(lr.W)}
+	if _, err := BuildClusteredEncodedModel(enc, lr, ml.Matrix{Rows: 1, Cols: 3, Data: []float64{1, 2, 3}}, 2, 1e-9, 1); err == nil {
 		t.Error("width mismatch should fail")
 	}
 }

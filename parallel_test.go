@@ -2,7 +2,6 @@ package raven
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -69,7 +68,6 @@ var parallelParityQueries = []struct{ label, q string }{
 type parityCase struct {
 	label, q  string
 	threshold int
-	split     bool // run with ModelQuerySplitting
 }
 
 // assertParityMatrix runs tc at DOP {1, 2, 8} × morsel size {default,
@@ -89,7 +87,6 @@ func assertParityMatrix(t *testing.T, db *DB, mode Mode, tc parityCase) {
 			}
 			res, err := db.QueryWithOptions(tc.q, QueryOptions{
 				Mode: mode, Parallelism: dop, ParallelThresholdRows: threshold, MorselSize: morsel,
-				ModelQuerySplitting: tc.split, CrossOptimize: tc.split,
 			})
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -152,22 +149,6 @@ func TestBreakerPlansByteIdenticalToSerial(t *testing.T) {
 	for _, tc := range breakerParityQueries {
 		assertParityMatrix(t, db, ModeInProcess, parityCase{label: tc.label, q: tc.q})
 	}
-
-	// Model/query splitting: the two branch pipelines run back to back.
-	split := parityCase{label: "split", split: true, q: `SELECT d.id, p.length_of_stay
-		FROM PREDICT(MODEL='duration_of_stay',
-		  DATA=(SELECT * FROM patient_info AS pi
-		        JOIN blood_tests AS bt ON pi.id = bt.id
-		        JOIN prenatal_tests AS pt ON bt.id = pt.id) AS d)
-		WITH (length_of_stay FLOAT) AS p`}
-	ex, err := db.Explain(split.q, QueryOptions{CrossOptimize: true, ModelQuerySplitting: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(ex, "MLD:split(") {
-		t.Fatalf("split query did not split:\n%s", ex)
-	}
-	assertParityMatrix(t, db, ModeInProcess, split)
 
 	// One join over an inline (below-threshold) probe pipeline and a
 	// DOP-wide build pipeline.

@@ -3,9 +3,8 @@
 // in-memory relational engine with models stored in the database, a
 // unified intermediate representation mixing relational and ML operators,
 // a cross optimizer (predicate-based model pruning, model-projection
-// pushdown, model inlining, NN translation, model clustering, model/query
-// splitting), and an in-process tensor runtime with session caching plus
-// out-of-process and containerized fallbacks.
+// pushdown, model inlining, NN translation), and an in-process tensor
+// runtime with session caching plus an out-of-process fallback.
 //
 // # One execution model: the morsel pipeline
 //
@@ -111,8 +110,6 @@ const (
 	// ModeOutOfProcess scores through an external-runtime boundary
 	// (startup latency + serialization), like sp_execute_external_script.
 	ModeOutOfProcess = rt.ModeOutOfProcess
-	// ModeContainer scores over a localhost REST endpoint.
-	ModeContainer = rt.ModeContainer
 )
 
 // QueryOptions tunes one query's optimization and execution.
@@ -121,8 +118,6 @@ type QueryOptions struct {
 	CrossOptimize bool
 	// UseStatistics derives pruning predicates from table statistics.
 	UseStatistics bool
-	// ModelQuerySplitting enables the splitting transformation.
-	ModelQuerySplitting bool
 	// DisableInlining / DisableNNTranslation / DisablePruning /
 	// DisableProjectionPushdown ablate single rules.
 	DisableInlining           bool
@@ -1114,7 +1109,6 @@ func (db *DB) optimizerOptions(opts QueryOptions) xopt.Options {
 	}
 	xo := xopt.DefaultOptions(ro)
 	xo.UseDataStatistics = opts.UseStatistics
-	xo.ModelQuerySplitting = opts.ModelQuerySplitting
 	xo.ModelInlining = !opts.DisableInlining
 	xo.NNTranslation = !opts.DisableNNTranslation
 	xo.PredicateModelPruning = !opts.DisablePruning
@@ -1164,13 +1158,3 @@ func (db *DB) Explain(q string, opts QueryOptions) (string, error) {
 
 // Filter is re-exported so examples can build predicates programmatically.
 type Filter = expr.Expr
-
-// ClusteredModel re-exports the model-clustering facility (paper §4.1): a
-// k-means router over per-cluster specialized models.
-type ClusteredModel = xopt.ClusteredModel
-
-// BuildClusteredModel precompiles per-cluster specialized models for a
-// logistic regression over a data sample.
-func BuildClusteredModel(lr *ml.LogisticRegression, sample ml.Matrix, k int, eps float64, seed int64) (*ClusteredModel, error) {
-	return xopt.BuildClusteredModel(lr, sample, k, eps, seed)
-}

@@ -185,7 +185,7 @@ func TestAllModesAgree(t *testing.T) {
 		WITH (score FLOAT) AS p WHERE d.age > 50`
 	db.Runtime().ExternalStartup = 0 // keep the test fast
 	var ref []string
-	for _, mode := range []Mode{ModeInProcess, ModeInProcessNN, ModeOutOfProcess, ModeContainer} {
+	for _, mode := range []Mode{ModeInProcess, ModeInProcessNN, ModeOutOfProcess} {
 		res, err := db.QueryWithOptions(q, QueryOptions{
 			CrossOptimize: false, Mode: mode, Parallelism: 1,
 		})
@@ -367,7 +367,6 @@ func TestExplainIsWhatRuns(t *testing.T) {
 		{"DisableNNTranslation", func(o *QueryOptions) { o.DisableNNTranslation = true }},
 		{"DisablePruning", func(o *QueryOptions) { o.DisablePruning = true }},
 		{"DisableProjectionPushdown", func(o *QueryOptions) { o.DisableProjectionPushdown = true }},
-		{"ModelQuerySplitting", func(o *QueryOptions) { o.ModelQuerySplitting = true }},
 		{"UseStatistics", func(o *QueryOptions) { o.UseStatistics = true }},
 	}
 	pointQuery := `SELECT d.id, p.s ` + predictOver("duration_of_stay", hospitalJoin) + `WHERE d.id = 123`

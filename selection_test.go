@@ -161,11 +161,6 @@ var selectionCases = []selectionCase{
 		q: `SELECT d.id, p.s ` + predictOver("duration_of_stay", hospitalJoin) + `WHERE d.bp > 120 ORDER BY p.s DESC, d.id LIMIT 20`},
 	{name: "filter over a LIMIT stays", moves: false,
 		q: `SELECT t.id, t.s FROM (SELECT d.id AS id, p.s AS s ` + predictOver("duration_of_stay", hospitalJoin) + `LIMIT 50) AS t WHERE t.id > 20`},
-	// Splitting emits one branch's rows, then the other's, so its twin is
-	// the split plan over the hand-filtered join.
-	{name: "model/query splitting", moves: true, set: func(o *QueryOptions) { o.ModelQuerySplitting = true },
-		q:    `SELECT d.id, p.s ` + predictOver("duration_of_stay", hospitalJoin) + `WHERE d.age > 50`,
-		twin: `SELECT d.id, p.s ` + predictOver("duration_of_stay", hospitalJoinWhere("pi.age > 50"))},
 	{name: "forest in the ML runtime", moves: true, set: func(o *QueryOptions) { o.DisableNNTranslation = true },
 		q: `SELECT d.id, p.s ` + predictOver("los_forest", hospitalJoin) + `WHERE d.pregnant = 1 AND d.bp > 110`},
 	{name: "LR via NN translation", moves: true,
