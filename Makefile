@@ -71,11 +71,12 @@ bench:
 # beside the selection-pushdown rule, selective PREDICT queries end to end.
 # The hash join runs once more at two workers, the benchmark's DOP.
 # BenchmarkStreamRows sends one 2,000-row result over loopback through
-# each front end (HTTP/NDJSON and pg wire).
+# each front end (HTTP/NDJSON and pg wire); BenchmarkHotPointHTTP a
+# one-row cache hit over HTTP, with the server's writes per request.
 bench-micro:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/types ./internal/expr ./internal/xopt ./internal/ml ./internal/exec ./internal/segment
 	$(GO) test -run='^$$' -bench=BenchmarkParallelHashJoin -benchmem -cpu 2 ./internal/exec
-	$(GO) test -run='^$$' -bench=BenchmarkStreamRows -benchmem ./internal/server ./internal/pgwire
+	$(GO) test -run='^$$' -bench='BenchmarkStreamRows|BenchmarkHotPointHTTP' -benchmem ./internal/server ./internal/pgwire
 
 # fuzz gives each native fuzzer a short budget on top of its checked-in
 # corpus (testdata/fuzz beside it), which plain `go test` already

@@ -762,6 +762,87 @@ func TestRouterRefusesLikeReplica(t *testing.T) {
 	}
 }
 
+// TestRelayKeepsFraming: a sized upstream answer is relayed sized, with
+// the replica's bytes, and a chunked multi-batch stream is relayed whole
+// and still chunked — from a stub replica, whose bytes are fixed, and
+// from a real one.
+func TestRelayKeepsFraming(t *testing.T) {
+	const one = `{"columns":["a"],"types":["INT"]}` + "\n[1]\n" + `{"rows":1,"compile_ms":0,"exec_ms":0}` + "\n"
+	var many strings.Builder
+	many.WriteString(`{"columns":["a"],"types":["INT"]}` + "\n")
+	for i := 0; i < 6000; i++ {
+		fmt.Fprintf(&many, "[%d]\n", i)
+	}
+	many.WriteString(`{"rows":6000,"compile_ms":0,"exec_ms":0}` + "\n")
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+		json.NewEncoder(w).Encode(server.Health{Status: "ok", CatalogVersion: 1})
+	})
+	mux.HandleFunc("POST /query", func(w http.ResponseWriter, r *http.Request) {
+		req, _, err := server.DecodeQuery(w, r, true)
+		if err != nil || !strings.Contains(req.SQL, "many") {
+			fmt.Fprint(w, one)
+			return
+		}
+		// Two flushed batches, as streamRows sends a multi-batch result.
+		half := many.Len() / 2
+		fmt.Fprint(w, many.String()[:half])
+		w.(http.Flusher).Flush()
+		fmt.Fprint(w, many.String()[half:])
+	})
+	rep := httptest.NewServer(mux)
+	defer rep.Close()
+	rt := New()
+	defer rt.Close()
+	if err := rt.AddMember("only", rep.URL); err != nil {
+		t.Fatal(err)
+	}
+	rt.ProbeNow(context.Background())
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	post := func(base, sql string) (*http.Response, string) {
+		t.Helper()
+		resp, err := http.Post(base+"/query", "application/json", strings.NewReader(fmt.Sprintf(`{"sql":%q}`, sql)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %q: status %d, %v: %s", base, sql, resp.StatusCode, err, b)
+		}
+		return resp, string(b)
+	}
+	for _, tc := range []struct {
+		sql   string
+		sized bool
+	}{{"SELECT a FROM one", true}, {"SELECT a FROM many", false}} {
+		dresp, direct := post(rep.URL, tc.sql)
+		rresp, routed := post(front.URL, tc.sql)
+		if routed != direct {
+			t.Errorf("%s: routed body differs from the replica's (%d vs %d bytes)", tc.sql, len(routed), len(direct))
+		}
+		if sized := rresp.ContentLength == int64(len(routed)); sized != tc.sized || (dresp.ContentLength >= 0) != tc.sized {
+			t.Errorf("%s: Content-Length replica %d, router %d, body %d bytes; want sized=%v on both",
+				tc.sql, dresp.ContentLength, rresp.ContentLength, len(routed), tc.sized)
+		}
+	}
+
+	// A real replica's one-row answer arrives sized through the router;
+	// only its trailer's timings may differ from the direct answer.
+	cl := newTestCluster(t, 1)
+	defer cl.close(t)
+	cl.seedData(t, 40)
+	const point = "SELECT id, x + y AS s FROM pts WHERE id = 3"
+	_, direct := post(cl.reps[0].Base, point)
+	rresp, routed := post(cl.c.Base, point)
+	untimed := func(b string) string { return b[:strings.LastIndexByte(b[:len(b)-1], '\n')+1] }
+	if rresp.ContentLength != int64(len(routed)) || untimed(routed) != untimed(direct) {
+		t.Errorf("routed point: Content-Length %d of %d bytes, %q; want sized, %q", rresp.ContentLength, len(routed), routed, direct)
+	}
+}
+
 // TestStartRoutesAtOnce: Start reconciles once before its loop, so a
 // read issued right after it is routed instead of refused with 503 until
 // the first probe tick.

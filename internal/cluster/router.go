@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -232,8 +233,9 @@ func (rt *Router) targetsFor(tenant string) []*member {
 
 // ---- read path: streaming proxy with retry ----
 
-// flushWriter flushes after every write so NDJSON rows stream through
-// the router instead of buffering.
+// flushWriter flushes after every write if f is set, so NDJSON rows
+// stream through the router. It hides w's ReadFrom, which would send a
+// body's first 512 bytes in a write of their own.
 type flushWriter struct {
 	w http.ResponseWriter
 	f http.Flusher
@@ -379,8 +381,8 @@ func (rt *Router) proxyRead(w http.ResponseWriter, r *http.Request, tenant strin
 	server.WriteError(w, badGateway(fmt.Errorf("replica %s: %w", last.m.name, last.err)))
 }
 
-// relay copies the upstream response through, flushing per write so
-// row streams stay streams.
+// relay copies the upstream response through: a sized body unflushed,
+// so it leaves in one write, a chunked one flushed per write.
 func (rt *Router) relay(w http.ResponseWriter, a attempt) {
 	defer a.resp.Body.Close()
 	defer a.cancel()
@@ -390,11 +392,13 @@ func (rt *Router) relay(w http.ResponseWriter, a attempt) {
 		}
 	}
 	w.Header().Set("X-Raven-Replica", a.m.name)
-	w.WriteHeader(a.resp.StatusCode)
 	fw := flushWriter{w: w}
-	if f, ok := w.(http.Flusher); ok {
+	if a.resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(a.resp.ContentLength, 10))
+	} else if f, ok := w.(http.Flusher); ok {
 		fw.f = f
 	}
+	w.WriteHeader(a.resp.StatusCode)
 	a.m.inflight.Add(1)
 	io.Copy(fw, a.resp.Body)
 	a.m.inflight.Add(-1)

@@ -668,19 +668,17 @@ func (s *Server) handleStoreModel(w http.ResponseWriter, r *http.Request) {
 // row, and a trailer (or {"error": ...} if the stream broke mid-way).
 // The first batch is fetched before the status line commits, so a query
 // that dies before producing anything still gets a real error status;
-// after that every failure ends the stream in an error line. Rows are
-// written and flushed once per engine batch: its rows arrive together,
-// so flushing them one by one would get none to the client sooner.
+// after that every failure ends the stream in an error line. A batch is
+// written and then flushed only if another follows, so a one-batch
+// result (a point lookup, a cache hit) leaves in one write, sized by
+// net/http up to 2 KiB, like pgwire's one flush per Sync. The cost: in
+// a longer stream batch k reaches the client once batch k+1 exists.
 func streamRows(w http.ResponseWriter, rows *raven.Rows) {
 	defer rows.Close()
 	b := rows.NextBatch()
 	if b == nil && rows.Err() != nil {
 		WriteError(w, rows.Err())
 		return
-	}
-	flush := func() {}
-	if f, ok := w.(http.Flusher); ok {
-		flush = f.Flush
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
@@ -703,12 +701,14 @@ func streamRows(w http.ResponseWriter, rows *raven.Rows) {
 	}()
 	n := 0
 	var err error
-	for ; b != nil; b = rows.NextBatch() {
+	for b != nil {
 		if *buf, err = writeBatch(w, *buf, b); err != nil {
 			break
 		}
 		n += b.Len()
-		flush()
+		if b = rows.NextBatch(); b != nil {
+			http.NewResponseController(w).Flush()
+		}
 	}
 	if err == nil {
 		err = rows.Err()
@@ -725,7 +725,6 @@ func streamRows(w http.ResponseWriter, rows *raven.Rows) {
 		ExecMS:    float64(rows.ExecTime().Microseconds()) / 1000,
 		Rules:     rows.AppliedRules,
 	})
-	flush()
 }
 
 // rowBufs recycles the NDJSON encode buffer across requests. It starts
