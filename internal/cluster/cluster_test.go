@@ -714,7 +714,8 @@ func TestHeaderTagsForwarded(t *testing.T) {
 // replica's decoder, so a body a replica refuses — a field the protocol
 // does not have (TestRemovedWireOptionsRejected's inputs), or one past
 // the size limit — gets the replica's status and error from the router
-// too, instead of being re-encoded without the field and accepted.
+// too, instead of being re-encoded without the field and accepted. A
+// script the validating replica refuses gets that replica's answer.
 func TestRouterRefusesLikeReplica(t *testing.T) {
 	tc := newTestCluster(t, 1)
 	defer tc.close(t)
@@ -753,6 +754,10 @@ func TestRouterRefusesLikeReplica(t *testing.T) {
 		same("/prepare", q, http.StatusBadRequest)
 		same("/model", fmt.Sprintf(`{"name":"m","data":%s,%s}`, data, field), http.StatusBadRequest)
 	}
+	// Text that does not parse, and an INSERT into no table, classify as
+	// side effects; the replica validating them answers the refusal.
+	same("/query", `{"sql":"SELEC 1"}`, http.StatusBadRequest)
+	same("/query", `{"sql":"INSERT INTO nosuch VALUES (1)"}`, http.StatusBadRequest)
 	// Past 4 MiB a query body is refused unread, on both.
 	huge := fmt.Sprintf(`{"sql":"SELECT a FROM w","params":{"x":%q}}`, strings.Repeat("a", 5<<20))
 	same("/query", huge, http.StatusRequestEntityTooLarge)

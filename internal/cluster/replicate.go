@@ -77,14 +77,14 @@ func (rt *Router) entriesAfter(after uint64) []logEntry {
 // log, then fans it out to every other member. The validation apply
 // runs BEFORE the entry exists anywhere: a script that is simply wrong
 // (bad SQL, duplicate CREATE TABLE — the replica answers a terminal
-// 4xx) fails fast with that replica's verdict, never enters the log,
-// and so never degrades healthy members or gets replayed by the
-// reconciler. replMu serializes replications so the validated entry's
-// seq directly follows what the validating replica already applied.
-// Fan-out members that fail are marked degraded (the reconciler replays
-// the log to them before they take traffic again), so a replica being
-// down does not block DDL for the rest of the cluster — it just has
-// catching up to do.
+// 4xx) fails fast with that replica's verdict, its own status and
+// message, never enters the log, and so never degrades healthy members
+// or gets replayed by the reconciler. replMu serializes replications so
+// the validated entry's seq directly follows what the validating replica
+// already applied. Fan-out members that fail are marked degraded (the
+// reconciler replays the log to them before they take traffic again), so
+// a replica being down does not block DDL for the rest of the cluster —
+// it just has catching up to do.
 func (rt *Router) replicate(ctx context.Context, e logEntry) error {
 	rt.replMu.Lock()
 	defer rt.replMu.Unlock()
@@ -110,6 +110,10 @@ func (rt *Router) replicate(ctx context.Context, e logEntry) error {
 				break
 			}
 			if !server.Transient(lastErr) {
+				var he *server.HTTPError
+				if errors.As(lastErr, &he) {
+					return he
+				}
 				return fmt.Errorf("replicating %s: replica %s: %w", e.describe(), m.name, lastErr)
 			}
 		}

@@ -237,66 +237,4 @@ func GenFlightsWide(cat *storage.Catalog, n, d, nSignal, trainN int, seed int64)
 	}, nil
 }
 
-// GenFlightsCategorical creates the narrow flights table with raw
-// categorical columns (dest, origin, carrier as small-int codes) plus
-// numeric features — the input for the one-hot categorical-pruning
-// experiment (§4.1: a selection on destination airport pins that airport's
-// indicator block).
-func GenFlightsCategorical(cat *storage.Catalog, n int, nDest, nCarrier int, trainN int, seed int64) (*Flights, error) {
-	rng := rand.New(rand.NewSource(seed))
-	tb := storage.NewTable("flights", types.NewSchema(
-		types.Column{Name: "id", Type: types.Int},
-		types.Column{Name: "dest", Type: types.Float},
-		types.Column{Name: "carrier", Type: types.Float},
-		types.Column{Name: "distance", Type: types.Float},
-		types.Column{Name: "dep_hour", Type: types.Float},
-	))
-	genRow := func(rng *rand.Rand) []float64 {
-		return []float64{
-			float64(rng.Intn(nDest)),
-			float64(rng.Intn(nCarrier)),
-			100 + rng.Float64()*3000,
-			float64(rng.Intn(24)),
-		}
-	}
-	label := func(f []float64, rng *rand.Rand) float64 {
-		z := -0.5 + 0.001*(f[2]-1500)/10
-		if int(f[0])%3 == 0 {
-			z += 1.2 // some destinations are delay-prone
-		}
-		if f[3] > 17 {
-			z += 0.8
-		}
-		if 1/(1+exp(-z)) > rng.Float64() {
-			return 1
-		}
-		return 0
-	}
-	for i := 0; i < n; i++ {
-		f := genRow(rng)
-		if err := tb.AppendRow(int64(i), f[0], f[1], f[2], f[3]); err != nil {
-			return nil, err
-		}
-	}
-	if err := cat.AddTable(tb); err != nil {
-		return nil, err
-	}
-	cat.SetUniqueKey(tb.Name, "id")
-
-	trainRng := rand.New(rand.NewSource(seed + 1))
-	d := 4
-	tx := make([]float64, trainN*d)
-	ty := make([]float64, trainN)
-	for i := 0; i < trainN; i++ {
-		f := genRow(trainRng)
-		copy(tx[i*d:(i+1)*d], f)
-		ty[i] = label(f, trainRng)
-	}
-	return &Flights{
-		FeatureCols: []string{"dest", "carrier", "distance", "dep_hour"},
-		TrainX:      ml.Matrix{Data: tx, Rows: trainN, Cols: d},
-		TrainY:      ty,
-	}, nil
-}
-
 func exp(x float64) float64 { return math.Exp(x) }

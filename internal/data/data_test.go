@@ -118,34 +118,3 @@ func TestGenFlightsWideValidation(t *testing.T) {
 		t.Error("nSignal > d should fail")
 	}
 }
-
-func TestGenFlightsCategorical(t *testing.T) {
-	cat := storage.NewCatalog()
-	fl, err := GenFlightsCategorical(cat, 1000, 10, 4, 800, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tb, err := cat.Table("flights")
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := tb.Stats("dest")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DistinctCount != 10 {
-		t.Errorf("dest distinct = %d", st.DistinctCount)
-	}
-	if len(fl.FeatureCols) != 4 {
-		t.Errorf("feature cols = %v", fl.FeatureCols)
-	}
-	ones := 0
-	for _, y := range fl.TrainY {
-		if y == 1 {
-			ones++
-		}
-	}
-	if ones == 0 || ones == len(fl.TrainY) {
-		t.Errorf("degenerate labels: %d", ones)
-	}
-}

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -245,6 +246,87 @@ func TestJoinTableAtLoadBound(t *testing.T) {
 	}
 }
 
+// TestIdentityJoin joins identity build keys (base, base+1, …), and
+// builds one edit away from identity, against probes below, inside and
+// above the run, at the INT extremes, duplicated and NULL, and compares
+// each with the serial reference bit for bit at DOP {1, 2, 8} × morsel
+// size {default, 1000}. It asserts which path each build took: an
+// identity key keeps no table, anything else keeps the flat one.
+func TestIdentityJoin(t *testing.T) {
+	const maxI, minI = math.MaxInt64, math.MinInt64
+	run := func(base int64, n int) *types.Vector { return intsOf(n, func(i int) int64 { return base + int64(i) }) }
+	probe := func(base int64, n int) *types.Vector {
+		last := base + int64(n-1)
+		// The run in order, then reversed, then keys around and beyond it.
+		v := concat(run(base, n), intsOf(n, func(i int) int64 { return last - int64(i) }),
+			ints(base-1, base-2, last+1, last+2, minI, maxI, minI+1, maxI-1, 0, -1, base, last, base, last))
+		// NULL probe rows whose value slots hold keys in the run.
+		return withNulls(v, v.Len()-2, v.Len()-1)
+	}
+	type build struct {
+		name  string
+		keys  *types.Vector
+		ident bool
+	}
+	var builds []build
+	for _, start := range []int64{0, -5, minI, maxI} {
+		for _, n := range []int{1, 2, 4096, 4097} {
+			base := start
+			if start == maxI {
+				base = maxI - int64(n) + 1 // the run ends at MaxInt64
+			}
+			name := fmt.Sprintf("base=%d n=%d", base, n)
+			builds = append(builds, build{name, run(base, n), true},
+				build{name + " one NULL", withNulls(run(base, n), n/2), false})
+			if n < 2 {
+				continue
+			}
+			gap, dup, swapped := run(base, n), run(base, n), run(base, n)
+			for r := n / 2; r < n; r++ {
+				gap.Ints[r]++
+			}
+			dup.Ints[n/2] = dup.Ints[n/2-1]
+			swapped.Ints[n/2-1], swapped.Ints[n/2] = swapped.Ints[n/2], swapped.Ints[n/2-1]
+			builds = append(builds, build{name + " one gap", gap, false},
+				build{name + " one duplicate", dup, false}, build{name + " one swapped pair", swapped, false})
+		}
+	}
+	builds = append(builds, build{"FLOAT 0, 1, 2", floats(0, 1, 2), false},
+		build{"BOOL false, true", bools(false, true), false}, build{"VARCHAR", strs("0", "1", "2"), false})
+	for _, bc := range builds {
+		t.Run(bc.name, func(t *testing.T) {
+			right := keyTable(t, "r", "w", bc.keys)
+			src, err := NewTableMorselSource(right, nil, 1000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jb, err := buildJoinTables(src, 2, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if jb.ident != bc.ident || jb.ident && (jb.parts != nil || jb.next != nil) {
+				t.Fatalf("identity path %v (%d partitions), want %v", jb.ident, len(jb.parts), bc.ident)
+			}
+			lk := probe(0, bc.keys.Len())
+			if bc.keys.Type == types.Int {
+				lk = probe(bc.keys.Ints[0], bc.keys.Len())
+			}
+			left := keyTable(t, "l", "a", lk)
+			want := referenceJoin(t, left, right)
+			j, err := plan.NewJoin(plan.NewScan(left), plan.NewScan(right), "k", "k")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, dop := range []int{1, 2, 8} {
+				for _, morsel := range []int{0, 1000} {
+					got := compileCollect(t, j, &Env{Parallelism: dop, ParallelThresholdRows: 1, MorselSize: morsel})
+					sameBits(t, fmt.Sprintf("dop=%d morsel=%d", dop, morsel), want, got)
+				}
+			}
+		})
+	}
+}
+
 // fuzzKey decodes one fuzz byte into row i of a key column of type typ.
 // A byte from 0xF0 up is NULL, with the key of its low four bits left in
 // the value slot; small bytes are each type's awkward values.
@@ -289,7 +371,11 @@ func fuzzKey(v *types.Vector, b byte) {
 // the serial reference's rows bit for bit. Byte 0 is the type (bits 0–1),
 // the DOP (1, 2 or 8 by bits 2–3) and the morsel size (1 + bits 4–7);
 // bytes 1 and 2 the probe and build row counts (mod 64); the rest the
-// keys, probe side first (see fuzzKey).
+// keys, probe side first (see fuzzKey). For INT keys, bit 6 of byte 2
+// makes the build keys consecutive from the first one's key, base + r in
+// row r (a NULL byte still NULLs its row), and bit 7 then breaks the run
+// at row n/2: from there on one higher (a gap) if that row's byte is
+// even, else that row repeats the one before (a duplicate).
 func FuzzHashJoin(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		at := func(i int) byte {
@@ -309,6 +395,20 @@ func FuzzHashJoin(f *testing.F) {
 		for i := 0; i < nRight; i++ {
 			fuzzKey(right, at(3+nLeft+i))
 		}
+		if k := nRight / 2; typ == types.Int && at(2)&0x40 != 0 {
+			for r := range right.Ints {
+				right.Ints[r] = right.Ints[0] + int64(r)
+			}
+			switch {
+			case at(2)&0x80 == 0 || k == 0:
+			case at(3+nLeft+k)%2 == 0:
+				for r := k; r < nRight; r++ {
+					right.Ints[r]++
+				}
+			default:
+				right.Ints[k] = right.Ints[k-1]
+			}
+		}
 		lt, rt := keyTable(t, "l", "a", left), keyTable(t, "r", "w", right)
 		want := referenceJoin(t, lt, rt)
 		j, err := plan.NewJoin(plan.NewScan(lt), plan.NewScan(rt), "k", "k")
@@ -322,10 +422,16 @@ func FuzzHashJoin(f *testing.F) {
 
 // BenchmarkParallelHashJoin runs whole joins, build and probe, at the
 // sizes the benchmark's shapes join: the hospital tables' 120K-row 1:1
-// join, a 2K-row build, a one-row build, and a 20K-row VARCHAR join. DOP
-// is GOMAXPROCS (-cpu 2 for the benchmark's two workers).
+// join, a 2K-row build, a one-row build, and a 20K-row VARCHAR join. The
+// INT ids are identity keys, which build no table; the same 120K ids
+// under a seeded permutation keep the flat table's number. DOP is
+// GOMAXPROCS (-cpu 2 for the benchmark's two workers).
 func BenchmarkParallelHashJoin(b *testing.B) {
 	ids := func(n int) *types.Vector { return intsOf(n, func(i int) int64 { return int64(i) }) }
+	shuffled := func(v *types.Vector) *types.Vector {
+		rand.New(rand.NewSource(1)).Shuffle(len(v.Ints), func(i, j int) { v.Ints[i], v.Ints[j] = v.Ints[j], v.Ints[i] })
+		return v
+	}
 	names := func(n int) *types.Vector {
 		v := strs()
 		for i := 0; i < n; i++ {
@@ -338,6 +444,7 @@ func BenchmarkParallelHashJoin(b *testing.B) {
 		keys *types.Vector
 	}{
 		{"int_120k", ids(120000)},
+		{"int_120k_shuffled", shuffled(ids(120000))},
 		{"int_2k", ids(2000)},
 		{"int_1", ids(1)},
 		{"varchar_20k", names(20000)},

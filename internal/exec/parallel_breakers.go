@@ -306,6 +306,9 @@ type joinSlot struct {
 // output identical to a single-table build. NULL keys, and FLOAT NaN,
 // equal nothing: they are never tabled, and a NULL probe key is never
 // looked up.
+//
+// An identity key — INT, no NULL, row r holding base + r — builds no
+// table at all: key c is row c − base, and each key has one row.
 type joinBuild struct {
 	rightAll *types.Batch
 	keys     *types.Vector // rightAll's key column
@@ -313,6 +316,8 @@ type joinBuild struct {
 	parts    [][]joinSlot
 	// next[r] is 1 + the build row after r with r's key, or 0.
 	next []int32
+	// ident marks an identity key; parts and next are then nil.
+	ident bool
 }
 
 const fibMix = 0x9E3779B97F4A7C15
@@ -376,8 +381,52 @@ func (jb *joinBuild) slot(c int64, kv *types.Vector, i int) *joinSlot {
 	}
 }
 
+// match returns 1 + the first build row whose key equals row i of kv
+// (non-NULL, of the build key's type), or 0. An identity build reads the
+// row off the key: the offset c − base wraps, so a key below base lands
+// past the end, and the row's key confirms the match. keyCode is spelled
+// out because it does not inline: an INT probe into a table then makes
+// one call, to slot.
+func (jb *joinBuild) match(kv *types.Vector, i int) int32 {
+	if kv.Type != types.Int {
+		return jb.slot(keyHash(kv, i), kv, i).head
+	}
+	c := kv.Ints[i]
+	if !jb.ident {
+		return jb.slot(c, kv, i).head
+	}
+	if r := uint64(c - jb.keys.Ints[0]); r < uint64(len(jb.keys.Ints)) && jb.keys.Ints[r] == c {
+		return int32(r + 1)
+	}
+	return 0
+}
+
+// after returns 1 + the build row after row r-1 with its key, or 0.
+func (jb *joinBuild) after(r int32) int32 {
+	if jb.ident {
+		return 0
+	}
+	return jb.next[r-1]
+}
+
+// identity reports whether kv is an identity key: INT, no NULL, and row
+// r holding base + r, base being row 0's key. Wrapping past MaxInt64
+// keeps the keys distinct, so it needs no special case.
+func identity(kv *types.Vector) bool {
+	if kv.Type != types.Int || kv.HasNulls() || kv.Len() == 0 {
+		return false
+	}
+	for r, c := range kv.Ints {
+		if c != kv.Ints[0]+int64(r) {
+			return false
+		}
+	}
+	return true
+}
+
 // buildJoinTables materializes the build input (in morsel order) and
-// constructs the partitioned hash tables with dop workers.
+// constructs the partitioned hash tables with dop workers — or, for an
+// identity key, none.
 func buildJoinTables(src MorselSource, dop int, ctx context.Context, keyIdx int) (*joinBuild, error) {
 	if dop < 1 {
 		dop = 1
@@ -416,11 +465,14 @@ func buildJoinTables(src MorselSource, dop int, ctx context.Context, keyIdx int)
 	}
 
 	n := all.Len()
+	kv := all.Vecs[keyIdx]
+	if identity(kv) {
+		return &joinBuild{rightAll: all, keys: kv, ident: true}, nil
+	}
 	nParts := 1
 	for nParts < 4*dop && nParts < 256 {
 		nParts <<= 1
 	}
-	kv := all.Vecs[keyIdx]
 	jb := &joinBuild{
 		rightAll: all,
 		keys:     kv,
@@ -557,7 +609,7 @@ func (p *HashProbeStage) Apply(b *types.Batch) (*types.Batch, error) {
 		if nulls && kv.IsNull(i) {
 			continue
 		}
-		for r := jb.slot(keyCode(kv, i), kv, i).head; r != 0; r = jb.next[r-1] {
+		for r := jb.match(kv, i); r != 0; r = jb.after(r) {
 			leftSel = append(leftSel, i)
 			rightSel = append(rightSel, int(r-1))
 		}
