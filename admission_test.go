@@ -164,7 +164,7 @@ func TestMaxWorkerSlotsCapsEffectiveDOP(t *testing.T) {
 	if got := tdb.effectiveParallelism(ctx, QueryOptions{Parallelism: 64, Tenant: "batch"}); got != 1 {
 		t.Fatalf("tenant-capped DOP = %d, want 1", got)
 	}
-	if got := tdb.effectiveParallelism(ContextWithTenant(ctx, "batch", 0), QueryOptions{Parallelism: 64}); got != 1 {
+	if got := tdb.effectiveParallelism(ContextWithTenant(ctx, "batch"), QueryOptions{Parallelism: 64}); got != 1 {
 		t.Fatalf("ctx-tenant-capped DOP = %d, want 1", got)
 	}
 	if got := tdb.effectiveParallelism(ctx, QueryOptions{Parallelism: 64}); got != 8 {
@@ -302,7 +302,7 @@ func TestTenantQuotaEndToEnd(t *testing.T) {
 		t.Fatalf("want ErrTenantQuota, got %v", err)
 	}
 	// ExecContext under a context tag bills the tenant too.
-	if err := db.ExecContext(ContextWithTenant(context.Background(), "banned", 0),
+	if err := db.ExecContext(ContextWithTenant(context.Background(), "banned"),
 		`CREATE TABLE nope (k INT PRIMARY KEY)`); !errors.Is(err, ErrTenantQuota) {
 		t.Fatalf("exec: want ErrTenantQuota, got %v", err)
 	}
@@ -331,7 +331,6 @@ func TestTenantQuotaEndToEnd(t *testing.T) {
 	}
 	inter := DefaultQueryOptions()
 	inter.Tenant = "interactive"
-	inter.Priority = 5
 	res, err := db.QueryWithOptions(predictQuery, inter)
 	if err != nil {
 		t.Fatalf("interactive query blocked by a saturated tenant: %v", err)

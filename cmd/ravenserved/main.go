@@ -34,8 +34,8 @@
 // -tenant flag (repeatable) bounds one tenant's concurrent queries and,
 // optionally, its worker slots; maxq 0 shuts the tenant off. Requests
 // pick their tenant with the X-Raven-Tenant header (or a "tenant" body
-// field) and their scheduling class with X-Raven-Priority; untagged
-// traffic bills to -default-tenant. Per-tenant counters, gauges and
+// field); untagged traffic bills to -default-tenant. Admission is first
+// come, first served within the quotas. Per-tenant counters, gauges and
 // queue-wait histograms nest under scheduler.tenants in GET /stats.
 //
 // By default the engine is preloaded with the paper's demo workload

@@ -10,6 +10,7 @@ import (
 
 	"raven"
 	"raven/internal/ml"
+	"raven/internal/pyanal"
 )
 
 func main() {
@@ -46,9 +47,16 @@ model = Pipeline([
     ("clf", LogisticRegression(C=10)),
 ])
 `
-	trainX, trainY := trainingSample(8000)
-	pipe, err := db.StoreModelScript("default_risk", script, trainX, trainY, 7)
+	spec, err := pyanal.Analyze(script)
 	if err != nil {
+		log.Fatal(err)
+	}
+	trainX, trainY := trainingSample(8000)
+	pipe, err := spec.Fit(trainX, trainY, 7)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := db.StoreModel("default_risk", pipe); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("stored pipeline: %d featurizer step(s) + %s model\n", len(pipe.Steps), pipe.Final.Kind())

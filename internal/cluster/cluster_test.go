@@ -629,12 +629,11 @@ func TestFailingReplicationEntry(t *testing.T) {
 // header (reqopt.Headers) to the replica, on every route that reaches
 // one. The replica gives headers precedence over the body exactly so a
 // fronting proxy can tag untrusted clients — a header the router drops
-// silently bypasses per-tenant quotas and priority, the result-cache
-// bypass, the requested DOP or the deadline.
+// silently bypasses per-tenant quotas, the result-cache bypass, the
+// requested DOP or the deadline.
 func TestHeaderTagsForwarded(t *testing.T) {
 	want := map[string]string{
 		reqopt.HeaderTenant:    "alice",
-		reqopt.HeaderPriority:  "7",
 		reqopt.HeaderDOP:       "2",
 		reqopt.HeaderTimeoutMS: "9000",
 		reqopt.HeaderNoCache:   "1",
@@ -730,9 +729,16 @@ func TestRouterRefusesLikeReplica(t *testing.T) {
 		t.Fatal(err)
 	}
 	data, _ := json.Marshal(blob)
-	post := func(base, path, body string) (int, string) {
+	post := func(base, path, body string, hdr ...string) (int, string) {
 		t.Helper()
-		resp, err := http.Post(base+path, "application/json", strings.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i+1 < len(hdr); i += 2 {
+			req.Header.Set(hdr[i], hdr[i+1])
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -740,12 +746,14 @@ func TestRouterRefusesLikeReplica(t *testing.T) {
 		b, _ := io.ReadAll(resp.Body)
 		return resp.StatusCode, string(b)
 	}
-	same := func(path, body string, want int) {
+	// same posts body (and the header name/value pairs hdr) to the
+	// replica and to the router and wants one answer from both.
+	same := func(path, body string, want int, hdr ...string) {
 		t.Helper()
-		dc, db := post(tc.reps[0].Base, path, body)
-		rc, rb := post(tc.c.Base, path, body)
+		dc, db := post(tc.reps[0].Base, path, body, hdr...)
+		rc, rb := post(tc.c.Base, path, body, hdr...)
 		if dc != want || rc != dc || rb != db {
-			t.Errorf("%s %.60q: replica %d %q, router %d %q; want both %d with one error", path, body, dc, db, rc, rb, want)
+			t.Errorf("%s %.60q %q: replica %d %q, router %d %q; want both %d with one error", path, body, hdr, dc, db, rc, rb, want)
 		}
 	}
 	for _, field := range []string{`"morsel_size":1`, `"parallel_threshold_rows":1`, `"disable_plan_cache":true`} {
@@ -754,6 +762,13 @@ func TestRouterRefusesLikeReplica(t *testing.T) {
 		same("/prepare", q, http.StatusBadRequest)
 		same("/model", fmt.Sprintf(`{"name":"m","data":%s,%s}`, data, field), http.StatusBadRequest)
 	}
+	// Admission is first come, first served: a priority, in the body or
+	// as a header, is refused the same way on every route.
+	for _, path := range []string{"/query", "/prepare"} {
+		same(path, `{"sql":"SELECT a FROM w","priority":3}`, http.StatusBadRequest)
+		same(path, `{"sql":"SELECT a FROM w"}`, http.StatusBadRequest, "X-Raven-Priority", "3")
+	}
+	same("/model", fmt.Sprintf(`{"name":"m","data":%s}`, data), http.StatusBadRequest, "X-Raven-Priority", "3")
 	// Text that does not parse, and an INSERT into no table, classify as
 	// side effects; the replica validating them answers the refusal.
 	same("/query", `{"sql":"SELEC 1"}`, http.StatusBadRequest)

@@ -79,7 +79,7 @@ type DialOptions struct {
 	User     string
 	Database string
 	// Options is the PGOPTIONS-style startup string, e.g.
-	// "-c raven.priority=5 -c raven.dop=2".
+	// "-c raven.dop=2 -c raven.no_cache=on".
 	Options string
 }
 

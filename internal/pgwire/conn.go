@@ -274,7 +274,7 @@ func sessionOptions(params map[string]string, defaultTenant string) (reqopt.Opti
 }
 
 // parseOptionsString splits a startup options value — a command-line
-// fragment like "-c raven.priority=5 -c raven.dop=2" (PGOPTIONS) —
+// fragment like "-c raven.dop=2 -c raven.timeout_ms=500" (PGOPTIONS) —
 // into key=value pairs. --key=value is accepted too.
 func parseOptionsString(s string) (map[string]string, error) {
 	kv := make(map[string]string)
@@ -809,7 +809,7 @@ func (c *conn) handleParse(m *msgReader) bool {
 		}
 		id, err := c.srv.reg.Register(c.owner, &stmtreg.Entry{
 			Stmt: st,
-			Opts: reqopt.Options{Tenant: ro.Tenant, Priority: ro.Priority},
+			Opts: reqopt.Options{Tenant: ro.Tenant},
 		})
 		if err != nil {
 			c.errored = true
@@ -1024,7 +1024,7 @@ func (c *conn) handleExecute(m *msgReader) bool {
 		return c.extError(reqopt.SQLState(err), err.Error())
 	}
 	// Per-statement layer under the session layer: the registered
-	// tenant/priority hold unless the session overrides them — the same
+	// tenant holds unless the session overrides it — the same
 	// resolution the HTTP prepared path runs.
 	ro := c.resolved(e.Opts)
 	ctx, done := c.queryCtx(ro)

@@ -598,7 +598,7 @@ func TestStartupOptions(t *testing.T) {
 	c := dial(t, addr, DialOptions{
 		User:     "alice",
 		Database: "teamA",
-		Options:  "-c raven.priority=5 -c raven.dop=2 -c raven.no_cache=on",
+		Options:  "-c raven.dop=2 -c raven.timeout_ms=5000 -c raven.no_cache=on",
 	})
 	if _, err := c.SimpleQuery(`SELECT a FROM nums`); err != nil {
 		t.Fatalf("query: %v", err)
@@ -616,13 +616,16 @@ func TestStartupOptions(t *testing.T) {
 		t.Fatalf("tenant bob not billed: %+v", db.Stats().Scheduler)
 	}
 
-	// A bogus raven.* knob fails the connection loudly at startup.
+	// A bogus raven.* knob, or the removed raven.priority, fails the
+	// connection loudly at startup, naming the knob.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	_, err := DialClient(ctx, addr, DialOptions{User: "x", Options: "-c raven.bogus=1"})
-	var pgErr *PgError
-	if !errors.As(err, &pgErr) || pgErr.Code != "42601" {
-		t.Fatalf("bogus option: want 42601 startup error, got %v", err)
+	for _, knob := range []string{"raven.bogus", "raven.priority"} {
+		_, err := DialClient(ctx, addr, DialOptions{User: "x", Options: "-c " + knob + "=1"})
+		var pgErr *PgError
+		if !errors.As(err, &pgErr) || pgErr.Code != "42601" || !strings.Contains(pgErr.Message, knob) {
+			t.Fatalf("%s: want a 42601 startup error naming it, got %v", knob, err)
+		}
 	}
 }
 
@@ -680,8 +683,8 @@ func TestSessionOptionsTenantMapping(t *testing.T) {
 			t.Errorf("%v: tenant %q err %v, want %q", c.params, o.Tenant, err, c.tenant)
 		}
 	}
-	if _, err := sessionOptions(map[string]string{"options": "--raven.priority=abc"}, ""); err == nil {
-		t.Error("bad priority: want error")
+	if _, err := sessionOptions(map[string]string{"options": "--raven.dop=abc"}, ""); err == nil {
+		t.Error("bad dop: want error")
 	}
 	if _, err := sessionOptions(map[string]string{"options": "-z oops"}, ""); err == nil {
 		t.Error("unsupported options arg: want error")

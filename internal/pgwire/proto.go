@@ -7,7 +7,7 @@
 // reachable from every existing SQL tool, made literal.
 //
 // The front end adds no second options surface: every entry resolves
-// its tenant/priority/DOP/timeout/no_cache through the same
+// its tenant/DOP/timeout/no_cache through the same
 // internal/server/reqopt layer stack as HTTP (pg startup params are the
 // ctx layer: database/user map onto the tenant scheduler, the "options"
 // parameter carries -c raven.* knobs), goes through the same admission

@@ -8,24 +8,21 @@
 // queries that cannot even queue are rejected immediately, giving clients
 // a clean load-shedding signal instead of a collapsing server.
 //
-// # Tenants and priorities
+// # Tenants
 //
-// The scheduler is multi-tenant: every admission carries a (tenant,
-// priority) Tag. Tenants may be declared with their own budget
-// (TenantQuota: max concurrent queries and max worker slots), which is
-// enforced in addition to the global budget; undeclared tenants share
-// the global budget and are still tracked for stats. The wait queue is a
-// priority queue with weighted fair ordering: higher priority first,
-// FIFO (arrival order) within a priority class, and a starvation guard
-// that ages waiting entries — a waiter gains one effective priority
-// level per AgeStep spent queued — so a saturating high-priority tenant
-// cannot lock lower-priority tenants out forever. A waiter blocked only
-// by its own tenant's budget is skipped by other tenants' admissions —
-// a saturated tenant never holds global capacity hostage — but not by
-// its own tenant-mates, so a tenant's cheap queries cannot starve its
-// expensive ones; a waiter blocked by the global budget stops the scan
-// entirely (expensive queries are not starved by cheaper ones arriving
-// behind them).
+// The scheduler is multi-tenant: every admission names a tenant.
+// Tenants may be declared with their own budget (TenantQuota: max
+// concurrent queries and max worker slots), which is enforced in
+// addition to the global budget; undeclared tenants share the global
+// budget and are still tracked for stats. Waiters are admitted first
+// come, first served, under two rules. A waiter blocked only by its own
+// tenant's budget is skipped by other tenants' admissions — a saturated
+// tenant never holds global capacity hostage — but not by its own
+// tenant-mates, so a tenant's cheap queries cannot starve its expensive
+// ones. A waiter blocked by the global budget stops the scan entirely
+// (expensive queries are not starved by cheaper ones arriving behind
+// them). Tenant quotas are the isolation tool: a tenant that must not
+// wait behind another's burst is protected by bounding that burst.
 //
 // The scheduler is deliberately engine-agnostic: it hands out admission
 // tickets (release functions), never goroutines, so raven.DB can gate
@@ -35,7 +32,6 @@ package sched
 import (
 	"context"
 	"errors"
-	"sort"
 	"sync"
 	"time"
 )
@@ -62,11 +58,6 @@ var (
 // when Options.DefaultTenant is empty.
 const DefaultTenantName = "default"
 
-// DefaultAgeStep is the starvation-guard aging interval when
-// Options.AgeStep is zero: a waiter's effective priority rises by one
-// per step spent in the queue.
-const DefaultAgeStep = 100 * time.Millisecond
-
 // maxTrackedTenants bounds the per-tenant accounting map: tenant keys
 // arrive from untrusted wire clients, so without a cap a client cycling
 // random names would grow the map (and every Stats snapshot) without
@@ -78,17 +69,6 @@ const maxTrackedTenants = 1024
 // OverflowTenantName is the catch-all stats bucket for undeclared
 // tenants seen after maxTrackedTenants distinct keys.
 const OverflowTenantName = "~other"
-
-// Tag attributes one admission to a tenant and a priority class. The
-// zero Tag means the default tenant at priority 0.
-type Tag struct {
-	// Tenant is the tenant key; empty maps to the scheduler's default
-	// tenant.
-	Tenant string
-	// Priority orders waiting admissions: higher runs first. Priorities
-	// only order the queue — they never preempt running queries.
-	Priority int
-}
 
 // TenantQuota is a declared tenant's budget. MaxConcurrent <= 0 shuts
 // the tenant off (its admissions fail with ErrTenantQuota); MaxSlots <= 0
@@ -121,11 +101,6 @@ type Options struct {
 	// Tenants declares per-tenant budgets. Tenants absent from the map
 	// run under the global budget alone.
 	Tenants map[string]TenantQuota
-	// AgeStep is the starvation guard: a waiter's effective priority
-	// rises by 1 per AgeStep spent queued, so low-priority waiters
-	// eventually overtake a stream of fresh high-priority arrivals.
-	// 0 means DefaultAgeStep; negative disables aging.
-	AgeStep time.Duration
 }
 
 // QuotaFor resolves the declared quota for a (possibly empty) tenant
@@ -248,9 +223,7 @@ type tenantState struct {
 // never blocks signalling a waiter that is simultaneously giving up.
 type waiter struct {
 	cost      int
-	tag       Tag
 	ts        *tenantState
-	seq       uint64 // arrival order, the FIFO tie-break within a priority class
 	res       chan error
 	signalled bool // an outcome was sent on res; guarded by s.mu
 	enqueued  time.Time
@@ -265,17 +238,15 @@ const (
 )
 
 // Scheduler is a weighted-slot, tenant-aware admission controller.
-// Admission order is (effective priority desc, arrival order asc); see
-// the package comment for the fairness rules.
+// Admission order is arrival order; see the package comment for the
+// fairness rules.
 type Scheduler struct {
-	opts    Options
-	ageStep time.Duration // resolved: 0 = aging disabled
+	opts Options
 
 	mu         sync.Mutex
 	active     int
 	slotsInUse int
-	queue      []*waiter
-	nextSeq    uint64
+	queue      []*waiter // arrival order
 	tenants    map[string]*tenantState
 	draining   bool
 	drainDone  chan struct{} // closed when draining && active == 0
@@ -295,12 +266,6 @@ func New(opts Options) *Scheduler {
 		opts.MaxSlots = 0
 	}
 	s := &Scheduler{opts: opts, tenants: make(map[string]*tenantState)}
-	switch {
-	case opts.AgeStep > 0:
-		s.ageStep = opts.AgeStep
-	case opts.AgeStep == 0:
-		s.ageStep = DefaultAgeStep
-	}
 	// Declared tenants exist from construction so /stats shows the
 	// configured fleet before any traffic arrives.
 	for name, q := range opts.Tenants {
@@ -398,31 +363,32 @@ func (s *Scheduler) admitLocked(ts *tenantState, cost int) {
 	}
 }
 
-// Acquire admits an untagged query (default tenant, priority 0). See
+// Acquire admits an untagged query (the default tenant). See
 // AcquireTag.
 func (s *Scheduler) Acquire(ctx context.Context, cost int) (func(), error) {
-	return s.AcquireTag(ctx, cost, Tag{})
+	return s.AcquireTag(ctx, cost, "")
 }
 
-// AcquireTag admits a query of the given slot cost for the tagged
-// tenant, blocking in the priority queue if the scheduler is saturated.
+// AcquireTag admits a query of the given slot cost for tenant (empty
+// means the default tenant), blocking in the queue if the scheduler is
+// saturated.
 // On success it returns an idempotent release function that the caller
 // must invoke exactly when the query finishes (Rows.Close does). On
 // failure it returns one of ErrQueueFull, ErrTenantQuota,
 // ErrQueueTimeout, ErrDraining, or ctx.Err().
-func (s *Scheduler) AcquireTag(ctx context.Context, cost int, tag Tag) (func(), error) {
-	tag.Tenant = s.opts.resolveTenant(tag.Tenant)
+func (s *Scheduler) AcquireTag(ctx context.Context, cost int, tenant string) (func(), error) {
+	tenant = s.opts.resolveTenant(tenant)
 	// A context that is already dead never enters the queue.
 	if err := ctx.Err(); err != nil {
 		s.mu.Lock()
 		s.stats.Cancelled++
-		s.tenantLocked(tag.Tenant).stats.Cancelled++
+		s.tenantLocked(tenant).stats.Cancelled++
 		s.mu.Unlock()
 		return nil, err
 	}
 
 	s.mu.Lock()
-	ts := s.tenantLocked(tag.Tenant)
+	ts := s.tenantLocked(tenant)
 	if s.draining {
 		s.stats.Drained++
 		ts.stats.Drained++
@@ -439,12 +405,11 @@ func (s *Scheduler) AcquireTag(ctx context.Context, cost int, tag Tag) (func(), 
 	}
 	cost = s.clampCost(ts, cost)
 	// Admit immediately when this arrival fits and nothing queued has a
-	// prior claim on the capacity — one O(queue) pass, no sort. This one
-	// rule covers the empty-queue fast path, overtaking an all-blocked
+	// prior claim on the capacity — one O(queue) pass. This one rule
+	// covers the empty-queue fast path and overtaking an all-blocked
 	// queue (a queue full of tenant-blocked waiters must not lock other
-	// tenants out of free capacity), and priority jumps past
-	// lower-ranked waiters.
-	if ok, _ := s.fits(ts, cost); ok && !s.queueBlocksLocked(ts, tag.Priority) {
+	// tenants out of free capacity).
+	if ok, _ := s.fits(ts, cost); ok && !s.queueBlocksLocked(ts) {
 		s.admitLocked(ts, cost)
 		s.mu.Unlock()
 		return s.releaseFunc(ts, cost), nil
@@ -455,20 +420,11 @@ func (s *Scheduler) AcquireTag(ctx context.Context, cost int, tag Tag) (func(), 
 		s.mu.Unlock()
 		return nil, ErrQueueFull
 	}
-	s.nextSeq++
-	w := &waiter{cost: cost, tag: tag, ts: ts, seq: s.nextSeq, res: make(chan error, 1), enqueued: time.Now()}
+	w := &waiter{cost: cost, ts: ts, res: make(chan error, 1), enqueued: time.Now()}
 	s.queue = append(s.queue, w)
 	ts.waiting++
 	s.stats.Queued++
 	ts.stats.Queued++
-	// Enqueueing frees no capacity, but aging may have reordered the
-	// queue since the last capacity event: a waiter that was ranked
-	// below a globally-blocked head at the last scan can now rank above
-	// it and fit, with nothing else to trigger a scan — so arrivals
-	// double as rescan opportunities (cheap: the scan early-outs O(1)
-	// whenever the budget is saturated). The scan may also admit w
-	// itself where the conservative fast-path check declined.
-	s.admitNextLocked()
 	s.mu.Unlock()
 
 	var timeout <-chan time.Time
@@ -599,102 +555,68 @@ func (s *Scheduler) releaseFunc(ts *tenantState, cost int) func() {
 }
 
 // queueBlocksLocked reports whether some queued waiter has a prior
-// claim on the capacity a new arrival (tenant ts, the given priority)
-// would take, i.e. whether the admission scan run over queue+arrival
-// would NOT admit the arrival. Only waiters that outrank the arrival
-// matter (aged priority >= prio — every waiter arrived earlier, so
-// ties go to the queue):
+// claim on the capacity a new arrival of tenant ts would take, i.e.
+// whether the admission scan run over queue+arrival would NOT admit the
+// arrival:
 //
-//   - any outranking tenant-mate blocks (the arrival would be parked
-//     behind its own tenant's head, whatever that head waits on);
-//   - for each other tenant only its top-ranked outranking waiter
-//     speaks for it, mirroring the scan: if that waiter is blocked by
-//     its own tenant's budget the whole tenant is parked and claims
-//     nothing, otherwise it is first in line for the capacity
-//     (globally blocked or outright fitting) and the arrival must not
-//     jump it.
+//   - any queued tenant-mate blocks (the arrival would be parked behind
+//     its own tenant's head, whatever that head waits on);
+//   - for each other tenant only its first queued waiter speaks for it,
+//     mirroring the scan: if that waiter is blocked by its own tenant's
+//     budget the whole tenant is parked and claims nothing, otherwise it
+//     is first in line for the capacity (globally blocked or outright
+//     fitting) and the arrival must not jump it.
 //
-// One O(queue) pass, no sort; callers hold s.mu.
-func (s *Scheduler) queueBlocksLocked(ts *tenantState, prio int) bool {
-	now := time.Now()
-	var top map[*tenantState]*waiter
+// One O(queue) pass; callers hold s.mu.
+func (s *Scheduler) queueBlocksLocked(ts *tenantState) bool {
+	var seen map[*tenantState]bool
 	for _, w := range s.queue {
-		if s.effPriority(w, now) < prio {
-			continue
-		}
 		if w.ts == ts {
 			return true
 		}
-		if top == nil {
-			top = make(map[*tenantState]*waiter)
+		if seen[w.ts] {
+			continue
 		}
-		if t := top[w.ts]; t == nil || s.ranksBefore(w, t, now) {
-			top[w.ts] = w
-		}
-	}
-	for _, w := range top {
 		if _, tenantBlocked := s.fits(w.ts, w.cost); !tenantBlocked {
 			return true
 		}
+		if seen == nil {
+			seen = make(map[*tenantState]bool)
+		}
+		seen[w.ts] = true
 	}
 	return false
 }
 
-// ranksBefore is the admission order: aged priority desc, arrival seq
-// asc.
-func (s *Scheduler) ranksBefore(a, b *waiter, now time.Time) bool {
-	pa, pb := s.effPriority(a, now), s.effPriority(b, now)
-	if pa != pb {
-		return pa > pb
-	}
-	return a.seq < b.seq
-}
-
-// effPriority is a waiter's aged priority: its tag priority plus one
-// level per ageStep spent waiting (the starvation guard).
-func (s *Scheduler) effPriority(w *waiter, now time.Time) int {
-	p := w.tag.Priority
-	if s.ageStep > 0 {
-		p += int(now.Sub(w.enqueued) / s.ageStep)
-	}
-	return p
-}
-
-// admitNextLocked admits queued waiters in weighted-fair order —
-// effective (aged) priority desc, arrival order asc — skipping waiters
-// blocked only by their own tenant's budget and stopping at the first
-// waiter blocked by the global budget; callers hold s.mu.
+// admitNextLocked admits queued waiters in arrival order, skipping
+// waiters blocked only by their own tenant's budget and stopping at the
+// first waiter blocked by the global budget; callers hold s.mu.
 func (s *Scheduler) admitNextLocked() {
 	if s.draining || len(s.queue) == 0 {
 		return
 	}
 	// When the global budget is exhausted fits() is false for every
-	// waiter, so skip the copy+sort entirely — the saturated enqueue
-	// path stays O(1) under the mutex; the sort only runs on events
-	// with room to admit.
+	// waiter, so skip the scan entirely.
 	if s.active >= s.opts.MaxConcurrent {
 		return
 	}
 	if s.opts.MaxSlots > 0 && s.slotsInUse >= s.opts.MaxSlots {
 		return // every cost is >= 1, so no waiter can fit a full slot budget
 	}
-	now := time.Now()
-	order := make([]*waiter, len(s.queue))
-	copy(order, s.queue)
-	sort.Slice(order, func(i, j int) bool { return s.ranksBefore(order[i], order[j], now) })
-	// One sorted pass admits everything a repeated rescan would: an
-	// admission only shrinks capacity (fits can flip true→false, never
-	// back), removal leaves the others' order untouched, and a
-	// tenant-blocked waiter stays tenant-blocked when its tenant's
-	// usage only grows — so continuing the scan is sound and a burst of
-	// admissions costs one O(n log n) sort, not one per admission.
+	// One pass admits everything a repeated rescan would: an admission
+	// only shrinks capacity (fits can flip true→false, never back),
+	// removal leaves the others' order untouched, and a tenant-blocked
+	// waiter stays tenant-blocked when its tenant's usage only grows —
+	// so continuing the scan is sound.
 	var parked map[*tenantState]bool
-	for _, w := range order {
+	for i := 0; i < len(s.queue); {
+		w := s.queue[i]
 		if parked[w.ts] {
-			// An outranking waiter of this same tenant is parked on the
+			// An earlier waiter of this same tenant is parked on the
 			// tenant's budget: admitting w would starve it behind its own
 			// tenant's cheaper queries — the per-tenant mirror of the
 			// global head-of-line rule below.
+			i++
 			continue
 		}
 		ok, tenantBlocked := s.fits(w.ts, w.cost)
@@ -706,9 +628,9 @@ func (s *Scheduler) admitNextLocked() {
 			continue
 		}
 		if !tenantBlocked {
-			// Globally blocked: the highest-priority waiter that cannot
-			// fit blocks everyone below it (no starvation of expensive
-			// queries by cheap ones arriving behind them).
+			// Globally blocked: the first waiter that cannot fit blocks
+			// everyone behind it (no starvation of expensive queries by
+			// cheap ones arriving behind them).
 			return
 		}
 		// Tenant-blocked: park the tenant and keep scanning — a
@@ -718,6 +640,7 @@ func (s *Scheduler) admitNextLocked() {
 			parked = make(map[*tenantState]bool)
 		}
 		parked[w.ts] = true
+		i++
 	}
 }
 

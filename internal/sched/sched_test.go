@@ -188,6 +188,71 @@ func TestFIFOOrder(t *testing.T) {
 			t.Fatalf("admission order = %v, want FIFO", order)
 		}
 	}
+
+	fifoOrderAcrossTenants(t)
+}
+
+// fifoOrderAcrossTenants is TestFIFOOrder's two-tenant input. Tenant a
+// (quota 1) is parked on its own budget and tenant b waits behind a held
+// global slot; each stepwise release must admit the next waiter in
+// arrival order, skipping a's parked waiters until a's quota frees.
+func fifoOrderAcrossTenants(t *testing.T) {
+	t.Helper()
+	s := New(Options{MaxConcurrent: 2, QueueDepth: 8, Tenants: map[string]TenantQuota{"a": {MaxConcurrent: 1}}})
+	holdA, err := s.AcquireTag(context.Background(), 1, "a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	holdB, err := s.AcquireTag(context.Background(), 1, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	type admission struct {
+		name string
+		rel  func()
+	}
+	admitted := make(chan admission, 8)
+	arrivals := []string{"a1", "b1", "a2", "b2", "b3"}
+	for i, name := range arrivals {
+		go func() {
+			r, err := s.AcquireTag(context.Background(), 1, name[:1])
+			if err != nil {
+				t.Error(err)
+				r = func() {}
+			}
+			admitted <- admission{name, r}
+		}()
+		waitFor(t, func() bool { return s.Stats().Waiting == i+1 })
+	}
+	rels := map[string]func(){"holdA": holdA, "holdB": holdB}
+	// Each release frees exactly one admission; the name is who it admits.
+	steps := []struct{ release, admits string }{
+		{"holdB", "b1"}, // a1 is parked on a's quota, so b1 goes first
+		{"b1", "b2"},    // a1 and a2 are still parked
+		{"holdA", "a1"}, // a's quota frees: its head goes before b3
+		{"b2", "b3"},    // a2 is parked behind a1 again
+		{"a1", "a2"},
+	}
+	for _, st := range steps {
+		rels[st.release]()
+		select {
+		case a := <-admitted:
+			if a.name != st.admits {
+				t.Fatalf("release of %s admitted %s, want %s", st.release, a.name, st.admits)
+			}
+			rels[a.name] = a.rel
+		case <-time.After(5 * time.Second):
+			t.Fatalf("release of %s admitted nothing, want %s", st.release, st.admits)
+		}
+		if got := s.Stats().Active; got != 2 {
+			t.Fatalf("after release of %s: %d active, want 2", st.release, got)
+		}
+	}
+	rels["b3"]()
+	rels["a2"]()
+	if st := s.Stats(); st.Active != 0 || st.Waiting != 0 {
+		t.Fatalf("not quiescent: %+v", st)
+	}
 }
 
 func TestWeightedSlots(t *testing.T) {

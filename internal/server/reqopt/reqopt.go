@@ -1,6 +1,6 @@
 // Package reqopt is the single request-options surface shared by every
 // wire front end (HTTP/NDJSON and pgwire). The per-request knobs —
-// tenant, priority, DOP, timeout, no_cache — historically accreted as
+// tenant, DOP, timeout, no_cache — historically accreted as
 // three parallel mechanisms (X-Raven-* headers, JSON body fields,
 // context funcs); this package replaces them with one Options struct,
 // one documented resolution order, and one clamp for untrusted wire
@@ -24,10 +24,8 @@
 // it back on (matching the engine's NoResultCache semantics).
 //
 // Untrusted wire values pass through Clamp before reaching the engine:
-// priority is bounded to ±MaxWirePriority (the scheduler's aging guard
-// closes one priority level per 100ms, so an unbounded client value
-// could park ahead of everyone for hours) and the requested DOP to
-// 8×GOMAXPROCS (goroutine fan-out is allocated per request).
+// the requested DOP is bounded to 8×GOMAXPROCS (goroutine fan-out is
+// allocated per request).
 package reqopt
 
 import (
@@ -35,6 +33,7 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -42,24 +41,17 @@ import (
 	"raven"
 )
 
-// MaxWirePriority bounds wire-supplied priorities (see Clamp).
-const MaxWirePriority = 100
-
 // MaxWireDOP returns the per-request parallelism cap applied to wire
 // clients, on top of any engine slot budget.
 func MaxWireDOP() int { return 8 * runtime.GOMAXPROCS(0) }
 
 // Options is one resolution layer of the shared per-request knobs.
 // Zero fields mean "unset at this layer" — Resolve falls through to the
-// next layer. Priority is a pointer because an explicit 0 is a real
-// value (it demotes a statement registered at a higher priority), so
-// presence must be distinguishable from absence.
+// next layer.
 type Options struct {
 	// Tenant attributes the request's admission (quotas, per-tenant
 	// stats). "" = unset.
 	Tenant string
-	// Priority orders waiting admissions (higher first). nil = unset.
-	Priority *int
 	// DOP is the requested degree of parallelism (worker slots).
 	// 0 = unset (engine default).
 	DOP int
@@ -70,9 +62,6 @@ type Options struct {
 	NoCache bool
 }
 
-// Int boxes an int for the Priority field.
-func Int(v int) *int { return &v }
-
 // Resolve merges layers in precedence order (earlier wins per field):
 // pass them as ctx > per-request > per-statement > server default.
 func Resolve(layers ...Options) Options {
@@ -80,9 +69,6 @@ func Resolve(layers ...Options) Options {
 	for _, l := range layers {
 		if out.Tenant == "" {
 			out.Tenant = l.Tenant
-		}
-		if out.Priority == nil {
-			out.Priority = l.Priority
 		}
 		if out.DOP == 0 {
 			out.DOP = l.DOP
@@ -95,20 +81,10 @@ func Resolve(layers ...Options) Options {
 	return out
 }
 
-// Clamp bounds the untrusted knobs: priority to ±MaxWirePriority, DOP
-// to [0, MaxWireDOP]. Both front ends clamp after resolving, so the
-// bound applies to whichever layer supplied the value.
+// Clamp bounds the untrusted DOP to [0, MaxWireDOP]. Both front ends
+// clamp after resolving, so the bound applies to whichever layer
+// supplied the value.
 func (o Options) Clamp() Options {
-	if o.Priority != nil {
-		p := *o.Priority
-		if p > MaxWirePriority {
-			p = MaxWirePriority
-		}
-		if p < -MaxWirePriority {
-			p = -MaxWirePriority
-		}
-		o.Priority = &p
-	}
 	if o.DOP < 0 {
 		o.DOP = 0
 	}
@@ -118,30 +94,21 @@ func (o Options) Clamp() Options {
 	return o
 }
 
-// PriorityOr returns the resolved priority, or def when unset.
-func (o Options) PriorityOr(def int) int {
-	if o.Priority == nil {
-		return def
-	}
-	return *o.Priority
-}
-
 // Apply writes the resolved knobs onto an engine QueryOptions (the
 // option-carrying engine calls). NoCache ORs into NoResultCache.
 func (o Options) Apply(qo *raven.QueryOptions) {
 	qo.Tenant = o.Tenant
-	qo.Priority = o.PriorityOr(0)
 	if o.DOP > 0 {
 		qo.Parallelism = o.DOP
 	}
 	qo.NoResultCache = qo.NoResultCache || o.NoCache
 }
 
-// Context tags ctx with the resolved admission identity (and, when set,
+// Context tags ctx with the resolved admission tenant (and, when set,
 // the DOP and the result-cache bypass) — the carrier for engine calls
 // that take no options (ExecContext, Stmt.QueryContext).
 func (o Options) Context(ctx context.Context) context.Context {
-	ctx = raven.ContextWithTenant(ctx, o.Tenant, o.PriorityOr(0))
+	ctx = raven.ContextWithTenant(ctx, o.Tenant)
 	if o.DOP > 0 {
 		ctx = raven.ContextWithParallelism(ctx, o.DOP)
 	}
@@ -161,12 +128,10 @@ func (o Options) WithTimeout(ctx context.Context) (context.Context, context.Canc
 }
 
 // HTTP header names of the ctx layer (a trusted fronting proxy tagging
-// clients that cannot be trusted to tag themselves). Tenant and
-// Priority are the original PR 5 headers; the rest complete the
-// unified surface so every knob is reachable from every layer.
+// clients that cannot be trusted to tag themselves), one per knob so
+// every knob is reachable from every layer.
 const (
 	HeaderTenant    = "X-Raven-Tenant"
-	HeaderPriority  = "X-Raven-Priority"
 	HeaderDOP       = "X-Raven-DOP"
 	HeaderTimeoutMS = "X-Raven-Timeout-Ms"
 	HeaderNoCache   = "X-Raven-No-Cache"
@@ -174,7 +139,7 @@ const (
 
 // Headers is the ctx layer's header list, in one place: FromHeaders
 // parses exactly these, and CopyHeaders forwards exactly these.
-var Headers = []string{HeaderTenant, HeaderPriority, HeaderDOP, HeaderTimeoutMS, HeaderNoCache}
+var Headers = []string{HeaderTenant, HeaderDOP, HeaderTimeoutMS, HeaderNoCache}
 
 // CopyHeaders sets on dst each of Headers that src carries: what a
 // fronting proxy forwards to the server behind it.
@@ -187,8 +152,15 @@ func CopyHeaders(dst, src http.Header) {
 }
 
 // FromHeaders parses the X-Raven-* headers into the ctx layer. A
-// malformed value is a client error, not silently a zero.
+// malformed value is a client error, not silently a zero, and so is an
+// X-Raven-* header that is none of Headers: a misspelt or retired knob
+// fails loudly, as an unknown raven.* session parameter does.
 func FromHeaders(h http.Header) (Options, error) {
+	for k := range h {
+		if strings.HasPrefix(k, "X-Raven-") && !slices.ContainsFunc(Headers, func(n string) bool { return strings.EqualFold(n, k) }) {
+			return Options{}, fmt.Errorf("unknown header %s", k)
+		}
+	}
 	var o Options
 	for _, name := range Headers {
 		v := h.Get(name)
@@ -198,12 +170,6 @@ func FromHeaders(h http.Header) (Options, error) {
 		switch name {
 		case HeaderTenant:
 			o.Tenant = v
-		case HeaderPriority:
-			p, err := strconv.Atoi(v)
-			if err != nil {
-				return Options{}, fmt.Errorf("bad %s %q: not an integer", name, v)
-			}
-			o.Priority = &p
 		case HeaderDOP:
 			d, err := strconv.Atoi(v)
 			if err != nil || d < 0 {
@@ -229,10 +195,9 @@ func FromHeaders(h http.Header) (Options, error) {
 
 // Session parameter keys of the pgwire ctx layer: a client passes them
 // through the startup "options" parameter as -c key=value pairs
-// (psql: PGOPTIONS="-c raven.priority=5"). Tenant has no key — it maps
-// from the startup database/user parameters.
+// (psql: PGOPTIONS="-c raven.dop=2"). Tenant has no key — it maps from
+// the startup database/user parameters.
 const (
-	ParamPriority  = "raven.priority"
 	ParamDOP       = "raven.dop"
 	ParamTimeoutMS = "raven.timeout_ms"
 	ParamNoCache   = "raven.no_cache"
@@ -246,12 +211,6 @@ func FromSessionParams(kv map[string]string) (Options, error) {
 	var o Options
 	for k, v := range kv {
 		switch k {
-		case ParamPriority:
-			p, err := strconv.Atoi(v)
-			if err != nil {
-				return Options{}, fmt.Errorf("bad %s %q: not an integer", k, v)
-			}
-			o.Priority = &p
 		case ParamDOP:
 			d, err := strconv.Atoi(v)
 			if err != nil || d < 0 {

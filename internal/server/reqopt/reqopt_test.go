@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,13 +12,13 @@ import (
 )
 
 func TestResolvePrecedence(t *testing.T) {
-	ctxLayer := Options{Tenant: "proxy", Priority: Int(9)}
-	reqLayer := Options{Tenant: "body", Priority: Int(1), DOP: 4, NoCache: true}
-	stmtLayer := Options{Tenant: "stmt", Priority: Int(5), Timeout: time.Second}
+	ctxLayer := Options{Tenant: "proxy"}
+	reqLayer := Options{Tenant: "body", DOP: 4, NoCache: true}
+	stmtLayer := Options{Tenant: "stmt", Timeout: time.Second}
 	def := Options{Timeout: time.Minute}
 
 	got := Resolve(ctxLayer, reqLayer, stmtLayer, def)
-	if got.Tenant != "proxy" || *got.Priority != 9 {
+	if got.Tenant != "proxy" {
 		t.Fatalf("ctx layer must win: %+v", got)
 	}
 	if got.DOP != 4 {
@@ -29,39 +30,24 @@ func TestResolvePrecedence(t *testing.T) {
 	if !got.NoCache {
 		t.Fatal("NoCache must OR across layers")
 	}
-
-	// An explicit priority 0 at a higher layer beats a lower layer's 5 —
-	// presence, not zeroness, decides.
-	got = Resolve(Options{Priority: Int(0)}, stmtLayer)
-	if *got.Priority != 0 {
-		t.Fatalf("explicit 0 must demote: %+v", got)
-	}
-	// Absent upper priority falls through.
-	got = Resolve(Options{}, stmtLayer)
-	if *got.Priority != 5 {
-		t.Fatalf("absent priority must fall through: %+v", got)
-	}
 }
 
 func TestClamp(t *testing.T) {
-	o := Options{Priority: Int(1_000_000), DOP: 1 << 20}.Clamp()
-	if *o.Priority != MaxWirePriority || o.DOP != MaxWireDOP() {
+	o := Options{DOP: 1 << 20}.Clamp()
+	if o.DOP != MaxWireDOP() {
 		t.Fatalf("clamp: %+v", o)
 	}
-	o = Options{Priority: Int(-1_000_000), DOP: -3}.Clamp()
-	if *o.Priority != -MaxWirePriority || o.DOP != 0 {
+	o = Options{DOP: -3}.Clamp()
+	if o.DOP != 0 {
 		t.Fatalf("clamp: %+v", o)
-	}
-	if o = (Options{}).Clamp(); o.Priority != nil {
-		t.Fatalf("clamp must not invent a priority: %+v", o)
 	}
 }
 
 func TestApplyAndContext(t *testing.T) {
 	qo := raven.DefaultQueryOptions()
 	qo.Parallelism = 7
-	Options{Tenant: "t", Priority: Int(3), NoCache: true}.Apply(&qo)
-	if qo.Tenant != "t" || qo.Priority != 3 || !qo.NoResultCache {
+	Options{Tenant: "t", NoCache: true}.Apply(&qo)
+	if qo.Tenant != "t" || !qo.NoResultCache {
 		t.Fatalf("apply: %+v", qo)
 	}
 	if qo.Parallelism != 7 {
@@ -78,7 +64,7 @@ func TestApplyAndContext(t *testing.T) {
 	// Context must at minimum return a derived, non-nil context; the
 	// tag's effect on admission is covered by the front-end tests
 	// (pgwire's tenant-attribution test bills through this path).
-	if ctx := (Options{Tenant: "t", Priority: Int(3)}).Context(context.Background()); ctx == nil {
+	if ctx := (Options{Tenant: "t"}).Context(context.Background()); ctx == nil {
 		t.Fatal("nil context")
 	}
 }
@@ -86,7 +72,6 @@ func TestApplyAndContext(t *testing.T) {
 func TestFromHeaders(t *testing.T) {
 	h := http.Header{}
 	h.Set(HeaderTenant, "acme")
-	h.Set(HeaderPriority, "7")
 	h.Set(HeaderDOP, "3")
 	h.Set(HeaderTimeoutMS, "1500")
 	h.Set(HeaderNoCache, "1")
@@ -94,28 +79,29 @@ func TestFromHeaders(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if o.Tenant != "acme" || *o.Priority != 7 || o.DOP != 3 ||
+	if o.Tenant != "acme" || o.DOP != 3 ||
 		o.Timeout != 1500*time.Millisecond || !o.NoCache {
 		t.Fatalf("parsed: %+v", o)
 	}
 
 	for name, hdr := range map[string][2]string{
-		"bad priority": {HeaderPriority, "high"},
-		"bad dop":      {HeaderDOP, "-1"},
-		"bad timeout":  {HeaderTimeoutMS, "soon"},
-		"bad nocache":  {HeaderNoCache, "maybe"},
+		"bad dop":          {HeaderDOP, "-1"},
+		"bad timeout":      {HeaderTimeoutMS, "soon"},
+		"bad nocache":      {HeaderNoCache, "maybe"},
+		"removed priority": {"X-Raven-Priority", "7"},
+		"unknown knob":     {"x-raven-typo", "1"},
 	} {
 		h := http.Header{}
+		h.Set(HeaderTenant, "acme")
 		h.Set(hdr[0], hdr[1])
-		if _, err := FromHeaders(h); err == nil {
-			t.Errorf("%s: want error", name)
+		if _, err := FromHeaders(h); err == nil || !strings.Contains(strings.ToLower(err.Error()), strings.ToLower(hdr[0])) {
+			t.Errorf("%s: want an error naming %s, got %v", name, hdr[0], err)
 		}
 	}
 }
 
 func TestFromSessionParams(t *testing.T) {
 	o, err := FromSessionParams(map[string]string{
-		ParamPriority:  "-2",
 		ParamDOP:       "4",
 		ParamTimeoutMS: "250",
 		ParamNoCache:   "on",
@@ -124,11 +110,13 @@ func TestFromSessionParams(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if *o.Priority != -2 || o.DOP != 4 || o.Timeout != 250*time.Millisecond || !o.NoCache {
+	if o.DOP != 4 || o.Timeout != 250*time.Millisecond || !o.NoCache {
 		t.Fatalf("parsed: %+v", o)
 	}
-	if _, err := FromSessionParams(map[string]string{"raven.typo": "1"}); err == nil {
-		t.Fatal("unknown raven.* key must error")
+	for _, k := range []string{"raven.typo", "raven.priority"} {
+		if _, err := FromSessionParams(map[string]string{k: "1"}); err == nil || !strings.Contains(err.Error(), k) {
+			t.Errorf("unknown key %s: want an error naming it, got %v", k, err)
+		}
 	}
 }
 

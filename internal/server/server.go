@@ -14,15 +14,15 @@
 //
 // Requests are multi-tenant: an X-Raven-Tenant header (or a "tenant"
 // body field) attributes each request's admission to a tenant, and
-// X-Raven-Priority (or "priority") picks its scheduling class. Prepared
-// statements remember the tag they were registered under; per-request
-// tags override it. Tenants declared with quotas (ravenserved -tenant)
-// are bounded individually while other tenants keep running: a tenant
-// whose quota pressure fills the queue gets per-tenant 429s with a
-// Retry-After hint, and a tenant shut off with a zero quota gets 429s
-// without one (the condition is permanent until reconfiguration, so
-// retrying is pointless). GET /stats nests per-tenant counters under
-// the scheduler section.
+// admission is first come, first served within the tenant quotas.
+// Prepared statements remember the tenant they were registered under;
+// per-request tags override it. Tenants declared with quotas
+// (ravenserved -tenant) are bounded individually while other tenants
+// keep running: a tenant whose quota pressure fills the queue gets
+// per-tenant 429s with a Retry-After hint, and a tenant shut off with a
+// zero quota gets 429s without one (the condition is permanent until
+// reconfiguration, so retrying is pointless). GET /stats nests
+// per-tenant counters under the scheduler section.
 //
 // Admission-control failures map to distinct status codes so clients can
 // tell load shedding (429, retry with backoff) from queue timeouts (504)
@@ -207,12 +207,6 @@ type QueryRequest struct {
 	// trusted proxy can tag untrusted clients; on the prepared path an
 	// empty tenant falls back to the statement's prepare-time tenant.
 	Tenant string `json:"tenant,omitempty"`
-	// Priority orders waiting admissions (higher first). The
-	// X-Raven-Priority header overrides it. A pointer so presence is
-	// visible: on the prepared path an absent priority falls back to the
-	// statement's registered one, while an explicit 0 (body or header)
-	// demotes it.
-	Priority *int `json:"priority,omitempty"`
 	// NoCache bypasses the engine's result cache for this request: no
 	// lookup, no population. Reads that must observe their own side
 	// effects mid-script, and freshness probes, set it.
@@ -223,33 +217,23 @@ type QueryRequest struct {
 type QueryOptions struct {
 	// CrossOptimize defaults to true when omitted.
 	CrossOptimize *bool `json:"cross_optimize,omitempty"`
-	// Parallelism requests a DOP; the server clamps it to 8×GOMAXPROCS
-	// (on top of any engine slot budget), because goroutine fan-out is
-	// allocated per request and wire clients are untrusted.
+	// Parallelism requests a DOP, an alias of the X-Raven-DOP header;
+	// reqopt clamps it to 8×GOMAXPROCS (on top of any engine slot
+	// budget), because goroutine fan-out is allocated per request and
+	// wire clients are untrusted.
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
+// engine is the engine options a request starts from: the defaults with
+// its cross_optimize. The resolved request options (Options.Apply) set
+// the rest, the DOP included.
 func (o *QueryOptions) engine() raven.QueryOptions {
 	opts := raven.DefaultQueryOptions()
-	if o == nil {
-		return opts
-	}
-	if o.CrossOptimize != nil {
+	if o != nil && o.CrossOptimize != nil {
 		opts.CrossOptimize = *o.CrossOptimize
 	}
-	par := o.Parallelism
-	if par < 0 {
-		par = 0
-	}
-	if cap := reqopt.MaxWireDOP(); par > cap {
-		par = cap
-	}
-	opts.Parallelism = par
 	return opts
 }
-
-// IntPtr boxes an int for optional wire fields (QueryRequest.Priority).
-func IntPtr(v int) *int { return &v }
 
 // PrepareResponse is the body of a successful POST /prepare.
 type PrepareResponse struct {
@@ -411,15 +395,11 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) erro
 }
 
 // bodyOptions lifts the JSON body's per-request fields into their
-// reqopt layer. The body fields (tenant/priority/no_cache/timeout_ms/
+// reqopt layer. The body fields (tenant/no_cache/timeout_ms/
 // options.parallelism) are aliases of the X-Raven-* headers — one
 // surface, two carriers.
 func bodyOptions(req *QueryRequest) reqopt.Options {
-	o := reqopt.Options{
-		Tenant:   req.Tenant,
-		Priority: req.Priority,
-		NoCache:  req.NoCache,
-	}
+	o := reqopt.Options{Tenant: req.Tenant, NoCache: req.NoCache}
 	if req.TimeoutMillis > 0 {
 		o.Timeout = time.Duration(req.TimeoutMillis) * time.Millisecond
 	}
@@ -540,7 +520,7 @@ func (s *Server) handlePrepare(w http.ResponseWriter, r *http.Request) {
 	}
 	id, err := s.reg.Register("", &stmtreg.Entry{
 		Stmt: st,
-		Opts: reqopt.Options{Tenant: ro.Tenant, Priority: ro.Priority},
+		Opts: reqopt.Options{Tenant: ro.Tenant},
 	})
 	if err != nil {
 		writeStmtLimit(w)
@@ -569,13 +549,10 @@ func (s *Server) handleStmtQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Per-execution options: headers > body > the statement's registered
-	// layer. Presence, not zeroness, decides the priority override
-	// (Priority is a pointer through every layer), so an explicit 0
-	// demotes a statement registered at a higher priority. The context
-	// tag wins inside the engine over the Stmt's prepare-time options,
-	// so overrides actually take effect on the warm path; a Stmt's
-	// options were fixed at prepare time, so the DOP and no_cache travel
-	// by context too.
+	// layer. The context tag wins inside the engine over the Stmt's
+	// prepare-time options, so overrides actually take effect on the
+	// warm path; a Stmt's options were fixed at prepare time, so the DOP
+	// and no_cache travel by context too.
 	ro = s.resolve(ro, e.Opts)
 	ctx, cancel := ro.WithTimeout(r.Context())
 	defer cancel()
@@ -655,7 +632,7 @@ func (s *Server) handleStoreModel(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := reqopt.Options{Timeout: s.opts.DefaultTimeout}.WithTimeout(r.Context())
 	defer cancel()
-	if err := s.db.StoreModelContext(raven.ContextWithTenant(ctx, req.Tenant, 0), req.Name, p); err != nil {
+	if err := s.db.StoreModelContext(raven.ContextWithTenant(ctx, req.Tenant), req.Name, p); err != nil {
 		WriteError(w, err)
 		return
 	}

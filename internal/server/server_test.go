@@ -466,7 +466,7 @@ func TestTenantHeadersQuotasAndStats(t *testing.T) {
 	countSQL := `SELECT COUNT(*) AS n FROM patient_info`
 
 	// Body-tagged query for an allowed tenant.
-	if _, err := c.Query(QueryRequest{SQL: countSQL, Tenant: "batch", Priority: IntPtr(3)}); err != nil {
+	if _, err := c.Query(QueryRequest{SQL: countSQL, Tenant: "batch"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -502,18 +502,18 @@ func TestTenantHeadersQuotasAndStats(t *testing.T) {
 	if resp2.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("header should override body tenant: status %d", resp2.StatusCode)
 	}
-	// A malformed priority header is a clean 400.
+	// A malformed tag header is a clean 400.
 	req3, _ := http.NewRequest(http.MethodPost, c.Base+"/query",
 		strings.NewReader(`{"sql":"SELECT COUNT(*) AS n FROM patient_info"}`))
 	req3.Header.Set("Content-Type", "application/json")
-	req3.Header.Set("X-Raven-Priority", "urgent")
+	req3.Header.Set("X-Raven-DOP", "urgent")
 	resp3, err := hc.Do(req3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp3.Body.Close()
 	if resp3.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad priority header: status %d, want 400", resp3.StatusCode)
+		t.Fatalf("bad DOP header: status %d, want 400", resp3.StatusCode)
 	}
 
 	// Per-statement registration: prepared under "batch", executions
@@ -588,9 +588,10 @@ func TestTenantHeadersQuotasAndStats(t *testing.T) {
 	}
 }
 
-// TestRequestTagPresence pins the override semantics: absent priority
-// falls through (prioritySet false), an explicit 0 — body pointer or
-// header — is a real override, and headers beat body fields.
+// TestRequestTagPresence pins what a request's own options resolve to:
+// the tenant tag of a header beats the body's, and the effective engine
+// DOP is the body's options.parallelism or the X-Raven-DOP header (which
+// wins), clamped to [0, MaxWireDOP], with 0 leaving the engine default.
 func TestRequestTagPresence(t *testing.T) {
 	mk := func(hdr map[string]string) *http.Request {
 		r, _ := http.NewRequest(http.MethodPost, "/stmt/s1/query", nil)
@@ -599,45 +600,57 @@ func TestRequestTagPresence(t *testing.T) {
 		}
 		return r
 	}
-	cases := []struct {
-		name     string
-		req      QueryRequest
-		hdr      map[string]string
-		tenant   string
-		priority int
-		set      bool
+	hdrTenant := map[string]string{"X-Raven-Tenant": "b"}
+	if tenant, _, err := requestOptions(mk(hdrTenant), &QueryRequest{Tenant: "a"}); err != nil || tenant != "b" {
+		t.Errorf("header beats body: tenant %q, %v", tenant, err)
+	}
+	if tenant, _, err := requestOptions(mk(nil), &QueryRequest{Tenant: "a"}); err != nil || tenant != "a" {
+		t.Errorf("body only: tenant %q, %v", tenant, err)
+	}
+	capDOP := reqopt.MaxWireDOP()
+	for _, c := range []struct {
+		body     int    // options.parallelism
+		hdr      string // X-Raven-DOP; "" = absent
+		wantDOP  int
+		noOption bool // omit the options object
 	}{
-		{"absent", QueryRequest{}, nil, "", 0, false},
-		{"body zero is explicit", QueryRequest{Priority: IntPtr(0)}, nil, "", 0, true},
-		{"header zero is explicit", QueryRequest{}, map[string]string{"X-Raven-Priority": "0"}, "", 0, true},
-		{"header beats body", QueryRequest{Tenant: "a", Priority: IntPtr(3)},
-			map[string]string{"X-Raven-Tenant": "b", "X-Raven-Priority": "9"}, "b", 9, true},
-		{"body only", QueryRequest{Tenant: "a", Priority: IntPtr(3)}, nil, "a", 3, true},
-		{"huge priority clamped", QueryRequest{}, map[string]string{"X-Raven-Priority": "1000000"}, "", reqopt.MaxWirePriority, true},
-		{"huge negative clamped", QueryRequest{Priority: IntPtr(-1000000)}, nil, "", -reqopt.MaxWirePriority, true},
-	}
-	for _, c := range cases {
-		tenant, priority, set, err := requestTag(mk(c.hdr), &c.req)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		{0, "", 0, true},
+		{0, "3", 3, true},
+		{-1, "", 0, false},
+		{-1, "3", 3, false},
+		{0, "", 0, false},
+		{0, "3", 3, false},
+		{4, "", 4, false},
+		{4, "3", 3, false},
+		{10_000, "", capDOP, false},
+		{10_000, "3", 3, false},
+		{4, "10000", capDOP, false},
+	} {
+		req := QueryRequest{}
+		if !c.noOption {
+			req.Options = &QueryOptions{Parallelism: c.body}
 		}
-		if tenant != c.tenant || priority != c.priority || set != c.set {
-			t.Errorf("%s: got (%q, %d, %v), want (%q, %d, %v)", c.name, tenant, priority, set, c.tenant, c.priority, c.set)
+		var hdr map[string]string
+		if c.hdr != "" {
+			hdr = map[string]string{"X-Raven-DOP": c.hdr}
 		}
-	}
-	if _, _, _, err := requestTag(mk(map[string]string{"X-Raven-Priority": "high"}), &QueryRequest{}); err == nil {
-		t.Error("malformed priority header accepted")
+		_, dop, err := requestOptions(mk(hdr), &req)
+		if err != nil || dop != c.wantDOP {
+			t.Errorf("body %d (options %v), header %q: DOP %d, %v; want %d", c.body, !c.noOption, c.hdr, dop, err, c.wantDOP)
+		}
 	}
 }
 
-// requestTag is the admission-identity view of a request's own options,
-// for the precedence and clamp cases above.
-func requestTag(r *http.Request, req *QueryRequest) (tenant string, priority int, prioritySet bool, err error) {
+// requestOptions is what the query routes hand the engine for a
+// request's own options: its tenant and its effective DOP.
+func requestOptions(r *http.Request, req *QueryRequest) (tenant string, dop int, err error) {
 	ro, err := wireOptions(r, bodyOptions(req))
 	if err != nil {
-		return "", 0, false, err
+		return "", 0, err
 	}
-	return ro.Tenant, ro.PriorityOr(0), ro.Priority != nil, nil
+	opts := req.Options.engine()
+	ro.Apply(&opts)
+	return opts.Tenant, opts.Parallelism, nil
 }
 
 // status extracts the HTTP status from a client error (0 otherwise).
@@ -662,7 +675,7 @@ func waitFor(t *testing.T, cond func() bool) {
 
 // TestLegacyWireAliases pins the backward-compatibility contract of the
 // reqopt migration: every pre-unification carrier — the JSON body
-// fields (tenant/priority/no_cache/timeout_ms/options.parallelism) and
+// fields (tenant/no_cache/timeout_ms/options.parallelism) and
 // the X-Raven-* headers — still works, with the documented precedence
 // (headers > body), by sending raw JSON exactly as old clients encoded
 // it.
@@ -694,7 +707,7 @@ func TestLegacyWireAliases(t *testing.T) {
 
 	// Old-style body fields, verbatim raw JSON: all accepted, tenant
 	// billed.
-	resp := post(`{"sql":"SELECT a FROM legacy","tenant":"legacy-body","priority":2,"no_cache":true,"timeout_ms":5000,"options":{"parallelism":2}}`, nil)
+	resp := post(`{"sql":"SELECT a FROM legacy","tenant":"legacy-body","no_cache":true,"timeout_ms":5000,"options":{"parallelism":2}}`, nil)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("legacy body fields: status %d", resp.StatusCode)
 	}
@@ -703,8 +716,8 @@ func TestLegacyWireAliases(t *testing.T) {
 	}
 
 	// Old-style headers still override the body fields.
-	resp = post(`{"sql":"SELECT a FROM legacy","tenant":"body-loser","priority":1}`,
-		map[string]string{"X-Raven-Tenant": "hdr-winner", "X-Raven-Priority": "3"})
+	resp = post(`{"sql":"SELECT a FROM legacy","tenant":"body-loser"}`,
+		map[string]string{"X-Raven-Tenant": "hdr-winner"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("legacy headers: status %d", resp.StatusCode)
 	}
@@ -787,10 +800,11 @@ func TestDOPHeaderOnBothRoutes(t *testing.T) {
 }
 
 // TestRemovedWireOptionsRejected: options.morsel_size,
-// options.parallel_threshold_rows and options.disable_plan_cache are not
-// part of the wire protocol, so a body carrying any of them is a 400
-// naming the field — on the ad hoc and the prepared path — while every
-// remaining options field is accepted.
+// options.parallel_threshold_rows, options.disable_plan_cache, the
+// priority field and the X-Raven-Priority header are not part of the
+// wire protocol, so a request carrying any of them is a 400 naming it —
+// on the ad hoc and the prepared path — while every remaining options
+// field is accepted.
 func TestRemovedWireOptionsRejected(t *testing.T) {
 	db := raven.MustOpen()
 	t.Cleanup(func() { db.Close() })
@@ -802,9 +816,16 @@ func TestRemovedWireOptionsRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := func(path, body string) (int, string) {
+	post := func(path, body string, hdr ...string) (int, string) {
 		t.Helper()
-		resp, err := hc.Post(c.Base+path, "application/json", strings.NewReader(body))
+		req, err := http.NewRequest(http.MethodPost, c.Base+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i+1 < len(hdr); i += 2 {
+			req.Header.Set(hdr[i], hdr[i+1])
+		}
+		resp, err := hc.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -813,6 +834,14 @@ func TestRemovedWireOptionsRejected(t *testing.T) {
 		return resp.StatusCode, string(b)
 	}
 	for _, path := range []string{"/query", "/stmt/" + pr.ID + "/query"} {
+		// Admission is first come, first served: the priority body field
+		// and header are refused, naming what was sent.
+		if code, msg := post(path, `{"sql":"SELECT a FROM w","priority":3}`); code != http.StatusBadRequest || !strings.Contains(msg, "priority") {
+			t.Errorf("%s with a priority field: status %d, body %q; want 400 naming it", path, code, msg)
+		}
+		if code, msg := post(path, `{"sql":"SELECT a FROM w"}`, "X-Raven-Priority", "3"); code != http.StatusBadRequest || !strings.Contains(msg, "X-Raven-Priority") {
+			t.Errorf("%s with X-Raven-Priority: status %d, body %q; want 400 naming it", path, code, msg)
+		}
 		for _, field := range []string{`"morsel_size":1`, `"parallel_threshold_rows":1`, `"disable_plan_cache":true`} {
 			body := fmt.Sprintf(`{"sql":"SELECT a FROM w","options":{"parallelism":2,%s}}`, field)
 			name, _, _ := strings.Cut(strings.Trim(field, `"`), `"`)

@@ -23,9 +23,9 @@ import (
 )
 
 // Entry is one registered statement: the compiled Stmt plus the
-// request-option layer it was registered under (per-statement tenant/
-// priority defaults — executions inherit them unless the request
-// overrides; see reqopt's resolution order).
+// request-option layer it was registered under (the per-statement
+// tenant default — executions inherit it unless the request overrides;
+// see reqopt's resolution order).
 type Entry struct {
 	Stmt *raven.Stmt
 	Opts reqopt.Options

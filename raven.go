@@ -56,7 +56,7 @@
 //
 //	db := raven.Open()
 //	db.Exec(`CREATE TABLE patients (id INT PRIMARY KEY, age FLOAT, bp FLOAT)`)
-//	db.StoreModel("los", pipeline)                  // or StoreModelScript
+//	db.StoreModel("los", pipeline)                  // a fitted *ml.Pipeline
 //	st, err := db.Prepare(`SELECT p.score FROM
 //	    PREDICT(MODEL='los', DATA=patients AS d) WITH (score FLOAT) AS p
 //	    WHERE d.bp > @minbp`)
@@ -85,7 +85,6 @@ import (
 	"raven/internal/ir"
 	"raven/internal/ml"
 	"raven/internal/plan"
-	"raven/internal/pyanal"
 	"raven/internal/relopt"
 	"raven/internal/rescache"
 	"raven/internal/rt"
@@ -145,20 +144,17 @@ type QueryOptions struct {
 	DisablePlanCache bool
 	// NoResultCache makes this call bypass the result cache entirely: no
 	// lookup, no population. The wire protocol's per-request no_cache
-	// flag maps here. Like Tenant/Priority it never affects the compiled
-	// plan, so it is absent from planKey.
+	// flag maps here. Like Tenant it never affects the compiled plan, so
+	// it is absent from planKey.
 	NoResultCache bool
 	// Tenant attributes this query's admission to a tenant: per-tenant
 	// quotas (WithTenantQuota) and per-tenant stats apply. Empty means
 	// the engine's default tenant. A context tag (ContextWithTenant)
-	// overrides it per call. Tenant and Priority only shape admission —
-	// they never affect the compiled plan, so they are deliberately
-	// absent from planKey, and cached results and a Stmt's template are
-	// shared across tenants.
+	// overrides it per call. Tenant only shapes admission — it never
+	// affects the compiled plan, so it is deliberately absent from
+	// planKey, and cached results and a Stmt's template are shared
+	// across tenants.
 	Tenant string
-	// Priority orders waiting admissions (higher first; see
-	// sched aging for the starvation guard). 0 is the default class.
-	Priority int
 }
 
 // DefaultQueryOptions is the engine's standard configuration: all
@@ -344,13 +340,13 @@ func WithDefaultTenant(name string) Option {
 // tenantCtxKey carries a per-call admission tag in a context.
 type tenantCtxKey struct{}
 
-// ContextWithTenant tags every engine call made under the returned
-// context with a (tenant, priority) admission identity. It is the
-// per-call override — it wins over QueryOptions.Tenant/Priority — and
-// the only way to tag ExecContext scripts, which take no options. Wire
-// front ends use it to attribute work from an X-Raven-Tenant header.
-func ContextWithTenant(ctx context.Context, tenant string, priority int) context.Context {
-	return context.WithValue(ctx, tenantCtxKey{}, sched.Tag{Tenant: tenant, Priority: priority})
+// ContextWithTenant attributes every engine call made under the
+// returned context to tenant for admission. It is the per-call
+// override — it wins over QueryOptions.Tenant — and the only way to tag
+// ExecContext scripts, which take no options. Wire front ends use it to
+// attribute work from an X-Raven-Tenant header.
+func ContextWithTenant(ctx context.Context, tenant string) context.Context {
+	return context.WithValue(ctx, tenantCtxKey{}, tenant)
 }
 
 // parallelismCtxKey carries a per-call DOP in a context.
@@ -366,14 +362,14 @@ func ContextWithParallelism(ctx context.Context, dop int) context.Context {
 	return context.WithValue(ctx, parallelismCtxKey{}, dop)
 }
 
-// tagFor resolves the admission tag for one call: context tag first
-// (the per-call override), then QueryOptions, then the default tenant
-// (resolved inside the scheduler).
-func (db *DB) tagFor(ctx context.Context, opts QueryOptions) sched.Tag {
-	if t, ok := ctx.Value(tenantCtxKey{}).(sched.Tag); ok {
+// tenantFor resolves the admission tenant for one call: context tag
+// first (the per-call override), then QueryOptions, then the default
+// tenant (resolved inside the scheduler).
+func (db *DB) tenantFor(ctx context.Context, opts QueryOptions) string {
+	if t, ok := ctx.Value(tenantCtxKey{}).(string); ok {
 		return t
 	}
-	return sched.Tag{Tenant: opts.Tenant, Priority: opts.Priority}
+	return opts.Tenant
 }
 
 // WithDataDir makes the engine durable: every committed write is logged
@@ -535,7 +531,7 @@ func (db *DB) effectiveParallelism(ctx context.Context, opts QueryOptions) int {
 		if ms := db.schedOpts.MaxSlots; ms > 0 && par > ms {
 			par = ms
 		}
-		if q, ok := db.schedOpts.QuotaFor(db.tagFor(ctx, opts).Tenant); ok && q.MaxSlots > 0 && par > q.MaxSlots {
+		if q, ok := db.schedOpts.QuotaFor(db.tenantFor(ctx, opts)); ok && q.MaxSlots > 0 && par > q.MaxSlots {
 			par = q.MaxSlots
 		}
 	}
@@ -543,7 +539,7 @@ func (db *DB) effectiveParallelism(ctx context.Context, opts QueryOptions) int {
 }
 
 // admit passes one query through admission control, charged at its
-// effective DOP and attributed to the call's (tenant, priority) tag.
+// effective DOP and attributed to the call's tenant.
 // The returned release is non-nil even without a scheduler so callers
 // can defer it blindly; Rows takes ownership of it on success (released
 // at Close).
@@ -559,7 +555,7 @@ func (db *DB) admitN(ctx context.Context, cost int, opts QueryOptions) (func(), 
 	if db.sched == nil {
 		return func() {}, nil
 	}
-	return db.sched.AcquireTag(ctx, cost, db.tagFor(ctx, opts))
+	return db.sched.AcquireTag(ctx, cost, db.tenantFor(ctx, opts))
 }
 
 // Drain stops admitting queries and waits for in-flight ones to finish
@@ -769,24 +765,6 @@ func (db *DB) StoreModelContext(ctx context.Context, name string, p *ml.Pipeline
 		return err
 	}
 	return db.StoreModel(name, p)
-}
-
-// StoreModelScript statically analyzes a Python pipeline script (paper
-// §3.2), fits it on the provided training sample, and stores the result.
-// The returned pipeline is also handed back for inspection.
-func (db *DB) StoreModelScript(name, script string, trainX ml.Matrix, trainY []float64, seed int64) (*ml.Pipeline, error) {
-	spec, err := pyanal.Analyze(script)
-	if err != nil {
-		return nil, err
-	}
-	pipe, err := spec.Fit(trainX, trainY, seed)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.StoreModel(name, pipe); err != nil {
-		return nil, err
-	}
-	return pipe, nil
 }
 
 // LoadModel fetches the latest stored version of a pipeline.

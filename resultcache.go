@@ -219,7 +219,7 @@ func (db *DB) resultLookup(ctx context.Context, key string, opts QueryOptions, s
 // the scheduler's attribution rules so billing and admission agree on
 // identity even though hits never reach the scheduler.
 func (db *DB) noteResultHit(ctx context.Context, opts QueryOptions) {
-	tenant := db.tagFor(ctx, opts).Tenant
+	tenant := db.tenantFor(ctx, opts)
 	if tenant == "" {
 		if tenant = db.schedOpts.DefaultTenant; tenant == "" {
 			tenant = sched.DefaultTenantName

@@ -316,7 +316,7 @@ func TestResultCacheOversizeAbandoned(t *testing.T) {
 func TestResultCacheTenantBilledHits(t *testing.T) {
 	db := cacheTestDB(t, 1<<20)
 	const q = `SELECT id FROM t WHERE x > 2.0`
-	acme := ContextWithTenant(context.Background(), "acme", 0)
+	acme := ContextWithTenant(context.Background(), "acme")
 	queryIDs(t, db, acme, q)                 // miss: leader, billed to no one
 	queryIDs(t, db, acme, q)                 // hit: billed to acme
 	queryIDs(t, db, context.Background(), q) // hit: default tenant
