@@ -5,7 +5,7 @@ COVER_FLOOR ?= 70
 # Ceiling for `make loc` (non-test Go lines, benchmark/ excluded): the
 # current total rounded up to the next 50. ROADMAP aim 2 says the number
 # goes down; a PR that lowers it lowers this with it.
-LOC_CEILING ?= 26900
+LOC_CEILING ?= 26700
 
 .PHONY: all build test test-benchmark race vet fmt-check fuzz bench bench-micro cover smoke loc ci
 

@@ -33,8 +33,8 @@ func main() {
 	}
 
 	// 2. The data scientist's pipeline script: statically analyzed, then
-	// fitted on a training sample and stored in the database (versioned,
-	// transactional).
+	// fitted on a training sample and stored in the database, where it
+	// replaces any pipeline stored under the same name.
 	script := `
 from sklearn.pipeline import Pipeline
 from sklearn.preprocessing import StandardScaler

@@ -60,7 +60,7 @@ func (c *SessionCache) Get(key string, build func() (*Session, error)) (*Session
 	return e.s, err
 }
 
-// Invalidate drops every session compiled from the model version with
+// Invalidate drops every session compiled from the stored pipeline with
 // this content hash: the plain-hash session and the query-specialized
 // ones keyed hash#query.
 func (c *SessionCache) Invalidate(modelHash string) {

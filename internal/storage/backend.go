@@ -4,7 +4,7 @@ import (
 	"raven/internal/types"
 )
 
-// Backend persists catalog, table and model-store mutations. A nil
+// Backend persists catalog and table mutations and model puts. A nil
 // backend is the in-memory default: every mutation applies directly and
 // nothing touches disk — exactly the pre-durability engine. With a
 // backend attached (SetBackend), mutations route through it so they are
@@ -25,6 +25,7 @@ type Backend interface {
 	DropTable(c *Catalog, name string) error
 	// SetUniqueKey logs and declares a unique key.
 	SetUniqueKey(c *Catalog, table, col string) error
-	// CommitModelTx logs and applies a model-store transaction.
-	CommitModelTx(tx *Tx) error
+	// PutModel logs one model put and applies it to s, returning the
+	// pipeline it replaced.
+	PutModel(s *ModelStore, m *StoredModel) (replaced *StoredModel, err error)
 }

@@ -51,7 +51,7 @@ func (c *Catalog) SetBackend(b Backend) {
 	for _, t := range c.tables {
 		t.backend = b
 	}
-	c.Models.setBackend(b)
+	c.Models.backend = b
 }
 
 // Version returns the current catalog version. It changes whenever a

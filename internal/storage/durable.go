@@ -27,7 +27,8 @@ import (
 //
 //	wal/wal-%08d.log     the record log, rotated at each checkpoint
 //	seg/<table>-%08d.seg sealed columnar segments (see internal/segment)
-//	models/<hash>.bin    content-addressed model blobs (checkpoint only)
+//	models/<hash>.bin    each model's current pipeline, named by its
+//	                     content hash (checkpoint only)
 //	MANIFEST             JSON snapshot: schemas, segment lists, models,
 //	                     and the WAL sequence replay starts from
 //
@@ -35,20 +36,22 @@ import (
 // tail reaches SegmentRows rows it is sealed into a segment file (fsynced
 // before the SEAL record is logged, so a logged seal always has its
 // file). A checkpoint seals every tail, folds small neighboring segments
-// together, rotates the WAL, and atomically replaces the MANIFEST —
-// after which the old WAL files and replaced segments are garbage.
+// together, rotates the WAL, atomically replaces the MANIFEST, and sweeps
+// every file the new MANIFEST does not name: old WAL files, replaced and
+// dropped segments, superseded model blobs.
 //
 // Recovery (OpenDurable) is the reverse: load the MANIFEST, verify and
 // attach every referenced segment (corrupt ones are quarantined with a
 // clear error), then replay the WAL tail — tolerating a torn final
-// record — and sweep orphaned files from interrupted checkpoints.
+// record — and sweep every file neither the MANIFEST nor the replayed
+// log names, so a second crash recovers the same state.
 type Durable struct {
 	dir  string
 	opts DurableOptions
 
 	catalog *Catalog
 
-	// ddlMu serializes schema mutations (DDL, unique keys, model commits)
+	// ddlMu serializes schema mutations (DDL, unique keys, model puts)
 	// against each other and against checkpoints. Lock order everywhere:
 	// ddlMu -> table appendMu (sorted) -> rotateMu -> catalog/table locks.
 	ddlMu sync.Mutex
@@ -120,7 +123,7 @@ const (
 	recCreateTable byte = 2
 	recDropTable   byte = 3
 	recUniqueKey   byte = 4
-	recModelTx     byte = 5
+	recModelPut    byte = 5
 	recSeal        byte = 6
 )
 
@@ -138,16 +141,15 @@ type (
 		Table string `json:"table"`
 		Col   string `json:"col"`
 	}
-	modelPutRec struct {
-		Name   string            `json:"name"`
-		Format string            `json:"format"`
-		Bytes  []byte            `json:"bytes"` // base64 via encoding/json
-		Hash   string            `json:"hash"`
-		Meta   map[string]string `json:"meta,omitempty"`
+	// modelPutsRec is one model put; older logs also carry format and
+	// meta fields, which replay ignores.
+	modelPutsRec struct {
+		Puts []modelPutRec `json:"puts"`
 	}
-	modelTxRec struct {
-		Puts    []modelPutRec `json:"puts,omitempty"`
-		Deletes []string      `json:"deletes,omitempty"`
+	modelPutRec struct {
+		Name  string `json:"name"`
+		Bytes []byte `json:"bytes"` // base64 via encoding/json
+		Hash  string `json:"hash"`
 	}
 	sealRec struct {
 		Table string `json:"table"`
@@ -169,14 +171,13 @@ type (
 		Unique   []string      `json:"unique,omitempty"`
 		Segments []manifestSeg `json:"segments,omitempty"`
 	}
+	// manifestModel names one model's blob. Older manifests list every
+	// version of a name, oldest first, with version, format, created_at
+	// and meta fields; recovery ignores those, and the last entry stands.
 	manifestModel struct {
-		Name      string            `json:"name"`
-		Version   int               `json:"version"`
-		Format    string            `json:"format"`
-		Hash      string            `json:"hash"`
-		File      string            `json:"file"`
-		CreatedAt time.Time         `json:"created_at"`
-		Meta      map[string]string `json:"meta,omitempty"`
+		Name string `json:"name"`
+		Hash string `json:"hash"`
+		File string `json:"file"`
 	}
 	manifestFile struct {
 		WalSeq uint64          `json:"wal_seq"`
@@ -308,7 +309,7 @@ func (d *Durable) CreateTable(c *Catalog, t *Table) error {
 }
 
 // DropTable logs and removes a table. Its segment files stay on disk
-// until the next checkpoint's orphan sweep.
+// until the next checkpoint's sweep.
 func (d *Durable) DropTable(c *Catalog, name string) error {
 	d.ddlMu.Lock()
 	defer d.ddlMu.Unlock()
@@ -332,29 +333,17 @@ func (d *Durable) SetUniqueKey(c *Catalog, table, col string) error {
 	return nil
 }
 
-// CommitModelTx logs the whole transaction as one record — model bytes
-// ride in the WAL until a checkpoint writes them out as content-addressed
-// blobs — then applies it.
-func (d *Durable) CommitModelTx(tx *Tx) error {
+// PutModel logs the put — model bytes ride in the WAL until a checkpoint
+// writes them out as a content-addressed blob — then applies it. ddlMu
+// makes the log order the apply order, so replay rebuilds the same chain.
+func (d *Durable) PutModel(s *ModelStore, m *StoredModel) (*StoredModel, error) {
 	d.ddlMu.Lock()
 	defer d.ddlMu.Unlock()
-	// Validate deletes before logging: a record in the WAL must always
-	// replay cleanly, and commitLocal aborts on unknown-model deletes.
-	for _, name := range tx.deletes {
-		if !tx.store.hasModel(name) {
-			return fmt.Errorf("storage: delete of unknown model %q aborts tx %d", name, tx.id)
-		}
+	rec := modelPutsRec{Puts: []modelPutRec{{Name: m.Name, Bytes: m.Bytes, Hash: m.Hash}}}
+	if err := d.logJSON(recModelPut, rec); err != nil {
+		return nil, err
 	}
-	rec := modelTxRec{Deletes: tx.deletes}
-	for _, m := range tx.puts {
-		rec.Puts = append(rec.Puts, modelPutRec{
-			Name: m.Name, Format: m.Format, Bytes: m.Bytes, Hash: m.Hash, Meta: m.Meta,
-		})
-	}
-	if err := d.logJSON(recModelTx, rec); err != nil {
-		return err
-	}
-	return tx.commitLocal()
+	return s.apply(m), nil
 }
 
 // --- Logging helpers ---------------------------------------------------
@@ -370,7 +359,7 @@ func (d *Durable) logRecord(recType byte, payload []byte) error {
 }
 
 // logJSON marshals and appends a record under rotateMu.RLock; used by
-// the DDL and model-tx paths (appends inline the lock to cover the
+// the DDL and model-put paths (appends inline the lock to cover the
 // memory apply too).
 func (d *Durable) logJSON(recType byte, rec any) error {
 	payload, err := json.Marshal(rec)
@@ -466,8 +455,8 @@ func (d *Durable) seal(t *Table, logRec bool) error {
 // --- Checkpoint --------------------------------------------------------
 
 // Checkpoint seals every tail, compacts small segments, rotates the WAL,
-// writes model blobs and a new MANIFEST atomically, then deletes the
-// retired WAL files and replaced segments.
+// writes model blobs and a new MANIFEST atomically, then sweeps every
+// file the new MANIFEST does not name.
 func (d *Durable) Checkpoint() error {
 	d.ddlMu.Lock()
 	defer d.ddlMu.Unlock()
@@ -495,16 +484,13 @@ func (d *Durable) checkpointLocked() error {
 		defer t.appendMu.Unlock()
 	}
 
-	var garbage []string
 	for _, t := range tables {
 		if err := d.seal(t, false); err != nil {
 			return err
 		}
-		g, err := d.compactTable(t)
-		if err != nil {
+		if err := d.compactTable(t); err != nil {
 			return err
 		}
-		garbage = append(garbage, g...)
 	}
 	if err := syncDir(filepath.Join(d.dir, "seg")); err != nil {
 		return err
@@ -549,24 +535,14 @@ func (d *Durable) checkpointLocked() error {
 		man.Tables = append(man.Tables, mt)
 	}
 	for _, m := range models {
-		man.Models = append(man.Models, manifestModel{
-			Name: m.Name, Version: m.Version, Format: m.Format, Hash: m.Hash,
-			File: m.Hash + ".bin", CreatedAt: m.CreatedAt, Meta: m.Meta,
-		})
+		man.Models = append(man.Models, manifestModel{Name: m.Name, Hash: m.Hash, File: m.Hash + ".bin"})
 	}
 	if err := d.writeManifest(&man); err != nil {
 		return err
 	}
-
-	// Everything the new manifest does not reference is garbage now.
-	for _, seq := range d.walSeqsOnDisk() {
-		if seq < newSeq {
-			os.Remove(d.walPath(seq))
-		}
-	}
-	for _, path := range garbage {
-		os.Remove(path)
-	}
+	// The new WAL is empty (every lock is held), so the new manifest
+	// names everything a recovery could need.
+	d.sweep(man.files(), newSeq)
 	d.checkpoints.Add(1)
 	return nil
 }
@@ -624,12 +600,12 @@ func (d *Durable) writeManifest(man *manifestFile) error {
 }
 
 // compactTable folds runs of two or more undersized neighboring segments
-// into full-size ones, preserving row order. Returns the file paths the
-// new manifest will no longer reference.
-func (d *Durable) compactTable(t *Table) ([]string, error) {
+// into full-size ones, preserving row order. The files it replaces go at
+// the checkpoint's sweep.
+func (d *Durable) compactTable(t *Table) error {
 	parts := t.sealedSnapshot()
 	var out []sealedPart
-	var garbage []string
+	folded := false
 	for i, pos := 0, 0; i < len(parts); {
 		j, end := i, pos
 		for j < len(parts) && parts[j].rows < d.opts.SegmentRows {
@@ -641,33 +617,28 @@ func (d *Durable) compactTable(t *Table) ([]string, error) {
 			i, pos = i+1, pos+parts[i].rows
 			continue
 		}
-		for _, p := range parts[i:j] {
-			garbage = append(garbage, p.r.Path())
-		}
+		folded = true
 		for lo := pos; lo < end; lo += d.opts.SegmentRows {
 			b, err := t.ScanRange(lo, min(lo+d.opts.SegmentRows, end), nil)
 			if err != nil {
-				return nil, fmt.Errorf("storage: compact %s: %w", t.Name, err)
+				return fmt.Errorf("storage: compact %s: %w", t.Name, err)
 			}
 			path := filepath.Join(d.dir, "seg", fmt.Sprintf("%s-%08d.seg", sanitizeName(t.Name), d.segSeq.Add(1)))
 			if err := segment.Write(path, b); err != nil {
-				return nil, err
+				return err
 			}
 			r, err := segment.Open(path)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			out = append(out, sealedPart{r: r, rows: b.Len()})
 		}
 		i, pos = j, end
 	}
-	if garbage == nil {
-		return nil, nil
+	if !folded {
+		return nil
 	}
-	if err := t.replaceSealed(out); err != nil {
-		return nil, err
-	}
-	return garbage, nil
+	return t.replaceSealed(out)
 }
 
 // --- Recovery ----------------------------------------------------------
@@ -712,21 +683,34 @@ func (d *Durable) recover() (*Catalog, error) {
 		if hex.EncodeToString(h[:]) != mm.Hash {
 			return nil, fmt.Errorf("storage: recovery: model blob %s fails its content hash", mm.File)
 		}
-		err = c.Models.restore(&StoredModel{
-			Name: mm.Name, Version: mm.Version, Format: mm.Format, Bytes: data,
-			Hash: mm.Hash, CreatedAt: mm.CreatedAt, Meta: mm.Meta,
-		})
-		if err != nil {
-			return nil, err
-		}
+		c.Models.apply(&StoredModel{Name: mm.Name, Bytes: data, Hash: mm.Hash})
 	}
 	d.segSeq.Store(max(man.SegSeq, d.maxSegSeqOnDisk()))
 
-	if err := d.replayWAL(c, man); err != nil {
+	// Until the next checkpoint, a crash recovers from this MANIFEST and
+	// this WAL again: the sweep spares every file either names, dropped
+	// tables' segments and superseded blobs included.
+	keep := man.files()
+	if err := d.replayWAL(c, man, keep); err != nil {
 		return nil, err
 	}
-	d.sweepOrphans(c, man)
+	d.sweep(keep, man.WalSeq)
 	return c, nil
+}
+
+// files lists the segment files and model blobs the manifest names, as
+// paths relative to the data directory.
+func (man *manifestFile) files() map[string]bool {
+	keep := make(map[string]bool)
+	for _, mt := range man.Tables {
+		for _, ms := range mt.Segments {
+			keep[filepath.Join("seg", ms.File)] = true
+		}
+	}
+	for _, mm := range man.Models {
+		keep[filepath.Join("models", mm.File)] = true
+	}
+	return keep
 }
 
 func (d *Durable) openSegment(path string) (*segment.Reader, error) {
@@ -815,8 +799,9 @@ func (d *Durable) walSeqsOnDisk() []uint64 {
 // replayWAL replays every WAL file at or after the manifest's sequence,
 // in order. Only the newest file may end in a torn record (rotation
 // syncs the old log first); it is truncated past the last good record
-// and reused as the live log.
-func (d *Durable) replayWAL(c *Catalog, man *manifestFile) error {
+// and reused as the live log. Every segment a SEAL record names is added
+// to keep.
+func (d *Durable) replayWAL(c *Catalog, man *manifestFile, keep map[string]bool) error {
 	var seqs []uint64
 	for _, s := range d.walSeqsOnDisk() {
 		if s >= man.WalSeq {
@@ -836,7 +821,7 @@ func (d *Durable) replayWAL(c *Catalog, man *manifestFile) error {
 	for i, seq := range seqs {
 		path := d.walPath(seq)
 		good, n, err := wal.Replay(path, func(recType byte, payload []byte) error {
-			return d.applyRecord(c, recType, payload)
+			return d.applyRecord(c, recType, payload, keep)
 		})
 		if err != nil {
 			return fmt.Errorf("storage: recovery: replay %s: %w", filepath.Base(path), err)
@@ -861,7 +846,7 @@ func (d *Durable) replayWAL(c *Catalog, man *manifestFile) error {
 
 // applyRecord applies one replayed WAL record to the catalog being
 // rebuilt. The backend is not attached yet, so nothing re-logs.
-func (d *Durable) applyRecord(c *Catalog, recType byte, payload []byte) error {
+func (d *Durable) applyRecord(c *Catalog, recType byte, payload []byte, keep map[string]bool) error {
 	switch recType {
 	case recAppend:
 		name, body, err := decodeAppend(payload)
@@ -896,19 +881,15 @@ func (d *Durable) applyRecord(c *Catalog, recType byte, payload []byte) error {
 		}
 		c.setUniqueKeyLocal(rec.Table, rec.Col)
 		return nil
-	case recModelTx:
-		var rec modelTxRec
+	case recModelPut:
+		var rec modelPutsRec
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return err
 		}
-		tx := c.Models.Begin()
-		tx.deletes = rec.Deletes
 		for _, p := range rec.Puts {
-			tx.puts = append(tx.puts, &StoredModel{
-				Name: p.Name, Format: p.Format, Bytes: p.Bytes, Hash: p.Hash, Meta: p.Meta,
-			})
+			c.Models.apply(&StoredModel{Name: p.Name, Bytes: p.Bytes, Hash: p.Hash})
 		}
-		return tx.commitLocal()
+		return nil
 	case recSeal:
 		var rec sealRec
 		if err := json.Unmarshal(payload, &rec); err != nil {
@@ -918,6 +899,7 @@ func (d *Durable) applyRecord(c *Catalog, recType byte, payload []byte) error {
 		if err != nil {
 			return err
 		}
+		keep[filepath.Join("seg", rec.File)] = true
 		r, err := d.openSegment(filepath.Join(d.dir, "seg", rec.File))
 		if err != nil {
 			return err
@@ -932,42 +914,25 @@ func (d *Durable) applyRecord(c *Catalog, recType byte, payload []byte) error {
 	}
 }
 
-// sweepOrphans deletes files a crash mid-checkpoint left behind: WAL
-// files older than the manifest, segment files no live table references,
-// model blobs without a stored version, and stray temp files. Quarantined
-// segments are kept for manual inspection.
-func (d *Durable) sweepOrphans(c *Catalog, man *manifestFile) {
-	refSeg := make(map[string]bool)
-	for _, name := range c.TableNames() {
-		t, err := c.Table(name)
-		if err != nil {
-			continue
-		}
-		for _, p := range t.sealedSnapshot() {
-			refSeg[filepath.Base(p.r.Path())] = true
-		}
-	}
-	if entries, err := os.ReadDir(filepath.Join(d.dir, "seg")); err == nil {
+// sweep deletes what no recovery can need: segment files and model
+// blobs keep does not list, WAL files before walSeq, and a stray
+// MANIFEST.tmp. Quarantined segments stay for inspection. It is best
+// effort: a file it cannot list or remove goes at a later sweep. Both
+// callers run with no seal in flight: recovery before the backend attaches, the
+// checkpoint with ddlMu and every appendMu held.
+func (d *Durable) sweep(keep map[string]bool, walSeq uint64) {
+	for _, sub := range []string{"seg", "models"} {
+		entries, _ := os.ReadDir(filepath.Join(d.dir, sub))
 		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ".seg") && !refSeg[e.Name()] {
-				os.Remove(filepath.Join(d.dir, "seg", e.Name()))
+			rel := filepath.Join(sub, e.Name())
+			if !keep[rel] && !strings.HasSuffix(rel, ".quarantined") {
+				os.Remove(filepath.Join(d.dir, rel))
 			}
 		}
 	}
 	for _, seq := range d.walSeqsOnDisk() {
-		if seq < man.WalSeq {
+		if seq < walSeq {
 			os.Remove(d.walPath(seq))
-		}
-	}
-	refBlob := make(map[string]bool)
-	for _, m := range c.Models.snapshotModels() {
-		refBlob[m.Hash+".bin"] = true
-	}
-	if entries, err := os.ReadDir(filepath.Join(d.dir, "models")); err == nil {
-		for _, e := range entries {
-			if !refBlob[e.Name()] {
-				os.Remove(filepath.Join(d.dir, "models", e.Name()))
-			}
 		}
 	}
 	os.Remove(filepath.Join(d.dir, "MANIFEST.tmp"))

@@ -1,6 +1,9 @@
 package storage
 
 import (
+	"crypto/sha256"
+	"encoding/base64"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -61,6 +64,22 @@ func tableInts(t *testing.T, c *Catalog, name string) []int64 {
 	return out
 }
 
+func putModel(t *testing.T, c *Catalog, name, data string) {
+	t.Helper()
+	if _, err := c.Models.Put(name, []byte(data)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func countFiles(t *testing.T, dir, pattern string) int {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, pattern))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return len(files)
+}
+
 func checkSequential(t *testing.T, got []int64, n int) {
 	t.Helper()
 	if len(got) != n {
@@ -86,9 +105,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 	if err := c.SetUniqueKey("t", "id"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Models.PutModel("m", "gob-pipeline", []byte("model-bytes"), map[string]string{"k": "v"}); err != nil {
-		t.Fatal(err)
-	}
+	putModel(t, c, "m", "model-bytes")
 	want := tableInts(t, c, "t")
 	if err := d.Abort(); err != nil {
 		t.Fatal(err)
@@ -109,7 +126,7 @@ func TestDurableCrashRecovery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(m.Bytes) != "model-bytes" || m.Version != 1 || m.Meta["k"] != "v" {
+	if string(m.Bytes) != "model-bytes" || m.Name != "m" {
 		t.Errorf("model mangled: %+v", m)
 	}
 	st := d2.Stats()
@@ -127,9 +144,7 @@ func TestDurableCheckpointAndRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	loadRows(t, c, "t", 500, 0)
-	if err := c.Models.PutModel("m", "gob-pipeline", []byte("mm"), nil); err != nil {
-		t.Fatal(err)
-	}
+	putModel(t, c, "m", "mm")
 	if err := d.Close(true); err != nil {
 		t.Fatal(err)
 	}
@@ -235,13 +250,34 @@ func TestDurableCorruptSegmentQuarantined(t *testing.T) {
 }
 
 // TestDurableRecoveryIdempotent: recovering twice must equal recovering
-// once — replay must not duplicate rows or re-log records.
+// once — replay must not duplicate rows or re-log records, and the first
+// recovery's sweep must spare every file the second reads again: the
+// segments of a table the MANIFEST lists and the WAL drops, the segment
+// a replayed SEAL names for a table dropped later, and the blob of a
+// model re-stored since the checkpoint. The next checkpoint sweeps them.
 func TestDurableRecoveryIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	c, d := openDurable(t, dir, 64)
-	if err := c.AddTable(NewTable("t", intFloatSchema())); err != nil {
+	for _, name := range []string{"t", "u"} {
+		if err := c.AddTable(NewTable(name, intFloatSchema())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	loadRows(t, c, "u", 300, 0)
+	putModel(t, c, "m", "v1")
+	if err := d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
+	if err := c.AddTable(NewTable("w", intFloatSchema())); err != nil {
+		t.Fatal(err)
+	}
+	loadRows(t, c, "w", 100, 0) // one logged SEAL
+	for _, name := range []string{"u", "w"} {
+		if err := c.DropTable(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	putModel(t, c, "m", "v2")
 	loadRows(t, c, "t", 300, 0)
 	if err := d.Abort(); err != nil {
 		t.Fatal(err)
@@ -261,6 +297,101 @@ func TestDurableRecoveryIdempotent(t *testing.T) {
 	}
 	checkSequential(t, first, 300)
 	checkSequential(t, second, 300)
+	if c3.HasTable("u") || c3.HasTable("w") {
+		t.Error("dropped table came back")
+	}
+	if m, err := c3.Models.Latest("m"); err != nil || string(m.Bytes) != "v2" {
+		t.Fatalf("model m = %v, %v; want v2", m, err)
+	}
+
+	putModel(t, c3, "m", "v3")
+	if err := d3.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if n := countFiles(t, dir, "seg/[uw]-*.seg"); n != 0 {
+		t.Errorf("%d segments of dropped tables survived a checkpoint", n)
+	}
+	m, _ := c3.Models.Latest("m")
+	if n := countFiles(t, dir, "models/*"); n != 1 || countFiles(t, dir, "models/"+m.Hash+".bin") != 1 {
+		t.Errorf("%d model files after a checkpoint, want only the current blob", n)
+	}
+}
+
+// TestDurableRecoversVersionedModelLayout: a directory written while the
+// model store kept every version — a MANIFEST listing two versions of m
+// with version, format, created_at and meta, and a WAL put of a third in
+// the {"puts":[…]} shape with format and meta — recovers to the third
+// version. Both listed blobs are still hash-checked, survive recovery,
+// and go at the first checkpoint.
+func TestDurableRecoversVersionedModelLayout(t *testing.T) {
+	hash := func(data string) string {
+		h := sha256.Sum256([]byte(data))
+		return hex.EncodeToString(h[:])
+	}
+	writeDir := func() string {
+		dir := t.TempDir()
+		for _, sub := range []string{"wal", "models"} {
+			if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var models []string
+		for v, data := range []string{"v1", "v2"} {
+			if err := os.WriteFile(filepath.Join(dir, "models", hash(data)+".bin"), []byte(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			models = append(models, fmt.Sprintf(`{"name":"m","version":%d,"format":"gob-pipeline","hash":%q,"file":%q,"created_at":"2026-01-02T03:04:05Z","meta":{"k":"v"}}`,
+				v+1, hash(data), hash(data)+".bin"))
+		}
+		man := fmt.Sprintf(`{"wal_seq":1,"seg_seq":0,"models":[%s]}`, strings.Join(models, ","))
+		if err := os.WriteFile(filepath.Join(dir, "MANIFEST"), []byte(man), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		log, err := wal.Open(filepath.Join(dir, "wal", "wal-00000001.log"), wal.Options{Policy: wal.FsyncOff})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := fmt.Sprintf(`{"puts":[{"name":"m","format":"gob-pipeline","bytes":%q,"hash":%q,"meta":{"k":"v"}}]}`,
+			base64.StdEncoding.EncodeToString([]byte("v3")), hash("v3"))
+		if err := log.Append(5, []byte(rec)); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return dir
+	}
+
+	dir := writeDir()
+	c, d := openDurable(t, dir, 64)
+	m, err := c.Models.Latest("m")
+	if err != nil || string(m.Bytes) != "v3" || m.Hash != hash("v3") {
+		t.Fatalf("recovered m = %+v, %v; want v3", m, err)
+	}
+	for _, data := range []string{"v1", "v2"} {
+		if countFiles(t, dir, "models/"+hash(data)+".bin") != 1 {
+			t.Errorf("recovery swept the blob of %s, which the MANIFEST lists", data)
+		}
+	}
+	if err := d.Close(true); err != nil {
+		t.Fatal(err)
+	}
+	if n := countFiles(t, dir, "models/*"); n != 1 || countFiles(t, dir, "models/"+hash("v3")+".bin") != 1 {
+		t.Errorf("%d model files after a checkpoint, want only v3's blob", n)
+	}
+	c2, d2 := openDurable(t, dir, 64)
+	defer d2.Close(false)
+	if m, err := c2.Models.Latest("m"); err != nil || string(m.Bytes) != "v3" {
+		t.Fatalf("m after checkpointed restart = %v, %v; want v3", m, err)
+	}
+
+	dir = writeDir()
+	if err := os.WriteFile(filepath.Join(dir, "models", hash("v1")+".bin"), []byte("v1!"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := OpenDurable(dir, durableOpts(64)); err == nil || !strings.Contains(err.Error(), "fails its content hash") {
+		t.Fatalf("corrupt superseded blob: err = %v", err)
+	}
 }
 
 // TestDurableDDLRecovery: drops and re-creates replay in order.

@@ -6,228 +6,76 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 )
 
-// StoredModel is one immutable version of a named model pipeline as kept in
-// the database. Bytes is the serialized pipeline (the engine above decides
-// the encoding: a Python script, gob, or JSON); Format names it.
+// StoredModel is the pipeline currently stored under a name. Bytes is the
+// serialized pipeline (the engine above decides the encoding); Hash is its
+// content hash, which keys inference sessions, names the checkpoint blob
+// and is checked on recovery.
 type StoredModel struct {
-	Name      string
-	Version   int
-	Format    string // e.g. "python-pipeline", "gob-pipeline", "nn-graph"
-	Bytes     []byte
-	Hash      string // content hash, used as a session-cache key
-	CreatedAt time.Time
-	Meta      map[string]string
+	Name  string
+	Bytes []byte
+	Hash  string
 }
 
-// AuditEntry records one model-store mutation, mirroring the auditability
-// guarantee the paper inherits from the RDBMS (paper §2).
-type AuditEntry struct {
-	Time    time.Time
-	Op      string // "put", "delete", "rollback"
-	Name    string
-	Version int
-	TxID    uint64
-}
-
-// ModelStore is a versioned, transactional store for model pipelines.
-// Writes happen inside transactions: either every model put in the
-// transaction becomes visible, or none does (single-node atomicity via a
-// commit lock, which is what the paper's transactionality claim needs).
+// ModelStore maps each model name to its current pipeline. A Put replaces
+// the pipeline whole; superseded ones are not kept.
 type ModelStore struct {
-	mu       sync.RWMutex
-	versions map[string][]*StoredModel // name -> versions, ascending
-	audit    []AuditEntry
-	nextTx   uint64
-	// backend, when non-nil, WAL-logs commits before they apply.
+	mu     sync.RWMutex
+	models map[string]*StoredModel
+	// backend, when non-nil, WAL-logs puts before they apply. Set once by
+	// Catalog.SetBackend before the store sees concurrent use.
 	backend Backend
 }
 
 // NewModelStore returns an empty store.
 func NewModelStore() *ModelStore {
-	return &ModelStore{versions: make(map[string][]*StoredModel)}
+	return &ModelStore{models: make(map[string]*StoredModel)}
 }
 
-// Tx is an open model-store transaction. It buffers writes until Commit.
-type Tx struct {
-	store   *ModelStore
-	id      uint64
-	puts    []*StoredModel
-	deletes []string
-	done    bool
-}
-
-// Begin opens a transaction.
-func (s *ModelStore) Begin() *Tx {
-	s.mu.Lock()
-	s.nextTx++
-	id := s.nextTx
-	s.mu.Unlock()
-	return &Tx{store: s, id: id}
-}
-
-// Put stages a new version of the named model in the transaction.
-func (t *Tx) Put(name, format string, data []byte, meta map[string]string) {
+// Put stores data as the named model's pipeline and returns the one it
+// replaced (nil on a first store). Concurrent puts to one name form a
+// chain: each returns the pipeline the previous one stored.
+func (s *ModelStore) Put(name string, data []byte) (replaced *StoredModel, err error) {
 	h := sha256.Sum256(data)
-	t.puts = append(t.puts, &StoredModel{
-		Name:   name,
-		Format: format,
-		Bytes:  data,
-		Hash:   hex.EncodeToString(h[:]),
-		Meta:   meta,
-	})
-}
-
-// Delete stages removal of all versions of the named model.
-func (t *Tx) Delete(name string) { t.deletes = append(t.deletes, name) }
-
-func (s *ModelStore) setBackend(b Backend) {
-	s.mu.Lock()
-	s.backend = b
-	s.mu.Unlock()
-}
-
-// Commit atomically applies all staged writes.
-func (t *Tx) Commit() error {
-	if t.done {
-		return fmt.Errorf("storage: transaction %d already finished", t.id)
+	m := &StoredModel{Name: name, Bytes: data, Hash: hex.EncodeToString(h[:])}
+	if s.backend != nil {
+		return s.backend.PutModel(s, m)
 	}
-	t.done = true
-	s := t.store
-	s.mu.RLock()
-	b := s.backend
-	s.mu.RUnlock()
-	if b != nil {
-		return b.CommitModelTx(t)
-	}
-	return t.commitLocal()
+	return s.apply(m), nil
 }
 
-// commitLocal applies the transaction to in-memory state. The durable
-// backend calls it after the tx is safely in the WAL.
-func (t *Tx) commitLocal() error {
-	s := t.store
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := time.Now()
-	for _, name := range t.deletes {
-		k := key(name)
-		if _, ok := s.versions[k]; !ok {
-			return fmt.Errorf("storage: delete of unknown model %q aborts tx %d", name, t.id)
-		}
-	}
-	for _, name := range t.deletes {
-		k := key(name)
-		delete(s.versions, k)
-		s.audit = append(s.audit, AuditEntry{Time: now, Op: "delete", Name: name, TxID: t.id})
-	}
-	for _, m := range t.puts {
-		k := key(m.Name)
-		m.Version = len(s.versions[k]) + 1
-		m.CreatedAt = now
-		s.versions[k] = append(s.versions[k], m)
-		s.audit = append(s.audit, AuditEntry{Time: now, Op: "put", Name: m.Name, Version: m.Version, TxID: t.id})
-	}
-	return nil
-}
-
-// Rollback discards staged writes.
-func (t *Tx) Rollback() {
-	if t.done {
-		return
-	}
-	t.done = true
-	s := t.store
-	s.mu.Lock()
-	s.audit = append(s.audit, AuditEntry{Time: time.Now(), Op: "rollback", TxID: t.id})
-	s.mu.Unlock()
-}
-
-// PutModel is the non-transactional convenience path: one put, one commit.
-func (s *ModelStore) PutModel(name, format string, data []byte, meta map[string]string) error {
-	tx := s.Begin()
-	tx.Put(name, format, data, meta)
-	return tx.Commit()
-}
-
-// Latest returns the newest version of the named model.
-func (s *ModelStore) Latest(name string) (*StoredModel, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	vs := s.versions[key(name)]
-	if len(vs) == 0 {
-		return nil, fmt.Errorf("storage: model %q not found", name)
-	}
-	return vs[len(vs)-1], nil
-}
-
-// Version returns a specific version of the named model.
-func (s *ModelStore) Version(name string, version int) (*StoredModel, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	vs := s.versions[key(name)]
-	if version < 1 || version > len(vs) {
-		return nil, fmt.Errorf("storage: model %q has no version %d", name, version)
-	}
-	return vs[version-1], nil
-}
-
-// Names lists stored model names, sorted.
-func (s *ModelStore) Names() []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]string, 0, len(s.versions))
-	for _, vs := range s.versions {
-		out = append(out, vs[0].Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// hasModel reports whether any version of the named model exists.
-func (s *ModelStore) hasModel(name string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.versions[key(name)]) > 0
-}
-
-// restore re-registers a model version exactly as recorded (manifest
-// load during recovery). Versions must arrive in ascending order.
-func (s *ModelStore) restore(m *StoredModel) error {
+// apply installs m as its name's pipeline and returns the one it
+// replaced. The durable backend calls it after the put is in the WAL.
+func (s *ModelStore) apply(m *StoredModel) *StoredModel {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := key(m.Name)
-	if want := len(s.versions[k]) + 1; m.Version != want {
-		return fmt.Errorf("storage: restore model %q version %d out of order (want %d)", m.Name, m.Version, want)
-	}
-	s.versions[k] = append(s.versions[k], m)
-	return nil
+	old := s.models[k]
+	s.models[k] = m
+	return old
 }
 
-// snapshotModels returns every stored model version, ascending per name,
-// for the checkpoint manifest.
+// Latest returns the named model's current pipeline.
+func (s *ModelStore) Latest(name string) (*StoredModel, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	m := s.models[key(name)]
+	if m == nil {
+		return nil, fmt.Errorf("storage: model %q not found", name)
+	}
+	return m, nil
+}
+
+// snapshotModels returns every stored model, sorted by name, for the
+// checkpoint manifest.
 func (s *ModelStore) snapshotModels() []*StoredModel {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	names := make([]string, 0, len(s.versions))
-	for k := range s.versions {
-		names = append(names, k)
+	out := make([]*StoredModel, 0, len(s.models))
+	for _, m := range s.models {
+		out = append(out, m)
 	}
-	sort.Strings(names)
-	var out []*StoredModel
-	for _, k := range names {
-		out = append(out, s.versions[k]...)
-	}
-	return out
-}
-
-// Audit returns a copy of the audit log.
-func (s *ModelStore) Audit() []AuditEntry {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]AuditEntry, len(s.audit))
-	copy(out, s.audit)
+	sort.Slice(out, func(i, j int) bool { return key(out[i].Name) < key(out[j].Name) })
 	return out
 }

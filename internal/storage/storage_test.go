@@ -151,131 +151,85 @@ func TestCatalogUniqueKeys(t *testing.T) {
 	}
 }
 
-func TestModelStoreVersioning(t *testing.T) {
+func TestModelStorePut(t *testing.T) {
 	s := NewModelStore()
-	if err := s.PutModel("m", "gob", []byte("v1"), nil); err != nil {
+	if old, err := s.Put("m", []byte("v1")); err != nil || old != nil {
+		t.Fatalf("first put replaced %v, %v", old, err)
+	}
+	old, err := s.Put("M", []byte("v2"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutModel("m", "gob", []byte("v2"), map[string]string{"note": "retrained"}); err != nil {
-		t.Fatal(err)
+	if old == nil || string(old.Bytes) != "v1" {
+		t.Fatalf("second put replaced %+v, want v1", old)
 	}
 	latest, err := s.Latest("m")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if latest.Version != 2 || string(latest.Bytes) != "v2" {
-		t.Errorf("latest = v%d %q", latest.Version, latest.Bytes)
+	if string(latest.Bytes) != "v2" || latest.Name != "M" {
+		t.Errorf("latest = %s %q", latest.Name, latest.Bytes)
 	}
-	v1, err := s.Version("m", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(v1.Bytes) != "v1" {
-		t.Errorf("v1 = %q", v1.Bytes)
-	}
-	if v1.Hash == latest.Hash {
+	if old.Hash == latest.Hash {
 		t.Error("different contents must hash differently")
-	}
-	if _, err := s.Version("m", 3); err == nil {
-		t.Error("missing version should fail")
 	}
 	if _, err := s.Latest("nope"); err == nil {
 		t.Error("missing model should fail")
 	}
 }
 
-func TestModelStoreTransactionAtomicity(t *testing.T) {
-	s := NewModelStore()
-	tx := s.Begin()
-	tx.Put("a", "gob", []byte("A"), nil)
-	tx.Put("b", "gob", []byte("B"), nil)
-	// Not yet visible before commit.
-	if _, err := s.Latest("a"); err == nil {
-		t.Error("uncommitted put should not be visible")
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Latest("a"); err != nil {
-		t.Error("committed put should be visible")
-	}
-	if err := tx.Commit(); err == nil {
-		t.Error("double commit should fail")
-	}
-
-	// A transaction with a bad delete aborts entirely: the staged put of
-	// "c" must not appear.
-	tx2 := s.Begin()
-	tx2.Put("c", "gob", []byte("C"), nil)
-	tx2.Delete("does-not-exist")
-	if err := tx2.Commit(); err == nil {
-		t.Fatal("commit with bad delete should fail")
-	}
-	if _, err := s.Latest("c"); err == nil {
-		t.Error("aborted transaction leaked a put")
-	}
-}
-
-func TestModelStoreRollbackAndAudit(t *testing.T) {
-	s := NewModelStore()
-	tx := s.Begin()
-	tx.Put("m", "gob", []byte("x"), nil)
-	tx.Rollback()
-	if _, err := s.Latest("m"); err == nil {
-		t.Error("rolled-back put visible")
-	}
-	_ = s.PutModel("m", "gob", []byte("x"), nil)
-	audit := s.Audit()
-	var puts, rollbacks int
-	for _, e := range audit {
-		switch e.Op {
-		case "put":
-			puts++
-		case "rollback":
-			rollbacks++
-		}
-	}
-	if puts != 1 || rollbacks != 1 {
-		t.Errorf("audit = %+v", audit)
-	}
-}
-
-func TestModelStoreDelete(t *testing.T) {
-	s := NewModelStore()
-	_ = s.PutModel("m", "gob", []byte("x"), nil)
-	tx := s.Begin()
-	tx.Delete("m")
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Latest("m"); err == nil {
-		t.Error("deleted model still visible")
-	}
-	if n := s.Names(); len(n) != 0 {
-		t.Errorf("Names = %v", n)
-	}
-}
-
+// TestModelStoreConcurrent: concurrent puts to one name form one chain.
+// Every put's bytes come back as exactly one put's replaced pipeline,
+// except the final pipeline's, which none returns — no additions, no
+// gaps. Run under -race, in memory and through the durable backend.
 func TestModelStoreConcurrent(t *testing.T) {
-	s := NewModelStore()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				_ = s.PutModel("m", "gob", []byte{byte(w), byte(i)}, nil)
-				_, _ = s.Latest("m")
+	c, d := openDurable(t, t.TempDir(), 64)
+	defer d.Close(false)
+	const writers, puts = 8, 50
+	for _, s := range []*ModelStore{NewModelStore(), c.Models} {
+		replaced := make(chan []byte, writers*puts)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < puts; i++ {
+					old, err := s.Put("m", []byte{byte(w), byte(i)})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if old != nil {
+						replaced <- old.Bytes
+					}
+					_, _ = s.Latest("m")
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(replaced)
+		seen := make(map[[2]byte]int)
+		for b := range replaced {
+			if len(b) != 2 || b[0] >= writers || b[1] >= puts {
+				t.Fatalf("replaced %v was never put", b)
 			}
-		}(w)
-	}
-	wg.Wait()
-	latest, err := s.Latest("m")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if latest.Version != 400 {
-		t.Errorf("final version = %d, want 400", latest.Version)
+			seen[[2]byte(b)]++
+		}
+		latest, err := s.Latest("m")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := seen[[2]byte(latest.Bytes)]; n != 0 {
+			t.Errorf("final pipeline %v reported replaced %d times", latest.Bytes, n)
+		}
+		if len(seen) != writers*puts-1 {
+			t.Errorf("%d distinct pipelines replaced, want %d", len(seen), writers*puts-1)
+		}
+		for b, n := range seen {
+			if n != 1 {
+				t.Errorf("pipeline %v reported replaced %d times", b, n)
+			}
+		}
 	}
 }
 

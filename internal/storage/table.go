@@ -1,7 +1,7 @@
 // Package storage implements the columnar storage engine and catalog
 // that play the role of SQL Server in the reproduction: tables, table
-// statistics, and the transactional, versioned model store that gives
-// models the same governance guarantees as data (paper §1, §2). Tables
+// statistics, and the model store, which keeps each model's current
+// pipeline inside the database beside the data (paper §1, §2). Tables
 // are in-memory by default; with a durable backend attached they are
 // WAL-logged and their tails seal into on-disk columnar segments, so a
 // table can exceed RAM (see durable.go).

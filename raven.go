@@ -725,8 +725,9 @@ func literalValue(e sql.Expr, want types.DataType) (any, error) {
 	}
 }
 
-// StoreModel stores a fitted pipeline under name (versioned,
-// transactional). Subsequent queries invoke it via PREDICT(MODEL='name').
+// StoreModel stores a fitted pipeline under name, replacing any pipeline
+// stored there before. Subsequent queries invoke it via
+// PREDICT(MODEL='name').
 func (db *DB) StoreModel(name string, p *ml.Pipeline) error {
 	if err := p.Validate(); err != nil {
 		return fmt.Errorf("raven: model %q: %w", name, err)
@@ -735,12 +736,12 @@ func (db *DB) StoreModel(name string, p *ml.Pipeline) error {
 	if err != nil {
 		return err
 	}
-	replaced, _ := db.catalog.Models.Latest(name) // nil on a first store
-	if err := db.catalog.Models.PutModel(name, "gob-pipeline", blob, nil); err != nil {
+	replaced, err := db.catalog.Models.Put(name, blob) // nil on a first store
+	if err != nil {
 		return err
 	}
-	// A new version strands every inference session compiled from the
-	// version it replaces (session keys start with that version's content
+	// A new pipeline strands every inference session compiled from the
+	// one it replaces (session keys start with that pipeline's content
 	// hash), and the catalog bump invalidates every compiled plan that
 	// embedded the old model (inlined trees, translated tensor graphs).
 	if replaced != nil {
@@ -767,7 +768,7 @@ func (db *DB) StoreModelContext(ctx context.Context, name string, p *ml.Pipeline
 	return db.StoreModel(name, p)
 }
 
-// LoadModel fetches the latest stored version of a pipeline.
+// LoadModel fetches the pipeline stored under name.
 func (db *DB) LoadModel(name string) (*ml.Pipeline, error) {
 	m, err := db.catalog.Models.Latest(name)
 	if err != nil {
