@@ -5,7 +5,7 @@ COVER_FLOOR ?= 70
 # Ceiling for `make loc` (non-test Go lines, benchmark/ excluded): the
 # current total rounded up to the next 50. ROADMAP aim 2 says the number
 # goes down; a PR that lowers it lowers this with it.
-LOC_CEILING ?= 26700
+LOC_CEILING ?= 26650
 
 .PHONY: all build test test-benchmark race vet fmt-check fuzz bench bench-micro cover smoke loc ci
 
@@ -85,13 +85,16 @@ bench-micro:
 # error or the rows, never a panic or an outsized allocation), random
 # join keys of every type against the serial reference join, random
 # INT columns and range filters against the spans a narrowed scan reads,
-# and random typed rows against encoding/json's NDJSON bytes.
+# random typed rows against encoding/json's NDJSON bytes, and arbitrary
+# log files against WAL replay (no panic, allocation bounded by the file,
+# the good offset on a frame boundary).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzForestKernel -fuzztime=5s ./internal/ml
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentReader -fuzztime=5s ./internal/segment
 	$(GO) test -run='^$$' -fuzz=FuzzHashJoin -fuzztime=5s ./internal/exec
 	$(GO) test -run='^$$' -fuzz=FuzzTableSpans -fuzztime=5s ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzNDJSONRow -fuzztime=5s ./internal/server
+	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=5s ./internal/wal
 
 # loc prints non-test Go lines per package, benchmark/ excluded — the
 # number ROADMAP aim 2 tracks — and fails above LOC_CEILING. It also
@@ -115,6 +118,9 @@ fuzz:
 # proxy that decodes bodies and headers with internal/server's code, and
 # there is one result-cache tier, the replica engine's, so
 # internal/cluster does not import internal/rescache.
+# And it fails if storage grows a second write path: the catalog, its
+# tables and its model store log through their *Durable themselves, so
+# internal/storage declares no Backend interface and no ...Local( twin.
 LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'
 loc:
 	@$(LOC_FILES) | xargs wc -l | awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
@@ -137,6 +143,8 @@ loc:
 	if [ -n "$$boxed" ]; then echo "FAIL: a per-row boxing path in a front end:"; echo "$$boxed"; exit 1; fi
 	@tier=$$($(LOC_FILES) -path './internal/cluster/*' | xargs grep -n '"raven/internal/rescache"' || true); \
 	if [ -n "$$tier" ]; then echo "FAIL: a second result-cache tier in the router:"; echo "$$tier"; exit 1; fi
+	@twin=$$($(LOC_FILES) -path './internal/storage/*' | xargs grep -nE 'type Backend interface|func (\([^)]*\) )?[a-z][A-Za-z]*Local\(' || true); \
+	if [ -n "$$twin" ]; then echo "FAIL: a second storage write path:"; echo "$$twin"; exit 1; fi
 
 # ci runs the suite twice, not three times: cover subsumes a plain
 # `make test` (same tests, plus the coverage floor and cover.out), so
@@ -145,5 +153,5 @@ loc:
 # and ravenrouter children) and by their packages' own tests. loc holds
 # the line-count ceiling and the structural guards; fuzz is five seconds
 # each of the tree kernel's, the segment reader's, the join's, the scan
-# spans' and the NDJSON encoder's fuzzers.
+# spans', the NDJSON encoder's and WAL replay's fuzzers.
 ci: fmt-check build vet loc cover race fuzz test-benchmark smoke

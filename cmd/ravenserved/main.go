@@ -211,15 +211,12 @@ func main() {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(l) }()
 
-	// drainAll shuts both front ends down in order: pg stops admitting
-	// first (so its refusals read 57P01, not connection resets), the HTTP
-	// Shutdown drains the engine once (the single engine-level drain —
-	// pgwire's Shutdown deliberately leaves it to the caller), then the
-	// pg connections unwind.
+	// drainAll shuts both front ends down in order: the HTTP Shutdown
+	// drains the engine once (the single engine-level drain — pgwire's
+	// Shutdown deliberately leaves it to the caller), and meanwhile the
+	// scheduler refuses new pg queries too, which pg reports as 57P01;
+	// then the pg front end stops and its connections unwind.
 	drainAll := func(ctx context.Context) error {
-		if pgs != nil {
-			pgs.BeginDrain()
-		}
 		err := srv.Shutdown(ctx)
 		if pgs != nil {
 			if perr := pgs.Shutdown(ctx); perr != nil && err == nil {

@@ -46,7 +46,6 @@ type Server struct {
 	nextPID  uint32
 	shutdown bool
 
-	lameduck atomic.Bool
 	draining atomic.Bool
 
 	stats serverStats
@@ -154,15 +153,6 @@ func (s *Server) Serve(l net.Listener) error {
 	}
 }
 
-// BeginDrain enters the lame-duck phase, mirroring the HTTP server:
-// health-visible draining while queries still run. The pg protocol has
-// no health probe, so lame-duck only matters for the shared Draining
-// signal; queries are refused once the full drain starts.
-func (s *Server) BeginDrain() { s.lameduck.Store(true) }
-
-// Draining reports whether either drain phase has begun.
-func (s *Server) Draining() bool { return s.lameduck.Load() || s.draining.Load() }
-
 // Shutdown drains the pg front end: stop accepting connections, refuse
 // new queries with SQLSTATE 57P01, wait for in-flight queries to finish
 // (or ctx to expire), then close every connection. The engine-level
@@ -170,7 +160,6 @@ func (s *Server) Draining() bool { return s.lameduck.Load() || s.draining.Load()
 // ravenserved drains the engine once through the HTTP server's
 // Shutdown — so pg and HTTP cannot double-drain each other.
 func (s *Server) Shutdown(ctx context.Context) error {
-	s.BeginDrain()
 	s.draining.Store(true)
 	s.mu.Lock()
 	s.shutdown = true

@@ -9,10 +9,15 @@ import (
 )
 
 // Catalog names tables and the model store. It is the single source of
-// truth the binder and the cross optimizer consult. With a durable
-// backend attached, every schema mutation is WAL-logged before it
-// applies; without one (the default) mutations apply directly in memory.
+// truth the binder and the cross optimizer consult. A durable catalog
+// WAL-logs every schema mutation before it applies; an in-memory one (the
+// default) applies it directly.
 type Catalog struct {
+	// ddlMu serializes schema mutations (DDL, unique keys, durable model
+	// puts) against each other and against checkpoints, so the log order
+	// is the apply order. Lock order everywhere: ddlMu -> table appendMu
+	// (sorted) -> Durable.rotateMu -> catalog/table locks.
+	ddlMu  sync.Mutex
 	mu     sync.RWMutex
 	tables map[string]*Table
 	Models *ModelStore
@@ -24,9 +29,10 @@ type Catalog struct {
 	// any change that could invalidate a bound plan forces a recompile.
 	version atomic.Uint64
 
-	// backend, when non-nil, intercepts mutations for durability. Set
-	// once via SetBackend before the catalog sees concurrent use.
-	backend Backend
+	// d logs mutations when the catalog is durable; nil in memory.
+	// OpenDurable sets it once, after recovery has rebuilt the catalog
+	// through these same methods, so replay never logs.
+	d *Durable
 }
 
 // NewCatalog returns an empty catalog with a fresh model store.
@@ -40,19 +46,9 @@ func NewCatalog() *Catalog {
 
 func key(name string) string { return strings.ToLower(name) }
 
-// SetBackend attaches a durability backend to the catalog, its model
-// store, and every already-registered table. Recovery calls it after
-// rebuilding state (so replay never re-logs); it must happen before the
-// catalog sees concurrent use.
-func (c *Catalog) SetBackend(b Backend) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.backend = b
-	for _, t := range c.tables {
-		t.backend = b
-	}
-	c.Models.backend = b
-}
+// errNoTable is the error every lookup of, or write to, a table that is
+// not live gets.
+func errNoTable(name string) error { return fmt.Errorf("storage: table %q does not exist", name) }
 
 // Version returns the current catalog version. It changes whenever a
 // table is added or dropped, a unique key is declared, or BumpVersion is
@@ -65,41 +61,45 @@ func (c *Catalog) BumpVersion() uint64 { return c.version.Add(1) }
 
 // AddTable registers a table; it fails if the name is taken.
 func (c *Catalog) AddTable(t *Table) error {
-	if c.backend != nil {
-		return c.backend.CreateTable(c, t)
-	}
-	return c.addTableLocal(t)
-}
-
-func (c *Catalog) addTableLocal(t *Table) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	k := key(t.Name)
-	if _, ok := c.tables[k]; ok {
+	c.ddlMu.Lock()
+	defer c.ddlMu.Unlock()
+	if c.HasTable(t.Name) {
 		return fmt.Errorf("storage: table %q already exists", t.Name)
 	}
-	c.tables[k] = t
+	if err := c.d.logJSON(recCreateTable, createTableRec{Name: t.Name, Cols: schemaCols(t.schema)}); err != nil {
+		return err
+	}
+	t.d = c.d
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.tables[key(t.Name)] = t
 	c.version.Add(1)
 	return nil
 }
 
-// DropTable removes a table by name.
+// DropTable removes a table by name and marks its *Table dropped under
+// the table's appendMu and mu, so a handle taken before the drop takes
+// no further write. A scan already holding a snapshot finishes on it; a
+// durable table's segment files go at the next checkpoint's sweep.
 func (c *Catalog) DropTable(name string) error {
-	if c.backend != nil {
-		return c.backend.DropTable(c, name)
+	c.ddlMu.Lock()
+	defer c.ddlMu.Unlock()
+	t, err := c.Table(name)
+	if err != nil {
+		return err
 	}
-	return c.dropTableLocal(name)
-}
-
-func (c *Catalog) dropTableLocal(name string) error {
+	t.appendMu.Lock()
+	defer t.appendMu.Unlock()
+	if err := c.d.logJSON(recDropTable, dropTableRec{Name: name}); err != nil {
+		return err
+	}
+	t.mu.Lock()
+	t.dropped = true
+	t.mu.Unlock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	k := key(name)
-	if _, ok := c.tables[k]; !ok {
-		return fmt.Errorf("storage: table %q does not exist", name)
-	}
-	delete(c.tables, k)
-	delete(c.uniqueKeys, k)
+	delete(c.tables, key(name))
+	delete(c.uniqueKeys, key(name))
 	c.version.Add(1)
 	return nil
 }
@@ -110,7 +110,7 @@ func (c *Catalog) Table(name string) (*Table, error) {
 	defer c.mu.RUnlock()
 	t, ok := c.tables[key(name)]
 	if !ok {
-		return nil, fmt.Errorf("storage: table %q does not exist", name)
+		return nil, errNoTable(name)
 	}
 	return t, nil
 }
@@ -139,14 +139,11 @@ func (c *Catalog) TableNames() []string {
 // key). Join elimination relies on this. The error is always nil for
 // in-memory catalogs; durable ones can fail to log.
 func (c *Catalog) SetUniqueKey(table, col string) error {
-	if c.backend != nil {
-		return c.backend.SetUniqueKey(c, table, col)
+	c.ddlMu.Lock()
+	defer c.ddlMu.Unlock()
+	if err := c.d.logJSON(recUniqueKey, uniqueKeyRec{Table: table, Col: col}); err != nil {
+		return err
 	}
-	c.setUniqueKeyLocal(table, col)
-	return nil
-}
-
-func (c *Catalog) setUniqueKeyLocal(table, col string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	k := key(table)
@@ -155,6 +152,7 @@ func (c *Catalog) setUniqueKeyLocal(table, col string) {
 	}
 	c.uniqueKeys[k][key(col)] = true
 	c.version.Add(1)
+	return nil
 }
 
 // IsUniqueKey reports whether col is a declared unique key of table.

@@ -1,9 +1,7 @@
 package storage
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -21,9 +19,11 @@ import (
 	"raven/internal/wal"
 )
 
-// Durable is the on-disk storage backend: a write-ahead log for every
-// mutation plus immutable columnar segment files sealed off the table
-// tails. Layout under the data directory:
+// Durable is the on-disk half of a durable catalog: a write-ahead log for
+// every mutation plus immutable columnar segment files sealed off the
+// table tails. The catalog, its tables and its model store each hold it
+// and log through it; it owns sealing, checkpoints and recovery. Layout
+// under the data directory:
 //
 //	wal/wal-%08d.log     the record log, rotated at each checkpoint
 //	seg/<table>-%08d.seg sealed columnar segments (see internal/segment)
@@ -51,11 +51,6 @@ type Durable struct {
 
 	catalog *Catalog
 
-	// ddlMu serializes schema mutations (DDL, unique keys, model puts)
-	// against each other and against checkpoints. Lock order everywhere:
-	// ddlMu -> table appendMu (sorted) -> rotateMu -> catalog/table locks.
-	ddlMu sync.Mutex
-
 	// rotateMu protects d.log against checkpoint rotation: appenders hold
 	// it shared across the WAL append AND the memory apply, so a
 	// checkpoint (holding it exclusively) never snapshots state that is
@@ -70,6 +65,7 @@ type Durable struct {
 	lastRec     atomic.Int64  // last recovery duration, nanoseconds
 	segsScanned atomic.Uint64 // sealed segments scans read (Table.Spans)
 	segsPruned  atomic.Uint64 // ... and left out by their footer bounds
+	orphans     atomic.Uint64 // records recovery skipped (OrphanRecords)
 
 	stopOnce  sync.Once
 	stop      chan struct{}
@@ -78,7 +74,7 @@ type Durable struct {
 	closeErr  error
 }
 
-// DurableOptions tunes the durable backend; zero values take defaults.
+// DurableOptions tunes durable storage; zero values take defaults.
 type DurableOptions struct {
 	// Fsync is the WAL sync policy (default FsyncAlways).
 	Fsync wal.Policy
@@ -115,6 +111,10 @@ type DurableStats struct {
 	// scans read and skipped by footer min/max, once per scan opened.
 	SegmentsScanned uint64 `json:"segments_scanned"`
 	SegmentsPruned  uint64 `json:"segments_pruned"`
+	// OrphanRecords counts the append and seal records the last recovery
+	// skipped because their table was not live at that point of the log.
+	// The engine writes none; a log that has them opens without them.
+	OrphanRecords uint64 `json:"orphan_records"`
 }
 
 // WAL record types.
@@ -188,8 +188,8 @@ type (
 )
 
 // OpenDurable opens (creating if needed) the data directory, recovers
-// the catalog it describes, attaches the durable backend, and starts the
-// background checkpointer. The returned catalog reflects every committed
+// the catalog it describes, makes it durable, and starts the background
+// checkpointer. The returned catalog reflects every committed
 // write that reached the log before the last shutdown or crash.
 func OpenDurable(dir string, opts DurableOptions) (*Catalog, *Durable, error) {
 	opts.defaults()
@@ -209,8 +209,10 @@ func OpenDurable(dir string, opts DurableOptions) (*Catalog, *Durable, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	d.catalog = c
-	c.SetBackend(d)
+	d.catalog, c.d, c.Models.d = c, d, d
+	for _, t := range c.tables {
+		t.d = d
+	}
 	d.lastRec.Store(int64(time.Since(start)))
 	go d.checkpointLoop()
 	return c, d, nil
@@ -249,10 +251,11 @@ func syncDir(path string) error {
 	return err
 }
 
-// --- Backend interface -------------------------------------------------
+// --- Appends -----------------------------------------------------------
 
 // Append logs the batch, applies it to the tail, and seals the tail into
-// a segment once it crosses SegmentRows.
+// a segment once it crosses SegmentRows. A dropped table refuses before
+// anything reaches the log.
 func (d *Durable) Append(t *Table, b *types.Batch) error {
 	if err := validateBatch(t, b); err != nil {
 		return err
@@ -263,6 +266,9 @@ func (d *Durable) Append(t *Table, b *types.Batch) error {
 	}
 	t.appendMu.Lock()
 	defer t.appendMu.Unlock()
+	if t.dropped {
+		return errNoTable(t.Name)
+	}
 	d.rotateMu.RLock()
 	err = d.logRecord(recAppend, payload)
 	if err == nil {
@@ -293,59 +299,6 @@ func validateBatch(t *Table, b *types.Batch) error {
 	return nil
 }
 
-// CreateTable logs and registers a new table.
-func (d *Durable) CreateTable(c *Catalog, t *Table) error {
-	d.ddlMu.Lock()
-	defer d.ddlMu.Unlock()
-	if c.HasTable(t.Name) {
-		return fmt.Errorf("storage: table %q already exists", t.Name)
-	}
-	rec := createTableRec{Name: t.Name, Cols: schemaCols(t.schema)}
-	if err := d.logJSON(recCreateTable, rec); err != nil {
-		return err
-	}
-	t.backend = d
-	return c.addTableLocal(t)
-}
-
-// DropTable logs and removes a table. Its segment files stay on disk
-// until the next checkpoint's sweep.
-func (d *Durable) DropTable(c *Catalog, name string) error {
-	d.ddlMu.Lock()
-	defer d.ddlMu.Unlock()
-	if !c.HasTable(name) {
-		return fmt.Errorf("storage: table %q does not exist", name)
-	}
-	if err := d.logJSON(recDropTable, dropTableRec{Name: name}); err != nil {
-		return err
-	}
-	return c.dropTableLocal(name)
-}
-
-// SetUniqueKey logs and declares a unique key.
-func (d *Durable) SetUniqueKey(c *Catalog, table, col string) error {
-	d.ddlMu.Lock()
-	defer d.ddlMu.Unlock()
-	if err := d.logJSON(recUniqueKey, uniqueKeyRec{Table: table, Col: col}); err != nil {
-		return err
-	}
-	c.setUniqueKeyLocal(table, col)
-	return nil
-}
-
-// PutModel logs the put — model bytes ride in the WAL until a checkpoint
-// writes them out as a content-addressed blob — then applies it. ddlMu
-// makes the log order the apply order, so replay rebuilds the same chain.
-func (d *Durable) PutModel(s *ModelStore, m *StoredModel) (*StoredModel, error) {
-	d.ddlMu.Lock()
-	defer d.ddlMu.Unlock()
-	rec := modelPutsRec{Puts: []modelPutRec{{Name: m.Name, Bytes: m.Bytes, Hash: m.Hash}}}
-	if err := d.logJSON(recModelPut, rec); err != nil {
-		return nil, err
-	}
-	return s.apply(m), nil
-}
-
 // --- Logging helpers ---------------------------------------------------
 
 // logRecord appends one record to the live WAL. Callers hold rotateMu
@@ -360,8 +313,11 @@ func (d *Durable) logRecord(recType byte, payload []byte) error {
 
 // logJSON marshals and appends a record under rotateMu.RLock; used by
 // the DDL and model-put paths (appends inline the lock to cover the
-// memory apply too).
+// memory apply too). A nil d is an in-memory catalog: nothing to log.
 func (d *Durable) logJSON(recType byte, rec any) error {
+	if d == nil {
+		return nil
+	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return err
@@ -458,8 +414,8 @@ func (d *Durable) seal(t *Table, logRec bool) error {
 // writes model blobs and a new MANIFEST atomically, then sweeps every
 // file the new MANIFEST does not name.
 func (d *Durable) Checkpoint() error {
-	d.ddlMu.Lock()
-	defer d.ddlMu.Unlock()
+	d.catalog.ddlMu.Lock()
+	defer d.catalog.ddlMu.Unlock()
 	return d.checkpointLocked()
 }
 
@@ -552,25 +508,7 @@ func (d *Durable) writeModelBlob(m *StoredModel) error {
 	if _, err := os.Stat(path); err == nil {
 		return nil
 	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(m.Bytes); err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	return syncDir(filepath.Join(d.dir, "models"))
+	return writeFileAtomic(path, m.Bytes)
 }
 
 func (d *Durable) writeManifest(man *manifestFile) error {
@@ -578,7 +516,14 @@ func (d *Durable) writeManifest(man *manifestFile) error {
 	if err != nil {
 		return err
 	}
-	tmp := filepath.Join(d.dir, "MANIFEST.tmp")
+	return writeFileAtomic(filepath.Join(d.dir, "MANIFEST"), data)
+}
+
+// writeFileAtomic writes data to path.tmp, fsyncs it, renames it over
+// path and fsyncs the directory, so a crash leaves path either as it was
+// or whole — never short.
+func writeFileAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
@@ -589,14 +534,14 @@ func (d *Durable) writeManifest(man *manifestFile) error {
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(d.dir, "MANIFEST")); err != nil {
-		return err
-	}
-	return syncDir(d.dir)
+	return syncDir(filepath.Dir(path))
 }
 
 // compactTable folds runs of two or more undersized neighboring segments
@@ -666,11 +611,11 @@ func (d *Durable) recover() (*Catalog, error) {
 			}
 			t.attachSegment(r)
 		}
-		if err := c.addTableLocal(t); err != nil {
+		if err := c.AddTable(t); err != nil {
 			return nil, err
 		}
 		for _, col := range mt.Unique {
-			c.setUniqueKeyLocal(mt.Name, col)
+			c.SetUniqueKey(mt.Name, col)
 		}
 	}
 	for _, mm := range man.Models {
@@ -679,11 +624,10 @@ func (d *Durable) recover() (*Catalog, error) {
 		if err != nil {
 			return nil, fmt.Errorf("storage: recovery: model blob %s: %w", mm.File, err)
 		}
-		h := sha256.Sum256(data)
-		if hex.EncodeToString(h[:]) != mm.Hash {
+		c.Models.Put(mm.Name, data)
+		if m, _ := c.Models.Latest(mm.Name); m.Hash != mm.Hash {
 			return nil, fmt.Errorf("storage: recovery: model blob %s fails its content hash", mm.File)
 		}
-		c.Models.apply(&StoredModel{Name: mm.Name, Bytes: data, Hash: mm.Hash})
 	}
 	d.segSeq.Store(max(man.SegSeq, d.maxSegSeqOnDisk()))
 
@@ -845,7 +789,9 @@ func (d *Durable) replayWAL(c *Catalog, man *manifestFile, keep map[string]bool)
 }
 
 // applyRecord applies one replayed WAL record to the catalog being
-// rebuilt. The backend is not attached yet, so nothing re-logs.
+// rebuilt through its own methods. d is not attached yet, so nothing
+// re-logs. An append or seal for a table that is not live at that point
+// of the log is skipped and counted (see OrphanRecords).
 func (d *Durable) applyRecord(c *Catalog, recType byte, payload []byte, keep map[string]bool) error {
 	switch recType {
 	case recAppend:
@@ -855,7 +801,8 @@ func (d *Durable) applyRecord(c *Catalog, recType byte, payload []byte, keep map
 		}
 		t, err := c.Table(name)
 		if err != nil {
-			return err
+			d.orphans.Add(1)
+			return nil
 		}
 		b, err := segment.DecodeBatch(t.schema, body)
 		if err != nil {
@@ -867,27 +814,26 @@ func (d *Durable) applyRecord(c *Catalog, recType byte, payload []byte, keep map
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return err
 		}
-		return c.addTableLocal(NewTable(rec.Name, colsSchema(rec.Cols)))
+		return c.AddTable(NewTable(rec.Name, colsSchema(rec.Cols)))
 	case recDropTable:
 		var rec dropTableRec
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return err
 		}
-		return c.dropTableLocal(rec.Name)
+		return c.DropTable(rec.Name)
 	case recUniqueKey:
 		var rec uniqueKeyRec
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return err
 		}
-		c.setUniqueKeyLocal(rec.Table, rec.Col)
-		return nil
+		return c.SetUniqueKey(rec.Table, rec.Col)
 	case recModelPut:
 		var rec modelPutsRec
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			return err
 		}
 		for _, p := range rec.Puts {
-			c.Models.apply(&StoredModel{Name: p.Name, Bytes: p.Bytes, Hash: p.Hash})
+			c.Models.Put(p.Name, p.Bytes)
 		}
 		return nil
 	case recSeal:
@@ -897,7 +843,8 @@ func (d *Durable) applyRecord(c *Catalog, recType byte, payload []byte, keep map
 		}
 		t, err := c.Table(rec.Table)
 		if err != nil {
-			return err
+			d.orphans.Add(1)
+			return nil
 		}
 		keep[filepath.Join("seg", rec.File)] = true
 		r, err := d.openSegment(filepath.Join(d.dir, "seg", rec.File))
@@ -918,7 +865,7 @@ func (d *Durable) applyRecord(c *Catalog, recType byte, payload []byte, keep map
 // blobs keep does not list, WAL files before walSeq, and a stray
 // MANIFEST.tmp. Quarantined segments stay for inspection. It is best
 // effort: a file it cannot list or remove goes at a later sweep. Both
-// callers run with no seal in flight: recovery before the backend attaches, the
+// callers run with no seal in flight: recovery before d is attached, the
 // checkpoint with ddlMu and every appendMu held.
 func (d *Durable) sweep(keep map[string]bool, walSeq uint64) {
 	for _, sub := range []string{"seg", "models"} {
@@ -976,6 +923,7 @@ func (d *Durable) Stats() DurableStats {
 		Fsync:           d.opts.Fsync.String(),
 		SegmentsScanned: d.segsScanned.Load(),
 		SegmentsPruned:  d.segsPruned.Load(),
+		OrphanRecords:   d.orphans.Load(),
 	}
 	d.rotateMu.RLock()
 	st.WalBytes = d.log.Size()

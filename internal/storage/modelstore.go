@@ -23,9 +23,9 @@ type StoredModel struct {
 type ModelStore struct {
 	mu     sync.RWMutex
 	models map[string]*StoredModel
-	// backend, when non-nil, WAL-logs puts before they apply. Set once by
-	// Catalog.SetBackend before the store sees concurrent use.
-	backend Backend
+	// d logs puts when the store is durable; nil in memory. Set once, as
+	// for Catalog.d.
+	d *Durable
 }
 
 // NewModelStore returns an empty store.
@@ -35,25 +35,26 @@ func NewModelStore() *ModelStore {
 
 // Put stores data as the named model's pipeline and returns the one it
 // replaced (nil on a first store). Concurrent puts to one name form a
-// chain: each returns the pipeline the previous one stored.
+// chain: each returns the pipeline the previous one stored. A durable
+// store logs the put — the bytes ride in the WAL until a checkpoint
+// writes them out as a content-addressed blob — under the catalog's
+// ddlMu, so replay rebuilds the same chain.
 func (s *ModelStore) Put(name string, data []byte) (replaced *StoredModel, err error) {
 	h := sha256.Sum256(data)
 	m := &StoredModel{Name: name, Bytes: data, Hash: hex.EncodeToString(h[:])}
-	if s.backend != nil {
-		return s.backend.PutModel(s, m)
+	if s.d != nil {
+		s.d.catalog.ddlMu.Lock()
+		defer s.d.catalog.ddlMu.Unlock()
+		rec := modelPutsRec{Puts: []modelPutRec{{Name: m.Name, Bytes: m.Bytes, Hash: m.Hash}}}
+		if err := s.d.logJSON(recModelPut, rec); err != nil {
+			return nil, err
+		}
 	}
-	return s.apply(m), nil
-}
-
-// apply installs m as its name's pipeline and returns the one it
-// replaced. The durable backend calls it after the put is in the WAL.
-func (s *ModelStore) apply(m *StoredModel) *StoredModel {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	k := key(m.Name)
-	old := s.models[k]
-	s.models[k] = m
-	return old
+	k := key(name)
+	replaced, s.models[k] = s.models[k], m
+	return replaced, nil
 }
 
 // Latest returns the named model's current pipeline.

@@ -2,9 +2,9 @@
 // that play the role of SQL Server in the reproduction: tables, table
 // statistics, and the model store, which keeps each model's current
 // pipeline inside the database beside the data (paper §1, §2). Tables
-// are in-memory by default; with a durable backend attached they are
-// WAL-logged and their tails seal into on-disk columnar segments, so a
-// table can exceed RAM (see durable.go).
+// are in-memory by default; in a durable catalog they are WAL-logged
+// and their tails seal into on-disk columnar segments, so a table can
+// exceed RAM (see durable.go).
 package storage
 
 import (
@@ -28,8 +28,8 @@ type sealedPart struct {
 
 // Table is an append-only columnar table: zero or more sealed segments
 // followed by an in-memory tail. Reads take a snapshot length so
-// concurrent appends never tear a scan. In-memory tables (no backend)
-// have no sealed parts, and every scan over them stays zero-copy.
+// concurrent appends never tear a scan. In-memory tables have no sealed
+// parts, and every scan over them stays zero-copy.
 type Table struct {
 	Name   string
 	schema *types.Schema
@@ -43,13 +43,19 @@ type Table struct {
 	// sorted[c] holds while INT column c of the tail has no NULL and never
 	// decreases: it licenses Spans' binary search. Observed, not declared.
 	sorted []bool
+	// dropped is set by Catalog.DropTable under appendMu and mu; every
+	// append checks it under one of them and refuses, so a handle taken
+	// before the drop takes no write.
+	dropped bool
 
 	// appendMu serializes durable appends end-to-end (WAL record, then
 	// memory apply, then a possible seal) so log order always equals
 	// apply order. Readers are only excluded during the memory apply,
 	// which takes mu as before. In-memory appends skip it.
 	appendMu sync.Mutex
-	backend  Backend
+	// d logs appends when the table is durable; nil in memory. Set by
+	// Catalog.AddTable, or by OpenDurable for recovered tables.
+	d *Durable
 
 	// dataVersion counts content changes (appends). The catalog version
 	// only moves on DDL and model stores, so caches keyed by it alone
@@ -112,15 +118,18 @@ func (t *Table) DataVersion() uint64 { return t.dataVersion.Load() }
 
 // AppendRow appends a single row of raw Go values in schema order.
 func (t *Table) AppendRow(vals ...any) error {
-	if t.backend != nil {
+	if t.d != nil {
 		b := types.NewBatch(t.schema)
 		if err := b.AppendRow(vals...); err != nil {
 			return fmt.Errorf("storage: table %s: %w", t.Name, err)
 		}
-		return t.backend.Append(t, b)
+		return t.d.Append(t, b)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.dropped {
+		return errNoTable(t.Name)
+	}
 	if len(vals) != len(t.cols) {
 		return fmt.Errorf("storage: table %s: row arity %d != %d", t.Name, len(vals), len(t.cols))
 	}
@@ -139,18 +148,21 @@ func (t *Table) AppendRow(vals ...any) error {
 
 // AppendBatch appends all rows of a batch whose columns match the schema.
 func (t *Table) AppendBatch(b *types.Batch) error {
-	if t.backend != nil {
-		return t.backend.Append(t, b)
+	if t.d != nil {
+		return t.d.Append(t, b)
 	}
 	return t.applyBatch(b)
 }
 
 // applyBatch is the memory half of an append: rows land in the tail
-// under mu and the data version bumps. The durable backend calls it
-// after logging; in-memory AppendBatch is nothing but this.
+// under mu and the data version bumps. Durable.Append calls it after
+// logging; in-memory AppendBatch is nothing but this.
 func (t *Table) applyBatch(b *types.Batch) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.dropped {
+		return errNoTable(t.Name)
+	}
 	if len(b.Vecs) != len(t.cols) {
 		return fmt.Errorf("storage: table %s: batch arity %d != %d", t.Name, len(b.Vecs), len(t.cols))
 	}
@@ -171,8 +183,8 @@ func (t *Table) tailLen() int {
 	return t.rows - t.sealedRows
 }
 
-// tailBatch snapshots the whole tail zero-copy. The durable backend
-// calls it with appenders excluded, so the view is stable.
+// tailBatch snapshots the whole tail zero-copy. Durable seals call it
+// with appenders excluded, so the view is stable.
 func (t *Table) tailBatch() (*types.Batch, int) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -324,7 +336,7 @@ type Span struct{ Lo, Hi int }
 // range, and cuts the tail down by binary search on each ranged INT
 // column the tail holds sorted — so only rows the filter would drop are
 // left out. Spans are row positions, which sealing and compaction keep.
-// Each call adds the segments it reads and skips to the backend's stats.
+// Each call adds the segments it reads and skips to the durable stats.
 func (t *Table) Spans(ranges map[string]expr.Range) []Span {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -352,9 +364,9 @@ func (t *Table) Spans(ranges map[string]expr.Range) []Span {
 	if s < e {
 		spans = append(spans, Span{t.sealedRows + s, t.sealedRows + e})
 	}
-	if d, ok := t.backend.(*Durable); ok {
-		d.segsScanned.Add(scanned)
-		d.segsPruned.Add(pruned)
+	if t.d != nil {
+		t.d.segsScanned.Add(scanned)
+		t.d.segsPruned.Add(pruned)
 	}
 	return spans
 }

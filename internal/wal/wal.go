@@ -296,7 +296,9 @@ func (l *Log) Abort() error {
 // length, or checksum mismatch — ends the scan without error: Replay
 // returns the offset just past the last good record, which the caller
 // truncates to before appending again. An error from fn is fatal and
-// returned as-is. A missing file replays zero records.
+// returned as-is. A missing file replays zero records. Nothing it
+// allocates outgrows the file: a length field claiming more bytes than
+// are left is a torn payload, found before any buffer is sized to it.
 func Replay(path string, fn func(recType byte, payload []byte) error) (good int64, records uint64, err error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -306,7 +308,12 @@ func Replay(path string, fn func(recType byte, payload []byte) error) (good int6
 		return 0, 0, err
 	}
 	defer f.Close()
-	r := newCountReader(bufio.NewReaderSize(f, 1<<20))
+	fi, err := f.Stat()
+	if err != nil {
+		return 0, 0, err
+	}
+	size := fi.Size()
+	r := newCountReader(bufio.NewReaderSize(f, int(min(size, 1<<20))))
 	hdr := make([]byte, headerSize)
 	var payload []byte
 	for {
@@ -316,8 +323,8 @@ func Replay(path string, fn func(recType byte, payload []byte) error) (good int6
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		crc := binary.LittleEndian.Uint32(hdr[4:8])
-		if n > maxRecord {
-			return start, records, nil // corrupt length
+		if n > maxRecord || int64(n) > size-r.n {
+			return start, records, nil // corrupt length or torn payload
 		}
 		if cap(payload) < int(n) {
 			payload = make([]byte, n)
