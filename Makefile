@@ -5,7 +5,7 @@ COVER_FLOOR ?= 70
 # Ceiling for `make loc` (non-test Go lines, benchmark/ excluded): the
 # current total rounded up to the next 50. ROADMAP aim 2 says the number
 # goes down; a PR that lowers it lowers this with it.
-LOC_CEILING ?= 26650
+LOC_CEILING ?= 26550
 
 .PHONY: all build test test-benchmark race vet fmt-check fuzz bench bench-micro cover smoke loc ci
 
@@ -56,9 +56,13 @@ cover:
 		printf "coverage %.1f%% (floor %s%%)\n", t, f }'
 
 # smoke drives the real CLI through the streaming serving API with a
-# deadline, end to end.
+# deadline, end to end, then through a script that creates, fills and
+# selects from a table (one mixed query script) and one whose `;` sits
+# inside a string literal (no statement boundary).
 smoke:
 	echo "SELECT COUNT(*) AS n FROM patient_info" | $(GO) run ./cmd/ravensql -rows 2000 -timeout 30s
+	echo "CREATE TABLE t (a INT); INSERT INTO t VALUES (1), (2); SELECT a FROM t;" | $(GO) run ./cmd/ravensql -rows 200
+	echo "SELECT COUNT(*) AS n FROM patient_info WHERE 'a;b' = 'a;b';" | $(GO) run ./cmd/ravensql -rows 200
 
 # bench regenerates the paper experiment tables at quick scale.
 bench:

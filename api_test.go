@@ -348,13 +348,46 @@ func TestDeclareScopedToStatement(t *testing.T) {
 	if _, err := db.Query(sel); err == nil {
 		t.Error("DECLARE from a previous Query leaked into engine session state")
 	}
-	// Exec DECLARE is the session-level API and does persist: the model
-	// variable becomes visible to every later query.
-	if err := db.Exec(`DECLARE @model = 'duration_of_stay'`); err != nil {
+	// Exec refuses a DECLARE: the variable would bind nothing (an Exec
+	// script has no SELECT), and the error says where it belongs.
+	err := db.Exec(`DECLARE @model = 'duration_of_stay'`)
+	if err == nil || !strings.Contains(err.Error(), "before the SELECT") {
+		t.Fatalf("Exec DECLARE: got %v, want a refusal naming the SELECT it belongs before", err)
+	}
+	if _, err := db.Query(sel); err == nil {
+		t.Error("a refused Exec DECLARE is visible to later queries")
+	}
+}
+
+// TestExecDeclareChangesNoOtherQuery: a DECLARE sent through Exec binds
+// nothing engine-wide, so one caller's script cannot retype another
+// caller's @var from an execute-time parameter into a VARCHAR constant.
+func TestExecDeclareChangesNoOtherQuery(t *testing.T) {
+	db := MustOpen()
+	if err := db.Exec(`CREATE TABLE pts (id INT, age FLOAT); INSERT INTO pts VALUES (1, 3.0), (2, 7.0)`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Query(sel); err != nil {
-		t.Errorf("session DECLARE should be visible to queries: %v", err)
+	if err := db.Exec(`DECLARE @lo = '5'`); err == nil {
+		t.Error("Exec accepted a DECLARE")
+	}
+	st, err := db.Prepare(`SELECT id FROM pts WHERE age > @lo`)
+	if err != nil {
+		t.Fatalf("Prepare after another caller's DECLARE: %v", err)
+	}
+	if got := st.Params(); len(got) != 1 || got[0] != "lo" {
+		t.Errorf("Params() = %v, want [lo]", got)
+	}
+}
+
+// TestExecRefusesDeclareBeforeApplying: a script holding a DECLARE is
+// refused whole, so the statements before it do not run either.
+func TestExecRefusesDeclareBeforeApplying(t *testing.T) {
+	db := MustOpen()
+	if err := db.Exec(`CREATE TABLE x (a INT); DECLARE @v = '1'`); err == nil {
+		t.Error("Exec accepted a script with a DECLARE")
+	}
+	if db.Catalog().HasTable("x") {
+		t.Error("a refused script created table x")
 	}
 }
 
@@ -448,40 +481,6 @@ func TestRowsStreamingScanAndParity(t *testing.T) {
 // by formatting noise (the values themselves are computed identically).
 func floatKey(f float64) string {
 	return fmt.Sprintf("%.9f", f)
-}
-
-// TestStmtPinsPrepareTimeVars: a prepared statement's session-variable
-// bindings are fixed at Prepare; later re-DECLAREs must not change its
-// meaning even when DDL forces a transparent re-prepare.
-func TestStmtPinsPrepareTimeVars(t *testing.T) {
-	db := prepDB(t)
-	if err := db.Exec(`DECLARE @model = 'duration_of_stay'`); err != nil {
-		t.Fatal(err)
-	}
-	st, err := db.Prepare(`SELECT p.score FROM PREDICT(MODEL=@model,
-		DATA=(SELECT * FROM patient_info AS pi
-		      JOIN blood_tests AS bt ON pi.id = bt.id
-		      JOIN prenatal_tests AS pt ON bt.id = pt.id) AS d)
-		WITH (score FLOAT) AS p WHERE d.age > 60`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := stmtScores(t, st, "score")
-	// Re-point the session variable at a nonexistent model, then force a
-	// re-prepare with unrelated DDL: the Stmt must keep its prepare-time
-	// binding and still succeed with identical results.
-	if err := db.Exec(`DECLARE @model = 'no_such_model'; CREATE TABLE bump_version (x INT)`); err != nil {
-		t.Fatal(err)
-	}
-	got := stmtScores(t, st, "score")
-	if len(got) != len(want) {
-		t.Fatalf("re-prepared stmt returned %d rows, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d drifted after session re-DECLARE: %v vs %v", i, got[i], want[i])
-		}
-	}
 }
 
 // TestNonCrossPathAppliesRelationalOptimizations is the regression test

@@ -8,10 +8,18 @@
 //	         [-timeout D] [-result-cache-bytes N]
 //	echo "SELECT COUNT(*) AS n FROM patient_info" | ravensql
 //
+// The script is cut into statements where the engine's own scanner
+// (sql.SplitStatements) sees a boundary, so a `;` inside a string
+// literal or a comment ends nothing. Statements run in groups: each
+// SELECT together with the DDL, INSERTs and DECLAREs before it, as one
+// query script — a DECLARE binds only within its own script — and the
+// statements after the last SELECT through DB.Exec, which refuses a
+// DECLARE that no SELECT follows.
+//
 // Queries run through the streaming serving API (QueryContext): rows print
-// as they arrive and -timeout bounds each SELECT with a context deadline,
-// cancelling mid-scan instead of materializing a doomed result (DDL and
-// INSERT statements are not bounded — DB.Exec takes no context).
+// as they arrive and -timeout bounds each SELECT group with a context
+// deadline, cancelling mid-scan instead of materializing a doomed result
+// (a group without a SELECT is not bounded — DB.Exec takes no context).
 //
 // Lines starting with a backslash are meta commands, processed in script
 // order between statements:
@@ -42,6 +50,7 @@ import (
 	"raven"
 	"raven/internal/data"
 	"raven/internal/ml"
+	"raven/internal/sql"
 	"raven/internal/train"
 )
 
@@ -79,24 +88,34 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The cache starts off so existing scripts behave identically; the
-	// \cache meta command flips it mid-script.
-	cacheOn := false
-	for _, item := range splitScript(string(script)) {
-		if item.meta {
-			err = runMeta(db, item.text, &cacheOn, *cacheBytes)
-		} else {
-			err = run(db, item.text, *explain, *timeout, cacheOn)
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "error:", err)
-			os.Exit(1)
-		}
+	if err := runScript(os.Stdout, db, string(script), *explain, *timeout, *cacheBytes); err != nil {
+		fmt.Fprintln(os.Stderr, "error:", err)
+		os.Exit(1)
 	}
 }
 
+// runScript runs a script's statement groups and meta lines in order,
+// printing to w, and stops at the first error.
+func runScript(w io.Writer, db *raven.DB, script string, explain bool, timeout time.Duration, cacheBytes int64) error {
+	// The cache starts off so existing scripts behave identically; the
+	// \cache meta command flips it mid-script.
+	cacheOn := false
+	for _, item := range splitScript(script) {
+		var err error
+		if item.meta {
+			err = runMeta(w, db, item.text, &cacheOn, cacheBytes)
+		} else {
+			err = run(w, db, item.text, explain, timeout, cacheOn)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // runMeta executes one backslash meta line.
-func runMeta(db *raven.DB, line string, cacheOn *bool, cacheBytes int64) error {
+func runMeta(w io.Writer, db *raven.DB, line string, cacheOn *bool, cacheBytes int64) error {
 	fields := strings.Fields(line)
 	switch strings.ToLower(fields[0]) {
 	case `\cache`:
@@ -105,12 +124,12 @@ func runMeta(db *raven.DB, line string, cacheOn *bool, cacheBytes int64) error {
 			if *cacheOn {
 				state = "on"
 			}
-			fmt.Printf("-- cache %s", state)
+			fmt.Fprintf(w, "-- cache %s", state)
 			if st := db.Stats().ResultCache; st != nil {
-				fmt.Printf(" (hits %d, misses %d, %d entries, %d/%d bytes)",
+				fmt.Fprintf(w, " (hits %d, misses %d, %d entries, %d/%d bytes)",
 					st.Hits, st.Misses, st.Entries, st.Bytes, st.MaxBytes)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 			return nil
 		}
 		switch strings.ToLower(fields[1]) {
@@ -173,16 +192,25 @@ type scriptItem struct {
 }
 
 // splitScript separates backslash meta lines (processed line-by-line,
-// in order) from the SQL around them, which goes through the usual
-// statement splitter.
+// in order) from the SQL around them, which it cuts into statement
+// groups: each group ends at a SELECT, and a tail without one is a group
+// of its own.
 func splitScript(s string) []scriptItem {
 	var out []scriptItem
-	var sql strings.Builder
+	var text strings.Builder
 	flush := func() {
-		for _, stmt := range splitStatements(sql.String()) {
-			out = append(out, scriptItem{text: stmt})
+		var group []string
+		for _, stmt := range sql.SplitStatements(text.String()) {
+			group = append(group, stmt)
+			if sql.ClassifyScript(stmt) != sql.ScriptSideEffectsOnly {
+				out = append(out, scriptItem{text: strings.Join(group, ";")})
+				group = nil
+			}
 		}
-		sql.Reset()
+		if group != nil {
+			out = append(out, scriptItem{text: strings.Join(group, ";")})
+		}
+		text.Reset()
 	}
 	for _, line := range strings.Split(s, "\n") {
 		if t := strings.TrimSpace(line); strings.HasPrefix(t, `\`) {
@@ -190,42 +218,18 @@ func splitScript(s string) []scriptItem {
 			out = append(out, scriptItem{meta: true, text: t})
 			continue
 		}
-		sql.WriteString(line)
-		sql.WriteByte('\n')
+		text.WriteString(line)
+		text.WriteByte('\n')
 	}
 	flush()
 	return out
 }
 
-// splitStatements breaks the script on top-level semicolons, keeping
-// DECLARE+SELECT pairs together so session variables bind.
-func splitStatements(s string) []string {
-	parts := strings.Split(s, ";")
-	var out []string
-	var pending string
-	for _, p := range parts {
-		t := strings.TrimSpace(p)
-		if t == "" {
-			continue
-		}
-		up := strings.ToUpper(t)
-		if strings.HasPrefix(up, "DECLARE") || strings.HasPrefix(up, "CREATE") || strings.HasPrefix(up, "INSERT") || strings.HasPrefix(up, "DROP") {
-			pending += t + ";\n"
-			continue
-		}
-		out = append(out, pending+t)
-		pending = ""
-	}
-	if strings.TrimSpace(pending) != "" {
-		out = append(out, strings.TrimSuffix(pending, ";\n"))
-	}
-	return out
-}
-
-func run(db *raven.DB, stmt string, explain bool, timeout time.Duration, cacheOn bool) error {
-	up := strings.ToUpper(strings.TrimSpace(stmt))
-	isQuery := strings.Contains(up, "SELECT") && !strings.HasPrefix(up, "CREATE") && !strings.HasPrefix(up, "INSERT")
-	if !isQuery {
+// run executes one statement group: through Exec when it holds no
+// SELECT, else as one query script (the engine runs its side effects
+// and streams the SELECT).
+func run(w io.Writer, db *raven.DB, stmt string, explain bool, timeout time.Duration, cacheOn bool) error {
+	if sql.ClassifyScript(stmt) == sql.ScriptSideEffectsOnly {
 		return db.Exec(stmt)
 	}
 	if explain {
@@ -233,7 +237,7 @@ func run(db *raven.DB, stmt string, explain bool, timeout time.Duration, cacheOn
 		if err != nil {
 			return err
 		}
-		fmt.Println(out)
+		fmt.Fprintln(w, out)
 		return nil
 	}
 	ctx := context.Background()
@@ -253,7 +257,7 @@ func run(db *raven.DB, stmt string, explain bool, timeout time.Duration, cacheOn
 	}
 	defer rows.Close()
 	cols := rows.Columns()
-	fmt.Println(strings.Join(cols, "\t"))
+	fmt.Fprintln(w, strings.Join(cols, "\t"))
 	const maxPrint = 25
 	n := 0
 	for b := rows.NextBatch(); b != nil; b = rows.NextBatch() {
@@ -262,7 +266,7 @@ func run(db *raven.DB, stmt string, explain bool, timeout time.Duration, cacheOn
 			for j, v := range b.Vecs {
 				parts[j] = fmt.Sprintf("%v", v.Value(i))
 			}
-			fmt.Println(strings.Join(parts, "\t"))
+			fmt.Fprintln(w, strings.Join(parts, "\t"))
 		}
 		n += b.Len()
 	}
@@ -270,14 +274,14 @@ func run(db *raven.DB, stmt string, explain bool, timeout time.Duration, cacheOn
 		return err
 	}
 	if n > maxPrint {
-		fmt.Printf("... (%d rows total)\n", n)
+		fmt.Fprintf(w, "... (%d rows total)\n", n)
 	}
-	fmt.Printf("-- %d rows in %v (compile %v + exec %v)",
+	fmt.Fprintf(w, "-- %d rows in %v (compile %v + exec %v)",
 		n, (rows.CompileTime + rows.ExecTime()).Round(100*1000),
 		rows.CompileTime.Round(100*1000), rows.ExecTime().Round(100*1000))
 	if len(rows.AppliedRules) > 0 {
-		fmt.Printf(" (rules: %s)", strings.Join(rows.AppliedRules, ", "))
+		fmt.Fprintf(w, " (rules: %s)", strings.Join(rows.AppliedRules, ", "))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }

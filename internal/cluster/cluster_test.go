@@ -120,7 +120,7 @@ func (tc *testCluster) seedData(t *testing.T, rows int) {
 		}
 		fmt.Fprintf(&ddl, "(%d, %g, %g)", i, float64(i)*0.5, float64(i%7))
 	}
-	if err := tc.c.Exec(ddl.String()); err != nil {
+	if err := tc.c.ExecContext(context.Background(), ddl.String()); err != nil {
 		t.Fatalf("seed DDL through router: %v", err)
 	}
 }
@@ -170,7 +170,7 @@ func TestReplicationAndAffinity(t *testing.T) {
 	// Both replicas hold the replicated table.
 	for i, r := range tc.reps {
 		rc := &server.Client{Base: r.Base, Timeout: 5 * time.Second}
-		res, err := rc.Query(server.QueryRequest{SQL: "SELECT COUNT(*) AS n FROM pts"})
+		res, err := rc.QueryContext(context.Background(), server.QueryRequest{SQL: "SELECT COUNT(*) AS n FROM pts"})
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)
 		}
@@ -204,7 +204,7 @@ func TestReplicationAndAffinity(t *testing.T) {
 		"CREATE\tTABLE leaked (a INT); SELECT * FROM pts",
 		"-- load\nINSERT INTO pts VALUES (999, 1.0, 2.0); SELECT * FROM pts",
 	} {
-		err := tc.c.Exec(script)
+		err := tc.c.ExecContext(context.Background(), script)
 		var he *server.HTTPError
 		if err == nil || !asHTTP(err, &he) || he.Status != http.StatusBadRequest {
 			t.Fatalf("mixed script %q: got %v, want 400", script, err)
@@ -212,11 +212,11 @@ func TestReplicationAndAffinity(t *testing.T) {
 	}
 	for _, r := range tc.reps {
 		rc := &server.Client{Base: r.Base, Timeout: 5 * time.Second}
-		res, err := rc.Query(server.QueryRequest{SQL: "SELECT COUNT(*) AS n FROM pts"})
+		res, err := rc.QueryContext(context.Background(), server.QueryRequest{SQL: "SELECT COUNT(*) AS n FROM pts"})
 		if err != nil || fmt.Sprint(res.Rows[0][0]) != "64" {
 			t.Fatalf("replica %s: a refused script's INSERT landed (err %v, rows %v)", r.Name, err, res)
 		}
-		if _, err := rc.Query(server.QueryRequest{SQL: "SELECT * FROM leaked"}); err == nil {
+		if _, err := rc.QueryContext(context.Background(), server.QueryRequest{SQL: "SELECT * FROM leaked"}); err == nil {
 			t.Fatalf("replica %s: a refused script's CREATE TABLE landed", r.Name)
 		}
 	}
@@ -240,21 +240,21 @@ func TestReplicationAndAffinity(t *testing.T) {
 	}
 	const predictSQL = `SELECT d.id, p.score FROM PREDICT(MODEL='m',
 		DATA=(SELECT * FROM pts) AS d) WITH (score FLOAT) AS p WHERE d.id < 16`
-	ref, err := tc.c.Query(server.QueryRequest{SQL: predictSQL})
+	ref, err := tc.c.QueryContext(context.Background(), server.QueryRequest{SQL: predictSQL})
 	if err != nil || len(ref.Rows) != 16 {
 		t.Fatalf("routed predict: %v, %d rows, want 16", err, len(ref.Rows))
 	}
-	pr, err := tc.c.Prepare(server.QueryRequest{SQL: predictSQL})
+	pr, err := tc.c.PrepareContext(context.Background(), server.QueryRequest{SQL: predictSQL}, nil)
 	if err != nil {
 		t.Fatalf("router prepare: %v", err)
 	}
 	for _, r := range tc.reps {
 		rc := &server.Client{Base: r.Base, Timeout: 5 * time.Second}
-		direct, err := rc.Query(server.QueryRequest{SQL: predictSQL})
+		direct, err := rc.QueryContext(context.Background(), server.QueryRequest{SQL: predictSQL})
 		if err != nil || direct.Fingerprint() != ref.Fingerprint() {
 			t.Fatalf("replica %s predict diverges from the routed result (err %v)", r.Name, err)
 		}
-		res, err := tc.c.StmtQuery(pr.ID, server.QueryRequest{Tenant: tenantHomedOn(tc.rt, r.Name)})
+		res, err := tc.c.StmtQueryContext(context.Background(), pr.ID, server.QueryRequest{Tenant: tenantHomedOn(tc.rt, r.Name)})
 		if err != nil || res.Fingerprint() != ref.Fingerprint() {
 			t.Fatalf("prepared predict homed on %s diverges from ad hoc (err %v)", r.Name, err)
 		}
@@ -276,7 +276,7 @@ func TestReplicaResultCacheFreshThroughRouter(t *testing.T) {
 	defer tc.close(t)
 	tc.seedData(t, 40)
 	tn := tenantHomedOn(tc.rt, "r1")
-	pr, err := tc.c.Prepare(server.QueryRequest{SQL: "SELECT id FROM pts WHERE id >= @lo", Tenant: tn})
+	pr, err := tc.c.PrepareContext(context.Background(), server.QueryRequest{SQL: "SELECT id FROM pts WHERE id >= @lo", Tenant: tn}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestReplicaResultCacheFreshThroughRouter(t *testing.T) {
 		if hits(rep) != before {
 			t.Fatalf("%s read with %s: 1 was a result-cache hit on %s", c.name, reqopt.HeaderNoCache, rep)
 		}
-		if err := tc.c.Exec(fmt.Sprintf("INSERT INTO pts VALUES (%d, 1, 1)", 100+c.cold)); err != nil {
+		if err := tc.c.ExecContext(context.Background(), fmt.Sprintf("INSERT INTO pts VALUES (%d, 1, 1)", 100+c.cold)); err != nil {
 			t.Fatal(err)
 		}
 		if _, n = c.read(false); n != c.warm {
@@ -373,7 +373,7 @@ func TestKillRetryRestartRepair(t *testing.T) {
 	tc.seedData(t, 64)
 
 	tn := tenantHomedOn(tc.rt, "r1")
-	ref, err := tc.c.Query(server.QueryRequest{SQL: testQuery, Tenant: tn})
+	ref, err := tc.c.QueryContext(context.Background(), server.QueryRequest{SQL: testQuery, Tenant: tn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +385,7 @@ func TestKillRetryRestartRepair(t *testing.T) {
 	addr := tc.reps[1].Addr()
 	tc.reps[1].Kill()
 	for i := 0; i < 3; i++ {
-		res, err := tc.c.Query(server.QueryRequest{SQL: testQuery, Tenant: tn})
+		res, err := tc.c.QueryContext(context.Background(), server.QueryRequest{SQL: testQuery, Tenant: tn})
 		if err != nil {
 			t.Fatalf("read %d after kill: %v", i, err)
 		}
@@ -430,7 +430,7 @@ func TestKillRetryRestartRepair(t *testing.T) {
 	// The restarted replica answers the tenant's reads itself, with the
 	// same bytes.
 	rc := &server.Client{Base: rep.Base, Timeout: 5 * time.Second}
-	res, err := rc.Query(server.QueryRequest{SQL: testQuery})
+	res, err := rc.QueryContext(context.Background(), server.QueryRequest{SQL: testQuery})
 	if err != nil {
 		t.Fatalf("restarted replica direct read: %v", err)
 	}
@@ -451,12 +451,12 @@ func TestStmtReprepareAfterRestart(t *testing.T) {
 	tc := newTestCluster(t, 2)
 	tc.seedData(t, 64)
 
-	pr, err := tc.c.Prepare(server.QueryRequest{SQL: testQuery})
+	pr, err := tc.c.PrepareContext(context.Background(), server.QueryRequest{SQL: testQuery}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	tn := tenantHomedOn(tc.rt, "r0")
-	ref, err := tc.c.StmtQuery(pr.ID, server.QueryRequest{Tenant: tn})
+	ref, err := tc.c.StmtQueryContext(context.Background(), pr.ID, server.QueryRequest{Tenant: tn})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestStmtReprepareAfterRestart(t *testing.T) {
 	tc.reps[0] = rep
 	tc.rt.ProbeNow(ctx) // regression detected, log replayed, stmt ids wiped
 
-	res, err := tc.c.StmtQuery(pr.ID, server.QueryRequest{Tenant: tn})
+	res, err := tc.c.StmtQueryContext(context.Background(), pr.ID, server.QueryRequest{Tenant: tn})
 	if err != nil {
 		t.Fatalf("stmt exec after home restart: %v", err)
 	}
@@ -508,7 +508,7 @@ func TestDrainUnderLoad(t *testing.T) {
 		}
 	}()
 
-	ref, err := tc.c.Query(server.QueryRequest{SQL: testQuery})
+	ref, err := tc.c.QueryContext(context.Background(), server.QueryRequest{SQL: testQuery})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestDrainUnderLoad(t *testing.T) {
 					return
 				default:
 				}
-				res, err := tc.c.Query(server.QueryRequest{SQL: testQuery, Tenant: tn})
+				res, err := tc.c.QueryContext(context.Background(), server.QueryRequest{SQL: testQuery, Tenant: tn})
 				mu.Lock()
 				queries++
 				if err != nil {
@@ -581,7 +581,7 @@ func TestFailingReplicationEntry(t *testing.T) {
 	tc.seedData(t, 16)
 
 	head := tc.rt.logHead()
-	err := tc.c.Exec("CREATE TABLE pts (id INT, x FLOAT, y FLOAT)")
+	err := tc.c.ExecContext(context.Background(), "CREATE TABLE pts (id INT, x FLOAT, y FLOAT)")
 	var he *server.HTTPError
 	if err == nil || !asHTTP(err, &he) || he.Status != http.StatusBadRequest {
 		t.Fatalf("duplicate CREATE through router: got %v, want the replica's 400 back", err)
@@ -602,17 +602,17 @@ func TestFailingReplicationEntry(t *testing.T) {
 			t.Fatalf("member %s state = %s after a rejected script, want healthy", mi.Name, mi.State)
 		}
 	}
-	if _, err := tc.c.Query(server.QueryRequest{SQL: testQuery}); err != nil {
+	if _, err := tc.c.QueryContext(context.Background(), server.QueryRequest{SQL: testQuery}); err != nil {
 		t.Fatalf("read after rejected script: %v", err)
 	}
 
 	// Replication still works afterwards — the log was not poisoned.
-	if err := tc.c.Exec("CREATE TABLE after_bad (id INT); INSERT INTO after_bad VALUES (1)"); err != nil {
+	if err := tc.c.ExecContext(context.Background(), "CREATE TABLE after_bad (id INT); INSERT INTO after_bad VALUES (1)"); err != nil {
 		t.Fatalf("good DDL after rejected script: %v", err)
 	}
 	for i, r := range tc.reps {
 		rc := &server.Client{Base: r.Base, Timeout: 5 * time.Second}
-		res, err := rc.Query(server.QueryRequest{SQL: "SELECT COUNT(*) AS n FROM after_bad"})
+		res, err := rc.QueryContext(context.Background(), server.QueryRequest{SQL: "SELECT COUNT(*) AS n FROM after_bad"})
 		if err != nil {
 			t.Fatalf("replica %d missing post-failure table: %v", i, err)
 		}
@@ -718,7 +718,7 @@ func TestHeaderTagsForwarded(t *testing.T) {
 func TestRouterRefusesLikeReplica(t *testing.T) {
 	tc := newTestCluster(t, 1)
 	defer tc.close(t)
-	if err := tc.c.Exec(`CREATE TABLE w (a INT); INSERT INTO w VALUES (1), (2)`); err != nil {
+	if err := tc.c.ExecContext(context.Background(), `CREATE TABLE w (a INT); INSERT INTO w VALUES (1), (2)`); err != nil {
 		t.Fatal(err)
 	}
 	blob, err := ml.Marshal(&ml.Pipeline{
@@ -773,6 +773,9 @@ func TestRouterRefusesLikeReplica(t *testing.T) {
 	// side effects; the replica validating them answers the refusal.
 	same("/query", `{"sql":"SELEC 1"}`, http.StatusBadRequest)
 	same("/query", `{"sql":"INSERT INTO nosuch VALUES (1)"}`, http.StatusBadRequest)
+	// A DECLARE-only script classifies as a side effect too, and a
+	// replica refuses it: a variable binds only within its own script.
+	same("/query", `{"sql":"DECLARE @lo = '5'"}`, http.StatusBadRequest)
 	// Past 4 MiB a query body is refused unread, on both.
 	huge := fmt.Sprintf(`{"sql":"SELECT a FROM w","params":{"x":%q}}`, strings.Repeat("a", 5<<20))
 	same("/query", huge, http.StatusRequestEntityTooLarge)
@@ -873,7 +876,7 @@ func TestStartRoutesAtOnce(t *testing.T) {
 	}
 	defer rep.Close(context.Background())
 	rc := &server.Client{Base: rep.Base, Timeout: 5 * time.Second}
-	if err := rc.Exec(`CREATE TABLE w (a INT); INSERT INTO w VALUES (1)`); err != nil {
+	if err := rc.ExecContext(context.Background(), `CREATE TABLE w (a INT); INSERT INTO w VALUES (1)`); err != nil {
 		t.Fatal(err)
 	}
 	rt := New()

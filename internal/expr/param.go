@@ -32,7 +32,7 @@ func (p *Param) String() string { return "@" + p.Name }
 // LiteralFromString infers a literal from a parameter's string value the
 // way the SQL lexer types tokens: integer, float, TRUE/FALSE, else
 // string. So a parameter "120" compares numerically while "bob" stays a
-// VARCHAR. (DECLARE session variables do not use this — they always bind
+// VARCHAR. (DECLAREd variables do not use this — they always bind
 // as VARCHAR, preserving string semantics for values like '007'.)
 func LiteralFromString(s string) *Literal {
 	if i, err := strconv.ParseInt(s, 10, 64); err == nil {

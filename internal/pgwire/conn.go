@@ -533,8 +533,6 @@ func commandTag(script string) string {
 		return "DROP TABLE"
 	case *sql.InsertStmt:
 		return fmt.Sprintf("INSERT 0 %d", len(x.Rows))
-	case *sql.DeclareStmt:
-		return "DECLARE"
 	default:
 		return "OK"
 	}

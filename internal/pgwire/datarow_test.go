@@ -217,7 +217,7 @@ func TestMultiBatchResultArrivesWhole(t *testing.T) {
 	})
 	hc := &server.Client{Base: "http://" + ln.Addr().String()}
 	// Client.Query fails unless the trailer's rows equal the lines read.
-	res, err := hc.Query(server.QueryRequest{SQL: q, Options: &server.QueryOptions{Parallelism: 2}})
+	res, err := hc.QueryContext(context.Background(), server.QueryRequest{SQL: q, Options: &server.QueryOptions{Parallelism: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -139,6 +139,25 @@ func TestSimpleQuery(t *testing.T) {
 	}
 }
 
+// TestDeclareRefusedOverSimpleQuery: a DECLARE-only script binds nothing
+// engine-wide; it gets a 42601 ErrorResponse, the ReadyForQuery after it
+// (SimpleQuery returns the error only once that arrives), and the
+// connection carries on.
+func TestDeclareRefusedOverSimpleQuery(t *testing.T) {
+	db, _, addr := newTestServer(t, nil)
+	seedNums(t, db)
+	c := dial(t, addr, DialOptions{})
+	_, err := c.SimpleQuery(`DECLARE @lo = '2'`)
+	var pgErr *PgError
+	if !errors.As(err, &pgErr) || pgErr.Code != "42601" {
+		t.Fatalf("DECLARE-only script: want 42601, got %v", err)
+	}
+	res, err := c.SimpleQuery(`SELECT a FROM nums WHERE a > 3`)
+	if err != nil || len(res) != 1 || res[0].Tag != "SELECT 1" {
+		t.Fatalf("query after the refusal: %+v, %v", res, err)
+	}
+}
+
 func TestExtendedProtocolSequence(t *testing.T) {
 	db, _, addr := newTestServer(t, nil)
 	seedNums(t, db)
@@ -480,7 +499,7 @@ func TestPredictParityAcrossFrontEnds(t *testing.T) {
 	inlined := strings.Replace(predict, "$1", "50", 1)
 
 	c := dial(t, addr, DialOptions{User: "smoker", Database: "pg-parity"})
-	httpRes, err := hc.Query(server.QueryRequest{SQL: inlined})
+	httpRes, err := hc.QueryContext(context.Background(), server.QueryRequest{SQL: inlined})
 	if err != nil || len(httpRes.Rows) == 0 {
 		t.Fatalf("predict (http): %d rows, %v", len(httpRes.Rows), err)
 	}
@@ -499,7 +518,7 @@ func TestPredictParityAcrossFrontEnds(t *testing.T) {
 		t.Error("pg extended-protocol PREDICT differs from the HTTP result")
 	}
 
-	st, err := hc.Stats()
+	st, err := hc.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

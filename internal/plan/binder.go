@@ -14,7 +14,7 @@ import (
 // Binder lowers SQL ASTs onto the catalog, producing logical plans.
 type Binder struct {
 	Catalog *storage.Catalog
-	// Vars holds session variables set by DECLARE.
+	// Vars holds the variables the statement's own script DECLAREs.
 	Vars map[string]string
 	// AllowParams turns undeclared @var references into Param placeholders
 	// bound at execute time (prepared statements) instead of bind errors.
@@ -320,7 +320,7 @@ func (b *Binder) bindExpr(e sql.Expr, s *types.Schema) (expr.Expr, error) {
 			}
 			return nil, fmt.Errorf("plan: variable @%s not declared (DECLARE it, or use a prepared statement for execute-time parameters)", x.Name)
 		}
-		// DECLARE accepts only quoted strings, so session variables bind as
+		// DECLARE accepts only quoted strings, so declared variables bind as
 		// VARCHAR literals — '007' stays a string. Execute-time parameters
 		// (the AllowParams path above) are the type-inferred surface.
 		return expr.StringLit(v), nil

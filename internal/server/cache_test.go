@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"testing"
 
 	"raven"
@@ -14,23 +15,23 @@ func TestWireResultCache(t *testing.T) {
 	db := raven.MustOpen(raven.WithResultCache(1 << 20))
 	c, _, _ := startServer(t, db, Options{})
 
-	if err := c.Exec(`CREATE TABLE kv (k INT PRIMARY KEY, v FLOAT); INSERT INTO kv VALUES (1, 10.5), (2, 20.5)`); err != nil {
+	if err := c.ExecContext(context.Background(), `CREATE TABLE kv (k INT PRIMARY KEY, v FLOAT); INSERT INTO kv VALUES (1, 10.5), (2, 20.5)`); err != nil {
 		t.Fatal(err)
 	}
 
 	const sel = `SELECT k, v FROM kv`
-	r1, err := c.Query(QueryRequest{SQL: sel})
+	r1, err := c.QueryContext(context.Background(), QueryRequest{SQL: sel})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.Query(QueryRequest{SQL: sel})
+	r2, err := c.QueryContext(context.Background(), QueryRequest{SQL: sel})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Fingerprint() != r2.Fingerprint() || len(r2.Rows) != 2 {
 		t.Fatalf("cached read diverged: %q vs %q", r1.Fingerprint(), r2.Fingerprint())
 	}
-	st, err := c.Stats()
+	st, err := c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,10 +44,10 @@ func TestWireResultCache(t *testing.T) {
 	}
 
 	// no_cache: same SQL, but neither served from nor admitted to the cache.
-	if _, err := c.Query(QueryRequest{SQL: sel, NoCache: true}); err != nil {
+	if _, err := c.QueryContext(context.Background(), QueryRequest{SQL: sel, NoCache: true}); err != nil {
 		t.Fatal(err)
 	}
-	st, err = c.Stats()
+	st, err = c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,10 +58,10 @@ func TestWireResultCache(t *testing.T) {
 	// INSERT over the wire must invalidate the cached read — the catalog
 	// version does not move on INSERT, so this exercises the data-version
 	// path end-to-end.
-	if err := c.Exec(`INSERT INTO kv VALUES (3, 30.5)`); err != nil {
+	if err := c.ExecContext(context.Background(), `INSERT INTO kv VALUES (3, 30.5)`); err != nil {
 		t.Fatal(err)
 	}
-	r3, err := c.Query(QueryRequest{SQL: sel})
+	r3, err := c.QueryContext(context.Background(), QueryRequest{SQL: sel})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,16 +77,16 @@ func TestWireResultCachePrepared(t *testing.T) {
 	db := raven.MustOpen(raven.WithResultCache(1 << 20))
 	c, _, _ := startServer(t, db, Options{})
 
-	if err := c.Exec(`CREATE TABLE kv (k INT PRIMARY KEY, v FLOAT); INSERT INTO kv VALUES (1, 10.5), (2, 20.5)`); err != nil {
+	if err := c.ExecContext(context.Background(), `CREATE TABLE kv (k INT PRIMARY KEY, v FLOAT); INSERT INTO kv VALUES (1, 10.5), (2, 20.5)`); err != nil {
 		t.Fatal(err)
 	}
-	pr, err := c.Prepare(QueryRequest{SQL: `SELECT k, v FROM kv WHERE k >= @lo`})
+	pr, err := c.PrepareContext(context.Background(), QueryRequest{SQL: `SELECT k, v FROM kv WHERE k >= @lo`}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := func(lo string, noCache bool) int {
 		t.Helper()
-		res, err := c.StmtQuery(pr.ID, QueryRequest{Params: map[string]string{"lo": lo}, NoCache: noCache})
+		res, err := c.StmtQueryContext(context.Background(), pr.ID, QueryRequest{Params: map[string]string{"lo": lo}, NoCache: noCache})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +99,7 @@ func TestWireResultCachePrepared(t *testing.T) {
 	if n := q("2", false); n != 1 {
 		t.Fatalf("lo=2: %d rows (param must key the cache)", n)
 	}
-	st, err := c.Stats()
+	st, err := c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestWireResultCachePrepared(t *testing.T) {
 		t.Fatalf("prepared path hits=%d misses=%d, want 1/2", rc.Hits, rc.Misses)
 	}
 	q("1", true) // no_cache via context: no lookup, no population
-	st, err = c.Stats()
+	st, err = c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,12 +88,7 @@ func readError(resp *http.Response) error {
 	return &HTTPError{Status: resp.StatusCode, Msg: e.Error}
 }
 
-// Query posts to /query and reads the whole stream.
-func (c *Client) Query(req QueryRequest) (*StreamResult, error) {
-	return c.QueryContext(context.Background(), req)
-}
-
-// QueryContext is Query under a context.
+// QueryContext posts to /query and reads the whole stream.
 func (c *Client) QueryContext(ctx context.Context, req QueryRequest) (*StreamResult, error) {
 	ctx, cancel := c.reqCtx(ctx)
 	defer cancel()
@@ -104,13 +99,9 @@ func (c *Client) QueryContext(ctx context.Context, req QueryRequest) (*StreamRes
 	return readStream(resp)
 }
 
-// Exec runs a side-effect-only script (DDL/INSERT, no SELECT) through
-// /query, failing if the server streamed rows instead of acknowledging.
-func (c *Client) Exec(sql string) error {
-	return c.ExecContext(context.Background(), sql)
-}
-
-// ExecContext is Exec under a context.
+// ExecContext runs a side-effect-only script (DDL/INSERT, no SELECT)
+// through /query, failing if the server streamed rows instead of
+// acknowledging.
 func (c *Client) ExecContext(ctx context.Context, sql string) error {
 	res, err := c.QueryContext(ctx, QueryRequest{SQL: sql})
 	if err != nil {
@@ -138,13 +129,8 @@ func (c *Client) StoreModel(ctx context.Context, req ModelRequest) error {
 	return nil
 }
 
-// Prepare posts to /prepare.
-func (c *Client) Prepare(req QueryRequest) (*PrepareResponse, error) {
-	return c.PrepareContext(context.Background(), req, nil)
-}
-
-// PrepareContext is Prepare under a context, sending hdr's
-// request-option headers (a proxy forwarding its client's tags).
+// PrepareContext posts to /prepare, sending hdr's request-option
+// headers (a proxy forwarding its client's tags).
 func (c *Client) PrepareContext(ctx context.Context, req QueryRequest, hdr http.Header) (*PrepareResponse, error) {
 	ctx, cancel := c.reqCtx(ctx)
 	defer cancel()
@@ -163,12 +149,7 @@ func (c *Client) PrepareContext(ctx context.Context, req QueryRequest, hdr http.
 	return &pr, nil
 }
 
-// StmtQuery executes a prepared statement by id.
-func (c *Client) StmtQuery(id string, req QueryRequest) (*StreamResult, error) {
-	return c.StmtQueryContext(context.Background(), id, req)
-}
-
-// StmtQueryContext is StmtQuery under a context.
+// StmtQueryContext executes a prepared statement by id.
 func (c *Client) StmtQueryContext(ctx context.Context, id string, req QueryRequest) (*StreamResult, error) {
 	ctx, cancel := c.reqCtx(ctx)
 	defer cancel()
@@ -179,12 +160,7 @@ func (c *Client) StmtQueryContext(ctx context.Context, id string, req QueryReque
 	return readStream(resp)
 }
 
-// CloseStmt deletes a prepared statement.
-func (c *Client) CloseStmt(id string) error {
-	return c.CloseStmtContext(context.Background(), id)
-}
-
-// CloseStmtContext is CloseStmt under a context.
+// CloseStmtContext deletes a prepared statement.
 func (c *Client) CloseStmtContext(ctx context.Context, id string) error {
 	ctx, cancel := c.reqCtx(ctx)
 	defer cancel()
@@ -203,12 +179,7 @@ func (c *Client) CloseStmtContext(ctx context.Context, id string) error {
 	return nil
 }
 
-// Stats fetches /stats.
-func (c *Client) Stats() (*StatsResponse, error) {
-	return c.StatsContext(context.Background())
-}
-
-// StatsContext is Stats under a context.
+// StatsContext fetches /stats.
 func (c *Client) StatsContext(ctx context.Context) (*StatsResponse, error) {
 	ctx, cancel := c.reqCtx(ctx)
 	defer cancel()
@@ -229,15 +200,6 @@ func (c *Client) StatsContext(ctx context.Context) (*StatsResponse, error) {
 		return nil, err
 	}
 	return &st, nil
-}
-
-// Healthz fetches /healthz, returning the reported status string.
-func (c *Client) Healthz() (string, error) {
-	h, err := c.Health(context.Background())
-	if h == nil {
-		return "", err
-	}
-	return h.Status, err
 }
 
 // Health fetches /healthz as the full Health probe: status plus the

@@ -26,7 +26,7 @@ func TestLameDuckDrainPhase(t *testing.T) {
 		t.Fatalf("healthz in lame-duck = %+v, %v; want 503 draining", h, err)
 	}
 	// Queries still run: that is the whole point of the phase.
-	res, err := c.Query(QueryRequest{SQL: "SELECT COUNT(*) AS n FROM patient_info"})
+	res, err := c.QueryContext(context.Background(), QueryRequest{SQL: "SELECT COUNT(*) AS n FROM patient_info"})
 	if err != nil {
 		t.Fatalf("query during lame-duck refused: %v", err)
 	}
@@ -57,7 +57,7 @@ func TestShutdownHonorsDrainGrace(t *testing.T) {
 	for time.Now().Before(deadline) {
 		h, _ := c.Health(context.Background())
 		if h != nil && h.Status == "draining" {
-			if _, qerr := c.Query(QueryRequest{SQL: "SELECT COUNT(*) AS n FROM patient_info"}); qerr == nil {
+			if _, qerr := c.QueryContext(context.Background(), QueryRequest{SQL: "SELECT COUNT(*) AS n FROM patient_info"}); qerr == nil {
 				sawLameDuck = true
 				break
 			}
@@ -71,7 +71,7 @@ func TestShutdownHonorsDrainGrace(t *testing.T) {
 		t.Fatalf("shutdown: %v", err)
 	}
 	// Fully drained now: queries refused.
-	if _, err := c.Query(QueryRequest{SQL: "SELECT COUNT(*) AS n FROM patient_info"}); err == nil {
+	if _, err := c.QueryContext(context.Background(), QueryRequest{SQL: "SELECT COUNT(*) AS n FROM patient_info"}); err == nil {
 		t.Fatal("query accepted after full drain")
 	}
 }
@@ -111,7 +111,7 @@ func TestStoreModelOverWire(t *testing.T) {
 		      JOIN blood_tests AS bt ON pi.id = bt.id
 		      JOIN prenatal_tests AS pt ON bt.id = pt.id) AS d)
 		WITH (score FLOAT) AS p WHERE d.age > 40`
-	if _, err := c.Query(QueryRequest{SQL: q}); err != nil {
+	if _, err := c.QueryContext(context.Background(), QueryRequest{SQL: q}); err != nil {
 		t.Fatalf("predict with wire-stored model: %v", err)
 	}
 

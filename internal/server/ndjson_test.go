@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -20,11 +21,11 @@ import (
 // trailer. They travel as the strings "NaN", "Infinity", "-Infinity".
 func TestNonFiniteFloatsOverWire(t *testing.T) {
 	c, _, _ := startServer(t, raven.MustOpen(), Options{})
-	if _, err := c.Query(QueryRequest{SQL: `CREATE TABLE t (id INT PRIMARY KEY, x FLOAT);
+	if _, err := c.QueryContext(context.Background(), QueryRequest{SQL: `CREATE TABLE t (id INT PRIMARY KEY, x FLOAT);
 		INSERT INTO t VALUES (1, 0.0), (2, 2.0), (3, 4.0)`}); err != nil {
 		t.Fatal(err)
 	}
-	res, err := c.Query(QueryRequest{SQL: `SELECT t.id, t.x / t.x AS y, 1.0 / t.x AS p, -1.0 / t.x AS m FROM t`})
+	res, err := c.QueryContext(context.Background(), QueryRequest{SQL: `SELECT t.id, t.x / t.x AS y, 1.0 / t.x AS p, -1.0 / t.x AS m FROM t`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func BenchmarkStreamRows(b *testing.B) {
 		}
 		fmt.Fprintf(&ins, "(%d, %g)", i, float64(i)*1.37+0.001)
 	}
-	if _, err := c.Query(QueryRequest{SQL: ins.String()}); err != nil {
+	if _, err := c.QueryContext(context.Background(), QueryRequest{SQL: ins.String()}); err != nil {
 		b.Fatal(err)
 	}
 	body := []byte(`{"sql":"SELECT k, v FROM r"}`)

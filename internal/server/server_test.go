@@ -93,16 +93,16 @@ func TestWireProtocolBasics(t *testing.T) {
 	db := hospitalDB(t, 500, 4)
 	c, _, _ := startServer(t, db, Options{})
 
-	if status, err := c.Healthz(); err != nil || status != "ok" {
-		t.Fatalf("healthz = %q, %v", status, err)
+	if h, err := c.Health(context.Background()); err != nil || h.Status != "ok" {
+		t.Fatalf("healthz = %+v, %v", h, err)
 	}
 	// Side-effect-only script.
-	res, err := c.Query(QueryRequest{SQL: `CREATE TABLE kv (k INT PRIMARY KEY, v FLOAT); INSERT INTO kv VALUES (1, 10.5), (2, 20.5)`})
+	res, err := c.QueryContext(context.Background(), QueryRequest{SQL: `CREATE TABLE kv (k INT PRIMARY KEY, v FLOAT); INSERT INTO kv VALUES (1, 10.5), (2, 20.5)`})
 	if err != nil || !res.OK {
 		t.Fatalf("exec: %+v, %v", res, err)
 	}
 	// Streamed SELECT with header, rows and trailer.
-	sel, err := c.Query(QueryRequest{SQL: `SELECT k, v FROM kv`})
+	sel, err := c.QueryContext(context.Background(), QueryRequest{SQL: `SELECT k, v FROM kv`})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestWireProtocolBasics(t *testing.T) {
 		t.Fatalf("trailer: %+v", sel.Trailer)
 	}
 	// PREDICT over the wire.
-	pred, err := c.Query(QueryRequest{SQL: testPredict})
+	pred, err := c.QueryContext(context.Background(), QueryRequest{SQL: testPredict})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,10 +121,10 @@ func TestWireProtocolBasics(t *testing.T) {
 		t.Fatalf("predict: %d rows, cols %v", len(pred.Rows), pred.Columns)
 	}
 	// Errors: bad SQL is a 400, unknown statement a 404, bad body a 400.
-	if _, err := c.Query(QueryRequest{SQL: "SELECT FROM FROM"}); status(err) != http.StatusBadRequest {
+	if _, err := c.QueryContext(context.Background(), QueryRequest{SQL: "SELECT FROM FROM"}); status(err) != http.StatusBadRequest {
 		t.Fatalf("bad sql: %v", err)
 	}
-	if _, err := c.StmtQuery("nope", QueryRequest{}); status(err) != http.StatusNotFound {
+	if _, err := c.StmtQueryContext(context.Background(), "nope", QueryRequest{}); status(err) != http.StatusNotFound {
 		t.Fatalf("unknown stmt: %v", err)
 	}
 	resp, err := http.Post(c.Base+"/query", "application/json", strings.NewReader("{nope"))
@@ -137,22 +137,45 @@ func TestWireProtocolBasics(t *testing.T) {
 	}
 }
 
+// TestDeclareStaysInItsScript: a DECLARE-only script is refused with a
+// 400 instead of binding the variable engine-wide, so one tenant's
+// script cannot change what another tenant's statement means — @lo
+// stays an execute-time parameter of b's prepare.
+func TestDeclareStaysInItsScript(t *testing.T) {
+	db := raven.MustOpen()
+	if err := db.Exec(`CREATE TABLE pts (id INT, age FLOAT); INSERT INTO pts VALUES (1, 3.0), (2, 7.0)`); err != nil {
+		t.Fatal(err)
+	}
+	c, _, _ := startServer(t, db, Options{})
+	ctx := context.Background()
+	if _, err := c.QueryContext(ctx, QueryRequest{SQL: `DECLARE @lo = '5'`, Tenant: "a"}); status(err) != http.StatusBadRequest {
+		t.Fatalf("DECLARE-only script: %v, want 400", err)
+	}
+	pr, err := c.PrepareContext(ctx, QueryRequest{SQL: `SELECT id FROM pts WHERE age > @lo`, Tenant: "b"}, nil)
+	if err != nil {
+		t.Fatalf("tenant b's prepare after tenant a's DECLARE: %v", err)
+	}
+	if len(pr.Params) != 1 || pr.Params[0] != "lo" {
+		t.Errorf("params = %v, want [lo]", pr.Params)
+	}
+}
+
 func TestPreparedStatementOverWire(t *testing.T) {
 	db := hospitalDB(t, 500, 4)
 	c, _, _ := startServer(t, db, Options{})
 
-	pr, err := c.Prepare(QueryRequest{SQL: strings.Replace(testPredict, "> 40", "> @minage", 1)})
+	pr, err := c.PrepareContext(context.Background(), QueryRequest{SQL: strings.Replace(testPredict, "> 40", "> @minage", 1)}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pr.Params) != 1 || pr.Params[0] != "minage" {
 		t.Fatalf("params = %v", pr.Params)
 	}
-	warm, err := c.StmtQuery(pr.ID, QueryRequest{Params: map[string]string{"minage": "40"}})
+	warm, err := c.StmtQueryContext(context.Background(), pr.ID, QueryRequest{Params: map[string]string{"minage": "40"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	adhoc, err := c.Query(QueryRequest{SQL: testPredict})
+	adhoc, err := c.QueryContext(context.Background(), QueryRequest{SQL: testPredict})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,10 +183,10 @@ func TestPreparedStatementOverWire(t *testing.T) {
 		t.Fatal("prepared result differs from ad-hoc")
 	}
 	// Missing param is a clean client error.
-	if _, err := c.StmtQuery(pr.ID, QueryRequest{}); status(err) != http.StatusBadRequest {
+	if _, err := c.StmtQueryContext(context.Background(), pr.ID, QueryRequest{}); status(err) != http.StatusBadRequest {
 		t.Fatalf("missing param: %v", err)
 	}
-	st, err := c.Stats()
+	st, err := c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +196,10 @@ func TestPreparedStatementOverWire(t *testing.T) {
 	if st.Engine.Compiles == 0 || st.Engine.SessionCache.Misses == 0 {
 		t.Fatalf("engine stats missing: %+v", st.Engine)
 	}
-	if err := c.CloseStmt(pr.ID); err != nil {
+	if err := c.CloseStmtContext(context.Background(), pr.ID); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.CloseStmt(pr.ID); status(err) != http.StatusNotFound {
+	if err := c.CloseStmtContext(context.Background(), pr.ID); status(err) != http.StatusNotFound {
 		t.Fatalf("double close: %v", err)
 	}
 }
@@ -194,7 +217,7 @@ func TestConcurrentClientsParity(t *testing.T) {
 
 	// Serial reference over the same wire (DOP 1 forced).
 	serialOpts := &QueryOptions{Parallelism: 1}
-	ref, err := c.Query(QueryRequest{SQL: testPredict, Options: serialOpts})
+	ref, err := c.QueryContext(context.Background(), QueryRequest{SQL: testPredict, Options: serialOpts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +233,7 @@ func TestConcurrentClientsParity(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := c.Query(QueryRequest{SQL: testPredict})
+			res, err := c.QueryContext(context.Background(), QueryRequest{SQL: testPredict})
 			if err != nil {
 				errs <- err
 				return
@@ -256,13 +279,13 @@ func TestRejectAndTimeoutStatusCodes(t *testing.T) {
 	// First request fills the queue, then times out after 50ms → 504.
 	timedOut := make(chan error, 1)
 	go func() {
-		_, err := c.Query(QueryRequest{SQL: `SELECT COUNT(*) AS n FROM patient_info`})
+		_, err := c.QueryContext(context.Background(), QueryRequest{SQL: `SELECT COUNT(*) AS n FROM patient_info`})
 		timedOut <- err
 	}()
 	waitFor(t, func() bool { return db.Scheduler().Stats().Waiting == 1 })
 
 	// Second request: limit reached AND queue full → immediate 429.
-	if _, err := c.Query(QueryRequest{SQL: `SELECT COUNT(*) AS n FROM patient_info`}); status(err) != http.StatusTooManyRequests {
+	if _, err := c.QueryContext(context.Background(), QueryRequest{SQL: `SELECT COUNT(*) AS n FROM patient_info`}); status(err) != http.StatusTooManyRequests {
 		t.Fatalf("queue-full: want 429, got %v", err)
 	}
 	if err := <-timedOut; status(err) != http.StatusGatewayTimeout {
@@ -271,7 +294,7 @@ func TestRejectAndTimeoutStatusCodes(t *testing.T) {
 	release()
 
 	// The server recovers: next query runs.
-	if _, err := c.Query(QueryRequest{SQL: `SELECT COUNT(*) AS n FROM patient_info`}); err != nil {
+	if _, err := c.QueryContext(context.Background(), QueryRequest{SQL: `SELECT COUNT(*) AS n FROM patient_info`}); err != nil {
 		t.Fatal(err)
 	}
 	st := db.Scheduler().Stats()
@@ -345,7 +368,7 @@ func TestGracefulDrainUnderLoad(t *testing.T) {
 	results := make(chan outcome, clients)
 	for i := 0; i < clients; i++ {
 		go func() {
-			res, err := c.Query(QueryRequest{SQL: testPredict})
+			res, err := c.QueryContext(context.Background(), QueryRequest{SQL: testPredict})
 			results <- outcome{res, err}
 		}()
 	}
@@ -419,13 +442,13 @@ func TestHealthzDrainingAndAdmissionRefusal(t *testing.T) {
 	defer hc.CloseIdleConnections()
 	c := &Client{Base: "http://" + l.Addr().String(), HTTP: hc}
 
-	if status_, err := c.Healthz(); status(err) != http.StatusServiceUnavailable || status_ != "draining" {
-		t.Fatalf("healthz while draining = %q, %v", status_, err)
+	if h, err := c.Health(context.Background()); status(err) != http.StatusServiceUnavailable || h == nil || h.Status != "draining" {
+		t.Fatalf("healthz while draining = %+v, %v", h, err)
 	}
-	if _, err := c.Query(QueryRequest{SQL: "SELECT COUNT(*) AS n FROM patient_info"}); status(err) != http.StatusServiceUnavailable {
+	if _, err := c.QueryContext(context.Background(), QueryRequest{SQL: "SELECT COUNT(*) AS n FROM patient_info"}); status(err) != http.StatusServiceUnavailable {
 		t.Fatalf("query while draining: %v", err)
 	}
-	if _, err := c.Prepare(QueryRequest{SQL: "SELECT COUNT(*) AS n FROM patient_info"}); status(err) != http.StatusServiceUnavailable {
+	if _, err := c.PrepareContext(context.Background(), QueryRequest{SQL: "SELECT COUNT(*) AS n FROM patient_info"}, nil); status(err) != http.StatusServiceUnavailable {
 		t.Fatalf("prepare while draining: %v", err)
 	}
 }
@@ -439,7 +462,7 @@ func TestQueryTimeoutOverWire(t *testing.T) {
 	c, _, hc := startServer(t, db, Options{})
 	base := runtime.NumGoroutine()
 	agg := strings.Replace(testPredict, "SELECT d.id, p.score", "SELECT COUNT(*) AS n, AVG(p.score) AS avgscore", 1)
-	_, err := c.Query(QueryRequest{SQL: agg, TimeoutMillis: 1,
+	_, err := c.QueryContext(context.Background(), QueryRequest{SQL: agg, TimeoutMillis: 1,
 		Options: &QueryOptions{Parallelism: 1}})
 	if status(err) != http.StatusGatewayTimeout {
 		t.Fatalf("want 504, got %v", err)
@@ -466,7 +489,7 @@ func TestTenantHeadersQuotasAndStats(t *testing.T) {
 	countSQL := `SELECT COUNT(*) AS n FROM patient_info`
 
 	// Body-tagged query for an allowed tenant.
-	if _, err := c.Query(QueryRequest{SQL: countSQL, Tenant: "batch"}); err != nil {
+	if _, err := c.QueryContext(context.Background(), QueryRequest{SQL: countSQL, Tenant: "batch"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -518,11 +541,11 @@ func TestTenantHeadersQuotasAndStats(t *testing.T) {
 
 	// Per-statement registration: prepared under "batch", executions
 	// bill "batch" by default; a per-request header rebills the call.
-	pr, err := c.Prepare(QueryRequest{SQL: countSQL, Tenant: "batch"})
+	pr, err := c.PrepareContext(context.Background(), QueryRequest{SQL: countSQL, Tenant: "batch"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.StmtQuery(pr.ID, QueryRequest{}); err != nil {
+	if _, err := c.StmtQueryContext(context.Background(), pr.ID, QueryRequest{}); err != nil {
 		t.Fatal(err)
 	}
 	req4, _ := http.NewRequest(http.MethodPost, c.Base+"/stmt/"+pr.ID+"/query",
@@ -539,7 +562,7 @@ func TestTenantHeadersQuotasAndStats(t *testing.T) {
 	}
 
 	// DDL-only scripts bill their tenant too.
-	if _, err := c.Query(QueryRequest{SQL: `CREATE TABLE tnt (k INT PRIMARY KEY)`, Tenant: "batch"}); err != nil {
+	if _, err := c.QueryContext(context.Background(), QueryRequest{SQL: `CREATE TABLE tnt (k INT PRIMARY KEY)`, Tenant: "batch"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -579,7 +602,7 @@ func TestTenantHeadersQuotasAndStats(t *testing.T) {
 		t.Fatalf("banned tenant over the wire: %+v", bn)
 	}
 	// The typed client still parses the response (shape compatibility).
-	st, err := c.Stats()
+	st, err := c.StatsContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -744,11 +767,11 @@ func TestLegacyWireAliases(t *testing.T) {
 
 	// Prepared path: prepare-time tenant still inherited at execution
 	// when the request carries no tenant (the per-statement layer).
-	pr, err := c.Prepare(QueryRequest{SQL: `SELECT a FROM legacy WHERE a > @n`, Tenant: "prep-tenant"})
+	pr, err := c.PrepareContext(context.Background(), QueryRequest{SQL: `SELECT a FROM legacy WHERE a > @n`, Tenant: "prep-tenant"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.StmtQuery(pr.ID, QueryRequest{Params: map[string]string{"n": "0"}}); err != nil {
+	if _, err := c.StmtQueryContext(context.Background(), pr.ID, QueryRequest{Params: map[string]string{"n": "0"}}); err != nil {
 		t.Fatal(err)
 	}
 	if db.Stats().Scheduler.Tenants["prep-tenant"].Admitted < 2 {
@@ -788,7 +811,7 @@ func TestDOPHeaderOnBothRoutes(t *testing.T) {
 	}
 	adhoc := charged(func(*Client) string { return "/query" })
 	prepared := charged(func(c *Client) string {
-		pr, err := c.Prepare(QueryRequest{SQL: `SELECT a FROM d`})
+		pr, err := c.PrepareContext(context.Background(), QueryRequest{SQL: `SELECT a FROM d`}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -812,7 +835,7 @@ func TestRemovedWireOptionsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	c, _, hc := startServer(t, db, Options{})
-	pr, err := c.Prepare(QueryRequest{SQL: `SELECT a FROM w`})
+	pr, err := c.PrepareContext(context.Background(), QueryRequest{SQL: `SELECT a FROM w`}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,9 @@ type InsertStmt struct {
 
 func (*InsertStmt) stmt() {}
 
-// DeclareStmt binds a session variable: DECLARE @name = 'value'.
+// DeclareStmt binds a variable for the rest of its own script:
+// DECLARE @name = 'value'. Nothing outlives the script, so the engine
+// runs a DECLARE only before the SELECT that reads it (Exec refuses one).
 type DeclareStmt struct {
 	Name  string
 	Value string

@@ -1,6 +1,9 @@
 package sql
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func TestClassifyScript(t *testing.T) {
 	const (
@@ -52,5 +55,27 @@ func TestClassifyScript(t *testing.T) {
 	script := "INSERT INTO t VALUES (1, 'x'); -- c\nSELECT a FROM t WHERE s = 'y;z'"
 	if n := testing.AllocsPerRun(100, func() { ClassifyScript(script) }); n != 0 {
 		t.Errorf("ClassifyScript allocates %.0f times per call, want 0", n)
+	}
+}
+
+// TestSplitStatements: the splitter cuts where ClassifyScript sees a
+// boundary, so a `;` inside a literal or a comment splits nothing.
+func TestSplitStatements(t *testing.T) {
+	cases := []struct {
+		script string
+		want   []string
+	}{
+		{"", nil},
+		{" ;\n; -- only a comment\n", nil},
+		{"SELECT 1", []string{"SELECT 1"}},
+		{"CREATE TABLE t (a INT); SELECT a FROM t;", []string{"CREATE TABLE t (a INT)", " SELECT a FROM t"}},
+		{"SELECT a FROM t WHERE 'a;b' = 'a;b';", []string{"SELECT a FROM t WHERE 'a;b' = 'a;b'"}},
+		{"SELECT 1 -- x; y\n; SELECT 2", []string{"SELECT 1 -- x; y\n", " SELECT 2"}},
+		{"INSERT INTO t VALUES ('it''s; here')", []string{"INSERT INTO t VALUES ('it''s; here')"}},
+	}
+	for _, c := range cases {
+		if got := SplitStatements(c.script); !slices.Equal(got, c.want) {
+			t.Errorf("SplitStatements(%q) = %q, want %q", c.script, got, c.want)
+		}
 	}
 }

@@ -520,7 +520,7 @@ func (p *parser) declare() (Statement, error) {
 		return nil, err
 	}
 	// Optional type annotation, e.g. "varbinary(max)" or VARCHAR(64) — the
-	// engine stores all session variables as strings.
+	// engine binds every DECLAREd variable as a string.
 	if p.at(TokIdent, "") || p.at(TokKeyword, "VARCHAR") {
 		p.next()
 		if p.accept(TokSymbol, "(") {

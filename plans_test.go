@@ -121,7 +121,7 @@ func TestPlansUnchanged(t *testing.T) {
 			if c.set != nil {
 				c.set(&opts)
 			}
-			p, err := db.planFor(c.q, opts, db.varsSnapshot(), true)
+			p, err := db.planFor(c.q, opts, true)
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}

@@ -182,13 +182,8 @@ type Result struct {
 
 // DB is an embedded Raven engine instance.
 type DB struct {
-	mu      sync.Mutex
 	catalog *storage.Catalog
 	runtime *rt.Runtime
-	// vars holds engine-wide session variables set by Exec DECLARE.
-	// DECLAREs inside a Query or Prepare script are statement-scoped: they
-	// overlay these for that statement only and never leak back.
-	vars map[string]string
 	// compiles counts full front-half compilations (parse → bind →
 	// optimize): one per ad-hoc call, one per Prepare or re-prepare;
 	// prepared re-executions and result-cache hits don't move it.
@@ -408,7 +403,6 @@ func WithSegmentRows(n int) Option {
 func Open(opts ...Option) (*DB, error) {
 	db := &DB{
 		runtime:            rt.NewRuntime(),
-		vars:               make(map[string]string),
 		DefaultParallelism: runtime.GOMAXPROCS(0),
 	}
 	for _, o := range opts {
@@ -574,9 +568,11 @@ func (db *DB) Catalog() *storage.Catalog { return db.catalog }
 // Runtime exposes the inference runtime (session cache, providers).
 func (db *DB) Runtime() *rt.Runtime { return db.runtime }
 
-// Exec runs DDL/DML statements (CREATE TABLE, DROP TABLE, INSERT,
-// DECLARE). Multiple statements may be separated by semicolons; SELECTs
-// are rejected here — use Query.
+// Exec runs DDL/DML statements (CREATE TABLE, DROP TABLE, INSERT).
+// Multiple statements may be separated by semicolons; SELECTs are
+// rejected here — use Query. So is a script holding a DECLARE: a
+// variable binds only for the rest of its own script, and an Exec script
+// has no SELECT to read it.
 func (db *DB) Exec(script string) error {
 	return db.ExecContext(context.Background(), script)
 }
@@ -597,6 +593,11 @@ func (db *DB) ExecContext(ctx context.Context, script string) error {
 	stmts, err := sql.ParseScript(script)
 	if err != nil {
 		return err
+	}
+	for _, st := range stmts {
+		if _, ok := st.(*sql.DeclareStmt); ok {
+			return fmt.Errorf("raven: DECLARE binds only within its own script; put it before the SELECT that uses it and run both as one query")
+		}
 	}
 	// Sweep stale result-cache entries once the script is done (even a
 	// partially-applied one changed the catalog), so a DROP TABLE does
@@ -635,11 +636,6 @@ func (db *DB) execOne(st sql.Statement) error {
 		return db.catalog.DropTable(x.Name)
 	case *sql.InsertStmt:
 		return db.execInsert(x)
-	case *sql.DeclareStmt:
-		db.mu.Lock()
-		db.vars[x.Name] = x.Value
-		db.mu.Unlock()
-		return nil
 	case *sql.SelectStmt:
 		return fmt.Errorf("raven: use Query for SELECT statements")
 	default:
@@ -810,16 +806,15 @@ func (db *DB) QueryContext(ctx context.Context, q string) (*Rows, error) {
 func (db *DB) QueryContextWithOptions(ctx context.Context, q string, opts QueryOptions) (*Rows, error) {
 	// Undeclared @vars fail inside the binder (AllowParams is off for the
 	// ad-hoc surface), with an error pointing at DECLARE/Prepare.
-	vars := db.varsSnapshot()
-	return db.run(ctx, q, opts, vars, false, nil, func() (*cachedPlan, error) { return db.planFor(q, opts, vars, false) })
+	return db.run(ctx, q, opts, false, nil, func() (*cachedPlan, error) { return db.planFor(q, opts, false) })
 }
 
 // run is the one path every query takes, whichever entry point it came
 // in by: result-cache lookup, admission, plan, parameter binding,
 // lowering, and the tee that fills the cache as the stream is consumed.
-// The entry points differ only in what they pass: the variable snapshot
-// the key and the plan are built from, whether @vars are parameters, and
-// where the plan comes from (a fresh compile, or a Stmt's template).
+// The entry points differ only in what they pass: whether @vars are
+// parameters, and where the plan comes from (a fresh compile, or a
+// Stmt's template).
 //
 // Two things are acquired here and nowhere else — a result-cache flight
 // (when the call is cache-eligible and misses) and an admission slot —
@@ -827,14 +822,14 @@ func (db *DB) QueryContextWithOptions(ctx context.Context, q string, opts QueryO
 // exists releases the slot and cancels the flight (waking waiters to
 // execute for themselves) right here; after that the Rows owns them, the
 // slot until Close and the flight until the tee settles it.
-func (db *DB) run(ctx context.Context, q string, opts QueryOptions, vars map[string]string, allowParams bool, params []Param, plan func() (*cachedPlan, error)) (*Rows, error) {
+func (db *DB) run(ctx context.Context, q string, opts QueryOptions, allowParams bool, params []Param, plan func() (*cachedPlan, error)) (*Rows, error) {
 	start := time.Now()
 	// The result cache is consulted before admission: a hit costs zero
 	// scheduler slots, and a miss makes this call the flight leader other
 	// concurrent identical calls wait on instead of queueing themselves.
 	var fl *rescache.Flight[*resultEntry]
 	if db.resultCacheEligible(ctx, opts, q) {
-		key := db.resultKey(q, opts, allowParams, vars, params)
+		key := db.resultKey(q, opts, allowParams, params)
 		rows, flight, err := db.resultLookup(ctx, key, opts, start)
 		if rows != nil || err != nil {
 			return rows, err
@@ -923,30 +918,15 @@ func (db *DB) Stats() Stats {
 	return st
 }
 
-// varsSnapshot copies the engine session variables. Callers take one
-// snapshot per compile so the cache key and the bound plan always see the
-// same variable values even while Exec DECLARE runs concurrently.
-func (db *DB) varsSnapshot() map[string]string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make(map[string]string, len(db.vars))
-	for k, v := range db.vars {
-		out[k] = v
-	}
-	return out
-}
-
 // planFor compiles a statement: the whole front half, every call.
 // allowParams selects the prepare surface — @var placeholders become
 // execute-time parameters and side-effecting statements are rejected
 // (preparing must not mutate the database). On the ad-hoc surface,
 // side-effecting statements (CREATE/INSERT/DROP) execute exactly once
-// here. vars is the session-variable snapshot to compile with: a fresh
-// one for ad-hoc queries, a Stmt's prepare-time snapshot on re-prepares
-// so the statement's meaning never drifts.
-func (db *DB) planFor(q string, opts QueryOptions, vars map[string]string, allowParams bool) (*cachedPlan, error) {
+// here.
+func (db *DB) planFor(q string, opts QueryOptions, allowParams bool) (*cachedPlan, error) {
 	current := db.catalog.Version()
-	sel, svars, err := db.splitScript(q, !allowParams, vars)
+	sel, vars, err := db.splitScript(q, !allowParams)
 	if db.catalog.Version() != current {
 		// The script's own DDL (even a partially applied one) moved the
 		// catalog under the result cache, exactly as in ExecContext.
@@ -956,27 +936,25 @@ func (db *DB) planFor(q string, opts QueryOptions, vars map[string]string, allow
 		return nil, err
 	}
 	db.compiles.Add(1)
-	return db.buildPlan(q, sel, svars, opts, allowParams, nil)
+	return db.buildPlan(q, sel, vars, opts, allowParams, nil)
 }
 
 // splitScript parses a query script into its single SELECT and the
-// statement-scoped variables: the provided session-var snapshot overlaid
-// with the script's DECLAREs. DECLAREs never write back to the engine — a
-// Query's variables are visible to that query alone (Exec DECLARE is the
-// session-level API). Side-effecting statements run via execOne when
-// allowSideEffects is set and are rejected otherwise (Prepare/Explain).
-func (db *DB) splitScript(q string, allowSideEffects bool, base map[string]string) (sel *sql.SelectStmt, vars map[string]string, err error) {
+// variables its DECLAREs bind. They are visible to that statement alone:
+// nothing outlives the script. Side-effecting statements run via execOne
+// when allowSideEffects is set and are rejected otherwise
+// (Prepare/Explain).
+func (db *DB) splitScript(q string, allowSideEffects bool) (sel *sql.SelectStmt, vars map[string]string, err error) {
 	stmts, err := sql.ParseScript(q)
 	if err != nil {
 		return nil, nil, err
 	}
-	vars = make(map[string]string, len(base))
-	for k, v := range base {
-		vars[k] = v
-	}
 	for _, st := range stmts {
 		switch x := st.(type) {
 		case *sql.DeclareStmt:
+			if vars == nil {
+				vars = map[string]string{}
+			}
 			vars[x.Name] = x.Value
 		case *sql.SelectStmt:
 			if sel != nil {
@@ -1034,7 +1012,7 @@ func (db *DB) buildPlan(q string, sel *sql.SelectStmt, vars map[string]string, o
 	// Each model operator keys its tensor sessions by its own model's stored
 	// hash (a new version of the model strands them by that prefix). An
 	// optimized model is specialized to what it was compiled from — the
-	// planKey (text, referenced variables, every option) and the
+	// planKey (text, its DECLAREs included, and every option) and the
 	// catalog — which joins the key so differently-specialized sessions
 	// never collide, while identical repeated queries (warm runs) still hit.
 	// A model specialized by statistics is specialized to the data as well:
@@ -1043,7 +1021,7 @@ func (db *DB) buildPlan(q string, sel *sql.SelectStmt, vars map[string]string, o
 	if !opts.DisableSessionCache && !(specialized && opts.UseStatistics) {
 		suffix := ""
 		if specialized {
-			sum := sha256.Sum256(fmt.Appendf(nil, "%d|%s", version, db.planKey(q, opts, allowParams, vars)))
+			sum := sha256.Sum256(fmt.Appendf(nil, "%d|%s", version, db.planKey(q, opts, allowParams)))
 			suffix = "#" + hex.EncodeToString(sum[:8])
 		}
 		for _, op := range res.Graph.ModelOps() {
@@ -1119,7 +1097,7 @@ func (db *DB) lower(ctx context.Context, graph *ir.Graph, opts QueryOptions) (ex
 func (db *DB) Explain(q string, opts QueryOptions) (string, error) {
 	// Same statement-scoped DECLARE handling as Query/Prepare, and like
 	// Prepare, explaining must not mutate the database.
-	sel, vars, err := db.splitScript(q, false, db.varsSnapshot())
+	sel, vars, err := db.splitScript(q, false)
 	if err != nil {
 		return "", err
 	}

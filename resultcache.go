@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"runtime"
 	"sort"
-	"strings"
 	"time"
 
 	"raven/internal/exec"
@@ -19,8 +18,8 @@ import (
 )
 
 // WithResultCache enables the semantic result cache: maxBytes of
-// materialized query results, keyed by (SQL, options fingerprint,
-// referenced session variables, parameter values) and validated at
+// materialized query results, keyed by (SQL text with its DECLAREs,
+// options fingerprint, parameter values) and validated at
 // lookup against the catalog version and the data versions of every
 // table the plan reads — so DDL, model stores and INSERTs all
 // invalidate exactly the entries they affect. Hits are served before
@@ -99,13 +98,13 @@ func (db *DB) resultCacheEligible(ctx context.Context, opts QueryOptions, q stri
 	return sql.ClassifyScript(q) == sql.ScriptReadOnly
 }
 
-// resultKey extends planKey (SQL, options fingerprint, referenced vars)
-// with the execute-time parameter values — the full semantic identity
-// of one result. The catalog and data versions are
-// deliberately absent: they are validated at lookup, so an invalidated
-// entry is dropped (and counted) instead of stranded under a dead key.
-func (db *DB) resultKey(q string, opts QueryOptions, allowParams bool, vars map[string]string, params []Param) string {
-	key := db.planKey(q, opts, allowParams, vars)
+// resultKey extends planKey (SQL, options fingerprint) with the
+// execute-time parameter values — the full semantic identity of one
+// result. The catalog and data versions are deliberately absent: they
+// are validated at lookup, so an invalidated entry is dropped (and
+// counted) instead of stranded under a dead key.
+func (db *DB) resultKey(q string, opts QueryOptions, allowParams bool, params []Param) string {
+	key := db.planKey(q, opts, allowParams)
 	if len(params) == 0 {
 		return key
 	}
@@ -123,66 +122,14 @@ func (db *DB) resultKey(q string, opts QueryOptions, allowParams bool, vars map[
 // compiled plan, and so the stem of the result-cache key and of a
 // specialized model's session key. Execution knobs (parallelism, morsel
 // size, thresholds) are deliberately absent — they are applied when the
-// template lowers to operators, so one result serves every DOP. vars is
-// the session-variable snapshot the caller also compiles with, so key
-// and plan cannot disagree under a concurrent Exec DECLARE.
-func (db *DB) planKey(q string, opts QueryOptions, allowParams bool, vars map[string]string) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "x=%t s=%t di=%t dn=%t dp=%t dj=%t m=%d dc=%t ap=%t",
+// template lowers to operators, so one result serves every DOP. The
+// variables a statement binds are its own DECLAREs, so they are in q.
+func (db *DB) planKey(q string, opts QueryOptions, allowParams bool) string {
+	return fmt.Sprintf("x=%t s=%t di=%t dn=%t dp=%t dj=%t m=%d dc=%t ap=%t|%s",
 		opts.CrossOptimize, opts.UseStatistics,
 		opts.DisableInlining, opts.DisableNNTranslation, opts.DisablePruning,
 		opts.DisableProjectionPushdown, opts.Mode,
-		opts.DisableSessionCache, allowParams)
-	// Session variables bind as literals, so the ones this statement
-	// references are compile inputs too. Only referenced vars enter the
-	// key: otherwise every unrelated DECLARE would strand the whole
-	// cache's entries under dead keys. The reference scan is textual
-	// (cheap, runs before parsing); a false positive — an @name inside a
-	// string literal — only adds harmless key entropy.
-	if len(vars) > 0 {
-		names := make([]string, 0, len(vars))
-		for k := range vars {
-			if referencesVar(q, k) {
-				names = append(names, k)
-			}
-		}
-		if len(names) > 0 {
-			sort.Strings(names)
-			// Length-prefix each field so values containing the join
-			// characters cannot collide two different environments onto
-			// one fingerprint.
-			h := sha256.New()
-			for _, k := range names {
-				fmt.Fprintf(h, "%d:%s=%d:%s;", len(k), k, len(vars[k]), vars[k])
-			}
-			sb.WriteString("|v=" + hex.EncodeToString(h.Sum(nil)[:8]))
-		}
-	}
-	sb.WriteString("|")
-	sb.WriteString(q)
-	return sb.String()
-}
-
-// referencesVar reports whether q contains an @name token for the given
-// variable, requiring a non-identifier character after the name so @min
-// does not match @minage.
-func referencesVar(q, name string) bool {
-	for i := 0; i+len(name) < len(q); {
-		j := strings.Index(q[i:], "@"+name)
-		if j < 0 {
-			return false
-		}
-		end := i + j + 1 + len(name)
-		if end >= len(q) || !isIdentChar(q[end]) {
-			return true
-		}
-		i = end
-	}
-	return false
-}
-
-func isIdentChar(c byte) bool {
-	return c == '_' || (c >= '0' && c <= '9') || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+		opts.DisableSessionCache, allowParams, q)
 }
 
 // sweepStaleResults eagerly drops result-cache entries computed against

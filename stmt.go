@@ -15,8 +15,8 @@ import (
 // by inference at bind time: "120" compares numerically, "true"/"false"
 // become BIT, anything else stays VARCHAR. A numeric-looking value
 // against a VARCHAR column therefore fails loudly with a type error
-// rather than comparing as a string — unlike DECLARE session variables,
-// which always bind as VARCHAR.
+// rather than comparing as a string — unlike DECLAREd variables, which
+// always bind as VARCHAR.
 type Param struct {
 	Name  string
 	Value string
@@ -68,10 +68,6 @@ type Stmt struct {
 	db   *DB
 	sql  string
 	opts QueryOptions
-	// vars is the session-variable snapshot taken at Prepare time. Re-
-	// prepares (after DDL or model stores) reuse it, so a Stmt's meaning
-	// never drifts when the session later re-DECLAREs a variable.
-	vars map[string]string
 
 	mu   sync.Mutex
 	plan *cachedPlan
@@ -106,7 +102,7 @@ func (db *DB) PrepareContextWithOptions(ctx context.Context, q string, opts Quer
 		return nil, err
 	}
 	defer release()
-	s := &Stmt{db: db, sql: q, opts: opts, vars: db.varsSnapshot()}
+	s := &Stmt{db: db, sql: q, opts: opts}
 	if _, err := s.template(); err != nil {
 		return nil, err
 	}
@@ -125,7 +121,7 @@ func (s *Stmt) template() (*cachedPlan, error) {
 	if s.plan != nil && s.plan.version == cur && !s.opts.UseStatistics {
 		return s.plan, nil
 	}
-	p, err := s.db.planFor(s.sql, s.opts, s.vars, true)
+	p, err := s.db.planFor(s.sql, s.opts, true)
 	if err != nil {
 		return nil, err
 	}
@@ -181,10 +177,10 @@ func (s *Stmt) Query(params ...Param) (*Rows, error) {
 // predictor. Prepared executions pass through the same admission control
 // as ad-hoc queries (the slot is held until Rows.Close), so a fleet of
 // warm statements cannot oversubscribe the engine either. The result
-// cache is keyed with the prepare-time variable snapshot (exactly what
-// template() compiles with) plus the call's parameter values.
+// cache is keyed with the statement text (its DECLAREs included) plus
+// the call's parameter values.
 func (s *Stmt) QueryContext(ctx context.Context, params ...Param) (*Rows, error) {
-	return s.db.run(ctx, s.sql, s.opts, s.vars, true, params, s.template)
+	return s.db.run(ctx, s.sql, s.opts, true, params, s.template)
 }
 
 // QueryContextParams is the ad-hoc parameterized query surface: like
@@ -196,8 +192,7 @@ func (s *Stmt) QueryContext(ctx context.Context, params ...Param) (*Rows, error)
 // bursts of parameterized SQL. Side-effecting statements are rejected,
 // exactly as in Prepare.
 func (db *DB) QueryContextParams(ctx context.Context, q string, opts QueryOptions, params ...Param) (*Rows, error) {
-	vars := db.varsSnapshot()
-	return db.run(ctx, q, opts, vars, true, params, func() (*cachedPlan, error) { return db.planFor(q, opts, vars, true) })
+	return db.run(ctx, q, opts, true, params, func() (*cachedPlan, error) { return db.planFor(q, opts, true) })
 }
 
 // paramValues validates the supplied params against the declared set:
