@@ -5,7 +5,7 @@ COVER_FLOOR ?= 70
 # Ceiling for `make loc` (non-test Go lines, benchmark/ excluded): the
 # current total rounded up to the next 50. ROADMAP aim 2 says the number
 # goes down; a PR that lowers it lowers this with it.
-LOC_CEILING ?= 26550
+LOC_CEILING ?= 26400
 
 .PHONY: all build test test-benchmark race vet fmt-check fuzz bench bench-micro cover smoke loc ci
 
@@ -91,7 +91,9 @@ bench-micro:
 # INT columns and range filters against the spans a narrowed scan reads,
 # random typed rows against encoding/json's NDJSON bytes, and arbitrary
 # log files against WAL replay (no panic, allocation bounded by the file,
-# the good offset on a frame boundary).
+# the good offset on a frame boundary), and arbitrary SQL against the pg
+# front end's $n rewrite (no panic, at most 32767 parameters, a second
+# pass changes nothing).
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzForestKernel -fuzztime=5s ./internal/ml
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentReader -fuzztime=5s ./internal/segment
@@ -99,6 +101,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzTableSpans -fuzztime=5s ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzNDJSONRow -fuzztime=5s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=5s ./internal/wal
+	$(GO) test -run='^$$' -fuzz=FuzzRewritePlaceholders -fuzztime=5s ./internal/pgwire
 
 # loc prints non-test Go lines per package, benchmark/ excluded — the
 # number ROADMAP aim 2 tracks — and fails above LOC_CEILING. It also
@@ -125,6 +128,9 @@ fuzz:
 # And it fails if storage grows a second write path: the catalog, its
 # tables and its model store log through their *Durable themselves, so
 # internal/storage declares no Backend interface and no ...Local( twin.
+# And it fails if the router balances load again: a replica's admission
+# 429 is the one load-shedding signal, so internal/cluster reads no
+# replica's queue (.Queue) and fetches no replica's stats (StatsContext).
 LOC_FILES = find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*'
 loc:
 	@$(LOC_FILES) | xargs wc -l | awk -v ceiling=$(LOC_CEILING) '$$2 != "total" { d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
@@ -149,6 +155,8 @@ loc:
 	if [ -n "$$tier" ]; then echo "FAIL: a second result-cache tier in the router:"; echo "$$tier"; exit 1; fi
 	@twin=$$($(LOC_FILES) -path './internal/storage/*' | xargs grep -nE 'type Backend interface|func (\([^)]*\) )?[a-z][A-Za-z]*Local\(' || true); \
 	if [ -n "$$twin" ]; then echo "FAIL: a second storage write path:"; echo "$$twin"; exit 1; fi
+	@spill=$$($(LOC_FILES) -path './internal/cluster/*' | xargs grep -nE 'StatsContext\(|\.Queue\b' || true); \
+	if [ -n "$$spill" ]; then echo "FAIL: the router reads replica load or fans out /stats:"; echo "$$spill"; exit 1; fi
 
 # ci runs the suite twice, not three times: cover subsumes a plain
 # `make test` (same tests, plus the coverage floor and cover.out), so
@@ -157,5 +165,6 @@ loc:
 # and ravenrouter children) and by their packages' own tests. loc holds
 # the line-count ceiling and the structural guards; fuzz is five seconds
 # each of the tree kernel's, the segment reader's, the join's, the scan
-# spans', the NDJSON encoder's and WAL replay's fuzzers.
+# spans', the NDJSON encoder's, WAL replay's and the pg placeholder
+# rewrite's fuzzers.
 ci: fmt-check build vet loc cover race fuzz test-benchmark smoke

@@ -14,17 +14,21 @@
 // membership (healthy / degraded / draining / down; two failed probes
 // mark a replica down). Reads route by rendezvous-hashed tenant
 // affinity — a tenant's queries keep hitting the same replica, so its
-// result cache and statement registry stay warm — spilling to the
-// least-loaded healthy replica when the home's admission queue is 4
-// deep, with up to 3 attempts across replicas (exponential backoff +
-// jitter). Side-effect scripts (POST /query without a SELECT) and
-// stored models (POST /model) replicate to every replica through an
-// ordered log with catalog-version read-back; replicas that restart or
-// miss entries are repaired by replay before they take traffic again.
+// result cache and statement registry stay warm — with up to 3 attempts
+// across replicas in rank order (exponential backoff + jitter). A
+// replica that refuses a read (429 from a full admission queue, 503
+// while draining) or cannot be reached is retried on the next one; the
+// replicas' admission is the one place load is shed. Side-effect
+// scripts (POST /query without a SELECT) and stored models (POST /model)
+// replicate to every replica through an ordered log with
+// catalog-version read-back; replicas that restart or miss entries are
+// repaired by replay before they take traffic again.
 // Prepared statements get router-side ids, prepared lazily per replica
 // and re-prepared transparently after a replica restart. GET /stats
-// aggregates the whole cluster; GET /healthz is 200 while at least one
-// replica is routable.
+// reports the router's counters and its view of each replica (state,
+// replication progress); each replica's own counters are on its own
+// /stats. GET /healthz is 200 while at least one replica is routable,
+// 503 "unavailable" otherwise.
 package main
 
 import (

@@ -227,13 +227,25 @@ func splitScript(s string) []scriptItem {
 
 // run executes one statement group: through Exec when it holds no
 // SELECT, else as one query script (the engine runs its side effects
-// and streams the SELECT).
+// and streams the SELECT). Explain runs nothing, so under -explain the
+// group's DDL and INSERTs go through Exec first and its DECLAREs are
+// explained with the SELECT they bind for.
 func run(w io.Writer, db *raven.DB, stmt string, explain bool, timeout time.Duration, cacheOn bool) error {
 	if sql.ClassifyScript(stmt) == sql.ScriptSideEffectsOnly {
 		return db.Exec(stmt)
 	}
 	if explain {
-		out, err := db.Explain(stmt, raven.DefaultQueryOptions())
+		var read []string
+		for _, s := range sql.SplitStatements(stmt) {
+			// Beside a SELECT, only a statement that is neither SELECT
+			// nor DECLARE makes a script mixed.
+			if sql.ClassifyScript(s+"\n;SELECT 1") != sql.ScriptMixed {
+				read = append(read, s)
+			} else if err := db.Exec(s); err != nil {
+				return err
+			}
+		}
+		out, err := db.Explain(strings.Join(read, ";"), raven.DefaultQueryOptions())
 		if err != nil {
 			return err
 		}

@@ -259,7 +259,7 @@ func TestReplicationAndAffinity(t *testing.T) {
 			t.Fatalf("prepared predict homed on %s diverges from ad hoc (err %v)", r.Name, err)
 		}
 	}
-	if st := tc.rt.Stats(context.Background()); st.Router.Members != 2 || st.Router.LogEntries != 2 {
+	if st := tc.rt.Stats(); st.Router.Members != 2 || st.Router.LogEntries != 2 {
 		t.Fatalf("cluster stats: %d members, %d log entries, want 2 and 2 (DDL + model)", st.Router.Members, st.Router.LogEntries)
 	}
 
@@ -393,14 +393,14 @@ func TestKillRetryRestartRepair(t *testing.T) {
 			t.Fatalf("read %d after kill diverged", i)
 		}
 	}
-	if got := tc.rt.Stats(ctx).Router.Retried; got == 0 {
+	if got := tc.rt.Stats().Router.Retried; got == 0 {
 		t.Fatal("router reports zero retries after routing past a dead replica")
 	}
 
 	// Two failed probes mark it down; reads still fine.
 	tc.rt.ProbeNow(ctx)
 	tc.rt.ProbeNow(ctx)
-	st := tc.rt.Stats(ctx)
+	st := tc.rt.Stats()
 	if st.Members[1].State != "down" {
 		t.Fatalf("killed replica state = %s, want down", st.Members[1].State)
 	}
@@ -419,7 +419,7 @@ func TestKillRetryRestartRepair(t *testing.T) {
 	}
 	tc.reps[1] = rep
 	tc.rt.ProbeNow(ctx)
-	st = tc.rt.Stats(ctx)
+	st = tc.rt.Stats()
 	if st.Members[1].State != "healthy" {
 		t.Fatalf("restarted replica state = %s, want healthy (repaired)", st.Members[1].State)
 	}
@@ -593,7 +593,7 @@ func TestFailingReplicationEntry(t *testing.T) {
 	// Nobody was degraded by the bad script and reconciling stays
 	// converged: reads keep working cluster-wide.
 	tc.rt.ProbeNow(ctx)
-	st := tc.rt.Stats(ctx)
+	st := tc.rt.Stats()
 	if st.Router.Healthy != 2 {
 		t.Fatalf("healthy = %d after a rejected script, want 2", st.Router.Healthy)
 	}
@@ -779,7 +779,7 @@ func TestRouterRefusesLikeReplica(t *testing.T) {
 	// Past 4 MiB a query body is refused unread, on both.
 	huge := fmt.Sprintf(`{"sql":"SELECT a FROM w","params":{"x":%q}}`, strings.Repeat("a", 5<<20))
 	same("/query", huge, http.StatusRequestEntityTooLarge)
-	if st := tc.rt.Stats(context.Background()); st.Router.LogEntries != 1 || st.Router.Statements != 0 {
+	if st := tc.rt.Stats(); st.Router.LogEntries != 1 || st.Router.Statements != 0 {
 		t.Fatalf("refused bodies reached the cluster: %d log entries, %d statements; want 1 and 0",
 			st.Router.LogEntries, st.Router.Statements)
 	}
@@ -898,9 +898,58 @@ func TestStartRoutesAtOnce(t *testing.T) {
 	}
 }
 
-// TestSpillOver (white box): a saturated home queue reorders targets to
-// the least-loaded replica.
-func TestSpillOver(t *testing.T) {
+// TestShedByAdmissionRetries: a replica sheds load one way, with its
+// admission queue's 429, and the router retries that refusal on the
+// next replica in rank order. The home here is a stub whose queue is
+// always full; the other replica answers the read and is named in
+// X-Raven-Replica.
+func TestShedByAdmissionRetries(t *testing.T) {
+	const stream = `{"columns":["a"],"types":["INT"]}` + "\n[1]\n" + `{"rows":1,"compile_ms":0,"exec_ms":0}` + "\n"
+	stub := func(query http.HandlerFunc) *httptest.Server {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
+			json.NewEncoder(w).Encode(server.Health{Status: "ok", CatalogVersion: 1})
+		})
+		mux.HandleFunc("POST /query", query)
+		return httptest.NewServer(mux)
+	}
+	full := stub(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		server.WriteJSON(w, http.StatusTooManyRequests, server.ErrorLine{Error: "admission queue full"})
+	})
+	defer full.Close()
+	free := stub(func(w http.ResponseWriter, _ *http.Request) { fmt.Fprint(w, stream) })
+	defer free.Close()
+
+	rt := New()
+	defer rt.Close()
+	for name, rep := range map[string]*httptest.Server{"a": full, "b": free} {
+		if err := rt.AddMember(name, rep.URL); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rt.ProbeNow(context.Background())
+	front := httptest.NewServer(rt.Handler())
+	defer front.Close()
+
+	tn := tenantHomedOn(rt, "a")
+	resp, err := http.Post(front.URL+"/query", "application/json", strings.NewReader(fmt.Sprintf(`{"sql":"SELECT a FROM t","tenant":%q}`, tn)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || string(b) != stream || resp.Header.Get("X-Raven-Replica") != "b" {
+		t.Fatalf("read homed on a full replica: status %d from %q: %q; want 200 from b", resp.StatusCode, resp.Header.Get("X-Raven-Replica"), b)
+	}
+	if got := rt.Stats().Router.Retried; got < 1 {
+		t.Fatalf("retried = %d after a 429 from the home, want >= 1", got)
+	}
+}
+
+// TestDrainingMemberLeavesTargets (white box): a draining member drops
+// out of the target set; the home leads while it is routable.
+func TestDrainingMemberLeavesTargets(t *testing.T) {
 	rt := New()
 	defer rt.Close()
 	if err := rt.AddMember("a", "http://127.0.0.1:1"); err != nil {
@@ -913,22 +962,9 @@ func TestSpillOver(t *testing.T) {
 	ma, mb := rt.members["a"], rt.members["b"]
 	ma.setState(StateHealthy)
 	mb.setState(StateHealthy)
-
-	// Unsaturated: home leads.
-	if got := rt.targetsFor(tn)[0]; got != ma {
-		t.Fatalf("unsaturated: home is %s, want a", got.name)
+	if targets := rt.targetsFor(tn); len(targets) != 2 || targets[0] != ma {
+		t.Fatalf("targets %v, want home a first of two", targets)
 	}
-	// Saturate the home's probed queue: spill to b.
-	ma.probeMu.Lock()
-	ma.health.Queue = 10
-	ma.probeMu.Unlock()
-	if got := rt.targetsFor(tn)[0]; got != mb {
-		t.Fatalf("saturated: leads with %s, want spill to b", got.name)
-	}
-	if rt.spilled.Load() == 0 {
-		t.Fatal("spill counter not incremented")
-	}
-	// Draining members drop out of the target set entirely.
 	mb.setState(StateDraining)
 	targets := rt.targetsFor(tn)
 	if len(targets) != 1 || targets[0] != ma {

@@ -48,19 +48,16 @@ func (s MemberState) String() string {
 
 // member is one replica as the router sees it: the desired half (name,
 // base URL, client) is set at registration; the actual half (state,
-// last probe, replication progress) converges via the reconciler.
+// probe failures, replication progress) converges via the reconciler.
 type member struct {
 	name string
 	base string
 	c    *server.Client
 
 	state atomic.Int32 // MemberState
-
-	// probeMu guards the last-probe snapshot.
-	probeMu     sync.Mutex
-	health      server.Health // last successful probe body
-	lastSeen    time.Time     // when that probe landed
-	consecFails int
+	// consecFails counts probes in a row that reached nothing. Start, the
+	// loop and ProbeNow may probe at once, so it is atomic.
+	consecFails atomic.Int32
 
 	// applyMu serializes replication onto this member: the fan-out path
 	// and the repair path share one replay routine, so entries apply in
@@ -78,18 +75,11 @@ type member struct {
 	// first use and wiped when a restart is detected.
 	stmtMu sync.Mutex
 	stmts  map[string]string
-
-	inflight atomic.Int64 // queries the router currently has on this member
 }
 
 func (m *member) getState() MemberState  { return MemberState(m.state.Load()) }
 func (m *member) setState(s MemberState) { m.state.Store(int32(s)) }
 func (m *member) routable() bool         { return m.getState() == StateHealthy }
-func (m *member) lastHealth() server.Health {
-	m.probeMu.Lock()
-	defer m.probeMu.Unlock()
-	return m.health
-}
 
 // forgetStmts wipes the replica-side statement ids (the registry died
 // with the old process); the next execution re-prepares lazily.
@@ -164,28 +154,19 @@ func (rt *Router) probeMember(ctx context.Context, m *member) {
 	pctx, pcancel := context.WithTimeout(ctx, probeTimeout)
 	h, err := m.c.Health(pctx)
 	pcancel()
-	now := time.Now()
 
 	if err != nil && h == nil {
 		// Transport-level failure: unreachable. One blip is tolerated
 		// (a restarting replica closes its listener briefly); crossing
 		// the threshold marks it down.
-		m.probeMu.Lock()
-		m.consecFails++
-		fails := m.consecFails
-		m.probeMu.Unlock()
-		if fails >= failThreshold {
+		if m.consecFails.Add(1) >= failThreshold {
 			m.setState(StateDown)
 		}
 		return
 	}
 
 	// Reachable (200, or 503 with a parsed draining body).
-	m.probeMu.Lock()
-	m.consecFails = 0
-	m.health = *h
-	m.lastSeen = now
-	m.probeMu.Unlock()
+	m.consecFails.Store(0)
 
 	if h.Status == "draining" {
 		m.setState(StateDraining)

@@ -8,7 +8,7 @@
 //   - ring.go: rendezvous (highest-random-weight) hashing gives every
 //     tenant a stable home replica, keeping that replica's result cache
 //     and statement registry warm for the tenant's query shapes, with a
-//     deterministic spill order when the home is saturated or down.
+//     deterministic retry order when the home refuses or is down.
 //   - member.go: replica membership. A reconciler loop probes each member's
 //     /healthz on a jittered interval and converges the desired member
 //     set (what the operator registered) with the actual one (what is
@@ -20,9 +20,11 @@
 //   - router.go: the data plane — a streaming proxy on the replica's
 //     routes, decoding bodies and X-Raven-* headers with
 //     internal/server's code and forwarding every request-option
-//     header, with per-replica retry (exponential backoff + jitter),
-//     router-side prepared statements lazily prepared per replica, and
-//     aggregated cluster stats. Its tuning is constants, not options.
+//     header, with per-replica retry (exponential backoff + jitter) and
+//     router-side prepared statements lazily prepared per replica. A
+//     replica's own admission is the one place load is shed: its 429 is
+//     retried on the next replica in rank order. Its tuning is
+//     constants, not options.
 //
 // The router caches no results: a repeated read is answered by the home
 // replica's own engine result cache (raven.WithResultCache), which
@@ -36,7 +38,7 @@ import (
 
 // rankMembers orders member names by rendezvous (HRW) score for a
 // tenant, highest first: index 0 is the tenant's home replica, the rest
-// the deterministic spill order. Rendezvous hashing gives minimal
+// the deterministic retry order. Rendezvous hashing gives minimal
 // disruption — adding or removing one member only moves the tenants
 // whose top choice changed, so the other replicas' result caches and
 // statement registries stay warm.

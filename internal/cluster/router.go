@@ -35,11 +35,6 @@ const (
 	// failThreshold is how many consecutive probe failures mark a
 	// member down (one blip is a restarting listener).
 	failThreshold = 2
-	// spillQueueDepth: when the home replica's probed admission queue is
-	// at least this deep, the tenant's queries spill to the least-loaded
-	// healthy replica instead (affinity is a warm-cache optimization,
-	// not a correctness constraint).
-	spillQueueDepth = 4
 	// applyTimeout bounds applying a single replication-log entry to one
 	// replica — fan-out and reconciler repair both. Slow entries (a long
 	// TRAIN, a large model upload) need a budget decoupled from probe
@@ -52,9 +47,11 @@ const (
 
 // Router fronts N ravenserved replicas with the replica wire protocol:
 // POST /query, /prepare, /stmt/{id}/query, DELETE /stmt/{id}, POST
-// /model, GET /healthz and GET /stats (the last aggregated across the
-// cluster). Reads route by tenant affinity with spill-over and retry;
-// side effects replicate to every member through the ordered log.
+// /model, GET /healthz and GET /stats (the router's own counters and
+// its view of each member). Reads route by tenant affinity, retrying a
+// refused or failed attempt on the next member in rank order; a full
+// admission queue on a replica (429) is the one load-shedding signal.
+// Side effects replicate to every member through the ordered log.
 // Create with New, register replicas with AddMember, run the reconciler
 // with Start, serve Handler().
 type Router struct {
@@ -78,9 +75,8 @@ type Router struct {
 	started  atomic.Bool
 	closed   atomic.Bool
 
-	routed, spilled, retried atomic.Uint64
-	reprepared, repairs      atomic.Uint64
-	skipped                  atomic.Uint64
+	routed, retried, reprepared atomic.Uint64
+	repairs, skipped            atomic.Uint64
 }
 
 // routerStmt is a router-side prepared statement: the prepare request
@@ -180,53 +176,23 @@ func (rt *Router) snapshotMembers() []*member {
 // pinned to a chosen replica.
 func (rt *Router) HomeFor(tenant string) string {
 	rt.mu.Lock()
-	names := append([]string(nil), rt.names...)
-	rt.mu.Unlock()
-	if len(names) == 0 {
+	defer rt.mu.Unlock()
+	if len(rt.names) == 0 {
 		return ""
 	}
-	return rankMembers(tenant, names)[0]
+	return rankMembers(tenant, rt.names)[0]
 }
 
-// targetsFor returns the routable members for a tenant in try-order:
-// the rendezvous home first, unless its probed queue is saturated, in
-// which case the least-loaded routable member leads (spill-over) and
-// the rest follow in rank order as retry fallbacks.
+// targetsFor returns the routable members for a tenant in rendezvous
+// rank order: the home first, the rest retry fallbacks.
 func (rt *Router) targetsFor(tenant string) []*member {
 	rt.mu.Lock()
-	names := append([]string(nil), rt.names...)
-	members := make(map[string]*member, len(rt.members))
-	for n, m := range rt.members {
-		members[n] = m
-	}
-	rt.mu.Unlock()
-
+	defer rt.mu.Unlock()
 	var routable []*member
-	for _, n := range rankMembers(tenant, names) {
-		if m := members[n]; m != nil && m.routable() {
+	for _, n := range rankMembers(tenant, rt.names) {
+		if m := rt.members[n]; m.routable() {
 			routable = append(routable, m)
 		}
-	}
-	if len(routable) < 2 {
-		return routable
-	}
-	home := routable[0]
-	if home.lastHealth().Queue < spillQueueDepth {
-		return routable
-	}
-	// Home saturated: lead with the least-loaded routable member
-	// (probed queue plus what this router has in flight there — the
-	// probe can be a tick stale).
-	best, bestLoad := 0, int64(1<<62)
-	for i, m := range routable {
-		load := int64(m.lastHealth().Queue) + m.inflight.Load()
-		if load < bestLoad {
-			best, bestLoad = i, load
-		}
-	}
-	if best != 0 {
-		rt.spilled.Add(1)
-		routable[0], routable[best] = routable[best], routable[0]
 	}
 	return routable
 }
@@ -284,9 +250,7 @@ func (rt *Router) tryMember(ctx context.Context, m *member, path string, body []
 	}
 	req.Header.Set("Content-Type", "application/json")
 	reqopt.CopyHeaders(req.Header, hdr)
-	m.inflight.Add(1)
 	resp, err := http.DefaultClient.Do(req)
-	m.inflight.Add(-1)
 	return attempt{m: m, resp: resp, err: err, cancel: cancel}
 }
 
@@ -399,9 +363,7 @@ func (rt *Router) relay(w http.ResponseWriter, a attempt) {
 		fw.f = f
 	}
 	w.WriteHeader(a.resp.StatusCode)
-	a.m.inflight.Add(1)
 	io.Copy(fw, a.resp.Body)
-	a.m.inflight.Add(-1)
 }
 
 // ---- handlers ----
@@ -567,12 +529,11 @@ func (rt *Router) handleStmtDelete(w http.ResponseWriter, r *http.Request) {
 
 // ---- observability ----
 
-// RouterStats is the router's own half of cluster stats.
+// RouterStats is the router's own counters.
 type RouterStats struct {
 	Members    int    `json:"members"`
 	Healthy    int    `json:"healthy"`
 	Routed     uint64 `json:"routed"`
-	Spilled    uint64 `json:"spilled"`
 	Retried    uint64 `json:"retried"`
 	Reprepared uint64 `json:"reprepared"`
 	Repairs    uint64 `json:"repairs"`
@@ -585,63 +546,43 @@ type RouterStats struct {
 	Statements int    `json:"statements"`
 }
 
-// MemberInfo is one replica's row in cluster stats.
+// MemberInfo is one replica as the reconciler sees it. A replica's own
+// counters are on its own GET /stats.
 type MemberInfo struct {
-	Name        string                `json:"name"`
-	Base        string                `json:"base"`
-	State       string                `json:"state"`
-	Health      server.Health         `json:"health"`
-	AppliedSeq  uint64                `json:"applied_seq"`
-	LastVersion uint64                `json:"last_version"`
-	Inflight    int64                 `json:"inflight"`
-	Stats       *server.StatsResponse `json:"stats,omitempty"`
-	StatsError  string                `json:"stats_error,omitempty"`
+	Name        string `json:"name"`
+	Base        string `json:"base"`
+	State       string `json:"state"`
+	AppliedSeq  uint64 `json:"applied_seq"`
+	LastVersion uint64 `json:"last_version"`
 }
 
-// ClusterStats is the body of the router's GET /stats: the cluster
-// aggregated, not one replica's view.
+// ClusterStats is the body of the router's GET /stats.
 type ClusterStats struct {
 	Router  RouterStats  `json:"router"`
 	Members []MemberInfo `json:"members"`
 }
 
-// Stats aggregates the cluster: router counters plus, per member, its
-// reconciler view and (for reachable members) a live /stats fetch.
-func (rt *Router) Stats(ctx context.Context) ClusterStats {
+// Stats reports the router's counters and, per member, its reconciler
+// view. It asks no replica anything.
+func (rt *Router) Stats() ClusterStats {
 	members := rt.snapshotMembers()
 	infos := make([]MemberInfo, len(members))
-	var wg sync.WaitGroup
 	healthy := 0
 	for i, m := range members {
 		if m.routable() {
 			healthy++
 		}
-		wg.Add(1)
-		go func(i int, m *member) {
-			defer wg.Done()
-			m.applyMu.Lock()
-			applied, version := m.appliedSeq.Load(), m.lastVersion
-			m.applyMu.Unlock()
-			info := MemberInfo{
-				Name:        m.name,
-				Base:        m.base,
-				State:       m.getState().String(),
-				Health:      m.lastHealth(),
-				AppliedSeq:  applied,
-				LastVersion: version,
-				Inflight:    m.inflight.Load(),
-			}
-			if m.getState() != StateDown {
-				if st, err := m.c.StatsContext(ctx); err == nil {
-					info.Stats = st
-				} else {
-					info.StatsError = err.Error()
-				}
-			}
-			infos[i] = info
-		}(i, m)
+		m.applyMu.Lock()
+		applied, version := m.appliedSeq.Load(), m.lastVersion
+		m.applyMu.Unlock()
+		infos[i] = MemberInfo{
+			Name:        m.name,
+			Base:        m.base,
+			State:       m.getState().String(),
+			AppliedSeq:  applied,
+			LastVersion: version,
+		}
 	}
-	wg.Wait()
 	rt.mu.Lock()
 	stmts := len(rt.stmts)
 	entries := rt.logSeq
@@ -651,7 +592,6 @@ func (rt *Router) Stats(ctx context.Context) ClusterStats {
 			Members:    len(members),
 			Healthy:    healthy,
 			Routed:     rt.routed.Load(),
-			Spilled:    rt.spilled.Load(),
 			Retried:    rt.retried.Load(),
 			Reprepared: rt.reprepared.Load(),
 			Repairs:    rt.repairs.Load(),
@@ -663,35 +603,20 @@ func (rt *Router) Stats(ctx context.Context) ClusterStats {
 	}
 }
 
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	ctx, cancel := context.WithTimeout(r.Context(), probeTimeout)
-	defer cancel()
-	server.WriteJSON(w, http.StatusOK, rt.Stats(ctx))
+func (rt *Router) handleStats(w http.ResponseWriter, _ *http.Request) {
+	server.WriteJSON(w, http.StatusOK, rt.Stats())
 }
 
 // handleHealthz reports the router's own health: ok while at least one
-// member is routable. The aggregate queue/active gauges let a
-// load balancer in front of several routers spill between them the
-// same way routers spill between replicas.
+// member is routable, unavailable (503) otherwise. The body carries the
+// status alone; members' catalog versions are on GET /stats.
 func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	h := server.Health{Status: "ok"}
-	healthy := 0
+	status, code := "unavailable", http.StatusServiceUnavailable
 	for _, m := range rt.snapshotMembers() {
-		if !m.routable() {
-			continue
-		}
-		healthy++
-		lh := m.lastHealth()
-		h.Queue += lh.Queue
-		h.Active += lh.Active
-		if lh.CatalogVersion > h.CatalogVersion {
-			h.CatalogVersion = lh.CatalogVersion
+		if m.routable() {
+			status, code = "ok", http.StatusOK
+			break
 		}
 	}
-	status := http.StatusOK
-	if healthy == 0 {
-		h.Status = "unavailable"
-		status = http.StatusServiceUnavailable
-	}
-	server.WriteJSON(w, status, h)
+	server.WriteJSON(w, code, map[string]string{"status": status})
 }

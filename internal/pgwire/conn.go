@@ -640,9 +640,11 @@ func appendText(dst []byte, v *types.Vector, i int) []byte {
 // pg lexer would not treat as a parameter: single-quoted literals,
 // double-quoted identifiers, line (--) and block (/* */, nesting)
 // comments, and dollar-quoted strings. A placeholder glued to an
-// identifier ("$1abc") is rejected like postgres rejects it. Returns
-// the rewritten text and the parameter count (the highest $n
-// referenced — pg semantics, where $2 alone implies two parameters).
+// identifier ("$1abc") is rejected like postgres rejects it, and so is
+// one past $32767, which no Bind can supply: Bind counts its values in
+// an int16. Returns the rewritten text and the parameter count (the
+// highest $n referenced — pg semantics, where $2 alone implies two
+// parameters).
 func rewritePlaceholders(q string) (string, int, error) {
 	var sb strings.Builder
 	sb.Grow(len(q) + 8)
@@ -702,14 +704,13 @@ func rewritePlaceholders(q string) (string, int, error) {
 				return "", 0, fmt.Errorf("bad parameter placeholder %q", q[i:j+1])
 			}
 			n, err := strconv.Atoi(q[i+1 : j])
-			if err != nil || n < 1 {
-				return "", 0, fmt.Errorf("bad parameter placeholder %q", q[i:j])
+			if err != nil || n < 1 || n > math.MaxInt16 {
+				return "", 0, fmt.Errorf("bad parameter placeholder %q (want $1 to $%d)", q[i:j], math.MaxInt16)
 			}
-			if n > maxN {
-				maxN = n
-			}
+			maxN = max(maxN, n)
+			// Bind names values p1..pn, so $01 is written @p1.
 			sb.WriteString("@p")
-			sb.WriteString(q[i+1 : j])
+			sb.WriteString(strconv.Itoa(n))
 			i = j
 		case ch == '$':
 			if end, ok := dollarQuoteEnd(q, i); ok {

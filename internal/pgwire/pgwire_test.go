@@ -158,6 +158,34 @@ func TestDeclareRefusedOverSimpleQuery(t *testing.T) {
 	}
 }
 
+// TestParseRefusesUnbindablePlaceholder: a placeholder past $32767 can
+// never be bound (Bind counts its values in an int16), so Parse refuses
+// it with 42601 instead of preparing a statement whose Describe would
+// list that many parameters; the connection then answers a query.
+func TestParseRefusesUnbindablePlaceholder(t *testing.T) {
+	db, _, addr := newTestServer(t, nil)
+	seedNums(t, db)
+	c := dial(t, addr, DialOptions{})
+	for _, ph := range []string{"$32768", "$999999999"} {
+		c.SendParse("big", `SELECT a FROM nums WHERE a = `+ph)
+		c.SendSync()
+		typ, payload, err := c.Recv()
+		if err != nil || typ != msgErrorResponse {
+			t.Fatalf("parse %s: got %q, %v; want an ErrorResponse", ph, typ, err)
+		}
+		if e := parsePgError(payload); e.Code != "42601" || !strings.Contains(e.Message, ph) {
+			t.Fatalf("parse %s: %+v, want 42601 naming it", ph, e)
+		}
+		if typ, _, err := c.Recv(); err != nil || typ != msgReadyForQuery {
+			t.Fatalf("after parse %s: %q, %v; want ReadyForQuery", ph, typ, err)
+		}
+	}
+	res, err := c.SimpleQuery(`SELECT a FROM nums WHERE a > 3`)
+	if err != nil || len(res) != 1 || res[0].Tag != "SELECT 1" {
+		t.Fatalf("query after the refusals: %+v, %v", res, err)
+	}
+}
+
 func TestExtendedProtocolSequence(t *testing.T) {
 	db, _, addr := newTestServer(t, nil)
 	seedNums(t, db)
@@ -559,7 +587,7 @@ func TestCancelRequest(t *testing.T) {
 
 	// Wait until the query is parked in the scheduler queue, then cancel.
 	deadline := time.Now().Add(5 * time.Second)
-	for db.SchedulerLoad().Waiting == 0 {
+	for db.Scheduler().Stats().Waiting == 0 {
 		if time.Now().After(deadline) {
 			t.Fatal("query never reached the scheduler queue")
 		}
@@ -669,7 +697,11 @@ func TestRewritePlaceholders(t *testing.T) {
 		{in: `SELECT $$lit $1$$ FROM t WHERE a = $2`, out: `SELECT $$lit $1$$ FROM t WHERE a = @p2`, n: 2},
 		{in: `SELECT $tag$body $1 $$ more$tag$ FROM t`, out: `SELECT $tag$body $1 $$ more$tag$ FROM t`, n: 0},
 		{in: `SELECT $$unterminated $1`, out: `SELECT $$unterminated $1`, n: 0},
-		{in: `SELECT a + $1abc FROM t`, isErr: true}, // placeholder glued to an identifier
+		{in: `SELECT a + $1abc FROM t`, isErr: true},              // placeholder glued to an identifier
+		{in: `SELECT $01 FROM t`, out: `SELECT @p1 FROM t`, n: 1}, // Bind names it p1
+		{in: `SELECT $32767 FROM t`, out: `SELECT @p32767 FROM t`, n: 32767},
+		{in: `SELECT $32768 FROM t`, isErr: true}, // past what Bind's int16 count can supply
+		{in: `SELECT $99999999999999999999 FROM t`, isErr: true},
 	}
 	for _, c := range cases {
 		out, n, err := rewritePlaceholders(c.in)

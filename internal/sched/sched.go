@@ -6,7 +6,10 @@
 // concurrent queries and total worker slots. Queries that do not fit wait
 // in a bounded queue with per-query timeouts and context cancellation;
 // queries that cannot even queue are rejected immediately, giving clients
-// a clean load-shedding signal instead of a collapsing server.
+// a clean load-shedding signal instead of a collapsing server. That
+// rejection is the cluster's only one too: a router in front of several
+// replicas retries it on the next replica rather than reading their
+// queues.
 //
 // # Tenants
 //
@@ -641,38 +644,6 @@ func (s *Scheduler) admitNextLocked() {
 		}
 		parked[w.ts] = true
 		i++
-	}
-}
-
-// Load is the scheduler's cheap point-in-time load signal: the gauges a
-// health probe needs — queue depth above all — without the per-tenant
-// map a full Stats snapshot allocates. Cluster routers read it (via
-// /healthz) on every probe to decide saturation spill-over, so it must
-// stay allocation-free under the mutex.
-type Load struct {
-	Active     int  `json:"active"`
-	Waiting    int  `json:"waiting"`
-	SlotsInUse int  `json:"slots_in_use"`
-	Draining   bool `json:"draining"`
-	// Limits echo the configuration so a reader can turn the gauges
-	// into a saturation ratio without a second request.
-	MaxConcurrent int `json:"max_concurrent"`
-	MaxSlots      int `json:"max_slots,omitempty"`
-	QueueDepth    int `json:"queue_depth"`
-}
-
-// Load snapshots the live gauges without building the tenant breakdown.
-func (s *Scheduler) Load() Load {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return Load{
-		Active:        s.active,
-		Waiting:       len(s.queue),
-		SlotsInUse:    s.slotsInUse,
-		Draining:      s.draining,
-		MaxConcurrent: s.opts.MaxConcurrent,
-		MaxSlots:      s.opts.MaxSlots,
-		QueueDepth:    s.opts.QueueDepth,
 	}
 }
 

@@ -203,8 +203,8 @@ func (c *Client) StatsContext(ctx context.Context) (*StatsResponse, error) {
 }
 
 // Health fetches /healthz as the full Health probe: status plus the
-// catalog version and scheduler load the cluster reconciler reads every
-// probe interval. On 503 the parsed Health is returned alongside the
+// catalog version the cluster reconciler reads every probe interval.
+// On 503 the parsed Health is returned alongside the
 // HTTPError, so a draining replica's probe still carries its signals.
 func (c *Client) Health(ctx context.Context) (*Health, error) {
 	ctx, cancel := c.reqCtx(ctx)

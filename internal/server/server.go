@@ -260,21 +260,16 @@ type ErrorLine struct {
 	Error string `json:"error"`
 }
 
-// Health is the body of GET /healthz: liveness plus the cheap load and
-// version signals a cluster router's probe loop needs without paying for
-// a full /stats snapshot. Status "ok" travels with 200; "draining" with
-// 503 from the moment a graceful drain begins (lame-duck phase
-// included, so probes stop routing before queries are refused).
+// Health is the body of GET /healthz: liveness plus the catalog version
+// a cluster router's probe loop reads. Status "ok" travels with 200;
+// "draining" with 503 from the moment a graceful drain begins (lame-duck
+// phase included, so probes stop routing before queries are refused).
+// Load is not on it: a replica sheds load by its admission queue's 429.
 type Health struct {
 	Status string `json:"status"`
 	// CatalogVersion lets a router detect replica divergence (missed DDL,
 	// lost state after a restart) from the probe alone.
 	CatalogVersion uint64 `json:"catalog_version"`
-	// Queue and Active are the admission scheduler's live gauges (zero
-	// without a scheduler); routers spill traffic away from replicas
-	// whose queue is deep.
-	Queue  int `json:"queue"`
-	Active int `json:"active"`
 }
 
 // ModelRequest is the body of POST /model: a serialized pipeline stored
@@ -592,13 +587,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	load := s.db.SchedulerLoad()
-	h := Health{
-		Status:         "ok",
-		CatalogVersion: s.db.CatalogVersion(),
-		Queue:          load.Waiting,
-		Active:         load.Active,
-	}
+	h := Health{Status: "ok", CatalogVersion: s.db.CatalogVersion()}
 	// Lame-duck counts: probes must see draining while queries still run,
 	// so routers stop routing before anything is refused.
 	status := http.StatusOK

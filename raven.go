@@ -484,22 +484,6 @@ type SchedulerStats = sched.Stats
 // is off) for stats and graceful drain.
 func (db *DB) Scheduler() *QueryScheduler { return db.sched }
 
-// SchedulerLoad is the scheduler's cheap load signal (see sched.Load),
-// aliased so API consumers can name it without importing internal
-// packages.
-type SchedulerLoad = sched.Load
-
-// SchedulerLoad snapshots the admission controller's live gauges —
-// queue depth above all — without the per-tenant allocation a full
-// Stats call pays. The zero Load is returned when admission control is
-// off (an unscheduled engine is never saturated). Health probes use it.
-func (db *DB) SchedulerLoad() SchedulerLoad {
-	if db.sched == nil {
-		return SchedulerLoad{}
-	}
-	return db.sched.Load()
-}
-
 // CatalogVersion is the catalog's monotonic version counter, bumped on
 // every DDL, unique-key change and model store. Cluster routers read it
 // back after replicating side effects to detect replica divergence.
