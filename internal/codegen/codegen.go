@@ -94,7 +94,7 @@ func (c *compiler) lower(n plan.Node, below func(plan.Node) (*exec.Exchange, err
 	switch x := n.(type) {
 	case *ir.ModelNode:
 		pipe := &ml.Pipeline{Steps: x.Steps, Final: x.M, InputColumns: x.InputCols}
-		return c.score(&x.Scorer, below, func() (exec.Predictor, error) { return c.predictor(&x.Scorer, pipe) })
+		return c.score(&x.Scorer, below, func() (exec.Predictor, error) { return c.predictor(&x.Scorer, pipe, x.TopK) })
 
 	case *ir.LANode:
 		return c.score(&x.Scorer, below, func() (exec.Predictor, error) {
@@ -145,12 +145,18 @@ func (c *compiler) score(op *ir.Scorer, below func(plan.Node) (*exec.Exchange, e
 	return input, input.Push(&exec.PredictStage{Predictor: pred, OutputCols: []types.Column{op.OutputCol}})
 }
 
-// predictor maps the configured mode to a predictor for pipe.
-func (c *compiler) predictor(op *ir.Scorer, pipe *ml.Pipeline) (exec.Predictor, error) {
+// predictor maps the configured mode to a predictor for pipe. In process,
+// a score bound gets a θ of its own: the bound lives as long as this
+// execution's operator tree, never in the plan a prepared statement keeps.
+// The other modes score every row.
+func (c *compiler) predictor(op *ir.Scorer, pipe *ml.Pipeline, topk *ir.ScoreBound) (exec.Predictor, error) {
 	cfg, outType := c.cfg, op.OutputCol.Type
 	r := cfg.runtime()
 	switch cfg.Mode {
 	case rt.ModeInProcess:
+		if topk != nil {
+			return &rt.TopKPredictor{PipelinePredictor: rt.NewPipelinePredictor(pipe, outType), Bound: ml.NewTopK(topk.K, topk.Desc)}, nil
+		}
 		return rt.NewPipelinePredictor(pipe, outType), nil
 	case rt.ModeInProcessNN:
 		return r.NNPredictor(c.sessionKey(op), pipe, outType)
@@ -189,7 +195,11 @@ func GenerateSQL(g *ir.Graph) string {
 	return "-- regenerated by Raven runtime code generator\n" + plan.Render(g.Root, "--   ", func(n plan.Node) []string {
 		switch x := n.(type) {
 		case *ir.ModelNode:
-			lines := []string{fmt.Sprintf("PREDICT %s(%s) AS %s", x.M.Kind(), strings.Join(x.InputCols, ", "), x.OutputCol.Name)}
+			line := fmt.Sprintf("PREDICT %s(%s) AS %s", x.M.Kind(), strings.Join(x.InputCols, ", "), x.OutputCol.Name)
+			if x.TopK != nil {
+				line += "; " + x.TopK.String()
+			}
+			lines := []string{line}
 			for _, st := range x.Steps {
 				lines = append(lines, "featurizer "+st.Kind())
 			}

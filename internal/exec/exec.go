@@ -33,6 +33,13 @@ type Predictor interface {
 	PredictBatch(b *types.Batch) ([]*types.Vector, error)
 }
 
+// SelectPredictor is a Predictor that may leave rows out: PredictSelect
+// returns the rows it kept, in order (nil keeps every row), and one output
+// vector per declared column over the kept rows alone.
+type SelectPredictor interface {
+	PredictSelect(b *types.Batch) (keep []int, outs []*types.Vector, err error)
+}
+
 // LimitOp truncates the stream after N rows.
 type LimitOp struct {
 	Child Operator

@@ -323,9 +323,10 @@ func (s *ProjectStage) Apply(b *types.Batch) (*types.Batch, error) {
 	return &types.Batch{Schema: s.out, Vecs: vecs}, nil
 }
 
-// PredictStage appends model output columns to each morsel. The Predictor
-// is shared by all workers and must be safe for concurrent PredictBatch
-// calls (all predictors in this repo are).
+// PredictStage appends model output columns to each morsel, and keeps
+// only the rows a SelectPredictor keeps. The Predictor is shared by all
+// workers and must be safe for concurrent calls (all predictors in this
+// repo are).
 type PredictStage struct {
 	Predictor  Predictor
 	OutputCols []types.Column
@@ -341,9 +342,23 @@ func (s *PredictStage) OutSchema(in *types.Schema) (*types.Schema, error) {
 
 // Apply implements Stage.
 func (s *PredictStage) Apply(b *types.Batch) (*types.Batch, error) {
-	outs, err := s.Predictor.PredictBatch(b)
+	var keep []int
+	var outs []*types.Vector
+	var err error
+	if sp, ok := s.Predictor.(SelectPredictor); ok {
+		keep, outs, err = sp.PredictSelect(b)
+	} else {
+		outs, err = s.Predictor.PredictBatch(b)
+	}
 	if err != nil {
 		return nil, err
+	}
+	switch {
+	case keep == nil || len(keep) == b.Len():
+	case len(keep) == 0:
+		return nil, nil
+	default:
+		b = b.Gather(keep)
 	}
 	if len(outs) != len(s.OutputCols) {
 		return nil, fmt.Errorf("exec: predictor returned %d columns, declared %d", len(outs), len(s.OutputCols))

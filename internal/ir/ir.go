@@ -109,6 +109,24 @@ type ModelNode struct {
 	// Steps featurize InputCols in order; M scores the last step's output.
 	Steps []ml.Transformer
 	M     ml.Model
+	// TopK, when set, says the score feeds only the first key of a bounded
+	// sort (xopt's topk-score-bound): a row that cannot reach that sort's
+	// first TopK.K may go unscored and unemitted.
+	TopK *ScoreBound
+}
+
+// ScoreBound is what a bounded sort asks of a model operator's score: the
+// K best, largest first when Desc.
+type ScoreBound struct {
+	K    int
+	Desc bool
+}
+
+func (b *ScoreBound) String() string {
+	if b.Desc {
+		return fmt.Sprintf("top %d DESC", b.K)
+	}
+	return fmt.Sprintf("top %d ASC", b.K)
 }
 
 // Cat is the operator category.
@@ -118,6 +136,9 @@ func (n *ModelNode) Cat() Category { return MLD }
 func (n *ModelNode) Clone() Node { c := *n; return &c }
 
 func (n *ModelNode) String() string {
+	if n.TopK != nil {
+		return fmt.Sprintf("model:%s -> %s; %s", n.M.Kind(), n.OutputCol.Name, n.TopK)
+	}
 	return fmt.Sprintf("model:%s -> %s", n.M.Kind(), n.OutputCol.Name)
 }
 

@@ -22,6 +22,14 @@ type kernel struct {
 	// tree starts from -0, the one float x + y leaves every x unchanged
 	// by, bit for bit, so its score is the leaf value itself.
 	init, inv float64
+	// hi[t] (lo[t]) is at least (at most) what trees t.. can still add to a
+	// row's sum: the sum of each one's largest (smallest) leaf, widened by
+	// 4·T·ε times the sum of the trees' largest leaf magnitudes — more than
+	// twice the rounding the sums being compared can carry. hi[T] = lo[T] =
+	// 0: the sum is then exact. bounded is false when a leaf or those sums
+	// are not finite, and the top-k walk then scores every row.
+	hi, lo  []float64
+	bounded bool
 }
 
 // kernelNode is one node. A leaf tests feature 0, whatever it holds, and
@@ -44,6 +52,8 @@ func compileKernel(trees []*DecisionTree, forest bool) (*kernel, error) {
 	if forest {
 		k.init, k.inv = 0, 1/float64(len(trees))
 	}
+	k.hi, k.lo = make([]float64, len(trees)+1), make([]float64, len(trees)+1)
+	var mag float64
 	for ti, t := range trees {
 		n, base := len(t.Feature), uint32(len(k.nodes))
 		if n == 0 || len(t.Threshold) != n || len(t.Left) != n || len(t.Right) != n || len(t.Value) != n || t.NFeat != k.nfeat {
@@ -68,7 +78,25 @@ func compileKernel(trees []*DecisionTree, forest bool) (*kernel, error) {
 		}
 		k.value = append(k.value, t.Value...)
 		k.trees = append(k.trees, kernelTree{root: base, depth: uint32(depth)})
+		hi, lo := math.Inf(-1), math.Inf(1)
+		for i, v := range t.Value {
+			if t.Leaf(i) {
+				hi, lo = max(hi, v), min(lo, v)
+			}
+		}
+		k.hi[ti], k.lo[ti] = hi, lo
+		mag += max(math.Abs(hi), math.Abs(lo)) // NaN or +Inf from any non-finite leaf
 	}
+	slack := 4 * float64(len(trees)) * 0x1p-52 * mag
+	for t := len(trees) - 1; t >= 0; t-- {
+		k.hi[t] += k.hi[t+1]
+		k.lo[t] += k.lo[t+1]
+	}
+	for t := range trees {
+		k.hi[t] += slack
+		k.lo[t] -= slack
+	}
+	k.bounded = !math.IsInf(mag, 0) && !math.IsNaN(mag)
 	slices.Sort(k.used)
 	k.used = slices.Compact(k.used)
 	return k, nil
@@ -100,6 +128,25 @@ func b2i(b bool) uint32 {
 // across the trees.
 const kernelTile = 64
 
+// tile returns sc's tile, grown to hold a tile of every feature.
+func (k *kernel) tile(sc *PredictScratch) []float64 {
+	if cap(sc.tile) < k.nfeat*kernelTile {
+		sc.tile = make([]float64, k.nfeat*kernelTile)
+	}
+	return sc.tile[:k.nfeat*kernelTile]
+}
+
+// gather copies rows lo..lo+n-1 of the features some node splits on into
+// the tile, feature f at tile[f*kernelTile:].
+func (k *kernel) gather(cols [][]float64, stride, lo, n int, tile []float64) {
+	for _, f := range k.used {
+		c, t := cols[f], tile[int(f)*kernelTile:]
+		for j := range n {
+			t[j] = c[(lo+j)*stride]
+		}
+	}
+}
+
 // score writes one score per element of out. Feature f of row r is
 // cols[f][r*stride]: stride 1 reads one slice per column, stride d the
 // columns of a row-major matrix d wide. The layout ends at the gather that
@@ -111,20 +158,12 @@ func (k *kernel) score(cols [][]float64, stride int, out []float64, sc *PredictS
 	if len(cols) != k.nfeat {
 		return fmt.Errorf("ml: tree expects %d features, got %d", k.nfeat, len(cols))
 	}
-	if cap(sc.tile) < k.nfeat*kernelTile {
-		sc.tile = make([]float64, k.nfeat*kernelTile)
-	}
-	tile, nodes, value := sc.tile[:k.nfeat*kernelTile], k.nodes, k.value
+	tile, nodes, value := k.tile(sc), k.nodes, k.value
 	var cur [kernelTile]uint32
 	for lo := 0; lo < len(out); lo += kernelTile {
 		acc := out[lo:min(lo+kernelTile, len(out))]
 		at := cur[:len(acc)] // the node each row of the tile stands on
-		for _, f := range k.used {
-			c, t := cols[f], tile[int(f)*kernelTile:]
-			for j := range acc {
-				t[j] = c[(lo+j)*stride]
-			}
-		}
+		k.gather(cols, stride, lo, len(acc), tile)
 		for j := range acc {
 			acc[j] = k.init
 		}
@@ -166,10 +205,16 @@ func scoreMatrix(m kernelled, in Matrix, out []float64, sc *PredictScratch) erro
 	if in.Rows == 0 {
 		return nil
 	}
+	return k.score(matrixCols(in, sc), in.Cols, out[:in.Rows], sc)
+}
+
+// matrixCols views a row-major matrix as one slice per column, each read
+// at stride in.Cols.
+func matrixCols(in Matrix, sc *PredictScratch) [][]float64 {
 	cols := sc.cols[:0]
 	for f := 0; f < in.Cols; f++ {
 		cols = append(cols, in.Data[f:])
 	}
 	sc.cols = cols
-	return k.score(cols, in.Cols, out[:in.Rows], sc)
+	return cols
 }

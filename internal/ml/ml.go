@@ -94,6 +94,7 @@ type PredictScratch struct {
 	cols   [][]float64 // per-feature views of a row-major matrix, for the tree kernel
 	tile   []float64   // the tree kernel's gathered features
 	matrix []float64   // PredictColumns' row-major chunk
+	heap   keyHeap     // PredictColumnsTopK's best keys of the call
 }
 
 // buffer returns a scratch slice of length n, alternating between two
@@ -162,20 +163,26 @@ func (p *Pipeline) PredictColumns(cols [][]float64, out []float64, sc *PredictSc
 		}
 		return k.score(cols, 1, out, sc)
 	}
+	return chunks(cols, len(out), sc, func(lo int, m Matrix) error { return p.PredictInto(m, out[lo:lo+m.Rows], sc) })
+}
+
+// chunks gathers rows 0..n-1 of cols into row-major chunks of at most
+// chunkBytes and hands each to fn with its first row.
+func chunks(cols [][]float64, n int, sc *PredictScratch, fn func(lo int, m Matrix) error) error {
 	d := len(cols)
 	chunk := max(chunkBytes/(8*max(d, 1)), 512)
 	if cap(sc.matrix) < chunk*d {
 		sc.matrix = make([]float64, chunk*d)
 	}
-	for lo := 0; lo < len(out); lo += chunk {
-		hi := min(lo+chunk, len(out))
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
 		m := Matrix{Data: sc.matrix[:(hi-lo)*d], Rows: hi - lo, Cols: d}
 		for j, c := range cols {
 			for i, x := range c[lo:hi] {
 				m.Data[i*d+j] = x
 			}
 		}
-		if err := p.PredictInto(m, out[lo:hi], sc); err != nil {
+		if err := fn(lo, m); err != nil {
 			return err
 		}
 	}
@@ -192,25 +199,9 @@ func (p *Pipeline) PredictInto(in Matrix, out []float64, sc *PredictScratch) err
 	if len(out) < in.Rows {
 		return fmt.Errorf("ml: PredictInto buffer holds %d rows, input has %d", len(out), in.Rows)
 	}
-	cur := in
-	for i, s := range p.Steps {
-		ti, ok := s.(TransformerInto)
-		if !ok {
-			var err error
-			cur, err = s.Transform(cur)
-			if err != nil {
-				return fmt.Errorf("ml: pipeline step %d (%s): %w", i, s.Kind(), err)
-			}
-			continue
-		}
-		d, err := s.OutputDim(cur.Cols)
-		if err != nil {
-			return fmt.Errorf("ml: pipeline step %d (%s): %w", i, s.Kind(), err)
-		}
-		cur, err = ti.TransformInto(cur, sc.buffer(cur.Rows*d))
-		if err != nil {
-			return fmt.Errorf("ml: pipeline step %d (%s): %w", i, s.Kind(), err)
-		}
+	cur, err := p.featurize(in, sc)
+	if err != nil {
+		return err
 	}
 	if mi, ok := p.Final.(ModelInto); ok {
 		if err := mi.PredictInto(cur, out[:in.Rows], sc); err != nil {
@@ -224,6 +215,32 @@ func (p *Pipeline) PredictInto(in Matrix, out []float64, sc *PredictScratch) err
 	}
 	copy(out, scores)
 	return nil
+}
+
+// featurize runs the steps over in, into sc's buffers where a step has an
+// Into form.
+func (p *Pipeline) featurize(in Matrix, sc *PredictScratch) (Matrix, error) {
+	cur := in
+	for i, s := range p.Steps {
+		ti, ok := s.(TransformerInto)
+		if !ok {
+			var err error
+			cur, err = s.Transform(cur)
+			if err != nil {
+				return Matrix{}, fmt.Errorf("ml: pipeline step %d (%s): %w", i, s.Kind(), err)
+			}
+			continue
+		}
+		d, err := s.OutputDim(cur.Cols)
+		if err != nil {
+			return Matrix{}, fmt.Errorf("ml: pipeline step %d (%s): %w", i, s.Kind(), err)
+		}
+		cur, err = ti.TransformInto(cur, sc.buffer(cur.Rows*d))
+		if err != nil {
+			return Matrix{}, fmt.Errorf("ml: pipeline step %d (%s): %w", i, s.Kind(), err)
+		}
+	}
+	return cur, nil
 }
 
 // FeatureDim traces the width through the steps, returning the width the

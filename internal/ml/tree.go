@@ -237,6 +237,14 @@ func (f *RandomForest) PredictInto(in Matrix, out []float64, sc *PredictScratch)
 // UsedFeatures implements Model.
 func (f *RandomForest) UsedFeatures() []int { return usedFeatures(f.Trees) }
 
+// FiniteLeaves reports whether the forest compiles and its leaves, and the
+// sum of each tree's largest leaf magnitude, are finite: what a bound on
+// its score (TopK) needs.
+func (f *RandomForest) FiniteLeaves() bool {
+	k, err := f.kernel()
+	return err == nil && k.bounded
+}
+
 // Prune applies predicate-based pruning to every tree in the forest.
 func (f *RandomForest) Prune(c Constraints) *RandomForest {
 	out := &RandomForest{Trees: make([]*DecisionTree, len(f.Trees))}

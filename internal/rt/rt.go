@@ -104,6 +104,21 @@ func NewPipelinePredictor(p *ml.Pipeline, outType types.DataType) *PipelinePredi
 // PredictBatch implements exec.Predictor. Safe for concurrent use: each
 // call checks out a private scratch.
 func (p *PipelinePredictor) PredictBatch(b *types.Batch) ([]*types.Vector, error) {
+	s, err := p.columns(b)
+	if err != nil {
+		return nil, err
+	}
+	defer p.release(s)
+	scores := make([]float64, b.Len()) // escapes via floatVector; never pooled
+	if err := p.Pipe.PredictColumns(s.cols, scores, &s.inner); err != nil {
+		return nil, err
+	}
+	return []*types.Vector{floatVector(scores, p.OutType)}, nil
+}
+
+// columns checks out a scratch holding the batch's input columns as
+// float64 slices; release returns it.
+func (p *PipelinePredictor) columns(b *types.Batch) (*pipeScratch, error) {
 	vecs, err := b.NumericCols(p.InputCols)
 	if err != nil {
 		return nil, err
@@ -112,10 +127,6 @@ func (p *PipelinePredictor) PredictBatch(b *types.Batch) ([]*types.Vector, error
 	if s == nil {
 		s = &pipeScratch{}
 	}
-	defer func() {
-		clear(s.cols) // a pooled scratch must not pin the batch's columns
-		p.scratch.Put(s)
-	}()
 	// FLOAT columns are handed over as they are; the rest are widened into
 	// scratch, one column after another (when wide has to grow, the columns
 	// widened so far stay behind, intact, in the array it outgrew).
@@ -130,11 +141,35 @@ func (p *PipelinePredictor) PredictBatch(b *types.Batch) ([]*types.Vector, error
 		}
 		s.cols = append(s.cols, col)
 	}
-	scores := make([]float64, n) // escapes via floatVector; never pooled
-	if err := p.Pipe.PredictColumns(s.cols, scores, &s.inner); err != nil {
-		return nil, err
+	return s, nil
+}
+
+func (p *PipelinePredictor) release(s *pipeScratch) {
+	clear(s.cols) // a pooled scratch must not pin the batch's columns
+	p.scratch.Put(s)
+}
+
+// TopKPredictor scores a pipeline under one execution's top-k bound
+// (ml.TopK): PredictSelect keeps only the rows the bound cannot exclude,
+// with their exact scores.
+type TopKPredictor struct {
+	*PipelinePredictor
+	Bound *ml.TopK
+}
+
+// PredictSelect implements exec.SelectPredictor.
+func (p *TopKPredictor) PredictSelect(b *types.Batch) ([]int, []*types.Vector, error) {
+	s, err := p.columns(b)
+	if err != nil {
+		return nil, nil, err
 	}
-	return []*types.Vector{floatVector(scores, p.OutType)}, nil
+	defer p.release(s)
+	// keep starts empty, not nil: nil would keep every row.
+	keep, scores, err := p.Pipe.PredictColumnsTopK(s.cols, b.Len(), p.Bound, []int{}, nil, &s.inner)
+	if err != nil {
+		return nil, nil, err
+	}
+	return keep, []*types.Vector{floatVector(scores, p.OutType)}, nil
 }
 
 // SessionPredictor scores through a compiled ort session (NN-translated
@@ -226,6 +261,19 @@ func (p *ContextPredictor) PredictBatch(b *types.Batch) ([]*types.Vector, error)
 		return nil, err
 	}
 	return p.Inner.PredictBatch(b)
+}
+
+// PredictSelect implements exec.SelectPredictor: an inner predictor that
+// scores every row keeps them all.
+func (p *ContextPredictor) PredictSelect(b *types.Batch) ([]int, []*types.Vector, error) {
+	if err := p.Ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	if sp, ok := p.Inner.(exec.SelectPredictor); ok {
+		return sp.PredictSelect(b)
+	}
+	outs, err := p.Inner.PredictBatch(b)
+	return nil, outs, err
 }
 
 // OutOfProcessPredictor wraps an inner predictor behind the external-

@@ -10,7 +10,7 @@ import (
 // DefaultOptions enables the paper's standard set.
 type Options struct {
 	SelectionPushdown       bool // WHERE conjuncts on data columns cross PREDICT
-	PredicateModelPruning   bool
+	PredicateModelPruning   bool // also topk-score-bound: a forest scores only rows the sort above may keep
 	UseDataStatistics       bool // derive predicates from table stats (§4.1)
 	ModelProjectionPushdown bool
 	ModelInlining           bool
@@ -87,6 +87,9 @@ func Optimize(g *ir.Graph, opts Options) (*Result, error) {
 			g.Root, changed, err = opts.RelOpt.Optimize(g.Root)
 			return relational || changed, err
 		}},
+		// 4. Last, over the tree that runs: a model the bounded sort above
+		// reads only through renames learns the sort's k and direction.
+		{"topk-score-bound", opts.PredicateModelPruning, func() (bool, error) { return boundTopK(g), nil }},
 	}
 	for _, r := range rules {
 		if !r.on {

@@ -2,6 +2,7 @@ package xopt
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"raven/internal/expr"
@@ -9,6 +10,7 @@ import (
 	"raven/internal/ml"
 	"raven/internal/nnconv"
 	"raven/internal/plan"
+	"raven/internal/types"
 )
 
 // pruneModel implements §4.1 predicate-based model pruning on one model
@@ -367,4 +369,38 @@ func treeToCase(t *ml.DecisionTree, node int, colExpr func(int) (expr.Expr, bool
 		}},
 		Else: treeToCase(t, t.Right[node], colExpr),
 	}
+}
+
+// boundTopK marks every forest whose FLOAT score is the first key of a
+// bounded sort (Limit k directly over a Sort, plan.Limit.TopK) with that
+// k and direction, when nothing but projections of bare columns sits
+// between the sort and the model: then every row the model emits reaches
+// the sort, and one that k rows beat on the first key is not in the
+// answer. A lone tree (nothing to exit early from) and a non-finite leaf
+// are refused.
+func boundTopK(g *ir.Graph) bool {
+	fired := false
+	plan.Walk(g.Root, func(n plan.Node) {
+		l, ok := n.(*plan.Limit)
+		if !ok || l.TopK() == nil {
+			return
+		}
+		key, below := l.TopK().Keys[0], l.TopK().Child
+		col := key.Col
+		for p, ok := below.(*plan.Project); ok; p, ok = below.(*plan.Project) {
+			i := p.Schema().IndexOf(col)
+			if i < 0 || slices.ContainsFunc(p.Exprs, func(e expr.Expr) bool { _, bare := e.(*expr.Column); return !bare }) {
+				return
+			}
+			col, below = p.Exprs[i].(*expr.Column).Name, p.Child
+		}
+		m, ok := below.(*ir.ModelNode)
+		if !ok || m.Schema().IndexOf(col) != m.Child.Schema().Len() || m.OutputCol.Type != types.Float {
+			return
+		}
+		if f, ok := m.M.(*ml.RandomForest); ok && len(f.Trees) > 1 && f.FiniteLeaves() {
+			m.TopK, fired = &ir.ScoreBound{K: l.N, Desc: key.Desc}, true
+		}
+	})
+	return fired
 }

@@ -118,7 +118,9 @@ type QueryOptions struct {
 	// UseStatistics derives pruning predicates from table statistics.
 	UseStatistics bool
 	// DisableInlining / DisableNNTranslation / DisablePruning /
-	// DisableProjectionPushdown ablate single rules.
+	// DisableProjectionPushdown ablate single rules. DisablePruning also
+	// turns off topk-score-bound, the run-time pruning of a forest's rows
+	// under ORDER BY score LIMIT k.
 	DisableInlining           bool
 	DisableNNTranslation      bool
 	DisablePruning            bool
