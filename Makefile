@@ -6,7 +6,10 @@ COVER_FLOOR ?= 70
 # lines above the current total. ROADMAP aim 2 says the number goes down;
 # a PR that lowers it lowers this with it, and one that must grow it
 # raises it by exactly its net increase.
-LOC_CEILING ?= 26789
+# The partitioned forest walk (a block's row numbers split node by node,
+# and a row-major matrix gathered into columns first) is 40 lines more than
+# the level-by-level tile walk it replaced.
+LOC_CEILING ?= 26829
 
 .PHONY: all build test test-benchmark race vet fmt-check fuzz bench bench-micro cover smoke loc ci
 
@@ -71,7 +74,9 @@ bench:
 
 # bench-micro runs the micro-benchmarks with allocation reporting: the
 # data plane (typed kernels, vector pooling, gather), the tree kernel on
-# the benchmark's two forest shapes (ns/row), the hospital forest under a
+# the benchmark's two forest shapes and on unbalanced trees up to depth 30
+# (BenchmarkForestKernelUnbalanced: rows stop early, deep chains hold few
+# rows) in ns/row, the hospital forest under a
 # top-100 bound beside the full kernel over the same 120K rows
 # (BenchmarkForestTopK: ns/row and survivors/row), the bounded sort beside the
 # unbounded one, the table scan source, the segment column reader and,

@@ -8,15 +8,16 @@ import (
 )
 
 // kernel is a tree ensemble compiled for scoring: every tree's nodes in
-// one packed array, walked a tile of rows at a time without a
-// data-dependent branch. It is the only tree traversal in the package;
-// DecisionTree and RandomForest build theirs on first use and keep it.
+// one packed array, walked a block of rows at a time by partitioning the
+// block's row numbers node by node, without a data-dependent branch. It
+// is the only tree traversal in the package; DecisionTree and
+// RandomForest build theirs on first use and keep it.
 type kernel struct {
 	nodes []kernelNode
 	value []float64 // value[i] is node i's leaf score
-	trees []kernelTree
+	roots []uint32  // each tree's root, in tree order
 	nfeat int
-	used  []uint32 // the features some node splits on: what a tile gathers
+	used  []uint32 // the features some node splits on: what a block gathers
 	// A row's score is (init + v0 + v1 + ...) * inv over its leaf values in
 	// tree order. A forest starts from 0 and scales by 1/len(trees); a lone
 	// tree starts from -0, the one float x + y leaves every x unchanged
@@ -33,14 +34,12 @@ type kernel struct {
 }
 
 // kernelNode is one node. A leaf tests feature 0, whatever it holds, and
-// both its kids are itself: a walk of any length that reaches it stays.
+// both its kids are itself: that is how the walk knows it.
 type kernelNode struct {
 	thr  float64
 	feat uint32
 	kids [2]uint32 // [1] when x <= thr, [0] otherwise (NaN included)
 }
-
-type kernelTree struct{ root, depth uint32 }
 
 // compileKernel packs trees, rejecting what the walk could not survive:
 // child links or features out of range, and links that loop.
@@ -72,12 +71,11 @@ func compileKernel(trees []*DecisionTree, forest bool) (*kernel, error) {
 			}
 			k.nodes = append(k.nodes, nd)
 		}
-		depth := t.Depth()
-		if depth < 0 {
+		if t.Depth() < 0 {
 			return nil, fmt.Errorf("ml: tree %d: child links form a cycle", ti)
 		}
 		k.value = append(k.value, t.Value...)
-		k.trees = append(k.trees, kernelTree{root: base, depth: uint32(depth)})
+		k.roots = append(k.roots, base)
 		hi, lo := math.Inf(-1), math.Inf(1)
 		for i, v := range t.Value {
 			if t.Leaf(i) {
@@ -123,63 +121,90 @@ func b2i(b bool) uint32 {
 	return 0
 }
 
-// kernelTile is how many rows are scored against every tree before moving
-// on: their features are gathered once into a dense tile that stays in L1
-// across the trees.
-const kernelTile = 64
+// kernelBlock is how many rows the walk partitions at once: their numbers
+// fit a uint16, and a block's sums (32 KiB) stay in L1.
+const kernelBlock = 4096
 
-// tile returns sc's tile, grown to hold a tile of every feature.
-func (k *kernel) tile(sc *PredictScratch) []float64 {
-	if cap(sc.tile) < k.nfeat*kernelTile {
-		sc.tile = make([]float64, k.nfeat*kernelTile)
-	}
-	return sc.tile[:k.nfeat*kernelTile]
-}
+// segment is rows lo..hi-1 of partition buffer buf, all standing on node.
+type segment struct{ node, lo, hi, buf uint32 }
 
-// gather copies rows lo..lo+n-1 of the features some node splits on into
-// the tile, feature f at tile[f*kernelTile:].
-func (k *kernel) gather(cols [][]float64, stride, lo, n int, tile []float64) {
-	for _, f := range k.used {
-		c, t := cols[f], tile[int(f)*kernelTile:]
-		for j := range n {
-			t[j] = c[(lo+j)*stride]
+// walk adds the leaf value a tree gives each row r of live to acc[r],
+// reading feature f of row r at x[f][base+r]. It goes depth first from
+// root over segments of row numbers: a node moves its segment's rows into
+// the other buffer, split by x <= thr, and hands each part to its child; a
+// leaf adds its value to its rows' sums. No row steps past its leaf, and a
+// step reads one feature value, not a node per row.
+func (k *kernel) walk(root uint32, x [][]float64, base int, live []uint16, acc []float64, sc *PredictScratch) {
+	bufs := [2][]uint16{sc.part[0][:len(live)], sc.part[1][:len(live)]}
+	copy(bufs[0], live)
+	stack := append(sc.stack[:0], segment{node: root, hi: uint32(len(live))})
+	for len(stack) > 0 {
+		s := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		src, nd := bufs[s.buf&1][s.lo:s.hi], &k.nodes[s.node]
+		if nd.kids[0] == s.node { // a leaf
+			v := k.value[s.node]
+			for _, r := range src {
+				acc[r] += v
+			}
+			continue
+		}
+		mid := s.lo + partition(src, bufs[(s.buf^1)&1][s.lo:s.hi], x[nd.feat][base:], nd.thr)
+		if mid < s.hi {
+			stack = append(stack, segment{nd.kids[0], mid, s.hi, s.buf ^ 1})
+		}
+		if mid > s.lo {
+			stack = append(stack, segment{nd.kids[1], s.lo, mid, s.buf ^ 1})
 		}
 	}
+	sc.stack = stack
 }
 
-// score writes one score per element of out. Feature f of row r is
-// cols[f][r*stride]: stride 1 reads one slice per column, stride d the
-// columns of a row-major matrix d wide. The layout ends at the gather that
-// fills the tile; the walk reads only the tile. Every row of the tile
-// takes one step down a tree before any takes the next, for the tree's
-// full depth: the steps of a level are independent loads the CPU overlaps,
-// and none of them is a branch it could mispredict.
-func (k *kernel) score(cols [][]float64, stride int, out []float64, sc *PredictScratch) error {
+// partition moves the rows of src into dst, those r with xf[r] <= thr to
+// the front and the rest (NaN included) to the back, and returns how many
+// went to the front. Each row is written at both ends and the end its
+// comparison picks advances, so no branch depends on the data. Inlined
+// into walk, the loop's counters spill to the stack.
+//
+//go:noinline
+func partition(src, dst []uint16, xf []float64, thr float64) uint32 {
+	i, j := 0, len(dst)-1
+	for _, r := range src {
+		dst[i], dst[j] = r, r
+		le := int(b2i(xf[r] <= thr))
+		i += le
+		j += le - 1
+	}
+	return uint32(i)
+}
+
+// rows sizes sc's row-number buffers for blocks of n rows and returns the
+// live list, holding 0..n-1.
+func (sc *PredictScratch) rows(n int) []uint16 {
+	for i := range sc.part {
+		sc.part[i] = slices.Grow(sc.part[i][:0], n)[:n]
+	}
+	sc.live = slices.Grow(sc.live[:0], n)[:n]
+	for r := range sc.live {
+		sc.live[r] = uint16(r)
+	}
+	return sc.live
+}
+
+// score writes one score per element of out; feature f of row r is
+// cols[f][r]. Rows are scored a block at a time, one tree after another,
+// so each row adds its leaves in tree order.
+func (k *kernel) score(cols [][]float64, out []float64, sc *PredictScratch) error {
 	if len(cols) != k.nfeat {
 		return fmt.Errorf("ml: tree expects %d features, got %d", k.nfeat, len(cols))
 	}
-	tile, nodes, value := k.tile(sc), k.nodes, k.value
-	var cur [kernelTile]uint32
-	for lo := 0; lo < len(out); lo += kernelTile {
-		acc := out[lo:min(lo+kernelTile, len(out))]
-		at := cur[:len(acc)] // the node each row of the tile stands on
-		k.gather(cols, stride, lo, len(acc), tile)
+	for lo := 0; lo < len(out); lo += kernelBlock {
+		acc, live := out[lo:min(lo+kernelBlock, len(out))], sc.rows(min(kernelBlock, len(out)-lo))
 		for j := range acc {
 			acc[j] = k.init
 		}
-		for _, t := range k.trees {
-			for j := range at {
-				at[j] = t.root
-			}
-			for d := t.depth; d > 0; d-- {
-				for j, n := range at {
-					nd := &nodes[n]
-					at[j] = nd.kids[b2i(tile[int(nd.feat)*kernelTile+j] <= nd.thr)&1]
-				}
-			}
-			for j, n := range at {
-				acc[j] += value[n]
-			}
+		for _, root := range k.roots {
+			k.walk(root, cols, lo, live, acc, sc)
 		}
 	}
 	for i := range out {
@@ -192,29 +217,47 @@ func (k *kernel) score(cols [][]float64, stride int, out []float64, sc *PredictS
 // through a kernel.
 type kernelled interface{ kernel() (*kernel, error) }
 
-// scoreMatrix scores a row-major matrix through the same walk: column f
-// is in.Data[f:] read at stride in.Cols.
+// scoreMatrix scores a row-major matrix through the same walk, gathering
+// its rows into columns first, as many rows at a time as keep the
+// gathered features within 1 MiB: L2 holds them while every tree walks.
 func scoreMatrix(m kernelled, in Matrix, out []float64, sc *PredictScratch) error {
 	k, err := m.kernel()
 	if err != nil {
 		return err
 	}
-	if in.Cols != k.nfeat {
-		return fmt.Errorf("ml: tree expects %d features, got %d", k.nfeat, in.Cols)
+	size := min(kernelBlock, max(64, (1<<20)/(8*max(len(k.used), 1))))
+	for lo := 0; lo == 0 || lo < in.Rows; lo += size { // no rows: columns still checks the width
+		hi := min(lo+size, in.Rows)
+		cols, err := k.columns(Matrix{Data: in.Data[lo*in.Cols : hi*in.Cols], Rows: hi - lo, Cols: in.Cols}, sc)
+		if err == nil {
+			err = k.score(cols, out[lo:hi], sc)
+		}
+		if err != nil {
+			return err
+		}
 	}
-	if in.Rows == 0 {
-		return nil
-	}
-	return k.score(matrixCols(in, sc), in.Cols, out[:in.Rows], sc)
+	return nil
 }
 
-// matrixCols views a row-major matrix as one slice per column, each read
-// at stride in.Cols.
-func matrixCols(in Matrix, sc *PredictScratch) [][]float64 {
-	cols := sc.cols[:0]
-	for f := 0; f < in.Cols; f++ {
-		cols = append(cols, in.Data[f:])
+// columns gathers the features some node splits on from a row-major
+// matrix into sc's columns, 64 rows at a time so the rows being read stay
+// in L1. Only sc's own memory is left in sc.cols.
+func (k *kernel) columns(m Matrix, sc *PredictScratch) ([][]float64, error) {
+	if m.Cols != k.nfeat {
+		return nil, fmt.Errorf("ml: tree expects %d features, got %d", k.nfeat, m.Cols)
 	}
-	sc.cols = cols
-	return cols
+	sc.block = slices.Grow(sc.block[:0], len(k.used)*m.Rows)[:len(k.used)*m.Rows]
+	sc.cols = slices.Grow(sc.cols[:0], m.Cols)[:m.Cols]
+	for i, f := range k.used {
+		sc.cols[f] = sc.block[i*m.Rows : (i+1)*m.Rows]
+	}
+	for lo := 0; lo < m.Rows; lo += 64 {
+		for _, f := range k.used {
+			c, x := sc.cols[f][lo:min(lo+64, m.Rows)], m.Data[lo*m.Cols+int(f):]
+			for j := range c {
+				c[j] = x[j*m.Cols]
+			}
+		}
+	}
+	return sc.cols, nil
 }

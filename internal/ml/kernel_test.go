@@ -1,9 +1,12 @@
 package ml
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
+	"unsafe"
 )
 
 // refScore is the traversal the kernel replaced, kept as the oracle: per
@@ -75,6 +78,33 @@ func (s *byteSrc) tree(nfeat, maxDepth int, leafBias byte) *DecisionTree {
 		return self
 	}
 	build(maxDepth)
+	return t
+}
+
+// chain is a depth-30 tree whose every node tests x[f] and has a leaf on
+// one side: rows with larger x go deeper when right, smaller ones when not.
+// Thresholds step by 0.5 from ∓7.5 to ±7, values rows hold (but ±7.5), so
+// rows stop at every depth and some sit on a threshold exactly.
+func chain(nfeat, f int, right bool, src *byteSrc) *DecisionTree {
+	t := &DecisionTree{NFeat: nfeat}
+	var build func(d int) int
+	build = func(d int) int {
+		if d == 30 {
+			return t.addLeaf(src.float())
+		}
+		thr := -7.5 + 0.5*float64(d)
+		if !right {
+			thr = -thr
+		}
+		self := t.addSplit(f, thr, -1, -1)
+		leaf, next := t.addLeaf(src.float()), build(d+1)
+		t.Left[self], t.Right[self] = next, leaf
+		if right {
+			t.Left[self], t.Right[self] = leaf, next
+		}
+		return self
+	}
+	build(0)
 	return t
 }
 
@@ -154,9 +184,27 @@ func TestForestKernelBitIdentical(t *testing.T) {
 		remapped = append(remapped, rt)
 	}
 	leafOnly := []*DecisionTree{src.tree(0, 0, 0), src.tree(0, 0, 0)}
-	shapes := map[string][]*DecisionTree{"mixed": mixed, "pruned": pruned, "remapped": remapped, "zero-features": leafOnly}
+	var depth1 []*DecisionTree
+	for i := 0; i < 4; i++ {
+		depth1 = append(depth1, src.tree(nfeat, 1, 0))
+	}
+	// Every node of these tests x[0] <= 0.5, a value rows hold (specials),
+	// so below the root one side of each node is never taken.
+	duplicate := []*DecisionTree{src.tree(nfeat, 6, 0), src.tree(nfeat, 3, 0)}
+	for _, tr := range duplicate {
+		for i, f := range tr.Feature {
+			if f >= 0 {
+				tr.Feature[i], tr.Threshold[i] = 0, 0.5
+			}
+		}
+	}
+	shapes := map[string][]*DecisionTree{
+		"mixed": mixed, "pruned": pruned, "remapped": remapped, "zero-features": leafOnly,
+		"single-leaf": {src.tree(nfeat, 0, 0)}, "depth-1": depth1, "duplicate-thresholds": duplicate,
+		"chain-30": {chain(nfeat, 0, true, src), chain(nfeat, 1, false, src), src.tree(nfeat, 3, 0)},
+	}
 	for name, trees := range shapes {
-		for _, rows := range []int{0, 1, 3, 63, 64, 65, 1000} {
+		for _, rows := range []int{0, 1, 3, 63, 64, 65, 1000, 4095, 4096, 4097, 3*4096 + 1} {
 			checkKernel(t, name+" forest", trees, true, rows, src)
 			for i, tr := range trees[:min(4, len(trees))] {
 				checkKernel(t, fmt.Sprintf("%s tree %d", name, i), []*DecisionTree{tr}, false, rows, src)
@@ -197,29 +245,36 @@ func TestKernelRejectsCorruptTrees(t *testing.T) {
 
 // FuzzForestKernel builds a small forest and matrix from the input bytes
 // and holds the kernel to the reference walker; the first byte picks the
-// shape.
+// shape, the second the rows: under 70, or with its top bit set 4061 to
+// 4130, across the first block's end, their features drawn from the
+// bytes left over and over again.
 func FuzzForestKernel(f *testing.F) {
 	f.Add([]byte{})
-	f.Add([]byte{0x23, 200, 1, 0, 200, 2, 3, 0, 0, 0, 9, 9})
+	f.Add([]byte{0x23, 60, 1, 0, 200, 2, 3, 0, 0, 0, 9, 9})
+	f.Add(append([]byte{0x23, 0xf0}, seededBytes(3, 400).b...)) // 4103 rows
 	f.Add(seededBytes(3, 400).b)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := &byteSrc{b: data}
-		shape := src.next()
-		nfeat, ntrees, rows := int(shape&3), 1+int(shape>>2&3), int(src.next())%70
+		shape, sizes := src.next(), src.next()
+		nfeat, ntrees, rows := int(shape&3), 1+int(shape>>2&3), int(sizes&0x7f)%70
 		trees := make([]*DecisionTree, ntrees)
 		for i := range trees {
 			trees[i] = src.tree(nfeat, int(shape>>4&7), src.next())
+		}
+		if sizes&0x80 != 0 {
+			rows += kernelBlock - 35
+			src = &byteSrc{b: bytes.Repeat(data[src.i:], rows*nfeat/max(len(data)-src.i, 1)+1)}
 		}
 		checkKernel(t, "fuzz", trees, shape>>7 == 1, rows, src)
 	})
 }
 
-func benchmarkForestKernel(b *testing.B, nfeat int) {
+func benchmarkForestKernel(b *testing.B, nfeat, depth int, leafBias byte) {
 	const rows = 4096
 	src := seededBytes(11, 1<<20)
 	f := &RandomForest{}
 	for i := 0; i < 16; i++ {
-		f.Trees = append(f.Trees, src.tree(nfeat, 8, 0))
+		f.Trees = append(f.Trees, src.tree(nfeat, depth, leafBias))
 	}
 	in := Matrix{Data: make([]float64, rows*nfeat), Rows: rows, Cols: nfeat}
 	cols := make([][]float64, nfeat)
@@ -246,7 +301,93 @@ func benchmarkForestKernel(b *testing.B, nfeat int) {
 	run("matrix", func() error { return f.PredictInto(in, out, sc) })
 }
 
-// The benchmark's two forest shapes: 16 trees of depth 8 over the 9
+// The benchmark's two forest shapes: 16 full trees of depth 8 over the 9
 // hospital features and over the 64 flight features.
-func BenchmarkForestKernelHospital9(b *testing.B) { benchmarkForestKernel(b, 9) }
-func BenchmarkForestKernelFlights64(b *testing.B) { benchmarkForestKernel(b, 64) }
+func BenchmarkForestKernelHospital9(b *testing.B) { benchmarkForestKernel(b, 9, 8, 0) }
+func BenchmarkForestKernelFlights64(b *testing.B) { benchmarkForestKernel(b, 64, 8, 0) }
+
+// BenchmarkForestKernelUnbalanced: 16 trees over 9 features whose
+// branches each end with probability 120/256 (≈ 92 nodes a tree) but
+// reach depth 30: rows stop at many depths, and deep chains hold few rows.
+func BenchmarkForestKernelUnbalanced(b *testing.B) { benchmarkForestKernel(b, 9, 30, 120) }
+
+// TestScratchPinsNoCallerData: a scratch outlives its call (the engine
+// pools one per worker), so after each entry point it must hold no slice
+// into the caller's columns or matrix, or it keeps a whole batch alive.
+func TestScratchPinsNoCallerData(t *testing.T) {
+	src := seededBytes(13, 1<<16)
+	const nfeat, rows = 3, kernelBlock + 100
+	f := &RandomForest{}
+	for i := 0; i < 4; i++ {
+		f.Trees = append(f.Trees, src.tree(nfeat, 5, 0))
+	}
+	finiteLeaves(f.Trees, src)
+	in := Matrix{Data: make([]float64, rows*nfeat), Rows: rows, Cols: nfeat}
+	for i := range in.Data {
+		in.Data[i] = src.float()
+	}
+	cols := make([][]float64, nfeat)
+	for c := range cols {
+		cols[c] = make([]float64, rows)
+		for r := range cols[c] {
+			cols[c][r] = in.At(r, c)
+		}
+	}
+	callers := append([][]float64{in.Data}, cols...)
+	scaler := &StandardScaler{Mean: make([]float64, nfeat), Scale: []float64{1, 2, 4}}
+	out := make([]float64, rows)
+	for name, p := range map[string]*Pipeline{"forest": {Final: f}, "scaled forest": {Steps: []Transformer{scaler}, Final: f}} {
+		calls := map[string]func(sc *PredictScratch) error{
+			"PredictColumns": func(sc *PredictScratch) error { return p.PredictColumns(cols, out, sc) },
+			"PredictColumnsTopK": func(sc *PredictScratch) error {
+				_, _, err := p.PredictColumnsTopK(cols, rows, NewTopK(10, true), nil, nil, sc)
+				return err
+			},
+			"PredictInto": func(sc *PredictScratch) error { return p.PredictInto(in, out, sc) },
+		}
+		for call, fn := range calls {
+			sc := &PredictScratch{}
+			if err := fn(sc); err != nil {
+				t.Fatalf("%s %s: %v", name, call, err)
+			}
+			if field := aliasing(reflect.ValueOf(sc).Elem(), "PredictScratch", callers); field != "" {
+				t.Errorf("%s %s: %s still points into the caller's data", name, call, field)
+			}
+		}
+	}
+}
+
+// aliasing returns the path of a []float64 reachable from v, to its full
+// capacity, that shares memory with one of callers, or "".
+func aliasing(v reflect.Value, path string, callers [][]float64) string {
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			if p := aliasing(v.Field(i), path+"."+v.Type().Field(i).Name, callers); p != "" {
+				return p
+			}
+		}
+		return ""
+	case reflect.Slice:
+		if v.Type().Elem().Kind() == reflect.Float64 {
+			lo, hi := v.Pointer(), v.Pointer()+uintptr(v.Cap())*8
+			for _, c := range callers {
+				clo := uintptr(unsafe.Pointer(unsafe.SliceData(c)))
+				if lo < hi && lo < clo+uintptr(cap(c))*8 && clo < hi {
+					return path
+				}
+			}
+			return ""
+		}
+		v = v.Slice(0, v.Cap())
+	case reflect.Array:
+	default:
+		return ""
+	}
+	for i := 0; i < v.Len(); i++ {
+		if p := aliasing(v.Index(i), fmt.Sprintf("%s[%d]", path, i), callers); p != "" {
+			return p
+		}
+	}
+	return ""
+}

@@ -7,9 +7,9 @@
 // row-major matrix, the way an interpreted classical framework runs them
 // (the baseline the paper's operator transformations beat, §4.2), while
 // trees and forests score through one compiled kernel (kernel.go): packed
-// nodes, a tile of rows walked level by level for each tree's full depth,
-// no data-dependent branch — the "engine owns the model" half of the
-// paper's §5 claim.
+// nodes, a block of rows partitioned node by node so that no row steps
+// past its leaf, no data-dependent branch — the "engine owns the model"
+// half of the paper's §5 claim.
 package ml
 
 import (
@@ -91,8 +91,12 @@ func (p *Pipeline) Predict(in Matrix) ([]float64, error) {
 type PredictScratch struct {
 	bufs   [2][]float64 // ping-pong buffers for featurizer outputs
 	next   int
-	cols   [][]float64 // per-feature views of a row-major matrix, for the tree kernel
-	tile   []float64   // the tree kernel's gathered features
+	cols   [][]float64 // a matrix's features as columns, for the tree kernel
+	block  []float64   // what cols views
+	live   []uint16    // the tree kernel's rows of a block still in play
+	part   [2][]uint16 // its ping-pong partition buffers
+	stack  []segment   // its walk's pending segments
+	acc    []float64   // PredictColumnsTopK's sums of a block
 	matrix []float64   // PredictColumns' row-major chunk
 	heap   keyHeap     // PredictColumnsTopK's best keys of the call
 }
@@ -161,7 +165,7 @@ func (p *Pipeline) PredictColumns(cols [][]float64, out []float64, sc *PredictSc
 		if err != nil {
 			return err
 		}
-		return k.score(cols, 1, out, sc)
+		return k.score(cols, out, sc)
 	}
 	return chunks(cols, len(out), sc, func(lo int, m Matrix) error { return p.PredictInto(m, out[lo:lo+m.Rows], sc) })
 }

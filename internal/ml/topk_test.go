@@ -33,7 +33,7 @@ func checkTopK(t testing.TB, f *RandomForest, cols [][]float64, n, per, k int, d
 		t.Fatal(err)
 	}
 	want := make([]float64, n)
-	if err := kern.score(cols, 1, want, &PredictScratch{}); err != nil {
+	if err := kern.score(cols, want, &PredictScratch{}); err != nil {
 		t.Fatal(err)
 	}
 	tk, p, sc := NewTopK(k, desc), &Pipeline{Final: f}, &PredictScratch{}
@@ -90,19 +90,23 @@ func checkTopK(t testing.TB, f *RandomForest, cols [][]float64, n, per, k int, d
 }
 
 // FuzzForestTopK draws a forest, rows, k, a direction and a call size from
-// the input bytes and holds the bounded walk to the full kernel. The
-// checked-in corpus (testdata/fuzz/FuzzForestTopK) has three trees whose
-// best rows tie at θ by the dozen, seven trees (1/7 is inexact) scored
-// ascending in calls of 13 rows, and a forest whose k-th row a bound
-// without kernel.hi's slack drops: its sum rounds above the bound's.
+// the input bytes and holds the bounded walk to the full kernel. The call
+// size byte's top bit repeats the rows 16 times and multiplies the call
+// size by 16, so calls cross scoreTopK's blocks. The checked-in corpus
+// (testdata/fuzz/FuzzForestTopK) has three trees whose best rows tie at θ
+// by the dozen, seven trees (1/7 is inexact) scored ascending in calls of
+// 13 rows, and a forest whose k-th row a bound without kernel.hi's slack
+// drops: its sum rounds above the bound's.
 func FuzzForestTopK(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(seededBytes(5, 600).b)
+	f.Add(append([]byte{0x24, 0x97, 0x0a, 0xe0}, seededBytes(9, 200).b...)) // 2416 rows in calls of 1552
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := &byteSrc{b: data}
 		shape, sizes := src.next(), src.next()
 		nfeat, ntrees, depth := 1+int(shape&3), 2+int(shape>>2&7), int(shape>>5&7)
-		rows, k, per := int(sizes)%200, int(src.next())%210, 1+int(src.next())%97
+		rows, k, per := int(sizes)%200, int(src.next())%210, src.next()
+		repeat := 1 + 15*int(per>>7)
 		trees := make([]*DecisionTree, ntrees)
 		for i := range trees {
 			trees[i] = src.tree(nfeat, depth, src.next())
@@ -112,12 +116,15 @@ func FuzzForestTopK(f *testing.F) {
 		}
 		cols := make([][]float64, nfeat)
 		for c := range cols {
-			cols[c] = make([]float64, rows)
-			for r := range cols[c] {
+			cols[c] = make([]float64, rows*repeat)
+			for r := range rows {
 				cols[c][r] = src.float()
 			}
+			for r := rows; r < len(cols[c]); r++ {
+				cols[c][r] = cols[c][r-rows]
+			}
 		}
-		checkTopK(t, &RandomForest{Trees: trees}, cols, rows, per, k, sizes&1 == 1, sizes&2 == 2)
+		checkTopK(t, &RandomForest{Trees: trees}, cols, rows*repeat, (1+int(per&0x7f)%97)*repeat, k, sizes&1 == 1, sizes&2 == 2)
 	})
 }
 
