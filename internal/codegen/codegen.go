@@ -35,6 +35,8 @@ type Config struct {
 	ParallelThresholdRows int
 	// MorselSize is the rows-per-morsel of table scans (0 = default).
 	MorselSize int
+	// Params binds @parameters as stages are built (exec.Env.Params).
+	Params map[string]string
 	// CacheKey identifies the model for session caching; empty disables
 	// caching (the standalone-runtime behaviour).
 	CacheKey string
@@ -57,6 +59,7 @@ func Compile(g *ir.Graph, cfg *Config) (exec.Operator, error) {
 		Parallelism:           cfg.Parallelism,
 		ParallelThresholdRows: cfg.ParallelThresholdRows,
 		MorselSize:            cfg.MorselSize,
+		Params:                cfg.Params,
 		Lower:                 c.lower,
 	}
 	return exec.Compile(g.Root, c.env)

@@ -3,6 +3,7 @@ package exec
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"raven/internal/expr"
 	"raven/internal/plan"
@@ -33,6 +34,19 @@ type Env struct {
 	// MorselSize is the rows-per-morsel of table scans; 0 means
 	// DefaultMorselSize at DOP > 1 and types.DefaultBatchSize at DOP 1.
 	MorselSize int
+	// Params holds this execution's @parameter values, bound into each
+	// expression as its stage is built; nil leaves placeholders in (a plan
+	// without parameters, or Stmt.ResultSchema reading a schema).
+	Params map[string]string
+}
+
+// bind replaces x's @parameters with this execution's values.
+func (e *Env) bind(x expr.Expr) (expr.Expr, error) {
+	if e.Params == nil {
+		return x, nil
+	}
+	out, _, err := expr.ReplaceParams(x, e.Params)
+	return out, err
 }
 
 func (e *Env) parallelism() int {
@@ -158,16 +172,30 @@ func (c *compiler) compile(n plan.Node) (*Exchange, error) {
 		return ex, nil
 
 	case *plan.Filter:
-		ex, err := c.push(x.Child, &FilterStage{Pred: x.Pred})
+		pred, err := env.bind(x.Pred)
+		if err != nil {
+			return nil, err
+		}
+		ex, err := c.push(x.Child, &FilterStage{Pred: pred})
 		if _, ok := x.Child.(*plan.Scan); ok && err == nil {
 			// The filter still runs on every row read; its ranges only let
 			// the scan leave out rows that cannot pass it.
-			ex.Source.(*TableMorselSource).Ranges = expr.DeriveRanges(x.Pred)
+			ex.Source.(*TableMorselSource).Ranges = expr.DeriveRanges(pred)
 		}
 		return ex, err
 
 	case *plan.Project:
-		return c.push(x.Child, &ProjectStage{Exprs: x.Exprs, Names: x.Names})
+		exprs := x.Exprs
+		if env.Params != nil {
+			exprs = slices.Clone(exprs)
+			for i := range exprs {
+				var err error
+				if exprs[i], err = env.bind(exprs[i]); err != nil {
+					return nil, err
+				}
+			}
+		}
+		return c.push(x.Child, &ProjectStage{Exprs: exprs, Names: x.Names})
 
 	case *plan.Join:
 		build, err := c.breakerSource(x.Right)
@@ -191,11 +219,21 @@ func (c *compiler) compile(n plan.Node) (*Exchange, error) {
 		if !x.Parallelizable() {
 			return nil, fmt.Errorf("exec: aggregate has a non-mergeable function; two-phase aggregation is the only execution path")
 		}
+		aggs := x.Aggs
+		if env.Params != nil {
+			aggs = slices.Clone(aggs)
+			for i := range aggs {
+				var err error
+				if aggs[i].Arg, err = env.bind(aggs[i].Arg); err != nil {
+					return nil, err
+				}
+			}
+		}
 		src, err := c.breakerSource(x.Child)
 		if err != nil {
 			return nil, err
 		}
-		a, err := NewParallelHashAggregate(src, env.parallelism(), x.GroupBy, x.Aggs, env.Ctx)
+		a, err := NewParallelHashAggregate(src, env.parallelism(), x.GroupBy, aggs, env.Ctx)
 		if err != nil {
 			return nil, err
 		}

@@ -132,9 +132,6 @@ func (b *ScoreBound) String() string {
 // Cat is the operator category.
 func (n *ModelNode) Cat() Category { return MLD }
 
-// Clone implements plan.Extension.
-func (n *ModelNode) Clone() Node { c := *n; return &c }
-
 func (n *ModelNode) String() string {
 	if n.TopK != nil {
 		return fmt.Sprintf("model:%s -> %s; %s", n.M.Kind(), n.OutputCol.Name, n.TopK)
@@ -152,9 +149,6 @@ type LANode struct {
 
 // Cat is the operator category.
 func (n *LANode) Cat() Category { return LA }
-
-// Clone implements plan.Extension.
-func (n *LANode) Clone() Node { c := *n; return &c }
 
 func (n *LANode) String() string {
 	return fmt.Sprintf("graph(%d nodes) -> %s", n.G.NumNodes(), n.OutputCol.Name)
@@ -189,9 +183,6 @@ func (n *UDFNode) Adds() []string { return nil }
 
 // RowWise implements plan.Extension: a UDF is opaque.
 func (n *UDFNode) RowWise() bool { return false }
-
-// Clone implements plan.Extension.
-func (n *UDFNode) Clone() Node { c := *n; return &c }
 
 func (n *UDFNode) String() string { return n.Name }
 

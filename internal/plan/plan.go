@@ -42,8 +42,6 @@ type Extension interface {
 	// dropped. Otherwise the operator is opaque — it may read, rewrite or
 	// drop anything, and nothing moves across it.
 	RowWise() bool
-	// Clone returns a shallow copy (BindParams never mutates a template).
-	Clone() Node
 }
 
 // Walk calls fn on n and every node below it, parents first.

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"raven/internal/expr"
 	"raven/internal/sql"
 	"raven/internal/storage"
 	"raven/internal/types"
@@ -245,44 +244,5 @@ func TestAggregateParallelizable(t *testing.T) {
 	}
 	if AggFunc(200).Mergeable() {
 		t.Error("unknown aggregate function must not claim mergeability")
-	}
-}
-
-// passThrough is an operator this package does not define.
-type passThrough struct{ child Node }
-
-func (p *passThrough) Schema() *types.Schema  { return p.child.Schema() }
-func (p *passThrough) Children() []Node       { return []Node{p.child} }
-func (p *passThrough) SetChild(_ int, n Node) { p.child = n }
-func (p *passThrough) String() string         { return "passThrough" }
-func (p *passThrough) Reads() []string        { return nil }
-func (p *passThrough) Adds() []string         { return nil }
-func (p *passThrough) RowWise() bool          { return true }
-func (p *passThrough) Clone() Node            { c := *p; return &c }
-
-// TestBindParamsClonesExtensions: a parameter bound below an operator
-// BindParams does not know must reach the result — the operator is cloned
-// onto the bound child — and the template must keep its placeholder.
-func TestBindParamsClonesExtensions(t *testing.T) {
-	cat := testCatalog(t)
-	tb, err := cat.Table("patient_info")
-	if err != nil {
-		t.Fatal(err)
-	}
-	filter := &Filter{Child: NewScan(tb), Pred: expr.NewBinary(expr.OpEq, &expr.Column{Name: "id"}, &expr.Param{Name: "id"})}
-	ext := &passThrough{child: filter}
-	tpl := &Limit{Child: ext, N: 1}
-	if got := CollectParams(tpl); len(got) != 1 || got[0] != "id" {
-		t.Fatalf("params = %v", got)
-	}
-	bound, err := BindParams(tpl, map[string]string{"id": "7"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := Explain(bound); got != "Limit(1)\n  passThrough\n    Filter((id = 7))\n      Scan(patient_info)\n" {
-		t.Errorf("bound plan:\n%s", got)
-	}
-	if ext.child != Node(filter) || Explain(tpl) != "Limit(1)\n  passThrough\n    Filter((id = @id))\n      Scan(patient_info)\n" {
-		t.Errorf("template mutated:\n%s", Explain(tpl))
 	}
 }

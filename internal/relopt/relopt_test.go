@@ -198,7 +198,6 @@ func (e *ext) String() string              { return "ext" }
 func (e *ext) Reads() []string             { return []string{e.read} }
 func (e *ext) Adds() []string              { return []string{e.added} }
 func (e *ext) RowWise() bool               { return e.rowWise }
-func (e *ext) Clone() plan.Node            { c := *e; return &c }
 
 // TestExtensionContract: the rules know an operator they were not written
 // for by its contract alone. Below a row-wise one go the conjuncts that

@@ -110,7 +110,7 @@ func Write(path string, b *types.Batch) error {
 			return err
 		}
 		cm.Len = crcW.n - cm.Off
-		cm.Min, cm.Max, cm.HasStats = columnMinMax(v, rows)
+		cm.Min, cm.Max, cm.HasStats = ColumnMinMax(v, rows)
 		ft.Cols = append(ft.Cols, cm)
 	}
 	ft.DataCRC = crcW.crc
@@ -212,9 +212,9 @@ func encodeColumn(v *types.Vector, rows int) (*columnBlock, error) {
 	return b, nil
 }
 
-// columnMinMax computes min/max over non-NULL rows of a numeric column,
+// ColumnMinMax computes min/max over non-NULL rows of a numeric column,
 // reporting none when a row is NaN or ±Inf (see colMeta.HasStats).
-func columnMinMax(v *types.Vector, rows int) (lo, hi float64, ok bool) {
+func ColumnMinMax(v *types.Vector, rows int) (lo, hi float64, ok bool) {
 	if !v.Type.IsNumeric() && v.Type != types.Bool {
 		return 0, 0, false
 	}

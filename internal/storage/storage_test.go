@@ -91,25 +91,14 @@ func TestTableStats(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st, err := tb.Stats("cat")
-	if err != nil {
-		t.Fatal(err)
+	if lo, hi, ok := tb.MinMax("cat"); !ok || lo != 0 || hi != 2 {
+		t.Errorf("MinMax(cat) = %v, %v, %v", lo, hi, ok)
 	}
-	if st.Min != 0 || st.Max != 2 || st.DistinctCount != 3 {
-		t.Errorf("stats = %+v", st)
+	if _, _, ok := tb.MinMax("name"); ok {
+		t.Error("a VARCHAR column has no min/max")
 	}
-	if len(st.Distinct) != 3 {
-		t.Errorf("Distinct = %v", st.Distinct)
-	}
-	ss, err := tb.Stats("name")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.DistinctCount != 2 || len(ss.DistinctStrings) != 2 {
-		t.Errorf("string stats = %+v", ss)
-	}
-	if _, err := tb.Stats("missing"); err == nil {
-		t.Error("stats of missing column should fail")
+	if _, _, ok := tb.MinMax("missing"); ok {
+		t.Error("a missing column has no min/max")
 	}
 }
 

@@ -407,85 +407,33 @@ func (t *Table) cannotMatch(r *segment.Reader, ranges map[string]expr.Range) boo
 	return false
 }
 
-// ColumnStats summarizes one column for optimizer use: min/max for numeric
-// columns, and the set of distinct values when small. The cross optimizer
-// uses these to derive predicates from data properties (paper §4.1,
-// "predicate-based pruning ... based on data properties").
-type ColumnStats struct {
-	Name          string
-	Min, Max      float64
-	DistinctCount int
-	// Distinct holds the distinct values when DistinctCount <= maxDistinct
-	// (as float64 for numeric columns; strings use DistinctStrings).
-	Distinct        []float64
-	DistinctStrings []string
-	NumRows         int
-}
-
-const maxDistinct = 64
-
-// statsChunk is the row granularity Stats streams a column at, so a
-// larger-than-RAM table never materializes whole for statistics.
-const statsChunk = 8192
-
-// Stats computes fresh statistics for the named column, streaming over
-// sealed segments and the tail in chunks. Statistics are computed on
-// demand rather than cached: tables in this engine are bulk-loaded once
-// per experiment.
-func (t *Table) Stats(col string) (*ColumnStats, error) {
-	idx := t.schema.IndexOf(col)
-	if idx < 0 {
-		return nil, fmt.Errorf("storage: table %s has no column %q", t.Name, col)
+// MinMax returns the least and greatest value of a numeric or BIT column
+// over every row: the sealed segments' footer bounds folded with the
+// tail's, taken by the footer's own rule (segment.ColumnMinMax). There is
+// no fact (ok false) for an empty table, a VARCHAR or unknown column, or a
+// column with any NULL, NaN or ±Inf row: a range over the other rows
+// would not cover what a filter or a model compares.
+func (t *Table) MinMax(col string) (lo, hi float64, ok bool) {
+	c := t.schema.IndexOf(col)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if c < 0 || t.rows == 0 {
+		return 0, 0, false
 	}
-	rows := t.NumRows()
-	typ := t.schema.Columns[idx].Type
-	st := &ColumnStats{Name: col, Min: math.Inf(1), Max: math.Inf(-1), NumRows: rows}
-	seenF := make(map[float64]struct{})
-	seenS := make(map[string]struct{})
-	cols := []int{idx}
-	for lo := 0; lo < rows; lo += statsChunk {
-		b, err := t.ScanRange(lo, min(lo+statsChunk, rows), cols)
-		if err != nil {
-			return nil, err
+	lo, hi = math.Inf(1), math.Inf(-1)
+	for _, p := range t.sealed {
+		l, h, has := p.r.Stats(c)
+		if !has || p.r.HasNulls(c) {
+			return 0, 0, false
 		}
-		v, n := b.Vecs[0], b.Len()
-		switch typ {
-		case types.Float, types.Int, types.Bool:
-			for i := 0; i < n; i++ {
-				x := v.AsFloat(i)
-				if x < st.Min {
-					st.Min = x
-				}
-				if x > st.Max {
-					st.Max = x
-				}
-				if len(seenF) <= maxDistinct {
-					seenF[x] = struct{}{}
-				}
-			}
-		case types.String:
-			for i := 0; i < n; i++ {
-				if len(seenS) <= maxDistinct {
-					seenS[v.Strings[i]] = struct{}{}
-				}
-			}
-		}
+		lo, hi = min(lo, l), max(hi, h)
 	}
-	switch typ {
-	case types.Float, types.Int, types.Bool:
-		st.DistinctCount = len(seenF)
-		if len(seenF) <= maxDistinct {
-			for x := range seenF {
-				st.Distinct = append(st.Distinct, x)
-			}
+	if tail := t.cols[c]; tail.Len() > 0 {
+		l, h, has := segment.ColumnMinMax(tail, tail.Len())
+		if !has || tail.HasNulls() {
+			return 0, 0, false
 		}
-	case types.String:
-		st.DistinctCount = len(seenS)
-		if len(seenS) <= maxDistinct {
-			for s := range seenS {
-				st.DistinctStrings = append(st.DistinctStrings, s)
-			}
-		}
+		lo, hi = min(lo, l), max(hi, h)
 	}
-	return st, nil
+	return lo, hi, true
 }

@@ -101,14 +101,9 @@ func factsOf(n plan.Node, useStats bool) columnFacts {
 // range, which for a single-valued column is an equality.
 func addStatFacts(f columnFacts, sc *plan.Scan) {
 	for _, c := range sc.Schema().Columns {
-		if !c.Type.IsNumeric() && c.Type.String() != "BOOL" {
-			continue
+		if lo, hi, ok := sc.Table.MinMax(c.Name); ok {
+			f.narrow(strings.ToLower(c.Name), expr.Range{Lo: lo, Hi: hi})
 		}
-		st, err := sc.Table.Stats(c.Name)
-		if err != nil || st.NumRows == 0 {
-			continue
-		}
-		f.narrow(strings.ToLower(c.Name), expr.Range{Lo: st.Min, Hi: st.Max})
 	}
 }
 

@@ -32,7 +32,7 @@ type planCase struct {
 func forestRuntime(o *QueryOptions) { o.DisableNNTranslation = true }
 
 var benchPlanCases = []planCase{
-	{name: "ravenexplain running example", q: runningExampleQuery},
+	{name: "running example", q: runningExampleQuery},
 	{name: "batch fig1_pruned", q: `SELECT d.id, p.score FROM PREDICT(MODEL='los_tree', DATA=` + benchHospitalJoin + `) WITH (score FLOAT) AS p WHERE d.pregnant = 1 AND p.score > 0.5`},
 	{name: "batch forest_groupby", set: forestRuntime, q: `SELECT d.gender, COUNT(*) AS n, AVG(p.score) AS a FROM PREDICT(MODEL='los_forest', DATA=` + benchHospitalJoin + `) WITH (score FLOAT) AS p GROUP BY d.gender`},
 	{name: "batch lr_nn_scan", q: `SELECT COUNT(*) AS n, AVG(p.prob) AS a FROM PREDICT(MODEL='flight_delay', DATA=flights_features AS d) WITH (prob FLOAT) AS p`},
@@ -45,8 +45,8 @@ var benchPlanCases = []planCase{
 }
 
 // benchPlanDB holds the benchmark's tables and models (benchmark/data.go:
-// same generators, same training options, smaller tables) and
-// ravenexplain's duration_of_stay tree.
+// same generators, same training options, smaller tables) and a depth-5
+// duration_of_stay tree for the running example.
 func benchPlanDB(t *testing.T) *DB {
 	t.Helper()
 	db := MustOpen()
@@ -110,8 +110,8 @@ var planExceptions = map[string]struct{ reason, old, new string }{
 // TestPlansUnchanged: the one-tree optimizer is a structure change, not a
 // plan change. testdata/plans.golden was recorded at the last commit of
 // the fragment-cutting optimizer (go test -run TestPlansUnchanged
-// -update-plans) and every plan the benchmark runs, ravenexplain's running
-// example and every selectionCases query must still come out operator for
+// -update-plans) and every plan the benchmark runs, the running example
+// and every selectionCases query must still come out operator for
 // operator, with the same AppliedRules.
 func TestPlansUnchanged(t *testing.T) {
 	var got strings.Builder

@@ -837,26 +837,21 @@ func (db *DB) run(ctx context.Context, q string, opts QueryOptions, allowParams 
 }
 
 // instantiate turns a plan source into this call's operator tree:
-// resolve the template, bind params into a per-call clone (the shared
-// template is never mutated), lower.
+// resolve the template and lower it with the call's parameter values,
+// which bind into each expression as its stage is built. The template is
+// shared as it is; no plan node is copied.
 func (db *DB) instantiate(ctx context.Context, opts QueryOptions, params []Param, template func() (*cachedPlan, error)) (*cachedPlan, exec.Operator, error) {
 	tpl, err := template()
 	if err != nil {
 		return nil, nil, err
 	}
-	graph := tpl.graph
+	var vals map[string]string
 	if len(tpl.params) > 0 || len(params) > 0 {
-		vals, err := paramValues(tpl.params, params)
-		if err != nil {
+		if vals, err = paramValues(tpl.params, params); err != nil {
 			return nil, nil, err
 		}
-		root, err := plan.BindParams(graph.Root, vals)
-		if err != nil {
-			return nil, nil, err
-		}
-		graph = &ir.Graph{Root: root}
 	}
-	op, err := db.lower(ctx, graph, opts)
+	op, err := db.lower(ctx, tpl.graph, opts, vals)
 	return tpl, op, err
 }
 
@@ -1062,8 +1057,10 @@ func (db *DB) optimizerOptions(opts QueryOptions) xopt.Options {
 // lower turns a compiled template into a fresh executable operator tree.
 // It runs per execution — cheap relative to the front half — so prepared
 // templates still adapt to current table sizes (one-worker vs DOP-wide
-// scans) and carry the call's context into every operator.
-func (db *DB) lower(ctx context.Context, graph *ir.Graph, opts QueryOptions) (exec.Operator, error) {
+// scans) and carry the call's context into every operator. params are
+// the call's values for the template's @parameters; nil leaves them
+// unbound.
+func (db *DB) lower(ctx context.Context, graph *ir.Graph, opts QueryOptions, params map[string]string) (exec.Operator, error) {
 	par := db.effectiveParallelism(ctx, opts)
 	cfg := &codegen.Config{
 		Runtime:               db.runtime,
@@ -1072,6 +1069,7 @@ func (db *DB) lower(ctx context.Context, graph *ir.Graph, opts QueryOptions) (ex
 		Parallelism:           par,
 		ParallelThresholdRows: opts.ParallelThresholdRows,
 		MorselSize:            opts.MorselSize,
+		Params:                params,
 	}
 	return codegen.Compile(graph, cfg)
 }

@@ -300,7 +300,7 @@ func TestSelectionStaysAboveUDF(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		op, err := db.lower(context.Background(), res.Graph, opts)
+		op, err := db.lower(context.Background(), res.Graph, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,10 +326,10 @@ func TestSelectionStaysAboveUDF(t *testing.T) {
 
 // TestSelectionPushdownPreparedConcurrent: the hoisted @id lives below the
 // model operators of the shared template. 8 goroutines re-execute one
-// statement with 100 different ids; clone-on-bind must keep the template
-// untouched — and must clone the ML operators above a bound filter, not
-// only the relational ones — so every execution sees its own id and nobody
-// else's. With inlining off the model operators stay in the template.
+// statement with 100 different ids; each binds its id only into the
+// filter stage its own lowering builds below those operators, so every
+// execution sees its own id and nobody else's. With inlining off the model
+// operators stay in the template.
 func TestSelectionPushdownPreparedConcurrent(t *testing.T) {
 	db := selectionDB(t, 1000)
 	keepModels := DefaultQueryOptions()

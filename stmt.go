@@ -30,8 +30,8 @@ func P(name, value string) Param { return Param{Name: name, Value: value} }
 // A Stmt holds one across executions; an ad-hoc call compiles its own and
 // drops it. It is immutable after construction — executions lower it
 // into fresh operator trees (codegen re-runs per call, so data growth
-// still flips scans between one worker and DOP-wide) and parameterized
-// plans are cloned, never mutated, at bind time.
+// still flips scans between one worker and DOP-wide), binding their
+// parameter values into the stages they build, never into the plan.
 type cachedPlan struct {
 	// graph is the optimized tree; its model operators carry their
 	// session-cache keys.
@@ -54,8 +54,8 @@ type cachedPlan struct {
 // Stmt is a prepared statement: parse → bind → unified IR → cross
 // optimization ran once at Prepare, and every Query call reuses the
 // compiled template, paying only operator lowering and execution. A Stmt
-// is safe for concurrent Query calls; executions never mutate the shared
-// template (parameter binding clones the affected plan nodes).
+// is safe for concurrent Query calls; executions share the template as
+// it is and bind their parameters only into their own operator trees.
 //
 // Undeclared @var references in the SQL become execute-time parameters
 // supplied via Query(P("name", "value"), ...). The PREDICT model name is
@@ -145,7 +145,7 @@ func (s *Stmt) ResultSchema(ctx context.Context) (*types.Schema, error) {
 	if err != nil {
 		return nil, err
 	}
-	op, err := s.db.lower(ctx, tpl.graph, s.opts)
+	op, err := s.db.lower(ctx, tpl.graph, s.opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -172,13 +172,13 @@ func (s *Stmt) Query(params ...Param) (*Rows, error) {
 }
 
 // QueryContext executes the prepared statement under a context: the
-// compiled plan is reused (no parse/bind/optimize), parameters bind into
-// a per-call clone, and cancellation reaches every operator and
-// predictor. Prepared executions pass through the same admission control
-// as ad-hoc queries (the slot is held until Rows.Close), so a fleet of
-// warm statements cannot oversubscribe the engine either. The result
-// cache is keyed with the statement text (its DECLAREs included) plus
-// the call's parameter values.
+// compiled plan is reused (no parse/bind/optimize), parameters bind as
+// its expressions become stages, and cancellation reaches every operator
+// and predictor. Prepared executions pass through the same admission
+// control as ad-hoc queries (the slot is held until Rows.Close), so a
+// fleet of warm statements cannot oversubscribe the engine either. The
+// result cache is keyed with the statement text (its DECLAREs included)
+// plus the call's parameter values.
 func (s *Stmt) QueryContext(ctx context.Context, params ...Param) (*Rows, error) {
 	return s.db.run(ctx, s.sql, s.opts, true, params, s.template)
 }
