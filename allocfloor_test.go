@@ -126,7 +126,7 @@ func TestAllocationFloors(t *testing.T) {
 				})
 				return db.StoreModel("delay_rf", &ml.Pipeline{Final: rf, InputColumns: fl.FeatureCols})
 			},
-			opts: QueryOptions{Mode: ModeInProcess, Parallelism: 1},
+			opts: QueryOptions{Parallelism: 1},
 			queries: []string{
 				`SELECT p.prob FROM PREDICT(MODEL='delay_rf', DATA=flights_features AS d) WITH (prob FLOAT) AS p`,
 			},
@@ -136,7 +136,7 @@ func TestAllocationFloors(t *testing.T) {
 			load: func(db *DB, rows int) error { return genBreakerTables(db.Catalog(), rows, 4096, 32, 23) },
 			// ParallelThresholdRows 1 puts the parallel breaker operators
 			// on the plan; DOP 1 runs them with a single worker.
-			opts: QueryOptions{Mode: ModeInProcess, Parallelism: 1, ParallelThresholdRows: 1},
+			opts: QueryOptions{Parallelism: 1, ParallelThresholdRows: 1},
 			queries: []string{
 				`SELECT seg, COUNT(*) AS n, SUM(v) AS sv, AVG(w) AS aw, MIN(v) AS mn, MAX(w) AS mx FROM breaker_events GROUP BY seg`,
 				`SELECT e.v, d.label FROM breaker_events AS e JOIN breaker_dim AS d ON e.k = d.k WHERE e.v > 0.25`,

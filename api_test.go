@@ -435,9 +435,9 @@ func TestRowsStreamingScanAndParity(t *testing.T) {
 		}
 		return out
 	}
-	serial := collect(QueryOptions{Mode: ModeInProcess, Parallelism: 1})
+	serial := collect(QueryOptions{Parallelism: 1})
 	for _, dop := range []int{4, 8} {
-		par := collect(QueryOptions{Mode: ModeInProcess, Parallelism: dop, ParallelThresholdRows: 1, MorselSize: 512})
+		par := collect(QueryOptions{Parallelism: dop, ParallelThresholdRows: 1, MorselSize: 512})
 		if len(par) != len(serial) {
 			t.Fatalf("dop=%d: %d rows vs %d", dop, len(par), len(serial))
 		}
@@ -503,7 +503,7 @@ func TestNonCrossPathAppliesRelationalOptimizations(t *testing.T) {
 		      JOIN blood_tests AS bt ON pi.id = bt.id
 		      JOIN prenatal_tests AS pt ON bt.id = pt.id) AS d)
 		WITH (s FLOAT) AS p`
-	res, err := db.QueryWithOptions(q, QueryOptions{CrossOptimize: false, Mode: ModeInProcess, Parallelism: 1})
+	res, err := db.QueryWithOptions(q, QueryOptions{CrossOptimize: false, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -513,7 +513,7 @@ func TestNonCrossPathAppliesRelationalOptimizations(t *testing.T) {
 	}
 	// The optimized plan must still compute the same result as the full
 	// cross-optimized path.
-	opt, err := db.QueryWithOptions(q, QueryOptions{CrossOptimize: true, Mode: ModeInProcess, Parallelism: 1})
+	opt, err := db.QueryWithOptions(q, QueryOptions{CrossOptimize: true, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,6 @@ const slowPredictQuery = `SELECT p.prob FROM PREDICT(MODEL='slow_rf', DATA=fligh
 func TestContextCancelsParallelPredict(t *testing.T) {
 	db := slowPredictDB(t, 50000)
 	opts := QueryOptions{
-		Mode:                  ModeInProcess,
 		Parallelism:           4,
 		ParallelThresholdRows: 1,
 		MorselSize:            512,
@@ -102,7 +101,7 @@ func TestPreCancelledContext(t *testing.T) {
 	cancel()
 	base := runtime.NumGoroutine()
 	rows, err := db.QueryContextWithOptions(ctx, slowPredictQuery, QueryOptions{
-		Mode: ModeInProcess, Parallelism: 4, ParallelThresholdRows: 1,
+		Parallelism: 4, ParallelThresholdRows: 1,
 	})
 	if err == nil {
 		_, err = rows.Collect()
@@ -116,7 +115,7 @@ func TestPreCancelledContext(t *testing.T) {
 func TestStmtQueryContextCancel(t *testing.T) {
 	db := slowPredictDB(t, 50000)
 	st, err := db.PrepareWithOptions(slowPredictQuery, QueryOptions{
-		Mode: ModeInProcess, Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
+		Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,30 +152,6 @@ func TestStmtQueryContextCancel(t *testing.T) {
 	batchesIdentical(t, "post-cancel reuse", ref.Batch, again.Batch)
 }
 
-// TestContextInterruptsExternalStartup covers the rt predictors: the
-// simulated half-second external-runtime boot must not stall a cancelled
-// query.
-func TestContextInterruptsExternalStartup(t *testing.T) {
-	db := slowPredictDB(t, 20000)
-	db.Runtime().ExternalStartup = 2 * time.Second
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	rows, err := db.QueryContextWithOptions(ctx, slowPredictQuery, QueryOptions{
-		Mode: ModeOutOfProcess, Parallelism: 1,
-	})
-	if err == nil {
-		_, err = rows.Collect()
-	}
-	elapsed := time.Since(start)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("want DeadlineExceeded, got %v", err)
-	}
-	if elapsed > time.Second {
-		t.Errorf("cancellation waited out the external startup: %v", elapsed)
-	}
-}
-
 // TestContextCancelsParallelAggregate blocks a predictor below the
 // two-phase parallel aggregate: the deadline must surface promptly from
 // the fold workers (they poll ctx between morsels and the wrapped
@@ -184,7 +159,7 @@ func TestContextInterruptsExternalStartup(t *testing.T) {
 func TestContextCancelsParallelAggregate(t *testing.T) {
 	db := slowPredictDB(t, 50000)
 	q := `SELECT COUNT(*) AS n, AVG(p.prob) AS ap FROM PREDICT(MODEL='slow_rf', DATA=flights_features AS d) WITH (prob FLOAT) AS p WHERE d.f0 > -100`
-	opts := QueryOptions{Mode: ModeInProcess, Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512}
+	opts := QueryOptions{Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512}
 	// Uncancelled reference run: the aggregate works and takes long
 	// enough that a 2ms deadline lands mid-fold.
 	start := time.Now()
@@ -235,7 +210,7 @@ func TestContextCancelsBreakersOverJoin(t *testing.T) {
 		        JOIN blood_tests AS bt ON pi.id = bt.id
 		        JOIN prenatal_tests AS pt ON bt.id = pt.id) AS d)
 		WITH (los FLOAT) AS p`
-	opts := QueryOptions{Mode: ModeInProcess, Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512}
+	opts := QueryOptions{Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512}
 	if _, err := db.QueryWithOptions(q, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +251,7 @@ func TestContextCancelsPipelineBreakers(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
 	rows, err := db.QueryContextWithOptions(ctx, q, QueryOptions{
-		Mode: ModeInProcess, Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
+		Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
 	})
 	if err == nil {
 		_, err = rows.Collect()

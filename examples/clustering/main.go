@@ -10,9 +10,9 @@ import (
 	"math/rand"
 	"time"
 
+	"raven/internal/bench"
 	"raven/internal/ml"
 	"raven/internal/train"
-	"raven/internal/xopt"
 )
 
 func main() {
@@ -78,7 +78,7 @@ func main() {
 
 	for _, k := range []int{2, 4, 8, 16, 32} {
 		buildStart := time.Now()
-		cm, err := xopt.BuildClusteredEncodedModel(enc, lr, sample, k, 1e-9, 5)
+		cm, err := bench.BuildClusteredEncodedModel(enc, lr, sample, k, 1e-9, 5)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -41,14 +41,14 @@ func main() {
 			DATA=flights_features AS d) WITH (prob FLOAT) AS p`, m.name)
 
 		base, err := db.QueryWithOptions(q, raven.QueryOptions{
-			CrossOptimize: false, Mode: raven.ModeInProcess, Parallelism: 1,
+			CrossOptimize: false, Parallelism: 1,
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		opt, err := db.QueryWithOptions(q, raven.QueryOptions{
 			CrossOptimize: true, DisableNNTranslation: true, DisableInlining: true,
-			Mode: raven.ModeInProcess, Parallelism: 1,
+			Parallelism: 1,
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -109,7 +109,6 @@ func TestFunnelExitPaths(t *testing.T) {
 		name   string
 		queue  int
 		q      string
-		opts   func(*QueryOptions)
 		params []Param
 		// act takes one exit path; the statement still answers afterwards
 		// unless fails is set.
@@ -184,15 +183,6 @@ func TestFunnelExitPaths(t *testing.T) {
 			rows, err := call(bg)
 			mustFail(t, rows, err, nil)
 		}},
-		{name: "lower error", q: funnelPlain, fails: true,
-			opts: func(o *QueryOptions) { o.CrossOptimize, o.Mode = false, Mode(99) },
-			act: func(t *testing.T, db *DB, call funnelCall) {
-				rows, err := call(bg)
-				mustFail(t, rows, err, nil)
-				if !strings.Contains(err.Error(), "unknown mode") {
-					t.Fatalf("err = %v, want the lowering failure", err)
-				}
-			}},
 		{name: "missing param", q: funnelParam, fails: true, act: failsOnce},
 		{name: "unknown param", q: funnelParam, fails: true, params: []Param{P("lo", "40"), P("nope", "1")},
 			act: failsOnce},
@@ -219,9 +209,6 @@ func TestFunnelExitPaths(t *testing.T) {
 			t.Run(sc.name+"/"+e.name, func(t *testing.T) {
 				db := funnelDB(t, sc.queue)
 				opts := DefaultQueryOptions()
-				if sc.opts != nil {
-					sc.opts(&opts)
-				}
 				sc.act(t, db, e.bind(db, sc.q, opts, sc.params...))
 
 				if st := db.Scheduler().Stats(); st.Active != 0 || st.Waiting != 0 || st.SlotsInUse != 0 {

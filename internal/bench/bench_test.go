@@ -41,6 +41,13 @@ func TestTimeHelper(t *testing.T) {
 	if _, err := Time(0, 1, func() error { return errTest }); err == nil {
 		t.Error("error should propagate")
 	}
+	calls = 0
+	if d, err := Fastest(1, 3, func() error { calls++; return nil }); err != nil || calls != 4 || d < 0 {
+		t.Errorf("Fastest: %v %v %d", d, err, calls)
+	}
+	if _, err := Fastest(0, 3, func() error { return errTest }); err == nil {
+		t.Error("Fastest: error should propagate")
+	}
 }
 
 var errTest = errString("boom")

@@ -1,4 +1,4 @@
-package xopt
+package bench
 
 import (
 	"fmt"

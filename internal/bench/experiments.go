@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -11,10 +12,8 @@ import (
 	"raven/internal/nnconv"
 	"raven/internal/ort"
 	"raven/internal/pyanal"
-	"raven/internal/rt"
 	"raven/internal/tensor"
 	"raven/internal/train"
-	"raven/internal/xopt"
 )
 
 // Config scales the experiments. Quick shrinks sizes for unit-test and CI
@@ -63,13 +62,6 @@ func hospitalForestPipeline(h *data.Hospital, trees, depth int) *ml.Pipeline {
 	return &ml.Pipeline{Steps: []ml.Transformer{sc}, Final: rf, InputColumns: h.FeatureCols}
 }
 
-// predictQuery builds the standard hospital inference query.
-const hospitalPredictQuery = `SELECT p.score FROM PREDICT(MODEL='%s',
-  DATA=(SELECT * FROM patient_info AS pi
-        JOIN blood_tests AS bt ON pi.id = bt.id
-        JOIN prenatal_tests AS pt ON bt.id = pt.id) AS d)
-  WITH (score FLOAT) AS p`
-
 // Fig2a reproduces model-projection pushdown on L1-sparse logistic
 // regression (paper: ~1.7× at 41.75% sparsity, ~5.3× at 80.96%).
 func Fig2a(cfg Config) (*Table, error) {
@@ -104,7 +96,7 @@ func Fig2a(cfg Config) (*Table, error) {
 		label := fmt.Sprintf("%s (%.1f%% sparse)", m.name, lr.Sparsity()*100)
 
 		base, err := Time(cfg.Warm, cfg.Runs, func() error {
-			_, err := db.QueryWithOptions(q, raven.QueryOptions{CrossOptimize: false, Mode: raven.ModeInProcess, Parallelism: 1})
+			_, err := db.QueryWithOptions(q, raven.QueryOptions{CrossOptimize: false, Parallelism: 1})
 			return err
 		})
 		if err != nil {
@@ -113,7 +105,7 @@ func Fig2a(cfg Config) (*Table, error) {
 		opt, err := Time(cfg.Warm, cfg.Runs, func() error {
 			_, err := db.QueryWithOptions(q, raven.QueryOptions{
 				CrossOptimize: true, DisableNNTranslation: true, DisableInlining: true,
-				Mode: raven.ModeInProcess, Parallelism: 1,
+				Parallelism: 1,
 			})
 			return err
 		})
@@ -211,7 +203,7 @@ func Fig2b(cfg Config) (*Table, error) {
 	t.Add("original pipeline", "k=1", base, "")
 	for _, k := range cfg.sizes([]int{2, 4, 8, 16, 32}) {
 		compileStart := time.Now()
-		cm, err := xopt.BuildClusteredEncodedModel(enc, lr, sample, k, 1e-9, 5)
+		cm, err := BuildClusteredEncodedModel(enc, lr, sample, k, 1e-9, 5)
 		if err != nil {
 			return nil, err
 		}
@@ -239,7 +231,7 @@ func Fig2b(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	hcm, err := xopt.BuildClusteredEncodedModel(&ml.OneHotEncoder{InputDim: h.TrainX.Cols}, hlr, h.TrainX, 8, 1e-9, 5)
+	hcm, err := BuildClusteredEncodedModel(&ml.OneHotEncoder{InputDim: h.TrainX.Cols}, hlr, h.TrainX, 8, 1e-9, 5)
 	if err != nil {
 		return nil, err
 	}
@@ -274,19 +266,16 @@ func Fig2c(cfg Config) (*Table, error) {
 	if err := db.StoreModel("los_tree", pipe); err != nil {
 		return nil, err
 	}
-	db.Runtime().ExternalStartup = rt.DefaultExternalStartup
 	for _, n := range sizes {
 		lim := FmtRows(n)
-		q := fmt.Sprintf(`SELECT p.score FROM PREDICT(MODEL='los_tree',
-			DATA=(SELECT * FROM patient_info AS pi
-			      JOIN blood_tests AS bt ON pi.id = bt.id
-			      JOIN prenatal_tests AS pt ON bt.id = pt.id
-			      WHERE pi.id < %d) AS d)
-			WITH (score FLOAT) AS p WHERE d.pregnant = 1`, n)
-		// Baseline: the classical framework outside the DB — external
-		// runtime startup + data transfer + per-row tree traversal.
+		dataSQL := hospitalData(n)
+		q := fmt.Sprintf(`SELECT p.score FROM PREDICT(MODEL='los_tree', DATA=(%s) AS d)
+			WITH (score FLOAT) AS p WHERE d.pregnant = 1`, dataSQL)
+		// Baseline (modelled): the classical framework outside the DB —
+		// external runtime startup + data transfer + per-row tree
+		// traversal over every DATA row.
 		base, err := Time(cfg.Warm, cfg.Runs, func() error {
-			_, err := db.QueryWithOptions(q, raven.QueryOptions{CrossOptimize: false, Mode: raven.ModeOutOfProcess, Parallelism: 1})
+			_, err := ScoreExternal(context.Background(), db, dataSQL, "los_tree", DefaultExternalStartup)
 			return err
 		})
 		if err != nil {
@@ -295,7 +284,7 @@ func Fig2c(cfg Config) (*Table, error) {
 		inlined, err := Time(cfg.Warm, cfg.Runs, func() error {
 			_, err := db.QueryWithOptions(q, raven.QueryOptions{
 				CrossOptimize: true, DisablePruning: true, DisableNNTranslation: true,
-				Mode: raven.ModeInProcess, Parallelism: 1,
+				Parallelism: 1,
 			})
 			return err
 		})
@@ -305,14 +294,14 @@ func Fig2c(cfg Config) (*Table, error) {
 		pruned, err := Time(cfg.Warm, cfg.Runs, func() error {
 			_, err := db.QueryWithOptions(q, raven.QueryOptions{
 				CrossOptimize: true, DisableNNTranslation: true,
-				Mode: raven.ModeInProcess, Parallelism: 1,
+				Parallelism: 1,
 			})
 			return err
 		})
 		if err != nil {
 			return nil, err
 		}
-		t.Add("sklearn-sim from DB", lim, base, "")
+		t.Add("sklearn-sim from DB", lim, base, "modelled")
 		t.Add("inlined CASE", lim, inlined, "")
 		t.Add("inlined + pruning", lim, pruned, "")
 	}
@@ -395,8 +384,9 @@ func replicateMatrix(src ml.Matrix, n int) ml.Matrix {
 }
 
 // Fig3 reproduces the inference-mode comparison: standalone ORT vs Raven
-// (in-process, session cache, parallel scan+PREDICT) vs Raven Ext
-// (out-of-process, ~0.5s startup), for RF and MLP pipelines.
+// (the nn-translation rule's tensor session, session cache, parallel
+// scan+PREDICT) vs Raven Ext (modelled by ScoreExternal: ~0.5s startup
+// plus a gob round trip per batch), for RF and MLP pipelines.
 func Fig3(cfg Config) (*Table, error) {
 	t := &Table{
 		ID:    "Fig3",
@@ -436,12 +426,8 @@ func Fig3(cfg Config) (*Table, error) {
 		}
 		for _, n := range sizes {
 			lim := FmtRows(n) + " " + m.name
-			q := fmt.Sprintf(`SELECT p.score FROM PREDICT(MODEL='%s',
-				DATA=(SELECT * FROM patient_info AS pi
-				      JOIN blood_tests AS bt ON pi.id = bt.id
-				      JOIN prenatal_tests AS pt ON bt.id = pt.id
-				      WHERE pi.id < %d) AS d)
-				WITH (score FLOAT) AS p`, m.name, n)
+			dataSQL := hospitalData(n)
+			q := fmt.Sprintf(`SELECT p.score FROM PREDICT(MODEL='%s', DATA=(%s) AS d) WITH (score FLOAT) AS p`, m.name, dataSQL)
 
 			// Standalone ORT: reload (re-build) the session every query,
 			// single inference call, no DB parallelism.
@@ -461,29 +447,21 @@ func Fig3(cfg Config) (*Table, error) {
 				return nil, err
 			}
 			raven8, err := Time(cfg.Warm, cfg.Runs, func() error {
-				_, err := db.QueryWithOptions(q, raven.QueryOptions{
-					CrossOptimize: false, Mode: raven.ModeInProcessNN, Parallelism: 8,
-				})
+				_, err := db.QueryWithOptions(q, nnOnly(8))
 				return err
 			})
 			if err != nil {
 				return nil, err
 			}
 			ravenSeq, err := Time(cfg.Warm, cfg.Runs, func() error {
-				_, err := db.QueryWithOptions(q, raven.QueryOptions{
-					CrossOptimize: false, Mode: raven.ModeInProcessNN, Parallelism: 1,
-				})
+				_, err := db.QueryWithOptions(q, nnOnly(1))
 				return err
 			})
 			if err != nil {
 				return nil, err
 			}
 			ext, err := Time(cfg.Warm, min(cfg.Runs, 1), func() error {
-				db.Runtime().ExternalStartup = rt.DefaultExternalStartup
-				_, err := db.QueryWithOptions(q, raven.QueryOptions{
-					CrossOptimize: false, Mode: raven.ModeOutOfProcess, Parallelism: 1,
-					DisableSessionCache: true,
-				})
+				_, err := ScoreExternal(context.Background(), db, dataSQL, m.name, DefaultExternalStartup)
 				return err
 			})
 			if err != nil {
@@ -492,20 +470,34 @@ func Fig3(cfg Config) (*Table, error) {
 			t.Add("ORT", lim, ortTime, "")
 			t.Add("Raven", lim, raven8, "")
 			t.Add("Raven (forced sequential)", lim, ravenSeq, "")
-			t.Add("Raven Ext", lim, ext, "")
+			t.Add("Raven Ext", lim, ext, "modelled")
 		}
 	}
 	return t, nil
 }
 
-// extractMatrix reads the joined hospital features for the first n ids —
-// the "read the data" step of standalone scoring.
-func extractMatrix(db *raven.DB, n int, cols []string) (*tensor.Tensor, error) {
-	q := fmt.Sprintf(`SELECT * FROM patient_info AS pi
+// nnOnly runs a model the way the nn-translation rule leaves it, as a
+// tensor session, with the rules that would rewrite it first switched off.
+func nnOnly(dop int) raven.QueryOptions {
+	return raven.QueryOptions{
+		CrossOptimize: true, DisableInlining: true, DisablePruning: true, DisableProjectionPushdown: true,
+		Parallelism: dop,
+	}
+}
+
+// hospitalData is the hospital DATA query over the first n ids: the
+// three-way join every PREDICT of Fig 2(c) and Fig 3 scores.
+func hospitalData(n int) string {
+	return fmt.Sprintf(`SELECT * FROM patient_info AS pi
 		JOIN blood_tests AS bt ON pi.id = bt.id
 		JOIN prenatal_tests AS pt ON bt.id = pt.id
 		WHERE pi.id < %d`, n)
-	res, err := db.QueryWithOptions(q, raven.QueryOptions{CrossOptimize: false})
+}
+
+// extractMatrix reads the joined hospital features for the first n ids —
+// the "read the data" step of standalone scoring.
+func extractMatrix(db *raven.DB, n int, cols []string) (*tensor.Tensor, error) {
+	res, err := db.QueryWithOptions(hospitalData(n), raven.QueryOptions{CrossOptimize: false})
 	if err != nil {
 		return nil, err
 	}
@@ -686,7 +678,9 @@ func BatchVsTuple(cfg Config) (*Table, error) {
 	}
 	x := replicateMatrix(h.TrainX, n)
 	for _, batch := range []int{1, 64, 1024, 4096} {
-		dur, err := Time(cfg.Warm, 1, func() error {
+		// A ratio of two short timings: the fastest of three keeps a burst
+		// of other load from deciding it.
+		dur, err := Fastest(cfg.Warm, max(cfg.Runs, 3), func() error {
 			for lo := 0; lo < n; lo += batch {
 				hi := lo + batch
 				if hi > n {
@@ -763,18 +757,19 @@ func RunningExample(cfg Config) (*Table, error) {
 	if err := db.StoreModel("duration_of_stay", pipe); err != nil {
 		return nil, err
 	}
+	const dataSQL = `SELECT * FROM patient_info AS pi
+  JOIN blood_tests AS bt ON pi.id = bt.id
+  JOIN prenatal_tests AS pt ON bt.id = pt.id`
 	q := `DECLARE @model = 'duration_of_stay';
 WITH data AS (
-  SELECT * FROM patient_info AS pi
-  JOIN blood_tests AS bt ON pi.id = bt.id
-  JOIN prenatal_tests AS pt ON bt.id = pt.id
+  ` + dataSQL + `
 )
 SELECT d.id, p.length_of_stay
 FROM PREDICT(MODEL = @model, DATA = data AS d)
 WITH (length_of_stay FLOAT) AS p
 WHERE d.pregnant = 1 AND p.length_of_stay > 0.5`
 	base, err := Time(cfg.Warm, cfg.Runs, func() error {
-		_, err := db.QueryWithOptions(q, raven.QueryOptions{CrossOptimize: false, Mode: raven.ModeOutOfProcess, Parallelism: 1})
+		_, err := ScoreExternal(context.Background(), db, dataSQL, "duration_of_stay", DefaultExternalStartup)
 		return err
 	})
 	if err != nil {
@@ -791,7 +786,7 @@ WHERE d.pregnant = 1 AND p.length_of_stay > 0.5`
 	if err != nil {
 		return nil, err
 	}
-	t.Add("no optimization (external)", "Fig1 query", base, "")
+	t.Add("no optimization (external)", "Fig1 query", base, "modelled")
 	t.Add("Raven optimized", "Fig1 query", opt,
 		fmt.Sprintf("rules: %v; speedup %.1fx", res.AppliedRules, float64(base)/float64(opt)))
 	return t, nil

@@ -1,8 +1,9 @@
 // Package codegen is Raven's Runtime Code Generator (paper §2, §5): it
 // lowers the optimized unified IR into an executable physical operator
-// tree, binding each ML stage to an execution mode (in-process pipeline,
-// in-process tensor session, out-of-process), and can render
-// the regenerated SQL for inspection.
+// tree, and can render the regenerated SQL for inspection. Each ML
+// operator runs the way the cross optimizer left it: a model operator on
+// the pipeline kernel (under a top-k score bound when the plan carries
+// one), a linear-algebra operator on its tensor session.
 package codegen
 
 import (
@@ -26,8 +27,9 @@ type Config struct {
 	// pipeline breakers and predictors all observe it. Nil means not
 	// cancellable.
 	Ctx context.Context
-	// Mode selects how MLD chains execute. LA nodes always run on the
-	// tensor runtime.
+	// Mode has no effect.
+	//
+	// Deprecated: the plan decides how each model runs.
 	Mode rt.Mode
 	// Parallelism is the pipeline worker count (1 = inline, no goroutines).
 	Parallelism int
@@ -37,8 +39,8 @@ type Config struct {
 	MorselSize int
 	// Params binds @parameters as stages are built (exec.Env.Params).
 	Params map[string]string
-	// CacheKey identifies the model for session caching; empty disables
-	// caching (the standalone-runtime behaviour).
+	// CacheKey, when set, keys every tensor session of the plan in place
+	// of its operator's own key.
 	CacheKey string
 }
 
@@ -96,8 +98,16 @@ func (c *compiler) sessionKey(op *ir.Scorer) string {
 func (c *compiler) lower(n plan.Node, below func(plan.Node) (*exec.Exchange, error)) (*exec.Exchange, error) {
 	switch x := n.(type) {
 	case *ir.ModelNode:
-		pipe := &ml.Pipeline{Steps: x.Steps, Final: x.M, InputColumns: x.InputCols}
-		return c.score(&x.Scorer, below, func() (exec.Predictor, error) { return c.predictor(&x.Scorer, pipe, x.TopK) })
+		return c.score(&x.Scorer, below, func() (exec.Predictor, error) {
+			p := rt.NewPipelinePredictor(&ml.Pipeline{Steps: x.Steps, Final: x.M, InputColumns: x.InputCols}, x.OutputCol.Type)
+			if x.TopK == nil {
+				return p, nil
+			}
+			// A score bound gets a θ of its own: the bound lives as long as
+			// this execution's operator tree, never in the plan a prepared
+			// statement keeps.
+			return &rt.TopKPredictor{PipelinePredictor: p, Bound: ml.NewTopK(x.TopK.K, x.TopK.Desc)}, nil
+		})
 
 	case *ir.LANode:
 		return c.score(&x.Scorer, below, func() (exec.Predictor, error) {
@@ -146,29 +156,6 @@ func (c *compiler) score(op *ir.Scorer, below func(plan.Node) (*exec.Exchange, e
 		pred = &rt.ContextPredictor{Ctx: c.cfg.Ctx, Inner: pred}
 	}
 	return input, input.Push(&exec.PredictStage{Predictor: pred, OutputCols: []types.Column{op.OutputCol}})
-}
-
-// predictor maps the configured mode to a predictor for pipe. In process,
-// a score bound gets a θ of its own: the bound lives as long as this
-// execution's operator tree, never in the plan a prepared statement keeps.
-// The other modes score every row.
-func (c *compiler) predictor(op *ir.Scorer, pipe *ml.Pipeline, topk *ir.ScoreBound) (exec.Predictor, error) {
-	cfg, outType := c.cfg, op.OutputCol.Type
-	r := cfg.runtime()
-	switch cfg.Mode {
-	case rt.ModeInProcess:
-		if topk != nil {
-			return &rt.TopKPredictor{PipelinePredictor: rt.NewPipelinePredictor(pipe, outType), Bound: ml.NewTopK(topk.K, topk.Desc)}, nil
-		}
-		return rt.NewPipelinePredictor(pipe, outType), nil
-	case rt.ModeInProcessNN:
-		return r.NNPredictor(c.sessionKey(op), pipe, outType)
-	case rt.ModeOutOfProcess:
-		inner := rt.NewPipelinePredictor(pipe, outType)
-		return &rt.OutOfProcessPredictor{Inner: inner, Startup: r.ExternalStartup, Ctx: cfg.Ctx}, nil
-	default:
-		return nil, fmt.Errorf("codegen: unknown mode %v", cfg.Mode)
-	}
 }
 
 // udfOp applies an opaque batch function.

@@ -12,7 +12,6 @@ import (
 	"raven/internal/ml"
 	"raven/internal/nnconv"
 	"raven/internal/plan"
-	"raven/internal/rt"
 	"raven/internal/storage"
 	"raven/internal/types"
 )
@@ -41,6 +40,17 @@ func lrModelNode(src ir.Node) *ir.ModelNode {
 	return &ir.ModelNode{Scorer: scorer(src), M: &ml.LogisticRegression{W: []float64{1, -1}, B: 0.5}}
 }
 
+// laNode is what the nn-translation rule makes of m: the same scorer over
+// m's tensor graph.
+func laNode(t *testing.T, m *ir.ModelNode) *ir.LANode {
+	t.Helper()
+	g, err := nnconv.TranslatePipeline(&ml.Pipeline{Final: m.M, InputColumns: m.InputCols})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &ir.LANode{Scorer: m.Scorer, G: g}
+}
+
 func collect(t *testing.T, op exec.Operator) *types.Batch {
 	t.Helper()
 	out, err := exec.Collect(op)
@@ -52,22 +62,22 @@ func collect(t *testing.T, op exec.Operator) *types.Batch {
 
 func TestCompileModelChain(t *testing.T) {
 	tb := featureTable(t, 500)
-	g := &ir.Graph{Root: lrModelNode(plan.NewScan(tb))}
-	for _, mode := range []rt.Mode{rt.ModeInProcess, rt.ModeInProcessNN} {
-		op, err := Compile(g, &Config{Mode: mode, Parallelism: 1})
+	model := lrModelNode(plan.NewScan(tb))
+	for _, root := range []ir.Node{model, laNode(t, model)} {
+		op, err := Compile(&ir.Graph{Root: root}, &Config{Parallelism: 1})
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("%T: %v", root, err)
 		}
 		out := collect(t, op)
 		if out.Len() != 500 || out.Schema.IndexOf("score") < 0 {
-			t.Fatalf("mode %v: %d rows, schema %v", mode, out.Len(), out.Schema)
+			t.Fatalf("%T: %d rows, schema %v", root, out.Len(), out.Schema)
 		}
 		// spot check row 0
 		a := out.Col("a").Floats[0]
 		b := out.Col("b").Floats[0]
 		want := 1 / (1 + math.Exp(-(a - b + 0.5)))
 		if math.Abs(out.Col("score").Floats[0]-want) > 1e-9 {
-			t.Fatalf("mode %v: score = %v want %v", mode, out.Col("score").Floats[0], want)
+			t.Fatalf("%T: score = %v want %v", root, out.Col("score").Floats[0], want)
 		}
 	}
 }
@@ -78,7 +88,7 @@ func TestCompileFilterAboveModel(t *testing.T) {
 		Child: lrModelNode(plan.NewScan(tb)),
 		Pred:  expr.NewBinary(expr.OpGt, &expr.Column{Name: "score"}, expr.FloatLit(0.6)),
 	}}
-	op, err := Compile(g, &Config{Mode: rt.ModeInProcess, Parallelism: 1})
+	op, err := Compile(g, &Config{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,9 +126,9 @@ func TestStackedModelsGetOwnSessions(t *testing.T) {
 	tb := featureTable(t, 1000)
 	inner := lrModelNode(plan.NewScan(tb))
 	inner.OutputCol.Name = "s1"
-	outer := &ir.ModelNode{Scorer: scorer(inner), M: &ml.LogisticRegression{W: []float64{-2, 0.5}, B: -1}}
+	outer := &ir.ModelNode{Scorer: scorer(laNode(t, inner)), M: &ml.LogisticRegression{W: []float64{-2, 0.5}, B: -1}}
 	outer.OutputCol.Name = "s2"
-	op, err := Compile(&ir.Graph{Root: outer}, &Config{Mode: rt.ModeInProcessNN, Parallelism: 1, CacheKey: "k"})
+	op, err := Compile(&ir.Graph{Root: laNode(t, outer)}, &Config{Parallelism: 1, CacheKey: "k"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +198,7 @@ func TestGenerateSQL(t *testing.T) {
 func TestParallelCompileThroughModel(t *testing.T) {
 	tb := featureTable(t, 200000)
 	g := &ir.Graph{Root: lrModelNode(plan.NewScan(tb))}
-	op, err := Compile(g, &Config{Mode: rt.ModeInProcess, Parallelism: 4})
+	op, err := Compile(g, &Config{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

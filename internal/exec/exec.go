@@ -24,8 +24,8 @@ type Operator interface {
 	Schema() *types.Schema
 }
 
-// Predictor scores batches; the runtime package provides implementations
-// for the in-process and out-of-process modes.
+// Predictor scores batches; the runtime package provides the
+// implementations.
 // Implementations must be safe for concurrent PredictBatch calls: one
 // predictor instance is shared by all workers of a morsel-parallel plan.
 type Predictor interface {

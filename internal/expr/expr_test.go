@@ -356,3 +356,45 @@ func TestLiteralString(t *testing.T) {
 		t.Error("literal String()")
 	}
 }
+
+// TestReplaceParamsCaseAllocs: binding an expression with no parameter
+// returns it as it is, with no allocation, however deep its CASEs nest;
+// a parameter in the last WHEN of a CASE still binds, and the input is
+// left as it was.
+func TestReplaceParamsCaseAllocs(t *testing.T) {
+	var e Expr = FloatLit(0)
+	for i := 0; i < 31; i++ {
+		e = &Case{
+			Whens: []When{{Cond: NewBinary(OpGt, &Column{Name: "age"}, FloatLit(float64(i))), Then: e}},
+			Else:  FloatLit(float64(i)),
+		}
+	}
+	vals := map[string]string{"lo": "40"}
+	if n := testing.AllocsPerRun(100, func() {
+		if out, changed, err := ReplaceParams(e, vals); err != nil || changed || out != e {
+			t.Fatalf("unchanged expression rebuilt: changed=%v err=%v", changed, err)
+		}
+	}); n != 0 {
+		t.Errorf("ReplaceParams allocated %v times for an expression with no parameter", n)
+	}
+
+	last := NewBinary(OpGt, &Column{Name: "age"}, &Param{Name: "lo"})
+	c := &Case{Whens: []When{
+		{Cond: NewBinary(OpGt, &Column{Name: "age"}, FloatLit(60)), Then: FloatLit(1)},
+		{Cond: last, Then: FloatLit(2)},
+	}, Else: FloatLit(3)}
+	out, changed, err := ReplaceParams(c, vals)
+	if err != nil || !changed {
+		t.Fatalf("changed=%v err=%v", changed, err)
+	}
+	bound := out.(*Case)
+	if bound.Whens[0] != c.Whens[0] {
+		t.Error("an unchanged WHEN was rebuilt")
+	}
+	if lit, ok := bound.Whens[1].Cond.(*Binary).R.(*Literal); !ok || lit.String() != "40" {
+		t.Errorf("last WHEN bound to %v", bound.Whens[1].Cond)
+	}
+	if c.Whens[1].Cond != last {
+		t.Error("ReplaceParams mutated its input")
+	}
+}

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -107,8 +108,9 @@ func ReplaceParams(e Expr, vals map[string]string) (Expr, bool, error) {
 		}
 		return &Not{E: inner}, true, nil
 	case *Case:
-		changed := false
-		whens := make([]When, len(x.Whens))
+		// whens stays nil until a branch changes: a CASE with no parameter
+		// (an inlined tree is one per node) costs no allocation.
+		var whens []When
 		for i, w := range x.Whens {
 			c, cc, err := ReplaceParams(w.Cond, vals)
 			if err != nil {
@@ -118,21 +120,25 @@ func ReplaceParams(e Expr, vals map[string]string) (Expr, bool, error) {
 			if err != nil {
 				return nil, false, err
 			}
-			whens[i] = When{Cond: c, Then: t}
-			changed = changed || cc || ct
+			if whens == nil && (cc || ct) {
+				whens = slices.Clone(x.Whens)
+			}
+			if whens != nil {
+				whens[i] = When{Cond: c, Then: t}
+			}
 		}
-		var els Expr
+		els, ce := x.Else, false
 		if x.Else != nil {
-			var ce bool
 			var err error
-			els, ce, err = ReplaceParams(x.Else, vals)
-			if err != nil {
+			if els, ce, err = ReplaceParams(x.Else, vals); err != nil {
 				return nil, false, err
 			}
-			changed = changed || ce
 		}
-		if !changed {
+		if whens == nil && !ce {
 			return e, false, nil
+		}
+		if whens == nil {
+			whens = slices.Clone(x.Whens)
 		}
 		return &Case{Whens: whens, Else: els}, true, nil
 	default:

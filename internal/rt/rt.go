@@ -1,60 +1,33 @@
-// Package rt implements the inference execution modes of paper §5: tight
-// in-process execution (interpreted MLD pipelines or compiled tensor-graph
-// sessions with model/session caching — "Raven"), out-of-process execution
-// behind a serialization boundary with runtime-startup cost ("Raven Ext",
-// the sp_execute_external_script path).
+// Package rt builds the predictors a lowered model operator scores with
+// (paper §5): a pipeline kernel over the batch's own columns, the same
+// kernel under a top-k score bound, or a compiled tensor session shared
+// through the model/session cache. Which one runs is the cross
+// optimizer's choice, made in the plan; nothing here overrides it.
 package rt
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
 	"slices"
 	"sync"
-	"time"
 
 	"raven/internal/exec"
 	"raven/internal/ml"
-	"raven/internal/nnconv"
 	"raven/internal/ort"
 	"raven/internal/tensor"
 	"raven/internal/types"
 )
 
-// Mode selects the execution strategy for a model invocation.
+// Mode has no effect: the plan decides how a model runs.
+//
+// Deprecated: the cross optimizer chooses kernel, inlined CASE or tensor
+// session; there is nothing left to select.
 type Mode uint8
 
-// Execution modes.
-const (
-	// ModeInProcess interprets the classical pipeline in-process (the
-	// scikit-learn stand-in running inside the DB).
-	ModeInProcess Mode = iota
-	// ModeInProcessNN runs the NN-translated pipeline on the in-process
-	// tensor runtime with session caching (Raven's PREDICT path).
-	ModeInProcessNN
-	// ModeOutOfProcess adds the external-runtime boundary: first-use
-	// startup latency plus per-batch serialization (Raven Ext).
-	ModeOutOfProcess
-)
-
-// String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case ModeInProcess:
-		return "in-process"
-	case ModeInProcessNN:
-		return "in-process-nn"
-	case ModeOutOfProcess:
-		return "out-of-process"
-	default:
-		return "unknown"
-	}
-}
-
-// DefaultExternalStartup models the external language runtime boot the
-// paper measures as "a constant overhead of about half a second" (§5).
-const DefaultExternalStartup = 500 * time.Millisecond
+// ModeInProcess is the zero Mode.
+//
+// Deprecated: see Mode.
+const ModeInProcess Mode = 0
 
 // floatVector converts raw scores to a typed output vector.
 func floatVector(scores []float64, t types.DataType) *types.Vector {
@@ -205,44 +178,23 @@ func (p *SessionPredictor) PredictBatch(b *types.Batch) ([]*types.Vector, error)
 // content hash — the model/session cache of §5 observation (ii).
 type Runtime struct {
 	Cache *ort.SessionCache
-	// ExternalStartup is the simulated boot time of the external runtime
-	// for ModeOutOfProcess.
-	ExternalStartup time.Duration
 }
 
-// NewRuntime returns a runtime with a fresh session cache and defaults.
+// NewRuntime returns a runtime with a fresh session cache.
 func NewRuntime() *Runtime {
-	return &Runtime{
-		Cache:           ort.NewSessionCache(),
-		ExternalStartup: DefaultExternalStartup,
-	}
+	return &Runtime{Cache: ort.NewSessionCache()}
 }
 
 // BuildSession compiles (or fetches from cache) a session for the given
-// graph, keyed by cacheKey. An empty cacheKey bypasses the cache — that is
-// the "standalone ORT" behaviour of Fig 3, which reloads the model each
-// query. Sessions run the optimized graph on the CPU with full
-// parallelism.
+// graph, keyed by cacheKey. An empty cacheKey bypasses the cache: a model
+// specialized by table statistics gets a session of its own each query.
+// Sessions run the optimized graph on the CPU with full parallelism.
 func (r *Runtime) BuildSession(cacheKey string, g *ort.Graph) (*ort.Session, error) {
 	build := func() (*ort.Session, error) { return ort.NewSession(g) }
 	if cacheKey == "" {
 		return build()
 	}
 	return r.Cache.Get(cacheKey, build)
-}
-
-// NNPredictor translates a pipeline and returns a session predictor.
-// cacheKey enables session reuse across queries.
-func (r *Runtime) NNPredictor(cacheKey string, p *ml.Pipeline, outType types.DataType) (*SessionPredictor, error) {
-	g, err := nnconv.TranslatePipeline(p)
-	if err != nil {
-		return nil, err
-	}
-	s, err := r.BuildSession(cacheKey, g)
-	if err != nil {
-		return nil, err
-	}
-	return &SessionPredictor{Session: s, InputCols: p.InputColumns, OutType: outType}, nil
 }
 
 // ContextPredictor makes any predictor observe query cancellation: each
@@ -274,91 +226,4 @@ func (p *ContextPredictor) PredictSelect(b *types.Batch) ([]int, []*types.Vector
 	}
 	outs, err := p.Inner.PredictBatch(b)
 	return nil, outs, err
-}
-
-// OutOfProcessPredictor wraps an inner predictor behind the external-
-// runtime boundary: one-time startup latency, then a gob round trip for
-// every batch (rows out, scores back), modelling
-// sp_execute_external_script's process hop and data transfer.
-type OutOfProcessPredictor struct {
-	Inner   exec.Predictor
-	Startup time.Duration
-	// Ctx interrupts the simulated runtime startup so a cancelled query is
-	// not stuck behind the half-second boot.
-	Ctx context.Context
-
-	once sync.Once
-}
-
-// PredictBatch implements exec.Predictor.
-func (p *OutOfProcessPredictor) PredictBatch(b *types.Batch) ([]*types.Vector, error) {
-	p.once.Do(func() {
-		if p.Ctx == nil {
-			time.Sleep(p.Startup)
-			return
-		}
-		t := time.NewTimer(p.Startup)
-		defer t.Stop()
-		select {
-		case <-t.C:
-		case <-p.Ctx.Done():
-		}
-	})
-	if p.Ctx != nil {
-		if err := p.Ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	// Serialize the batch across the "process boundary".
-	wire, err := encodeBatch(b)
-	if err != nil {
-		return nil, err
-	}
-	remote, err := decodeBatch(wire)
-	if err != nil {
-		return nil, err
-	}
-	outs, err := p.Inner.PredictBatch(remote)
-	if err != nil {
-		return nil, err
-	}
-	// Serialize results back.
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(outs); err != nil {
-		return nil, err
-	}
-	var back []*types.Vector
-	if err := gob.NewDecoder(&buf).Decode(&back); err != nil {
-		return nil, err
-	}
-	return back, nil
-}
-
-type wireBatch struct {
-	Cols []types.Column
-	Vecs []types.Vector
-}
-
-func encodeBatch(b *types.Batch) ([]byte, error) {
-	w := wireBatch{Cols: b.Schema.Columns}
-	for _, v := range b.Vecs {
-		w.Vecs = append(w.Vecs, *v)
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(w); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeBatch(data []byte) (*types.Batch, error) {
-	var w wireBatch
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&w); err != nil {
-		return nil, err
-	}
-	b := &types.Batch{Schema: types.NewSchema(w.Cols...)}
-	for i := range w.Vecs {
-		b.Vecs = append(b.Vecs, &w.Vecs[i])
-	}
-	return b, nil
 }

@@ -4,9 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-	"time"
 
 	"raven/internal/ml"
+	"raven/internal/nnconv"
 	"raven/internal/types"
 )
 
@@ -75,63 +75,31 @@ func TestPipelinePredictor(t *testing.T) {
 	assertScores(t, expected(t, b), got)
 }
 
-func TestNNPredictorMatchesPipeline(t *testing.T) {
+// TestSessionPredictorMatchesPipeline: a pipeline translated to a tensor
+// graph scores as the pipeline does, and sessions built under one key are
+// shared while an empty key compiles a session of its own.
+func TestSessionPredictorMatchesPipeline(t *testing.T) {
 	b := testBatch(t, 200)
-	r := NewRuntime()
-	p, err := r.NNPredictor("key", testPipe(), types.Float)
+	g, err := nnconv.TranslatePipeline(testPipe())
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := NewRuntime()
+	s1, err := r.BuildSession("same", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &SessionPredictor{Session: s1, InputCols: testPipe().InputColumns, OutType: types.Float}
 	got, err := p.PredictBatch(b)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertScores(t, expected(t, b), got)
-}
-
-func TestNNPredictorSessionCacheSharing(t *testing.T) {
-	r := NewRuntime()
-	p1, err := r.NNPredictor("same", testPipe(), types.Float)
-	if err != nil {
-		t.Fatal(err)
+	if s2, err := r.BuildSession("same", g); err != nil || s2 != s1 {
+		t.Errorf("sessions with the same key should be shared (err %v)", err)
 	}
-	p2, err := r.NNPredictor("same", testPipe(), types.Float)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1.Session != p2.Session {
-		t.Error("sessions with same key should be shared")
-	}
-	p3, err := r.NNPredictor("", testPipe(), types.Float)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p3.Session == p1.Session {
-		t.Error("empty key must bypass the cache")
-	}
-}
-
-func TestOutOfProcessPredictor(t *testing.T) {
-	b := testBatch(t, 50)
-	inner := NewPipelinePredictor(testPipe(), types.Float)
-	p := &OutOfProcessPredictor{Inner: inner, Startup: 30 * time.Millisecond}
-	start := time.Now()
-	got, err := p.PredictBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := time.Since(start)
-	if first < 30*time.Millisecond {
-		t.Errorf("startup latency not charged: %v", first)
-	}
-	assertScores(t, expected(t, b), got)
-	// second call: no startup
-	start = time.Now()
-	if _, err := p.PredictBatch(b); err != nil {
-		t.Fatal(err)
-	}
-	if second := time.Since(start); second > 25*time.Millisecond {
-		t.Errorf("startup charged twice: %v", second)
+	if s3, err := r.BuildSession("", g); err != nil || s3 == s1 {
+		t.Errorf("an empty key must bypass the cache (err %v)", err)
 	}
 }
 
@@ -151,27 +119,6 @@ func TestFloatVectorConversions(t *testing.T) {
 	}
 }
 
-func TestBatchWireRoundTrip(t *testing.T) {
-	b := testBatch(t, 10)
-	wire, err := encodeBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := decodeBatch(wire)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != b.Len() || back.Schema.Len() != b.Schema.Len() {
-		t.Fatalf("round trip shape: %d/%d", back.Len(), back.Schema.Len())
-	}
-	if back.Col("a").Floats[3] != b.Col("a").Floats[3] {
-		t.Error("round trip data")
-	}
-	if _, err := decodeBatch([]byte("junk")); err == nil {
-		t.Error("junk should fail decode")
-	}
-}
-
 func TestPredictorErrorsOnMissingColumn(t *testing.T) {
 	s := types.NewSchema(types.Column{Name: "zzz", Type: types.Float})
 	b := types.NewBatch(s)
@@ -179,17 +126,6 @@ func TestPredictorErrorsOnMissingColumn(t *testing.T) {
 	p := NewPipelinePredictor(testPipe(), types.Float)
 	if _, err := p.PredictBatch(b); err == nil {
 		t.Error("missing input column should fail")
-	}
-}
-
-func TestModeStrings(t *testing.T) {
-	for m, want := range map[Mode]string{
-		ModeInProcess: "in-process", ModeInProcessNN: "in-process-nn",
-		ModeOutOfProcess: "out-of-process",
-	} {
-		if m.String() != want {
-			t.Errorf("%d = %q", m, m.String())
-		}
 	}
 }
 

@@ -165,8 +165,7 @@ type Vector struct {
 	Strings []string
 	// NullBits is the packed null mask: bit i (word i>>6, bit i&63) is set
 	// when row i is NULL. A nil or short bitmap means the uncovered rows
-	// are not NULL. Exported so vectors survive the gob wire used by
-	// out-of-process inference.
+	// are not NULL. Exported so vectors survive a gob round trip.
 	NullBits []uint64
 	// Const marks a broadcast vector: one physical row that logically
 	// repeats Length times. Only expression evaluation produces const

@@ -365,62 +365,6 @@ func TestCategoricalPruningPinsLogReg(t *testing.T) {
 	}
 }
 
-func TestClusteredModelMatchesFallback(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	d := 8
-	n := 400
-	sample := make([]float64, n*d)
-	for i := 0; i < n; i++ {
-		c := float64(i % 4)
-		for j := 0; j < d; j++ {
-			if j < 3 {
-				sample[i*d+j] = c * 10 // constant within cluster, well separated
-			} else {
-				sample[i*d+j] = rng.NormFloat64()
-			}
-		}
-	}
-	sm := ml.Matrix{Data: sample, Rows: n, Cols: d}
-	w := make([]float64, d)
-	for j := range w {
-		w[j] = rng.NormFloat64()
-	}
-	lr := &ml.LogisticRegression{W: w, B: 0.2}
-	// An encoder with no categorical columns: clustering of the bare LR.
-	cm, err := BuildClusteredEncodedModel(&ml.OneHotEncoder{InputDim: d}, lr, sm, 4, 1e-9, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cm.AvgActiveTerms() >= float64(d) {
-		t.Errorf("clustering pinned nothing: avg active terms = %v", cm.AvgActiveTerms())
-	}
-	want, err := lr.Predict(sm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := cm.Predict(sm)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		diff := want[i] - got[i]
-		if diff > 1e-9 || diff < -1e-9 {
-			t.Fatalf("clustered model diverges at %d: %v vs %v", i, want[i], got[i])
-		}
-	}
-	if cm.K() != 4 {
-		t.Errorf("K = %d, want 4", cm.K())
-	}
-}
-
-func TestClusteredModelWidthMismatch(t *testing.T) {
-	lr := &ml.LogisticRegression{W: []float64{1, 2}}
-	enc := &ml.OneHotEncoder{InputDim: len(lr.W)}
-	if _, err := BuildClusteredEncodedModel(enc, lr, ml.Matrix{Rows: 1, Cols: 3, Data: []float64{1, 2, 3}}, 2, 1e-9, 1); err == nil {
-		t.Error("width mismatch should fail")
-	}
-}
-
 // Semantics check: the full optimizer must preserve predictions for rows
 // satisfying the predicate, across a trained tree.
 func TestOptimizePreservesSemantics(t *testing.T) {

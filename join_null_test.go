@@ -46,7 +46,7 @@ func TestJoinNullKeysMatchNothing(t *testing.T) {
 	for _, on := range []string{"l.lk = r.rk", "l.ls = r.rs"} {
 		for _, dop := range []int{1, 2, 8} {
 			res, err := db.QueryWithOptions(`SELECT a, b FROM l JOIN r ON `+on,
-				QueryOptions{Mode: ModeInProcess, Parallelism: dop, ParallelThresholdRows: 1})
+				QueryOptions{Parallelism: dop, ParallelThresholdRows: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -70,24 +70,24 @@ type parityCase struct {
 	threshold int
 }
 
-// assertParityMatrix runs tc at DOP {1, 2, 8} × morsel size {default,
-// 1000 (divides no table)} and requires every result to equal the first
-// byte for byte. Every run executes the same stages; what the matrix
-// proves is what differs between them — claim order, the reorder merge,
-// and the breakers' DOP- and morsel-invariant merges.
-func assertParityMatrix(t *testing.T, db *DB, mode Mode, tc parityCase) {
+// assertParityMatrix runs tc under base at DOP {1, 2, 8} × morsel size
+// {default, 1000 (divides no table)} and requires every result to equal
+// the first byte for byte. Every run executes the same stages; what the
+// matrix proves is what differs between them — claim order, the reorder
+// merge, and the breakers' DOP- and morsel-invariant merges.
+func assertParityMatrix(t *testing.T, db *DB, base QueryOptions, tc parityCase) {
 	t.Helper()
 	var want *types.Batch
 	for _, dop := range []int{1, 2, 8} {
 		for _, morsel := range []int{0, 1000} {
-			label := fmt.Sprintf("%s mode=%v dop=%d morsel=%d", tc.label, mode, dop, morsel)
+			label := fmt.Sprintf("%s rules=%v dop=%d morsel=%d", tc.label, base.CrossOptimize, dop, morsel)
 			threshold := tc.threshold
 			if threshold == 0 {
 				threshold = 1
 			}
-			res, err := db.QueryWithOptions(tc.q, QueryOptions{
-				Mode: mode, Parallelism: dop, ParallelThresholdRows: threshold, MorselSize: morsel,
-			})
+			opts := base
+			opts.Parallelism, opts.ParallelThresholdRows, opts.MorselSize = dop, threshold, morsel
+			res, err := db.QueryWithOptions(tc.q, opts)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
@@ -105,9 +105,9 @@ func assertParityMatrix(t *testing.T, db *DB, mode Mode, tc parityCase) {
 
 func TestParallelPlansByteIdenticalToSerial(t *testing.T) {
 	db := flightsDB(t, 20000)
-	for _, mode := range []Mode{ModeInProcess, ModeInProcessNN} {
+	for _, base := range []QueryOptions{{}, nnRule} {
 		for _, tc := range parallelParityQueries {
-			assertParityMatrix(t, db, mode, parityCase{label: tc.label, q: tc.q})
+			assertParityMatrix(t, db, base, parityCase{label: tc.label, q: tc.q})
 		}
 	}
 }
@@ -147,7 +147,7 @@ var breakerParityQueries = []struct{ label, q string }{
 func TestBreakerPlansByteIdenticalToSerial(t *testing.T) {
 	db, _ := hospitalDB(t, 20000)
 	for _, tc := range breakerParityQueries {
-		assertParityMatrix(t, db, ModeInProcess, parityCase{label: tc.label, q: tc.q})
+		assertParityMatrix(t, db, QueryOptions{}, parityCase{label: tc.label, q: tc.q})
 	}
 
 	// One join over an inline (below-threshold) probe pipeline and a
@@ -160,9 +160,9 @@ func TestBreakerPlansByteIdenticalToSerial(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	assertParityMatrix(t, db, ModeInProcess, parityCase{label: "mixed-join", threshold: 5000,
+	assertParityMatrix(t, db, QueryOptions{}, parityCase{label: "mixed-join", threshold: 5000,
 		q: `SELECT w.id, w.weightx, bt.bp FROM watchlist AS w JOIN blood_tests AS bt ON w.id = bt.id WHERE bt.bp > 100`})
-	assertParityMatrix(t, db, ModeInProcess, parityCase{label: "mixed-join-build-inline", threshold: 5000,
+	assertParityMatrix(t, db, QueryOptions{}, parityCase{label: "mixed-join-build-inline", threshold: 5000,
 		q: `SELECT bt.id, bt.bp, w.weightx FROM blood_tests AS bt JOIN watchlist AS w ON bt.id = w.id`})
 }
 
@@ -171,7 +171,7 @@ func TestConcurrentParallelQueriesOverSharedTables(t *testing.T) {
 	// Reference results, computed serially.
 	want := make([]*Result, len(parallelParityQueries))
 	for i, tc := range parallelParityQueries {
-		r, err := db.QueryWithOptions(tc.q, QueryOptions{Mode: ModeInProcess, Parallelism: 1})
+		r, err := db.QueryWithOptions(tc.q, QueryOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)
 		}
@@ -187,7 +187,7 @@ func TestConcurrentParallelQueriesOverSharedTables(t *testing.T) {
 			go func(i int, label, q string) {
 				defer wg.Done()
 				r, err := db.QueryWithOptions(q, QueryOptions{
-					Mode: ModeInProcess, Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 1024,
+					Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 1024,
 				})
 				if err != nil {
 					t.Errorf("%s: %v", label, err)
@@ -203,7 +203,7 @@ func TestConcurrentParallelQueriesOverSharedTables(t *testing.T) {
 	// Determinism still holds after the storm.
 	for i, tc := range parallelParityQueries {
 		r, err := db.QueryWithOptions(tc.q, QueryOptions{
-			Mode: ModeInProcess, Parallelism: 4, ParallelThresholdRows: 1,
+			Parallelism: 4, ParallelThresholdRows: 1,
 		})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.label, err)

@@ -24,7 +24,7 @@ const poolStreamQuery = `SELECT f0, f2 FROM flights_features WHERE f2 > 0 ORDER 
 // streamed row must match the serial reference.
 func TestStreamedRowsNeverAliasRecycledBatches(t *testing.T) {
 	db := flightsDB(t, 20000)
-	ref, err := db.QueryWithOptions(poolStreamQuery, QueryOptions{Mode: ModeInProcess, Parallelism: 1})
+	ref, err := db.QueryWithOptions(poolStreamQuery, QueryOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestStreamedRowsNeverAliasRecycledBatches(t *testing.T) {
 				default:
 				}
 				r, err := db.QueryWithOptions(poolStreamQuery, QueryOptions{
-					Mode: ModeInProcess, Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
+					Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
 				})
 				if err != nil {
 					t.Errorf("churn query: %v", err)
@@ -61,7 +61,7 @@ func TestStreamedRowsNeverAliasRecycledBatches(t *testing.T) {
 	}
 
 	rows, err := db.QueryContextWithOptions(context.Background(), poolStreamQuery, QueryOptions{
-		Mode: ModeInProcess, Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
+		Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -99,7 +99,7 @@ func TestStreamedRowsNeverAliasRecycledBatches(t *testing.T) {
 // double-recycled or leaked a live buffer would corrupt the follow-up.
 func TestCancelledQueryLeavesPoolsUsable(t *testing.T) {
 	db := flightsDB(t, 20000)
-	ref, err := db.QueryWithOptions(poolStreamQuery, QueryOptions{Mode: ModeInProcess, Parallelism: 1})
+	ref, err := db.QueryWithOptions(poolStreamQuery, QueryOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCancelledQueryLeavesPoolsUsable(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		ctx, cancel := context.WithCancel(context.Background())
 		rows, err := db.QueryContextWithOptions(ctx, poolStreamQuery, QueryOptions{
-			Mode: ModeInProcess, Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
+			Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
 		})
 		if err != nil {
 			cancel()
@@ -128,7 +128,7 @@ func TestCancelledQueryLeavesPoolsUsable(t *testing.T) {
 		}
 
 		after, err := db.QueryWithOptions(poolStreamQuery, QueryOptions{
-			Mode: ModeInProcess, Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
+			Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
 		})
 		if err != nil {
 			t.Fatalf("run %d: follow-up: %v", i, err)

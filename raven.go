@@ -3,8 +3,9 @@
 // in-memory relational engine with models stored in the database, a
 // unified intermediate representation mixing relational and ML operators,
 // a cross optimizer (predicate-based model pruning, model-projection
-// pushdown, model inlining, NN translation), and an in-process tensor
-// runtime with session caching plus an out-of-process fallback.
+// pushdown, model inlining, NN translation) that decides how each model
+// runs (pipeline kernel, inlined CASE or tensor session), and an
+// in-process tensor runtime with session caching.
 //
 // # One execution model: the morsel pipeline
 //
@@ -96,20 +97,15 @@ import (
 	"raven/internal/xopt"
 )
 
-// Mode re-exports the runtime execution modes for model invocations.
+// Mode has no effect: the cross optimizer decides how each model runs.
+//
+// Deprecated: see QueryOptions.Mode.
 type Mode = rt.Mode
 
-// Execution modes for MLD model stages.
-const (
-	// ModeInProcess interprets classical pipelines inside the engine.
-	ModeInProcess = rt.ModeInProcess
-	// ModeInProcessNN compiles pipelines to tensor graphs run in-process
-	// with session caching (the Raven PREDICT path).
-	ModeInProcessNN = rt.ModeInProcessNN
-	// ModeOutOfProcess scores through an external-runtime boundary
-	// (startup latency + serialization), like sp_execute_external_script.
-	ModeOutOfProcess = rt.ModeOutOfProcess
-)
+// ModeInProcess is the zero Mode.
+//
+// Deprecated: see QueryOptions.Mode.
+const ModeInProcess = rt.ModeInProcess
 
 // QueryOptions tunes one query's optimization and execution.
 type QueryOptions struct {
@@ -125,7 +121,12 @@ type QueryOptions struct {
 	DisableNNTranslation      bool
 	DisablePruning            bool
 	DisableProjectionPushdown bool
-	// Mode executes remaining MLD stages (default ModeInProcess).
+	// Mode has no effect. A model runs the way the plan says: on the
+	// pipeline kernel, as an inlined CASE expression, or as a tensor
+	// session, chosen by the rules above.
+	//
+	// Deprecated: ablate the rules instead (CrossOptimize: false runs
+	// every model on its kernel).
 	Mode Mode
 	// Parallelism is the morsel-exchange worker count; 0 = engine default
 	// (GOMAXPROCS unless overridden at Open), 1 = sequential.
@@ -135,9 +136,6 @@ type QueryOptions struct {
 	// ParallelThresholdRows gates parallel execution by scan size; 0 =
 	// default 50k rows (set 1 to force parallelism on small tables).
 	ParallelThresholdRows int
-	// DisableSessionCache compiles a fresh session per query (the
-	// standalone-runtime behaviour in Fig 3).
-	DisableSessionCache bool
 	// DisablePlanCache has no effect: there is no engine plan cache, and
 	// ad-hoc queries compile on every call.
 	//
@@ -160,9 +158,9 @@ type QueryOptions struct {
 }
 
 // DefaultQueryOptions is the engine's standard configuration: all
-// cross-optimizations on, in-process execution, parallel scans.
+// cross-optimizations on, parallel scans.
 func DefaultQueryOptions() QueryOptions {
-	return QueryOptions{CrossOptimize: true, Mode: rt.ModeInProcess, Parallelism: 0}
+	return QueryOptions{CrossOptimize: true, Parallelism: 0}
 }
 
 // Result is a completed, fully materialized query — the compatibility
@@ -999,7 +997,7 @@ func (db *DB) buildPlan(q string, sel *sql.SelectStmt, vars map[string]string, o
 	// A model specialized by statistics is specialized to the data as well:
 	// like its plan, its sessions are not cached.
 	specialized := opts.CrossOptimize && len(res.Applied) > 0
-	if !opts.DisableSessionCache && !(specialized && opts.UseStatistics) {
+	if !(specialized && opts.UseStatistics) {
 		suffix := ""
 		if specialized {
 			sum := sha256.Sum256(fmt.Appendf(nil, "%d|%s", version, db.planKey(q, opts, allowParams)))
@@ -1065,7 +1063,6 @@ func (db *DB) lower(ctx context.Context, graph *ir.Graph, opts QueryOptions, par
 	cfg := &codegen.Config{
 		Runtime:               db.runtime,
 		Ctx:                   ctx,
-		Mode:                  opts.Mode,
 		Parallelism:           par,
 		ParallelThresholdRows: opts.ParallelThresholdRows,
 		MorselSize:            opts.MorselSize,

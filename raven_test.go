@@ -2,6 +2,7 @@ package raven
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -160,7 +161,7 @@ func TestOptimizedMatchesUnoptimized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := db.QueryWithOptions(runningExampleQuery, QueryOptions{CrossOptimize: false, Mode: ModeInProcess, Parallelism: 1})
+	plain, err := db.QueryWithOptions(runningExampleQuery, QueryOptions{CrossOptimize: false, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,33 +177,53 @@ func TestOptimizedMatchesUnoptimized(t *testing.T) {
 	}
 }
 
-func TestAllModesAgree(t *testing.T) {
-	db, _ := hospitalDB(t, 3000)
-	q := `SELECT d.id, p.score FROM PREDICT(MODEL='duration_of_stay',
-		DATA=(SELECT * FROM patient_info AS pi
-		      JOIN blood_tests AS bt ON pi.id = bt.id
-		      JOIN prenatal_tests AS pt ON bt.id = pt.id) AS d)
-		WITH (score FLOAT) AS p WHERE d.age > 50`
-	db.Runtime().ExternalStartup = 0 // keep the test fast
-	var ref []string
-	for _, mode := range []Mode{ModeInProcess, ModeInProcessNN, ModeOutOfProcess} {
-		res, err := db.QueryWithOptions(q, QueryOptions{
-			CrossOptimize: false, Mode: mode, Parallelism: 1,
-		})
-		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+// nnRule runs each model as the nn-translation rule leaves it, a tensor
+// session: inlining, the rule that would take a tree first, is off.
+var nnRule = QueryOptions{CrossOptimize: true, DisableInlining: true}
+
+// TestModelPathsAgree: a tree, a forest and a logistic regression score
+// the same rows whichever way the plan runs them — on the pipeline kernel
+// (cross optimizer off), as the default plan leaves them (inlined CASE or
+// tensor session) and as a tensor session by the nn-translation rule — at
+// DOP 1 and 2.
+func TestModelPathsAgree(t *testing.T) {
+	db, h := hospitalDB(t, 3000)
+	forest := train.FitForest(h.TrainX, h.TrainY, train.ForestOptions{NumTrees: 8, Seed: 3, Tree: train.TreeOptions{MaxDepth: 5, MinLeaf: 10}})
+	lr := train.FitLogReg(h.TrainX, h.TrainY, train.LogRegOptions{Epochs: 10, Seed: 3})
+	for name, m := range map[string]ml.Model{"paths_forest": forest, "paths_lr": lr} {
+		if err := db.StoreModel(name, &ml.Pipeline{Final: m, InputColumns: h.FeatureCols}); err != nil {
+			t.Fatal(err)
 		}
-		key := resultKey(res.Batch)
-		if ref == nil {
-			ref = key
-			continue
-		}
-		if len(key) != len(ref) {
-			t.Fatalf("mode %v: %d rows vs %d", mode, len(key), len(ref))
-		}
-		for i := range key {
-			if key[i] != ref[i] {
-				t.Fatalf("mode %v row %d differs: %s vs %s", mode, i, key[i], ref[i])
+	}
+	for _, model := range []string{"duration_of_stay", "paths_forest", "paths_lr"} {
+		q := `SELECT d.id, p.s ` + predictOver(model, hospitalJoin) + `WHERE d.age > 50`
+		var ref []string
+		for _, path := range []struct {
+			name string
+			opts QueryOptions
+		}{{"kernel", QueryOptions{}}, {"default", DefaultQueryOptions()}, {"nn rule", nnRule}} {
+			for _, dop := range []int{1, 2} {
+				label := fmt.Sprintf("%s %s dop=%d", model, path.name, dop)
+				opts := path.opts
+				opts.Parallelism, opts.ParallelThresholdRows = dop, 1
+				res, err := db.QueryWithOptions(q, opts)
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if path.opts == nnRule && !slices.Contains(res.AppliedRules, "nn-translation") {
+					t.Fatalf("%s: nn-translation did not fire: %v", label, res.AppliedRules)
+				}
+				key := resultKey(res.Batch)
+				if ref == nil {
+					if len(key) == 0 {
+						t.Fatalf("%s: empty result", label)
+					}
+					ref = key
+					continue
+				}
+				if !slices.Equal(key, ref) {
+					t.Fatalf("%s: %d rows differ from the kernel's %d", label, len(key), len(ref))
+				}
 			}
 		}
 	}
@@ -215,11 +236,11 @@ func TestParallelMatchesSequentialQuery(t *testing.T) {
 		      JOIN blood_tests AS bt ON pi.id = bt.id
 		      JOIN prenatal_tests AS pt ON bt.id = pt.id) AS d)
 		WITH (score FLOAT) AS p`
-	seq, err := db.QueryWithOptions(q, QueryOptions{CrossOptimize: true, Mode: ModeInProcess, Parallelism: 1})
+	seq, err := db.QueryWithOptions(q, QueryOptions{CrossOptimize: true, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := db.QueryWithOptions(q, QueryOptions{CrossOptimize: true, Mode: ModeInProcess, Parallelism: 8})
+	par, err := db.QueryWithOptions(q, QueryOptions{CrossOptimize: true, Parallelism: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +262,8 @@ func TestSessionCacheWarmsAcrossQueries(t *testing.T) {
 		      JOIN blood_tests AS bt ON pi.id = bt.id
 		      JOIN prenatal_tests AS pt ON bt.id = pt.id) AS d)
 		WITH (score FLOAT) AS p`
-	opts := QueryOptions{CrossOptimize: false, Mode: ModeInProcessNN, Parallelism: 1}
+	opts := nnRule
+	opts.Parallelism = 1
 	if _, err := db.QueryWithOptions(q, opts); err != nil {
 		t.Fatal(err)
 	}
@@ -256,13 +278,14 @@ func TestSessionCacheWarmsAcrossQueries(t *testing.T) {
 	if hits == 0 {
 		t.Error("second run did not hit the session cache")
 	}
-	// Disabled cache must not touch the shared cache.
-	opts.DisableSessionCache = true
+	// A model specialized by table statistics is specialized to the data:
+	// its session is its own and must not touch the shared cache.
+	opts.UseStatistics = true
 	if _, err := db.QueryWithOptions(q, opts); err != nil {
 		t.Fatal(err)
 	}
 	if db.Stats().SessionCache.Entries > 1 {
-		t.Error("uncached run polluted the session cache")
+		t.Error("a statistics-specialized run polluted the session cache")
 	}
 }
 
@@ -319,7 +342,7 @@ func TestModelUpdateInvalidatesResults(t *testing.T) {
 	if err := db.StoreModel("duration_of_stay", pipeA); err != nil {
 		t.Fatal(err)
 	}
-	r1, err := db.QueryWithOptions(q, QueryOptions{CrossOptimize: false, Mode: ModeInProcessNN})
+	r1, err := db.QueryWithOptions(q, nnRule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +353,7 @@ func TestModelUpdateInvalidatesResults(t *testing.T) {
 	if err := db.StoreModel("duration_of_stay", pipeB); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := db.QueryWithOptions(q, QueryOptions{CrossOptimize: false, Mode: ModeInProcessNN})
+	r2, err := db.QueryWithOptions(q, nnRule)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,14 +433,14 @@ func TestProjectionPushdownNarrowsFlights(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := `SELECT p.prob FROM PREDICT(MODEL='delay', DATA=flights_features AS d) WITH (prob FLOAT) AS p`
-	opt, err := db.QueryWithOptions(q, QueryOptions{CrossOptimize: true, Mode: ModeInProcess, DisableNNTranslation: true})
+	opt, err := db.QueryWithOptions(q, QueryOptions{CrossOptimize: true, DisableNNTranslation: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(strings.Join(opt.AppliedRules, ","), "model-projection-pushdown") {
 		t.Errorf("projection pushdown did not fire: %v", opt.AppliedRules)
 	}
-	plain, err := db.QueryWithOptions(q, QueryOptions{CrossOptimize: false, Mode: ModeInProcess})
+	plain, err := db.QueryWithOptions(q, QueryOptions{CrossOptimize: false})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -125,11 +125,10 @@ func (db *DB) resultKey(q string, opts QueryOptions, allowParams bool, params []
 // template lowers to operators, so one result serves every DOP. The
 // variables a statement binds are its own DECLAREs, so they are in q.
 func (db *DB) planKey(q string, opts QueryOptions, allowParams bool) string {
-	return fmt.Sprintf("x=%t s=%t di=%t dn=%t dp=%t dj=%t m=%d dc=%t ap=%t|%s",
+	return fmt.Sprintf("x=%t s=%t di=%t dn=%t dp=%t dj=%t ap=%t|%s",
 		opts.CrossOptimize, opts.UseStatistics,
 		opts.DisableInlining, opts.DisableNNTranslation, opts.DisablePruning,
-		opts.DisableProjectionPushdown, opts.Mode,
-		opts.DisableSessionCache, allowParams, q)
+		opts.DisableProjectionPushdown, allowParams, q)
 }
 
 // sweepStaleResults eagerly drops result-cache entries computed against

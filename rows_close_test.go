@@ -13,7 +13,7 @@ func TestRowsCloseBeforeFirstNext(t *testing.T) {
 	db := slowPredictDB(t, 20000)
 	base := runtime.NumGoroutine()
 	rows, err := db.QueryContextWithOptions(context.Background(), slowPredictQuery, QueryOptions{
-		Mode: ModeInProcess, Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
+		Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -38,7 +38,7 @@ func TestRowsDoubleCloseMidStream(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
 		rows, err := db.QueryContextWithOptions(context.Background(), slowPredictQuery, QueryOptions{
-			Mode: ModeInProcess, Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
+			Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -73,7 +73,7 @@ func TestRowsCloseAfterErrIsSafe(t *testing.T) {
 	db := slowPredictDB(t, 20000)
 	ctx, cancel := context.WithCancel(context.Background())
 	rows, err := db.QueryContextWithOptions(ctx, slowPredictQuery, QueryOptions{
-		Mode: ModeInProcess, Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
+		Parallelism: 4, ParallelThresholdRows: 1, MorselSize: 512,
 	})
 	if err != nil {
 		// Cancellation raced into compile; nothing to iterate.

@@ -14,6 +14,7 @@ import (
 	"raven/internal/exec"
 	"raven/internal/ir"
 	"raven/internal/ml"
+	"raven/internal/ort"
 	"raven/internal/plan"
 	"raven/internal/sql"
 	"raven/internal/storage"
@@ -117,13 +118,13 @@ func selectionDB(t testing.TB, rows int) *DB {
 // reference is the same SQL with CrossOptimize off — the plan that filters
 // after scoring — unless twin is set: then it is twin, under the same
 // options, which spells the selection inside the DATA subquery by hand.
-// ref adjusts the reference's options further.
+// A model that runs as a tensor graph needs a twin: the kernel's floats
+// are not the tensor runtime's, bit for bit.
 type selectionCase struct {
 	name   string
 	q      string
 	params []Param
 	set    func(*QueryOptions)
-	ref    func(*QueryOptions)
 	twin   string
 	moves  bool // the rule must (not) report itself
 }
@@ -133,9 +134,11 @@ type selectionCase struct {
 const stackedScalers = `SELECT d2.k, d2.x, p2.s2 FROM PREDICT(MODEL='ab_lr_sc', DATA=(SELECT d.k AS k, d.x AS x, p.s AS y ` +
 	`FROM PREDICT(MODEL='ab_tree_sc', DATA=` + abJoin + `) WITH (s FLOAT) AS p WHERE d.z > 0.2) AS d2) WITH (s2 FLOAT) AS p2 WHERE d2.k > 10`
 
-// uncachedTensorSessions makes a reference score every model as a tensor
-// graph translated from the stored pipeline, each on a session of its own.
-func uncachedTensorSessions(o *QueryOptions) { o.Mode, o.DisableSessionCache = ModeInProcessNN, true }
+// stackedScalersTwin is stackedScalers with both conjuncts written into
+// the join by hand.
+const stackedScalersTwin = `SELECT d2.k, d2.x, p2.s2 FROM PREDICT(MODEL='ab_lr_sc', DATA=(SELECT d.k AS k, d.x AS x, p.s AS y ` +
+	`FROM PREDICT(MODEL='ab_tree_sc', DATA=(SELECT * FROM a JOIN b ON a.k = b.fk WHERE b.z > 0.2 AND a.k > 10) AS d) ` +
+	`WITH (s FLOAT) AS p) AS d2) WITH (s2 FLOAT) AS p2`
 
 // joinAbovePredict joins the scored rows to a table: the PREDICT sits
 // under a JOIN, and both conjuncts belong below it.
@@ -194,20 +197,29 @@ var selectionCases = []selectionCase{
 		q: `SELECT d.k, d.z, p.s ` + predictOver("zy_tree", `(SELECT a.k, a.x AS z, b.y FROM a JOIN b ON a.k = b.fk) AS d`)},
 	// Each model's rules see that model's featurizers only. Where the
 	// outer regression runs as a tensor graph, so does the reference.
-	{name: "stacked PREDICT, a scaler in both pipelines", moves: true, q: stackedScalers, ref: uncachedTensorSessions},
-	{name: "stacked scalers, no inlining", moves: true, q: stackedScalers, ref: uncachedTensorSessions,
+	{name: "stacked PREDICT, a scaler in both pipelines", moves: true, q: stackedScalers, twin: stackedScalersTwin},
+	{name: "stacked scalers, no inlining", moves: true, q: stackedScalers, twin: stackedScalersTwin,
 		set: func(o *QueryOptions) { o.DisableInlining = true }},
 	{name: "stacked scalers, no NN translation", moves: true, q: stackedScalers, set: func(o *QueryOptions) { o.DisableNNTranslation = true }},
-	// Two tensor sessions in one plan, cached: each model operator has its
-	// own key.
-	{name: "stacked PREDICT on cached tensor sessions", moves: true, q: stackedScalers, ref: uncachedTensorSessions,
-		set: func(o *QueryOptions) { o.Mode, o.DisableInlining = ModeInProcessNN, true }},
+	// Two tensor sessions in one plan, answering from the cache the case
+	// above filled: each model operator has its own key.
+	{name: "stacked PREDICT on cached tensor sessions", moves: true, q: stackedScalers, twin: stackedScalersTwin,
+		set: func(o *QueryOptions) { o.DisableInlining = true }},
 	{name: "JOIN above PREDICT", moves: true, q: joinAbovePredict + `60`,
 		twin: `SELECT d.id, d.glucose, p.s ` + predictOver("duration_of_stay", hospitalJoinWhere("bt.glucose > 100 AND pi.age > 60"))},
 	{name: "three-deep stack", moves: true, set: func(o *QueryOptions) { o.DisableNNTranslation = true },
 		q: `SELECT d3.k, d3.x, p3.s3 FROM PREDICT(MODEL='ab_tree', DATA=(SELECT d2.k AS k, d2.y AS x, p2.s2 AS y ` +
 			`FROM PREDICT(MODEL='ab_lr', DATA=(SELECT d.k AS k, d.x AS x, p.s AS y ` + predictOver("ab_tree", abJoin) +
 			`WHERE d.z > 0.2) AS d2) WITH (s2 FLOAT) AS p2 WHERE d2.x > -5) AS d3) WITH (s3 FLOAT) AS p3 WHERE d3.k > 10`},
+}
+
+// withEmptySessionCache runs fn on a session cache of its own: no session
+// a cached run compiled can answer for it.
+func withEmptySessionCache(db *DB, fn func()) {
+	shared := db.runtime.Cache
+	db.runtime.Cache = ort.NewSessionCache()
+	defer func() { db.runtime.Cache = shared }()
+	fn()
 }
 
 func collectParams(t *testing.T, db *DB, q string, opts QueryOptions, params []Param) *Result {
@@ -242,10 +254,8 @@ func TestSelectionPushdownExact(t *testing.T) {
 				refOpts.CrossOptimize = false
 			}
 			refOpts.Parallelism = 1
-			if tc.ref != nil {
-				tc.ref(&refOpts)
-			}
-			want := collectParams(t, db, refQ, refOpts, tc.params)
+			var want *Result
+			withEmptySessionCache(db, func() { want = collectParams(t, db, refQ, refOpts, tc.params) })
 			if want.Batch.Len() == 0 {
 				t.Fatal("reference result empty (query shape broken)")
 			}

@@ -13,12 +13,12 @@ import (
 // depends on the query text, every optimizer option and — under
 // UseStatistics — the data. One text run under two option sets, or
 // before and after an insert that widens a column's range, must score
-// exactly as an uncached session does.
+// exactly as a session from an empty cache does.
 func TestSessionKeyFollowsWhatTheSessionIsCompiledFrom(t *testing.T) {
-	uncached := func(o QueryOptions) QueryOptions { o.DisableSessionCache = true; return o }
 	same := func(t *testing.T, db *DB, label, q string, opts QueryOptions) {
 		t.Helper()
-		want := collectParams(t, db, q, uncached(opts), nil)
+		var want *Result
+		withEmptySessionCache(db, func() { want = collectParams(t, db, q, opts, nil) })
 		if want.Batch.Len() == 0 {
 			t.Fatalf("%s: reference result empty", label)
 		}
