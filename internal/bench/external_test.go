@@ -60,11 +60,18 @@ func TestOutOfProcessPredictor(t *testing.T) {
 	if second := time.Since(start); second > 25*time.Millisecond {
 		t.Errorf("startup charged twice: %v", second)
 	}
-	// A cancelled context interrupts the boot instead of waiting it out.
+}
+
+// TestContextInterruptsExternalStartup: a cancelled context interrupts the
+// simulated runtime's boot instead of waiting it out.
+func TestContextInterruptsExternalStartup(t *testing.T) {
+	b := wireBatchOf(t, 50)
+	pipe := &ml.Pipeline{Final: &ml.LogisticRegression{W: []float64{1, -0.5}, B: 0.2}, InputColumns: []string{"a", "b"}}
+	inner := rt.NewPipelinePredictor(pipe, types.Float)
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
 	slow := &OutOfProcessPredictor{Inner: inner, Startup: 2 * time.Second, Ctx: ctx}
-	start = time.Now()
+	start := time.Now()
 	if _, err := slow.PredictBatch(b); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}

@@ -76,10 +76,28 @@ func TestPipelinePredictor(t *testing.T) {
 }
 
 // TestSessionPredictorMatchesPipeline: a pipeline translated to a tensor
-// graph scores as the pipeline does, and sessions built under one key are
-// shared while an empty key compiles a session of its own.
+// graph scores as the pipeline does.
 func TestSessionPredictorMatchesPipeline(t *testing.T) {
 	b := testBatch(t, 200)
+	g, err := nnconv.TranslatePipeline(testPipe())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewRuntime().BuildSession("same", g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &SessionPredictor{Session: s, InputCols: testPipe().InputColumns, OutType: types.Float}
+	got, err := p.PredictBatch(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertScores(t, expected(t, b), got)
+}
+
+// TestBuildSessionCacheSharing: sessions built under one key are shared,
+// while an empty key compiles a session of its own.
+func TestBuildSessionCacheSharing(t *testing.T) {
 	g, err := nnconv.TranslatePipeline(testPipe())
 	if err != nil {
 		t.Fatal(err)
@@ -89,12 +107,6 @@ func TestSessionPredictorMatchesPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := &SessionPredictor{Session: s1, InputCols: testPipe().InputColumns, OutType: types.Float}
-	got, err := p.PredictBatch(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertScores(t, expected(t, b), got)
 	if s2, err := r.BuildSession("same", g); err != nil || s2 != s1 {
 		t.Errorf("sessions with the same key should be shared (err %v)", err)
 	}
