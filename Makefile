@@ -14,7 +14,12 @@ COVER_FLOOR ?= 70
 # the execution-mode knob took the second NN path and the simulated
 # external runtime out of the engine; the runtime moved into
 # internal/bench as a modelled baseline, so the total fell by only 3.
-LOC_CEILING ?= 26607
+# The column-at-a-time aggregate (typed group ids per morsel, one typed
+# loop per aggregate) and the superaccumulator behind exact SUM/AVG (its
+# first six limbs inline, so a narrow sum allocates nothing) are 151 lines
+# more than the row-at-a-time fold and the float expansion they replaced;
+# the row-at-a-time fold lives on as the tests' reference.
+LOC_CEILING ?= 26758
 
 .PHONY: all build test test-benchmark race vet fmt-check fuzz bench bench-micro cover smoke loc ci
 
@@ -87,15 +92,19 @@ bench:
 # rows) in ns/row, the hospital forest under a
 # top-100 bound beside the full kernel over the same 120K rows
 # (BenchmarkForestTopK: ns/row and survivors/row), the bounded sort beside the
-# unbounded one, the table scan source, the segment column reader and,
+# unbounded one, an exact SUM of 1 to 64 values from an empty
+# accumulator (BenchmarkExactSumSmall), the table scan source, the
+# segment column reader and,
 # beside the selection-pushdown rule, selective PREDICT queries end to end.
-# The hash join runs once more at two workers, the benchmark's DOP.
+# The hash join and the grouped aggregate (ns per input row; the B/op of
+# its 100K-group SUM is what a group's state costs) run once more at two
+# workers, the benchmark's DOP.
 # BenchmarkStreamRows sends one 2,000-row result over loopback through
 # each front end (HTTP/NDJSON and pg wire); BenchmarkHotPointHTTP a
 # one-row cache hit over HTTP, with the server's writes per request.
 bench-micro:
 	$(GO) test -run='^$$' -bench=. -benchmem ./internal/types ./internal/expr ./internal/xopt ./internal/ml ./internal/exec ./internal/segment
-	$(GO) test -run='^$$' -bench=BenchmarkParallelHashJoin -benchmem -cpu 2 ./internal/exec
+	$(GO) test -run='^$$' -bench='BenchmarkParallelHashJoin|BenchmarkParallelHashAggregate' -benchmem -cpu 2 ./internal/exec
 	$(GO) test -run='^$$' -bench='BenchmarkStreamRows|BenchmarkHotPointHTTP' -benchmem ./internal/server ./internal/pgwire
 
 # fuzz gives each native fuzzer a short budget on top of its checked-in
@@ -105,6 +114,8 @@ bench-micro:
 # full kernel under the top-k bound (the k best survive, bit for bit), damaged segment data areas against the reader (an
 # error or the rows, never a panic or an outsized allocation), random
 # join keys of every type against the serial reference join, random
+# float64 sequences split into partial sums merged in a random order
+# against the math/big sum rounded half-even (exact SUM/AVG), random
 # INT columns and range filters against the spans a narrowed scan reads,
 # random typed rows against encoding/json's NDJSON bytes, and arbitrary
 # log files against WAL replay (no panic, allocation bounded by the file,
@@ -116,6 +127,7 @@ fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzForestTopK -fuzztime=5s ./internal/ml
 	$(GO) test -run='^$$' -fuzz=FuzzSegmentReader -fuzztime=5s ./internal/segment
 	$(GO) test -run='^$$' -fuzz=FuzzHashJoin -fuzztime=5s ./internal/exec
+	$(GO) test -run='^$$' -fuzz=FuzzExactSum -fuzztime=5s ./internal/exec
 	$(GO) test -run='^$$' -fuzz=FuzzTableSpans -fuzztime=5s ./internal/storage
 	$(GO) test -run='^$$' -fuzz=FuzzNDJSONRow -fuzztime=5s ./internal/server
 	$(GO) test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=5s ./internal/wal
@@ -192,6 +204,6 @@ loc:
 # and ravenrouter children) and by their packages' own tests. loc holds
 # the line-count ceiling and the structural guards; fuzz is five seconds
 # each of the tree kernel's, its top-k bound's, the segment reader's, the
-# join's, the scan spans', the NDJSON encoder's, WAL replay's and the pg
-# placeholder rewrite's fuzzers.
+# join's, the exact sum's, the scan spans', the NDJSON encoder's, WAL
+# replay's and the pg placeholder rewrite's fuzzers.
 ci: fmt-check build vet loc cover race fuzz test-benchmark smoke

@@ -5,9 +5,11 @@
 // below a breaker keeps every core busy, and each guarantees output
 // bit-identical at any DOP and morsel size:
 //
-//   - ParallelHashAggregate folds morsels into per-worker partial tables
-//     and merges them; exact float summation (fsum.go) plus first-seen
-//     (seq, row) group ordering make the result DOP-invariant.
+//   - ParallelHashAggregate turns each morsel's rows into group ids of a
+//     per-worker table (keyed by value on one INT or VARCHAR column),
+//     folds each aggregate over the morsel in one typed loop, and merges
+//     the tables; exact float summation (fsum.go) plus first-seen (seq,
+//     row) group ordering make the result DOP-invariant.
 //   - ParallelHashJoin materializes the build side in morsel order, then
 //     builds one flat table per key-hash partition in parallel (no
 //     partition is shared between build workers): open-addressing slots
@@ -109,28 +111,13 @@ func consumeMorsels(src MorselSource, dop int, ctx context.Context, fold func(w,
 // ---------------------------------------------------------------------------
 // Two-phase aggregation
 
-// partialGroup is one group's per-worker partial state plus the earliest
-// (seq, row) position the group was seen at — the key to emitting groups
-// in exactly the order a one-worker scan would first encounter them.
-type partialGroup struct {
-	g        *aggGroup
-	firstSeq int
-	firstRow int
-}
-
-func (p *partialGroup) before(o *partialGroup) bool {
-	if p.firstSeq != o.firstSeq {
-		return p.firstSeq < o.firstSeq
-	}
-	return p.firstRow < o.firstRow
-}
-
 // ParallelHashAggregate is the two-phase grouped aggregation: each worker
-// folds its morsels into a private partial-aggregate table, then a merge
-// stage combines the partials and emits groups in first-seen order,
-// streamed as DefaultBatchSize chunks. Output is bit-identical for any DOP
-// and morsel size (see aggGroup), and to the single-table reference
-// aggregate the tests keep.
+// folds its morsels into a private aggTable, a morsel at a time — the
+// rows become group ids once, then each aggregate runs one typed loop
+// over its argument column — and the tables then merge into one, whose
+// groups are emitted in first-seen (seq, row) order, streamed as
+// DefaultBatchSize chunks. Output is bit-identical for any DOP and morsel
+// size, and to the row-at-a-time reference aggregate the tests keep.
 type ParallelHashAggregate struct {
 	Source  MorselSource
 	DOP     int
@@ -139,11 +126,12 @@ type ParallelHashAggregate struct {
 	// Ctx cancels the fold and merge phases.
 	Ctx context.Context
 
-	schema *types.Schema
-	keyIdx []int
-	fam    aggFamilies
-	out    []*types.Batch
-	pos    int
+	schema  *types.Schema
+	keyIdx  []int
+	keyCols []int // 0, 1, ...: the key columns of an aggTable's keys
+	kinds   []aggKind
+	out     []*types.Batch
+	pos     int
 }
 
 // NewParallelHashAggregate builds the operator over an unopened morsel
@@ -153,13 +141,13 @@ func NewParallelHashAggregate(src MorselSource, dop int, groupBy []string, aggs 
 	if err != nil {
 		return nil, err
 	}
-	keyIdx := make([]int, len(groupBy))
+	keyIdx, keyCols := make([]int, len(groupBy)), make([]int, len(groupBy))
 	for i, g := range groupBy {
-		keyIdx[i] = src.Schema().IndexOf(g)
+		keyIdx[i], keyCols[i] = src.Schema().IndexOf(g), i
 	}
 	return &ParallelHashAggregate{
 		Source: src, DOP: dop, GroupBy: groupBy, Aggs: aggs, Ctx: ctx,
-		schema: schema, keyIdx: keyIdx, fam: aggFamiliesOf(aggs, src.Schema()),
+		schema: schema, keyIdx: keyIdx, keyCols: keyCols, kinds: aggKindsOf(aggs, src.Schema()),
 	}, nil
 }
 
@@ -169,100 +157,66 @@ func (h *ParallelHashAggregate) Schema() *types.Schema { return h.schema }
 // Open implements Operator: run the parallel fold, then merge and emit.
 func (h *ParallelHashAggregate) Open() error {
 	h.out, h.pos = nil, 0
-	dop := h.DOP
-	if dop < 1 {
-		dop = 1
+	tables := make([]*aggTable, max(h.DOP, 1))
+	keySchema := types.NewSchema(h.schema.Columns[:len(h.keyIdx)]...)
+	for w := range tables {
+		tables[w] = &aggTable{keys: types.NewBatch(keySchema), accs: make([]aggAcc, len(h.Aggs)), args: make([]*types.Vector, len(h.Aggs)), ids: getSel()}
+		defer putSel(tables[w].ids)
 	}
-	partials := make([]map[string]*partialGroup, dop)
-	for w := range partials {
-		partials[w] = make(map[string]*partialGroup)
-	}
-	err := consumeMorsels(h.Source, dop, h.Ctx, func(w, seq int, b *types.Batch) error {
-		argVals := make([]*types.Vector, len(h.Aggs))
-		if err := evalAggArgs(argVals, h.Aggs, b); err != nil {
+	err := consumeMorsels(h.Source, len(tables), h.Ctx, func(w, seq int, b *types.Batch) error {
+		t := tables[w]
+		if err := evalAggArgs(t.args, h.Aggs, b); err != nil {
 			return err
 		}
-		m := partials[w]
-		var scratch []byte
-		for i := 0; i < b.Len(); i++ {
-			scratch = appendGroupKey(scratch, b, h.keyIdx, i)
-			// Zero-alloc lookup; the key string materializes only on insert.
-			pg, ok := m[string(scratch)]
-			if !ok {
-				key := string(scratch)
-				pg = &partialGroup{g: newAggGroup(len(h.keyIdx), h.Aggs, h.fam), firstSeq: seq, firstRow: i}
-				for k, ki := range h.keyIdx {
-					pg.g.keys[k] = b.Vecs[ki].Value(i)
-				}
-				m[key] = pg
-			} else if seq < pg.firstSeq || (seq == pg.firstSeq && i < pg.firstRow) {
-				// Unreachable with today's monotonic morsel sources, but a
-				// source handing out seqs out of claim order must also
-				// re-capture the key values: rows whose keys render the
-				// same (e.g. NaNs with different payloads) can differ in
-				// bits, and the emitted group key must be the globally
-				// first row's.
-				pg.firstSeq, pg.firstRow = seq, i
-				for k, ki := range h.keyIdx {
-					pg.g.keys[k] = b.Vecs[ki].Value(i)
-				}
-			}
-			pg.g.observe(h.Aggs, argVals, i)
-		}
-		putAggArgs(argVals, h.Aggs)
+		// A worker claims rising seqs (MorselSource), so the row that
+		// opens a group in its table is the group's first there.
+		n0 := len(t.first)
+		ids := t.groupIDs(b, h.keyIdx, b.Len(), seq)
+		t.grow(h.Aggs, h.kinds)
+		t.fold(h.Aggs, h.kinds, ids, n0)
+		putAggArgs(t.args, h.Aggs)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
-	return h.mergeAndEmit(partials)
+	return h.mergeAndEmit(tables)
 }
 
-// mergeAndEmit combines per-worker partials and renders the output
-// batches in deterministic first-seen order.
-func (h *ParallelHashAggregate) mergeAndEmit(partials []map[string]*partialGroup) error {
-	merged := make(map[string]*partialGroup)
-	for _, m := range partials {
+// mergeAndEmit folds every worker's table into the largest one and
+// renders its groups in first-seen order. A scalar aggregate over no
+// rows is still one row: COUNT 0, every other aggregate NULL.
+func (h *ParallelHashAggregate) mergeAndEmit(tables []*aggTable) error {
+	slices.SortFunc(tables, func(a, b *aggTable) int { return len(b.first) - len(a.first) })
+	t := tables[0]
+	for _, o := range tables[1:] {
 		if err := ctxErr(h.Ctx); err != nil {
 			return err
 		}
-		for key, pg := range m {
-			dst, ok := merged[key]
-			if !ok {
-				merged[key] = pg
-				continue
-			}
-			if pg.before(dst) {
-				// Keep the key values of the globally first-seen row so the
-				// emitted group columns do not depend on the DOP.
-				dst.firstSeq, dst.firstRow = pg.firstSeq, pg.firstRow
-				dst.g.keys = pg.g.keys
-			}
-			dst.g.merge(pg.g, h.Aggs)
+		if len(o.first) > 0 {
+			t.mergeFrom(o, h.Aggs, h.kinds, h.keyCols)
 		}
 	}
-	groups := make([]*partialGroup, 0, len(merged))
-	for _, pg := range merged {
-		groups = append(groups, pg)
+	empty := len(t.first) == 0 && len(h.keyIdx) == 0
+	if empty {
+		t.open(nil, nil, 0, 0)
+		t.grow(h.Aggs, h.kinds)
 	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a].before(groups[b]) })
-	cur := types.NewBatch(h.schema)
-	for gi, pg := range groups {
-		if gi%4096 == 0 {
-			if err := ctxErr(h.Ctx); err != nil {
-				return err
-			}
-		}
-		if err := cur.AppendRow(pg.g.emitRow(h.Aggs, h.schema, len(h.keyIdx))...); err != nil {
+	order := make([]int, len(t.first))
+	for g := range order {
+		order[g] = g
+	}
+	slices.SortFunc(order, func(a, b int) int { return t.first[a].compare(t.first[b]) })
+	for lo := 0; lo < len(order); lo += types.DefaultBatchSize {
+		if err := ctxErr(h.Ctx); err != nil {
 			return err
 		}
-		if cur.Len() >= types.DefaultBatchSize {
-			h.out = append(h.out, cur)
-			cur = types.NewBatch(h.schema)
-		}
+		h.out = append(h.out, t.emit(order[lo:min(lo+types.DefaultBatchSize, len(order))], h.schema, h.Aggs, h.kinds))
 	}
-	if cur.Len() > 0 {
-		h.out = append(h.out, cur)
+	for a, spec := range h.Aggs {
+		if empty && spec.Func != plan.AggCount {
+			h.out[0].Vecs[a].SetNull(0)
+		}
 	}
 	return nil
 }

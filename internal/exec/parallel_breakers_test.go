@@ -164,14 +164,17 @@ func TestExactFloatSumOrderInvariantAndCorrect(t *testing.T) {
 	if !math.IsNaN(sInf.Round()) {
 		t.Errorf("inf + -inf = %v, want NaN", sInf.Round())
 	}
-	// Intermediate overflow saturates to ±Inf (IEEE semantics) instead of
-	// corrupting the expansion with Inf-Inf garbage.
+	// A running total past MaxFloat64 stays exact: only the final sum
+	// rounds, to +Inf when it is out of range itself.
 	var sOv exactFloatSum
 	sOv.Add(math.MaxFloat64)
 	sOv.Add(math.MaxFloat64)
-	sOv.Add(-math.MaxFloat64)
 	if !math.IsInf(sOv.Round(), 1) {
-		t.Errorf("overflowing sum = %v, want +Inf", sOv.Round())
+		t.Errorf("MaxFloat64 + MaxFloat64 = %v, want +Inf", sOv.Round())
+	}
+	sOv.Add(-math.MaxFloat64)
+	if got := sOv.Round(); got != math.MaxFloat64 {
+		t.Errorf("MaxFloat64 + MaxFloat64 - MaxFloat64 = %v, want MaxFloat64", got)
 	}
 }
 

@@ -3,13 +3,15 @@ package exec
 // The serial HashJoin and HashAggregate, moved here when the serial
 // operator set left the production package: they are the independent
 // oracles TestParallelJoinMatchesSerialReference, TestParallelJoinMatrix,
-// FuzzHashJoin and TestParallelAggregateMatchesSerialReference compare
-// the compiled pipelines against. HashJoin's map-based table is the one
-// the flat join table replaced.
+// FuzzHashJoin, TestParallelAggregateMatchesSerialReference and
+// TestAggregateKeyMatrix compare the compiled pipelines against.
+// HashJoin's map-based table is the one the flat join table replaced, and
+// HashAggregate's row-at-a-time aggGroup the one aggTable replaced.
 
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"raven/internal/plan"
 	"raven/internal/types"
@@ -149,9 +151,10 @@ func (j *HashJoin) Next() (*types.Batch, error) {
 }
 
 // HashAggregate is the serial grouped aggregation, emitting one batch in
-// first-seen group order. Compilation now lowers plan.Aggregate to the
-// two-phase ParallelHashAggregate; this operator remains as the reference
-// implementation (it shares aggGroup, so the two cannot drift).
+// first-seen group order: every row's key rendered by appendGroupKey and
+// looked up in one map, then folded by aggGroup.observe. Compilation
+// lowers plan.Aggregate to the two-phase ParallelHashAggregate; this
+// operator remains as the reference implementation.
 type HashAggregate struct {
 	Child   Operator
 	GroupBy []string
@@ -231,12 +234,32 @@ func (h *HashAggregate) Open() error {
 	return h.emit()
 }
 
+// emit renders the groups; a scalar aggregate over no rows is one row of
+// COUNT 0 and NULLs.
 func (h *HashAggregate) emit() error {
 	out := types.NewBatch(h.schema)
+	var rows [][]any
 	for _, key := range h.order {
-		st := h.groups[key]
-		if err := out.AppendRow(st.emitRow(h.Aggs, h.schema, len(h.GroupBy))...); err != nil {
-			return err
+		rows = append(rows, h.groups[key].emitRow(h.Aggs, h.schema, len(h.GroupBy)))
+	}
+	if len(rows) == 0 && len(h.GroupBy) == 0 {
+		row := make([]any, len(h.Aggs))
+		for a, spec := range h.Aggs {
+			if spec.Func == plan.AggCount {
+				row[a] = int64(0)
+			}
+		}
+		rows = append(rows, row)
+	}
+	for _, row := range rows {
+		for c, x := range row {
+			v := out.Vecs[c]
+			if x == nil { // a NULL key or aggregate: a zero slot, marked NULL
+				v.AppendFrom(types.NewVector(v.Type, 1), 0)
+				v.SetNull(v.Len() - 1)
+			} else if err := v.Append(x); err != nil {
+				return err
+			}
 		}
 	}
 	h.out = out
@@ -283,4 +306,193 @@ func CollectContext(ctx context.Context, op Operator) (*types.Batch, error) {
 			return nil, err
 		}
 	}
+}
+
+// aggGroup accumulates all aggregates for one group, a row at a time: the
+// fold the column-at-a-time aggTable replaced. SUM/AVG use exact float
+// accumulation; MIN/MAX keep a typed int64 path so INT values above 2^53
+// do not collapse through float64.
+type aggGroup struct {
+	keys   []any
+	counts []int64
+	sums   []exactFloatSum
+	mins   []float64
+	maxs   []float64
+	minInt []int64
+	maxInt []int64
+	minStr []string
+	maxStr []string
+}
+
+// aggFamilies records which accumulator families a spec list needs —
+// derived once per operator from the aggregate functions and the static
+// MIN/MAX argument types, so each group allocates only the slices its
+// query can ever read.
+type aggFamilies struct {
+	sum     bool // SUM/AVG present
+	minMaxF bool // MIN/MAX over float (or bool) arguments
+	minMaxI bool // MIN/MAX over int arguments
+	minMaxS bool // MIN/MAX over string arguments
+}
+
+// aggFamiliesOf derives the families from the specs against the input
+// schema. Argument types were already validated by aggOutputSchema, so a
+// type error here cannot occur; unknown types default to the float
+// family (matching observe's AsFloat fallback).
+func aggFamiliesOf(aggs []plan.AggSpec, in *types.Schema) aggFamilies {
+	var f aggFamilies
+	for _, a := range aggs {
+		switch a.Func {
+		case plan.AggSum, plan.AggAvg:
+			f.sum = true
+		case plan.AggMin, plan.AggMax:
+			t := types.Float
+			if a.Arg != nil {
+				if at, err := a.Arg.Type(in); err == nil {
+					t = at
+				}
+			}
+			switch t {
+			case types.Int:
+				f.minMaxI = true
+			case types.String:
+				f.minMaxS = true
+			default:
+				f.minMaxF = true
+			}
+		}
+	}
+	return f
+}
+
+// newAggGroup allocates state for one group, but only the accumulator
+// families the query actually uses — a group is allocated per key per
+// worker, so a high-cardinality COUNT-only (or single-typed MIN/MAX)
+// GROUP BY must not pay for unused slices.
+func newAggGroup(nKeys int, aggs []plan.AggSpec, fam aggFamilies) *aggGroup {
+	g := &aggGroup{
+		keys:   make([]any, nKeys),
+		counts: make([]int64, len(aggs)),
+	}
+	if fam.sum {
+		g.sums = make([]exactFloatSum, len(aggs))
+	}
+	if fam.minMaxF {
+		g.mins = make([]float64, len(aggs))
+		g.maxs = make([]float64, len(aggs))
+		for a := range g.mins {
+			g.mins[a] = math.Inf(1)
+			g.maxs[a] = math.Inf(-1)
+		}
+	}
+	if fam.minMaxI {
+		g.minInt = make([]int64, len(aggs))
+		g.maxInt = make([]int64, len(aggs))
+		for a := range g.minInt {
+			g.minInt[a] = math.MaxInt64
+			g.maxInt[a] = math.MinInt64
+		}
+	}
+	if fam.minMaxS {
+		g.minStr = make([]string, len(aggs))
+		g.maxStr = make([]string, len(aggs))
+	}
+	return g
+}
+
+// observe folds row i of the evaluated aggregate arguments into the group.
+func (g *aggGroup) observe(aggs []plan.AggSpec, argVals []*types.Vector, i int) {
+	for ai, a := range aggs {
+		if a.Func == plan.AggCount {
+			g.counts[ai]++
+			continue
+		}
+		v := argVals[ai]
+		switch v.Type {
+		case types.String:
+			if a.Func == plan.AggMin || a.Func == plan.AggMax {
+				s := v.Strings[i]
+				if g.counts[ai] == 0 || s < g.minStr[ai] {
+					g.minStr[ai] = s
+				}
+				if g.counts[ai] == 0 || s > g.maxStr[ai] {
+					g.maxStr[ai] = s
+				}
+			}
+			g.counts[ai]++
+		case types.Int:
+			g.counts[ai]++
+			switch a.Func {
+			case plan.AggSum, plan.AggAvg:
+				g.sums[ai].Add(float64(v.Ints[i]))
+			default:
+				k := v.Ints[i]
+				if k < g.minInt[ai] {
+					g.minInt[ai] = k
+				}
+				if k > g.maxInt[ai] {
+					g.maxInt[ai] = k
+				}
+			}
+		default:
+			x := v.AsFloat(i)
+			g.counts[ai]++
+			switch a.Func {
+			case plan.AggSum, plan.AggAvg:
+				// Exact accumulation is the expensive path; only the
+				// functions that emit it pay for it.
+				g.sums[ai].Add(x)
+			default:
+				if x < g.mins[ai] {
+					g.mins[ai] = x
+				}
+				if x > g.maxs[ai] {
+					g.maxs[ai] = x
+				}
+			}
+		}
+	}
+}
+
+// emitRow renders the group as an output row in schema order.
+func (g *aggGroup) emitRow(aggs []plan.AggSpec, schema *types.Schema, nKeys int) []any {
+	row := make([]any, 0, schema.Len())
+	row = append(row, g.keys...)
+	for ai, a := range aggs {
+		idx := nKeys + ai
+		switch a.Func {
+		case plan.AggCount:
+			row = append(row, g.counts[ai])
+		case plan.AggSum:
+			row = append(row, g.sums[ai].Round())
+		case plan.AggAvg:
+			if g.counts[ai] == 0 {
+				row = append(row, 0.0)
+			} else {
+				row = append(row, g.sums[ai].Round()/float64(g.counts[ai]))
+			}
+		case plan.AggMin, plan.AggMax:
+			switch schema.Columns[idx].Type {
+			case types.String:
+				if a.Func == plan.AggMin {
+					row = append(row, g.minStr[ai])
+				} else {
+					row = append(row, g.maxStr[ai])
+				}
+			case types.Int:
+				if a.Func == plan.AggMin {
+					row = append(row, g.minInt[ai])
+				} else {
+					row = append(row, g.maxInt[ai])
+				}
+			default:
+				if a.Func == plan.AggMin {
+					row = append(row, g.mins[ai])
+				} else {
+					row = append(row, g.maxs[ai])
+				}
+			}
+		}
+	}
+	return row
 }
